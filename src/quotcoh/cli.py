@@ -298,6 +298,8 @@ def _cmd_tables(args) -> tuple[int, dict]:
 
 
 def _cmd_selftest(args) -> tuple[int, dict]:
+    if args.rounds < 1:
+        raise InputError(f"--rounds must be at least 1, got {args.rounds}")
     results = run_selftest(seed=args.seed, rounds=args.rounds)
     payload = {
         "seed": args.seed,

@@ -151,8 +151,15 @@ class GradedInvariants:
     def from_json(cls, data: Mapping, strict: bool = True) -> "GradedInvariants":
         n = int(data["n"])
         degrees = [DegreeInvariants.make(rank=0)] * (2 * n + 1)
+        seen: set[int] = set()
         for entry in data["degrees"]:
-            degrees[int(entry["k"])] = DegreeInvariants.make(
+            k = int(entry["k"])
+            if not (0 <= k <= 2 * n):
+                raise ValueError(f"degree k={k} outside 0..{2 * n}")
+            if k in seen:
+                raise ValueError(f"degree k={k} given twice")
+            seen.add(k)
+            degrees[k] = DegreeInvariants.make(
                 rank=int(entry.get("rank", 0)),
                 l_plus=int(entry.get("l_plus", 0)),
                 l_minus=int(entry.get("l_minus", 0)),

@@ -9,10 +9,12 @@ the group acting, tensor products, symmetric powers.
 
 Profiles are extracted from the rank filtration of (A - 1)^k rather than
 from an explicit Jordan basis; only the counts matter.  Tensor and
-symmetric powers of single blocks are computed by building the induced
-matrix on a representative unipotent block and re-extracting the profile;
-results are memoized per (p, block sizes, exponent), so concurrent callers
-simply recompute the same pure value.
+symmetric powers of single blocks use closed forms wherever a block is
+trivial (N_1) or free (N_p), which covers every module the Hilbert-scheme
+front end builds.  Only for the middle blocks N_q, 2 <= q <= p-1, is the
+induced matrix on a representative unipotent block built and its profile
+re-extracted.  Results are memoized per (p, block sizes, exponent), so
+concurrent callers simply recompute the same pure value.
 """
 
 from __future__ import annotations
@@ -94,24 +96,30 @@ class JordanProfile:
 
 def _profile_from_array(a: np.ndarray, p: int) -> JordanProfile:
     n = a.shape[0]
-    apow = np.eye(n, dtype=np.int64)
-    for _ in range(p):
-        apow = _np_matmul_mod(apow, a, p)
-    if not np.array_equal(apow, np.eye(n, dtype=np.int64)):
+    if p * p * max(n, 1) >= 2**62:
+        raise ValueError("prime too large for the dense mod-p kernel")
+    eye = np.eye(n, dtype=np.int64)
+    apow, base, e = eye, a, p
+    while e:
+        if e & 1:
+            apow = _np_matmul_mod(apow, base, p)
+        base = _np_matmul_mod(base, base, p)
+        e >>= 1
+    if not np.array_equal(apow, eye):
         raise ValueError("matrix is not of order dividing p over F_p")
-    b = (a - np.eye(n, dtype=np.int64)) % p
+    # A^p = 1 makes A - 1 nilpotent, so the ranks of its powers strictly
+    # decrease to 0, within at most n steps
+    b = (a - eye) % p
     ranks = [n]
-    cur = np.eye(n, dtype=np.int64)
-    for _ in range(p):
+    cur = eye
+    while ranks[-1]:
         cur = _np_matmul_mod(cur, b, p)
         ranks.append(_np_rank_mod_p(cur, p))
-    # ranks[p] = 0 because (A-1)^p = A^p - 1 = 0 over F_p
-    counts = {}
-    for q in range(1, p + 1):
-        at_least_q = ranks[q - 1] - ranks[q]
-        at_least_q1 = (ranks[q] - ranks[q + 1]) if q < p else 0
-        if at_least_q - at_least_q1:
-            counts[q] = at_least_q - at_least_q1
+    ranks.append(0)
+    # blocks of size >= q number ranks[q-1] - ranks[q]
+    counts = {
+        q: ranks[q - 1] - 2 * ranks[q] + ranks[q + 1] for q in range(1, len(ranks) - 1)
+    }
     return JordanProfile.from_counts(p, counts)
 
 
@@ -222,6 +230,11 @@ def _sym_single(p: int, q: int, k: int) -> JordanProfile:
         return JordanProfile.single(p, 1)
     if k == 1:
         return JordanProfile.single(p, q)
+    if q == p:
+        # N_p = F[G] permutes its basis freely, so Sym^k permutes the size-k multisets;
+        # only the uniform multiset (when p | k) is fixed, every other orbit is free
+        fixed = 1 if k % p == 0 else 0
+        return JordanProfile.from_counts(p, {1: fixed, p: (comb(p + k - 1, k) - fixed) // p})
     jb = representative_matrix(JordanProfile.single(p, q))
     sym = sym_power_matrix(jb, k)
     return _profile_from_array(_np_mod(sym, p), p)

@@ -241,5 +241,7 @@ SUITES: tuple[tuple[str, Callable], ...] = (
 
 
 def run_selftest(seed: int = 0, rounds: int = 40) -> list[CheckResult]:
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     rng = random.Random(seed)
     return [fn(rng, rounds) for _, fn in SUITES]

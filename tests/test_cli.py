@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from quotcoh.cli import main
 
@@ -45,6 +48,15 @@ class TestProfileCommand:
         path.write_text(json.dumps({"p": 5, "action": [[2]]}))
         status, _, err = run(capsys, "profile", "--input", str(path))
         assert status == 2
+
+    def test_huge_prime_is_rejected_quickly(self, capsys, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"p": 2147483647, "action": [[0, 1], [1, 0]]}))
+        start = time.perf_counter()
+        status, _, err = run(capsys, "profile", "--input", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert status == 2
+        assert "error" in json.loads(err)
 
 
 class TestLatticeCommand:
@@ -96,6 +108,22 @@ class TestQuotientCommand:
         data = json.loads(out)
         assert data["degenerate"] is True
         assert data["odd_torsion_pairs"] == {"1": 2}
+
+    @pytest.mark.parametrize("top", [
+        [{"k": -1, "rank": 1, "l_plus": 1}],  # negative index into the top degree
+        [{"k": 2, "rank": 1, "l_plus": 1}, {"k": 0, "rank": 1, "l_plus": 1}],  # degree 0 twice
+    ])
+    def test_report_rejects_bad_degree_index(self, capsys, tmp_path, top):
+        inv = {
+            "p": 5, "n": 1, "eta": 2,
+            "degrees": [{"k": 0, "rank": 1, "l_plus": 1}, {"k": 1, "rank": 0}, *top],
+        }
+        path = tmp_path / "inv.json"
+        path.write_text(json.dumps(inv))
+        status, out, err = run(capsys, "quotient", "report", "--input", str(path))
+        assert status == 2
+        assert out == ""
+        assert "error" in json.loads(err)
 
 
 class TestHilbertCommand:
@@ -188,3 +216,10 @@ class TestSelftestCommand:
         _, out1, _ = run(capsys, "selftest", "--seed", "1", "--rounds", "4")
         _, out2, _ = run(capsys, "selftest", "--seed", "1", "--rounds", "4")
         assert out1 == out2
+
+    @pytest.mark.parametrize("rounds", ["-1", "0"])
+    def test_rejects_rounds_below_one(self, capsys, rounds):
+        status, out, err = run(capsys, "selftest", "--rounds", rounds)
+        assert status == 2
+        assert out == ""
+        assert "error" in json.loads(err)

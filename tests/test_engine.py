@@ -58,6 +58,24 @@ class TestGradedInvariants:
         inv = k3_invariants(5, 2, 4)
         assert GradedInvariants.from_json(inv.to_json()) == inv
 
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_from_json_rejects_degree_outside_range(self, k):
+        data = {
+            "p": 5, "n": 1, "eta": 0,
+            "degrees": [{"k": 0, "rank": 1, "l_plus": 1}, {"k": k, "rank": 1, "l_plus": 1}],
+        }
+        with pytest.raises(ValueError, match="outside"):
+            GradedInvariants.from_json(data)
+
+    def test_from_json_rejects_duplicate_degree(self):
+        one = {"rank": 1, "l_plus": 1}
+        data = {
+            "p": 5, "n": 1, "eta": 0,
+            "degrees": [{"k": 0, **one}, {"k": 0, **one}, {"k": 2, **one}],
+        }
+        with pytest.raises(ValueError, match="twice"):
+            GradedInvariants.from_json(data)
+
 
 class TestE2Entry:
     def test_k3_even_row(self):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import quotcoh.hilbert as hilbert
+import quotcoh.profiles as profiles
 from quotcoh.hilbert import (
     K3_TABLE,
     NakajimaLabel,
@@ -15,6 +16,7 @@ from quotcoh.hilbert import (
     hilbert_invariants,
     hilbert_report,
     k3_graded_invariants,
+    k3_h2_profile,
     k3_table,
     nikulin_involution,
 )
@@ -115,6 +117,18 @@ class TestGradedProfile:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
             graded_profile(2, JordanProfile.from_counts(5, {1: 2, 5: 3}))
+
+    def test_paper_path_builds_no_dense_matrix(self, monkeypatch):
+        for cached in (profiles._sym_single, profiles._sym_profile, profiles._tensor_single):
+            cached.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError("dense matrix built for a trivial/free profile")
+
+        monkeypatch.setattr(profiles, "sym_power_matrix", refuse)
+        monkeypatch.setattr(profiles, "_profile_from_array", refuse)
+        inv = graded_profile(6, k3_h2_profile(7))
+        assert [inv.degree(k).rank for k in range(25)] == list(betti_numbers(6))
 
     def test_divisibility_of_free_part(self):
         for p, m in ((5, 2), (7, 2), (5, 3), (7, 3)):

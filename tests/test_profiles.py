@@ -5,6 +5,7 @@ import pytest
 from quotcoh.intmat import IntMatrix
 from quotcoh.profiles import (
     JordanProfile,
+    _sym_single,
     cohomology_dim,
     curtis_reiner_check,
     direct_sum,
@@ -30,6 +31,14 @@ class TestJordanProfile:
     def test_rejects_wrong_order(self):
         with pytest.raises(ValueError):
             jordan_profile(IntMatrix([[2]]), 5)
+
+    def test_large_prime_takes_logarithmic_work(self):
+        p = 2147483647
+        assert jordan_profile(IntMatrix([[1]]), p) == JordanProfile.single(p, 1)
+
+    def test_large_prime_rejected_before_int64_overflow(self):
+        with pytest.raises(ValueError, match="too large"):
+            jordan_profile(IntMatrix([[0, 1], [1, 0]]), 2147483647)
 
     def test_dimension_identity(self):
         rng = random.Random(5)
@@ -178,6 +187,20 @@ class TestSymPower:
             for k in range(2, 7 if p == 7 else 5):
                 s = sym_power(JordanProfile.single(p, p), k)
                 assert s.blocks == ((p, s.dimension() // p),)
+
+
+class TestFreeBlockSymPower:
+    """Sym^k(N_p) in closed form: N_1^[p|k] + N_p^((C(p+k-1, k) - [p|k]) / p)."""
+
+    @pytest.mark.parametrize(
+        "p,k", [(p, k) for p in (2, 3, 5) for k in range(7)] + [(7, k) for k in range(5)]
+    )
+    def test_closed_form_matches_dense_oracle(self, p, k):
+        free = JordanProfile.single(p, p)
+        oracle = jordan_profile(sym_power_matrix(representative_matrix(free), k), p)
+        assert _sym_single(p, p, k) == oracle
+        # the uniform multiset is the one fixed point, e.g. (2,2), (2,4), (3,3), (3,6), (5,5)
+        assert oracle.count(1) == (1 if k % p == 0 else 0)
 
 
 class TestCurtisReiner:
