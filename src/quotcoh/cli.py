@@ -43,11 +43,15 @@ class InputError(Exception):
 def _load_json(path: str | None) -> dict:
     try:
         if path is None or path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON input: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"JSON input must be an object, not {type(data).__name__}")
+    return data
 
 
 def _golden(name: str) -> dict:
@@ -72,7 +76,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
         action = IntMatrix(data["action"])
         p = int(data["p"])
         prof = jordan_profile(action, p)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     return 0, {
         "p": p,
@@ -85,7 +89,7 @@ def _cmd_lattice(args) -> tuple[int, dict]:
     data = _load_json(args.input)
     try:
         l = Lattice(IntMatrix(data["gram"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     out = _lattice_payload(l)
     out["gram"] = l.gram.to_lists()
@@ -109,7 +113,7 @@ def _cmd_quotient(args) -> tuple[int, dict]:
         inv = GradedInvariants.from_json(data)
         report = quotient_report(inv, conjectural_split=args.conjectural_split)
         return 0, report.to_json()
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
 

@@ -20,18 +20,34 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the bases above is exact below this bound, the least strong
+# pseudoprime to all of them (Sorenson & Webster 2015); without 41 it is 3.2e23
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above 3.3e24, where it would guess."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_LIMIT:
+        raise ValueError(f"primality of {p} is not decided exactly above {_MR_LIMIT}")
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -376,10 +392,6 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
     return _smith(m)
 
 
-def rank_over_q(m: IntMatrix) -> int:
-    return _smith(m).rank
-
-
 def _np_mod(m: IntMatrix, p: int) -> np.ndarray:
     return np.array([[e % p for e in row] for row in m.rows], dtype=np.int64)
 
@@ -464,10 +476,14 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of a*x = b, or None if there is none."""
     if len(b) != a.nrows:
         raise ValueError("right-hand side has wrong length")
-    s = _smith(a)
+    return back_substitute(_smith(a), b)
+
+
+def back_substitute(s: SmithDecomposition, b: Sequence[int]) -> tuple[int, ...] | None:
+    """solve_integer(a, b) given s = smith_decomposition(a), so one SNF serves many b."""
     ub = s.u.apply(b)
-    y = [0] * a.ncols
-    for i in range(a.nrows):
+    y = [0] * s.v.nrows
+    for i in range(s.u.nrows):
         d = s.diagonal[i] if i < len(s.diagonal) else 0
         if d == 0:
             if ub[i] != 0:

@@ -27,12 +27,12 @@ from typing import NamedTuple, Sequence
 
 from .intmat import (
     IntMatrix,
+    back_substitute,
     image_basis,
     is_prime,
     kernel_saturated,
     quotient_group,
     smith_decomposition,
-    solve_integer,
 )
 from .profiles import jordan_profile
 
@@ -260,10 +260,10 @@ class GroupCohomology(NamedTuple):
 
 def _coordinates_in_rowbasis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
     """Rows of `vectors` written in the saturated row basis `basis`."""
-    bt = basis.transpose()
+    snf = smith_decomposition(basis.transpose())
     coords = []
     for row in vectors.rows:
-        sol = solve_integer(bt, row)
+        sol = back_substitute(snf, row)
         if sol is None:
             raise ValueError("vector outside the span of the basis")
         coords.append(sol)

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import comb, gcd
+from math import comb, gcd, lcm, prod
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .intmat import (
@@ -65,10 +66,15 @@ class Cone:
         """Rays as columns."""
         return IntMatrix([list(r) for r in self.rays], ncols=self.ambient).transpose()
 
+    def _is_square(self) -> bool:
+        return len(self.rays) == self.ambient
+
     @property
     def dim(self) -> int:
         if not self.rays:
             return 0
+        if self._is_square() and IntMatrix(self.rays).det() != 0:
+            return self.ambient
         return smith_decomposition(self.ray_matrix()).rank
 
     def is_simplicial(self) -> bool:
@@ -78,56 +84,65 @@ class Cone:
         """Index of the span of the rays in its saturation (1 = regular)."""
         if not self.is_simplicial():
             raise ValueError("multiplicity of a non-simplicial cone")
-        diag = smith_decomposition(self.ray_matrix()).diagonal
-        mult = 1
-        for d in diag:
-            if d:
-                mult *= d
-        return mult
+        if self._is_square():
+            return abs(IntMatrix(self.rays).det())
+        return prod(d for d in smith_decomposition(self.ray_matrix()).diagonal if d)
 
     def coordinates_of(self, point: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        """Barycentric coordinates of a point in the simplicial cone, or None."""
-        rays = [list(r) for r in self.rays]
-        d = len(rays)
-        a = [[Fraction(rays[j][i]) for j in range(d)] + [Fraction(point[i])]
-             for i in range(self.ambient)]
-        # exact Gauss elimination of the (ambient x d | point) system
-        pivots = []
-        r = 0
-        for col in range(d):
-            piv = next((i for i in range(r, self.ambient) if a[i][col] != 0), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            a[r] = [x / a[r][col] for x in a[r]]
-            for i in range(self.ambient):
-                if i != r and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(col)
-            r += 1
-        if len(pivots) != d:
+        """Barycentric coordinates of a point in the simplicial cone, or None.
+
+        Cramer's rule on a nonzero maximal minor of the ray matrix (all of
+        it for a full-dimensional cone).  None means the remaining rows
+        disagree: the point is outside the linear span.
+        """
+        point = [Fraction(x) for x in point]
+        q = lcm(*(x.denominator for x in point))
+        scaled = [x.numerator * (q // x.denominator) for x in point]
+        d = len(self.rays)
+        rows = [tuple(r[t] for r in self.rays) for t in range(self.ambient)]
+        pivots: list[int] = []  # greedy: rows M are independent iff det(M M^T) != 0
+        for t in range(self.ambient):
+            m = IntMatrix([rows[k] for k in pivots + [t]], ncols=d)
+            if len(pivots) < d and (m * m.transpose()).det() != 0:
+                pivots.append(t)
+        if len(pivots) < d:
             raise ValueError("coordinates need a simplicial cone")
-        lam = [Fraction(0)] * d
-        for row_idx, col in enumerate(pivots):
-            lam[col] = a[row_idx][d]
-        for i in range(r, self.ambient):
-            if a[i][d] != 0:
-                return None  # point outside the linear span
-        return tuple(lam)
+        det, adj = _cofactors([[r[t] for t in pivots] for r in self.rays])
+        num = [sum(a * scaled[t] for a, t in zip(row, pivots)) for row in adj]
+        if any(sum(map(mul, row, num)) != det * y for row, y in zip(rows, scaled)):
+            return None  # point outside the linear span
+        return tuple(Fraction(x, q * det) for x in num)
 
     def contains(self, point: Sequence) -> bool:
-        lam = self.coordinates_of([Fraction(x) for x in point])
+        lam = self.coordinates_of(point)
         return lam is not None and all(x >= 0 for x in lam)
+
+
+def _cofactors(cols: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det R and adj(R), so that R adj(R) = det(R) I, for R with these columns.
+
+    adj(R)[i][j] is the signed minor of R without column i and row j;
+    det R is the Laplace expansion along row 0.
+    """
+    n = len(cols)
+    if n == 0:
+        return 1, ()
+    adj = tuple(
+        tuple(
+            (-1) ** (i + j) * IntMatrix(
+                [[c[t] for t in range(n) if t != j] for k, c in enumerate(cols) if k != i],
+                ncols=n - 1,
+            ).det()
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return sum(c[0] * a[0] for c, a in zip(cols, adj)), adj
 
 
 def is_regular(c: Cone) -> bool:
     """True iff the rays extend to a basis of the ambient lattice."""
-    if not c.rays:
-        return True
-    if not c.is_simplicial():
-        return False
-    return c.multiplicity() == 1
+    return not c.rays or (c.is_simplicial() and c.multiplicity() == 1)
 
 
 @dataclass(frozen=True)
@@ -226,61 +241,40 @@ def _parallelepiped_candidates(c: Cone) -> list[tuple[Fraction, tuple[int, ...]]
     """Nonzero lattice points of the fundamental parallelepiped.
 
     Returned as (weight, ambient point) with weight = sum of the ray
-    coordinates, each in [0, 1).
+    coordinates, each in [0, 1).  With D = |det R| the points are R c / D
+    for c = +-adj(R) x mod D, x in Z^n: the subgroup of (Z/D)^n generated
+    by the columns of adj(R).  Below full dimension R = B C for a basis B
+    of the saturation (SNF), and C takes the place of R.
     """
-    snf = smith_decomposition(c.ray_matrix())
     d = len(c.rays)
-    sat_cols = [snf.u_inv.column(i) for i in range(d)]  # saturation basis
-    coeff = IntMatrix(
-        [[snf.diagonal[i] * snf.v_inv[i, j] for j in range(d)] for i in range(d)],
-        ncols=d,
-    )
-    snf2 = smith_decomposition(coeff)
-    coeff_inv = _rational_inverse(coeff)
-    reps = [[0] * d]
-    for i, e in enumerate(snf2.diagonal):
-        reps = [r[:i] + [k] + r[i + 1:] for r in reps for k in range(e)]
+    if d == c.ambient:
+        cols = c.rays
+    else:
+        snf = smith_decomposition(c.ray_matrix())
+        cols = [[snf.diagonal[i] * snf.v_inv[i, j] for i in range(d)] for j in range(d)]
+    det, adj = _cofactors(cols)
+    mod = abs(det)
+    gens = [tuple(adj[i][j] % mod for i in range(d)) for j in range(d)]
+    group = {(0,) * d}
+    for g in gens:
+        base = list(group)
+        step = g
+        while step not in group:
+            group.update(tuple((a + b) % mod for a, b in zip(h, step)) for h in base)
+            step = tuple((a + b) % mod for a, b in zip(step, g))
     out = []
-    seen = set()
-    for y in reps:
-        x = snf2.u_inv.apply(y)
-        lam = [sum(coeff_inv[i][j] * x[j] for j in range(d)) for i in range(d)]
-        frac = [l - (l.numerator // l.denominator) for l in lam]
-        point = tuple(
-            int(sum(Fraction(coeff[i, j]) * frac[j] for j in range(d)))
-            for i in range(d)
-        )
-        if all(v == 0 for v in point) or point in seen:
-            continue
-        seen.add(point)
-        weight = sum(frac)
-        ambient = tuple(
-            sum(sat_cols[j][t] * point[j] for j in range(d))
-            for t in range(c.ambient)
-        )
-        out.append((weight, ambient))
+    for lam in sorted(group)[1:]:  # drop the zero point
+        point = tuple(sum(x * r[t] for x, r in zip(lam, c.rays)) // mod for t in range(c.ambient))
+        out.append((Fraction(sum(lam), mod), point))
     return out
 
 
-def _rational_inverse(m: IntMatrix) -> list[list[Fraction]]:
-    n = m.nrows
-    a = [[Fraction(m[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[piv] = a[piv], a[k]
-        a[k] = [x / a[k][k] for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
-
-
-def _stellar_subdivide(maximal: list[Cone], w: tuple[int, ...]) -> list[Cone]:
+def _stellar_subdivide(maximal: list[Cone], w: tuple[int, ...], judged: dict) -> list[Cone]:
+    """Star subdivision at w; judged[c] is (det R, adj R), or (multiplicity, None)."""
     out = []
     for c in maximal:
-        lam = c.coordinates_of([Fraction(x) for x in w])
+        det, adj = judged[c]  # det R adj(R) w has the signs of w's coordinates
+        lam = c.coordinates_of(w) if adj is None else [det * sum(map(mul, a, w)) for a in adj]
         if lam is None or any(x < 0 for x in lam):
             out.append(c)
             continue
@@ -299,19 +293,23 @@ def resolve(f: Fan) -> Fan:
     """Regular subdivision with the same support.
 
     Only non-regular cones are touched; termination is guaranteed because
-    each stellar subdivision strictly decreases multiplicities.
+    each stellar subdivision strictly decreases multiplicities.  Each cone
+    is judged once, for this call only.
     """
     for c in f.maximal:
         if not c.is_simplicial():
             raise ValueError("resolution implemented for simplicial fans")
+    judged: dict[Cone, tuple] = {}
     maximal = list(f.maximal)
     while True:
-        bad = sorted((c for c in maximal if not is_regular(c)), key=lambda c: c.rays)
+        for c in maximal:
+            if c not in judged:
+                judged[c] = _cofactors(c.rays) if c._is_square() else (c.multiplicity(), None)
+        bad = [c for c in maximal if abs(judged[c][0]) != 1]
         if not bad:
             break
-        candidates = _parallelepiped_candidates(bad[0])
-        weight, w = min(candidates, key=lambda t: (t[0], t[1]))
-        maximal = _stellar_subdivide(maximal, w)
+        _, w = min(_parallelepiped_candidates(min(bad, key=lambda c: c.rays)))
+        maximal = _stellar_subdivide(maximal, w, judged)
     return Fan.from_cones(maximal, ambient=f.ambient)
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import time
 
@@ -54,6 +55,38 @@ class TestProfileCommand:
         path.write_text(json.dumps({"p": 2147483647, "action": [[0, 1], [1, 0]]}))
         start = time.perf_counter()
         status, _, err = run(capsys, "profile", "--input", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert status == 2
+        assert "error" in json.loads(err)
+
+
+class TestMalformedInput:
+    """Wrongly typed JSON is invalid input: exit 2 with an error JSON, no traceback."""
+
+    @pytest.mark.parametrize("argv, payload", [
+        (("profile",), {"p": 5, "action": 3}),
+        (("profile",), {"p": 5, "action": [[1.5]]}),
+        (("profile",), [1, 2]),
+        (("lattice",), [1, 2]),
+        (("lattice",), {"gram": 3}),
+        (("lattice",), "gram"),
+        (("quotient", "pushforward"), {"p": 5, "gram": [[2]], "action": 7}),
+        (("quotient", "report"), [{"p": 5}]),
+    ])
+    def test_exit_2(self, capsys, monkeypatch, argv, payload):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        status, out, err = run(capsys, *argv, "--input", "-")
+        assert status == 2
+        assert out == ""
+        message = json.loads(err)["error"]
+        if not isinstance(payload, dict):
+            assert message.startswith("JSON input must be an object")
+
+    def test_prime_beyond_trial_division_is_rejected_quickly(self, capsys, monkeypatch):
+        payload = {"p": 1000000000000000003, "action": [[1]]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        start = time.perf_counter()
+        status, _, err = run(capsys, "profile", "--input", "-")
         assert time.perf_counter() - start < 1.0
         assert status == 2
         assert "error" in json.loads(err)

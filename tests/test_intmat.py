@@ -181,3 +181,26 @@ class TestSolveAndImage:
 
 def test_is_prime_small_values():
     assert [p for p in range(25) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(-3, 10**5))
+
+
+@pytest.mark.parametrize("n", [3215031751, 2152302898747, 3474749660383, 341550071728321,
+                               3825123056546413051, 318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # the least strong pseudoprimes to all prime bases up to 7, 11, 13, 17, 23 and 37
+    assert not is_prime(n)
+
+
+def test_is_prime_large_values():
+    assert is_prime(1000000000000000003)
+    assert is_prime(2**61 - 1)
+    assert is_prime(3317044064679887385961813)  # the largest prime below the exact bound
+    assert not is_prime(2**61 - 1 + 2)
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)  # composite, a strong pseudoprime to bases 2..41

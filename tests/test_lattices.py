@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from quotcoh.intmat import IntMatrix, kernel_saturated, quotient_group
+from quotcoh.intmat import IntMatrix, kernel_saturated, quotient_group, solve_integer
 from quotcoh.lattices import (
+    _coordinates_in_rowbasis,
     GLattice,
     Lattice,
     RationalLattice,
@@ -128,6 +129,27 @@ class TestGroupCohomology:
             gl = random_glattice(rng, p, max_dim=9)
             for i in (1, 2, 3, 4):
                 group_cohomology(gl, i)  # raises on disagreement
+
+
+class TestCoordinatesInRowBasis:
+    def test_matches_per_row_solve(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            rows, rank = rng.randrange(1, 6), rng.randrange(1, 4)
+            basis = kernel_saturated(IntMatrix(
+                [[rng.randint(-3, 3) for _ in range(rows + rank)] for _ in range(rows)]))
+            coeffs = IntMatrix([[rng.randint(-5, 5) for _ in range(basis.nrows)] for _ in range(4)],
+                               ncols=basis.nrows)
+            vectors = coeffs * basis
+            got = _coordinates_in_rowbasis(basis, vectors)
+            assert got == coeffs
+            assert got.rows == tuple(solve_integer(basis.transpose(), v) for v in vectors.rows)
+
+    def test_vector_outside_the_span(self):
+        basis = IntMatrix([[1, 0, 0], [0, 1, 1]])
+        assert solve_integer(basis.transpose(), (0, 1, 0)) is None
+        with pytest.raises(ValueError, match="outside the span"):
+            _coordinates_in_rowbasis(basis, IntMatrix([[1, 1, 1], [0, 1, 0]]))
 
 
 class TestPushforward:

@@ -1,9 +1,17 @@
+import contextlib
+import io
+import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from quotcoh.cli import main
 from quotcoh.toric import (
+    _parallelepiped_candidates,
     CohGroup,
     Cone,
     CyclicSingularity,
@@ -21,7 +29,7 @@ from quotcoh.toric import (
     surface_chain,
 )
 from quotcoh.lattices import Lattice, signature
-from quotcoh.intmat import IntMatrix
+from quotcoh.intmat import IntMatrix, primitive_vector
 
 
 class TestCones:
@@ -49,6 +57,203 @@ class TestCones:
         assert c.contains((1, 2))
         assert not c.contains((-1, 0))
         assert not c.contains((0, 1))
+
+
+def _oracle_coordinates(rays, ambient, point):
+    """Exact rational Gauss elimination of the (ambient x d | point) system.
+
+    An independent route to the barycentric coordinates: None outside the
+    linear span, ValueError for dependent rays.
+    """
+    d = len(rays)
+    a = [[Fraction(rays[j][i]) for j in range(d)] + [Fraction(point[i])] for i in range(ambient)]
+    pivots = []
+    r = 0
+    for col in range(d):
+        piv = next((i for i in range(r, ambient) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(ambient):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    if len(pivots) != d:
+        raise ValueError("dependent rays")
+    if any(a[i][d] != 0 for i in range(r, ambient)):
+        return None
+    lam = [Fraction(0)] * d
+    for row_idx, col in enumerate(pivots):
+        lam[col] = a[row_idx][d]
+    return tuple(lam)
+
+
+def _oracle_det(rows):
+    """Determinant as the product of the pivots of a rational elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+def _oracle_multiplicity(c):
+    """gcd of the maximal minors of the ray matrix: 0 iff the rays are dependent."""
+    d = len(c.rays)
+    g = 0
+    for rows in itertools.combinations(range(c.ambient), d):
+        g = gcd(g, _oracle_det([[r[t] for t in rows] for r in c.rays]))
+    return g
+
+
+def _random_cone(rng, n, d, bound=4):
+    rays = set()
+    while len(rays) < d:
+        v = [rng.randint(-bound, bound) for _ in range(n)]
+        if any(v):
+            rays.add(primitive_vector(v))
+    return Cone.from_rays(sorted(rays), ambient=n)
+
+
+def _test_points(rng, c):
+    """Rational points inside the span (some with negative coordinates) and arbitrary ones."""
+    points = [[0] * c.ambient]
+    for _ in range(6):
+        lam = [Fraction(rng.randint(-3, 9), rng.randint(1, 5)) for _ in c.rays]
+        points.append([sum(l * r[t] for l, r in zip(lam, c.rays)) for t in range(c.ambient)])
+    points += [list(r) for r in c.rays]
+    points += [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(c.ambient)]
+               for _ in range(3)]
+    return points
+
+
+def _cases():
+    """(rng, cone) in dimensions 2-4: square, non-square and non-simplicial."""
+    rng = random.Random(2019)
+    for n in (2, 3, 4):
+        for d in range(1, n + 2):
+            for _ in range(12):
+                yield rng, _random_cone(rng, n, d)
+
+
+class TestIntegerConeRoute:
+    """Determinant and Cramer routes of Cone against the rational oracles."""
+
+    def test_coordinates_and_membership(self):
+        kinds = set()
+        for rng, c in _cases():
+            for point in _test_points(rng, c):
+                try:
+                    want = _oracle_coordinates(c.rays, c.ambient, point)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        c.coordinates_of(point)
+                    kinds.add("dependent")
+                    continue
+                assert c.coordinates_of(point) == want
+                assert c.contains(point) == (want is not None and min(want, default=0) >= 0)
+                kinds.add("outside" if want is None else
+                          "inside" if min(want, default=0) >= 0 else "negative")
+                kinds.add("square" if len(c.rays) == c.ambient else "non-square")
+        assert kinds == {"dependent", "outside", "inside", "negative", "square", "non-square"}
+
+    def test_multiplicity_regularity_and_dimension(self):
+        seen = set()
+        for _, c in _cases():
+            mult = _oracle_multiplicity(c)
+            assert c.is_simplicial() == (mult != 0)
+            if mult:
+                assert c.dim == len(c.rays)
+                assert c.multiplicity() == mult
+                seen.add((len(c.rays) == c.ambient, mult == 1))
+            else:
+                with pytest.raises(ValueError):
+                    c.multiplicity()
+            assert is_regular(c) == (mult == 1)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_dimension_of_dependent_square_cone(self):
+        c = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        assert c.dim == 2 and not c.is_simplicial() and not is_regular(c)
+
+    def test_zero_cone(self):
+        c = Cone((), 3)
+        assert c.dim == 0 and is_regular(c)
+        assert c.coordinates_of([0, 0, 0]) == ()
+        assert c.coordinates_of([0, 1, 0]) is None
+
+
+def _brute_force_parallelepiped(c):
+    """All (weight, point) with point = sum lam_i ray_i integral, lam_i in [0, 1).
+
+    By Cramer's rule every such lam_i is a multiple of 1/D, D the
+    multiplicity, so the grid of those lam is exhaustive.
+    """
+    mult = _oracle_multiplicity(c)
+    out = set()
+    for lam in itertools.product(range(mult), repeat=len(c.rays)):
+        scaled = [sum(x * r[t] for x, r in zip(lam, c.rays)) for t in range(c.ambient)]
+        if any(lam) and all(s % mult == 0 for s in scaled):
+            out.add((Fraction(sum(lam), mult), tuple(s // mult for s in scaled)))
+    return out
+
+
+class TestParallelepiped:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_brute_force(self, p):
+        rng = random.Random(p)
+        for n in (2, 3, 4):
+            for _ in range(3):
+                sing = CyclicSingularity(p, tuple(rng.randrange(1, p) for _ in range(n)))
+                (cone,) = quotient_fan(sing).maximal
+                got = _parallelepiped_candidates(cone)
+                assert len(got) == len(set(got)) == p - 1
+                assert set(got) == _brute_force_parallelepiped(cone)
+
+    def test_cones_met_during_resolution(self):
+        fan = quotient_fan(CyclicSingularity(13, (1, 5, 9)))
+        for c in resolve(fan).maximal + fan.maximal:
+            assert set(_parallelepiped_candidates(c)) == _brute_force_parallelepiped(c)
+
+    def test_non_square_cones(self):
+        for rays in ([(1, 0, 0), (1, 2, 0)], [(1, 1, 1), (1, -1, 3)], [(2, 1, 0, 1), (0, 1, 2, 3)],
+                     [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 6, 2)]):
+            c = Cone.from_rays(rays)
+            got = _parallelepiped_candidates(c)
+            assert len(got) == _oracle_multiplicity(c) - 1
+            assert set(got) == _brute_force_parallelepiped(c)
+
+    def test_resolves_a_non_square_fan(self):
+        fan = Fan.from_cones([Cone.from_rays([(1, 0, 0), (1, 2, 0)]), Cone.from_rays([(0, 0, 1)])])
+        resolved = resolve(fan)
+        assert all(is_regular(c) for c in resolved.maximal)
+        assert (1, 1, 0) in resolved.rays()
+        assert len(resolved.maximal) == 3
+
+
+# "p:weights" -> stdout of `quotcoh toric`, recorded with the Fraction-elimination route
+_PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "toric_cli_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_toric_cli_stdout_pinned(case):
+    p, weights = case.split(":")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["toric", "--p", p, "--weights", weights]) == 0
+    assert buf.getvalue() == _PINNED[case]
 
 
 class TestQuotientFan:
