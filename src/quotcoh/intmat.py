@@ -4,7 +4,9 @@ Everything in this package is computed over Z with arbitrary-precision
 integers, or over a prime field F_p; there is no floating point anywhere.
 The central primitive is the Smith normal form with unimodular transforms;
 saturated kernels, image bases, integer solving and finite-quotient
-invariants are all derived from it.
+invariants are all derived from it, each tracking only the transforms it
+reads.  numpy is imported only by the dense mod-p kernels, so that code
+paths which never reduce a matrix mod p do not pay for loading it.
 
 All values are immutable, all functions are pure, so everything here is
 safe to share between threads.
@@ -15,9 +17,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -171,7 +174,7 @@ class IntMatrix:
                 raise ValueError("inner dimensions differ")
             cols = [other.column(j) for j in range(other.ncols)]
             return IntMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows],
+                [[sum(map(operator.mul, row, col)) for col in cols] for row in self._rows],
                 ncols=other.ncols,
             )
         return NotImplemented
@@ -184,7 +187,7 @@ class IntMatrix:
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.ncols:
             raise ValueError("vector length differs from column count")
-        return tuple(sum(a * x for a, x in zip(row, vector)) for row in self._rows)
+        return tuple(sum(map(operator.mul, row, vector)) for row in self._rows)
 
     def __pow__(self, k: int) -> "IntMatrix":
         if self.nrows != self.ncols:
@@ -262,58 +265,77 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """u * m * v = d with u, v unimodular and d a diagonal divisor chain."""
+    """u * m * v = d with u, v unimodular and d a diagonal divisor chain.
 
-    u: IntMatrix
-    u_inv: IntMatrix
+    A transform that the elimination was not asked to track is None.
+    """
+
+    u: IntMatrix | None
+    u_inv: IntMatrix | None
     d: IntMatrix
-    v: IntMatrix
-    v_inv: IntMatrix
+    v: IntMatrix | None
+    v_inv: IntMatrix | None
     diagonal: tuple[int, ...]
     rank: int
 
 
-def _smith(m: IntMatrix) -> SmithDecomposition:
+def _smith(m: IntMatrix, track: Collection[str] = ()) -> SmithDecomposition:
+    """Smith normal form, updating only the transforms named in `track`.
+
+    The pivoting reads only the matrix being reduced, so a tracked
+    transform equals the one the full decomposition returns.
+    """
     nr, nc = m.nrows, m.ncols
     a = [list(row) for row in m.rows]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    ui = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    vi = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def eye(name, n):
+        return [[int(i == j) for j in range(n)] for i in range(n)] if name in track else None
+
+    u, ui, v, vi = eye("u", nr), eye("u_inv", nr), eye("v", nc), eye("v_inv", nc)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for t in range(nr):
-            ui[t][i], ui[t][j] = ui[t][j], ui[t][i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+        if ui is not None:
+            for row in ui:
+                row[i], row[j] = row[j], row[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for t in range(nr):
-            ui[t][i] = -ui[t][i]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
+        if ui is not None:
+            for row in ui:
+                row[i] = -row[i]
 
     def row_add(i, j, q):
         # row_i += q * row_j; inverse transform: column_j of u_inv -= q * column_i
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for t in range(nr):
-            ui[t][j] -= q * ui[t][i]
+        if u is not None:
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        if ui is not None:
+            for row in ui:
+                row[j] -= q * row[i]
 
     def col_swap(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for t in range(nc):
-            v[t][i], v[t][j] = v[t][j], v[t][i]
-        vi[i], vi[j] = vi[j], vi[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+        if vi is not None:
+            vi[i], vi[j] = vi[j], vi[i]
 
     def col_add(j, i, q):
         # col_j += q * col_i; inverse transform: row_i of v_inv -= q * row_j
         for row in a:
             row[j] += q * row[i]
-        for t in range(nc):
-            v[t][j] += q * v[t][i]
-        vi[i] = [x - q * y for x, y in zip(vi[i], vi[j])]
+        if v is not None:
+            for row in v:
+                row[j] += q * row[i]
+        if vi is not None:
+            vi[i] = [x - q * y for x, y in zip(vi[i], vi[j])]
 
     s = 0
     while s < min(nr, nc):
@@ -361,14 +383,17 @@ def _smith(m: IntMatrix) -> SmithDecomposition:
             continue
         s += 1
 
+    def wrap(t, n):
+        return None if t is None else IntMatrix(t, ncols=n)
+
     diag = tuple(a[i][i] for i in range(min(nr, nc)))
     rank = sum(1 for x in diag if x != 0)
     return SmithDecomposition(
-        u=IntMatrix(u, ncols=nr),
-        u_inv=IntMatrix(ui, ncols=nr),
+        u=wrap(u, nr),
+        u_inv=wrap(ui, nr),
         d=IntMatrix(a, ncols=nc),
-        v=IntMatrix(v, ncols=nc),
-        v_inv=IntMatrix(vi, ncols=nc),
+        v=wrap(v, nc),
+        v_inv=wrap(vi, nc),
         diagonal=diag,
         rank=rank,
     )
@@ -384,19 +409,24 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     >>> d
     IntMatrix([[1, 0], [0, 6]])
     """
-    s = _smith(m)
+    s = _smith(m, ("u", "v"))
     return s.u, s.d, s.v
 
 
 def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
-    return _smith(m)
+    """The Smith normal form with all four transforms."""
+    return _smith(m, ("u", "u_inv", "v", "v_inv"))
 
 
 def _np_mod(m: IntMatrix, p: int) -> np.ndarray:
+    import numpy as np
+
     return np.array([[e % p for e in row] for row in m.rows], dtype=np.int64)
 
 
 def _np_rank_mod_p(arr: np.ndarray, p: int) -> int:
+    import numpy as np
+
     a = arr % p
     nr, nc = a.shape
     r = 0
@@ -438,14 +468,14 @@ def kernel_saturated(m: IntMatrix) -> IntMatrix:
     The returned rows span a direct summand of Z^ncols, so the quotient by
     their span is torsion-free.
     """
-    s = _smith(m)
+    s = _smith(m, ("v",))
     rows = [s.v.column(j) for j in range(s.rank, m.ncols)]
     return IntMatrix(rows, ncols=m.ncols)
 
 
 def image_basis(m: IntMatrix) -> IntMatrix:
     """Basis (as rows) of the image subgroup {m*x : x in Z^ncols} of Z^nrows."""
-    s = _smith(m)
+    s = _smith(m, ("u_inv",))
     rows = [
         tuple(s.diagonal[i] * e for e in s.u_inv.column(i))
         for i in range(s.rank)
@@ -476,11 +506,11 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of a*x = b, or None if there is none."""
     if len(b) != a.nrows:
         raise ValueError("right-hand side has wrong length")
-    return back_substitute(_smith(a), b)
+    return back_substitute(_smith(a, ("u", "v")), b)
 
 
 def back_substitute(s: SmithDecomposition, b: Sequence[int]) -> tuple[int, ...] | None:
-    """solve_integer(a, b) given s = smith_decomposition(a), so one SNF serves many b."""
+    """solve_integer(a, b) given an SNF s of a that tracks u and v, so one SNF serves many b."""
     ub = s.u.apply(b)
     y = [0] * s.v.nrows
     for i in range(s.u.nrows):

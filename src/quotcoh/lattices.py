@@ -23,16 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .intmat import (
     IntMatrix,
+    _smith,
     back_substitute,
     image_basis,
     is_prime,
     kernel_saturated,
     quotient_group,
-    smith_decomposition,
 )
 from .profiles import jordan_profile
 
@@ -98,12 +99,13 @@ class GLattice:
     def sigma(self) -> IntMatrix:
         """Norm map sigma = phi^(p-1) + ... + phi + id."""
         n = self.rank
-        total = IntMatrix.zeros(n, n)
-        power = IntMatrix.identity(n)
-        for _ in range(self.p):
-            total = total + power
-            power = power * self.action
-        return total
+        cols = list(zip(*self.action.rows))
+        power = [[int(i == j) for j in range(n)] for i in range(n)]
+        total = [row[:] for row in power]
+        for _ in range(self.p - 1):
+            power = [[sum(map(mul, row, col)) for col in cols] for row in power]
+            total = [[x + y for x, y in zip(t, r)] for t, r in zip(total, power)]
+        return IntMatrix(total, ncols=n)
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,9 @@ class RationalLattice:
             for j in range(i):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        if n and _fraction_det([list(r) for r in self.gram]) == 0:
+        scale = lcm(*(e.denominator for row in self.gram for e in row))
+        scaled = [[e.numerator * (scale // e.denominator) for e in row] for row in self.gram]
+        if n and IntMatrix(scaled, ncols=n).det() == 0:
             raise ValueError("Gram matrix is degenerate")
 
     @classmethod
@@ -136,25 +140,6 @@ class RationalLattice:
         return len(self.gram)
 
 
-def _fraction_det(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    det = Fraction(1)
-    a = [row[:] for row in a]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
-
-
 def discriminant(l: Lattice) -> int:
     """Absolute value of the Gram determinant."""
     return abs(l.gram.det())
@@ -162,41 +147,46 @@ def discriminant(l: Lattice) -> int:
 
 def discriminant_group(l: Lattice) -> list[int]:
     """Elementary divisors (> 1) of the cokernel of the Gram matrix."""
-    return [d for d in smith_decomposition(l.gram).diagonal if d > 1]
+    return [d for d in _smith(l.gram).diagonal if d > 1]
 
 
 def signature(l: Lattice) -> tuple[int, int]:
-    """Exact (n_plus, n_minus) by rational symmetric congruence reduction."""
+    """Exact (n_plus, n_minus) by symmetric congruence reduction over Z.
+
+    The reduction is fraction-free (Bareiss): the rows below step k hold
+    prev times the rational Schur complement, where prev is the previous
+    pivot, so every update divides exactly.  The k-th rational pivot is
+    pivot_k / pivot_(k-1), and only its sign is read.
+    """
     n = l.rank
-    m = [[Fraction(l.gram[i, j]) for j in range(n)] for i in range(n)]
+    a = [list(row) for row in l.gram.rows]
     pos = neg = 0
+    prev = 1
     for i in range(n):
-        if m[i][i] == 0:
-            j = next((t for t in range(i + 1, n) if m[t][t] != 0), None)
+        if a[i][i] == 0:
+            j = next((t for t in range(i + 1, n) if a[t][t] != 0), None)
             if j is not None:
-                m[i], m[j] = m[j], m[i]
-                for row in m:
+                a[i], a[j] = a[j], a[i]
+                for row in a[i:]:
                     row[i], row[j] = row[j], row[i]
             else:
-                j = next((t for t in range(i + 1, n) if m[i][t] != 0), None)
+                j = next((t for t in range(i + 1, n) if a[i][t] != 0), None)
                 if j is None:
                     raise ValueError("degenerate form")
                 # all remaining diagonal entries vanish, so this makes
-                # m[i][i] = 2*m[i][j] != 0
-                m[i] = [x + y for x, y in zip(m[i], m[j])]
-                for row in m:
-                    row[i] = row[i] + row[j]
-        pivot = m[i][i]
-        for j in range(i + 1, n):
-            f = m[i][j] / pivot
-            if f:
-                m[j] = [x - f * y for x, y in zip(m[j], m[i])]
-                for row in m:
-                    row[j] = row[j] - f * row[i]
-        if pivot > 0:
+                # a[i][i] = 2*a[i][j] != 0
+                a[i] = [x + y for x, y in zip(a[i], a[j])]
+                for row in a[i:]:
+                    row[i] += row[j]
+        pivot, tail = a[i][i], a[i][i + 1:]
+        for row in a[i + 1:]:
+            f = row[i]
+            row[i + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[i + 1:], tail)]
+        if (pivot > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        prev = pivot
     return pos, neg
 
 
@@ -226,10 +216,15 @@ def bns_invariants(gl: GLattice) -> BNSInvariants:
     rk T = l_plus + (p-1) l_minus + p l_p.  For p >= 3 the result is
     cross-checked against the mod-p Jordan profile.
     """
+    return _bns(gl, gl.sigma())[0]
+
+
+def _bns(gl: GLattice, sigma: IntMatrix) -> tuple[BNSInvariants, IntMatrix, IntMatrix]:
+    """bns_invariants given the norm map, plus the saturated bases of
+    T^G = Ker(phi - 1) and of Ker sigma that it computed on the way."""
     p, n = gl.p, gl.rank
-    ident = IntMatrix.identity(n)
-    invariant = kernel_saturated(gl.action - ident)
-    ker_sigma = kernel_saturated(gl.sigma())
+    invariant = kernel_saturated(gl.action - IntMatrix.identity(n))
+    ker_sigma = kernel_saturated(sigma)
     stacked = IntMatrix.vstack(invariant, ker_sigma)
     if stacked.nrows != n:
         raise ValueError("invariants and Ker sigma do not span: wrong-order action?")
@@ -250,7 +245,7 @@ def bns_invariants(gl: GLattice) -> BNSInvariants:
         ok = prof.count(2) == l_p and prof.count(1) == l_plus + l_minus
     if not ok:
         raise ValueError("mod-p profile disagrees with the lattice-side invariants")
-    return BNSInvariants(l_plus, l_minus, l_p)
+    return BNSInvariants(l_plus, l_minus, l_p), invariant, ker_sigma
 
 
 class GroupCohomology(NamedTuple):
@@ -260,7 +255,7 @@ class GroupCohomology(NamedTuple):
 
 def _coordinates_in_rowbasis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
     """Rows of `vectors` written in the saturated row basis `basis`."""
-    snf = smith_decomposition(basis.transpose())
+    snf = _smith(basis.transpose(), ("u", "v"))
     coords = []
     for row in vectors.rows:
         sol = back_substitute(snf, row)
@@ -281,25 +276,24 @@ def group_cohomology(gl: GLattice, i: int) -> GroupCohomology:
     """
     if i < 0:
         raise ValueError("negative degree")
-    p, n = gl.p, gl.rank
-    ident = IntMatrix.identity(n)
-    inv = bns_invariants(gl)
+    sigma = gl.sigma()
+    inv, invariant, ker_sigma = _bns(gl, sigma)
     if i == 0:
         return GroupCohomology(free_rank=inv.l_plus + inv.l_p, divisors=())
     if i % 2 == 1:
-        kernel = kernel_saturated(gl.sigma())
-        im = image_basis(gl.action - ident)
+        kernel = ker_sigma
+        im = image_basis(gl.action - IntMatrix.identity(gl.rank))
         expected = inv.l_minus
     else:
-        kernel = kernel_saturated(gl.action - ident)
-        im = image_basis(gl.sigma())
+        kernel = invariant
+        im = image_basis(sigma)
         expected = inv.l_plus
     if kernel.nrows == 0:
         direct: tuple[int, ...] = ()
     else:
         coords = _coordinates_in_rowbasis(kernel, im)
         direct = tuple(quotient_group(coords, kernel.nrows))
-    formula = tuple([p] * expected)
+    formula = tuple([gl.p] * expected)
     if direct != formula:
         raise RuntimeError(
             f"group cohomology mismatch in degree {i}: direct {direct}, formula {formula}"

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .intmat import IntMatrix, is_prime, _np_mod, _np_matmul_mod, _np_rank_mod_p
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,8 @@ class JordanProfile:
 
 
 def _profile_from_array(a: np.ndarray, p: int) -> JordanProfile:
+    import numpy as np
+
     n = a.shape[0]
     if p * p * max(n, 1) >= 2**62:
         raise ValueError("prime too large for the dense mod-p kernel")

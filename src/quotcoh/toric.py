@@ -26,10 +26,10 @@ from typing import NamedTuple, Sequence
 
 from .intmat import (
     IntMatrix,
+    _smith,
     image_basis,
     is_prime,
     primitive_vector,
-    smith_decomposition,
     solve_integer,
 )
 
@@ -75,18 +75,20 @@ class Cone:
             return 0
         if self._is_square() and IntMatrix(self.rays).det() != 0:
             return self.ambient
-        return smith_decomposition(self.ray_matrix()).rank
+        return _smith(self.ray_matrix()).rank
 
     def is_simplicial(self) -> bool:
         return self.dim == len(self.rays)
 
     def multiplicity(self) -> int:
         """Index of the span of the rays in its saturation (1 = regular)."""
-        if not self.is_simplicial():
-            raise ValueError("multiplicity of a non-simplicial cone")
-        if self._is_square():
-            return abs(IntMatrix(self.rays).det())
-        return prod(d for d in smith_decomposition(self.ray_matrix()).diagonal if d)
+        if self._is_square() and self.rays:
+            det = IntMatrix(self.rays).det()
+            if det:
+                return abs(det)
+        elif self.is_simplicial():
+            return prod(d for d in _smith(self.ray_matrix()).diagonal if d)
+        raise ValueError("multiplicity of a non-simplicial cone")
 
     def coordinates_of(self, point: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
         """Barycentric coordinates of a point in the simplicial cone, or None.
@@ -237,22 +239,26 @@ def quotient_fan(s: CyclicSingularity) -> Fan:
     return Fan.from_cones([cone], ambient=n)
 
 
-def _parallelepiped_candidates(c: Cone) -> list[tuple[Fraction, tuple[int, ...]]]:
+def _parallelepiped_candidates(
+    c: Cone, cofactors: tuple[int, tuple[tuple[int, ...], ...]] | None = None,
+) -> list[tuple[Fraction, tuple[int, ...]]]:
     """Nonzero lattice points of the fundamental parallelepiped.
 
     Returned as (weight, ambient point) with weight = sum of the ray
     coordinates, each in [0, 1).  With D = |det R| the points are R c / D
     for c = +-adj(R) x mod D, x in Z^n: the subgroup of (Z/D)^n generated
     by the columns of adj(R).  Below full dimension R = B C for a basis B
-    of the saturation (SNF), and C takes the place of R.
+    of the saturation (SNF), and C takes the place of R.  A caller that
+    already holds _cofactors(c.rays) of a full-dimensional c passes them.
     """
     d = len(c.rays)
     if d == c.ambient:
-        cols = c.rays
+        det, adj = cofactors or _cofactors(c.rays)
     else:
-        snf = smith_decomposition(c.ray_matrix())
-        cols = [[snf.diagonal[i] * snf.v_inv[i, j] for i in range(d)] for j in range(d)]
-    det, adj = _cofactors(cols)
+        snf = _smith(c.ray_matrix(), ("v_inv",))
+        det, adj = _cofactors(
+            [[snf.diagonal[i] * snf.v_inv[i, j] for i in range(d)] for j in range(d)]
+        )
     mod = abs(det)
     gens = [tuple(adj[i][j] % mod for i in range(d)) for j in range(d)]
     group = {(0,) * d}
@@ -308,7 +314,8 @@ def resolve(f: Fan) -> Fan:
         bad = [c for c in maximal if abs(judged[c][0]) != 1]
         if not bad:
             break
-        _, w = min(_parallelepiped_candidates(min(bad, key=lambda c: c.rays)))
+        target = min(bad, key=lambda c: c.rays)
+        _, w = min(_parallelepiped_candidates(target, judged[target] if target._is_square() else None))
         maximal = _stellar_subdivide(maximal, w, judged)
     return Fan.from_cones(maximal, ambient=f.ambient)
 

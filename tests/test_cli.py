@@ -238,6 +238,29 @@ class TestProcessLevel:
         assert json.loads(first.stdout)["det"] == 7
 
 
+    def test_paper_command_leaves_numpy_unloaded(self):
+        import subprocess
+        import sys
+
+        # hilbert builds no matrix; profile reduces one mod p and loads numpy then
+        script = (
+            "import sys\n"
+            "from quotcoh.cli import main\n"
+            "status = main(['hilbert', '--p', '7', '--m', '6'])\n"
+            "print('numpy' in sys.modules, status, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+        assert proc.stderr.split() == ["False", "0"]
+        assert json.loads(proc.stdout)
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "quotcoh.cli", "profile", "--input", "-"],
+            input=json.dumps({"p": 3, "action": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}),
+            capture_output=True, text=True, check=True,
+        )
+        assert json.loads(proc.stdout)["counts"] == {"3": 1}
+
+
 class TestSelftestCommand:
     def test_small_rounds(self, capsys):
         status, out, _ = run(capsys, "selftest", "--seed", "3", "--rounds", "5")

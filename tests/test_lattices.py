@@ -226,6 +226,24 @@ class TestRescale:
         assert l == named_lattice("Lambda7")
 
 
+class TestRationalLattice:
+    def test_fractional_non_degenerate(self):
+        # det = 1/10 - 1/9 != 0, although no entry is integral
+        rl = RationalLattice.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]])
+        assert rl.rank == 2
+
+    def test_fractional_degenerate(self):
+        # second row is half the first: det = 1/16 - 1/16
+        with pytest.raises(ValueError, match="degenerate"):
+            RationalLattice.from_rows([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 8)]])
+
+    def test_fractional_degenerate_rank_three(self):
+        rows = [[Fraction(1, 3), 1, Fraction(4, 3)], [1, Fraction(1, 7), Fraction(8, 7)],
+                [Fraction(4, 3), Fraction(8, 7), Fraction(52, 21)]]
+        with pytest.raises(ValueError, match="degenerate"):
+            RationalLattice.from_rows(rows)
+
+
 class TestFujiki:
     def test_reference_values(self):
         assert fujiki_constant(7, 2, 7) == 21

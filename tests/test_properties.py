@@ -1,0 +1,164 @@
+"""Property tests for the exact kernels against independent oracles.
+
+The integer signature is checked against the rational congruence
+reduction it replaced, the transform-on-demand SNF against the full
+decomposition, and the norm map against the naive sum of powers.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quotcoh.intmat import IntMatrix, _smith, smith_decomposition
+from quotcoh.lattices import signature
+from quotcoh.selftest import random_glattice
+
+PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+TRANSFORMS = ("u", "u_inv", "v", "v_inv")
+SUBSETS = [c for k in range(len(TRANSFORMS) + 1) for c in combinations(TRANSFORMS, k)]
+
+
+def fraction_signature(gram: IntMatrix) -> tuple[int, int]:
+    """Oracle: symmetric congruence reduction over Q, rows and columns."""
+    n = gram.nrows
+    m = [[Fraction(e) for e in row] for row in gram.rows]
+    pos = neg = 0
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((t for t in range(i + 1, n) if m[t][t] != 0), None)
+            if j is not None:
+                m[i], m[j] = m[j], m[i]
+                for row in m:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                j = next((t for t in range(i + 1, n) if m[i][t] != 0), None)
+                if j is None:
+                    raise ValueError("degenerate form")
+                m[i] = [x + y for x, y in zip(m[i], m[j])]
+                for row in m:
+                    row[i] = row[i] + row[j]
+        pivot = m[i][i]
+        for j in range(i + 1, n):
+            f = m[i][j] / pivot
+            if f:
+                m[j] = [x - f * y for x, y in zip(m[j], m[i])]
+                for row in m:
+                    row[j] = row[j] - f * row[i]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+    return pos, neg
+
+
+def unchecked_form(gram: IntMatrix):
+    """What signature reads of a Lattice, without its non-degeneracy check."""
+    return SimpleNamespace(gram=gram, rank=gram.nrows)
+
+
+@st.composite
+def symmetric_forms(draw, max_n=8, bound=4):
+    n = draw(st.integers(0, max_n))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-bound, bound))
+    # many zero diagonals drive the reduction through its swap and add steps
+    zeros = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    for i in zeros:
+        rows[i][i] = 0
+    return IntMatrix(rows, ncols=n)
+
+
+@st.composite
+def int_matrices(draw, max_side=5, bound=9):
+    nr, nc = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    if draw(st.booleans()):
+        bound = draw(st.sampled_from([0, 1, 2]))
+    rows = [[draw(st.integers(-bound, bound)) for _ in range(nc)] for _ in range(nr)]
+    return IntMatrix(rows, ncols=nc)
+
+
+class TestIntegerSignature:
+    @PROPS
+    @given(symmetric_forms())
+    def test_matches_fraction_reduction(self, gram):
+        try:
+            want = fraction_signature(gram)
+        except ValueError:
+            assert gram.det() == 0
+            with pytest.raises(ValueError, match="degenerate"):
+                signature(unchecked_form(gram))
+            return
+        assert gram.det() != 0
+        assert signature(unchecked_form(gram)) == want
+        assert sum(want) == gram.nrows
+
+    @pytest.mark.parametrize("rows", [
+        [[0]],
+        [[0, 0], [0, 0]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[1, 1], [1, 1]],
+    ])
+    def test_degenerate_forms_raise(self, rows):
+        gram = IntMatrix(rows)
+        for route in (fraction_signature, lambda g: signature(unchecked_form(g))):
+            with pytest.raises(ValueError):
+                route(gram)
+
+    def test_zero_diagonal_blocks(self):
+        # hyperbolic planes and a zero-diagonal triangle reach the add step
+        for rows, want in [
+            ([[0, 1], [1, 0]], (1, 1)),
+            ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2)),
+            ([[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 0, -2], [0, 0, -2, 0]], (2, 2)),
+        ]:
+            gram = IntMatrix(rows)
+            assert signature(unchecked_form(gram)) == fraction_signature(gram) == want
+
+
+class TestSmithOnDemand:
+    def check(self, m):
+        full = smith_decomposition(m)
+        assert full.u * m * full.v == full.d
+        assert full.u * full.u_inv == IntMatrix.identity(m.nrows)
+        assert full.v * full.v_inv == IntMatrix.identity(m.ncols)
+        for subset in SUBSETS:
+            s = _smith(m, subset)
+            assert (s.diagonal, s.rank, s.d) == (full.diagonal, full.rank, full.d)
+            for name in TRANSFORMS:
+                got = getattr(s, name)
+                assert got == (getattr(full, name) if name in subset else None), (subset, name)
+
+    @PROPS
+    @given(int_matrices())
+    def test_tracked_transforms_equal_the_full_ones(self, m):
+        self.check(m)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 2), (3, 3)])
+    def test_empty_single_and_zero_matrices(self, shape):
+        nr, nc = shape
+        self.check(IntMatrix.zeros(nr, nc))
+        if nr and nc:
+            self.check(IntMatrix([[(-1) ** (i + j) * (i + 2 * j + 1) for j in range(nc)]
+                                  for i in range(nr)], ncols=nc))
+
+
+class TestNormMap:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32), st.sampled_from([2, 3, 5, 7]))
+    def test_sigma_is_the_sum_of_powers(self, seed, p):
+        gl = random_glattice(random.Random(seed), p, max_dim=10)
+        total = IntMatrix.zeros(gl.rank, gl.rank)
+        power = IntMatrix.identity(gl.rank)
+        for _ in range(p):
+            total = total + power
+            power = power * gl.action
+        assert gl.sigma() == total
+        assert gl.sigma() * gl.action == gl.sigma()
