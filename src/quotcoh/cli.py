@@ -1,8 +1,9 @@
 """Command-line front end: JSON I/O and the golden-table regression runner.
 
 Exit codes: 0 on success, 1 on a golden-table mismatch or failed selftest,
-2 on invalid input.  Output is deterministic for fixed input (sorted JSON
-keys, fixed row ordering, no unseeded randomness).
+2 on invalid input or an --output path that cannot be written.  Output is
+deterministic for fixed input (sorted JSON keys, fixed row ordering, no
+unseeded randomness).
 """
 
 from __future__ import annotations
@@ -161,8 +162,16 @@ def _cmd_k3(args) -> tuple[int, dict]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return 0, {
-        "p": row.spec.p,
+        **_k3_row(row),
         "kind": row.spec.kind,
+        "pushforward_verified": row.pushforward_verified,
+    }
+
+
+def _k3_row(row) -> dict:
+    """A K3 table row as the `k3` command and the tables print it (key order matters for text)."""
+    return {
+        "p": row.spec.p,
         "lattice": row.spec.lattice_name,
         "rank": row.invariants.rank,
         "signature": list(row.invariants.signature),
@@ -170,29 +179,11 @@ def _cmd_k3(args) -> tuple[int, dict]:
         "singular_points": row.n_sing,
         "l_plus_2": row.spec.l_plus_2,
         "l_p_2": row.spec.l_p_2,
-        "pushforward_verified": row.pushforward_verified,
     }
 
 
 def _rows_k3(kind: str) -> list[dict]:
-    rows = []
-    for spec in K3_TABLE:
-        if spec.kind != kind:
-            continue
-        row = k3_table(spec.p, spec.kind)
-        rows.append(
-            {
-                "p": spec.p,
-                "lattice": spec.lattice_name,
-                "rank": row.invariants.rank,
-                "signature": list(row.invariants.signature),
-                "discriminant_group": list(row.invariants.discriminant_group),
-                "singular_points": row.n_sing,
-                "l_plus_2": spec.l_plus_2,
-                "l_p_2": spec.l_p_2,
-            }
-        )
-    return rows
+    return [_k3_row(k3_table(spec.p, spec.kind)) for spec in K3_TABLE if spec.kind == kind]
 
 
 def _rows_torsion2() -> list[dict]:
@@ -391,20 +382,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         status, payload = args.fn(args)
+        if args.command == "tables" and getattr(args, "format", "json") == "text":
+            text = _tables_text(payload)
+        else:
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        output = getattr(args, "output", None)
+        if output:
+            try:
+                with open(output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write output: {exc}") from exc
+        else:
+            sys.stdout.write(text)
     except InputError as exc:
         text = json.dumps({"error": str(exc)}, sort_keys=True, indent=2) + "\n"
         sys.stderr.write(text)
         return 2
-    if args.command == "tables" and getattr(args, "format", "json") == "text":
-        text = _tables_text(payload)
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return status
 
 

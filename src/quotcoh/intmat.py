@@ -5,8 +5,10 @@ integers, or over a prime field F_p; there is no floating point anywhere.
 The central primitive is the Smith normal form with unimodular transforms;
 saturated kernels, image bases, integer solving and finite-quotient
 invariants are all derived from it, each tracking only the transforms it
-reads.  numpy is imported only by the dense mod-p kernels, so that code
-paths which never reduce a matrix mod p do not pay for loading it.
+reads.  One fraction-free (Bareiss) elimination gives determinants and,
+run as Gauss-Jordan, the adjugate together with the determinant.  numpy
+is imported only by the dense mod-p kernels, so that code paths which
+never reduce a matrix mod p do not pay for loading it.
 
 All values are immutable, all functions are pure, so everything here is
 safe to share between threads.
@@ -226,25 +228,8 @@ class IntMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self._rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        sign, pivot = _bareiss([list(row) for row in self._rows], jordan=False)
+        return sign * pivot
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._rows]
@@ -261,6 +246,57 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_lists()!r})"
+
+
+def _bareiss(a: list[list[int]], jordan: bool) -> tuple[int, int]:
+    """Fraction-free elimination of the leading square block of `a`, in place.
+
+    Row k's pivot clears column k below it (and above it too when `jordan`),
+    updating every column to its right, so augmented columns ride along;
+    every division is exact (Bareiss 1968).  Returns (sign of the row
+    permutation, last pivot), whose product is the determinant of the
+    block; the pivot is 0 for a singular block, left partly reduced.
+    """
+    n = len(a)
+    width = len(a[0]) if a else 0
+    sign, prev = 1, 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return sign, 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        cols = range(k + 1, width)
+        for i in range(n) if jordan else range(k + 1, n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                for j in cols:
+                    row[j] = (pivot * row[j] - f * top[j]) // prev
+                row[k] = 0
+        prev = pivot
+    return sign, prev
+
+
+def det_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det R and adj R, so that R adj(R) = det(R) I, for R with these rows.
+
+    One fraction-free Gauss-Jordan sweep of [R | I] turns the right block
+    into +-adj(R) and leaves +-det(R) as the last pivot, the sign being
+    that of the row permutation: O(n^3) instead of n^2 minors.  A singular
+    R raises ValueError.
+    """
+    n = len(rows)
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    if any(len(row) != 2 * n for row in a):
+        raise ValueError("adjugate needs a square matrix")
+    sign, pivot = _bareiss(a, jordan=True)
+    if pivot == 0:
+        raise ValueError("matrix is singular")
+    return sign * pivot, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ positive cone viewed in the refined lattice Z^n + Z*(a_1,...,a_n)/p; a
 resolution is any regular subdivision of its fan.  The subdivision used
 here repeatedly stellar-subdivides a non-regular cone at the primitive
 lattice point of minimal positive weight in its fundamental
-parallelepiped, which strictly decreases cone multiplicities and so
-terminates.  Downstream invariants do not depend on the subdivision
-chosen.
+parallelepiped (the least such point on a tie), which strictly decreases
+cone multiplicities and so terminates.  Downstream invariants do not
+depend on the subdivision chosen.
 
 In dimension 2 the exceptional chain and its intersection matrix are the
 classical continued-fraction data; in higher dimension only combinatorial
@@ -27,6 +27,7 @@ from typing import NamedTuple, Sequence
 from .intmat import (
     IntMatrix,
     _smith,
+    det_adjugate,
     image_basis,
     is_prime,
     primitive_vector,
@@ -80,15 +81,19 @@ class Cone:
     def is_simplicial(self) -> bool:
         return self.dim == len(self.rays)
 
+    def _index(self) -> int:
+        """Index of the span of the rays in its saturation; 0 for dependent rays."""
+        if self._is_square() and self.rays:
+            return abs(IntMatrix(self.rays).det())
+        s = _smith(self.ray_matrix())
+        return prod(d for d in s.diagonal if d) if s.rank == len(self.rays) else 0
+
     def multiplicity(self) -> int:
         """Index of the span of the rays in its saturation (1 = regular)."""
-        if self._is_square() and self.rays:
-            det = IntMatrix(self.rays).det()
-            if det:
-                return abs(det)
-        elif self.is_simplicial():
-            return prod(d for d in _smith(self.ray_matrix()).diagonal if d)
-        raise ValueError("multiplicity of a non-simplicial cone")
+        index = self._index()
+        if not index:
+            raise ValueError("multiplicity of a non-simplicial cone")
+        return index
 
     def coordinates_of(self, point: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
         """Barycentric coordinates of a point in the simplicial cone, or None.
@@ -121,30 +126,13 @@ class Cone:
 
 
 def _cofactors(cols: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """det R and adj(R), so that R adj(R) = det(R) I, for R with these columns.
-
-    adj(R)[i][j] is the signed minor of R without column i and row j;
-    det R is the Laplace expansion along row 0.
-    """
-    n = len(cols)
-    if n == 0:
-        return 1, ()
-    adj = tuple(
-        tuple(
-            (-1) ** (i + j) * IntMatrix(
-                [[c[t] for t in range(n) if t != j] for k, c in enumerate(cols) if k != i],
-                ncols=n - 1,
-            ).det()
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return sum(c[0] * a[0] for c, a in zip(cols, adj)), adj
+    """det R and adj(R), so that R adj(R) = det(R) I, for nonsingular R with these columns."""
+    return det_adjugate(tuple(zip(*cols)))
 
 
 def is_regular(c: Cone) -> bool:
     """True iff the rays extend to a basis of the ambient lattice."""
-    return not c.rays or (c.is_simplicial() and c.multiplicity() == 1)
+    return c._index() == 1
 
 
 @dataclass(frozen=True)
@@ -239,16 +227,16 @@ def quotient_fan(s: CyclicSingularity) -> Fan:
     return Fan.from_cones([cone], ambient=n)
 
 
-def _parallelepiped_candidates(
+def _parallelepiped(
     c: Cone, cofactors: tuple[int, tuple[tuple[int, ...], ...]] | None = None,
-) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Nonzero lattice points of the fundamental parallelepiped.
+) -> tuple[int, set[tuple[int, ...]]]:
+    """(D, {D * lam}) for the nonzero lattice points sum lam_i ray_i, each lam_i in [0, 1).
 
-    Returned as (weight, ambient point) with weight = sum of the ray
-    coordinates, each in [0, 1).  With D = |det R| the points are R c / D
-    for c = +-adj(R) x mod D, x in Z^n: the subgroup of (Z/D)^n generated
-    by the columns of adj(R).  Below full dimension R = B C for a basis B
-    of the saturation (SNF), and C takes the place of R.  A caller that
+    These are the nonzero lattice points of the fundamental parallelepiped,
+    all with denominator D = |det R|: the points are R c / D for
+    c = +-adj(R) x mod D, x in Z^n, the subgroup of (Z/D)^n generated by
+    the columns of adj(R).  Below full dimension R = B C for a basis B of
+    the saturation (SNF), and C takes the place of R.  A caller that
     already holds _cofactors(c.rays) of a full-dimensional c passes them.
     """
     d = len(c.rays)
@@ -268,11 +256,26 @@ def _parallelepiped_candidates(
         while step not in group:
             group.update(tuple((a + b) % mod for a, b in zip(h, step)) for h in base)
             step = tuple((a + b) % mod for a, b in zip(step, g))
-    out = []
-    for lam in sorted(group)[1:]:  # drop the zero point
-        point = tuple(sum(x * r[t] for x, r in zip(lam, c.rays)) // mod for t in range(c.ambient))
-        out.append((Fraction(sum(lam), mod), point))
-    return out
+    group.discard((0,) * d)
+    return mod, group
+
+
+def _lattice_point(c: Cone, lam: Sequence[int], mod: int) -> tuple[int, ...]:
+    """The ambient point sum (lam_i / mod) ray_i."""
+    return tuple(sum(x * r[t] for x, r in zip(lam, c.rays)) // mod for t in range(c.ambient))
+
+
+def _stellar_point(
+    c: Cone, cofactors: tuple[int, tuple[tuple[int, ...], ...]] | None,
+) -> tuple[int, ...]:
+    """The parallelepiped point of least weight sum(lam_i), the least point among ties.
+
+    The weights share the denominator D, so the integer sums decide and
+    only the tied points are mapped into the ambient lattice.
+    """
+    mod, group = _parallelepiped(c, cofactors)
+    least = min(map(sum, group))
+    return min(_lattice_point(c, lam, mod) for lam in group if sum(lam) == least)
 
 
 def _stellar_subdivide(maximal: list[Cone], w: tuple[int, ...], judged: dict) -> list[Cone]:
@@ -315,7 +318,7 @@ def resolve(f: Fan) -> Fan:
         if not bad:
             break
         target = min(bad, key=lambda c: c.rays)
-        _, w = min(_parallelepiped_candidates(target, judged[target] if target._is_square() else None))
+        w = _stellar_point(target, judged[target] if target._is_square() else None)
         maximal = _stellar_subdivide(maximal, w, judged)
     return Fan.from_cones(maximal, ambient=f.ambient)
 

@@ -197,6 +197,17 @@ class TestK3Command:
         status, _, _ = run(capsys, "k3", "--p", "13")
         assert status == 2
 
+    def test_row_is_the_tables_row(self, capsys):
+        for which, kind in (("k3-symplectic", "symplectic"), ("k3-nonsymplectic", "non-symplectic")):
+            _, out, _ = run(capsys, "tables", "--which", which)
+            for row in json.loads(out)["tables"][which]["computed"]:
+                _, out, _ = run(capsys, "k3", "--p", str(row["p"]), "--kind", kind)
+                data = json.loads(out)
+                assert data.pop("kind") == kind
+                verified = data.pop("pushforward_verified")
+                assert verified == (True if (row["p"], kind) == (2, "symplectic") else None)
+                assert data == row
+
 
 class TestTablesCommand:
     def test_all_tables_match_golden(self, capsys):
@@ -237,6 +248,23 @@ class TestProcessLevel:
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["det"] == 7
 
+    @pytest.mark.parametrize("argv", [
+        ["toric", "--p", "5", "--weights", "1,2"],
+        ["tables", "--which", "betti"],
+    ])
+    def test_unwritable_output_exits_2(self, argv, tmp_path):
+        import subprocess
+        import sys
+
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            proc = subprocess.run(
+                [sys.executable, "-m", "quotcoh.cli", *argv, "--output", str(target)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stdout == ""
+            assert "cannot write output" in json.loads(proc.stderr)["error"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_paper_command_leaves_numpy_unloaded(self):
         import subprocess

@@ -2,7 +2,8 @@
 
 The integer signature is checked against the rational congruence
 reduction it replaced, the transform-on-demand SNF against the full
-decomposition, and the norm map against the naive sum of powers.
+decomposition, the Gauss-Jordan adjugate against the n^2 signed minors
+it replaced, and the norm map against the naive sum of powers.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotcoh.intmat import IntMatrix, _smith, smith_decomposition
+from quotcoh.intmat import IntMatrix, _smith, det_adjugate, smith_decomposition
 from quotcoh.lattices import signature
 from quotcoh.selftest import random_glattice
 
@@ -148,6 +149,88 @@ class TestSmithOnDemand:
         if nr and nc:
             self.check(IntMatrix([[(-1) ** (i + j) * (i + 2 * j + 1) for j in range(nc)]
                                   for i in range(nr)], ncols=nc))
+
+
+def laplace_det(rows) -> int:
+    """Oracle: expansion along the first row, no elimination."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def minors_cofactors(rows):
+    """Oracle: det R and adj(R), adj(R)[i][j] the signed minor of R without row j and column i."""
+    n = len(rows)
+    adj = tuple(
+        tuple(
+            (-1) ** (i + j) * laplace_det(
+                [[x for t, x in enumerate(row) if t != i] for k, row in enumerate(rows) if k != j]
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return laplace_det(rows), adj
+
+
+@st.composite
+def square_matrices(draw, max_n=5):
+    n = draw(st.integers(0, max_n))
+    # tiny entries make singular matrices common; 2**64 gives 60+ bit entries
+    bound = draw(st.sampled_from([1, 2, 9, 2**64]))
+    return [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(n)]
+
+
+class TestBareissAdjugate:
+    def check(self, rows):
+        n = len(rows)
+        want = minors_cofactors(rows)
+        assert IntMatrix(rows, ncols=n).det() == want[0]
+        if want[0] == 0:
+            with pytest.raises(ValueError, match="singular"):
+                det_adjugate(rows)
+            return
+        det, adj = det_adjugate(rows)
+        assert (det, adj) == want
+        r, a = IntMatrix(rows, ncols=n), IntMatrix(adj, ncols=n)
+        assert r * a == a * r == det * IntMatrix.identity(n)
+
+    @PROPS
+    @given(square_matrices())
+    def test_matches_the_minors_oracle(self, rows):
+        self.check(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [[1]],
+        [[-7]],
+        [[2**61 + 1]],
+        [[0, 1], [1, 0]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[2**63 + i * j + (i == j) * 2**62 for j in range(5)] for i in range(5)],
+        [[(-1) ** (i * j) * (2**60 + 3 * i + 7 * j) ** (1 + (i + j) % 2) for j in range(5)]
+         for i in range(5)],
+    ])
+    def test_boundary_matrices(self, rows):
+        self.check(rows)
+        assert rows == [] or det_adjugate(rows)[0] != 0
+
+    @pytest.mark.parametrize("rows", [
+        [[0]],
+        [[1, 2], [2, 4]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[2**64, 2**65], [3 * 2**64, 3 * 2**65]],
+    ])
+    def test_singular_matrices_raise(self, rows):
+        self.check(rows)
+        with pytest.raises(ValueError, match="singular"):
+            det_adjugate(rows)
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            det_adjugate([[1, 2]])
 
 
 class TestNormMap:

@@ -10,8 +10,10 @@ from math import gcd
 import pytest
 
 from quotcoh.cli import main
+from quotcoh import toric
 from quotcoh.toric import (
-    _parallelepiped_candidates,
+    _lattice_point,
+    _parallelepiped,
     CohGroup,
     Cone,
     CyclicSingularity,
@@ -210,6 +212,12 @@ def _brute_force_parallelepiped(c):
     return out
 
 
+def _candidates(c):
+    """The parallelepiped listing as the brute force writes it: [(weight, point)]."""
+    mod, group = _parallelepiped(c)
+    return [(Fraction(sum(lam), mod), _lattice_point(c, lam, mod)) for lam in group]
+
+
 class TestParallelepiped:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_matches_brute_force(self, p):
@@ -218,21 +226,45 @@ class TestParallelepiped:
             for _ in range(3):
                 sing = CyclicSingularity(p, tuple(rng.randrange(1, p) for _ in range(n)))
                 (cone,) = quotient_fan(sing).maximal
-                got = _parallelepiped_candidates(cone)
+                got = _candidates(cone)
                 assert len(got) == len(set(got)) == p - 1
                 assert set(got) == _brute_force_parallelepiped(cone)
 
     def test_cones_met_during_resolution(self):
         fan = quotient_fan(CyclicSingularity(13, (1, 5, 9)))
         for c in resolve(fan).maximal + fan.maximal:
-            assert set(_parallelepiped_candidates(c)) == _brute_force_parallelepiped(c)
+            assert set(_candidates(c)) == _brute_force_parallelepiped(c)
+
+    def test_stellar_point_is_the_least_brute_force_candidate(self, monkeypatch):
+        # resolve's point is min((Fraction weight, point)) over the brute-force listing
+        met = []
+        choose = toric._stellar_point
+
+        def spy(c, cofactors):
+            met.append((c, choose(c, cofactors)))
+            return met[-1][1]
+
+        monkeypatch.setattr(toric, "_stellar_point", spy)
+        tied = set()
+        for p, weights in ((7, (1, 3)), (11, (1, 4)), (7, (1, 2, 4)), (11, (1, 3, 7)),
+                           (5, (1, 2, 3, 4)), (7, (1, 1, 1, 4))):
+            met.clear()
+            resolve(quotient_fan(CyclicSingularity(p, weights)))
+            assert met
+            for c, w in met:
+                listing = _brute_force_parallelepiped(c)
+                least = min(listing)
+                assert w == least[1]
+                if sum(weight == least[0] for weight, _ in listing) > 1:
+                    tied.add(len(weights))
+        assert tied == {2, 3, 4}
 
     def test_non_square_cones(self):
         for rays in ([(1, 0, 0), (1, 2, 0)], [(1, 1, 1), (1, -1, 3)], [(2, 1, 0, 1), (0, 1, 2, 3)],
                      [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 6, 2)]):
             c = Cone.from_rays(rays)
-            got = _parallelepiped_candidates(c)
-            assert len(got) == _oracle_multiplicity(c) - 1
+            got = _candidates(c)
+            assert len(got) == len(set(got)) == _oracle_multiplicity(c) - 1
             assert set(got) == _brute_force_parallelepiped(c)
 
     def test_resolves_a_non_square_fan(self):
