@@ -13,7 +13,7 @@ import json
 import sys
 from importlib import resources
 
-from .engine import GradedInvariants, quotient_report
+from .engine import GradedInvariants, json_int, quotient_report
 from .hilbert import K3_TABLE, betti_table, bb_quotient, hilbert_report, k3_table
 from .intmat import IntMatrix
 from .lattices import (
@@ -48,11 +48,17 @@ def _load_json(path: str | None) -> dict:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers past Python's digit limit
         raise InputError(f"cannot read JSON input: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"JSON input must be an object, not {type(data).__name__}")
     return data
+
+
+def _json_matrix(value, name: str) -> IntMatrix:
+    """An integer matrix from a JSON list of rows; a bool or float entry is an error."""
+    return IntMatrix([[json_int(e, f"{name} entry") for e in row] for row in value])
 
 
 def _golden(name: str) -> dict:
@@ -74,8 +80,8 @@ def _lattice_payload(l: Lattice) -> dict:
 def _cmd_profile(args) -> tuple[int, dict]:
     data = _load_json(args.input)
     try:
-        action = IntMatrix(data["action"])
-        p = int(data["p"])
+        action = _json_matrix(data["action"], "action")
+        p = json_int(data["p"], "p")
         prof = jordan_profile(action, p)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
@@ -89,7 +95,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
 def _cmd_lattice(args) -> tuple[int, dict]:
     data = _load_json(args.input)
     try:
-        l = Lattice(IntMatrix(data["gram"]))
+        l = Lattice(_json_matrix(data["gram"], "gram"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     out = _lattice_payload(l)
@@ -101,11 +107,14 @@ def _cmd_quotient(args) -> tuple[int, dict]:
     data = _load_json(args.input)
     try:
         if args.action == "pushforward":
+            allow_trivial = data.get("allow_trivial", False)
+            if not isinstance(allow_trivial, bool):
+                raise ValueError(f"allow_trivial must be true or false, not {allow_trivial!r}")
             gl = GLattice(
-                gram=IntMatrix(data["gram"]),
-                action=IntMatrix(data["action"]),
-                p=int(data["p"]),
-                allow_trivial=bool(data.get("allow_trivial", False)),
+                gram=_json_matrix(data["gram"], "gram"),
+                action=_json_matrix(data["action"], "action"),
+                p=json_int(data["p"], "p"),
+                allow_trivial=allow_trivial,
             )
             pushed = pushforward_quotient_lattice(gl)
             out = _lattice_payload(pushed)

@@ -5,8 +5,10 @@ integers, or over a prime field F_p; there is no floating point anywhere.
 The central primitive is the Smith normal form with unimodular transforms;
 saturated kernels, image bases, integer solving and finite-quotient
 invariants are all derived from it, each tracking only the transforms it
-reads.  One fraction-free (Bareiss) elimination gives determinants and,
-run as Gauss-Jordan, the adjugate together with the determinant.  numpy
+reads.  The Smith diagonal of a non-singular square matrix, which is all
+a finite quotient needs, is computed modulo its determinant, so entries
+never grow.  One fraction-free (Bareiss) elimination gives determinants
+and, run as Gauss-Jordan, the adjugate together with the determinant.  numpy
 is imported only by the dense mod-p kernels, so that code paths which
 never reduce a matrix mod p do not pay for loading it.
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -345,9 +347,11 @@ def _smith(m: IntMatrix, track: Collection[str] = ()) -> SmithDecomposition:
             for row in ui:
                 row[i] = -row[i]
 
+    # rows above s are zero from column s on, and so are columns left of s
+    # from row s down: row and column operations touch only the trailing block
     def row_add(i, j, q):
         # row_i += q * row_j; inverse transform: column_j of u_inv -= q * column_i
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        a[i][s:] = [x + q * y for x, y in zip(a[i][s:], a[j][s:])]
         if u is not None:
             u[i] = [x + q * y for x, y in zip(u[i], u[j])]
         if ui is not None:
@@ -365,7 +369,7 @@ def _smith(m: IntMatrix, track: Collection[str] = ()) -> SmithDecomposition:
 
     def col_add(j, i, q):
         # col_j += q * col_i; inverse transform: row_i of v_inv -= q * row_j
-        for row in a:
+        for row in a[s:]:
             row[j] += q * row[i]
         if v is not None:
             for row in v:
@@ -381,6 +385,10 @@ def _smith(m: IntMatrix, track: Collection[str] = ()) -> SmithDecomposition:
                 e = a[i][j]
                 if e and (best is None or abs(e) < best[0]):
                     best = (abs(e), i, j)
+                    if best[0] == 1:  # nothing later can be smaller
+                        break
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, bi, bj = best
@@ -408,7 +416,7 @@ def _smith(m: IntMatrix, track: Collection[str] = ()) -> SmithDecomposition:
         if not clean:
             continue
 
-        offender = next(
+        offender = None if pivot == 1 else next(
             ((i, j) for i in range(s + 1, nr) for j in range(s + 1, nc)
              if a[i][j] % pivot != 0),
             None,
@@ -452,6 +460,91 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
     """The Smith normal form with all four transforms."""
     return _smith(m, ("u", "u_inv", "v", "v_inv"))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(h, x, y) with x*a + y*b = h = gcd(a, b), for a, b >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int) -> tuple[int, ...]:
+    """Smith diagonal of a non-singular square matrix A with determinant det.
+
+    adj(A) A = det(A) I puts D Z^n, D = |det|, inside the row span of A, so
+    Z^n / rows(A) is also the cokernel of A over Z/D, and the elimination
+    runs on residues below D instead of on growing integers
+    (Domich-Kannan-Trotter 1987; Cohen, GTM 138, Alg. 2.4.14).  Each step
+    moves the entry e of least gcd(e, D) to the pivot; a unit clears its
+    column in one pass.  Otherwise rows or columns are combined by extended
+    gcd until g = gcd(pivot, D) divides the rest of the pivot's row and
+    column; each combination replaces g by a proper divisor, so there are
+    at most log2(D) of them per step.  The step contributes Z/g, and the
+    g's are made into a divisor chain at the end; their product must be D.
+    """
+    n = len(rows)
+    mod = abs(det)
+    if mod == 1:
+        return (1,) * n
+    a = [[x % mod for x in row] for row in rows]
+    found = []
+    while a:
+        best = None
+        for i, row in enumerate(a):
+            for j, e in enumerate(row):
+                g = gcd(e, mod)
+                if best is None or g < best[0]:
+                    best = (g, i, j)
+                    if g == 1:
+                        break
+            if best[0] == 1:
+                break
+        g, bi, bj = best
+        a[0], a[bi] = a[bi], a[0]
+        if bj:
+            for row in a:
+                row[0], row[bj] = row[bj], row[0]
+        while g > 1:
+            top = a[0]
+            i = next((i for i in range(1, len(a)) if a[i][0] % g), None)
+            if i is not None:
+                # [[x, y], [-e/h, p/h]] on rows 0 and i leaves h, 0 in column 0
+                p, e = top[0], a[i][0]
+                h, x, y = _xgcd(p, e)
+                a[0] = [(x * s + y * t) % mod for s, t in zip(top, a[i])]
+                a[i] = [(p // h * t - e // h * s) % mod for s, t in zip(top, a[i])]
+            else:
+                j = next((j for j in range(1, len(top)) if top[j] % g), None)
+                if j is None:
+                    break
+                p, e = top[0], top[j]
+                h, x, y = _xgcd(p, e)
+                for row in a:
+                    s, t = row[0], row[j]
+                    row[0], row[j] = (x * s + y * t) % mod, (p // h * t - e // h * s) % mod
+            g = gcd(a[0][0], mod)
+        top = a[0]
+        # pivot = g c with c a unit mod D/g: row_i -= x row_0 clears a_i0 = g f
+        unit = pow(top[0] // g, -1, mod // g)
+        rest = []
+        for row in a[1:]:
+            x = row[0] // g * unit % (mod // g)
+            rest.append([(t - x * s) % mod for s, t in zip(top[1:], row[1:])] if x else row[1:])
+        a = rest
+        found.append(g)
+    if prod(found) != mod:
+        raise RuntimeError(f"modular Smith diagonal {found} does not multiply to |det| = {mod}")
+    chain = [g for g in found if g > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            h = gcd(chain[i], chain[j])
+            chain[i], chain[j] = h, chain[i] // h * chain[j]
+    return (1,) * (n - len(chain)) + tuple(chain)
 
 
 def _np_mod(m: IntMatrix, p: int) -> np.ndarray:
@@ -524,7 +617,8 @@ def quotient_group(sub: IntMatrix, ambient_rank: int) -> list[int]:
 
     With fewer rows than the ambient rank only the torsion relative to the
     saturation of the row span is reported; a full-rank sub yields the whole
-    finite quotient.  Dependent rows are rejected.
+    finite quotient, computed modulo its determinant.  Dependent rows are
+    rejected.
     """
     if sub.ncols != ambient_rank:
         raise ValueError("row vectors do not live in Z^ambient_rank")
@@ -532,6 +626,11 @@ def quotient_group(sub: IntMatrix, ambient_rank: int) -> list[int]:
         raise ValueError("more rows than the ambient rank")
     if sub.nrows == 0:
         return []
+    if sub.nrows == ambient_rank:
+        det = sub.det()
+        if det == 0:
+            raise ValueError("rows are dependent")
+        return [d for d in _smith_diagonal_mod(sub.rows, det) if d > 1]
     s = _smith(sub)
     if s.rank != sub.nrows:
         raise ValueError("rows are dependent")

@@ -23,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .intmat import (
     IntMatrix,
     _smith,
+    _smith_diagonal_mod,
     back_substitute,
+    det_adjugate,
     image_basis,
     is_prime,
     kernel_saturated,
@@ -43,12 +44,16 @@ class Lattice:
     """Non-degenerate integral lattice, carried by its Gram matrix."""
 
     gram: IntMatrix
+    # the Gram determinant, computed once by the non-degeneracy check
+    det: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        if self.gram.nrows > 0 and self.gram.det() == 0:
+        det = self.gram.det()
+        if det == 0:
             raise ValueError("Gram matrix is degenerate")
+        object.__setattr__(self, "det", det)
 
     @property
     def rank(self) -> int:
@@ -97,14 +102,29 @@ class GLattice:
         return Lattice(self.gram)
 
     def sigma(self) -> IntMatrix:
-        """Norm map sigma = phi^(p-1) + ... + phi + id."""
+        """Norm map sigma = phi^(p-1) + ... + phi + id.
+
+        Horner's rule S <- I + phi S, p - 1 times, with row i of phi S the
+        sum of a_ik S[k] over the nonzero entries a_ik of the action:
+        O(p nnz(phi) n) instead of p dense products.  A nontrivial
+        order-p isometry of a rank-n lattice has p <= n + 1, and the
+        trivial action gives p I in closed form, so the work is bounded
+        by the rank, not by p.
+        """
         n = self.rank
-        cols = list(zip(*self.action.rows))
-        power = [[int(i == j) for j in range(n)] for i in range(n)]
-        total = [row[:] for row in power]
+        if self.action == IntMatrix.identity(n):
+            return IntMatrix.identity(n) * self.p
+        nonzeros = [[(k, a) for k, a in enumerate(row) if a] for row in self.action.rows]
+        total = [[int(i == j) for j in range(n)] for i in range(n)]
         for _ in range(self.p - 1):
-            power = [[sum(map(mul, row, col)) for col in cols] for row in power]
-            total = [[x + y for x, y in zip(t, r)] for t, r in zip(total, power)]
+            step = []
+            for i, terms in enumerate(nonzeros):
+                row = [0] * n
+                for k, a in terms:
+                    row = [x + a * y for x, y in zip(row, total[k])]
+                row[i] += 1
+                step.append(row)
+            total = step
         return IntMatrix(total, ncols=n)
 
 
@@ -142,12 +162,12 @@ class RationalLattice:
 
 def discriminant(l: Lattice) -> int:
     """Absolute value of the Gram determinant."""
-    return abs(l.gram.det())
+    return abs(l.det)
 
 
 def discriminant_group(l: Lattice) -> list[int]:
     """Elementary divisors (> 1) of the cokernel of the Gram matrix."""
-    return [d for d in _smith(l.gram).diagonal if d > 1]
+    return [d for d in _smith_diagonal_mod(l.gram.rows, l.det) if d > 1]
 
 
 def signature(l: Lattice) -> tuple[int, int]:
@@ -385,36 +405,11 @@ def fujiki_constant(p: int, m: int, c) -> Fraction:
 
 
 def dual_lattice(l: Lattice, scale: int = 1) -> Lattice:
-    """The rescaled dual L^vee(scale); rejects a non-integral result."""
-    n = l.rank
-    m = [[Fraction(l.gram[i, j]) for j in range(n)] for i in range(n)]
-    inv = _fraction_inverse(m)
-    entries = []
-    for row in inv:
-        out = []
-        for e in row:
-            val = e * scale
-            if val.denominator != 1:
-                raise ValueError("rescaled dual is not integral")
-            out.append(int(val))
-        entries.append(out)
-    return Lattice(IntMatrix(entries, ncols=n))
-
-
-def _fraction_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    a = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        a[k] = [x / a[k][k] for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
+    """The rescaled dual L^vee(scale), Gram scale adj(G) / det(G); rejects a non-integral result."""
+    det, adj = det_adjugate(l.gram.rows)
+    if any(scale * e % det for row in adj for e in row):
+        raise ValueError("rescaled dual is not integral")
+    return Lattice(IntMatrix([[scale * e // det for e in row] for row in adj], ncols=l.rank))
 
 
 def _cartan(edges: list[tuple[int, int]], n: int) -> IntMatrix:

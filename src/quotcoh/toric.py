@@ -27,11 +27,11 @@ from typing import NamedTuple, Sequence
 from .intmat import (
     IntMatrix,
     _smith,
+    back_substitute,
     det_adjugate,
     image_basis,
     is_prime,
     primitive_vector,
-    solve_integer,
 )
 
 
@@ -216,10 +216,11 @@ def quotient_fan(s: CyclicSingularity) -> Fan:
     gens.append(list(s.weights))
     # columns of `basis` generate p * (refined lattice) inside Z^n
     basis = image_basis(IntMatrix(gens, ncols=n).transpose()).transpose()
+    snf = _smith(basis, ("u", "v"))
     rays = []
     for i in range(n):
         e_scaled = [s.p if t == i else 0 for t in range(n)]
-        y = solve_integer(basis, e_scaled)
+        y = back_substitute(snf, e_scaled)
         if y is None:
             raise RuntimeError("standard basis vector missing from the refined lattice")
         rays.append(primitive_vector(y))
@@ -293,8 +294,8 @@ def _stellar_subdivide(maximal: list[Cone], w: tuple[int, ...], judged: dict) ->
             continue
         for i in support:
             rays = list(c.rays)
-            rays[i] = w
-            out.append(Cone.from_rays(rays, ambient=c.ambient))
+            rays[i] = w  # w and the old rays are primitive already
+            out.append(Cone(tuple(sorted(rays)), c.ambient))
     return out
 
 

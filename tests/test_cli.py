@@ -82,6 +82,48 @@ class TestMalformedInput:
         if not isinstance(payload, dict):
             assert message.startswith("JSON input must be an object")
 
+    @pytest.mark.parametrize("argv, payload", [
+        (("profile",), {"p": 5.9, "action": [[0, 1], [1, 0]]}),
+        (("profile",), {"p": True, "action": [[1]]}),
+        (("profile",), {"p": "5", "action": [[1]]}),
+        (("profile",), {"p": 5, "action": [[True, False], [False, True]]}),
+        (("lattice",), {"gram": [[2.0, 1], [1, 2]]}),
+        (("quotient", "pushforward"), {"p": 2.9, "gram": [[2, 1], [1, 2]], "action": [[0, 1], [1, 0]]}),
+        (("quotient", "pushforward"),
+         {"p": 3, "gram": [[2, 1], [1, 2]], "action": [[1, 0], [0, 1]], "allow_trivial": "yes"}),
+        (("quotient", "report"), {"p": 5, "n": 1.9, "eta": 2, "degrees": []}),
+        (("quotient", "report"), {"p": 5, "n": 10**30, "eta": 2, "degrees": []}),
+        (("quotient", "report"), {"p": 5, "n": 10**7, "eta": 2, "degrees": []}),
+        (("quotient", "report"), {"p": 5, "n": True, "eta": 2, "degrees": []}),
+        (("quotient", "report"), {"p": 5, "n": 1, "eta": 2.0, "degrees": []}),
+        (("quotient", "report"),
+         {"p": 5, "n": 1, "eta": 2, "degrees": [{"k": 0.0, "rank": 1, "l_plus": 1}]}),
+        (("quotient", "report"),
+         {"p": 5, "n": 1, "eta": 2, "degrees": [{"k": 0, "rank": 1.5, "l_plus": 1}]}),
+        (("quotient", "report"),
+         {"p": 5, "n": 1, "eta": 2, "degrees": [{"k": 0, "rank": 1, "l_plus": 1, "l_qt": [1]}]}),
+        (("quotient", "report"),
+         {"p": 5, "n": 1, "eta": 2, "degrees": [{"k": 0, "rank": 1, "l_qt": {"2": 0.5}}]}),
+        (("quotient", "report"), {"p": 5, "n": 1, "eta": 2, "degrees": [[0]]}),
+    ])
+    def test_non_integers_and_huge_n_exit_2(self, capsys, monkeypatch, argv, payload):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        start = time.perf_counter()
+        status, out, err = run(capsys, *argv, "--input", "-")
+        assert time.perf_counter() - start < 1.0
+        assert (status, out) == (2, "")
+        assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("text", [
+        '{"p": 5, "action": [[1' + "0" * 5000 + "]]}",  # past Python's int digit limit
+        "[" * 100000 + "]" * 100000,
+    ])
+    def test_unparseable_json_exits_2(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        status, out, err = run(capsys, "profile", "--input", "-")
+        assert (status, out) == (2, "")
+        assert json.loads(err)["error"].startswith("cannot read JSON input")
+
     def test_prime_beyond_trial_division_is_rejected_quickly(self, capsys, monkeypatch):
         payload = {"p": 1000000000000000003, "action": [[1]]}
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
@@ -120,6 +162,23 @@ class TestQuotientCommand:
         status, out, _ = run(capsys, "quotient", "pushforward", "--input", str(path))
         assert status == 0
         assert json.loads(out)["gram"] == [[0, 5], [5, 0]]
+
+    @pytest.mark.parametrize("p, want", [
+        (3, {"discriminant": 27, "discriminant_group": [3, 9], "even": True,
+             "gram": [[6, 3], [3, 6]], "rank": 2, "signature": [2, 0]}),
+        (1000000007, {"discriminant": 3000000042000000147,
+                      "discriminant_group": [1000000007, 3000000021], "even": True,
+                      "gram": [[2000000014, 1000000007], [1000000007, 2000000014]],
+                      "rank": 2, "signature": [2, 0]}),
+    ])
+    def test_pushforward_trivial_action_is_bounded_in_p(self, capsys, monkeypatch, p, want):
+        payload = {"p": p, "gram": [[2, 1], [1, 2]], "action": [[1, 0], [0, 1]], "allow_trivial": True}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        start = time.perf_counter()
+        status, out, _ = run(capsys, "quotient", "pushforward", "--input", "-")
+        assert time.perf_counter() - start < 1.0
+        assert status == 0
+        assert json.loads(out) == want
 
     def test_report(self, capsys, tmp_path):
         inv = {

@@ -5,6 +5,7 @@ import pytest
 from quotcoh.engine import (
     DegreeInvariants,
     GradedInvariants,
+    MAX_JSON_N,
     alpha_even_bound,
     degeneration_status,
     e2_entry,
@@ -66,6 +67,19 @@ class TestGradedInvariants:
         }
         with pytest.raises(ValueError, match="outside"):
             GradedInvariants.from_json(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 1.9), ("n", True), ("n", "1"), ("n", 0), ("n", MAX_JSON_N + 1), ("n", 10**30),
+        ("p", 5.9), ("eta", 2.0),
+    ])
+    def test_from_json_accepts_only_integers_in_range(self, field, value):
+        data = {
+            "p": 5, "n": 1, "eta": 0,
+            "degrees": [{"k": 0, "rank": 1, "l_plus": 1}, {"k": 2, "rank": 1, "l_plus": 1}],
+        }
+        GradedInvariants.from_json(data)
+        with pytest.raises(ValueError):
+            GradedInvariants.from_json({**data, field: value})
 
     def test_from_json_rejects_duplicate_degree(self):
         one = {"rank": 1, "l_plus": 1}

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,14 @@ class TestBasicInvariants:
         assert invariants(dual17).signature == (0, 4)
         assert discriminant(dual17) == 17 ** 3
 
+    def test_dual_is_scaled_inverse(self):
+        a2 = named_lattice("A2")
+        assert dual_lattice(a2, 3).gram == IntMatrix([[2, 1], [1, 2]])
+        assert dual_lattice(U(-2), 2).gram == IntMatrix([[0, -1], [-1, 0]])
+        for l, scale in ((a2, 1), (a2, 2), (U(5), 1)):
+            with pytest.raises(ValueError, match="not integral"):
+                dual_lattice(l, scale)
+
 
 class TestBNS:
     def test_nikulin_swap(self):
@@ -163,6 +172,15 @@ class TestPushforward:
     def test_trivial_action_rescales(self):
         gl = GLattice(U().gram, IntMatrix.identity(2), 5, allow_trivial=True)
         assert pushforward_quotient_lattice(gl).gram == U(5).gram
+
+    def test_trivial_action_at_a_large_prime_is_bounded(self):
+        p = 1000000007
+        start = time.perf_counter()
+        gl = GLattice(named_lattice("A2").gram, IntMatrix.identity(2), p, allow_trivial=True)
+        pushed = pushforward_quotient_lattice(gl)
+        assert time.perf_counter() - start < 1.0
+        assert pushed.gram == named_lattice("A2", p).gram
+        assert discriminant_group(pushed) == [p, 3 * p]
 
     def test_cycle_collapses_to_rank_one(self):
         gl = GLattice(IntMatrix.identity(5), cycle_matrix(5), 5)

@@ -3,7 +3,8 @@
 The integer signature is checked against the rational congruence
 reduction it replaced, the transform-on-demand SNF against the full
 decomposition, the Gauss-Jordan adjugate against the n^2 signed minors
-it replaced, and the norm map against the naive sum of powers.
+it replaced, the Smith diagonal modulo the determinant against the
+elimination over Z, and the norm map against the naive sum of powers.
 """
 
 import random
@@ -12,12 +13,18 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quotcoh.intmat import IntMatrix, _smith, det_adjugate, smith_decomposition
-from quotcoh.lattices import signature
-from quotcoh.selftest import random_glattice
+from quotcoh.intmat import (
+    IntMatrix,
+    _smith,
+    _smith_diagonal_mod,
+    det_adjugate,
+    smith_decomposition,
+)
+from quotcoh.lattices import GLattice, signature
+from quotcoh.selftest import random_glattice, random_unimodular
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -233,15 +240,91 @@ class TestBareissAdjugate:
             det_adjugate([[1, 2]])
 
 
+def sum_of_powers(gl):
+    """Oracle: id + phi + ... + phi^(p-1) by dense products."""
+    total = IntMatrix.zeros(gl.rank, gl.rank)
+    power = IntMatrix.identity(gl.rank)
+    for _ in range(gl.p):
+        total = total + power
+        power = power * gl.action
+    return total
+
+
 class TestNormMap:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**32), st.sampled_from([2, 3, 5, 7]))
     def test_sigma_is_the_sum_of_powers(self, seed, p):
         gl = random_glattice(random.Random(seed), p, max_dim=10)
-        total = IntMatrix.zeros(gl.rank, gl.rank)
-        power = IntMatrix.identity(gl.rank)
-        for _ in range(p):
-            total = total + power
-            power = power * gl.action
-        assert gl.sigma() == total
+        assert gl.sigma() == sum_of_powers(gl)
         assert gl.sigma() * gl.action == gl.sigma()
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32), st.sampled_from([2, 3, 5, 7]))
+    def test_densely_conjugated_action(self, seed, p):
+        rng = random.Random(seed)
+        gl = random_glattice(rng, p, max_dim=10)
+        w, w_inv = random_unimodular(rng, gl.rank, ops=8 * gl.rank)
+        dense = GLattice(gram=w.transpose() * gl.gram * w, action=w_inv * gl.action * w,
+                         p=p, allow_trivial=True)
+        assert dense.sigma() == sum_of_powers(dense) == w_inv * gl.sigma() * w
+
+    @pytest.mark.parametrize("p", [2, 1000000007, 2305843009213693951])
+    def test_identity_action_at_any_prime(self, p):
+        gram = IntMatrix([[2, 1, 0], [1, 2, 0], [0, 0, -4]])
+        gl = GLattice(gram=gram, action=IntMatrix.identity(3), p=p, allow_trivial=True)
+        assert gl.sigma() == p * IntMatrix.identity(3)
+
+
+@st.composite
+def nonsingular_matrices(draw, max_n=6):
+    """Dense random matrices with rows scaled by a prime, or U diag(d) V with
+    repeated and prime-power d: most pivots are then not units modulo D."""
+    n = draw(st.integers(0, max_n))
+    if draw(st.booleans()):
+        bound = draw(st.sampled_from([2, 9, 2**40]))
+        rows = [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(n)]
+        p = draw(st.sampled_from([2, 3, 5]))
+        for i in draw(st.sets(st.integers(0, n - 1))) if n else ():
+            rows[i] = [p * x for x in rows[i]]
+    else:
+        d = [draw(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 25, 7**4])) for _ in range(n)]
+        rows = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for _ in range(draw(st.integers(0, 3 * n)) if n > 1 else 0):
+            i, j = draw(st.permutations(range(n)))[:2]
+            q = draw(st.integers(-3, 3))
+            if draw(st.booleans()):
+                rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+            else:
+                for row in rows:
+                    row[i] += q * row[j]
+    assume(IntMatrix(rows, ncols=n).det() != 0)
+    return rows
+
+
+class TestSmithDiagonalModDet:
+    def check(self, rows):
+        m = IntMatrix(rows, ncols=len(rows))
+        assert _smith_diagonal_mod(rows, m.det()) == _smith(m).diagonal
+
+    @PROPS
+    @given(nonsingular_matrices())
+    def test_matches_the_elimination_over_z(self, rows):
+        self.check(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [[1]],
+        [[-1]],
+        [[12]],
+        [[2, 1], [1, 1]],  # D = 1
+        [[0, 1], [1, 0]],
+        [[2, 0], [0, 3]],  # coprime divisors merge into (1, 6)
+        [[4, 0], [0, 6]],  # (2, 12)
+        [[9, 0, 0], [0, 3, 0], [0, 0, 27]],
+        [[5 if i == j else 0 for j in range(4)] for i in range(4)],
+        [[2, 4], [6, 2]],  # no unit anywhere, pivot needs a row combination
+        [[6, 4], [4, 6]],
+        [[7, 7, 0], [0, 7, 7], [7, 0, 7]],  # 7 times a determinant-2 matrix
+    ])
+    def test_boundary_matrices(self, rows):
+        self.check(rows)
