@@ -13,77 +13,71 @@ Subpackages:
 * engine    -- the spectral-sequence and quotient-cohomology calculator
 * hilbert   -- Hilbert schemes of points on K3 surfaces with natural
                prime-order actions; reproduces the quotient tables
+* selftest  -- seeded randomized property suite
 * cli       -- command-line front end and golden-table regression runner
+
+The layers load lazily (PEP 562): ``import quotcoh`` runs no submodule,
+and ``quotcoh.X`` or ``from quotcoh import X`` imports the one submodule
+that defines X on first use.  A CLI process therefore compiles only the
+layers its command calls.
 """
 
-from .intmat import (
-    IntMatrix,
-    image_basis,
-    kernel_saturated,
-    quotient_group,
-    rank_mod_p,
-    smith_normal_form,
-)
-from .profiles import (
-    JordanProfile,
-    cohomology_dim,
-    curtis_reiner_check,
-    direct_sum,
-    jordan_profile,
-    sym_power,
-    tensor,
-)
-from .lattices import (
-    GLattice,
-    Lattice,
-    RationalLattice,
-    bns_invariants,
-    discriminant,
-    discriminant_group,
-    fujiki_constant,
-    group_cohomology,
-    invariants,
-    named_lattice,
-    overlattice_from_glue,
-    pushforward_quotient_lattice,
-    rescale_to_primitive,
-    signature,
-)
-from .toric import (
-    Cone,
-    CyclicSingularity,
-    Fan,
-    betti_complete_smooth,
-    hj_resolution,
-    is_regular,
-    punctured_quotient_cohomology,
-    quotient_fan,
-    relative_quotient_cohomology,
-    resolve,
-)
-from .engine import (
-    DegreeInvariants,
-    GradedInvariants,
-    QuotientReport,
-    alpha_even_bound,
-    degeneration_status,
-    e2_entry,
-    lefschetz_euler,
-    odd_alpha_pairs,
-    quotient_report,
-    u_dimensions,
-)
-from .hilbert import (
-    K3_TABLE,
-    NakajimaLabel,
-    bb_quotient,
-    betti_numbers,
-    betti_table,
-    enumerate_basis,
-    graded_profile,
-    hilbert_report,
-    k3_table,
-    nikulin_involution,
-)
+from importlib import import_module
 
+# every public name, with the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        ("IntMatrix", "image_basis", "kernel_saturated", "quotient_group", "rank_mod_p"),
+        "intmat",
+    ),
+    **dict.fromkeys(
+        ("JordanProfile", "cohomology_dim", "curtis_reiner_check", "direct_sum",
+         "jordan_profile", "sym_power", "tensor"),
+        "profiles",
+    ),
+    **dict.fromkeys(
+        ("GLattice", "Lattice", "RationalLattice", "bns_invariants", "discriminant",
+         "discriminant_group", "fujiki_constant", "group_cohomology", "invariants",
+         "named_lattice", "overlattice_from_glue", "pushforward_quotient_lattice",
+         "rescale_to_primitive", "signature"),
+        "lattices",
+    ),
+    **dict.fromkeys(
+        ("Cone", "CyclicSingularity", "Fan", "betti_complete_smooth", "hj_resolution",
+         "is_regular", "punctured_quotient_cohomology", "quotient_fan",
+         "relative_quotient_cohomology", "resolve"),
+        "toric",
+    ),
+    **dict.fromkeys(
+        ("DegreeInvariants", "GradedInvariants", "QuotientReport", "alpha_even_bound",
+         "degeneration_status", "e2_entry", "lefschetz_euler", "odd_alpha_pairs",
+         "quotient_report", "u_dimensions"),
+        "engine",
+    ),
+    **dict.fromkeys(
+        ("K3_TABLE", "NakajimaLabel", "bb_quotient", "betti_numbers", "betti_table",
+         "enumerate_basis", "graded_profile", "hilbert_report", "k3_table",
+         "nikulin_involution"),
+        "hilbert",
+    ),
+}
+_SUBMODULES = frozenset(("intmat", "profiles", "lattices", "toric", "engine", "hilbert",
+                         "selftest", "cli"))
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

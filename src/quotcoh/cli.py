@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 on a golden-table mismatch or failed selftest,
 2 on invalid input or an --output path that cannot be written.  Output is
 deterministic for fixed input (sorted JSON keys, fixed row ordering, no
 unseeded randomness).
+
+Only argparse, json and sys load with this module: each command imports
+the layers it calls, so a process compiles no layer its command skips
+(see the package docstring).
 """
 
 from __future__ import annotations
@@ -11,31 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
-
-from .engine import GradedInvariants, json_int, quotient_report
-from .hilbert import K3_TABLE, betti_table, bb_quotient, hilbert_report, k3_table
-from .intmat import IntMatrix
-from .lattices import (
-    GLattice,
-    Lattice,
-    discriminant,
-    discriminant_group,
-    invariants,
-    pushforward_quotient_lattice,
-    signature,
-)
-from .profiles import jordan_profile
-from .selftest import run_selftest
-from .toric import (
-    CyclicSingularity,
-    hj_resolution,
-    is_regular,
-    quotient_fan,
-    resolve,
-    surface_chain,
-)
-
 
 class InputError(Exception):
     pass
@@ -56,17 +35,24 @@ def _load_json(path: str | None) -> dict:
     return data
 
 
-def _json_matrix(value, name: str) -> IntMatrix:
+def _json_matrix(value, name: str):
     """An integer matrix from a JSON list of rows; a bool or float entry is an error."""
+    from .engine import json_int
+    from .intmat import IntMatrix
+
     return IntMatrix([[json_int(e, f"{name} entry") for e in row] for row in value])
 
 
 def _golden(name: str) -> dict:
+    from importlib import resources
+
     ref = resources.files("quotcoh").joinpath("golden", f"{name}.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def _lattice_payload(l: Lattice) -> dict:
+def _lattice_payload(l) -> dict:
+    from .lattices import discriminant, invariants
+
     inv = invariants(l)
     return {
         "rank": inv.rank,
@@ -78,6 +64,9 @@ def _lattice_payload(l: Lattice) -> dict:
 
 
 def _cmd_profile(args) -> tuple[int, dict]:
+    from .engine import json_int
+    from .profiles import jordan_profile
+
     data = _load_json(args.input)
     try:
         action = _json_matrix(data["action"], "action")
@@ -93,6 +82,8 @@ def _cmd_profile(args) -> tuple[int, dict]:
 
 
 def _cmd_lattice(args) -> tuple[int, dict]:
+    from .lattices import Lattice
+
     data = _load_json(args.input)
     try:
         l = Lattice(_json_matrix(data["gram"], "gram"))
@@ -104,6 +95,9 @@ def _cmd_lattice(args) -> tuple[int, dict]:
 
 
 def _cmd_quotient(args) -> tuple[int, dict]:
+    from .engine import GradedInvariants, json_int, quotient_report
+    from .lattices import GLattice, pushforward_quotient_lattice
+
     data = _load_json(args.input)
     try:
         if args.action == "pushforward":
@@ -128,6 +122,15 @@ def _cmd_quotient(args) -> tuple[int, dict]:
 
 
 def _cmd_toric(args) -> tuple[int, dict]:
+    from .toric import (
+        CyclicSingularity,
+        hj_resolution,
+        is_regular,
+        quotient_fan,
+        resolve,
+        surface_chain,
+    )
+
     try:
         weights = tuple(int(w) for w in args.weights.split(","))
         sing = CyclicSingularity(p=args.p, weights=weights)
@@ -159,6 +162,8 @@ def _cmd_toric(args) -> tuple[int, dict]:
 
 
 def _cmd_hilbert(args) -> tuple[int, dict]:
+    from .hilbert import hilbert_report
+
     try:
         return 0, hilbert_report(args.p, args.m, conjectural_split=args.conjectural_split)
     except ValueError as exc:
@@ -166,6 +171,8 @@ def _cmd_hilbert(args) -> tuple[int, dict]:
 
 
 def _cmd_k3(args) -> tuple[int, dict]:
+    from .hilbert import k3_table
+
     try:
         row = k3_table(args.p, args.kind)
     except ValueError as exc:
@@ -192,10 +199,14 @@ def _k3_row(row) -> dict:
 
 
 def _rows_k3(kind: str) -> list[dict]:
+    from .hilbert import K3_TABLE, k3_table
+
     return [_k3_row(k3_table(spec.p, spec.kind)) for spec in K3_TABLE if spec.kind == kind]
 
 
 def _rows_torsion2() -> list[dict]:
+    from .hilbert import hilbert_report
+
     rows = []
     for p, m in ((5, 2), (7, 2), (5, 3), (7, 3)):
         rep = hilbert_report(p, m)
@@ -222,6 +233,8 @@ def _rows_torsion2() -> list[dict]:
 
 
 def _rows_betti() -> list[dict]:
+    from .hilbert import betti_table
+
     rows = []
     for p, m in ((5, 2), (7, 2), (5, 3), (7, 3)):
         table = betti_table(p, m)
@@ -233,6 +246,9 @@ def _rows_betti() -> list[dict]:
 
 
 def _rows_bb() -> list[dict]:
+    from .hilbert import bb_quotient
+    from .lattices import invariants
+
     rows = []
     for p, max_m in ((5, 4), (7, 6)):
         for m in range(2, max_m + 1):
@@ -302,6 +318,8 @@ def _cmd_tables(args) -> tuple[int, dict]:
 
 
 def _cmd_selftest(args) -> tuple[int, dict]:
+    from .selftest import run_selftest
+
     if args.rounds < 1:
         raise InputError(f"--rounds must be at least 1, got {args.rounds}")
     results = run_selftest(seed=args.seed, rounds=args.rounds)
@@ -394,7 +412,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "tables" and getattr(args, "format", "json") == "text":
             text = _tables_text(payload)
         else:
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            try:
+                text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            except ValueError as exc:
+                # sums of counts near the input limit pass Python's 4300-digit limit
+                raise InputError(f"cannot write the result as JSON: {exc}") from exc
         output = getattr(args, "output", None)
         if output:
             try:

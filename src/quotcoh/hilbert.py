@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
 from typing import Iterator, NamedTuple
 
 from .engine import (
@@ -41,13 +41,11 @@ from .lattices import (
     GLattice,
     Lattice,
     LatticeInvariants,
-    RationalLattice,
     fujiki_constant,
     invariants,
     named_lattice,
     overlattice_from_glue,
     pushforward_quotient_lattice,
-    rescale_to_primitive,
 )
 from .profiles import JordanProfile, direct_sum, sym_power, tensor
 
@@ -384,7 +382,8 @@ def bb_quotient(p: int, m: int) -> tuple[Lattice, Fraction]:
     Builds the invariant lattice of the m-point Hilbert scheme (surface
     part plus the half-diagonal class of square -2(m-1)), pushes it
     forward (Gram scaled by p), adjoins the explicit glue vectors of
-    order p, and rescales the result to a primitive integral form.
+    order p, and rescales the result to a primitive integral form (the
+    total rescale p / content enters the Fujiki constant).
     """
     if p not in _BB_DATA:
         raise ValueError("implemented for the symplectic orders 5 and 7")
@@ -406,8 +405,11 @@ def bb_quotient(p: int, m: int) -> tuple[Lattice, Fraction]:
             vec[idx] = val
         glue.append(vec)
     pushed = overlattice_from_glue(base, glue)
-    c1, primitive = rescale_to_primitive(RationalLattice.from_lattice(pushed))
-    fujiki = fujiki_constant(p, m, p * c1)
+    # the glued Gram is integral, so the primitive rescale divides by its content
+    content = gcd(*(e for row in pushed.gram.rows for e in row))
+    primitive = Lattice(IntMatrix([[e // content for e in row] for row in pushed.gram.rows],
+                                  ncols=rank))
+    fujiki = fujiki_constant(p, m, Fraction(p, content))
     return primitive, fujiki
 
 
@@ -469,6 +471,7 @@ def hilbert_report(p: int, m: int, conjectural_split: bool = False) -> dict:
             torsion[f"t{lo}"] = value // 2
         else:
             torsion[f"t{lo}_plus_t{hi}"] = value
+    bb = invariants(lattice)
     out = {
         "p": p,
         "m": m,
@@ -477,9 +480,9 @@ def hilbert_report(p: int, m: int, conjectural_split: bool = False) -> dict:
         "report": report.to_json(),
         "bb_lattice": {
             "gram": lattice.gram.to_lists(),
-            "rank": invariants(lattice).rank,
-            "signature": list(invariants(lattice).signature),
-            "discriminant_group": list(invariants(lattice).discriminant_group),
+            "rank": bb.rank,
+            "signature": list(bb.signature),
+            "discriminant_group": list(bb.discriminant_group),
         },
         "fujiki_constant": str(fujiki) if fujiki.denominator != 1 else fujiki.numerator,
         "betti": list(report.betti) if report.betti else None,

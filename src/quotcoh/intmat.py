@@ -443,22 +443,16 @@ def _smith(m: IntMatrix, track: Collection[str] = ()) -> SmithDecomposition:
     )
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (u, d, v) with u*m*v = d, u and v unimodular.
+def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
+    """The Smith normal form with all four transforms.
 
-    d is diagonal with non-negative entries forming a divisibility chain
+    u * m * v = d with u, v unimodular (inverses u_inv, v_inv), and d
+    diagonal with non-negative entries forming a divisibility chain
     d[0] | d[1] | ... .
 
-    >>> _, d, _ = smith_normal_form(IntMatrix.diagonal([2, 3]))
-    >>> d
+    >>> smith_decomposition(IntMatrix.diagonal([2, 3])).d
     IntMatrix([[1, 0], [0, 6]])
     """
-    s = _smith(m, ("u", "v"))
-    return s.u, s.d, s.v
-
-
-def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
-    """The Smith normal form with all four transforms."""
     return _smith(m, ("u", "u_inv", "v", "v_inv"))
 
 

@@ -345,28 +345,37 @@ def overlattice_from_glue(base: Lattice, glue: Sequence[Sequence]) -> Lattice:
     Each glue vector (coordinates in the basis of `base`) must have prime
     order in the discriminant group and pair integrally with the base and
     with itself; the resulting Gram matrix must be integral.  Violations
-    are rejected with the offending pairing.
+    are rejected with the offending pairing.  The checks run on the
+    integral vector w = denom * v: G v is integral iff G w = 0 mod denom,
+    and v^T G v iff w^T G w = 0 mod denom^2.
     """
     n = base.rank
-    vectors = [tuple(Fraction(e) for e in v) for v in glue]
-    for k, v in enumerate(vectors):
+    gram = base.gram.rows
+    scaled = []  # (denom, denom * v) per glue vector
+    for k, v in enumerate(glue):
+        v = [Fraction(e) for e in v]
         if len(v) != n:
             raise ValueError(f"glue vector {k} has wrong length")
         denom = lcm(*(e.denominator for e in v)) if v else 1
         if denom != 1 and not is_prime(denom):
             raise ValueError(f"glue vector {k} has non-prime order {denom}")
-        for i in range(n):
-            pairing = sum(Fraction(base.gram[i, j]) * v[j] for j in range(n))
-            if pairing.denominator != 1:
-                raise ValueError(f"glue vector {k} pairs non-integrally with basis vector {i}: {pairing}")
-        selfpair = sum(v[i] * Fraction(base.gram[i, j]) * v[j] for i in range(n) for j in range(n))
-        if selfpair.denominator != 1:
-            raise ValueError(f"glue vector {k} has non-integral square {selfpair}")
-    if not vectors:
+        w = [e.numerator * (denom // e.denominator) for e in v]
+        support = [(j, x) for j, x in enumerate(w) if x]
+        gw = [sum(row[j] * x for j, x in support) for row in gram]
+        for i, e in enumerate(gw):
+            if e % denom:
+                raise ValueError(
+                    f"glue vector {k} pairs non-integrally with basis vector {i}: {Fraction(e, denom)}"
+                )
+        selfpair = sum(w[j] * gw[j] for j, _ in support)
+        if selfpair % (denom * denom):
+            raise ValueError(f"glue vector {k} has non-integral square {Fraction(selfpair, denom * denom)}")
+        scaled.append((denom, w))
+    if not scaled:
         return base
-    denom = lcm(*(e.denominator for v in vectors for e in v), 1)
+    denom = lcm(*(d for d, _ in scaled))
     gens = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
-    gens += [[int(e * denom) for e in v] for v in vectors]
+    gens += [[e * (denom // d) for e in w] for d, w in scaled]
     basis = image_basis(IntMatrix(gens, ncols=n).transpose())
     if basis.nrows != n:
         raise RuntimeError("overlattice basis has wrong rank")

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from quotcoh.cli import main
+from quotcoh.engine import MAX_JSON_N
 
 
 def run(capsys, *argv):
@@ -217,6 +218,44 @@ class TestQuotientCommand:
         assert out == ""
         assert "error" in json.loads(err)
 
+    def test_report_at_the_largest_n_is_linear(self, capsys, tmp_path):
+        # the sums behind u and d_p are prefix sums; recomputed per degree
+        # they took 2.3 s here
+        n = MAX_JSON_N
+        degrees = [{"k": k, "rank": 1 if k % 2 == 0 else 0, "l_plus": 1 if k % 2 == 0 else 0}
+                   for k in range(2 * n + 1)]
+        path = tmp_path / "inv.json"
+        path.write_text(json.dumps({"p": 5, "n": n, "eta": n + 1, "degrees": degrees}))
+        t0 = time.perf_counter()
+        status, out, _ = run(capsys, "quotient", "report", "--input", str(path))
+        elapsed = time.perf_counter() - t0
+        assert status == 0
+        data = json.loads(out)
+        assert data["degenerate"] is True
+        assert set(data["u"].values()) == {0} and len(data["u"]) == 2 * n - 2
+        assert data["d_p_pairs"]["1"] == 1 + (n - 1) + 2
+        assert elapsed < 1.0
+
+    def test_result_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        # every count is within 4300 digits, but 2 l_+^2 in d_p is not
+        huge = 9 * 10 ** 4299
+        inv = {
+            "p": 3, "n": 2, "eta": huge + 2,
+            "degrees": [
+                {"k": 0, "rank": 1, "l_plus": 1},
+                {"k": 1, "rank": 0},
+                {"k": 2, "rank": huge, "l_plus": huge},
+                {"k": 3, "rank": 0},
+                {"k": 4, "rank": 1, "l_plus": 1},
+            ],
+        }
+        path = tmp_path / "inv.json"
+        path.write_text(json.dumps(inv))
+        status, out, err = run(capsys, "quotient", "report", "--input", str(path))
+        assert status == 2
+        assert out == ""
+        assert "cannot write the result as JSON" in json.loads(err)["error"]
+
 
 class TestHilbertCommand:
     def test_p7_m2(self, capsys):
@@ -346,6 +385,75 @@ class TestProcessLevel:
             capture_output=True, text=True, check=True,
         )
         assert json.loads(proc.stdout)["counts"] == {"3": 1}
+
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--p", "7", "--m", "6"],
+        ["k3", "--p", "2"],
+        ["tables", "--which", "bb"],
+    ])
+    def test_paper_commands_load_only_their_layers(self, argv):
+        import subprocess
+        import sys
+
+        # -X importtime writes one stderr line per module the process imports
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quotcoh.cli", *argv],
+                              capture_output=True, text=True, check=True)
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert {"quotcoh", "quotcoh.hilbert"} <= loaded
+        assert not loaded & {"quotcoh.toric", "quotcoh.selftest", "numpy"}
+        assert json.loads(proc.stdout)
+
+
+class TestLazyPackage:
+    def test_every_export_is_its_submodules_object(self):
+        import importlib
+
+        import quotcoh
+
+        assert len(set(quotcoh.__all__)) == len(quotcoh.__all__)
+        for name in quotcoh.__all__:
+            module = importlib.import_module(f"quotcoh.{quotcoh._EXPORTS[name]}")
+            assert getattr(quotcoh, name) is getattr(module, name)
+
+    def test_star_import_binds_all(self):
+        import quotcoh
+
+        namespace: dict = {}
+        exec("from quotcoh import *", namespace)
+        assert {name: namespace[name] for name in quotcoh.__all__} == {
+            name: getattr(quotcoh, name) for name in quotcoh.__all__
+        }
+
+    def test_submodules_resolve(self):
+        import importlib
+
+        import quotcoh
+
+        for name in ("toric", "selftest", "cli"):
+            assert getattr(quotcoh, name) is importlib.import_module(f"quotcoh.{name}")
+        assert {"toric", "IntMatrix", "__version__"} <= set(dir(quotcoh))
+
+    def test_unknown_attribute_raises(self):
+        import quotcoh
+
+        with pytest.raises(AttributeError, match="no attribute 'smith_normal_form'"):
+            quotcoh.smith_normal_form
+        with pytest.raises(ImportError):
+            exec("from quotcoh import no_such_name", {})
+
+    def test_bare_import_loads_no_layer(self):
+        import subprocess
+        import sys
+
+        script = (
+            "import sys, quotcoh\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('quotcoh.')), file=sys.stderr)\n"
+            "quotcoh.toric\n"
+            "print('quotcoh.toric' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True)
+        assert proc.stderr.split() == ["True"]
 
 
 class TestSelftestCommand:

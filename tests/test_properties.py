@@ -4,26 +4,32 @@ The integer signature is checked against the rational congruence
 reduction it replaced, the transform-on-demand SNF against the full
 decomposition, the Gauss-Jordan adjugate against the n^2 signed minors
 it replaced, the Smith diagonal modulo the determinant against the
-elimination over Z, and the norm map against the naive sum of powers.
+elimination over Z, the norm map against the naive sum of powers, the
+integral glue checks against the Fraction arithmetic they replaced, and
+the prefix sums of the quotient report against the per-degree sums.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quotcoh.engine import DegreeInvariants, GradedInvariants, _second_page_sums, u_dimensions
 from quotcoh.intmat import (
     IntMatrix,
     _smith,
     _smith_diagonal_mod,
     det_adjugate,
+    image_basis,
+    is_prime,
     smith_decomposition,
 )
-from quotcoh.lattices import GLattice, signature
+from quotcoh.lattices import GLattice, Lattice, overlattice_from_glue, signature
 from quotcoh.selftest import random_glattice, random_unimodular
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -328,3 +334,111 @@ class TestSmithDiagonalModDet:
     ])
     def test_boundary_matrices(self, rows):
         self.check(rows)
+
+
+def fraction_overlattice(base, glue):
+    """Oracle: the glue checks in Fraction arithmetic, as they were written first."""
+    n = base.rank
+    vectors = [tuple(Fraction(e) for e in v) for v in glue]
+    for k, v in enumerate(vectors):
+        if len(v) != n:
+            raise ValueError(f"glue vector {k} has wrong length")
+        denom = lcm(*(e.denominator for e in v)) if v else 1
+        if denom != 1 and not is_prime(denom):
+            raise ValueError(f"glue vector {k} has non-prime order {denom}")
+        for i in range(n):
+            pairing = sum(Fraction(base.gram[i, j]) * v[j] for j in range(n))
+            if pairing.denominator != 1:
+                raise ValueError(f"glue vector {k} pairs non-integrally with basis vector {i}: {pairing}")
+        selfpair = sum(v[i] * Fraction(base.gram[i, j]) * v[j] for i in range(n) for j in range(n))
+        if selfpair.denominator != 1:
+            raise ValueError(f"glue vector {k} has non-integral square {selfpair}")
+    if not vectors:
+        return base
+    denom = lcm(*(e.denominator for v in vectors for e in v), 1)
+    gens = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
+    gens += [[int(e * denom) for e in v] for v in vectors]
+    basis = image_basis(IntMatrix(gens, ncols=n).transpose())
+    pairing = basis * base.gram * basis.transpose()
+    entries = []
+    for i, row in enumerate(pairing.rows):
+        for j, e in enumerate(row):
+            if e % (denom * denom) != 0:
+                raise ValueError(f"overlattice pairing ({i},{j}) is not integral")
+        entries.append([e // (denom * denom) for e in row])
+    return Lattice(IntMatrix(entries, ncols=n))
+
+
+@st.composite
+def glued_lattices(draw, max_n=5):
+    """A p-scaled base, where glue of denominator p often passes, with glue
+    vectors over the denominators p, 4 (not prime) and 1."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 3))
+    scale = draw(st.sampled_from([p, p * p, 1]))
+    gram = IntMatrix(rows, ncols=n) * scale
+    assume(gram.det() != 0)
+    glue = []
+    for _ in range(draw(st.integers(0, 3))):
+        denom = draw(st.sampled_from([p, p, p, 4, 1]))
+        length = n if draw(st.integers(0, 9)) else n + 1
+        glue.append([Fraction(draw(st.integers(-denom, denom)), denom) for _ in range(length)])
+    return Lattice(gram), glue
+
+
+class TestIntegralGlue:
+    @PROPS
+    @given(glued_lattices())
+    def test_matches_the_fraction_checks(self, case):
+        base, glue = case
+        try:
+            want = fraction_overlattice(base, glue)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                overlattice_from_glue(base, glue)
+            assert str(got.value) == str(exc)
+        else:
+            assert overlattice_from_glue(base, glue) == want
+
+
+def per_degree_sums(inv):
+    """Oracle: each sum in the closed forms of u_dimensions recomputed from scratch."""
+    sums = {}
+    for k in range(1, inv.n):
+        sums[2 * k] = sum(inv.l_plus(2 * i) for i in range(k)) + sum(
+            inv.l_minus(2 * i + 1) for i in range(k)
+        )
+        sums[2 * k + 1] = sum(inv.l_minus(2 * i) for i in range(k + 1)) + sum(
+            inv.l_plus(2 * i + 1) for i in range(k)
+        )
+    return sums
+
+
+@st.composite
+def graded_invariants(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 12))
+    degrees = []
+    for _ in range(2 * n + 1):
+        l_plus, l_minus, l_pf = (draw(st.integers(0, 50)) for _ in range(3))
+        degrees.append(DegreeInvariants.make(
+            rank=l_plus + (p - 1) * l_minus + p * l_pf, l_plus=l_plus, l_minus=l_minus, l_pf=l_pf,
+        ))
+    return GradedInvariants(p=p, n=n, eta=draw(st.integers(0, 50)), degrees=tuple(degrees),
+                            strict=False)
+
+
+class TestSecondPageSums:
+    @PROPS
+    @given(graded_invariants())
+    def test_prefix_sums_match_the_per_degree_sums(self, inv):
+        want = per_degree_sums(inv)
+        assert _second_page_sums(inv) == want
+        assert list(_second_page_sums(inv)) == list(want)
+        zero = u_dimensions(inv, want)
+        assert zero.u == dict.fromkeys(want, 0)
+        assert set(zero.ubar.values()) <= {0}
