@@ -157,7 +157,7 @@ def _cmd_toric(args) -> tuple[int, dict]:
             )
         out["chain"] = list(hj.chain)
         out["exceptional_gram"] = hj.exceptional_gram.to_lists()
-        out["det"] = abs(hj.exceptional_gram.det())
+        out["det"] = sing.p  # |det| of the Gram, checked by hj_resolution's continuant
     return 0, out
 
 

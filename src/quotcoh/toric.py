@@ -4,22 +4,29 @@ The quotient of affine n-space by the diagonal order-p action with
 weights (a_1, ..., a_n) coprime to p is the toric variety of the standard
 positive cone viewed in the refined lattice Z^n + Z*(a_1,...,a_n)/p; a
 resolution is any regular subdivision of its fan.  The subdivision used
-here repeatedly stellar-subdivides a non-regular cone at the primitive
-lattice point of minimal positive weight in its fundamental
-parallelepiped (the least such point on a tie), which strictly decreases
-cone multiplicities and so terminates.  Downstream invariants do not
-depend on the subdivision chosen.
+here repeatedly stellar-subdivides the non-regular cone with the least
+rays at the primitive lattice point of minimal positive weight in its
+fundamental parallelepiped (the least such point on a tie), which strictly
+decreases cone multiplicities and so terminates.  `resolve` keeps the
+non-regular cones in a heap and finds the cones containing that point
+through a ray -> cones index, and each new cone's determinant and
+adjugate come from its parent's by a rank-one update, so a round costs
+what it changes rather than a pass over the fan.  Downstream invariants
+do not depend on the subdivision chosen.
 
 In dimension 2 the exceptional chain and its intersection matrix are the
-classical continued-fraction data; in higher dimension only combinatorial
-data of the resolution is reported.
+classical continued-fraction data, the determinant checked by its
+continuant in O(r); in higher dimension only combinatorial data of the
+resolution is reported.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -279,49 +286,99 @@ def _stellar_point(
     return min(_lattice_point(c, lam, mod) for lam in group if sum(lam) == least)
 
 
-def _stellar_subdivide(maximal: list[Cone], w: tuple[int, ...], judged: dict) -> list[Cone]:
-    """Star subdivision at w; judged[c] is (det R, adj R), or (multiplicity, None)."""
-    out = []
-    for c in maximal:
-        det, adj = judged[c]  # det R adj(R) w has the signs of w's coordinates
-        lam = c.coordinates_of(w) if adj is None else [det * sum(map(mul, a, w)) for a in adj]
-        if lam is None or any(x < 0 for x in lam):
-            out.append(c)
-            continue
-        support = [i for i, x in enumerate(lam) if x > 0]
-        if len(support) == 1 and w == c.rays[support[0]]:
-            out.append(c)  # w already a ray
-            continue
-        for i in support:
-            rays = list(c.rays)
-            rays[i] = w  # w and the old rays are primitive already
-            out.append(Cone(tuple(sorted(rays)), c.ambient))
-    return out
+def _support(c: Cone, judged: tuple, w: tuple[int, ...]) -> tuple[list, list[int]]:
+    """(mu, positions i with lam_i > 0) for w = sum lam_i ray_i in c's span.
+
+    For a full-dimensional cone mu = adj(R) w = det(R) lam, so det * mu has
+    the signs of lam and no division is needed; below full dimension mu is
+    lam itself and the judgement's multiplicity is positive.
+    """
+    det, adj = judged
+    mu = c.coordinates_of(w) if adj is None else [sum(map(mul, a, w)) for a in adj]
+    return mu, [i for i, x in enumerate(mu) if det * x > 0]
+
+
+def _replace_ray(
+    c: Cone, judged: tuple, mu: Sequence[int], i: int, w: tuple[int, ...],
+) -> tuple[Cone, tuple]:
+    """The cone with ray i replaced by w (rays kept sorted), judged from c's judgement.
+
+    For a full-dimensional c this is a rank-one update (Sherman-Morrison
+    in adjugate form), O(n^2): with mu = adj(R) w and R' = R with column i
+    replaced by w, det R' = mu_i, row i of adj R' is adj_i, and row j != i
+    is (mu_i adj_j - mu_j adj_i) / det R, an exact division.  Sorting moves
+    w from position i to position k, a cycle of |k - i| transpositions, so
+    the rows of adj move with it and both det and adj take the sign
+    (-1)^|k - i|.  Below full dimension the new cone's multiplicity is
+    computed afresh.
+    """
+    rays = list(c.rays)
+    del rays[i]
+    k = bisect_left(rays, w)
+    rays.insert(k, w)  # w and the old rays are primitive already
+    cone = Cone(tuple(rays), c.ambient)
+    det, adj = judged
+    if adj is None:
+        return cone, (cone.multiplicity(), None)
+    mu_i, adj_i = mu[i], adj[i]
+    new = [tuple((mu_i * x - mu_j * y) // det for x, y in zip(a, adj_i))
+           for a, mu_j in zip(adj, mu)]
+    new[i] = adj_i
+    new.insert(k, new.pop(i))
+    if (k - i) % 2:
+        return cone, (-mu_i, tuple(tuple(-x for x in row) for row in new))
+    return cone, (mu_i, tuple(new))
 
 
 def resolve(f: Fan) -> Fan:
     """Regular subdivision with the same support.
 
-    Only non-regular cones are touched; termination is guaranteed because
-    each stellar subdivision strictly decreases multiplicities.  Each cone
-    is judged once, for this call only.
+    Precondition: the cones form a fan, that is any two meet in a common
+    face.  `quotient_fan`'s single cone does, and stellar subdivision keeps
+    the property.  Each round takes the non-regular cone with the least
+    rays, stellar-subdivides it at `_stellar_point` w, and with it every
+    cone that contains w: by the fan property these are the cones holding
+    every ray of the target's face that has w in its relative interior,
+    found through a ray -> cones index.  Each such cone is replaced by the
+    cones with one of those rays swapped for w, judged by a rank-one update
+    of their parent's cofactors.  So a round costs the stellar point plus
+    O(n^2) per changed cone and a heap operation, not a pass over the fan;
+    termination holds because each subdivision strictly decreases
+    multiplicities.
     """
     for c in f.maximal:
         if not c.is_simplicial():
             raise ValueError("resolution implemented for simplicial fans")
-    judged: dict[Cone, tuple] = {}
-    maximal = list(f.maximal)
-    while True:
-        for c in maximal:
-            if c not in judged:
-                judged[c] = _cofactors(c.rays) if c._is_square() else (c.multiplicity(), None)
-        bad = [c for c in maximal if abs(judged[c][0]) != 1]
-        if not bad:
-            break
-        target = min(bad, key=lambda c: c.rays)
-        w = _stellar_point(target, judged[target] if target._is_square() else None)
-        maximal = _stellar_subdivide(maximal, w, judged)
-    return Fan.from_cones(maximal, ambient=f.ambient)
+    # judged[c] is (det R, adj R), or (multiplicity, None) below full dimension
+    judged = {c: _cofactors(c.rays) if c._is_square() else (c.multiplicity(), None)
+              for c in f.maximal}
+    on_ray: dict[tuple[int, ...], set[Cone]] = {}
+    for c in judged:
+        for r in c.rays:
+            on_ray.setdefault(r, set()).add(c)
+    # a cone's rays are unique in the fan, so the heap never compares Cones
+    bad = [(c.rays, c) for c, (det, _) in judged.items() if abs(det) != 1]
+    heapify(bad)
+    while bad:
+        target = heappop(bad)[1]
+        if target not in judged:
+            continue  # subdivided since it was queued
+        cofactors = judged[target]
+        w = _stellar_point(target, cofactors if target._is_square() else None)
+        face = [target.rays[i] for i in _support(target, cofactors, w)[1]]
+        for c in set.intersection(*(on_ray[r] for r in face)):
+            parent = judged.pop(c)
+            for r in c.rays:
+                on_ray[r].discard(c)
+            mu, support = _support(c, parent, w)
+            for i in support:
+                cone, cone_judged = _replace_ray(c, parent, mu, i, w)
+                judged[cone] = cone_judged
+                for r in cone.rays:
+                    on_ray.setdefault(r, set()).add(cone)
+                if abs(cone_judged[0]) != 1:
+                    heappush(bad, (cone.rays, cone))
+    return Fan.from_cones(list(judged), ambient=f.ambient)
 
 
 class HJResolution(NamedTuple):
@@ -342,25 +399,37 @@ def hj_continued_fraction(p: int, a: int) -> list[int]:
     return out
 
 
+def _continuant(bs: Sequence[int]) -> int:
+    """Determinant of the tridiagonal matrix with diagonal -b_1..-b_r and 1 beside it.
+
+    Expanding along the last row gives D_k = -b_k D_(k-1) - D_(k-2) with
+    D_0 = 1 and D_(-1) = 0: O(r) instead of an elimination.
+    """
+    before, det = 0, 1
+    for b in bs:
+        before, det = det, -b * det - before
+    return det
+
+
 def hj_resolution(p: int, a: int) -> HJResolution:
     """Exceptional chain of the surface singularity (1/p)(1, a).
 
     The chain of self-intersections is (-b_1, ..., -b_r) for the
     continued-fraction expansion of p/a; the intersection matrix is the
     tridiagonal matrix with that diagonal and 1 off the diagonal, of
-    determinant +-p.
+    determinant +-p, checked by its continuant.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     bs = hj_continued_fraction(p, a)
+    if abs(_continuant(bs)) != p:
+        raise RuntimeError("exceptional intersection matrix has wrong determinant")
     r = len(bs)
     gram = IntMatrix(
         [[-bs[i] if i == j else (1 if abs(i - j) == 1 else 0) for j in range(r)]
          for i in range(r)],
         ncols=r,
     )
-    if abs(gram.det()) != p:
-        raise RuntimeError("exceptional intersection matrix has wrong determinant")
     return HJResolution(chain=tuple(-b for b in bs), exceptional_gram=gram)
 
 

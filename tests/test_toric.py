@@ -1,19 +1,26 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import pathlib
 import random
+import time
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quotcoh.cli import main
 from quotcoh import toric
 from quotcoh.toric import (
+    _continuant,
     _lattice_point,
     _parallelepiped,
+    _replace_ray,
     CohGroup,
     Cone,
     CyclicSingularity,
@@ -31,7 +38,9 @@ from quotcoh.toric import (
     surface_chain,
 )
 from quotcoh.lattices import Lattice, signature
-from quotcoh.intmat import IntMatrix, primitive_vector
+from quotcoh.intmat import IntMatrix, det_adjugate, primitive_vector
+
+PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
 class TestCones:
@@ -273,6 +282,7 @@ class TestParallelepiped:
         assert all(is_regular(c) for c in resolved.maximal)
         assert (1, 1, 0) in resolved.rays()
         assert len(resolved.maximal) == 3
+        assert resolved == _scan_resolve(fan)
 
 
 # "p:weights" -> stdout of `quotcoh toric`, recorded with the Fraction-elimination route
@@ -286,6 +296,230 @@ def test_toric_cli_stdout_pinned(case):
     with contextlib.redirect_stdout(buf):
         assert main(["toric", "--p", p, "--weights", weights]) == 0
     assert buf.getvalue() == _PINNED[case]
+
+
+# SHA-256 of `quotcoh toric` stdout for long A_(p-1) chains, recorded with the
+# scan resolve and the Bareiss determinant (the p = 251 output is 576 KB)
+_LONG_CHAINS = {
+    "97:1,96": "bfd0268216a5adfab97ef5a6c6f16a8b3f5f8800fcbd8fb117e3ee8ee9895fac",
+    "251:1,250": "673341fee523c72b1b718024f9ef5a2cadc1f04552343844bc145352c1ca7071",
+    "503:1,502": "fd9b81e17e566158d59ca1b3a99b8949d78d298d2f303488c0db2e6b6db3228d",
+}
+
+
+def _toric_stdout_sha256(case):
+    p, weights = case.split(":")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["toric", "--p", p, "--weights", weights]) == 0
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", ["97:1,96", "251:1,250"])
+def test_toric_cli_long_chain_pinned(case):
+    assert _toric_stdout_sha256(case) == _LONG_CHAINS[case]
+
+
+def test_toric_cli_long_chain_is_bounded_by_its_output():
+    # the scan resolve with a Bareiss Gram determinant took 9-10 s here on a 2-core Xeon
+    start = time.perf_counter()
+    assert _toric_stdout_sha256("503:1,502") == _LONG_CHAINS["503:1,502"]
+    assert time.perf_counter() - start < 4.0
+
+
+def _scan_subdivide(maximal, w, judged):
+    """Star subdivision at w by a pass over every cone; judged[c] is (det R, adj R), or (multiplicity, None)."""
+    out = []
+    for c in maximal:
+        det, adj = judged[c]  # det R adj(R) w has the signs of w's coordinates
+        lam = c.coordinates_of(w) if adj is None else [det * sum(map(mul, a, w)) for a in adj]
+        if lam is None or any(x < 0 for x in lam):
+            out.append(c)
+            continue
+        support = [i for i, x in enumerate(lam) if x > 0]
+        if len(support) == 1 and w == c.rays[support[0]]:
+            out.append(c)  # w already a ray
+            continue
+        for i in support:
+            rays = list(c.rays)
+            rays[i] = w
+            out.append(Cone(tuple(sorted(rays)), c.ambient))
+    return out
+
+
+def _scan_resolve(f):
+    """Oracle: the resolve that rescans every maximal cone on every round and
+    judges each new cone by its own elimination (det_adjugate)."""
+    judged = {}
+    maximal = list(f.maximal)
+    while True:
+        for c in maximal:
+            if c not in judged:
+                judged[c] = (det_adjugate(tuple(zip(*c.rays))) if len(c.rays) == c.ambient
+                             else (c.multiplicity(), None))
+        bad = [c for c in maximal if abs(judged[c][0]) != 1]
+        if not bad:
+            break
+        target = min(bad, key=lambda c: c.rays)
+        w = toric._stellar_point(target, judged[target] if len(target.rays) == target.ambient else None)
+        maximal = _scan_subdivide(maximal, w, judged)
+    return Fan.from_cones(maximal, ambient=f.ambient)
+
+
+def _weighted_projective_fan(q):
+    """Fan of P(1, q_1, ..., q_n): rays e_1..e_n and -(q_1..q_n) made primitive, one cone per omitted ray."""
+    n = len(q)
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays.append(primitive_vector([-x for x in q]))
+    return Fan.from_cones([Cone.from_rays(rays[:s] + rays[s + 1:], ambient=n) for s in range(n + 1)])
+
+
+@st.composite
+def singularities(draw):
+    n = draw(st.integers(2, 4))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    return CyclicSingularity(p, tuple(draw(st.integers(1, p - 1)) for _ in range(n)))
+
+
+@st.composite
+def weighted_projective_fans(draw):
+    n = draw(st.integers(2, 4))
+    return _weighted_projective_fan([draw(st.integers(1, (13, 7, 5)[n - 2])) for _ in range(n)])
+
+
+def _spy_on_updates(monkeypatch):
+    """Record (parent cone, i, w, new cone, its judgement) for every ray replacement resolve makes."""
+    calls = []
+    update = toric._replace_ray
+
+    def spy(c, judged, mu, i, w):
+        out = update(c, judged, mu, i, w)
+        calls.append((c, i, w) + out)
+        return out
+
+    monkeypatch.setattr(toric, "_replace_ray", spy)
+    return calls
+
+
+class TestWorklistResolve:
+    """The worklist resolve against the scan it replaced."""
+
+    @PROPS
+    @given(singularities())
+    def test_quotient_fans_match_the_scan(self, sing):
+        fan = quotient_fan(sing)
+        assert resolve(fan).maximal == _scan_resolve(fan).maximal
+
+    @PROPS
+    @given(weighted_projective_fans())
+    def test_weighted_projective_fans_match_the_scan(self, fan):
+        assert resolve(fan).maximal == _scan_resolve(fan).maximal
+
+    def test_every_rank_one_update_is_the_elimination(self, monkeypatch):
+        calls = _spy_on_updates(monkeypatch)
+        for p, weights in ((31, (1, 30)), (29, (1, 12)), (13, (1, 5, 9)), (11, (1, 3, 7, 9))):
+            resolve(quotient_fan(CyclicSingularity(p, weights)))
+        for q in ((2, 3), (1, 1, 3), (2, 3, 5), (1, 2, 3, 4)):
+            resolve(_weighted_projective_fan(q))
+        parities = set()
+        for c, i, w, cone, judged in calls:
+            assert judged == det_adjugate(tuple(zip(*cone.rays)))
+            parities.add((cone.rays.index(w) - i) % 2)
+        assert len(calls) > 100 and parities == {0, 1}
+
+    def test_shared_faces_subdivide_every_cone_holding_w(self, monkeypatch):
+        # the stellar point can lie on a face of several cones (P(1, 1, 2, 2),
+        # P(1, 1, 2, 4), and (1/7)(1, 2, 4) once subdivided); all of them are
+        # subdivided in its round, so no point is chosen twice
+        calls = _spy_on_updates(monkeypatch)
+        points = []
+        choose = toric._stellar_point
+        monkeypatch.setattr(toric, "_stellar_point", lambda c, cof: points.append(choose(c, cof)) or points[-1])
+        shared = 0
+        for fan in (_weighted_projective_fan((1, 2, 2)), _weighted_projective_fan((1, 2, 4)),
+                    quotient_fan(CyclicSingularity(7, (1, 2, 4)))):
+            calls.clear()
+            points.clear()
+            resolve(fan)
+            parents = {}
+            for c, _, w, _, _ in calls:
+                parents.setdefault(w, set()).add(c)
+            assert len(points) == len(set(points)) == len(parents)
+            shared += sum(len(cones) > 1 for cones in parents.values())
+        assert shared
+
+
+@st.composite
+def cones_and_points(draw):
+    n = draw(st.integers(2, 4))
+    bound = draw(st.sampled_from([2, 5, 2**40]))
+    vectors = st.lists(st.integers(-bound, bound), min_size=n, max_size=n).filter(any).map(primitive_vector)
+    return draw(st.lists(vectors, min_size=n, max_size=n, unique=True)), draw(vectors)
+
+
+def _check_rank_one(rays, w):
+    """Every replacement of a ray of the cone by w against det_adjugate and R adj(R) = det(R) I.
+
+    Returns the parities of |k - i|, w moving from position i to k.
+    """
+    n = len(w)
+    c = Cone(tuple(sorted(rays)), n)
+    judged = det_adjugate(tuple(zip(*c.rays)))
+    mu = [sum(map(mul, a, w)) for a in judged[1]]
+    parities = set()
+    for i, m in enumerate(mu):
+        if m == 0:
+            continue  # w in the span of the other rays
+        cone, (det, adj) = _replace_ray(c, judged, mu, i, w)
+        assert cone.rays == tuple(sorted(c.rays[:i] + c.rays[i + 1:] + (w,)))
+        assert (det, adj) == det_adjugate(tuple(zip(*cone.rays)))
+        assert cone.ray_matrix() * IntMatrix(adj, ncols=n) == det * IntMatrix.identity(n)
+        parities.add((cone.rays.index(w) - i) % 2)
+    return parities
+
+
+class TestRankOneUpdate:
+    @PROPS
+    @given(cones_and_points())
+    def test_matches_the_elimination(self, case):
+        rays, w = case
+        if IntMatrix(rays).det() != 0 and w not in rays:
+            _check_rank_one(rays, w)
+
+    def test_both_permutation_signs(self):
+        rng = random.Random(8)
+        parities = set()
+        for n in (2, 3, 4):
+            for _ in range(40):
+                rays = _random_cone(rng, n, n).rays
+                w = primitive_vector([rng.randint(-6, 6) for _ in range(n - 1)] + [rng.randint(1, 6)])
+                if IntMatrix(rays).det() != 0 and w not in rays:
+                    parities |= _check_rank_one(rays, w)
+        assert parities == {0, 1}
+
+
+def _tridiagonal(bs):
+    r = len(bs)
+    return IntMatrix([[-bs[i] if i == j else int(abs(i - j) == 1) for j in range(r)] for i in range(r)],
+                     ncols=r)
+
+
+class TestContinuant:
+    @PROPS
+    @given(st.lists(st.integers(2, 9), min_size=1, max_size=60))
+    def test_matches_bareiss(self, bs):
+        assert _continuant(bs) == _tridiagonal(bs).det()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_hj_chains(self, p):
+        for a in range(1, p):
+            bs = hj_continued_fraction(p, a)
+            assert _continuant(bs) == _tridiagonal(bs).det() == (-1) ** len(bs) * p
+
+    def test_long_chain_and_empty_chain(self):
+        bs = hj_continued_fraction(97, 96)
+        assert len(bs) == 96 and _continuant(bs) == _tridiagonal(bs).det() == 97
+        assert _continuant([]) == 1
 
 
 class TestQuotientFan:
@@ -451,6 +685,21 @@ class TestBettiCompleteSmooth:
 
     def test_projective_three_space(self):
         assert betti_complete_smooth(projective_space_fan(3)) == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("q, betti", [
+        ((1, 2), [1, 2, 1]),  # P(1, 1, 2) resolves to the Hirzebruch surface F_2
+        ((2, 3), [1, 4, 1]),
+        ((1, 1, 3), [1, 2, 2, 1]),
+        ((2, 3, 5), [1, 8, 8, 1]),
+        ((1, 2, 2), [1, 2, 2, 1]),  # stellar points on faces shared by several cones
+        ((1, 2, 4), [1, 3, 3, 1]),
+    ])
+    def test_resolved_weighted_projective_space(self, q, betti):
+        fan = _weighted_projective_fan(q)
+        resolved = resolve(fan)
+        assert resolved == _scan_resolve(fan)
+        assert betti_complete_smooth(resolved) == betti
+        assert sum(betti) == len(resolved.maximal)  # Euler characteristic: torus-fixed points
 
     def test_rejects_incomplete(self):
         fan = quotient_fan(CyclicSingularity(5, (1, 2)))
