@@ -36,10 +36,10 @@ _EXPORTS = {
         "profiles",
     ),
     **dict.fromkeys(
-        ("GLattice", "Lattice", "RationalLattice", "bns_invariants", "discriminant",
+        ("GLattice", "Lattice", "bns_invariants", "discriminant",
          "discriminant_group", "fujiki_constant", "group_cohomology", "invariants",
          "named_lattice", "overlattice_from_glue", "pushforward_quotient_lattice",
-         "rescale_to_primitive", "signature"),
+         "signature"),
         "lattices",
     ),
     **dict.fromkeys(

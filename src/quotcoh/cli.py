@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True, choices=(5, 7))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--conjectural-split", action="store_true")
-    p.add_argument("--report", default="all", choices=("all",))
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_hilbert)
 

@@ -169,7 +169,7 @@ class GradedInvariants:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping, strict: bool = True) -> "GradedInvariants":
+    def from_json(cls, data: Mapping) -> "GradedInvariants":
         """Parse to_json's format; every count must be an int and n at most MAX_JSON_N."""
         n = json_int(data["n"], "n")
         if not 1 <= n <= MAX_JSON_N:
@@ -191,8 +191,7 @@ class GradedInvariants:
                 **counts,
                 l_qt={int(q): json_int(c, f"l_qt[{q}] of degree {k}") for q, c in l_qt.items()},
             )
-        return cls(json_int(data["p"], "p"), n, json_int(data["eta"], "eta"), tuple(degrees),
-                   strict=strict)
+        return cls(json_int(data["p"], "p"), n, json_int(data["eta"], "eta"), tuple(degrees))
 
 
 class E2Entry(NamedTuple):

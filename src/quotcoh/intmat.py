@@ -8,9 +8,9 @@ invariants are all derived from it, each tracking only the transforms it
 reads.  The Smith diagonal of a non-singular square matrix, which is all
 a finite quotient needs, is computed modulo its determinant, so entries
 never grow.  One fraction-free (Bareiss) elimination gives determinants
-and, run as Gauss-Jordan, the adjugate together with the determinant.  numpy
-is imported only by the dense mod-p kernels, so that code paths which
-never reduce a matrix mod p do not pay for loading it.
+and, run as Gauss-Jordan, the adjugate together with the determinant.  One
+echelon elimination over F_p, on the same Python ints, gives ranks mod p
+and the rank filtrations that Jordan profiles are read from.
 
 All values are immutable, all functions are pure, so everything here is
 safe to share between threads.
@@ -21,10 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import TYPE_CHECKING, Collection, Iterable, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Collection, Iterable, Sequence
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -541,48 +538,32 @@ def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int) -> tuple[int, .
     return (1,) * (n - len(chain)) + tuple(chain)
 
 
-def _np_mod(m: IntMatrix, p: int) -> np.ndarray:
-    import numpy as np
+def _row_basis_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
+    """Echelon basis over F_p of the span of `rows`, its rows reduced mod p.
 
-    return np.array([[e % p for e in row] for row in m.rows], dtype=np.int64)
-
-
-def _np_rank_mod_p(arr: np.ndarray, p: int) -> int:
-    import numpy as np
-
-    a = arr % p
-    nr, nc = a.shape
-    r = 0
-    for col in range(nc):
-        if r == nr:
-            break
-        nz = np.nonzero(a[r:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        rest = a[r + 1:, col]
-        mask = rest != 0
-        if mask.any():
-            a[r + 1:][mask] = (a[r + 1:][mask] - np.outer(rest[mask], a[r])) % p
-        r += 1
-    return r
-
-
-def _np_matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    return (x @ y) % p
+    Each incoming row is cleared at the leading columns of the basis so far,
+    in order, and kept, made monic, if anything is left; a basis row is zero
+    left of its leading column and at the leading columns before it.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        r = [x % p for x in row]
+        for lead, b in basis:
+            f = r[lead]
+            if f:
+                r[lead:] = [(x - f * y) % p for x, y in zip(r[lead:], b)]
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is not None:
+            inv = pow(r[lead], -1, p)
+            basis.append((lead, [x * inv % p for x in r[lead:]]))
+    return [[0] * lead + b for lead, b in basis]
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:
     """Rank of m over the field with p elements."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p * p * max(m.nrows, m.ncols, 1) >= 2**62:
-        raise ValueError("prime too large for the dense mod-p kernel")
-    return _np_rank_mod_p(_np_mod(m, p), p)
+    return len(_row_basis_mod_p(m.rows, p))
 
 
 def kernel_saturated(m: IntMatrix) -> IntMatrix:

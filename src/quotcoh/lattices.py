@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from typing import NamedTuple, Sequence
 
 from .intmat import (
@@ -126,38 +126,6 @@ class GLattice:
                 step.append(row)
             total = step
         return IntMatrix(total, ncols=n)
-
-
-@dataclass(frozen=True)
-class RationalLattice:
-    """Symmetric non-degenerate form over Q; glue/rescale intermediate."""
-
-    gram: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.gram)
-        if any(len(row) != n for row in self.gram):
-            raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        scale = lcm(*(e.denominator for row in self.gram for e in row))
-        scaled = [[e.numerator * (scale // e.denominator) for e in row] for row in self.gram]
-        if n and IntMatrix(scaled, ncols=n).det() == 0:
-            raise ValueError("Gram matrix is degenerate")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalLattice":
-        return cls(tuple(tuple(Fraction(e) for e in row) for row in rows))
-
-    @classmethod
-    def from_lattice(cls, l: Lattice) -> "RationalLattice":
-        return cls.from_rows(l.gram.rows)
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
 
 
 def discriminant(l: Lattice) -> int:
@@ -387,18 +355,6 @@ def overlattice_from_glue(base: Lattice, glue: Sequence[Sequence]) -> Lattice:
                 raise ValueError(f"overlattice pairing ({i},{j}) is not integral")
         entries.append([e // (denom * denom) for e in row])
     return Lattice(IntMatrix(entries, ncols=n))
-
-
-def rescale_to_primitive(rl: RationalLattice) -> tuple[Fraction, Lattice]:
-    """Unique positive c with c*gram integral of content 1, plus the result."""
-    scale = lcm(*(e.denominator for row in rl.gram for e in row), 1)
-    content = 0
-    for row in rl.gram:
-        for e in row:
-            content = gcd(content, abs(int(e * scale)))
-    c = Fraction(scale, content)
-    entries = [[int(e * scale) // content for e in row] for row in rl.gram]
-    return c, Lattice(IntMatrix(entries, ncols=rl.rank))
 
 
 def fujiki_constant(p: int, m: int, c) -> Fraction:

@@ -23,12 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
-from .intmat import IntMatrix, is_prime, _np_mod, _np_matmul_mod, _np_rank_mod_p
-
-if TYPE_CHECKING:
-    import numpy as np
+from .intmat import IntMatrix, is_prime, _row_basis_mod_p
 
 
 @dataclass(frozen=True)
@@ -95,29 +92,36 @@ class JordanProfile:
         return f"JordanProfile(p={self.p}, {inside or '0'})"
 
 
-def _profile_from_array(a: np.ndarray, p: int) -> JordanProfile:
-    import numpy as np
+def _profile_from_rows(rows: Sequence[Sequence[int]], p: int) -> JordanProfile:
+    """Profile of the square matrix A with these rows, from the ranks of (A - 1)^k mod p.
 
-    n = a.shape[0]
-    if p * p * max(n, 1) >= 2**62:
-        raise ValueError("prime too large for the dense mod-p kernel")
-    eye = np.eye(n, dtype=np.int64)
-    apow, base, e = eye, a, p
-    while e:
-        if e & 1:
-            apow = _np_matmul_mod(apow, base, p)
-        base = _np_matmul_mod(base, base, p)
-        e >>= 1
-    if not np.array_equal(apow, eye):
-        raise ValueError("matrix is not of order dividing p over F_p")
-    # A^p = 1 makes A - 1 nilpotent, so the ranks of its powers strictly
-    # decrease to 0, within at most n steps
-    b = (a - eye) % p
-    ranks = [n]
-    cur = eye
+    With B = A - 1 and E_k an echelon basis of rowspace(B^k), rowspace(B^(k+1))
+    is rowspace(E_k B), so round k multiplies only rank(B^k) rows.  The ranks
+    strictly decrease until they reach 0 or stall, within n + 1 rounds.  In
+    characteristic p, (A - 1)^p = A^p - 1, as C(p, i) = 0 for 0 < i < p, so A
+    has order dividing p exactly when the ranks reach 0 within p rounds.
+    """
+    n = len(rows)
+    b = [[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    # e B = sum_i e_i B_i, along the nonzeros of e and of B's rows
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    ranks, span = [n], b
     while ranks[-1]:
-        cur = _np_matmul_mod(cur, b, p)
-        ranks.append(_np_rank_mod_p(cur, p))
+        span = _row_basis_mod_p(span, p)
+        ranks.append(len(span))
+        # a rank that repeats above 0 never falls again, and one above 0 at
+        # k >= p is past the p-th power: either way B^p != 0
+        if ranks[-1] == ranks[-2] or (ranks[-1] and len(ranks) > p):
+            raise ValueError("matrix is not of order dividing p over F_p")
+        products = []
+        for e in span:
+            image = [0] * n
+            for x, terms in zip(e, nonzeros):
+                if x:
+                    for j, y in terms:
+                        image[j] += x * y
+            products.append(image)
+        span = products
     ranks.append(0)
     # blocks of size >= q number ranks[q-1] - ranks[q]
     counts = {
@@ -130,13 +134,14 @@ def jordan_profile(action: IntMatrix, p: int) -> JordanProfile:
     """Block-size counts of an integer matrix of order p, reduced mod p.
 
     The number of blocks of size >= q equals
-    rank((A-1)^(q-1)) - rank((A-1)^q) over F_p.
+    rank((A-1)^(q-1)) - rank((A-1)^q) over F_p.  Any prime is accepted;
+    a matrix with A^p != 1 mod p raises ValueError.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not action.is_square():
         raise ValueError("action must be square")
-    return _profile_from_array(_np_mod(action, p), p)
+    return _profile_from_rows(action.rows, p)
 
 
 def cohomology_dim(prof: JordanProfile, i: int) -> int:
@@ -240,7 +245,7 @@ def _sym_single(p: int, q: int, k: int) -> JordanProfile:
         return JordanProfile.from_counts(p, {1: fixed, p: (comb(p + k - 1, k) - fixed) // p})
     jb = representative_matrix(JordanProfile.single(p, q))
     sym = sym_power_matrix(jb, k)
-    return _profile_from_array(_np_mod(sym, p), p)
+    return _profile_from_rows(sym.rows, p)
 
 
 @lru_cache(maxsize=None)

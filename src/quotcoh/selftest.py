@@ -57,18 +57,12 @@ def cycle_matrix(p: int) -> IntMatrix:
     )
 
 
-def random_order_p_action(
-    rng: random.Random, p: int, max_dim: int = 18, ensure_nontrivial: bool = True
-) -> IntMatrix:
+def random_order_p_action(rng: random.Random, p: int, max_dim: int = 18) -> IntMatrix:
     """Exact order-p integer matrix: random blocks, randomly conjugated."""
     if max_dim < p:
         raise ValueError("max_dim must allow at least one full block")
-    blocks = []
-    dim = 0
-    if ensure_nontrivial:
-        blk = cyclotomic_companion(p) if rng.randrange(2) else cycle_matrix(p)
-        blocks.append(blk)
-        dim += blk.nrows
+    blocks = [cyclotomic_companion(p) if rng.randrange(2) else cycle_matrix(p)]
+    dim = blocks[0].nrows
     while True:
         kind = rng.randrange(3)
         blk = (IntMatrix.identity(1), cyclotomic_companion(p), cycle_matrix(p))[kind]
@@ -207,7 +201,7 @@ def _ubar_independent(inv: GradedInvariants, torsion: dict[int, int], k: int) ->
     return below + inv.l_pf(k) - fiber
 
 
-def _check_hj(rounds_unused: int = 0) -> CheckResult:
+def _check_hj() -> CheckResult:
     for p in (2, 3, 5, 7, 11, 13, 17, 19):
         for a in range(1, p):
             res = hj_resolution(p, a)

@@ -126,13 +126,15 @@ class TestMalformedInput:
         assert json.loads(err)["error"].startswith("cannot read JSON input")
 
     def test_prime_beyond_trial_division_is_rejected_quickly(self, capsys, monkeypatch):
+        # p is past trial division and p^2 past int64: primality is Miller-Rabin
+        # and the mod-p kernel runs on Python ints, so the answer comes at once
         payload = {"p": 1000000000000000003, "action": [[1]]}
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
         start = time.perf_counter()
-        status, _, err = run(capsys, "profile", "--input", "-")
+        status, out, err = run(capsys, "profile", "--input", "-")
         assert time.perf_counter() - start < 1.0
-        assert status == 2
-        assert "error" in json.loads(err)
+        assert status == 0, err
+        assert json.loads(out)["counts"] == {"1": 1}
 
 
 class TestLatticeCommand:
@@ -368,7 +370,7 @@ class TestProcessLevel:
         import subprocess
         import sys
 
-        # hilbert builds no matrix; profile reduces one mod p and loads numpy then
+        # hilbert builds no matrix; profile reduces one mod p, on Python ints
         script = (
             "import sys\n"
             "from quotcoh.cli import main\n"
@@ -401,6 +403,21 @@ class TestProcessLevel:
         loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert {"quotcoh", "quotcoh.hilbert"} <= loaded
         assert not loaded & {"quotcoh.toric", "quotcoh.selftest", "numpy"}
+        assert json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["profile"], {"p": 3, "action": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}),
+        (["quotient", "pushforward"], {"p": 2, "gram": [[2, 1], [1, 2]], "action": [[0, 1], [1, 0]]}),
+    ])
+    def test_matrix_commands_never_load_numpy(self, argv, payload):
+        import subprocess
+        import sys
+
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quotcoh.cli", *argv, "--input", "-"],
+                              input=json.dumps(payload), capture_output=True, text=True, check=True)
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "quotcoh.profiles" in loaded
+        assert not {name for name in loaded if name.split(".")[0] == "numpy"}
         assert json.loads(proc.stdout)
 
 

@@ -126,7 +126,7 @@ class TestGradedProfile:
             raise AssertionError("dense matrix built for a trivial/free profile")
 
         monkeypatch.setattr(profiles, "sym_power_matrix", refuse)
-        monkeypatch.setattr(profiles, "_profile_from_array", refuse)
+        monkeypatch.setattr(profiles, "_profile_from_rows", refuse)
         inv = graded_profile(6, k3_h2_profile(7))
         assert [inv.degree(k).rank for k in range(25)] == list(betti_numbers(6))
 

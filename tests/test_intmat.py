@@ -89,6 +89,10 @@ class TestRankModP:
         with pytest.raises(ValueError):
             rank_mod_p(IntMatrix.identity(2), 6)
 
+    @pytest.mark.parametrize("ncols", [0, 3])
+    def test_no_rows(self, ncols):
+        assert rank_mod_p(IntMatrix([], ncols=ncols), 5) == 0
+
     def test_agrees_with_snf_diagonal(self):
         rng = random.Random(3)
         for p in (2, 3, 5, 7):

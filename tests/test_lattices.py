@@ -9,7 +9,6 @@ from quotcoh.lattices import (
     _coordinates_in_rowbasis,
     GLattice,
     Lattice,
-    RationalLattice,
     bns_invariants,
     discriminant,
     discriminant_group,
@@ -20,7 +19,6 @@ from quotcoh.lattices import (
     named_lattice,
     overlattice_from_glue,
     pushforward_quotient_lattice,
-    rescale_to_primitive,
     signature,
 )
 from quotcoh.hilbert import nikulin_involution
@@ -222,44 +220,6 @@ class TestOverlattice:
         base = Lattice(IntMatrix.diagonal([3, 3]))
         with pytest.raises(ValueError):
             overlattice_from_glue(base, [[Fraction(1, 3), 0]])
-
-
-class TestRescale:
-    def test_already_primitive(self):
-        rl = RationalLattice.from_rows([[0, Fraction(7, 7)], [Fraction(7, 7), 0]])
-        c, l = rescale_to_primitive(rl)
-        assert c == 1
-        assert l == U()
-
-    def test_divides_content(self):
-        rl = RationalLattice.from_rows([[0, 2], [2, 0]])
-        c, l = rescale_to_primitive(rl)
-        assert c == Fraction(1, 2)
-        assert l == U()
-
-    def test_seventh_of_scaled_block(self):
-        gram = [[Fraction(7 * e, 7) for e in row] for row in named_lattice("Lambda7").gram.rows]
-        c, l = rescale_to_primitive(RationalLattice(tuple(tuple(r) for r in gram)))
-        assert c == 1
-        assert l == named_lattice("Lambda7")
-
-
-class TestRationalLattice:
-    def test_fractional_non_degenerate(self):
-        # det = 1/10 - 1/9 != 0, although no entry is integral
-        rl = RationalLattice.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]])
-        assert rl.rank == 2
-
-    def test_fractional_degenerate(self):
-        # second row is half the first: det = 1/16 - 1/16
-        with pytest.raises(ValueError, match="degenerate"):
-            RationalLattice.from_rows([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 8)]])
-
-    def test_fractional_degenerate_rank_three(self):
-        rows = [[Fraction(1, 3), 1, Fraction(4, 3)], [1, Fraction(1, 7), Fraction(8, 7)],
-                [Fraction(4, 3), Fraction(8, 7), Fraction(52, 21)]]
-        with pytest.raises(ValueError, match="degenerate"):
-            RationalLattice.from_rows(rows)
 
 
 class TestFujiki:

@@ -37,8 +37,12 @@ class TestJordanProfile:
         assert jordan_profile(IntMatrix([[1]]), p) == JordanProfile.single(p, 1)
 
     def test_large_prime_rejected_before_int64_overflow(self):
-        with pytest.raises(ValueError, match="too large"):
+        # the swap has order 2; the kernel works on Python ints, so only the order can refuse it
+        with pytest.raises(ValueError, match="not of order dividing p"):
             jordan_profile(IntMatrix([[0, 1], [1, 0]]), 2147483647)
+
+    def test_empty_matrix_is_the_zero_profile(self):
+        assert jordan_profile(IntMatrix([], ncols=0), 5) == JordanProfile.zero(5)
 
     def test_dimension_identity(self):
         rng = random.Random(5)
@@ -225,6 +229,9 @@ class TestCurtisReiner:
     def test_rejects_non_order_p(self):
         with pytest.raises(ValueError):
             curtis_reiner_check(IntMatrix([[1, 1], [0, 1]]), 3)
+
+    def test_empty_matrix(self):
+        assert curtis_reiner_check(IntMatrix([], ncols=0), 5) == (0, 0, 0, 0)
 
 
 class TestOrderPStructure:

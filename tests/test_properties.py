@@ -5,8 +5,9 @@ reduction it replaced, the transform-on-demand SNF against the full
 decomposition, the Gauss-Jordan adjugate against the n^2 signed minors
 it replaced, the Smith diagonal modulo the determinant against the
 elimination over Z, the norm map against the naive sum of powers, the
-integral glue checks against the Fraction arithmetic they replaced, and
-the prefix sums of the quotient report against the per-degree sums.
+integral glue checks against the Fraction arithmetic they replaced, the
+prefix sums of the quotient report against the per-degree sums, and the
+mod-p ranks and Jordan profiles against Smith diagonals over Z.
 """
 
 import random
@@ -27,10 +28,12 @@ from quotcoh.intmat import (
     det_adjugate,
     image_basis,
     is_prime,
+    rank_mod_p,
     smith_decomposition,
 )
 from quotcoh.lattices import GLattice, Lattice, overlattice_from_glue, signature
-from quotcoh.selftest import random_glattice, random_unimodular
+from quotcoh.profiles import JordanProfile, jordan_profile
+from quotcoh.selftest import random_glattice, random_order_p_action, random_unimodular
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -442,3 +445,71 @@ class TestSecondPageSums:
         zero = u_dimensions(inv, want)
         assert zero.u == dict.fromkeys(want, 0)
         assert set(zero.ubar.values()) <= {0}
+
+
+def smith_rank_mod_p(m: IntMatrix, p: int) -> int:
+    """Oracle: the rank over F_p is the number of Smith diagonal entries over Z that p does not divide."""
+    return sum(1 for d in _smith(m).diagonal if d % p)
+
+
+def smith_profile(a: IntMatrix, p: int) -> JordanProfile:
+    """Oracle: A^p - 1 over Z for the order, Smith ranks of (A - 1)^k over Z for the blocks."""
+    n = a.nrows
+    eye = IntMatrix.identity(n)
+    if any(x % p for row in (a ** p - eye).rows for x in row):
+        raise ValueError("matrix is not of order dividing p over F_p")
+    b, power, ranks = a - eye, eye, [n]
+    while ranks[-1]:
+        power = power * b
+        ranks.append(smith_rank_mod_p(power, p))
+    ranks.append(0)
+    return JordanProfile.from_counts(
+        p, {q: ranks[q - 1] - 2 * ranks[q] + ranks[q + 1] for q in range(1, len(ranks) - 1)}
+    )
+
+
+@st.composite
+def actions_mod_p(draw):
+    """Order-p actions, the same with one entry moved by a unit, and unipotent
+    triangular matrices of size 0..12, whose order is p only when their
+    nilpotent part dies by the p-th power."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["order p", "perturbed", "unipotent"]))
+    if kind == "unipotent":
+        n = draw(st.integers(0, 12))
+        rows = [[int(i == j) if j <= i else rng.randrange(-3, 4) for j in range(n)] for i in range(n)]
+        return p, IntMatrix(rows, ncols=n)
+    rows = random_order_p_action(rng, p, max_dim=12).to_lists()
+    if kind == "perturbed":
+        rows[rng.randrange(len(rows))][rng.randrange(len(rows))] += rng.choice((-1, 1))
+    return p, IntMatrix(rows)
+
+
+class TestModPKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(actions_mod_p())
+    def test_profile_matches_the_smith_ranks(self, case):
+        p, a = case
+        try:
+            want = smith_profile(a, p)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                jordan_profile(a, p)
+        else:
+            assert jordan_profile(a, p) == want
+
+    @PROPS
+    @given(st.data())
+    def test_rank_at_word_size_primes(self, data):
+        # 2^61 - 1 and 10^18 + 3: p^2 n overflows int64, so only exact arithmetic serves
+        p = data.draw(st.sampled_from([2**61 - 1, 10**18 + 3]))
+        nr, nc = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+        big = st.integers(-(2**64), 2**64)
+        rows = [[data.draw(big) for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and data.draw(st.booleans()):
+            # a multiple of row 0 plus p times anything: dependent mod p only
+            q = data.draw(st.integers(-3, 3))
+            rows[-1] = [q * x + p * data.draw(st.integers(-5, 5)) for x in rows[0]]
+        m = IntMatrix(rows, ncols=nc)
+        assert rank_mod_p(m, p) == smith_rank_mod_p(m, p)
