@@ -566,6 +566,20 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     return len(_row_basis_mod_p(m.rows, p))
 
 
+def order_divides(a: IntMatrix, p: int) -> bool:
+    """True iff a^p is the identity over Z, for a square a and a prime p.
+
+    A nontrivial a with a^p = 1 has minimal polynomial dividing
+    X^p - 1 = (X - 1) Phi_p and not X - 1, so the irreducible Phi_p, of
+    degree p - 1, divides it and p <= n + 1.  Past that only a = 1
+    qualifies and no power is formed, so the work is bounded by the rank.
+    """
+    identity = IntMatrix.identity(a.nrows)
+    if p > a.nrows + 1:
+        return a == identity
+    return a ** p == identity
+
+
 def kernel_saturated(m: IntMatrix) -> IntMatrix:
     """Basis (as rows) of the saturated integer kernel {x : m*x = 0}.
 

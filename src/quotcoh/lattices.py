@@ -34,6 +34,7 @@ from .intmat import (
     image_basis,
     is_prime,
     kernel_saturated,
+    order_divides,
     quotient_group,
 )
 from .profiles import jordan_profile
@@ -89,7 +90,7 @@ class GLattice:
             raise ValueError("action shape does not match the Gram matrix")
         if self.action.transpose() * self.gram * self.action != self.gram:
             raise ValueError("action is not an isometry of the form")
-        if self.action ** self.p != IntMatrix.identity(n):
+        if not order_divides(self.action, self.p):
             raise ValueError(f"action does not have order dividing {self.p}")
         if self.action == IntMatrix.identity(n) and not self.allow_trivial:
             raise ValueError("trivial action must be flagged explicitly")

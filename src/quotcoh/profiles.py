@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
-from .intmat import IntMatrix, is_prime, _row_basis_mod_p
+from .intmat import IntMatrix, is_prime, order_divides, _row_basis_mod_p
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,7 @@ def curtis_reiner_check(action: IntMatrix, p: int) -> CRDecomposition:
         raise ValueError(f"{p} is not prime")
     if not action.is_square():
         raise ValueError("action must be square")
-    if action ** p != IntMatrix.identity(action.nrows):
+    if not order_divides(action, p):
         raise ValueError("action^p is not the identity over Z")
     prof = jordan_profile(action, p)
     middle = [q for q, _ in prof.blocks if 2 <= q <= p - 2]

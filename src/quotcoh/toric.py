@@ -3,21 +3,30 @@
 The quotient of affine n-space by the diagonal order-p action with
 weights (a_1, ..., a_n) coprime to p is the toric variety of the standard
 positive cone viewed in the refined lattice Z^n + Z*(a_1,...,a_n)/p; a
-resolution is any regular subdivision of its fan.  The subdivision used
-here repeatedly stellar-subdivides the non-regular cone with the least
-rays at the primitive lattice point of minimal positive weight in its
-fundamental parallelepiped (the least such point on a tie), which strictly
-decreases cone multiplicities and so terminates.  `resolve` keeps the
-non-regular cones in a heap and finds the cones containing that point
-through a ray -> cones index, and each new cone's determinant and
-adjugate come from its parent's by a rank-one update, so a round costs
-what it changes rather than a pass over the fan.  Downstream invariants
-do not depend on the subdivision chosen.
+resolution is any regular subdivision of its fan, and downstream
+invariants do not depend on the one chosen.
 
-In dimension 2 the exceptional chain and its intersection matrix are the
-classical continued-fraction data, the determinant checked by its
-continuant in O(r); in higher dimension only combinatorial data of the
-resolution is reported.
+In dimension 2 `resolve` builds each cone's Hirzebruch-Jung chain
+directly: the continued fraction of D/q, D the cone's determinant and q
+read off a Bezout functional of its first ray, gives the new rays one by
+one, and the output certifies itself in O(r) for r new rays (each new
+cone has determinant +-1 and the chain closes at the second ray).  The
+exceptional chain and its intersection matrix are the same
+continued-fraction data, the determinant checked by its continuant in
+O(r).
+
+From dimension 3 on, the subdivision repeatedly stellar-subdivides the
+non-regular cone with the least rays at the primitive lattice point of
+minimal positive weight in its fundamental parallelepiped (the least such
+point on a tie), which strictly decreases cone multiplicities and so
+terminates.  `resolve` keeps the non-regular cones in a heap and finds the
+cones containing that point through a ray -> cones index, and each new
+cone's determinant and adjugate come from its parent's by a rank-one
+update, so a round costs what it changes rather than a pass over the fan;
+finding the point still enumerates the parallelepiped, of order the
+cone's multiplicity.  Only combinatorial data of these resolutions is
+reported.  In dimension 2 the stellar rounds reach the same fan, and the
+tests keep them as the oracle for the chain.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from typing import NamedTuple, Sequence
 from .intmat import (
     IntMatrix,
     _smith,
+    _xgcd,
     back_substitute,
     det_adjugate,
     image_basis,
@@ -59,6 +69,18 @@ class Cone:
                 raise ValueError(f"ray {r} is not primitive")
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("duplicate rays")
+
+    @classmethod
+    def _trusted(cls, rays: tuple[tuple[int, ...], ...], ambient: int) -> "Cone":
+        """A cone from sorted, distinct, primitive rays of length `ambient`, built unchecked.
+
+        For cones the package derives from already validated ones, where the
+        caller has certified whatever ray is new.
+        """
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "rays", rays)
+        object.__setattr__(cone, "ambient", ambient)
+        return cone
 
     @classmethod
     def from_rays(cls, rays: Sequence[Sequence[int]], ambient: int | None = None) -> "Cone":
@@ -315,8 +337,8 @@ def _replace_ray(
     rays = list(c.rays)
     del rays[i]
     k = bisect_left(rays, w)
-    rays.insert(k, w)  # w and the old rays are primitive already
-    cone = Cone(tuple(rays), c.ambient)
+    rays.insert(k, w)  # resolve has checked w; the old rays are c's
+    cone = Cone._trusted(tuple(rays), c.ambient)
     det, adj = judged
     if adj is None:
         return cone, (cone.multiplicity(), None)
@@ -330,22 +352,69 @@ def _replace_ray(
     return cone, (mu_i, tuple(new))
 
 
+def _hirzebruch_jung(c: Cone) -> list[Cone]:
+    """The regular cones of the minimal subdivision of a plane cone, certified.
+
+    For rays v0 < v1 with D = |det(v0, v1)| > 1, take y with y . v0 = 1
+    (v0 is primitive) and q = -(y . v1) mod D in [1, D).  Then
+    u1 = (q v0 + v1) / D is integral, and u0 = v0,
+    u_(i+1) = b_i u_i - u_(i-1) along the continued fraction
+    D/q = [b_1, ..., b_r] runs through the r new rays to u_(r+1) = v1
+    (Fulton, Introduction to Toric Varieties, 2.6).  The chain is checked
+    to close at v1, and each consecutive pair to have determinant +-1,
+    which also makes its rays primitive and distinct: O(r) in all.
+    """
+    if len(c.rays) < 2:
+        return [c]
+    (v0, v1), rest = c.rays[:2], c.rays[2:]
+    det = abs(v0[0] * v1[1] - v0[1] * v1[0])
+    if rest or not det:
+        raise ValueError("resolution implemented for simplicial fans")
+    if det == 1:
+        return [c]
+    _, x, y = _xgcd(abs(v0[0]), abs(v0[1]))  # (x, y) . |v0| = 1
+    x, y = (x if v0[0] >= 0 else -x), (y if v0[1] >= 0 else -y)
+    q = -(x * v1[0] + y * v1[1]) % det
+    prev, cur = v0, ((q * v0[0] + v1[0]) // det, (q * v0[1] + v1[1]) // det)
+    chain = [prev, cur]
+    for b in hj_continued_fraction(det, q):
+        prev, cur = cur, (b * cur[0] - prev[0], b * cur[1] - prev[1])
+        chain.append(cur)
+    if cur != v1:
+        raise RuntimeError("Hirzebruch-Jung chain does not close at the cone's second ray")
+    cones = []
+    for u, v in zip(chain, chain[1:]):
+        if abs(u[0] * v[1] - u[1] * v[0]) != 1:
+            raise RuntimeError("Hirzebruch-Jung chain has a non-regular cone")
+        cones.append(Cone._trusted((u, v) if u < v else (v, u), 2))
+    return cones
+
+
 def resolve(f: Fan) -> Fan:
     """Regular subdivision with the same support.
 
     Precondition: the cones form a fan, that is any two meet in a common
-    face.  `quotient_fan`'s single cone does, and stellar subdivision keeps
-    the property.  Each round takes the non-regular cone with the least
-    rays, stellar-subdivides it at `_stellar_point` w, and with it every
-    cone that contains w: by the fan property these are the cones holding
-    every ray of the target's face that has w in its relative interior,
-    found through a ray -> cones index.  Each such cone is replaced by the
-    cones with one of those rays swapped for w, judged by a rank-one update
-    of their parent's cofactors.  So a round costs the stellar point plus
-    O(n^2) per changed cone and a heap operation, not a pass over the fan;
-    termination holds because each subdivision strictly decreases
-    multiplicities.
+    face.  `quotient_fan`'s single cone does, and subdivision keeps the
+    property.
+
+    In the plane each cone is subdivided on its own by its
+    Hirzebruch-Jung chain (`_hirzebruch_jung`), certified cone by cone in
+    O(r) for r new rays: the minimal resolution, and the one the stellar
+    rounds below reach too.
+
+    From dimension 3 on, each round takes the non-regular cone with the
+    least rays, stellar-subdivides it at `_stellar_point` w, and with it
+    every cone that contains w: by the fan property these are the cones
+    holding every ray of the target's face that has w in its relative
+    interior, found through a ray -> cones index.  Each such cone is
+    replaced by the cones with one of those rays swapped for w, judged by
+    a rank-one update of their parent's cofactors.  So a round costs the
+    stellar point plus O(n^2) per changed cone and a heap operation, not a
+    pass over the fan; termination holds because each subdivision
+    strictly decreases multiplicities.
     """
+    if f.ambient == 2:
+        return Fan.from_cones([d for c in f.maximal for d in _hirzebruch_jung(c)], ambient=2)
     for c in f.maximal:
         if not c.is_simplicial():
             raise ValueError("resolution implemented for simplicial fans")
@@ -365,6 +434,9 @@ def resolve(f: Fan) -> Fan:
             continue  # subdivided since it was queued
         cofactors = judged[target]
         w = _stellar_point(target, cofactors if target._is_square() else None)
+        # the one new ray of the round, so the new cones need no checks of their own
+        if w != primitive_vector(w) or w in target.rays:
+            raise RuntimeError(f"stellar point {w} is not a new primitive ray")
         face = [target.rays[i] for i in _support(target, cofactors, w)[1]]
         for c in set.intersection(*(on_ray[r] for r in face)):
             parent = judged.pop(c)

@@ -1,5 +1,8 @@
+import hashlib
 import io
 import json
+import subprocess
+import sys
 import time
 
 import pytest
@@ -125,7 +128,7 @@ class TestMalformedInput:
         assert (status, out) == (2, "")
         assert json.loads(err)["error"].startswith("cannot read JSON input")
 
-    def test_prime_beyond_trial_division_is_rejected_quickly(self, capsys, monkeypatch):
+    def test_prime_beyond_trial_division_is_answered_quickly(self, capsys, monkeypatch):
         # p is past trial division and p^2 past int64: primality is Miller-Rabin
         # and the mod-p kernel runs on Python ints, so the answer comes at once
         payload = {"p": 1000000000000000003, "action": [[1]]}
@@ -135,6 +138,40 @@ class TestMalformedInput:
         assert time.perf_counter() - start < 1.0
         assert status == 0, err
         assert json.loads(out)["counts"] == {"1": 1}
+
+
+def _fresh_cli(argv, payload=None):
+    """(wall seconds, process) of one `quotcoh.cli` run in a fresh interpreter.
+
+    The timeout turns work that grows with p into a failure instead of a hang.
+    """
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "quotcoh.cli", *argv],
+                          input=None if payload is None else json.dumps(payload),
+                          capture_output=True, text=True, timeout=10)
+    return time.perf_counter() - start, proc
+
+
+class TestLargePrimesInFreshProcesses:
+    def test_toric_surface_is_bounded_by_its_output(self):
+        # stdout recorded with the stellar resolve, which took 5.1-5.6 s and 179 MB on a 2-core Xeon
+        wall, proc = _fresh_cli(["toric", "--p", "1000003", "--weights", "1,2"])
+        assert proc.returncode == 0, proc.stderr
+        assert (hashlib.sha256(proc.stdout.encode()).hexdigest()
+                == "fc6f905d9694fd86e0a27be8b792af74952e9ea92d4001bb1f92ab5e2c96e797")
+        assert wall < 2.0
+
+    def test_infinite_order_isometry_is_refused(self):
+        # a Pell unit of diag(1, -2): its p-th power over Z would have about p digits
+        payload = {"p": 1000000007, "gram": [[1, 0], [0, -2]], "action": [[3, 4], [2, 3]]}
+        _, proc = _fresh_cli(["quotient", "pushforward", "--input", "-"], payload)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert json.loads(proc.stderr)["error"] == "action does not have order dividing 1000000007"
+
+    def test_order_two_swap_is_refused_at_a_mersenne_prime(self):
+        _, proc = _fresh_cli(["profile", "--input", "-"], {"p": 2147483647, "action": [[0, 1], [1, 0]]})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "not of order dividing p" in json.loads(proc.stderr)["error"]
 
 
 class TestLatticeCommand:
@@ -339,9 +376,6 @@ class TestTablesCommand:
 
 class TestProcessLevel:
     def test_byte_identical_across_processes(self):
-        import subprocess
-        import sys
-
         cmd = [sys.executable, "-m", "quotcoh.cli", "toric", "--p", "7", "--weights", "1,3"]
         first = subprocess.run(cmd, capture_output=True, check=True)
         second = subprocess.run(cmd, capture_output=True, check=True)
@@ -353,9 +387,6 @@ class TestProcessLevel:
         ["tables", "--which", "betti"],
     ])
     def test_unwritable_output_exits_2(self, argv, tmp_path):
-        import subprocess
-        import sys
-
         for target in (tmp_path / "missing" / "x.json", tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "quotcoh.cli", *argv, "--output", str(target)],
@@ -367,9 +398,6 @@ class TestProcessLevel:
         assert list(tmp_path.iterdir()) == []
 
     def test_paper_command_leaves_numpy_unloaded(self):
-        import subprocess
-        import sys
-
         # hilbert builds no matrix; profile reduces one mod p, on Python ints
         script = (
             "import sys\n"
@@ -394,9 +422,6 @@ class TestProcessLevel:
         ["tables", "--which", "bb"],
     ])
     def test_paper_commands_load_only_their_layers(self, argv):
-        import subprocess
-        import sys
-
         # -X importtime writes one stderr line per module the process imports
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quotcoh.cli", *argv],
                               capture_output=True, text=True, check=True)
@@ -410,9 +435,6 @@ class TestProcessLevel:
         (["quotient", "pushforward"], {"p": 2, "gram": [[2, 1], [1, 2]], "action": [[0, 1], [1, 0]]}),
     ])
     def test_matrix_commands_never_load_numpy(self, argv, payload):
-        import subprocess
-        import sys
-
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quotcoh.cli", *argv, "--input", "-"],
                               input=json.dumps(payload), capture_output=True, text=True, check=True)
         loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
@@ -459,9 +481,6 @@ class TestLazyPackage:
             exec("from quotcoh import no_such_name", {})
 
     def test_bare_import_loads_no_layer(self):
-        import subprocess
-        import sys
-
         script = (
             "import sys, quotcoh\n"
             "print(*sorted(m for m in sys.modules if m.startswith('quotcoh.')), file=sys.stderr)\n"

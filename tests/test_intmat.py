@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from quotcoh.intmat import (
     image_basis,
     is_prime,
     kernel_saturated,
+    order_divides,
     quotient_group,
     rank_mod_p,
     smith_decomposition,
@@ -101,6 +103,32 @@ class TestRankModP:
                 diag = smith_decomposition(m).diagonal
                 expected = sum(1 for x in diag if x % p != 0)
                 assert rank_mod_p(m, p) == expected
+
+
+class TestOrderDivides:
+    def test_matches_the_power(self):
+        from quotcoh.selftest import cyclotomic_companion, random_order_p_action
+
+        rng = random.Random(13)
+        pell = IntMatrix([[3, 4], [2, 3]])  # infinite order
+        seen = set()
+        for p in (2, 3, 5, 7, 11):
+            cases = [IntMatrix.identity(n) for n in range(5)] + [
+                IntMatrix([[-1]]), pell, cycle(3), cycle(p), cyclotomic_companion(p),
+                random_order_p_action(rng, p, max_dim=12),
+            ] + [random_matrix(rng, n, n, bound=2) for n in (1, 2, 3, 4)]
+            for a in cases:
+                want = a ** p == IntMatrix.identity(a.nrows)
+                assert order_divides(a, p) == want
+                seen.add((p > a.nrows + 1, want))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_infinite_order_at_a_large_prime_is_bounded(self):
+        # the power would have about p digits; Phi_p cannot divide a degree-2 minimal polynomial
+        start = time.perf_counter()
+        assert not order_divides(IntMatrix([[3, 4], [2, 3]]), 1000000007)
+        assert order_divides(IntMatrix.identity(2), 1000000007)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestKernelSaturated:

@@ -180,6 +180,13 @@ class TestPushforward:
         assert pushed.gram == named_lattice("A2", p).gram
         assert discriminant_group(pushed) == [p, 3 * p]
 
+    def test_infinite_order_isometry_at_a_large_prime_is_refused_quickly(self):
+        # a Pell unit of diag(1, -2): an isometry whose p-th power has about p digits
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="action does not have order dividing 1000003"):
+            GLattice(IntMatrix([[1, 0], [0, -2]]), IntMatrix([[3, 4], [2, 3]]), 1000003)
+        assert time.perf_counter() - start < 1.0
+
     def test_cycle_collapses_to_rank_one(self):
         gl = GLattice(IntMatrix.identity(5), cycle_matrix(5), 5)
         assert pushforward_quotient_lattice(gl).gram == IntMatrix([[1]])

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -229,6 +230,12 @@ class TestCurtisReiner:
     def test_rejects_non_order_p(self):
         with pytest.raises(ValueError):
             curtis_reiner_check(IntMatrix([[1, 1], [0, 1]]), 3)
+
+    def test_infinite_order_at_a_large_prime_is_refused_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="action\\^p is not the identity over Z"):
+            curtis_reiner_check(IntMatrix([[3, 4], [2, 3]]), 1000003)
+        assert time.perf_counter() - start < 1.0
 
     def test_empty_matrix(self):
         assert curtis_reiner_check(IntMatrix([], ncols=0), 5) == (0, 0, 0, 0)

@@ -38,7 +38,7 @@ from quotcoh.toric import (
     surface_chain,
 )
 from quotcoh.lattices import Lattice, signature
-from quotcoh.intmat import IntMatrix, det_adjugate, primitive_vector
+from quotcoh.intmat import IntMatrix, det_adjugate, is_prime, primitive_vector
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -61,6 +61,17 @@ class TestCones:
     def test_rays_primitivized(self):
         c = Cone.from_rays([(2, 4)])
         assert c.rays == ((1, 2),)
+
+    def test_checked_constructor_refuses_bad_rays(self):
+        for rays, ambient in ((((2, 4),), 2), (((1, 0), (1, 0)), 2), (((0, 0),), 2), (((1, 0, 0),), 2)):
+            with pytest.raises(ValueError):
+                Cone(rays, ambient)
+
+    def test_trusted_cone_is_the_checked_cone(self):
+        rays = ((0, 0, 1), (1, 0, 0), (1, 2, 0))
+        trusted, checked = Cone._trusted(rays, 3), Cone(rays, 3)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert (trusted.rays, trusted.ambient) == (rays, 3)
 
     def test_membership(self):
         c = Cone.from_rays([(1, 0), (1, 2)])
@@ -245,7 +256,8 @@ class TestParallelepiped:
             assert set(_candidates(c)) == _brute_force_parallelepiped(c)
 
     def test_stellar_point_is_the_least_brute_force_candidate(self, monkeypatch):
-        # resolve's point is min((Fraction weight, point)) over the brute-force listing
+        # the stellar point is min((Fraction weight, point)) over the brute-force
+        # listing; plane fans are resolved without it, so the scan oracle picks there
         met = []
         choose = toric._stellar_point
 
@@ -258,7 +270,7 @@ class TestParallelepiped:
         for p, weights in ((7, (1, 3)), (11, (1, 4)), (7, (1, 2, 4)), (11, (1, 3, 7)),
                            (5, (1, 2, 3, 4)), (7, (1, 1, 1, 4))):
             met.clear()
-            resolve(quotient_fan(CyclicSingularity(p, weights)))
+            (_scan_resolve if len(weights) == 2 else resolve)(quotient_fan(CyclicSingularity(p, weights)))
             assert met
             for c, w in met:
                 listing = _brute_force_parallelepiped(c)
@@ -416,16 +428,34 @@ class TestWorklistResolve:
         assert resolve(fan).maximal == _scan_resolve(fan).maximal
 
     def test_every_rank_one_update_is_the_elimination(self, monkeypatch):
+        # rank-one updates run from dimension 3 on; plane fans take the Hirzebruch-Jung chain
         calls = _spy_on_updates(monkeypatch)
-        for p, weights in ((31, (1, 30)), (29, (1, 12)), (13, (1, 5, 9)), (11, (1, 3, 7, 9))):
+        for p, weights in ((29, (1, 3, 25)), (17, (1, 4, 13)), (13, (1, 5, 9)), (11, (1, 3, 7, 9))):
             resolve(quotient_fan(CyclicSingularity(p, weights)))
-        for q in ((2, 3), (1, 1, 3), (2, 3, 5), (1, 2, 3, 4)):
+        for q in ((1, 1, 3), (2, 3, 5), (3, 5, 7), (1, 2, 3, 4)):
             resolve(_weighted_projective_fan(q))
         parities = set()
         for c, i, w, cone, judged in calls:
             assert judged == det_adjugate(tuple(zip(*cone.rays)))
             parities.add((cone.rays.index(w) - i) % 2)
         assert len(calls) > 100 and parities == {0, 1}
+
+    def test_stellar_point_must_be_a_new_primitive_ray(self, monkeypatch):
+        # the round's one check on w is what lets _replace_ray skip the cone checks
+        # (without it such a point would subdivide forever, hence the cap on rounds)
+        choose = toric._stellar_point
+        fan = quotient_fan(CyclicSingularity(7, (1, 2, 4)))
+        for bad in (lambda c, cof: tuple(2 * x for x in choose(c, cof)), lambda c, cof: c.rays[0]):
+            rounds = []
+
+            def capped(c, cof, bad=bad):
+                rounds.append(c)
+                assert len(rounds) < 50, "resolve accepted a point that is not a new primitive ray"
+                return bad(c, cof)
+
+            monkeypatch.setattr(toric, "_stellar_point", capped)
+            with pytest.raises(RuntimeError, match="not a new primitive ray"):
+                resolve(fan)
 
     def test_shared_faces_subdivide_every_cone_holding_w(self, monkeypatch):
         # the stellar point can lie on a face of several cones (P(1, 1, 2, 2),
@@ -447,6 +477,50 @@ class TestWorklistResolve:
             assert len(points) == len(set(points)) == len(parents)
             shared += sum(len(cones) > 1 for cones in parents.values())
         assert shared
+
+
+class TestSurfaceResolve:
+    """The plane route, each cone's Hirzebruch-Jung chain, against the stellar scan."""
+
+    def test_determinant_sharing_a_factor_with_every_coordinate(self):
+        # D = 6 is prime to neither coordinate of (2, 3), so q comes from the Bezout functional
+        fan = Fan.from_cones([Cone.from_rays([(2, 3), (4, 9)])])
+        resolved = resolve(fan)
+        assert resolved == _scan_resolve(fan)
+        assert resolved.rays() == ((1, 2), (2, 3), (4, 9))
+        assert all(is_regular(c) for c in resolved.maximal)
+
+    @pytest.mark.parametrize("fan", [projective_space_fan(2), product_of_lines_fan()]
+                             + [_weighted_projective_fan(q) for q in ((1, 2), (2, 3), (3, 5), (4, 7), (6, 9),
+                                                                     (5, 13), (11, 12))])
+    def test_complete_fans(self, fan):
+        resolved = resolve(fan)
+        assert resolved == _scan_resolve(fan)
+        assert resolved.is_complete() and all(is_regular(c) for c in resolved.maximal)
+
+    def test_one_ray_cones_pass_through(self):
+        rays = [Cone.from_rays([(-1, 1)]), Cone.from_rays([(0, -1)])]
+        fan = Fan.from_cones([Cone.from_rays([(1, 0), (1, 5)])] + rays)
+        resolved = resolve(fan)
+        assert resolved == _scan_resolve(fan)
+        assert set(rays) < set(resolved.maximal) and len(resolved.maximal) == 7
+
+    @pytest.mark.parametrize("p", [p for p in range(2, 98) if is_prime(p)])
+    def test_every_quotient_one_a(self, p):
+        for a in range(1, p):
+            fan = quotient_fan(CyclicSingularity(p, (1, a)))
+            assert resolve(fan) == _scan_resolve(fan)
+
+    def test_non_simplicial_cones_are_refused(self):
+        for rays in ([(1, 0), (0, 1), (1, 1)], [(1, 0), (-1, 0)]):
+            with pytest.raises(ValueError, match="simplicial"):
+                resolve(Fan.from_cones([Cone.from_rays(rays)]))
+
+    def test_chain_that_misses_the_second_ray_is_refused(self, monkeypatch):
+        expand = toric.hj_continued_fraction
+        monkeypatch.setattr(toric, "hj_continued_fraction", lambda d, q: expand(d, q) + [2])
+        with pytest.raises(RuntimeError, match="does not close"):
+            resolve(quotient_fan(CyclicSingularity(7, (1, 3))))
 
 
 @st.composite
