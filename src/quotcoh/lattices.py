@@ -7,6 +7,17 @@ cyclotomic and free summands of the underlying Z[G]-module; they control
 the group cohomology H^*(G, T) and the discriminant bookkeeping of the
 quotient constructions.
 
+The counts and H^1 come from one Smith form of phi - 1, with no use of the
+form (profiles._module_analysis): sigma (phi - 1) = phi^p - 1 = 0, and Ker
+sigma has the rank r of Im(phi - 1), so Ker sigma = sat Im(phi - 1) and
+H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1) = (Z/p)^l_minus,
+rk T^G = n - r, l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p; the
+mod-p Jordan profile checks them.  Dually Im sigma is of full rank in the
+saturated T^G, so H^2 = T^G / sigma T = tors coker(sigma) = (Z/p)^l_plus,
+from one more Smith form.  No result is kept between calls.  A Lattice
+reads its determinant and its signature off one symmetric congruence
+pass, which is also its non-degeneracy check.
+
 Two modeling notes, both validated against independent computations in
 the test suite rather than assumed:
 
@@ -29,15 +40,12 @@ from .intmat import (
     IntMatrix,
     _smith,
     _smith_diagonal_mod,
-    back_substitute,
     det_adjugate,
     image_basis,
     is_prime,
-    kernel_saturated,
     order_divides,
-    quotient_group,
 )
-from .profiles import jordan_profile
+from .profiles import _module_analysis
 
 
 @dataclass(frozen=True)
@@ -45,16 +53,16 @@ class Lattice:
     """Non-degenerate integral lattice, carried by its Gram matrix."""
 
     gram: IntMatrix
-    # the Gram determinant, computed once by the non-degeneracy check
+    # both read off the one congruence pass that checks non-degeneracy
     det: int = field(init=False, repr=False, compare=False)
+    signature: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        det = self.gram.det()
-        if det == 0:
-            raise ValueError("Gram matrix is degenerate")
+        det, sig = _congruence(self.gram.rows)
         object.__setattr__(self, "det", det)
+        object.__setattr__(self, "signature", sig)
 
     @property
     def rank(self) -> int:
@@ -80,11 +88,14 @@ class GLattice:
     action: IntMatrix
     p: int
     allow_trivial: bool = field(default=False, compare=False)
+    # the Lattice that validates the form, kept for lattice()
+    _lattice: Lattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         lattice = Lattice(self.gram)  # validates symmetry / non-degeneracy
+        object.__setattr__(self, "_lattice", lattice)
         n = lattice.rank
         if not (self.action.is_square() and self.action.nrows == n):
             raise ValueError("action shape does not match the Gram matrix")
@@ -100,7 +111,7 @@ class GLattice:
         return self.gram.nrows
 
     def lattice(self) -> Lattice:
-        return Lattice(self.gram)
+        return self._lattice
 
     def sigma(self) -> IntMatrix:
         """Norm map sigma = phi^(p-1) + ... + phi + id.
@@ -139,20 +150,28 @@ def discriminant_group(l: Lattice) -> list[int]:
     return [d for d in _smith_diagonal_mod(l.gram.rows, l.det) if d > 1]
 
 
-def signature(l: Lattice) -> tuple[int, int]:
-    """Exact (n_plus, n_minus) by symmetric congruence reduction over Z.
+def _congruence(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
+    """det G and the signature (n_plus, n_minus) of a symmetric G, from one
+    symmetric congruence reduction over Z.
 
     The reduction is fraction-free (Bareiss): the rows below step k hold
     prev times the rational Schur complement, where prev is the previous
     pivot, so every update divides exactly.  The k-th rational pivot is
-    pivot_k / pivot_(k-1), and only its sign is read.
+    pivot_k / pivot_(k-1), and only its sign is read.  The symmetric swaps
+    and additions are congruences E^T G E with det E = +-1, so the last
+    pivot is det G.  A pivot row that is zero from the diagonal on means
+    the form is degenerate, and raises ValueError.  The trailing block
+    stays symmetric, so the updates keep only its upper triangle, and it is
+    mirrored in full before a swap or an addition.
     """
-    n = l.rank
-    a = [list(row) for row in l.gram.rows]
+    n = len(rows)
+    a = [list(row) for row in rows]
     pos = neg = 0
     prev = 1
     for i in range(n):
         if a[i][i] == 0:
+            for k in range(i + 1, n):
+                a[k][i:k] = [a[t][k] for t in range(i, k)]
             j = next((t for t in range(i + 1, n) if a[t][t] != 0), None)
             if j is not None:
                 a[i], a[j] = a[j], a[i]
@@ -161,22 +180,27 @@ def signature(l: Lattice) -> tuple[int, int]:
             else:
                 j = next((t for t in range(i + 1, n) if a[i][t] != 0), None)
                 if j is None:
-                    raise ValueError("degenerate form")
+                    raise ValueError("Gram matrix is degenerate")
                 # all remaining diagonal entries vanish, so this makes
                 # a[i][i] = 2*a[i][j] != 0
                 a[i] = [x + y for x, y in zip(a[i], a[j])]
                 for row in a[i:]:
                     row[i] += row[j]
-        pivot, tail = a[i][i], a[i][i + 1:]
-        for row in a[i + 1:]:
-            f = row[i]
-            row[i + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[i + 1:], tail)]
+        top, pivot = a[i], a[i][i]
+        for k in range(i + 1, n):
+            f, row = top[k], a[k]
+            row[k:] = [(x * pivot - f * y) // prev for x, y in zip(row[k:], top[k:])]
         if (pivot > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         prev = pivot
-    return pos, neg
+    return prev, (pos, neg)
+
+
+def signature(l: Lattice) -> tuple[int, int]:
+    """Exact (n_plus, n_minus), kept from the congruence pass that built l."""
+    return l.signature
 
 
 class LatticeInvariants(NamedTuple):
@@ -200,41 +224,14 @@ class BNSInvariants(NamedTuple):
 def bns_invariants(gl: GLattice) -> BNSInvariants:
     """Counts of trivial / cyclotomic / free summands of the Z[G]-lattice.
 
-    l_p is the p-length of T / (T^G + Ker sigma), whose elementary
-    divisors all equal p; then rk T^G = l_plus + l_p and
-    rk T = l_plus + (p-1) l_minus + p l_p.  For p >= 3 the result is
-    cross-checked against the mod-p Jordan profile.
+    From one Smith form of phi - 1 (profiles._module_analysis): with
+    r = rank(phi - 1), rk T^G = n - r; Ker sigma = sat Im(phi - 1), so
+    H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1) = (Z/p)^l_minus;
+    then l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.  The counts
+    are cross-checked against the mod-p Jordan profile.
     """
-    return _bns(gl, gl.sigma())[0]
-
-
-def _bns(gl: GLattice, sigma: IntMatrix) -> tuple[BNSInvariants, IntMatrix, IntMatrix]:
-    """bns_invariants given the norm map, plus the saturated bases of
-    T^G = Ker(phi - 1) and of Ker sigma that it computed on the way."""
-    p, n = gl.p, gl.rank
-    invariant = kernel_saturated(gl.action - IntMatrix.identity(n))
-    ker_sigma = kernel_saturated(sigma)
-    stacked = IntMatrix.vstack(invariant, ker_sigma)
-    if stacked.nrows != n:
-        raise ValueError("invariants and Ker sigma do not span: wrong-order action?")
-    divisors = quotient_group(stacked, n)
-    if any(d != p for d in divisors):
-        raise ValueError(f"T/(T^G + Ker sigma) has divisors {divisors}, expected all {p}")
-    l_p = len(divisors)
-    l_plus = invariant.nrows - l_p
-    remainder = n - l_plus - p * l_p
-    if l_plus < 0 or remainder < 0 or remainder % (p - 1) != 0:
-        raise ValueError("rank bookkeeping failed: input is not an order-p isometry")
-    l_minus = remainder // (p - 1)
-
-    prof = jordan_profile(gl.action, p)
-    if p >= 3:
-        ok = (prof.count(1), prof.count(p - 1), prof.count(p)) == (l_plus, l_minus, l_p)
-    else:
-        ok = prof.count(2) == l_p and prof.count(1) == l_plus + l_minus
-    if not ok:
-        raise ValueError("mod-p profile disagrees with the lattice-side invariants")
-    return BNSInvariants(l_plus, l_minus, l_p), invariant, ker_sigma
+    a = _module_analysis(gl.action, gl.p)
+    return BNSInvariants(a.l_plus, a.l_minus, a.l_p)
 
 
 class GroupCohomology(NamedTuple):
@@ -242,47 +239,38 @@ class GroupCohomology(NamedTuple):
     divisors: tuple[int, ...]
 
 
-def _coordinates_in_rowbasis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
-    """Rows of `vectors` written in the saturated row basis `basis`."""
-    snf = _smith(basis.transpose(), ("u", "v"))
-    coords = []
-    for row in vectors.rows:
-        sol = back_substitute(snf, row)
-        if sol is None:
-            raise ValueError("vector outside the span of the basis")
-        coords.append(sol)
-    return IntMatrix(coords, ncols=basis.nrows)
-
-
 def group_cohomology(gl: GLattice, i: int) -> GroupCohomology:
     """H^i(G, T) for the (torsion-free) G-lattice T.
 
     Degree 0 is the free module of invariants (rank reported); odd degrees
-    give (Z/p)^l_minus and positive even degrees (Z/p)^l_plus.  The groups
-    are computed both from those closed forms and directly as
-    Ker sigma / Im(phi - 1) resp. Ker(phi - 1) / Im sigma; a disagreement
-    is a fatal internal error.
+    give (Z/p)^l_minus and positive even degrees (Z/p)^l_plus.  Each group
+    is also computed directly, as the torsion of a cokernel:
+
+    * odd: Im(phi - 1) lies in the saturated Ker sigma of the same rank, so
+      H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1), read off the
+      Smith form the counts came from, whose l_minus the mod-p profile
+      confirms;
+    * even: (phi - 1) sigma = phi^p - 1 = 0 puts Im sigma in the saturated
+      T^G = Ker(phi - 1), and rank sigma must equal rk T^G, so
+      H^2 = T^G / sigma T = tors coker(sigma), from one more Smith form.
+
+    A disagreement is a fatal internal error.
     """
     if i < 0:
         raise ValueError("negative degree")
-    sigma = gl.sigma()
-    inv, invariant, ker_sigma = _bns(gl, sigma)
+    a = _module_analysis(gl.action, gl.p)
     if i == 0:
-        return GroupCohomology(free_rank=inv.l_plus + inv.l_p, divisors=())
+        return GroupCohomology(free_rank=a.l_plus + a.l_p, divisors=())
     if i % 2 == 1:
-        kernel = ker_sigma
-        im = image_basis(gl.action - IntMatrix.identity(gl.rank))
-        expected = inv.l_minus
+        direct = a.h1
+        expected = a.l_minus
     else:
-        kernel = invariant
-        im = image_basis(sigma)
-        expected = inv.l_plus
-    if kernel.nrows == 0:
-        direct: tuple[int, ...] = ()
-    else:
-        coords = _coordinates_in_rowbasis(kernel, im)
-        direct = tuple(quotient_group(coords, kernel.nrows))
-    formula = tuple([gl.p] * expected)
+        snf = _smith(gl.sigma())
+        if snf.rank != a.l_plus + a.l_p:
+            raise RuntimeError(f"rank sigma = {snf.rank}, but rk T^G = {a.l_plus + a.l_p}")
+        direct = tuple(d for d in snf.diagonal if d > 1)
+        expected = a.l_plus
+    formula = (gl.p,) * expected
     if direct != formula:
         raise RuntimeError(
             f"group cohomology mismatch in degree {i}: direct {direct}, formula {formula}"
@@ -426,7 +414,3 @@ def named_lattice(name: str, scale: int = 1) -> Lattice:
     if name not in _NAMED:
         raise ValueError(f"unknown lattice name {name!r}")
     return Lattice(_NAMED[name]() * scale)
-
-
-def rank_one(d: int) -> Lattice:
-    return named_lattice("rank1", d)

@@ -15,6 +15,11 @@ front end builds.  Only for the middle blocks N_q, 2 <= q <= p-1, is the
 induced matrix on a representative unipotent block built and its profile
 re-extracted.  Results are memoized per (p, block sizes, exponent), so
 concurrent callers simply recompute the same pure value.
+
+Over Z, _module_analysis reads the summand counts of an order-p integer
+action from one Smith form of A - 1, with the profile as its independent
+check.  Unlike the profile, it tells the trivial Z from the cyclotomic
+Z^- at p = 2, where both reduce to N_1.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
-from .intmat import IntMatrix, is_prime, order_divides, _row_basis_mod_p
+from .intmat import IntMatrix, _row_basis_mod_p, _smith, is_prime, order_divides
 
 
 @dataclass(frozen=True)
@@ -280,21 +285,81 @@ def sym_power(a: JordanProfile, k: int) -> JordanProfile:
     return _sym_profile(a.p, a.blocks, k)
 
 
+class ModuleAnalysis(NamedTuple):
+    """Counts of trivial / cyclotomic / free summands of an order-p Z[G]-lattice,
+    and H^1 as the torsion of coker(A - 1) they were read from."""
+
+    l_plus: int
+    l_minus: int
+    l_p: int
+    h1: tuple[int, ...]
+
+
+def _module_analysis(action: IntMatrix, p: int) -> ModuleAnalysis:
+    """Summand counts (l_plus, l_minus, l_p) of Z^n under an action A with
+    A^p = 1 over Z, from one Smith form of A - 1; no invariant form is needed.
+
+    The preconditions are the caller's: GLattice and curtis_reiner_check
+    check that p is prime and A square, and establish A^p = 1 with
+    order_divides.  An action of another order can pass every check below
+    with wrong counts ([[1, 2], [0, 1]] at p = 2 reads as Z + Z^-), hence
+    the underscore.  Over Q, A - 1 vanishes on the invariants and is invertible on the other eigenspaces, where
+    sigma = 1 + A + ... + A^(p-1) vanishes; so with r = rank(A - 1),
+    rk T^G = n - r and Ker sigma has rank r.  As sigma (A - 1) = A^p - 1 = 0,
+    Im(A - 1) lies in the saturated Ker sigma of the same rank, so
+    Ker sigma = sat Im(A - 1) and H^1(G, T) = Ker sigma / Im(A - 1) is the
+    torsion of coker(A - 1): the Smith entries > 1, each of which must be p.
+    A trivial summand adds 0 to r, a cyclotomic one p - 1 to r and one Z/p
+    to H^1, a free one p - 1 to r and nothing to H^1.  Hence
+    l_minus = #H^1, l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.
+
+    The mod-p Jordan profile is the independent route: its blocks N_1,
+    N_(p-1), N_p count l_plus, l_minus, l_p for p >= 3; for p = 2, where Z
+    and Z^- both reduce to N_1, it checks l_p and l_plus + l_minus, which
+    with r still pins l_minus.  A disagreement raises ValueError.
+    """
+    n = action.nrows
+    snf = _smith(action - IntMatrix.identity(n))
+    r = snf.rank
+    torsion = tuple(d for d in snf.diagonal if d > 1)
+    if any(d != p for d in torsion):
+        raise ValueError(f"coker(A - 1) has torsion {torsion}, expected all {p}")
+    l_minus = len(torsion)
+    l_p = r // (p - 1) - l_minus
+    l_plus = n - r - l_p
+    if r % (p - 1) or l_p < 0 or l_plus < 0:
+        raise ValueError("rank bookkeeping failed: input is not an order-p action")
+
+    prof = jordan_profile(action, p)
+    middle = [q for q, _ in prof.blocks if 2 <= q <= p - 2]
+    if middle:
+        raise ValueError(
+            f"blocks of size {middle} cannot arise from an order-{p} integer action"
+        )
+    if p >= 3:
+        ok = (prof.count(1), prof.count(p - 1), prof.count(p)) == (l_plus, l_minus, l_p)
+    else:
+        ok = prof.count(2) == l_p and prof.count(1) == l_plus + l_minus
+    if not ok:
+        raise ValueError("mod-p profile disagrees with the integral module analysis")
+    return ModuleAnalysis(l_plus, l_minus, l_p, torsion)
+
+
 class CRDecomposition(NamedTuple):
     """Counts (r, s, t) of free / cyclotomic-ideal / trivial summands.
 
-    For p = 2 the mod-2 profile cannot separate s from t; only r and the
-    sum s + t are reported (s and t are None).
+    The integral analysis tells the trivial summand Z from the cyclotomic
+    Z^- at p = 2 as well, where the mod-2 profile sees only their sum.
     """
 
     r: int
-    s: int | None
-    t: int | None
+    s: int
+    t: int
     s_plus_t: int
 
 
 def curtis_reiner_check(action: IntMatrix, p: int) -> CRDecomposition:
-    """Summand counts of an exact order-p integer action from its profile.
+    """Summand counts of an exact order-p integer action: a view of _module_analysis.
 
     Requires action^p = identity over Z.  Block sizes strictly between 2
     and p-1 never occur for such actions; their presence is reported as an
@@ -306,17 +371,5 @@ def curtis_reiner_check(action: IntMatrix, p: int) -> CRDecomposition:
         raise ValueError("action must be square")
     if not order_divides(action, p):
         raise ValueError("action^p is not the identity over Z")
-    prof = jordan_profile(action, p)
-    middle = [q for q, _ in prof.blocks if 2 <= q <= p - 2]
-    if middle:
-        raise ValueError(
-            f"blocks of size {middle} cannot arise from an order-{p} integer action"
-        )
-    if p == 2:
-        return CRDecomposition(r=prof.count(2), s=None, t=None, s_plus_t=prof.count(1))
-    return CRDecomposition(
-        r=prof.count(p),
-        s=prof.count(p - 1),
-        t=prof.count(1),
-        s_plus_t=prof.count(p - 1) + prof.count(1),
-    )
+    a = _module_analysis(action, p)
+    return CRDecomposition(r=a.l_p, s=a.l_minus, t=a.l_plus, s_plus_t=a.l_minus + a.l_plus)

@@ -1,12 +1,13 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from quotcoh.intmat import IntMatrix, kernel_saturated, quotient_group, solve_integer
+from quotcoh import intmat, profiles
+from quotcoh.intmat import IntMatrix, kernel_saturated, quotient_group
 from quotcoh.lattices import (
-    _coordinates_in_rowbasis,
     GLattice,
     Lattice,
     bns_invariants,
@@ -138,25 +139,69 @@ class TestGroupCohomology:
                 group_cohomology(gl, i)  # raises on disagreement
 
 
-class TestCoordinatesInRowBasis:
-    def test_matches_per_row_solve(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            rows, rank = rng.randrange(1, 6), rng.randrange(1, 4)
-            basis = kernel_saturated(IntMatrix(
-                [[rng.randint(-3, 3) for _ in range(rows + rank)] for _ in range(rows)]))
-            coeffs = IntMatrix([[rng.randint(-5, 5) for _ in range(basis.nrows)] for _ in range(4)],
-                               ncols=basis.nrows)
-            vectors = coeffs * basis
-            got = _coordinates_in_rowbasis(basis, vectors)
-            assert got == coeffs
-            assert got.rows == tuple(solve_integer(basis.transpose(), v) for v in vectors.rows)
+def _spy_on_smith(monkeypatch):
+    """Record every Smith elimination, whichever module calls it."""
+    calls = []
+    original = intmat._smith
 
-    def test_vector_outside_the_span(self):
-        basis = IntMatrix([[1, 0, 0], [0, 1, 1]])
-        assert solve_integer(basis.transpose(), (0, 1, 0)) is None
-        with pytest.raises(ValueError, match="outside the span"):
-            _coordinates_in_rowbasis(basis, IntMatrix([[1, 1, 1], [0, 1, 0]]))
+    def spy(m, *args, **kwargs):
+        calls.append((m.nrows, m.ncols))
+        return original(m, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quotcoh") and getattr(module, "_smith", None) is original:
+            monkeypatch.setattr(module, "_smith", spy)
+    return calls
+
+
+def _budget_lattices():
+    rng = random.Random(11)
+    return [nikulin_involution()] + [random_glattice(rng, p, max_dim=12) for p in (2, 3, 5, 7)]
+
+
+class TestEliminationBudget:
+    """One Smith form of phi - 1 per question, and no result kept between calls."""
+
+    @pytest.mark.parametrize("ask, smiths", [
+        (bns_invariants, 1),
+        (lambda gl: group_cohomology(gl, 1), 1),
+        (lambda gl: group_cohomology(gl, 3), 1),
+        (lambda gl: group_cohomology(gl, 2), 2),
+        (lambda gl: group_cohomology(gl, 4), 2),
+        (lambda gl: (bns_invariants(gl), bns_invariants(gl)), 2),
+    ], ids=["bns", "H1", "H3", "H2", "H4", "bns twice"])
+    def test_smith_calls_per_question(self, monkeypatch, ask, smiths):
+        lattices = _budget_lattices()
+        calls = _spy_on_smith(monkeypatch)
+        for gl in lattices:
+            calls.clear()
+            ask(gl)
+            assert len(calls) == smiths
+            assert calls[0] == (gl.rank, gl.rank)
+
+    def test_lattice_is_the_validated_one(self):
+        gl = nikulin_involution()
+        assert gl.lattice() is gl.lattice()
+        assert gl.lattice() == Lattice(gl.gram)
+
+    @pytest.mark.parametrize("gl, wrong", [
+        # one N_2 read as two N_1: l_p and l_plus + l_minus both move
+        (nikulin_involution(), {1: 8, 2: 7}),
+        # one N_5 read as N_2 + N_3, blocks no order-5 integer action has
+        (GLattice(IntMatrix.identity(10), IntMatrix.block_diagonal(*[cycle_matrix(5)] * 2), 5),
+         {2: 1, 3: 1, 5: 1}),
+        # N_1^2 read as N_2: caught at p = 3, where no block size is in the middle
+        (GLattice(IntMatrix.identity(5),
+                  IntMatrix.block_diagonal(cycle_matrix(3), IntMatrix.identity(2)), 3),
+         {2: 1, 3: 1}),
+    ])
+    def test_wrong_profile_is_refused(self, monkeypatch, gl, wrong):
+        monkeypatch.setattr(profiles, "jordan_profile",
+                            lambda a, p: profiles.JordanProfile.from_counts(p, wrong))
+        with pytest.raises(ValueError, match="cannot arise|disagrees"):
+            bns_invariants(gl)
+        with pytest.raises(ValueError, match="cannot arise|disagrees"):
+            group_cohomology(gl, 1)
 
 
 class TestPushforward:

@@ -1,20 +1,23 @@
 """Property tests for the exact kernels against independent oracles.
 
-The integer signature is checked against the rational congruence
-reduction it replaced, the transform-on-demand SNF against the full
-decomposition, the Gauss-Jordan adjugate against the n^2 signed minors
-it replaced, the Smith diagonal modulo the determinant against the
-elimination over Z, the norm map against the naive sum of powers, the
-integral glue checks against the Fraction arithmetic they replaced, the
-prefix sums of the quotient report against the per-degree sums, and the
-mod-p ranks and Jordan profiles against Smith diagonals over Z.
+The integer signature and determinant are checked against the rational
+congruence reduction and the Bareiss determinant, the Z[G]-module
+analysis from one Smith form of A - 1 against the stacked quotient
+T / (T^G + Ker sigma) and the coordinate routes to Ker sigma / Im(A - 1)
+and Ker(A - 1) / Im sigma it replaced, the transform-on-demand SNF
+against the full decomposition, the Gauss-Jordan adjugate against the
+n^2 signed minors it replaced, the Smith diagonal modulo the determinant
+against the elimination over Z, the norm map against the naive sum of
+powers, the integral glue checks against the Fraction arithmetic they
+replaced, the prefix sums of the quotient report against the per-degree
+sums, and the mod-p ranks and Jordan profiles against Smith diagonals
+over Z.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,15 +28,35 @@ from quotcoh.intmat import (
     IntMatrix,
     _smith,
     _smith_diagonal_mod,
+    back_substitute,
     det_adjugate,
     image_basis,
     is_prime,
+    kernel_saturated,
+    quotient_group,
     rank_mod_p,
     smith_decomposition,
+    solve_integer,
 )
-from quotcoh.lattices import GLattice, Lattice, overlattice_from_glue, signature
-from quotcoh.profiles import JordanProfile, jordan_profile
-from quotcoh.selftest import random_glattice, random_order_p_action, random_unimodular
+from quotcoh.hilbert import nikulin_involution
+from quotcoh.lattices import (
+    BNSInvariants,
+    GLattice,
+    Lattice,
+    _congruence,
+    bns_invariants,
+    group_cohomology,
+    overlattice_from_glue,
+    signature,
+)
+from quotcoh.profiles import JordanProfile, curtis_reiner_check, jordan_profile
+from quotcoh.selftest import (
+    cycle_matrix,
+    cyclotomic_companion,
+    random_glattice,
+    random_order_p_action,
+    random_unimodular,
+)
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -74,11 +97,6 @@ def fraction_signature(gram: IntMatrix) -> tuple[int, int]:
     return pos, neg
 
 
-def unchecked_form(gram: IntMatrix):
-    """What signature reads of a Lattice, without its non-degeneracy check."""
-    return SimpleNamespace(gram=gram, rank=gram.nrows)
-
-
 @st.composite
 def symmetric_forms(draw, max_n=8, bound=4):
     n = draw(st.integers(0, max_n))
@@ -111,11 +129,14 @@ class TestIntegerSignature:
         except ValueError:
             assert gram.det() == 0
             with pytest.raises(ValueError, match="degenerate"):
-                signature(unchecked_form(gram))
+                _congruence(gram.rows)
             return
         assert gram.det() != 0
-        assert signature(unchecked_form(gram)) == want
+        last_pivot, sig = _congruence(gram.rows)
+        assert sig == want and last_pivot == gram.det()
         assert sum(want) == gram.nrows
+        lattice = Lattice(gram)
+        assert (lattice.det, signature(lattice)) == (gram.det(), want)
 
     @pytest.mark.parametrize("rows", [
         [[0]],
@@ -125,7 +146,7 @@ class TestIntegerSignature:
     ])
     def test_degenerate_forms_raise(self, rows):
         gram = IntMatrix(rows)
-        for route in (fraction_signature, lambda g: signature(unchecked_form(g))):
+        for route in (fraction_signature, lambda g: _congruence(g.rows)):
             with pytest.raises(ValueError):
                 route(gram)
 
@@ -137,7 +158,150 @@ class TestIntegerSignature:
             ([[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 0, -2], [0, 0, -2, 0]], (2, 2)),
         ]:
             gram = IntMatrix(rows)
-            assert signature(unchecked_form(gram)) == fraction_signature(gram) == want
+            last_pivot, sig = _congruence(gram.rows)
+            assert sig == fraction_signature(gram) == want
+            assert last_pivot == gram.det()
+
+
+def stacked_quotient_bns(gl: GLattice) -> BNSInvariants:
+    """Oracle: l_p is the p-length of T / (T^G + Ker sigma), whose elementary
+    divisors all equal p; then rk T^G = l_plus + l_p and
+    rk T = l_plus + (p-1) l_minus + p l_p."""
+    p, n = gl.p, gl.rank
+    invariant = kernel_saturated(gl.action - IntMatrix.identity(n))
+    ker_sigma = kernel_saturated(gl.sigma())
+    stacked = IntMatrix.vstack(invariant, ker_sigma)
+    if stacked.nrows != n:
+        raise ValueError("invariants and Ker sigma do not span: wrong-order action?")
+    divisors = quotient_group(stacked, n)
+    if any(d != p for d in divisors):
+        raise ValueError(f"T/(T^G + Ker sigma) has divisors {divisors}, expected all {p}")
+    l_p = len(divisors)
+    l_plus = invariant.nrows - l_p
+    remainder = n - l_plus - p * l_p
+    if l_plus < 0 or remainder < 0 or remainder % (p - 1) != 0:
+        raise ValueError("rank bookkeeping failed: input is not an order-p isometry")
+    return BNSInvariants(l_plus, remainder // (p - 1), l_p)
+
+
+def coordinates_in_rowbasis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
+    """Rows of `vectors` written in the saturated row basis `basis`."""
+    snf = _smith(basis.transpose(), ("u", "v"))
+    coords = []
+    for row in vectors.rows:
+        sol = back_substitute(snf, row)
+        if sol is None:
+            raise ValueError("vector outside the span of the basis")
+        coords.append(sol)
+    return IntMatrix(coords, ncols=basis.nrows)
+
+
+def direct_cohomology(gl: GLattice, i: int) -> tuple[int, ...]:
+    """Oracle: H^i (i > 0) as Ker sigma / Im(phi - 1) for odd i and
+    Ker(phi - 1) / Im sigma for even i, each image written in a saturated
+    basis of its kernel."""
+    minus_one, sigma = gl.action - IntMatrix.identity(gl.rank), gl.sigma()
+    kernel, image = (sigma, minus_one) if i % 2 else (minus_one, sigma)
+    kernel = kernel_saturated(kernel)
+    if kernel.nrows == 0:
+        return ()
+    coords = coordinates_in_rowbasis(kernel, image_basis(image))
+    return tuple(quotient_group(coords, kernel.nrows))
+
+
+class TestCoordinatesInRowBasis:
+    def test_matches_per_row_solve(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            rows, rank = rng.randrange(1, 6), rng.randrange(1, 4)
+            basis = kernel_saturated(IntMatrix(
+                [[rng.randint(-3, 3) for _ in range(rows + rank)] for _ in range(rows)]))
+            coeffs = IntMatrix([[rng.randint(-5, 5) for _ in range(basis.nrows)] for _ in range(4)],
+                               ncols=basis.nrows)
+            vectors = coeffs * basis
+            got = coordinates_in_rowbasis(basis, vectors)
+            assert got == coeffs
+            assert got.rows == tuple(solve_integer(basis.transpose(), v) for v in vectors.rows)
+
+    def test_vector_outside_the_span(self):
+        basis = IntMatrix([[1, 0, 0], [0, 1, 1]])
+        assert solve_integer(basis.transpose(), (0, 1, 0)) is None
+        with pytest.raises(ValueError, match="outside the span"):
+            coordinates_in_rowbasis(basis, IntMatrix([[1, 1, 1], [0, 1, 0]]))
+
+
+@st.composite
+def glattices(draw):
+    """selftest's random G-lattices, half of them densely conjugated."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gl = random_glattice(rng, p, max_dim=10)
+    if draw(st.booleans()):
+        w, w_inv = random_unimodular(rng, gl.rank, ops=8 * gl.rank)
+        gl = GLattice(gram=w.transpose() * gl.gram * w, action=w_inv * gl.action * w,
+                      p=p, allow_trivial=True)
+    return gl
+
+
+def averaged_form(action: IntMatrix, p: int) -> IntMatrix:
+    """The positive definite invariant form sum (A^i)^T A^i."""
+    n = action.nrows
+    total, power = IntMatrix.zeros(n, n), IntMatrix.identity(n)
+    for _ in range(p):
+        total = total + power.transpose() * power
+        power = power * action
+    return total
+
+
+def boundary_glattice(p: int, *blocks: IntMatrix) -> GLattice:
+    action = IntMatrix.block_diagonal(*blocks)
+    return GLattice(averaged_form(action, p), action, p, allow_trivial=True)
+
+
+def trivial_glattice(p: int) -> GLattice:
+    return GLattice(IntMatrix([[2, 1, 0], [1, 2, 0], [0, 0, -4]]), IntMatrix.identity(3), p,
+                    allow_trivial=True)
+
+
+BOUNDARY = {
+    "trivial p=2": (lambda: trivial_glattice(2), (3, 0, 0)),
+    "trivial p=2^61-1": (lambda: trivial_glattice(2**61 - 1), (3, 0, 0)),
+    "Z[G]^3 p=5": (lambda: boundary_glattice(5, *[cycle_matrix(5)] * 3), (0, 0, 3)),
+    "Z[G]^4 p=2": (lambda: boundary_glattice(2, *[cycle_matrix(2)] * 4), (0, 0, 4)),
+    "cyclotomic^2 p=7": (lambda: boundary_glattice(7, *[cyclotomic_companion(7)] * 2), (0, 2, 0)),
+    "cyclotomic^3 p=3": (lambda: boundary_glattice(3, *[cyclotomic_companion(3)] * 3), (0, 3, 0)),
+    "rank 1 Z^- p=2": (lambda: boundary_glattice(2, IntMatrix([[-1]])), (0, 1, 0)),
+    "rank 1 Z p=3": (lambda: boundary_glattice(3, IntMatrix([[1]])), (1, 0, 0)),
+    "Nikulin involution": (nikulin_involution, (6, 0, 8)),
+}
+
+
+class TestModuleAnalysis:
+    """bns_invariants, group_cohomology and curtis_reiner_check, all read from
+    one Smith form of A - 1, against the stacked quotient and the coordinate
+    routes they replaced."""
+
+    def check(self, gl):
+        want = stacked_quotient_bns(gl)
+        assert bns_invariants(gl) == want
+        assert curtis_reiner_check(gl.action, gl.p) == (
+            want.l_p, want.l_minus, want.l_plus, want.l_minus + want.l_plus)
+        assert group_cohomology(gl, 0) == (want.l_plus + want.l_p, ())
+        for i in (1, 2, 3, 4):
+            direct = direct_cohomology(gl, i)
+            assert direct == (gl.p,) * (want.l_minus if i % 2 else want.l_plus)
+            assert group_cohomology(gl, i) == (0, direct)
+        return want
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(glattices())
+    def test_matches_the_replaced_routes(self, gl):
+        self.check(gl)
+
+    @pytest.mark.parametrize("name", list(BOUNDARY))
+    def test_boundary_cases(self, name):
+        build, counts = BOUNDARY[name]
+        assert self.check(build()) == counts
 
 
 class TestSmithOnDemand:
