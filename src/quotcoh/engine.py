@@ -18,10 +18,9 @@ assumptions on every report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
-from .intmat import is_prime
+from .intmat import _Frozen, is_prime
 
 # Largest n that GradedInvariants.from_json accepts, checked before the
 # 2n + 1 degree slots are allocated.  A report is linear in n: a CLI
@@ -45,26 +44,47 @@ def _json_object(value, name: str) -> Mapping:
     return value
 
 
-@dataclass(frozen=True)
-class DegreeInvariants:
+class DegreeInvariants(_Frozen):
     """Summand counts of one cohomology degree.
 
     l_qt maps block sizes q to the counts of the mod-p torsion profile of
     that degree (empty for p-torsion-free spaces).
     """
 
+    __slots__ = ("rank", "l_plus", "l_minus", "l_pf", "l_qt")
     rank: int
-    l_plus: int = 0
-    l_minus: int = 0
-    l_pf: int = 0
-    l_qt: tuple[tuple[int, int], ...] = ()
+    l_plus: int
+    l_minus: int
+    l_pf: int
+    l_qt: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if min(self.rank, self.l_plus, self.l_minus, self.l_pf, 0) < 0:
+    def __init__(self, rank: int, l_plus: int = 0, l_minus: int = 0, l_pf: int = 0,
+                 l_qt: tuple[tuple[int, int], ...] = ()):
+        if min(rank, l_plus, l_minus, l_pf, 0) < 0:
             raise ValueError("negative count")
-        for q, c in self.l_qt:
+        for q, c in l_qt:
             if q < 1 or c < 0:
                 raise ValueError("bad torsion profile entry")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "l_plus", l_plus)
+        object.__setattr__(self, "l_minus", l_minus)
+        object.__setattr__(self, "l_pf", l_pf)
+        object.__setattr__(self, "l_qt", l_qt)
+
+    def _key(self):
+        return (self.rank, self.l_plus, self.l_minus, self.l_pf, self.l_qt)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"DegreeInvariants(rank={self.rank!r}, l_plus={self.l_plus!r}, "
+                f"l_minus={self.l_minus!r}, l_pf={self.l_pf!r}, l_qt={self.l_qt!r})")
 
     @classmethod
     def make(cls, rank=0, l_plus=0, l_minus=0, l_pf=0, l_qt: Mapping[int, int] | None = None):
@@ -81,39 +101,61 @@ class DegreeInvariants:
         return dict(self.l_qt).get(q, 0)
 
 
-@dataclass(frozen=True)
-class GradedInvariants:
+class GradedInvariants(_Frozen):
     """Per-degree invariants of a 2n-dimensional G-space, with eta fixed points.
 
     strict mode (the default) enforces the closed connected oriented
     manifold normalizations rank_0 = l_plus_0 = rank_2n = l_plus_2n = 1;
-    relax it for auxiliary tables such as free-action fibers.
+    relax it for auxiliary tables such as free-action fibers.  strict takes
+    no part in equality or hashing.
     """
 
+    __slots__ = ("p", "n", "eta", "degrees", "strict")
     p: int
     n: int
     eta: int
     degrees: tuple[DegreeInvariants, ...]
-    strict: bool = field(default=True, compare=False)
+    strict: bool
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.n < 1 or self.eta < 0:
+    def __init__(self, p: int, n: int, eta: int, degrees: tuple[DegreeInvariants, ...],
+                 strict: bool = True):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if n < 1 or eta < 0:
             raise ValueError("bad dimension or fixed point count")
-        if len(self.degrees) != 2 * self.n + 1:
-            raise ValueError(f"expected {2 * self.n + 1} degrees")
-        for k, d in enumerate(self.degrees):
-            expected = d.l_plus + (self.p - 1) * d.l_minus + self.p * d.l_pf
+        if len(degrees) != 2 * n + 1:
+            raise ValueError(f"expected {2 * n + 1} degrees")
+        for k, d in enumerate(degrees):
+            expected = d.l_plus + (p - 1) * d.l_minus + p * d.l_pf
             if d.rank != expected:
                 raise ValueError(
                     f"degree {k}: rank {d.rank} != l_+ + (p-1) l_- + p l_pf = {expected}"
                 )
-        if self.strict:
-            top = self.degrees[2 * self.n]
-            bottom = self.degrees[0]
+        if strict:
+            top = degrees[2 * n]
+            bottom = degrees[0]
             if (bottom.rank, bottom.l_plus) != (1, 1) or (top.rank, top.l_plus) != (1, 1):
                 raise ValueError("connected oriented space needs rank = l_plus = 1 at both ends")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "strict", strict)
+
+    def _key(self):
+        return (self.p, self.n, self.eta, self.degrees)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"GradedInvariants(p={self.p!r}, n={self.n!r}, eta={self.eta!r}, "
+                f"degrees={self.degrees!r}, strict={self.strict!r})")
 
     def degree(self, k: int) -> DegreeInvariants:
         if not (0 <= k <= 2 * self.n):
@@ -260,8 +302,7 @@ def lefschetz_euler(inv: GradedInvariants) -> int:
     )
 
 
-@dataclass(frozen=True)
-class DegenerationStatus:
+class DegenerationStatus(NamedTuple):
     """Verdicts for the four degeneration criteria.
 
     (2) counts fixed points against l_+^even + l_-^odd, (3) asks for
@@ -360,8 +401,7 @@ def alpha_even_bound(inv: GradedInvariants) -> int:
     return inv.l_plus_odd() + inv.l_minus_even()
 
 
-@dataclass(frozen=True)
-class QuotientReport:
+class QuotientReport(NamedTuple):
     """Everything the engine can certify about H^*(X/G, Z).
 
     When no degeneration criterion is verified the report is conditional:

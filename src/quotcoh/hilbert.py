@@ -22,7 +22,6 @@ evaluated in parallel with results identical to a sequential run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -36,7 +35,7 @@ from .engine import (
     lefschetz_euler,
     quotient_report,
 )
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _Frozen
 from .lattices import (
     GLattice,
     Lattice,
@@ -107,17 +106,31 @@ def _shapes(m: int) -> tuple[Shape, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class NakajimaLabel:
+class NakajimaLabel(_Frozen):
     """Index of one integral basis class of the m-point Hilbert scheme."""
 
+    __slots__ = ("lam", "mu", "nus")
     lam: tuple[int, ...]
     mu: tuple[int, ...]
     nus: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if len(self.nus) != K3_B2:
+    def __init__(self, lam: tuple[int, ...], mu: tuple[int, ...], nus: tuple[tuple[int, ...], ...]):
+        if len(nus) != K3_B2:
             raise ValueError(f"expected {K3_B2} degree-2 slots")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nus", nus)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lam, self.mu, self.nus) == (other.lam, other.mu, other.nus)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lam, self.mu, self.nus))
+
+    def __repr__(self):
+        return f"NakajimaLabel(lam={self.lam!r}, mu={self.mu!r}, nus={self.nus!r})"
 
     @property
     def weight(self) -> int:
@@ -236,8 +249,7 @@ def graded_profile(m: int, h2_profile: JordanProfile) -> GradedInvariants:
     return GradedInvariants(p=p, n=2 * m, eta=eta, degrees=tuple(degrees))
 
 
-@dataclass(frozen=True)
-class K3ActionSpec:
+class K3ActionSpec(NamedTuple):
     """One row of the prime-order K3 quotient tables."""
 
     p: int

@@ -19,9 +19,8 @@ safe to share between threads.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd, prod
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -55,6 +54,29 @@ def is_prime(p: int) -> bool:
     return True
 
 
+class _Frozen:
+    """Base of the package's immutable records.
+
+    Each record lists its fields in __slots__ and sets them once, in its
+    __init__, through object.__setattr__; after that, assigning or deleting
+    any attribute raises AttributeError.  Copies and pickles keep every
+    field as it is, without running __init__ again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots from (None, {name: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
 class IntMatrix:
     """Immutable matrix of arbitrary-precision integers, row-major.
 
@@ -78,6 +100,18 @@ class IntMatrix:
             raise ValueError("empty matrix needs an explicit column count")
         self._rows = data
         self._ncols = ncols
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
+        """A matrix from a tuple of int tuples, each of length ncols, built unchecked.
+
+        For matrices the package computes from ints it already holds; the
+        public constructor checks every entry with operator.index.
+        """
+        m = object.__new__(cls)
+        m._rows = rows
+        m._ncols = ncols
+        return m
 
     @property
     def nrows(self) -> int:
@@ -105,7 +139,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return IntMatrix._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "IntMatrix":
@@ -141,10 +175,9 @@ class IntMatrix:
         return IntMatrix(rows, ncols=ncols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        if not self._rows:
+            return IntMatrix._trusted(((),) * self._ncols, 0)
+        return IntMatrix._trusted(tuple(zip(*self._rows)), len(self._rows))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_shape(other)
@@ -155,9 +188,9 @@ class IntMatrix:
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_shape(other)
-        return IntMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)],
-            ncols=self.ncols,
+        return IntMatrix._trusted(
+            tuple(tuple(map(operator.sub, ra, rb)) for ra, rb in zip(self._rows, other._rows)),
+            self._ncols,
         )
 
     def __neg__(self) -> "IntMatrix":
@@ -169,14 +202,16 @@ class IntMatrix:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix([[other * a for a in row] for row in self._rows], ncols=self.ncols)
+            return IntMatrix._trusted(
+                tuple(tuple(other * a for a in row) for row in self._rows), self._ncols
+            )
         if isinstance(other, IntMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("inner dimensions differ")
             cols = [other.column(j) for j in range(other.ncols)]
-            return IntMatrix(
-                [[sum(map(operator.mul, row, col)) for col in cols] for row in self._rows],
-                ncols=other.ncols,
+            return IntMatrix._trusted(
+                tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self._rows),
+                other._ncols,
             )
         return NotImplemented
 
@@ -298,8 +333,7 @@ def det_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, .
     return sign * pivot, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """u * m * v = d with u, v unimodular and d a diagonal divisor chain.
 
     A transform that the elimination was not asked to track is None.
@@ -425,14 +459,14 @@ def _smith(m: IntMatrix, track: Collection[str] = ()) -> SmithDecomposition:
         s += 1
 
     def wrap(t, n):
-        return None if t is None else IntMatrix(t, ncols=n)
+        return None if t is None else IntMatrix._trusted(tuple(map(tuple, t)), n)
 
     diag = tuple(a[i][i] for i in range(min(nr, nc)))
     rank = sum(1 for x in diag if x != 0)
     return SmithDecomposition(
         u=wrap(u, nr),
         u_inv=wrap(ui, nr),
-        d=IntMatrix(a, ncols=nc),
+        d=wrap(a, nc),
         v=wrap(v, nc),
         v_inv=wrap(vi, nc),
         diagonal=diag,

@@ -31,13 +31,13 @@ the test suite rather than assumed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
 from typing import NamedTuple, Sequence
 
 from .intmat import (
     IntMatrix,
+    _Frozen,
     _smith,
     _smith_diagonal_mod,
     det_adjugate,
@@ -48,21 +48,36 @@ from .intmat import (
 from .profiles import _module_analysis
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Non-degenerate integral lattice, carried by its Gram matrix."""
+class Lattice(_Frozen):
+    """Non-degenerate integral lattice, carried by its Gram matrix.
 
+    Equality, hashing and repr read the Gram matrix alone.
+    """
+
+    __slots__ = ("gram", "det", "signature")
     gram: IntMatrix
     # both read off the one congruence pass that checks non-degeneracy
-    det: int = field(init=False, repr=False, compare=False)
-    signature: tuple[int, int] = field(init=False, repr=False, compare=False)
+    det: int
+    signature: tuple[int, int]
 
-    def __post_init__(self):
-        if not self.gram.is_symmetric():
+    def __init__(self, gram: IntMatrix):
+        if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        det, sig = _congruence(self.gram.rows)
+        det, sig = _congruence(gram.rows)
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "signature", sig)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.gram == other.gram
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.gram)
+
+    def __repr__(self):
+        return f"Lattice(gram={self.gram!r})"
 
     @property
     def rank(self) -> int:
@@ -80,31 +95,50 @@ class Lattice:
         return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
 
 
-@dataclass(frozen=True)
-class GLattice:
-    """Lattice together with an isometry of prime order p."""
+class GLattice(_Frozen):
+    """Lattice together with an isometry of prime order p.
 
+    Equality and hashing leave out the flag allow_trivial, and they and
+    repr leave out the validated Lattice kept for lattice().
+    """
+
+    __slots__ = ("gram", "action", "p", "allow_trivial", "_lattice")
     gram: IntMatrix
     action: IntMatrix
     p: int
-    allow_trivial: bool = field(default=False, compare=False)
-    # the Lattice that validates the form, kept for lattice()
-    _lattice: Lattice = field(init=False, repr=False, compare=False)
+    allow_trivial: bool
+    _lattice: Lattice
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        lattice = Lattice(self.gram)  # validates symmetry / non-degeneracy
-        object.__setattr__(self, "_lattice", lattice)
+    def __init__(self, gram: IntMatrix, action: IntMatrix, p: int, allow_trivial: bool = False):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        lattice = Lattice(gram)  # validates symmetry / non-degeneracy
         n = lattice.rank
-        if not (self.action.is_square() and self.action.nrows == n):
+        if not (action.is_square() and action.nrows == n):
             raise ValueError("action shape does not match the Gram matrix")
-        if self.action.transpose() * self.gram * self.action != self.gram:
+        if action.transpose() * gram * action != gram:
             raise ValueError("action is not an isometry of the form")
-        if not order_divides(self.action, self.p):
-            raise ValueError(f"action does not have order dividing {self.p}")
-        if self.action == IntMatrix.identity(n) and not self.allow_trivial:
+        if not order_divides(action, p):
+            raise ValueError(f"action does not have order dividing {p}")
+        if action == IntMatrix.identity(n) and not allow_trivial:
             raise ValueError("trivial action must be flagged explicitly")
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "allow_trivial", allow_trivial)
+        object.__setattr__(self, "_lattice", lattice)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.gram, self.action, self.p) == (other.gram, other.action, other.p)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.gram, self.action, self.p))
+
+    def __repr__(self):
+        return (f"GLattice(gram={self.gram!r}, action={self.action!r}, p={self.p!r}, "
+                f"allow_trivial={self.allow_trivial!r})")
 
     @property
     def rank(self) -> int:
@@ -137,7 +171,7 @@ class GLattice:
                 row[i] += 1
                 step.append(row)
             total = step
-        return IntMatrix(total, ncols=n)
+        return IntMatrix._trusted(tuple(map(tuple, total)), n)
 
 
 def discriminant(l: Lattice) -> int:

@@ -24,37 +24,46 @@ Z^- at p = 2, where both reduce to N_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
-from .intmat import IntMatrix, _row_basis_mod_p, _smith, is_prime, order_divides
+from .intmat import IntMatrix, _Frozen, _row_basis_mod_p, _smith, is_prime, order_divides
 
 
-@dataclass(frozen=True)
-class JordanProfile:
+class JordanProfile(_Frozen):
     """Multiset of Jordan block sizes of an order-p action mod p.
 
     blocks is a sorted tuple of (size, count) pairs with positive counts.
     """
 
+    __slots__ = ("p", "blocks")
     p: int
     blocks: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        for q, c in self.blocks:
-            if not (1 <= q <= self.p):
-                raise ValueError(f"block size {q} outside 1..{self.p}")
+    def __init__(self, p: int, blocks: tuple[tuple[int, int], ...]):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        for q, c in blocks:
+            if not (1 <= q <= p):
+                raise ValueError(f"block size {q} outside 1..{p}")
             if c <= 0:
                 raise ValueError("block counts must be positive")
-        if tuple(sorted(self.blocks)) != self.blocks:
+        if tuple(sorted(blocks)) != blocks:
             raise ValueError("blocks must be sorted")
-        if len({q for q, _ in self.blocks}) != len(self.blocks):
+        if len({q for q, _ in blocks}) != len(blocks):
             raise ValueError("duplicate block size")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.blocks) == (other.p, other.blocks)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.blocks))
 
     @classmethod
     def from_counts(cls, p: int, counts: Mapping[int, int]) -> "JordanProfile":

@@ -32,7 +32,6 @@ tests keep them as the oracle for the chain.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
@@ -42,6 +41,7 @@ from typing import NamedTuple, Sequence
 
 from .intmat import (
     IntMatrix,
+    _Frozen,
     _smith,
     _xgcd,
     back_substitute,
@@ -52,23 +52,25 @@ from .intmat import (
 )
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(_Frozen):
     """Cone spanned by primitive integer ray generators (strongly convex)."""
 
+    __slots__ = ("rays", "ambient")
     rays: tuple[tuple[int, ...], ...]
     ambient: int
 
-    def __post_init__(self):
-        for r in self.rays:
-            if len(r) != self.ambient:
+    def __init__(self, rays: tuple[tuple[int, ...], ...], ambient: int):
+        for r in rays:
+            if len(r) != ambient:
                 raise ValueError("ray has wrong length")
             if all(x == 0 for x in r):
                 raise ValueError("zero ray")
             if r != primitive_vector(r):
                 raise ValueError(f"ray {r} is not primitive")
-        if len(set(self.rays)) != len(self.rays):
+        if len(set(rays)) != len(rays):
             raise ValueError("duplicate rays")
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "ambient", ambient)
 
     @classmethod
     def _trusted(cls, rays: tuple[tuple[int, ...], ...], ambient: int) -> "Cone":
@@ -81,6 +83,17 @@ class Cone:
         object.__setattr__(cone, "rays", rays)
         object.__setattr__(cone, "ambient", ambient)
         return cone
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rays, self.ambient) == (other.rays, other.ambient)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rays, self.ambient))
+
+    def __repr__(self):
+        return f"Cone(rays={self.rays!r}, ambient={self.ambient!r})"
 
     @classmethod
     def from_rays(cls, rays: Sequence[Sequence[int]], ambient: int | None = None) -> "Cone":
@@ -164,17 +177,30 @@ def is_regular(c: Cone) -> bool:
     return c._index() == 1
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(_Frozen):
     """Fan given by its maximal cones; faces are implied."""
 
+    __slots__ = ("maximal", "ambient")
     maximal: tuple[Cone, ...]
     ambient: int
 
-    def __post_init__(self):
-        for c in self.maximal:
-            if c.ambient != self.ambient:
+    def __init__(self, maximal: tuple[Cone, ...], ambient: int):
+        for c in maximal:
+            if c.ambient != ambient:
                 raise ValueError("mixed ambient dimensions")
+        object.__setattr__(self, "maximal", maximal)
+        object.__setattr__(self, "ambient", ambient)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.maximal, self.ambient) == (other.maximal, other.ambient)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.maximal, self.ambient))
+
+    def __repr__(self):
+        return f"Fan(maximal={self.maximal!r}, ambient={self.ambient!r})"
 
     @classmethod
     def from_cones(cls, cones: Sequence[Cone], ambient: int | None = None) -> "Fan":
@@ -214,23 +240,36 @@ class Fan:
         return all(v == 2 for v in facets.values())
 
 
-@dataclass(frozen=True)
-class CyclicSingularity:
+class CyclicSingularity(_Frozen):
     """Isolated quotient point of type (1/p)(a_1, ..., a_n)."""
 
+    __slots__ = ("p", "weights")
     p: int
     weights: tuple[int, ...]
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if len(self.weights) < 2:
+    def __init__(self, p: int, weights: tuple[int, ...]):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if len(weights) < 2:
             raise ValueError("need dimension at least 2")
-        for a in self.weights:
-            if not (1 <= a <= self.p - 1):
-                raise ValueError(f"weight {a} outside 1..{self.p - 1}")
-            if gcd(a, self.p) != 1:
+        for a in weights:
+            if not (1 <= a <= p - 1):
+                raise ValueError(f"weight {a} outside 1..{p - 1}")
+            if gcd(a, p) != 1:
                 raise ValueError("weights must be coprime to p (isolated fixed point)")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.weights) == (other.p, other.weights)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.weights))
+
+    def __repr__(self):
+        return f"CyclicSingularity(p={self.p!r}, weights={self.weights!r})"
 
 
 def quotient_fan(s: CyclicSingularity) -> Fan:

@@ -295,6 +295,27 @@ class TestQuotientCommand:
         assert out == ""
         assert "cannot write the result as JSON" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("payload, fits", [
+        ({"gram": [[0, 1], [1, 10 ** 4300]]}, False),
+        ({"gram": [[0, 1], [1, 10 ** 4300 - 1]]}, True),
+        ([[-(10 ** 4300)]], False),
+        ([-(10 ** 4300 - 1), "x", None, True, 1.5], True),
+        ({"a": [1, "x", {"b": (2, 10 ** 4300)}]}, False),
+        ({"a": {"b": 10 ** 4300}}, False),
+        (10 ** 4300, False),
+    ], ids=["row", "row-at-limit", "negative", "mixed-list", "nested-tuple", "nested-dict", "bare"])
+    def test_digit_check_walks_the_payload(self, payload, fits):
+        from quotcoh.cli import _check_json_ints
+
+        if fits:
+            _check_json_ints(payload)
+            json.dumps(payload)
+        else:
+            with pytest.raises(ValueError, match="more than 4300 digits"):
+                _check_json_ints(payload)
+            with pytest.raises(ValueError):
+                json.dumps(payload)
+
 
 class TestHilbertCommand:
     def test_p7_m2(self, capsys):
@@ -420,14 +441,18 @@ class TestProcessLevel:
         ["hilbert", "--p", "7", "--m", "6"],
         ["k3", "--p", "2"],
         ["tables", "--which", "bb"],
+        ["toric", "--p", "5", "--weights", "1,2,3"],
     ])
     def test_paper_commands_load_only_their_layers(self, argv):
         # -X importtime writes one stderr line per module the process imports
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quotcoh.cli", *argv],
                               capture_output=True, text=True, check=True)
         loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-        assert {"quotcoh", "quotcoh.hilbert"} <= loaded
-        assert not loaded & {"quotcoh.toric", "quotcoh.selftest", "numpy"}
+        layer, skipped = ("quotcoh.toric", "quotcoh.hilbert") if argv[0] == "toric" else (
+            "quotcoh.hilbert", "quotcoh.toric")
+        assert {"quotcoh", layer} <= loaded
+        # the records are plain classes: dataclasses, and the inspect it imports, stay unloaded
+        assert not loaded & {skipped, "quotcoh.selftest", "numpy", "dataclasses", "inspect"}
         assert json.loads(proc.stdout)
 
     @pytest.mark.parametrize("argv, payload", [

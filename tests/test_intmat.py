@@ -236,3 +236,40 @@ def test_is_prime_large_values():
     assert not is_prime(2**61 - 1 + 2)
     with pytest.raises(ValueError):
         is_prime(3317044064679887385961981)  # composite, a strong pseudoprime to bases 2..41
+
+
+class TestTrustedResults:
+    """Results the package builds without the per-entry check are well formed."""
+
+    @staticmethod
+    def well_formed(m, nrows, ncols):
+        assert (m.nrows, m.ncols) == (nrows, ncols)
+        assert all(type(row) is tuple and len(row) == ncols for row in m.rows)
+        assert all(type(x) is int for row in m.rows for x in row)
+        assert m == IntMatrix(m.rows, ncols=ncols)
+
+    @pytest.mark.parametrize("nr, nc", [(0, 3), (3, 0), (2, 3), (4, 4)])
+    def test_against_entrywise_formulas(self, nr, nc):
+        rng = random.Random(10 * nr + nc)
+        a, b = (IntMatrix([[rng.randrange(-9, 10) for _ in range(nc)] for _ in range(nr)], ncols=nc)
+                for _ in range(2))
+        t = a.transpose()
+        self.well_formed(t, nc, nr)
+        assert t == IntMatrix([[a.rows[i][j] for i in range(nr)] for j in range(nc)], ncols=nr)
+        assert t.transpose() == a
+        diff = a - b
+        self.well_formed(diff, nr, nc)
+        assert diff == IntMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)], ncols=nc)
+        gram = a * b.transpose()
+        self.well_formed(gram, nr, nr)
+        assert gram == IntMatrix([[sum(x * y for x, y in zip(r, s)) for s in b.rows] for r in a.rows],
+                                 ncols=nr)
+        self.well_formed(a * True, nr, nc)
+        assert a * -3 == IntMatrix([[-3 * x for x in r] for r in a.rows], ncols=nc)
+        self.well_formed(IntMatrix.identity(nc), nc, nc)
+        assert a * IntMatrix.identity(nc) == a
+        s = smith_decomposition(a)
+        for m, shape in ((s.d, (nr, nc)), (s.u, (nr, nr)), (s.u_inv, (nr, nr)), (s.v, (nc, nc)),
+                         (s.v_inv, (nc, nc))):
+            self.well_formed(m, *shape)
+        assert s.u * a * s.v == s.d

@@ -1,0 +1,91 @@
+"""The data model of the package's 13 immutable records.
+
+Each case gives a record's class, keyword arguments naming every
+constructor field in order, the defaults of the fields it may omit, and
+values for the fields that equality and hashing leave out.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from quotcoh.engine import DegenerationStatus, DegreeInvariants, GradedInvariants, QuotientReport
+from quotcoh.hilbert import K3_B2, K3ActionSpec, NakajimaLabel
+from quotcoh.intmat import IntMatrix, SmithDecomposition
+from quotcoh.lattices import GLattice, Lattice
+from quotcoh.profiles import JordanProfile
+from quotcoh.toric import Cone, CyclicSingularity, Fan
+
+A2 = IntMatrix([[2, -1], [-1, 2]])
+SWAP = IntMatrix([[0, 1], [1, 0]])
+CONE = Cone(rays=((0, 1), (1, 0)), ambient=2)
+ONE, ZERO = DegreeInvariants(rank=1, l_plus=1), DegreeInvariants(rank=0)
+
+# (class, keyword arguments, defaults, fields left out of eq and hash with another value)
+CASES = [
+    (JordanProfile, dict(p=5, blocks=((1, 2), (5, 1))), {}, {}),
+    (SmithDecomposition, dict(u=None, u_inv=None, d=IntMatrix.diagonal([1, 6]), v=None,
+                              v_inv=None, diagonal=(1, 6), rank=2), {}, {}),
+    (DegreeInvariants, dict(rank=3, l_plus=1, l_minus=1, l_pf=0, l_qt=((1, 1),)),
+     dict(l_plus=0, l_minus=0, l_pf=0, l_qt=()), {}),
+    (GradedInvariants, dict(p=3, n=1, eta=3, degrees=(ONE, ZERO, ONE), strict=True),
+     dict(strict=True), dict(strict=False)),
+    (DegenerationStatus, dict(two=True, three=True, one=None, four=None, notes=("note",)),
+     dict(notes=()), {}),
+    (QuotientReport, dict(p=3, n=1, eta=2, degeneration=DegenerationStatus(True, True, True, True),
+                          degenerate=True, alpha={0: 0}, alpha_odd_pair_sums={}, alpha_even_pair_bound=0,
+                          even_torsion_free=True, odd_torsion_pairs={}, betti=(1, 0, 1), u={}, beta={},
+                          d_p_pairs={}, assumptions=("compact",), conjectural_odd_torsion={1: 0}),
+     dict(conjectural_odd_torsion=None), {}),
+    (NakajimaLabel, dict(lam=(1,), mu=(), nus=((),) * K3_B2), {}, {}),
+    (K3ActionSpec, dict(p=2, kind="symplectic", lattice_name="U", n_sing=8, l_plus_2=6, l_p_2=8),
+     {}, {}),
+    (Lattice, dict(gram=A2), {}, dict(det=0, signature=(0, 0))),
+    (GLattice, dict(gram=A2, action=SWAP, p=2, allow_trivial=False),
+     dict(allow_trivial=False), dict(allow_trivial=True, _lattice=None)),
+    (Cone, dict(rays=((0, 1), (1, 0)), ambient=2), {}, {}),
+    (Fan, dict(maximal=(CONE,), ambient=2), {}, {}),
+    (CyclicSingularity, dict(p=5, weights=(1, 2)), {}, {}),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, defaults, excluded", CASES, ids=[c[0].__name__ for c in CASES])
+def test_record_semantics(cls, kwargs, defaults, excluded):
+    record = cls(**kwargs)
+    assert record == cls(*kwargs.values())
+    if any(isinstance(v, dict) for v in kwargs.values()):
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(cls(*kwargs.values()))
+
+    # frozen: no field, and no new attribute, can be assigned or deleted
+    for name in [*kwargs, *excluded, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(**kwargs)
+
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record
+        assert all(getattr(clone, name) == getattr(record, name) for name in excluded)
+
+    required = {k: v for k, v in kwargs.items() if k not in defaults}
+    omitted = cls(**required)
+    assert {k: getattr(omitted, k) for k in defaults} == defaults
+
+    if excluded:
+        # differing only in fields left out of comparison: equal, and hashed alike
+        twin = cls(**kwargs)
+        for name, value in excluded.items():
+            object.__setattr__(twin, name, value)
+            assert getattr(twin, name) != getattr(record, name)
+        assert twin == record and hash(twin) == hash(record)
+
+    if cls is JordanProfile:
+        assert repr(record) == "JordanProfile(p=5, N1^2 + N5)"
+    else:
+        fields = ", ".join(f"{k}={v!r}" for k, v in kwargs.items())
+        assert repr(record) == f"{cls.__name__}({fields})"
