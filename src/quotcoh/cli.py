@@ -22,15 +22,25 @@ class InputError(Exception):
     pass
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The pairs of one JSON object as a dict; a repeated key is a ValueError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def _load_json(path: str | None) -> dict:
     try:
         if path is None or path == "-":
-            data = json.load(sys.stdin)
+            data = json.load(sys.stdin, object_pairs_hook=_unique_keys)
         else:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
-        # ValueError covers malformed JSON and integers past Python's digit limit
+        # ValueError covers malformed JSON, repeated keys and integers past Python's digit limit
         raise InputError(f"cannot read JSON input: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"JSON input must be an object, not {type(data).__name__}")

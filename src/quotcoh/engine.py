@@ -44,6 +44,14 @@ def _json_object(value, name: str) -> Mapping:
     return value
 
 
+def _json_key(key: str, name: str) -> int:
+    """An int object key in its one spelling; int() also reads "03", " 3", "+3" and "1_0"."""
+    q = int(key)
+    if str(q) != key:
+        raise ValueError(f"{name} {key!r} is not a canonical integer")
+    return q
+
+
 class DegreeInvariants(_Frozen):
     """Summand counts of one cohomology degree.
 
@@ -52,11 +60,6 @@ class DegreeInvariants(_Frozen):
     """
 
     __slots__ = ("rank", "l_plus", "l_minus", "l_pf", "l_qt")
-    rank: int
-    l_plus: int
-    l_minus: int
-    l_pf: int
-    l_qt: tuple[tuple[int, int], ...]
 
     def __init__(self, rank: int, l_plus: int = 0, l_minus: int = 0, l_pf: int = 0,
                  l_qt: tuple[tuple[int, int], ...] = ()):
@@ -65,26 +68,7 @@ class DegreeInvariants(_Frozen):
         for q, c in l_qt:
             if q < 1 or c < 0:
                 raise ValueError("bad torsion profile entry")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "l_plus", l_plus)
-        object.__setattr__(self, "l_minus", l_minus)
-        object.__setattr__(self, "l_pf", l_pf)
-        object.__setattr__(self, "l_qt", l_qt)
-
-    def _key(self):
-        return (self.rank, self.l_plus, self.l_minus, self.l_pf, self.l_qt)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"DegreeInvariants(rank={self.rank!r}, l_plus={self.l_plus!r}, "
-                f"l_minus={self.l_minus!r}, l_pf={self.l_pf!r}, l_qt={self.l_qt!r})")
+        _Frozen.__init__(self, rank, l_plus, l_minus, l_pf, l_qt)
 
     @classmethod
     def make(cls, rank=0, l_plus=0, l_minus=0, l_pf=0, l_qt: Mapping[int, int] | None = None):
@@ -111,11 +95,7 @@ class GradedInvariants(_Frozen):
     """
 
     __slots__ = ("p", "n", "eta", "degrees", "strict")
-    p: int
-    n: int
-    eta: int
-    degrees: tuple[DegreeInvariants, ...]
-    strict: bool
+    _compared = ("p", "n", "eta", "degrees")
 
     def __init__(self, p: int, n: int, eta: int, degrees: tuple[DegreeInvariants, ...],
                  strict: bool = True):
@@ -136,26 +116,7 @@ class GradedInvariants(_Frozen):
             bottom = degrees[0]
             if (bottom.rank, bottom.l_plus) != (1, 1) or (top.rank, top.l_plus) != (1, 1):
                 raise ValueError("connected oriented space needs rank = l_plus = 1 at both ends")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "strict", strict)
-
-    def _key(self):
-        return (self.p, self.n, self.eta, self.degrees)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"GradedInvariants(p={self.p!r}, n={self.n!r}, eta={self.eta!r}, "
-                f"degrees={self.degrees!r}, strict={self.strict!r})")
+        _Frozen.__init__(self, p, n, eta, degrees, strict)
 
     def degree(self, k: int) -> DegreeInvariants:
         if not (0 <= k <= 2 * self.n):
@@ -231,7 +192,8 @@ class GradedInvariants(_Frozen):
             l_qt = _json_object(entry.get("l_qt", {}), f"l_qt of degree {k}")
             degrees[k] = DegreeInvariants.make(
                 **counts,
-                l_qt={int(q): json_int(c, f"l_qt[{q}] of degree {k}") for q, c in l_qt.items()},
+                l_qt={_json_key(q, f"l_qt key of degree {k}"): json_int(c, f"l_qt[{q}] of degree {k}")
+                      for q, c in l_qt.items()},
             )
         return cls(json_int(data["p"], "p"), n, json_int(data["eta"], "eta"), tuple(degrees))
 

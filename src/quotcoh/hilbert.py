@@ -110,27 +110,11 @@ class NakajimaLabel(_Frozen):
     """Index of one integral basis class of the m-point Hilbert scheme."""
 
     __slots__ = ("lam", "mu", "nus")
-    lam: tuple[int, ...]
-    mu: tuple[int, ...]
-    nus: tuple[tuple[int, ...], ...]
 
     def __init__(self, lam: tuple[int, ...], mu: tuple[int, ...], nus: tuple[tuple[int, ...], ...]):
         if len(nus) != K3_B2:
             raise ValueError(f"expected {K3_B2} degree-2 slots")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nus", nus)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lam, self.mu, self.nus) == (other.lam, other.mu, other.nus)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lam, self.mu, self.nus))
-
-    def __repr__(self):
-        return f"NakajimaLabel(lam={self.lam!r}, mu={self.mu!r}, nus={self.nus!r})"
+        _Frozen.__init__(self, lam, mu, nus)
 
     @property
     def weight(self) -> int:

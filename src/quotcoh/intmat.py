@@ -57,13 +57,39 @@ def is_prime(p: int) -> bool:
 class _Frozen:
     """Base of the package's immutable records.
 
-    Each record lists its fields in __slots__ and sets them once, in its
-    __init__, through object.__setattr__; after that, assigning or deleting
-    any attribute raises AttributeError.  Copies and pickles keep every
-    field as it is, without running __init__ again.
+    A record lists its fields in __slots__; its __init__ validates the
+    arguments and ends with _Frozen.__init__, which sets the slots once, in
+    order.  After that, assigning or deleting any attribute raises
+    AttributeError.  Copies and pickles keep every field as it is, without
+    running __init__ again.
+
+    Two optional class attributes narrow the fields, where they differ from
+    __slots__: _fields names the constructor fields that repr shows, and
+    _compared (default: _fields) the fields that equality and hashing read.
+    Records compare equal only to records of the same class.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = vars(cls).get("_fields", cls.__slots__)
+        cls._compared_values = operator.attrgetter(*vars(cls).get("_compared", cls._fields))
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared_values(self) == self._compared_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._compared_values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -55,7 +55,7 @@ class Lattice(_Frozen):
     """
 
     __slots__ = ("gram", "det", "signature")
-    gram: IntMatrix
+    _fields = ("gram",)
     # both read off the one congruence pass that checks non-degeneracy
     det: int
     signature: tuple[int, int]
@@ -64,20 +64,7 @@ class Lattice(_Frozen):
         if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
         det, sig = _congruence(gram.rows)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "signature", sig)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.gram == other.gram
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.gram)
-
-    def __repr__(self):
-        return f"Lattice(gram={self.gram!r})"
+        _Frozen.__init__(self, gram, det, sig)
 
     @property
     def rank(self) -> int:
@@ -103,10 +90,8 @@ class GLattice(_Frozen):
     """
 
     __slots__ = ("gram", "action", "p", "allow_trivial", "_lattice")
-    gram: IntMatrix
-    action: IntMatrix
-    p: int
-    allow_trivial: bool
+    _fields = ("gram", "action", "p", "allow_trivial")
+    _compared = ("gram", "action", "p")
     _lattice: Lattice
 
     def __init__(self, gram: IntMatrix, action: IntMatrix, p: int, allow_trivial: bool = False):
@@ -122,23 +107,7 @@ class GLattice(_Frozen):
             raise ValueError(f"action does not have order dividing {p}")
         if action == IntMatrix.identity(n) and not allow_trivial:
             raise ValueError("trivial action must be flagged explicitly")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "allow_trivial", allow_trivial)
-        object.__setattr__(self, "_lattice", lattice)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.gram, self.action, self.p) == (other.gram, other.action, other.p)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.gram, self.action, self.p))
-
-    def __repr__(self):
-        return (f"GLattice(gram={self.gram!r}, action={self.action!r}, p={self.p!r}, "
-                f"allow_trivial={self.allow_trivial!r})")
+        _Frozen.__init__(self, gram, action, p, allow_trivial, lattice)
 
     @property
     def rank(self) -> int:

@@ -39,8 +39,6 @@ class JordanProfile(_Frozen):
     """
 
     __slots__ = ("p", "blocks")
-    p: int
-    blocks: tuple[tuple[int, int], ...]
 
     def __init__(self, p: int, blocks: tuple[tuple[int, int], ...]):
         if not is_prime(p):
@@ -54,16 +52,7 @@ class JordanProfile(_Frozen):
             raise ValueError("blocks must be sorted")
         if len({q for q, _ in blocks}) != len(blocks):
             raise ValueError("duplicate block size")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.blocks) == (other.p, other.blocks)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.blocks))
+        _Frozen.__init__(self, p, blocks)
 
     @classmethod
     def from_counts(cls, p: int, counts: Mapping[int, int]) -> "JordanProfile":

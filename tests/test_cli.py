@@ -109,6 +109,12 @@ class TestMalformedInput:
         (("quotient", "report"),
          {"p": 5, "n": 1, "eta": 2, "degrees": [{"k": 0, "rank": 1, "l_qt": {"2": 0.5}}]}),
         (("quotient", "report"), {"p": 5, "n": 1, "eta": 2, "degrees": [[0]]}),
+        # other spellings of the key "3": int() read {"3": 2, "03": 0} as {3: 0}, dropping the torsion
+        *((("quotient", "report"),
+           {"p": 3, "n": 1, "eta": 2, "degrees": [{"k": 0, "rank": 1, "l_plus": 1},
+                                                  {"k": 1, "rank": 0, "l_qt": {"3": 2, key: 0}},
+                                                  {"k": 2, "rank": 1, "l_plus": 1}]})
+          for key in ("03", " 3", "+3")),
     ])
     def test_non_integers_and_huge_n_exit_2(self, capsys, monkeypatch, argv, payload):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
@@ -127,6 +133,19 @@ class TestMalformedInput:
         status, out, err = run(capsys, "profile", "--input", "-")
         assert (status, out) == (2, "")
         assert json.loads(err)["error"].startswith("cannot read JSON input")
+
+    @pytest.mark.parametrize("argv, text", [
+        (("profile",), '{"p": 3, "action": [[0, 1], [1, 0]], "p": 2}'),
+        (("lattice",), '{"gram": [[2]], "gram": [[4]]}'),
+        (("quotient", "report"),
+         '{"p": 3, "n": 1, "eta": 2, "degrees": [{"k": 0, "rank": 1, "l_plus": 1, "k": 2}]}'),
+    ])
+    def test_repeated_key_exits_2(self, capsys, monkeypatch, argv, text):
+        # json.load keeps the last value of a repeated key; the CLI refuses to guess
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        status, out, err = run(capsys, *argv, "--input", "-")
+        assert (status, out) == (2, "")
+        assert json.loads(err)["error"].startswith("cannot read JSON input: duplicate key")
 
     def test_prime_beyond_trial_division_is_answered_quickly(self, capsys, monkeypatch):
         # p is past trial division and p^2 past int64: primality is Miller-Rabin

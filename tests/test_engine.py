@@ -81,6 +81,19 @@ class TestGradedInvariants:
         with pytest.raises(ValueError):
             GradedInvariants.from_json({**data, field: value})
 
+    @pytest.mark.parametrize("key", ["03", " 3", "+3", "1_0", "3 "])
+    def test_from_json_accepts_only_canonical_l_qt_keys(self, key):
+        # int() reads all of these, so {"3": 2, "03": 0} once became {3: 0}
+        one = {"rank": 1, "l_plus": 1}
+        data = {
+            "p": 3, "n": 1, "eta": 2,
+            "degrees": [{"k": 0, **one}, {"k": 1, "rank": 0, "l_qt": {"3": 2}}, {"k": 2, **one}],
+        }
+        assert GradedInvariants.from_json(data).degree(1).l_qt == ((3, 2),)
+        data["degrees"][1]["l_qt"][key] = 0
+        with pytest.raises(ValueError, match="not a canonical integer"):
+            GradedInvariants.from_json(data)
+
     def test_from_json_rejects_duplicate_degree(self):
         one = {"rank": 1, "l_plus": 1}
         data = {

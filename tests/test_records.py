@@ -6,13 +6,17 @@ values for the fields that equality and hashing leave out.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import quotcoh
+
 from quotcoh.engine import DegenerationStatus, DegreeInvariants, GradedInvariants, QuotientReport
 from quotcoh.hilbert import K3_B2, K3ActionSpec, NakajimaLabel
-from quotcoh.intmat import IntMatrix, SmithDecomposition
+from quotcoh.intmat import IntMatrix, SmithDecomposition, _Frozen
 from quotcoh.lattices import GLattice, Lattice
 from quotcoh.profiles import JordanProfile
 from quotcoh.toric import Cone, CyclicSingularity, Fan
@@ -54,6 +58,9 @@ CASES = [
 def test_record_semantics(cls, kwargs, defaults, excluded):
     record = cls(**kwargs)
     assert record == cls(*kwargs.values())
+    # NamedTuple records are tuples by design; the validated ones equal only their own class
+    assert (record == tuple(kwargs.values())) is (not issubclass(cls, _Frozen))
+    assert record != object()
     if any(isinstance(v, dict) for v in kwargs.values()):
         with pytest.raises(TypeError):
             hash(record)
@@ -89,3 +96,14 @@ def test_record_semantics(cls, kwargs, defaults, excluded):
     else:
         fields = ", ".join(f"{k}={v!r}" for k, v in kwargs.items())
         assert repr(record) == f"{cls.__name__}({fields})"
+
+
+def test_every_validated_record_has_a_case():
+    for module in pkgutil.iter_modules(quotcoh.__path__):
+        importlib.import_module(f"quotcoh.{module.name}")
+    records, todo = set(), [_Frozen]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        records.update(subclasses)
+        todo.extend(subclasses)
+    assert records <= {case[0] for case in CASES}
