@@ -1,11 +1,13 @@
 """Command-line front end: JSON I/O and the golden-table regression runner.
 
-Exit codes: 0 on success, 1 on a golden-table mismatch or failed selftest,
-2 on invalid input or an --output path that cannot be written.  Output is
-deterministic for fixed input (sorted JSON keys, fixed row ordering, no
-unseeded randomness).
+Exit codes: 0 on success; 1 on a golden-table mismatch or a failed
+selftest, a table builder or selftest check that raises included; 2 on
+invalid input or an unwritable output (--output file or stdout).  `main`
+alone turns a command's KeyError, TypeError or ValueError into exit 2,
+with {"error": str(exc)} on stderr.  Output is deterministic for fixed
+input (sorted JSON keys, fixed row ordering, no unseeded randomness).
 
-Only argparse, json and sys load with this module: each command imports
+Only argparse, json, os and sys load with this module: each command imports
 the layers it calls, so a process compiles no layer its command skips
 (see the package docstring).
 """
@@ -14,12 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
-
-
-class InputError(Exception):
-    pass
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -41,9 +40,9 @@ def _load_json(path: str | None) -> dict:
                 data = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON, repeated keys and integers past Python's digit limit
-        raise InputError(f"cannot read JSON input: {exc}") from exc
+        raise ValueError(f"cannot read JSON input: {exc}") from exc
     if not isinstance(data, dict):
-        raise InputError(f"JSON input must be an object, not {type(data).__name__}")
+        raise ValueError(f"JSON input must be an object, not {type(data).__name__}")
     return data
 
 
@@ -80,12 +79,9 @@ def _cmd_profile(args) -> tuple[int, dict]:
     from .profiles import jordan_profile
 
     data = _load_json(args.input)
-    try:
-        action = _json_matrix(data["action"], "action")
-        p = json_int(data["p"], "p")
-        prof = jordan_profile(action, p)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    action = _json_matrix(data["action"], "action")
+    p = json_int(data["p"], "p")
+    prof = jordan_profile(action, p)
     return 0, {
         "p": p,
         "counts": {str(q): c for q, c in prof.blocks},
@@ -96,11 +92,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
 def _cmd_lattice(args) -> tuple[int, dict]:
     from .lattices import Lattice
 
-    data = _load_json(args.input)
-    try:
-        l = Lattice(_json_matrix(data["gram"], "gram"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    l = Lattice(_json_matrix(_load_json(args.input)["gram"], "gram"))
     out = _lattice_payload(l)
     out["gram"] = l.gram.to_lists()
     return 0, out
@@ -111,26 +103,22 @@ def _cmd_quotient(args) -> tuple[int, dict]:
     from .lattices import GLattice, pushforward_quotient_lattice
 
     data = _load_json(args.input)
-    try:
-        if args.action == "pushforward":
-            allow_trivial = data.get("allow_trivial", False)
-            if not isinstance(allow_trivial, bool):
-                raise ValueError(f"allow_trivial must be true or false, not {allow_trivial!r}")
-            gl = GLattice(
-                gram=_json_matrix(data["gram"], "gram"),
-                action=_json_matrix(data["action"], "action"),
-                p=json_int(data["p"], "p"),
-                allow_trivial=allow_trivial,
-            )
-            pushed = pushforward_quotient_lattice(gl)
-            out = _lattice_payload(pushed)
-            out["gram"] = pushed.gram.to_lists()
-            return 0, out
-        inv = GradedInvariants.from_json(data)
-        report = quotient_report(inv, conjectural_split=args.conjectural_split)
-        return 0, report.to_json()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    if args.action == "pushforward":
+        allow_trivial = data.get("allow_trivial", False)
+        if not isinstance(allow_trivial, bool):
+            raise ValueError(f"allow_trivial must be true or false, not {allow_trivial!r}")
+        gl = GLattice(
+            gram=_json_matrix(data["gram"], "gram"),
+            action=_json_matrix(data["action"], "action"),
+            p=json_int(data["p"], "p"),
+            allow_trivial=allow_trivial,
+        )
+        pushed = pushforward_quotient_lattice(gl)
+        out = _lattice_payload(pushed)
+        out["gram"] = pushed.gram.to_lists()
+        return 0, out
+    inv = GradedInvariants.from_json(data)
+    return 0, quotient_report(inv, conjectural_split=args.conjectural_split).to_json()
 
 
 def _cmd_toric(args) -> tuple[int, dict]:
@@ -143,11 +131,8 @@ def _cmd_toric(args) -> tuple[int, dict]:
         surface_chain,
     )
 
-    try:
-        weights = tuple(int(w) for w in args.weights.split(","))
-        sing = CyclicSingularity(p=args.p, weights=weights)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    weights = tuple(int(w) for w in args.weights.split(","))
+    sing = CyclicSingularity(p=args.p, weights=weights)
     fan = quotient_fan(sing)
     resolved = resolve(fan)
     original_rays = set(fan.rays())
@@ -176,19 +161,13 @@ def _cmd_toric(args) -> tuple[int, dict]:
 def _cmd_hilbert(args) -> tuple[int, dict]:
     from .hilbert import hilbert_report
 
-    try:
-        return 0, hilbert_report(args.p, args.m, conjectural_split=args.conjectural_split)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return 0, hilbert_report(args.p, args.m, conjectural_split=args.conjectural_split)
 
 
 def _cmd_k3(args) -> tuple[int, dict]:
     from .hilbert import k3_table
 
-    try:
-        row = k3_table(args.p, args.kind)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    row = k3_table(args.p, args.kind)
     return 0, {
         **_k3_row(row),
         "kind": row.spec.kind,
@@ -216,29 +195,27 @@ def _rows_k3(kind: str) -> list[dict]:
     return [_k3_row(k3_table(spec.p, spec.kind)) for spec in K3_TABLE if spec.kind == kind]
 
 
+# the (p, m) of the torsion and Betti tables' rows, in order
+_REPORT_ROWS = ((5, 2), (7, 2), (5, 3), (7, 3))
+
+
 def _rows_torsion2() -> list[dict]:
-    from .hilbert import hilbert_report
+    from .hilbert import hilbert_invariants, hilbert_quotient_report
 
     rows = []
-    for p, m in ((5, 2), (7, 2), (5, 3), (7, 3)):
-        rep = hilbert_report(p, m)
-        inv = rep["invariants"]
-        l_plus_even = {
-            str(d["k"]): d["l_plus"]
-            for d in inv["degrees"]
-            if d["k"] % 2 == 0 and 0 < d["k"] <= 2 * m and d["l_plus"]
-        }
-        pairs = {
-            k: v for k, v in rep["report"]["odd_torsion_pairs"].items()
-            if int(k) <= m  # the mirror partners k > n/2 repeat these
-        }
+    for p, m in _REPORT_ROWS:
+        degrees = hilbert_invariants(p, m).degrees
+        report = hilbert_quotient_report(p, m)
         rows.append(
             {
                 "p": p,
                 "m": m,
-                "l_plus_even": l_plus_even,
-                "eta": rep["eta"],
-                "odd_torsion_pairs": pairs,
+                "l_plus_even": {str(k): degrees[k].l_plus for k in range(2, 2 * m + 1, 2)
+                                if degrees[k].l_plus},
+                "eta": report.eta,
+                # the mirror partners k > n/2 repeat these
+                "odd_torsion_pairs": {str(k): v for k, v in report.odd_torsion_pairs.items()
+                                      if k <= m},
             }
         )
     return rows
@@ -248,7 +225,7 @@ def _rows_betti() -> list[dict]:
     from .hilbert import betti_table
 
     rows = []
-    for p, m in ((5, 2), (7, 2), (5, 3), (7, 3)):
+    for p, m in _REPORT_ROWS:
         table = betti_table(p, m)
         rows.append(
             {"p": p, "m": m, "b2": table.b2, "b4": table.b4, "b6": table.b6,
@@ -287,37 +264,31 @@ _TABLES = {
     "bb": ("bb", _rows_bb),
 }
 
-_COMPARED_KEYS = {
-    "k3-symplectic": ("p", "rank", "signature", "discriminant_group", "singular_points", "l_plus_2", "l_p_2"),
-    "k3-nonsymplectic": ("p", "rank", "signature", "discriminant_group", "singular_points", "l_plus_2", "l_p_2"),
-    "torsion2": ("p", "m", "l_plus_even", "eta", "odd_torsion_pairs"),
-    "betti": ("p", "m", "b2", "b4", "b6", "singular_points"),
-    "bb": ("p", "m", "rank", "signature", "discriminant_group", "fujiki"),
-}
-
-
 def _cmd_tables(args) -> tuple[int, dict]:
     which = list(_TABLES) if args.which == "all" else [args.which]
     results = {}
     status = 0
     for table_id in which:
-        if table_id not in _TABLES:
-            raise InputError(f"unknown table {table_id!r}")
         golden_name, builder = _TABLES[table_id]
         expected_rows = _golden(golden_name)["rows"]
-        computed_rows = builder()
-        keys = _COMPARED_KEYS[table_id]
-        diffs = []
-        for want, got in zip(expected_rows, computed_rows):
-            for key in keys:
-                if want.get(key) != got.get(key):
-                    diffs.append(
-                        {"row": {k: want.get(k) for k in ("p", "m") if k in want},
-                         "key": key, "expected": want.get(key), "computed": got.get(key)}
-                    )
-        if len(expected_rows) != len(computed_rows):
-            diffs.append({"key": "row count", "expected": len(expected_rows),
-                          "computed": len(computed_rows)})
+        try:
+            computed_rows = builder()
+        except Exception as exc:
+            # a table that cannot be rebuilt fails its golden check; the input was fine
+            computed_rows = []
+            diffs = [{"key": "error", "computed": f"{type(exc).__name__}: {exc}"}]
+        else:
+            # every key a builder emits is compared; golden-only keys are notes
+            diffs = [
+                {"row": {k: want[k] for k in ("p", "m") if k in want},
+                 "key": key, "expected": want.get(key), "computed": value}
+                for want, got in zip(expected_rows, computed_rows)
+                for key, value in got.items()
+                if want.get(key) != value
+            ]
+            if len(expected_rows) != len(computed_rows):
+                diffs.append({"key": "row count", "expected": len(expected_rows),
+                              "computed": len(computed_rows)})
         results[table_id] = {
             "rows": len(computed_rows),
             "match": not diffs,
@@ -333,7 +304,7 @@ def _cmd_selftest(args) -> tuple[int, dict]:
     from .selftest import run_selftest
 
     if args.rounds < 1:
-        raise InputError(f"--rounds must be at least 1, got {args.rounds}")
+        raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
     results = run_selftest(seed=args.seed, rounds=args.rounds)
     payload = {
         "seed": args.seed,
@@ -426,6 +397,8 @@ def _check_json_ints(payload) -> None:
     if not limit:
         return
     bound = 10 ** limit
+    # sums of counts near the input limit pass Python's 4300-digit limit
+    message = f"cannot write the result as JSON: an integer has more than {limit} digits"
     stack = [payload]
     while stack:
         value = stack.pop()
@@ -435,11 +408,11 @@ def _check_json_ints(payload) -> None:
             # a row of ints, such as a Gram matrix row, is bounded by its min and max
             if value and set(map(type, value)) == {int}:
                 if not (-bound < min(value) and max(value) < bound):
-                    raise ValueError(f"an integer has more than {limit} digits")
+                    raise ValueError(message)
             else:
                 stack.extend(value)
         elif type(value) is int and not -bound < value < bound:
-            raise ValueError(f"an integer has more than {limit} digits")
+            raise ValueError(message)
 
 
 def _write(fh, payload, text: bool) -> None:
@@ -457,27 +430,28 @@ def _write(fh, payload, text: bool) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         status, payload = args.fn(args)
         text = args.command == "tables" and args.format == "text"
         if not text:
-            try:
-                _check_json_ints(payload)
-            except ValueError as exc:
-                # sums of counts near the input limit pass Python's 4300-digit limit
-                raise InputError(f"cannot write the result as JSON: {exc}") from exc
+            _check_json_ints(payload)
         output = getattr(args, "output", None)
-        if output:
-            try:
+        try:
+            if output:
                 with open(output, "w", encoding="utf-8") as fh:
                     _write(fh, payload, text)
-            except OSError as exc:
-                raise InputError(f"cannot write output: {exc}") from exc
-        else:
-            _write(sys.stdout, payload, text)
-    except InputError as exc:
+            else:
+                _write(sys.stdout, payload, text)
+                sys.stdout.flush()
+        except OSError as exc:
+            if not output:
+                # a closed stdout: send the interpreter's final flush to devnull
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            raise ValueError(f"cannot write output: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}, sort_keys=True, indent=2) + "\n")
         return 2
     return status

@@ -149,9 +149,8 @@ class GradedInvariants(_Frozen):
 
     def l_p_mod(self, k: int) -> int:
         """l_p of H^k with F coefficients (free part plus adjacent torsion)."""
-        d = self.degree(k)
-        nxt = self.degrees[k + 1].torsion_count(self.p) if k + 1 <= 2 * self.n else 0
-        return d.l_pf + d.torsion_count(self.p) + nxt
+        below, total = _mod_p_block_counts(self, k)
+        return total - below
 
     def to_json(self) -> dict:
         return {

@@ -341,15 +341,16 @@ def k3_graded_invariants(spec: K3ActionSpec) -> GradedInvariants:
 
 # Invariant sublattices of the degree-2 cohomology of the surface for the
 # symplectic actions of orders 5 and 7, ordered so the glue vectors below
-# address the leading coordinates.  An invariant class is p-divisible in
-# the dual exactly when it is a norm, which holds for the scaled blocks.
+# address the leading coordinates; a glue vector is {coordinate: entry},
+# zero elsewhere.  An invariant class is p-divisible in the dual exactly
+# when it is a norm, which holds for the scaled blocks.
 _BB_DATA = {
     5: {
         "blocks": lambda: named_lattice("U", 5).direct_sum(
             named_lattice("U", 5), named_lattice("U")
         ),
-        "glue": [(0, Fraction(1, 5)), (1, Fraction(1, 5)),
-                 (2, Fraction(1, 5)), (3, Fraction(1, 5))],
+        "glue": [{0: Fraction(1, 5)}, {1: Fraction(1, 5)},
+                 {2: Fraction(1, 5)}, {3: Fraction(1, 5)}],
         "max_m": 4,
         "target": lambda m: named_lattice("U", 5).direct_sum(
             named_lattice("U"), named_lattice("U"),
@@ -358,8 +359,8 @@ _BB_DATA = {
     },
     7: {
         "blocks": lambda: named_lattice("U", 7).direct_sum(named_lattice("Gamma7")),
-        "glue": [(0, Fraction(1, 7)), (1, Fraction(1, 7)),
-                 ((2, 3), (Fraction(1, 7), Fraction(3, 7)))],
+        "glue": [{0: Fraction(1, 7)}, {1: Fraction(1, 7)},
+                 {2: Fraction(1, 7), 3: Fraction(3, 7)}],
         "max_m": 6,
         "target": lambda m: named_lattice("U").direct_sum(
             named_lattice("Lambda7"), named_lattice("rank1", -14 * (m - 1))
@@ -368,8 +369,18 @@ _BB_DATA = {
 }
 
 
+def _bb_data(p: int, m: int) -> dict:
+    """_BB_DATA[p], once (p, m) is checked to lie in its scope."""
+    if p not in _BB_DATA:
+        raise ValueError("implemented for the symplectic orders 5 and 7")
+    data = _BB_DATA[p]
+    if not (2 <= m <= data["max_m"]):
+        raise ValueError(f"m must lie in 2..{data['max_m']} for p={p}")
+    return data
+
+
 def bb_target_lattice(p: int, m: int) -> Lattice:
-    return _BB_DATA[p]["target"](m)
+    return _bb_data(p, m)["target"](m)
 
 
 def bb_quotient(p: int, m: int) -> tuple[Lattice, Fraction]:
@@ -381,25 +392,12 @@ def bb_quotient(p: int, m: int) -> tuple[Lattice, Fraction]:
     order p, and rescales the result to a primitive integral form (the
     total rescale p / content enters the Fujiki constant).
     """
-    if p not in _BB_DATA:
-        raise ValueError("implemented for the symplectic orders 5 and 7")
-    data = _BB_DATA[p]
-    if not (2 <= m <= data["max_m"]):
-        raise ValueError(f"m must lie in 2..{data['max_m']} for p={p}")
+    data = _bb_data(p, m)
     _ensure_degree_rule()
     invariant = data["blocks"]().direct_sum(named_lattice("rank1", -2 * (m - 1)))
     rank = invariant.rank
     base = Lattice(invariant.gram * p)
-    glue = []
-    for entry in data["glue"]:
-        vec = [Fraction(0)] * rank
-        idx, val = entry
-        if isinstance(idx, tuple):
-            for i, v in zip(idx, val):
-                vec[i] = v
-        else:
-            vec[idx] = val
-        glue.append(vec)
+    glue = [[entry.get(i, 0) for i in range(rank)] for entry in data["glue"]]
     pushed = overlattice_from_glue(base, glue)
     # the glued Gram is integral, so the primitive rescale divides by its content
     content = gcd(*(e for row in pushed.gram.rows for e in row))
@@ -448,11 +446,7 @@ def hilbert_quotient_report(p: int, m: int, conjectural_split: bool = False) -> 
 def hilbert_report(p: int, m: int, conjectural_split: bool = False) -> dict:
     """Complete JSON-ready report for the order-p quotient of the
     m-point Hilbert scheme (p in {5, 7})."""
-    if p not in _BB_DATA:
-        raise ValueError("implemented for the symplectic orders 5 and 7")
-    data = _BB_DATA[p]
-    if not (2 <= m <= data["max_m"]):
-        raise ValueError(f"m must lie in 2..{data['max_m']} for p={p}")
+    _bb_data(p, m)
     inv = hilbert_invariants(p, m)
     report = hilbert_quotient_report(p, m, conjectural_split=conjectural_split)
     lattice, fujiki = bb_quotient(p, m)

@@ -238,4 +238,10 @@ def run_selftest(seed: int = 0, rounds: int = 40) -> list[CheckResult]:
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     rng = random.Random(seed)
-    return [fn(rng, rounds) for _, fn in SUITES]
+    results = []
+    for name, fn in SUITES:
+        try:
+            results.append(fn(rng, rounds))
+        except Exception as exc:  # a check that raises has failed, not the caller's input
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+    return results

@@ -44,7 +44,6 @@ from .intmat import (
     _Frozen,
     _smith,
     _xgcd,
-    back_substitute,
     det_adjugate,
     image_basis,
     is_prime,
@@ -235,23 +234,20 @@ class CyclicSingularity(_Frozen):
 def quotient_fan(s: CyclicSingularity) -> Fan:
     """Fan of the quotient: the standard positive cone in the refined lattice.
 
-    The refined lattice Z^n + Z*(weights)/p is normalized to Z^n by an SNF
-    change of basis; the standard basis vectors become the (primitivized)
-    rays of an index-p simplicial cone.
+    The refined lattice Z^n + Z*(weights)/p is normalized to Z^n by a
+    change of basis B; the standard basis vectors become the (primitivized)
+    rays of an index-p simplicial cone, ray i solving B y = p e_i, which
+    is p adj(B) e_i / det B by Cramer's rule.
     """
     n = len(s.weights)
     gens = [[s.p if i == j else 0 for j in range(n)] for i in range(n)]
     gens.append(list(s.weights))
     # columns of `basis` generate p * (refined lattice) inside Z^n
     basis = image_basis(IntMatrix(gens, ncols=n).transpose()).transpose()
-    snf = _smith(basis, ("u", "v"))
-    rays = []
-    for i in range(n):
-        e_scaled = [s.p if t == i else 0 for t in range(n)]
-        y = back_substitute(snf, e_scaled)
-        if y is None:
-            raise RuntimeError("standard basis vector missing from the refined lattice")
-        rays.append(primitive_vector(y))
+    det, adj = det_adjugate(basis.rows)
+    if any(s.p * e % det for row in adj for e in row):
+        raise RuntimeError("standard basis vector missing from the refined lattice")
+    rays = [primitive_vector([s.p * row[i] // det for row in adj]) for i in range(n)]
     cone = Cone.from_rays(rays, ambient=n)
     return Fan.from_cones([cone], ambient=n)
 

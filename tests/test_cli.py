@@ -1,9 +1,11 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -413,6 +415,56 @@ class TestTablesCommand:
         assert out == ""
         assert json.loads(path.read_text())["all_match"] is True
 
+    def test_perturbed_golden_is_a_mismatch(self, capsys, monkeypatch):
+        from quotcoh import cli
+
+        golden = cli._golden
+
+        def perturbed(name):
+            data = golden(name)
+            if name == "betti":
+                data["rows"][0]["b4"] += 1
+            elif name == "k3_symplectic":
+                data["rows"][1]["lattice"] = "U(3) + U^2"
+            elif name == "torsion2":
+                data["rows"].pop()
+            return data
+
+        monkeypatch.setattr(cli, "_golden", perturbed)
+        status, out, err = run(capsys, "tables", "--which", "all")
+        assert status == 1
+        assert err == ""
+        data = json.loads(out)
+        assert data["all_match"] is False
+        assert {t: r["diffs"] for t, r in data["tables"].items() if not r["match"]} == {
+            "betti": [{"row": {"p": 5, "m": 2}, "key": "b4", "expected": 61, "computed": 60}],
+            "k3-symplectic": [{"row": {"p": 3}, "key": "lattice", "expected": "U(3) + U^2",
+                               "computed": "U(3) + U^2 + A2(-1)^2"}],
+            "torsion2": [{"key": "row count", "expected": 3, "computed": 4}],
+        }
+        status, out, _ = run(capsys, "tables", "--which", "all", "--format", "text")
+        assert status == 1
+        assert out.endswith("GOLDEN MISMATCH\n")
+
+    def test_builder_that_raises_is_a_mismatch(self, capsys, monkeypatch):
+        # a glue vector of order 3 pairs non-integrally with the 5-scaled base
+        from quotcoh import hilbert
+
+        monkeypatch.setitem(hilbert._BB_DATA[5], "glue", [{0: Fraction(1, 3)}])
+        status, out, err = run(capsys, "tables", "--which", "bb")
+        assert status == 1
+        assert err == ""
+        data = json.loads(out)
+        assert data["all_match"] is False
+        table = data["tables"]["bb"]
+        assert (table["match"], table["rows"], table["computed"]) == (False, 0, [])
+        (diff,) = table["diffs"]
+        assert diff["key"] == "error"
+        assert diff["computed"].startswith("ValueError: glue vector 0 pairs non-integrally")
+        status, out, _ = run(capsys, "tables", "--which", "bb", "--format", "text")
+        assert status == 1
+        assert out.endswith("GOLDEN MISMATCH\n")
+
 
 class TestProcessLevel:
     def test_byte_identical_across_processes(self):
@@ -436,6 +488,26 @@ class TestProcessLevel:
             assert proc.stdout == ""
             assert "cannot write output" in json.loads(proc.stderr)["error"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["k3", "--p", "7"],  # fits the stdout buffer: the closed pipe shows at the flush
+        ["toric", "--p", "101", "--weights", "1,100"],  # more than the pipe buffer
+        ["tables", "--which", "betti", "--format", "text"],
+    ])
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_2(self, argv, unbuffered):
+        # buffered, a closed pipe shows first at a flush, and once more at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with subprocess.Popen([sys.executable, "-m", "quotcoh.cli", *argv], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2, err
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+        assert json.loads(err)["error"].startswith("cannot write output: ")
 
     def test_paper_command_leaves_numpy_unloaded(self):
         # hilbert builds no matrix; profile reduces one mod p, on Python ints
@@ -547,6 +619,21 @@ class TestSelftestCommand:
         _, out1, _ = run(capsys, "selftest", "--seed", "1", "--rounds", "4")
         _, out2, _ = run(capsys, "selftest", "--seed", "1", "--rounds", "4")
         assert out1 == out2
+
+    def test_check_that_raises_fails_the_selftest(self, capsys, monkeypatch):
+        from quotcoh import selftest
+
+        def broken(rng, rounds):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(selftest, "SUITES", selftest.SUITES[:1] + (("broken", broken),))
+        status, out, err = run(capsys, "selftest", "--rounds", "2")
+        assert status == 1
+        assert err == ""
+        data = json.loads(out)
+        assert data["all_passed"] is False
+        assert [c["passed"] for c in data["checks"]] == [True, False]
+        assert data["checks"][1] == {"name": "broken", "passed": False, "detail": "ValueError: boom"}
 
     @pytest.mark.parametrize("rounds", ["-1", "0"])
     def test_rejects_rounds_below_one(self, capsys, rounds):

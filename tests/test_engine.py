@@ -132,6 +132,17 @@ class TestE2Entry:
         assert e2_entry(inv, 0, 2, coefficients="F") == (0, 6)
         assert e2_entry(inv, 1, 2, coefficients="F") == (0, 2)
 
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_l_p_mod_counts_free_and_adjacent_size_p_blocks(self, p):
+        # l_pf of H^k plus the size-p torsion blocks of H^k and H^(k+1); the
+        # other summands and blocks, and degrees past the top, add nothing
+        one = DegreeInvariants.make(rank=1, l_plus=1)
+        h1 = DegreeInvariants.make(rank=1 + 2 * (p - 1) + 2 * p, l_plus=1, l_minus=2, l_pf=2,
+                                   l_qt={1: 1, p: 1})
+        h2 = DegreeInvariants.make(rank=5, l_plus=5, l_qt={1: 3, p: 2})
+        inv = GradedInvariants(p=p, n=2, eta=0, degrees=(one, h1, h2, DegreeInvariants.make(), one))
+        assert [inv.l_p_mod(k) for k in range(5)] == [1, 5, 2, 0, 0]
+
     def test_f_entries_from_adjacent_integral_rows(self):
         # universal coefficients for torsion-free input: the mod-p page in a
         # positive row is the p-torsion of the two adjacent integral rows

@@ -197,16 +197,7 @@ class TestBBQuotient:
         for p in (5, 7):
             data = hilbert._BB_DATA[p]
             base = Lattice(data["blocks"]().gram * p)
-            glue = []
-            for entry in data["glue"]:
-                vec = [Fraction(0)] * base.rank
-                idx, val = entry
-                if isinstance(idx, tuple):
-                    for i, v in zip(idx, val):
-                        vec[i] = v
-                else:
-                    vec[idx] = val
-                glue.append(vec)
+            glue = [[entry.get(i, 0) for i in range(base.rank)] for entry in data["glue"]]
             glued = overlattice_from_glue(base, glue)
             row = k3_table(p, "symplectic")
             assert invariants(glued) == row.invariants
@@ -218,6 +209,11 @@ class TestBBQuotient:
             bb_quotient(7, 7)
         with pytest.raises(ValueError):
             bb_quotient(3, 2)
+
+    @pytest.mark.parametrize("p,m", [(5, 5), (7, 7), (5, 1), (3, 2)])
+    def test_target_has_the_same_scope(self, p, m):
+        with pytest.raises(ValueError, match="implemented for|m must lie in"):
+            bb_target_lattice(p, m)
 
 
 class TestBettiTable:

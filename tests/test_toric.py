@@ -38,7 +38,9 @@ from quotcoh.toric import (
     surface_chain,
 )
 from quotcoh.lattices import Lattice, signature
-from quotcoh.intmat import IntMatrix, det_adjugate, is_prime, primitive_vector
+from quotcoh.intmat import (
+    IntMatrix, det_adjugate, image_basis, is_prime, primitive_vector, solve_integer,
+)
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -597,6 +599,17 @@ class TestContinuant:
 
 
 class TestQuotientFan:
+    @PROPS
+    @given(singularities())
+    def test_rays_are_the_smith_form_solutions(self, sing):
+        # oracle: ray i solves B y = p e_i through a Smith form tracking u and v
+        n, p = len(sing.weights), sing.p
+        gens = [[p if i == j else 0 for j in range(n)] for i in range(n)] + [list(sing.weights)]
+        basis = image_basis(IntMatrix(gens, ncols=n).transpose()).transpose()
+        rays = [primitive_vector(solve_integer(basis, [p if t == i else 0 for t in range(n)]))
+                for i in range(n)]
+        assert quotient_fan(sing) == Fan.from_cones([Cone.from_rays(rays, ambient=n)], ambient=n)
+
     def test_a1_cone(self):
         fan = quotient_fan(CyclicSingularity(2, (1, 1)))
         (cone,) = fan.maximal
