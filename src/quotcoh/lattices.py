@@ -12,11 +12,12 @@ form (profiles._module_analysis): sigma (phi - 1) = phi^p - 1 = 0, and Ker
 sigma has the rank r of Im(phi - 1), so Ker sigma = sat Im(phi - 1) and
 H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1) = (Z/p)^l_minus,
 rk T^G = n - r, l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p; the
-mod-p Jordan profile checks them.  Dually Im sigma is of full rank in the
-saturated T^G, so H^2 = T^G / sigma T = tors coker(sigma) = (Z/p)^l_plus,
-from one more Smith form.  No result is kept between calls.  A Lattice
-reads its determinant and its signature off one symmetric congruence
-pass, which is also its non-degeneracy check.
+trace tr phi = l_plus - l_minus and one mod-p rank of phi - 1 check them.
+Dually Im sigma is of full rank in the saturated T^G, so
+H^2 = T^G / sigma T = tors coker(sigma) = (Z/p)^l_plus, from one more
+Smith form.  No result is kept between calls.  A Lattice reads its
+determinant and its signature off one symmetric congruence pass, which is
+also its non-degeneracy check.
 
 Two modeling notes, both validated against independent computations in
 the test suite rather than assumed:
@@ -231,7 +232,8 @@ def bns_invariants(gl: GLattice) -> BNSInvariants:
     r = rank(phi - 1), rk T^G = n - r; Ker sigma = sat Im(phi - 1), so
     H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1) = (Z/p)^l_minus;
     then l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.  The counts
-    are cross-checked against the mod-p Jordan profile.
+    are cross-checked against tr phi = l_plus - l_minus and
+    rank_p(phi - 1) = (p - 2) l_minus + (p - 1) l_p.
     """
     a = _module_analysis(gl.action, gl.p)
     return BNSInvariants(a.l_plus, a.l_minus, a.l_p)
@@ -251,8 +253,8 @@ def group_cohomology(gl: GLattice, i: int) -> GroupCohomology:
 
     * odd: Im(phi - 1) lies in the saturated Ker sigma of the same rank, so
       H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1), read off the
-      Smith form the counts came from, whose l_minus the mod-p profile
-      confirms;
+      Smith form the counts came from, whose l_minus the trace and the
+      mod-p rank of phi - 1 confirm;
     * even: (phi - 1) sigma = phi^p - 1 = 0 puts Im sigma in the saturated
       T^G = Ker(phi - 1), and rank sigma must equal rk T^G, so
       H^2 = T^G / sigma T = tors coker(sigma), from one more Smith form.

@@ -17,9 +17,12 @@ re-extracted.  Results are memoized per (p, block sizes, exponent), so
 concurrent callers simply recompute the same pure value.
 
 Over Z, _module_analysis reads the summand counts of an order-p integer
-action from one Smith form of A - 1, with the profile as its independent
-check.  Unlike the profile, it tells the trivial Z from the cyclotomic
-Z^- at p = 2, where both reduce to N_1.
+action from one Smith form of A - 1, and checks them against the trace of
+A and one mod-p rank of A - 1, with no Jordan filtration: by
+Diederichsen-Reiner every such lattice reduces to N_1, N_(p-1) and N_p
+only.  Unlike the profile, the counts tell the trivial Z from the
+cyclotomic Z^- at p = 2, where both reduce to N_1; the profile stays their
+test oracle.
 """
 
 from __future__ import annotations
@@ -299,9 +302,8 @@ def _module_analysis(action: IntMatrix, p: int) -> ModuleAnalysis:
 
     The preconditions are the caller's: GLattice and curtis_reiner_check
     check that p is prime and A square, and establish A^p = 1 with
-    order_divides.  An action of another order can pass every check below
-    with wrong counts ([[1, 2], [0, 1]] at p = 2 reads as Z + Z^-), hence
-    the underscore.  Over Q, A - 1 vanishes on the invariants and is invertible on the other eigenspaces, where
+    order_divides, hence the underscore.  Over Q, A - 1 vanishes on the
+    invariants and is invertible on the other eigenspaces, where
     sigma = 1 + A + ... + A^(p-1) vanishes; so with r = rank(A - 1),
     rk T^G = n - r and Ker sigma has rank r.  As sigma (A - 1) = A^p - 1 = 0,
     Im(A - 1) lies in the saturated Ker sigma of the same rank, so
@@ -311,13 +313,21 @@ def _module_analysis(action: IntMatrix, p: int) -> ModuleAnalysis:
     to H^1, a free one p - 1 to r and nothing to H^1.  Hence
     l_minus = #H^1, l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.
 
-    The mod-p Jordan profile is the independent route: its blocks N_1,
-    N_(p-1), N_p count l_plus, l_minus, l_p for p >= 3; for p = 2, where Z
-    and Z^- both reduce to N_1, it checks l_p and l_plus + l_minus, which
-    with r still pins l_minus.  A disagreement raises ValueError.
+    Two numbers of A check the counts independently.  By Diederichsen-Reiner
+    (Curtis-Reiner, Methods of Representation Theory I, section 34) a
+    trivial, cyclotomic or free summand has trace 1, -1 or 1 + (-1) = 0 and
+    reduces mod p to N_1, N_(p-1) or N_p, so tr A = l_plus - l_minus over Z
+    and rank_p(A - 1) = (p - 2) l_minus + (p - 1) l_p, from one elimination
+    mod p.  With n they determine the counts: l_minus + l_p = (n - tr A)/p,
+    l_minus = (p - 1)(l_minus + l_p) - rank_p and l_plus = tr A + l_minus,
+    so any wrong count raises ValueError.  They are consequences of A^p = 1,
+    not a test of it: [[1, 2], [0, 1]] at p = 2 is refused (trace 2 against
+    1 - 1 = 0), but [[-1, 2], [0, -1]], of infinite order, passes every
+    check as (Z^-)^2.
     """
     n = action.nrows
-    snf = _smith(action - IntMatrix.identity(n))
+    b = action - IntMatrix.identity(n)
+    snf = _smith(b)
     r = snf.rank
     torsion = tuple(d for d in snf.diagonal if d > 1)
     if any(d != p for d in torsion):
@@ -328,18 +338,16 @@ def _module_analysis(action: IntMatrix, p: int) -> ModuleAnalysis:
     if r % (p - 1) or l_p < 0 or l_plus < 0:
         raise ValueError("rank bookkeeping failed: input is not an order-p action")
 
-    prof = jordan_profile(action, p)
-    middle = [q for q, _ in prof.blocks if 2 <= q <= p - 2]
-    if middle:
+    trace = sum(row[i] for i, row in enumerate(action.rows))
+    if trace != l_plus - l_minus:
+        raise ValueError(f"trace {trace} disagrees with l_plus - l_minus = {l_plus - l_minus}")
+    rank_p = len(_row_basis_mod_p(b.rows, p))
+    expected = (p - 2) * l_minus + (p - 1) * l_p
+    if rank_p != expected:
         raise ValueError(
-            f"blocks of size {middle} cannot arise from an order-{p} integer action"
+            f"rank {rank_p} of A - 1 mod {p} disagrees with "
+            f"(p - 2) l_minus + (p - 1) l_p = {expected}"
         )
-    if p >= 3:
-        ok = (prof.count(1), prof.count(p - 1), prof.count(p)) == (l_plus, l_minus, l_p)
-    else:
-        ok = prof.count(2) == l_p and prof.count(1) == l_plus + l_minus
-    if not ok:
-        raise ValueError("mod-p profile disagrees with the integral module analysis")
     return ModuleAnalysis(l_plus, l_minus, l_p, torsion)
 
 
@@ -359,9 +367,9 @@ class CRDecomposition(NamedTuple):
 def curtis_reiner_check(action: IntMatrix, p: int) -> CRDecomposition:
     """Summand counts of an exact order-p integer action: a view of _module_analysis.
 
-    Requires action^p = identity over Z.  Block sizes strictly between 2
-    and p-1 never occur for such actions; their presence is reported as an
-    inconsistency.
+    Requires action^p = identity over Z, checked here.  The counts come from
+    one Smith form of action - 1 and are checked against the trace and one
+    mod-p rank; a disagreement raises ValueError.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 from .engine import DegreeInvariants, GradedInvariants, u_dimensions
 from .intmat import IntMatrix, kernel_saturated, quotient_group, smith_decomposition
 from .lattices import GLattice, group_cohomology
-from .profiles import jordan_profile
+from .profiles import curtis_reiner_check, jordan_profile
 from .toric import hj_resolution
 
 
@@ -150,6 +150,10 @@ def _check_order_p_profiles(rng: random.Random, rounds: int, primes=(3, 5, 7)) -
             expected = prof.count(1) + (p - 1) * prof.count(p - 1) + p * prof.count(p)
             if n != expected:
                 return CheckResult("order-p profiles", False, "rank identity failed")
+            # the profile route against the integral counts, checked by trace and rank
+            cr = curtis_reiner_check(a, p)
+            if (prof.count(p), prof.count(p - 1), prof.count(1)) != (cr.r, cr.s, cr.t):
+                return CheckResult("order-p profiles", False, f"{prof} disagrees with {cr}")
             fixed = kernel_saturated(a - IntMatrix.identity(n)).nrows
             if fixed != prof.count(1) + prof.count(p):
                 return CheckResult("order-p profiles", False, "fixed-space rank failed")

@@ -160,7 +160,8 @@ def _budget_lattices():
 
 
 class TestEliminationBudget:
-    """One Smith form of phi - 1 per question, and no result kept between calls."""
+    """One Smith form of phi - 1 and one mod-p elimination per question, and no
+    result kept between calls."""
 
     @pytest.mark.parametrize("ask, smiths", [
         (bns_invariants, 1),
@@ -184,24 +185,67 @@ class TestEliminationBudget:
         assert gl.lattice() is gl.lattice()
         assert gl.lattice() == Lattice(gl.gram)
 
-    @pytest.mark.parametrize("gl, wrong", [
-        # one N_2 read as two N_1: l_p and l_plus + l_minus both move
-        (nikulin_involution(), {1: 8, 2: 7}),
-        # one N_5 read as N_2 + N_3, blocks no order-5 integer action has
-        (GLattice(IntMatrix.identity(10), IntMatrix.block_diagonal(*[cycle_matrix(5)] * 2), 5),
-         {2: 1, 3: 1, 5: 1}),
-        # N_1^2 read as N_2: caught at p = 3, where no block size is in the middle
-        (GLattice(IntMatrix.identity(5),
-                  IntMatrix.block_diagonal(cycle_matrix(3), IntMatrix.identity(2)), 3),
-         {2: 1, 3: 1}),
-    ])
-    def test_wrong_profile_is_refused(self, monkeypatch, gl, wrong):
-        monkeypatch.setattr(profiles, "jordan_profile",
-                            lambda a, p: profiles.JordanProfile.from_counts(p, wrong))
-        with pytest.raises(ValueError, match="cannot arise|disagrees"):
-            bns_invariants(gl)
-        with pytest.raises(ValueError, match="cannot arise|disagrees"):
-            group_cohomology(gl, 1)
+    @pytest.mark.parametrize("ask, analyses", [
+        (bns_invariants, 1),
+        (lambda gl: group_cohomology(gl, 1), 1),
+        (lambda gl: group_cohomology(gl, 2), 1),
+        (lambda gl: (bns_invariants(gl), bns_invariants(gl)), 2),
+    ], ids=["bns", "H1", "H2", "bns twice"])
+    def test_one_mod_p_elimination_and_no_filtration_per_question(self, monkeypatch, ask,
+                                                                   analyses):
+        eliminations, filtrations = [], []
+        basis = profiles._row_basis_mod_p
+
+        def spy(rows, p):
+            rows = list(rows)
+            eliminations.append(len(rows))
+            return basis(rows, p)
+
+        monkeypatch.setattr(profiles, "_row_basis_mod_p", spy)
+        monkeypatch.setattr(profiles, "_profile_from_rows",
+                            lambda rows, p: filtrations.append(p))
+        for gl in _budget_lattices():
+            eliminations.clear()
+            ask(gl)
+            assert eliminations == [gl.rank] * analyses
+        assert filtrations == []
+
+    @pytest.mark.parametrize("gl", [
+        nikulin_involution(),
+        GLattice(IntMatrix.identity(10), IntMatrix.block_diagonal(*[cycle_matrix(5)] * 2), 5),
+        GLattice(IntMatrix.identity(5),
+                 IntMatrix.block_diagonal(cycle_matrix(3), IntMatrix.identity(2)), 3),
+    ], ids=["Nikulin", "two 5-cycles", "3-cycle + I_2"])
+    def test_wrong_count_is_refused(self, monkeypatch, gl):
+        basis, smith = profiles._row_basis_mod_p, profiles._smith
+
+        def unit_to_torsion(snf):
+            # the last unit becomes p: l_minus + 1, l_p - 1, l_plus + 1, so the
+            # trace holds and the mod-p rank is one short
+            d = list(snf.diagonal)
+            d[d.count(1) - 1] = gl.p
+            return snf._replace(diagonal=tuple(d))
+
+        def zero_to_torsion(snf):
+            # the first zero becomes p: at p = 2 one Z is read as Z^-, which only
+            # the trace sees; at odd p the rank is no multiple of p - 1
+            d = list(snf.diagonal)
+            d[snf.rank] = gl.p
+            return snf._replace(diagonal=tuple(d), rank=snf.rank + 1)
+
+        mutants = [
+            ("_row_basis_mod_p", lambda rows, p: basis(rows, p)[1:]),
+            ("_row_basis_mod_p", lambda rows, p: basis(rows, p) + [[1]]),
+            ("_smith", lambda m: unit_to_torsion(smith(m))),
+            ("_smith", lambda m: zero_to_torsion(smith(m))),
+        ]
+        for name, mutant in mutants:
+            with monkeypatch.context() as patch:
+                patch.setattr(profiles, name, mutant)
+                with pytest.raises(ValueError, match="disagrees|bookkeeping"):
+                    bns_invariants(gl)
+                with pytest.raises(ValueError, match="disagrees|bookkeeping"):
+                    group_cohomology(gl, 1)
 
 
 class TestPushforward:

@@ -6,6 +6,7 @@ import pytest
 from quotcoh.intmat import IntMatrix
 from quotcoh.profiles import (
     JordanProfile,
+    _module_analysis,
     _sym_single,
     cohomology_dim,
     curtis_reiner_check,
@@ -225,6 +226,22 @@ class TestCurtisReiner:
         # the integral analysis tells Z^- (s) from Z (t), which both reduce to N_1 mod 2
         result = curtis_reiner_check(action, 2)
         assert (result.r, result.s, result.t, result.s_plus_t) == (1, 1, 1, 2)
+
+    def test_p2_splits_z_from_z_minus(self):
+        # diag(1, -1) reduces to N_1^2 mod 2; the trace 0 tells Z + Z^- from Z^2
+        assert curtis_reiner_check(IntMatrix([[1, 0], [0, -1]]), 2) == (0, 1, 1, 2)
+
+    def test_wrong_order_is_refused_by_the_trace(self):
+        # order infinite, yet its Smith form reads Z + Z^- and rank_2(A - 1) = 0
+        # agrees with that; only the trace 2 against 1 - 1 = 0 refuses it
+        with pytest.raises(ValueError, match="trace 2 disagrees"):
+            _module_analysis(IntMatrix([[1, 2], [0, 1]]), 2)
+        # the checks follow from the order and do not test it: this one passes
+        # them as (Z^-)^2, so the order check stays with the callers
+        unipotent_times_minus_one = IntMatrix([[-1, 2], [0, -1]])
+        assert _module_analysis(unipotent_times_minus_one, 2)[:3] == (0, 2, 0)
+        with pytest.raises(ValueError, match="not the identity"):
+            curtis_reiner_check(unipotent_times_minus_one, 2)
 
     def test_rejects_non_order_p(self):
         with pytest.raises(ValueError):

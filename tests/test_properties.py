@@ -15,6 +15,7 @@ over Z.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -291,6 +292,15 @@ class TestModuleAnalysis:
             direct = direct_cohomology(gl, i)
             assert direct == (gl.p,) * (want.l_minus if i % 2 else want.l_plus)
             assert group_cohomology(gl, i) == (0, direct)
+        # the mod-p profile, a route the analysis does not run, is the oracle of
+        # its trace and rank checks: N1^l_plus + N_(p-1)^l_minus + N_p^l_p, which
+        # at p = 2 is N1^(l_plus + l_minus) + N2^l_p
+        p, counts = gl.p, Counter()
+        counts[1] += want.l_plus
+        counts[p - 1] += want.l_minus
+        counts[p] += want.l_p
+        assert jordan_profile(gl.action, p) == JordanProfile.from_counts(p, counts)
+        assert sum(gl.action[i, i] for i in range(gl.rank)) == want.l_plus - want.l_minus
         return want
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
