@@ -478,8 +478,11 @@ def quotient_report(inv: GradedInvariants, conjectural_split: bool = False) -> Q
     betti = tuple(d.l_plus + d.l_pf for d in inv.degrees)
     conjecture = None
     if conjectural_split:
+        # s_k, the second-page sum at degree 2k, is the torsion of degree
+        # 2n - 2k + 1 (duality on the complement of the singular points), so
+        # s_1 = 1 lands in t^(2n-1), the torsion of the fundamental group
         conjecture = {
-            2 * k + 1: torsion_u[2 * k] for k in range(1, n)
+            2 * n - 2 * k + 1: torsion_u[2 * k] for k in range(1, n)
         }
     return QuotientReport(
         p=p, n=n, eta=inv.eta,

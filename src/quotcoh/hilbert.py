@@ -428,15 +428,54 @@ def betti_table(p: int, m: int) -> BettiTable:
     )
 
 
+def _symplectic_row(p: int) -> K3ActionSpec:
+    spec = next((r for r in K3_TABLE if r.p == p and r.kind == "symplectic"), None)
+    if spec is None:
+        raise ValueError(f"no symplectic row for p={p}")
+    return spec
+
+
 def k3_h2_profile(p: int) -> JordanProfile:
     """Degree-2 profile of the surface for the symplectic order-p action."""
-    spec = next(r for r in K3_TABLE if r.p == p and r.kind == "symplectic")
-    return spec.h2_profile()
+    return _symplectic_row(p).h2_profile()
+
+
+def fixed_point_count(p: int, m: int) -> int:
+    """Fixed points of the symplectic order-p action on the m-point Hilbert
+    scheme, for 0 <= m < p: [q^m] P(q)^k with P(q) = prod 1/(1 - q^i) and
+    k = n_sing the fixed points of the surface.
+
+    A fixed subscheme of length m < p lies over the k fixed points, since a
+    free orbit needs p points.  At a fixed point G acts on the tangent plane
+    by (zeta^a, zeta^-a), and the tangent weights at a monomial ideal I_lambda
+    are zeta^(+-a h(s)) over the hook lengths h(s) <= m < p (Nakajima,
+    Lectures on Hilbert Schemes of Points on Surfaces, ch. 5), none trivial;
+    the fixed punctual locus is proper and torus-stable, so it is exactly
+    the monomial ideals, p(j) of length j.  The count owes nothing to the
+    module model, so it checks the eta that lefschetz_euler reads off it.
+    """
+    if not 0 <= m < p:
+        raise ValueError(f"the fixed-point count needs 0 <= m < p, got m={m}, p={p}")
+    coeffs = [1] + [0] * m
+    for _ in range(_symplectic_row(p).n_sing):
+        for i in range(1, m + 1):
+            # times 1/(1 - q^i)
+            for j in range(i, m + 1):
+                coeffs[j] += coeffs[j - i]
+    return coeffs[m]
 
 
 @lru_cache(maxsize=None)
 def hilbert_invariants(p: int, m: int) -> GradedInvariants:
-    return graded_profile(m, k3_h2_profile(p))
+    """graded_profile of the symplectic order-p row; for m < p its eta, the
+    model's lefschetz_euler, must equal fixed_point_count, else RuntimeError."""
+    inv = graded_profile(m, k3_h2_profile(p))
+    if m < p and inv.eta != fixed_point_count(p, m):
+        raise RuntimeError(
+            f"lefschetz_euler {inv.eta} of the model differs from the fixed-point "
+            f"count {fixed_point_count(p, m)} at p={p}, m={m}"
+        )
+    return inv
 
 
 def hilbert_quotient_report(p: int, m: int, conjectural_split: bool = False) -> QuotientReport:

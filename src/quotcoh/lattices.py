@@ -17,7 +17,10 @@ Dually Im sigma is of full rank in the saturated T^G, so
 H^2 = T^G / sigma T = tors coker(sigma) = (Z/p)^l_plus, from one more
 Smith form.  No result is kept between calls.  A Lattice reads its
 determinant and its signature off one symmetric congruence pass, which is
-also its non-degeneracy check.
+also its non-degeneracy check; likewise a GLattice keeps its norm map
+sigma from the one Horner pass that checks its order, since
+(phi - 1) sigma = phi^p - 1 makes phi sigma = sigma equivalent to
+phi^p = 1.
 
 Two modeling notes, both validated against independent computations in
 the test suite rather than assumed:
@@ -44,7 +47,6 @@ from .intmat import (
     det_adjugate,
     image_basis,
     is_prime,
-    order_divides,
 )
 from .profiles import _module_analysis
 
@@ -87,13 +89,16 @@ class GLattice(_Frozen):
     """Lattice together with an isometry of prime order p.
 
     Equality and hashing leave out the flag allow_trivial, and they and
-    repr leave out the validated Lattice kept for lattice().
+    repr leave out the validated Lattice kept for lattice() and the norm
+    map kept for sigma(), both built by the constructor's checks.
     """
 
-    __slots__ = ("gram", "action", "p", "allow_trivial", "_lattice")
+    __slots__ = ("gram", "action", "p", "allow_trivial", "_lattice", "_sigma")
     _fields = ("gram", "action", "p", "allow_trivial")
     _compared = ("gram", "action", "p")
     _lattice: Lattice
+    # the norm map, from the pass that checks the order
+    _sigma: IntMatrix
 
     def __init__(self, gram: IntMatrix, action: IntMatrix, p: int, allow_trivial: bool = False):
         if not is_prime(p):
@@ -104,11 +109,20 @@ class GLattice(_Frozen):
             raise ValueError("action shape does not match the Gram matrix")
         if action.transpose() * gram * action != gram:
             raise ValueError("action is not an isometry of the form")
-        if not order_divides(action, p):
+        rows = action.rows
+        trivial = all(x == (i == j) for i, row in enumerate(rows) for j, x in enumerate(row))
+        if trivial:
+            sigma = IntMatrix.diagonal([p] * n)
+        elif p > n + 1:
+            # Phi_p, of degree p - 1, would divide the minimal polynomial
+            sigma = None
+        else:
+            sigma = _norm_map(rows, p)
+        if sigma is None:
             raise ValueError(f"action does not have order dividing {p}")
-        if action == IntMatrix.identity(n) and not allow_trivial:
+        if trivial and not allow_trivial:
             raise ValueError("trivial action must be flagged explicitly")
-        _Frozen.__init__(self, gram, action, p, allow_trivial, lattice)
+        _Frozen.__init__(self, gram, action, p, allow_trivial, lattice, sigma)
 
     @property
     def rank(self) -> int:
@@ -118,30 +132,45 @@ class GLattice(_Frozen):
         return self._lattice
 
     def sigma(self) -> IntMatrix:
-        """Norm map sigma = phi^(p-1) + ... + phi + id.
+        """Norm map sigma = phi^(p-1) + ... + phi + id, kept from the order check.
 
-        Horner's rule S <- I + phi S, p - 1 times, with row i of phi S the
-        sum of a_ik S[k] over the nonzero entries a_ik of the action:
-        O(p nnz(phi) n) instead of p dense products.  A nontrivial
-        order-p isometry of a rank-n lattice has p <= n + 1, and the
-        trivial action gives p I in closed form, so the work is bounded
-        by the rank, not by p.
+        The constructor builds it once (p I for the trivial action,
+        otherwise _norm_map, whose check A sigma = sigma is the proof of
+        A^p = 1), so reading it costs nothing.
         """
-        n = self.rank
-        if self.action == IntMatrix.identity(n):
-            return IntMatrix.identity(n) * self.p
-        nonzeros = [[(k, a) for k, a in enumerate(row) if a] for row in self.action.rows]
-        total = [[int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(self.p - 1):
-            step = []
-            for i, terms in enumerate(nonzeros):
-                row = [0] * n
-                for k, a in terms:
-                    row = [x + a * y for x, y in zip(row, total[k])]
-                row[i] += 1
-                step.append(row)
-            total = step
-        return IntMatrix._trusted(tuple(map(tuple, total)), n)
+        return self._sigma
+
+
+def _norm_map(rows: Sequence[Sequence[int]], p: int) -> IntMatrix | None:
+    """sigma = sum_(k<p) A^k for the square action A with these rows, or None
+    when A^p != 1 over Z.
+
+    Horner's rule S <- I + A S, p - 1 times, with row i of A S the sum of
+    a_ik S[k] over the nonzero entries a_ik of A: O(p nnz(A) n) instead of
+    p dense products.  As (A - 1) sigma = A^p - 1, one more product decides
+    the order exactly: A^p = 1 iff A sigma = sigma.  The caller keeps
+    p <= n + 1, so the work is bounded by the rank, not by p.
+    """
+    n = len(rows)
+    nonzeros = [[(k, a) for k, a in enumerate(row) if a] for row in rows]
+
+    def times(s: list[list[int]]) -> list[list[int]]:
+        product = []
+        for terms in nonzeros:
+            row = [0] * n
+            for k, a in terms:
+                row = [x + a * y for x, y in zip(row, s[k])]
+            product.append(row)
+        return product
+
+    total = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(p - 1):
+        total = times(total)
+        for i, row in enumerate(total):
+            row[i] += 1
+    if times(total) != total:
+        return None
+    return IntMatrix._trusted(tuple(map(tuple, total)), n)
 
 
 def discriminant(l: Lattice) -> int:

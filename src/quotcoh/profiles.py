@@ -301,9 +301,10 @@ def _module_analysis(action: IntMatrix, p: int) -> ModuleAnalysis:
     A^p = 1 over Z, from one Smith form of A - 1; no invariant form is needed.
 
     The preconditions are the caller's: GLattice and curtis_reiner_check
-    check that p is prime and A square, and establish A^p = 1 with
-    order_divides, hence the underscore.  Over Q, A - 1 vanishes on the
-    invariants and is invertible on the other eigenspaces, where
+    check that p is prime and A square, and establish A^p = 1 (GLattice
+    from its norm map, curtis_reiner_check with order_divides), hence the
+    underscore.  Over Q, A - 1 vanishes on the invariants and is
+    invertible on the other eigenspaces, where
     sigma = 1 + A + ... + A^(p-1) vanishes; so with r = rank(A - 1),
     rk T^G = n - r and Ker sigma has rank r.  As sigma (A - 1) = A^p - 1 = 0,
     Im(A - 1) lies in the saturated Ker sigma of the same rank, so
@@ -326,7 +327,9 @@ def _module_analysis(action: IntMatrix, p: int) -> ModuleAnalysis:
     check as (Z^-)^2.
     """
     n = action.nrows
-    b = action - IntMatrix.identity(n)
+    b = IntMatrix._trusted(
+        tuple(row[:i] + (row[i] - 1,) + row[i + 1:] for i, row in enumerate(action.rows)), n
+    )
     snf = _smith(b)
     r = snf.rank
     torsion = tuple(d for d in snf.diagonal if d > 1)

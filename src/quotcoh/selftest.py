@@ -164,6 +164,13 @@ def _check_group_cohomology(rng: random.Random, rounds: int, primes=(2, 3, 5, 7)
     for p in primes:
         for _ in range(rounds):
             gl = random_glattice(rng, p, max_dim=9)
+            # the norm map kept from the order check, against the sum of powers
+            sigma = gl.sigma()
+            total, power = IntMatrix.zeros(gl.rank, gl.rank), IntMatrix.identity(gl.rank)
+            for _ in range(p):
+                total, power = total + power, power * gl.action
+            if sigma * gl.action != sigma or sigma != total:
+                return CheckResult("group cohomology", False, f"norm map is not sum A^k at p={p}")
             for i in (1, 2):
                 group_cohomology(gl, i)  # raises on two-path disagreement
     return CheckResult("group cohomology", True, f"{rounds} lattices per prime {primes}")

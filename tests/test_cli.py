@@ -361,7 +361,8 @@ class TestHilbertCommand:
         assert json.loads(out_plain)["report"]["conjectural_odd_torsion"] is None
         _, out_flagged, _ = run(capsys, "hilbert", "--p", "5", "--m", "2", "--conjectural-split")
         split = json.loads(out_flagged)["report"]["conjectural_odd_torsion"]
-        assert split == {"3": 1, "5": 4, "7": 10}
+        # s_k sits in degree 2n - 2k + 1, so t^7 = t^(2n-1) = 1, the torsion of pi_1 = 0
+        assert split == {"3": 10, "5": 4, "7": 1}
 
 
 class TestK3Command:

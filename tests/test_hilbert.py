@@ -12,8 +12,10 @@ from quotcoh.hilbert import (
     betti_numbers,
     betti_table,
     enumerate_basis,
+    fixed_point_count,
     graded_profile,
     hilbert_invariants,
+    hilbert_quotient_report,
     hilbert_report,
     k3_graded_invariants,
     k3_h2_profile,
@@ -268,6 +270,52 @@ class TestEtaOracle:
     def test_lefschetz_count_matches_configuration_count(self, p, m):
         eta_surface = k3_table(p, "symplectic").n_sing
         assert hilbert_invariants(p, m).eta == _eta_by_fixed_point_combinatorics(eta_surface, m)
+
+
+HILBERT_ROWS = [(5, m) for m in (2, 3, 4)] + [(7, m) for m in (2, 3, 4, 5, 6)]
+
+
+class TestFixedPointCount:
+    @pytest.mark.parametrize("p,m,count", [
+        (5, 2, 14), (5, 3, 40), (5, 4, 105),
+        (7, 2, 9), (7, 3, 22), (7, 4, 51), (7, 5, 108), (7, 6, 221),
+    ])
+    def test_pinned_values_equal_the_model_eta(self, p, m, count):
+        assert fixed_point_count(p, m) == count == hilbert_invariants(p, m).eta
+
+    @pytest.mark.parametrize("p,m", HILBERT_ROWS)
+    def test_matches_the_configuration_count(self, p, m):
+        assert fixed_point_count(p, m) == _eta_by_fixed_point_combinatorics(
+            k3_table(p, "symplectic").n_sing, m)
+
+    def test_out_of_range(self):
+        for p, m in ((5, 5), (7, 7), (5, -1)):
+            with pytest.raises(ValueError, match="0 <= m < p"):
+                fixed_point_count(p, m)
+        with pytest.raises(ValueError, match="no symplectic row"):
+            fixed_point_count(11, 2)
+
+    def test_mismatch_with_the_model_raises(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "fixed_point_count", lambda p, m: 1)
+        hilbert_invariants.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="fixed-point count"):
+                hilbert_invariants(7, 4)
+        finally:
+            hilbert_invariants.cache_clear()
+
+
+class TestConjecturalSplit:
+    @pytest.mark.parametrize("p,m", HILBERT_ROWS)
+    def test_split_sums_to_every_pair_with_trivial_top_torsion(self, p, m):
+        report = hilbert_quotient_report(p, m, conjectural_split=True)
+        split, n = report.conjectural_odd_torsion, report.n
+        assert sorted(split) == list(range(3, 2 * n, 2))
+        # X/G minus the singular points has fundamental group G, so t^(2n-1) = 1;
+        # the pair sums alone are symmetric and cannot tell the reflection
+        assert split[2 * n - 1] == 1
+        for k, pair in report.odd_torsion_pairs.items():
+            assert split[2 * k + 1] + split[2 * n - 2 * k + 1] == pair
 
 
 class TestHilbertReport:

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from quotcoh import intmat, profiles
-from quotcoh.intmat import IntMatrix, kernel_saturated, quotient_group
+from quotcoh import intmat, lattices, profiles
+from quotcoh.intmat import IntMatrix, kernel_saturated, order_divides, quotient_group
 from quotcoh.lattices import (
     GLattice,
     Lattice,
@@ -246,6 +246,83 @@ class TestEliminationBudget:
                     bns_invariants(gl)
                 with pytest.raises(ValueError, match="disagrees|bookkeeping"):
                     group_cohomology(gl, 1)
+
+
+def _order_cases():
+    """(gram, action, p) with every combination of isometry and order."""
+    rng = random.Random(16)
+    pell = (IntMatrix([[1, 0], [0, -2]]), IntMatrix([[3, 4], [2, 3]]))  # infinite order
+    cases = [(*pell, p) for p in (2, 3, 1000003)]
+    cases += [(IntMatrix.identity(3), cycle_matrix(3), p) for p in (2, 3, 5)]
+    cases += [(IntMatrix.identity(2), -IntMatrix.identity(2), p) for p in (2, 3)]
+    cases += [(IntMatrix.diagonal([1, 2, 3]), cycle_matrix(3), p) for p in (2, 3)]
+    for p in (2, 3, 5, 7):
+        for _ in range(6):
+            gl = random_glattice(rng, p, max_dim=9)
+            n = gl.rank
+            bumped = [list(row) for row in gl.action.rows]
+            bumped[rng.randrange(n)][rng.randrange(n)] += 1
+            cases += [(gl.gram, gl.action, q) for q in (2, 3, 5, 7, 11)]
+            cases += [(gl.gram, -gl.action, p), (gl.gram, IntMatrix(bumped), p)]
+    return cases
+
+
+class TestNormMapFromOrderCheck:
+    """GLattice decides A^p = 1 by A sigma = sigma on the norm map it keeps."""
+
+    def test_accepts_exactly_the_isometries_of_order_dividing_p(self):
+        seen = set()
+        for gram, action, p in _order_cases():
+            isometry = action.transpose() * gram * action == gram
+            order = order_divides(action, p)
+            try:
+                gl = GLattice(gram, action, p, allow_trivial=True)
+            except ValueError as exc:
+                assert not (isometry and order)
+                message = "action is not an isometry" if not isometry else (
+                    f"action does not have order dividing {p}")
+                assert str(exc).startswith(message)
+            else:
+                assert isometry and order
+                assert gl.sigma() * gl.action == gl.sigma()
+            seen.add((isometry, order, p > gram.nrows + 1))
+        assert {(True, True), (True, False), (False, True), (False, False)} <= {s[:2] for s in seen}
+        assert (True, False, True) in seen and (True, False, False) in seen
+
+    def test_order_is_checked_before_the_trivial_flag(self):
+        with pytest.raises(ValueError, match="trivial action must be flagged"):
+            GLattice(U().gram, IntMatrix.identity(2), 5)
+        with pytest.raises(ValueError, match="order dividing 3"):
+            GLattice(U().gram, -IntMatrix.identity(2), 3)
+
+    def test_one_norm_map_pass_per_construction_and_none_per_question(self, monkeypatch):
+        calls = []
+        original = lattices._norm_map
+
+        def spy(rows, p):
+            calls.append(p)
+            return original(rows, p)
+
+        monkeypatch.setattr(lattices, "_norm_map", spy)
+        built = [(gl.gram, gl.action, gl.p) for gl in _budget_lattices()]
+        calls.clear()
+        for gram, action, p in built:
+            gl = GLattice(gram, action, p)
+            assert calls == [p]
+            sigma = gl.sigma()
+            assert gl.sigma() is sigma
+            group_cohomology(gl, 2)
+            group_cohomology(gl, 4)
+            pushforward_quotient_lattice(gl)
+            assert calls == [p]
+            calls.clear()
+
+    def test_trivial_and_large_prime_actions_run_no_pass(self, monkeypatch):
+        monkeypatch.setattr(lattices, "_norm_map", lambda rows, p: pytest.fail("norm-map pass"))
+        gl = GLattice(U().gram, IntMatrix.identity(2), 1000000007, allow_trivial=True)
+        assert gl.sigma() == 1000000007 * IntMatrix.identity(2)
+        with pytest.raises(ValueError, match="order dividing 7"):
+            GLattice(IntMatrix.identity(3), cycle_matrix(3), 7)
 
 
 class TestPushforward:

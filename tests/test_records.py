@@ -47,7 +47,7 @@ CASES = [
      {}, {}),
     (Lattice, dict(gram=A2), {}, dict(det=0, signature=(0, 0))),
     (GLattice, dict(gram=A2, action=SWAP, p=2, allow_trivial=False),
-     dict(allow_trivial=False), dict(allow_trivial=True, _lattice=None)),
+     dict(allow_trivial=False), dict(allow_trivial=True, _lattice=None, _sigma=None)),
     (Cone, dict(rays=((0, 1), (1, 0)), ambient=2), {}, {}),
     (Fan, dict(maximal=(CONE,), ambient=2), {}, {}),
     (CyclicSingularity, dict(p=5, weights=(1, 2)), {}, {}),
