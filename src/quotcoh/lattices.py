@@ -18,8 +18,8 @@ H^2 = T^G / sigma T = tors coker(sigma) = (Z/p)^l_plus, from one more
 Smith form.  No result is kept between calls.  A Lattice reads its
 determinant and its signature off one symmetric congruence pass, which is
 also its non-degeneracy check; likewise a GLattice keeps its norm map
-sigma from the one Horner pass that checks its order, since
-(phi - 1) sigma = phi^p - 1 makes phi sigma = sigma equivalent to
+sigma from intmat.norm_map, the one Horner pass that checks its order,
+since (phi - 1) sigma = phi^p - 1 makes phi sigma = sigma equivalent to
 phi^p = 1.
 
 Two modeling notes, both validated against independent computations in
@@ -47,6 +47,7 @@ from .intmat import (
     det_adjugate,
     image_basis,
     is_prime,
+    norm_map,
 )
 from .profiles import _module_analysis
 
@@ -72,11 +73,6 @@ class Lattice(_Frozen):
     @property
     def rank(self) -> int:
         return self.gram.nrows
-
-    def rescaled(self, s: int) -> "Lattice":
-        if s == 0:
-            raise ValueError("zero rescale")
-        return Lattice(self.gram * s)
 
     def direct_sum(self, *others: "Lattice") -> "Lattice":
         return Lattice(IntMatrix.block_diagonal(self.gram, *(o.gram for o in others)))
@@ -109,18 +105,10 @@ class GLattice(_Frozen):
             raise ValueError("action shape does not match the Gram matrix")
         if action.transpose() * gram * action != gram:
             raise ValueError("action is not an isometry of the form")
-        rows = action.rows
-        trivial = all(x == (i == j) for i, row in enumerate(rows) for j, x in enumerate(row))
-        if trivial:
-            sigma = IntMatrix.diagonal([p] * n)
-        elif p > n + 1:
-            # Phi_p, of degree p - 1, would divide the minimal polynomial
-            sigma = None
-        else:
-            sigma = _norm_map(rows, p)
+        sigma = norm_map(action, p)
         if sigma is None:
             raise ValueError(f"action does not have order dividing {p}")
-        if trivial and not allow_trivial:
+        if not allow_trivial and action == IntMatrix.identity(n):
             raise ValueError("trivial action must be flagged explicitly")
         _Frozen.__init__(self, gram, action, p, allow_trivial, lattice, sigma)
 
@@ -134,43 +122,10 @@ class GLattice(_Frozen):
     def sigma(self) -> IntMatrix:
         """Norm map sigma = phi^(p-1) + ... + phi + id, kept from the order check.
 
-        The constructor builds it once (p I for the trivial action,
-        otherwise _norm_map, whose check A sigma = sigma is the proof of
-        A^p = 1), so reading it costs nothing.
+        The constructor builds it once, by intmat.norm_map, whose check
+        A sigma = sigma is the proof of A^p = 1, so reading it costs nothing.
         """
         return self._sigma
-
-
-def _norm_map(rows: Sequence[Sequence[int]], p: int) -> IntMatrix | None:
-    """sigma = sum_(k<p) A^k for the square action A with these rows, or None
-    when A^p != 1 over Z.
-
-    Horner's rule S <- I + A S, p - 1 times, with row i of A S the sum of
-    a_ik S[k] over the nonzero entries a_ik of A: O(p nnz(A) n) instead of
-    p dense products.  As (A - 1) sigma = A^p - 1, one more product decides
-    the order exactly: A^p = 1 iff A sigma = sigma.  The caller keeps
-    p <= n + 1, so the work is bounded by the rank, not by p.
-    """
-    n = len(rows)
-    nonzeros = [[(k, a) for k, a in enumerate(row) if a] for row in rows]
-
-    def times(s: list[list[int]]) -> list[list[int]]:
-        product = []
-        for terms in nonzeros:
-            row = [0] * n
-            for k, a in terms:
-                row = [x + a * y for x, y in zip(row, s[k])]
-            product.append(row)
-        return product
-
-    total = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(p - 1):
-        total = times(total)
-        for i, row in enumerate(total):
-            row[i] += 1
-    if times(total) != total:
-        return None
-    return IntMatrix._trusted(tuple(map(tuple, total)), n)
 
 
 def discriminant(l: Lattice) -> int:

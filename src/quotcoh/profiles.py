@@ -32,7 +32,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
-from .intmat import IntMatrix, _Frozen, _row_basis_mod_p, _smith, is_prime, order_divides
+from .intmat import IntMatrix, _Frozen, _row_basis_mod_p, _smith, is_prime, norm_map
 
 
 class JordanProfile(_Frozen):
@@ -301,8 +301,8 @@ def _module_analysis(action: IntMatrix, p: int) -> ModuleAnalysis:
     A^p = 1 over Z, from one Smith form of A - 1; no invariant form is needed.
 
     The preconditions are the caller's: GLattice and curtis_reiner_check
-    check that p is prime and A square, and establish A^p = 1 (GLattice
-    from its norm map, curtis_reiner_check with order_divides), hence the
+    check that p is prime and A square, and establish A^p = 1 (both by
+    intmat.norm_map, whose norm map GLattice keeps), hence the
     underscore.  Over Q, A - 1 vanishes on the invariants and is
     invertible on the other eigenspaces, where
     sigma = 1 + A + ... + A^(p-1) vanishes; so with r = rank(A - 1),
@@ -378,7 +378,7 @@ def curtis_reiner_check(action: IntMatrix, p: int) -> CRDecomposition:
         raise ValueError(f"{p} is not prime")
     if not action.is_square():
         raise ValueError("action must be square")
-    if not order_divides(action, p):
+    if norm_map(action, p) is None:
         raise ValueError("action^p is not the identity over Z")
     a = _module_analysis(action, p)
     return CRDecomposition(r=a.l_p, s=a.l_minus, t=a.l_plus, s_plus_t=a.l_minus + a.l_plus)

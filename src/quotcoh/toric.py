@@ -19,12 +19,14 @@ From dimension 3 on, the subdivision repeatedly stellar-subdivides the
 non-regular cone with the least rays at the primitive lattice point of
 minimal positive weight in its fundamental parallelepiped (the least such
 point on a tie), which strictly decreases cone multiplicities and so
-terminates.  `resolve` keeps the non-regular cones in a heap and finds the
-cones containing that point through a ray -> cones index, and each new
-cone's determinant and adjugate come from its parent's by a rank-one
-update, so a round costs what it changes rather than a pass over the fan;
-finding the point still enumerates the parallelepiped, of order the
-cone's multiplicity.  Only combinatorial data of these resolutions is
+terminates.  Every cone, full or lower-dimensional, is judged once by
+`_judge`: the determinant and adjugate of its ray matrix in a basis of
+the saturated span of its rays.  `resolve` keeps the non-regular cones in
+a heap and finds the cones containing that point through a ray -> cones
+index; a new cone spans what its parent spans, so its judgement comes
+from the parent's by a rank-one update in the same basis, and a round
+costs what it changes rather than a pass over the fan.  Finding the point
+still enumerates the parallelepiped, of order the cone's multiplicity.  Only combinatorial data of these resolutions is
 reported.  In dimension 2 the stellar rounds reach the same fan, and the
 tests keep them as the oracle for the chain.
 """
@@ -35,7 +37,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -96,14 +98,11 @@ class Cone(_Frozen):
         """Rays as columns."""
         return IntMatrix([list(r) for r in self.rays], ncols=self.ambient).transpose()
 
-    def _is_square(self) -> bool:
-        return len(self.rays) == self.ambient
-
     @property
     def dim(self) -> int:
         if not self.rays:
             return 0
-        if self._is_square() and IntMatrix(self.rays).det() != 0:
+        if len(self.rays) == self.ambient and IntMatrix(self.rays).det() != 0:
             return self.ambient
         return _smith(self.ray_matrix()).rank
 
@@ -112,10 +111,10 @@ class Cone(_Frozen):
 
     def _index(self) -> int:
         """Index of the span of the rays in its saturation; 0 for dependent rays."""
-        if self._is_square() and self.rays:
-            return abs(IntMatrix(self.rays).det())
-        s = _smith(self.ray_matrix())
-        return prod(d for d in s.diagonal if d) if s.rank == len(self.rays) else 0
+        try:
+            return abs(_judge(self)[1])
+        except ValueError:
+            return 0
 
     def multiplicity(self) -> int:
         """Index of the span of the rays in its saturation (1 = regular)."""
@@ -127,36 +126,44 @@ class Cone(_Frozen):
     def coordinates_of(self, point: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
         """Barycentric coordinates of a point in the simplicial cone, or None.
 
-        Cramer's rule on a nonzero maximal minor of the ray matrix (all of
-        it for a full-dimensional cone).  None means the remaining rows
-        disagree: the point is outside the linear span.
+        Cramer's rule in the span's coordinates of `_judge`: with C = P R,
+        lam = adj(C) P x / det C.  None means R lam misses the point: it
+        is outside the linear span.
         """
         point = [Fraction(x) for x in point]
         q = lcm(*(x.denominator for x in point))
         scaled = [x.numerator * (q // x.denominator) for x in point]
-        d = len(self.rays)
-        rows = [tuple(r[t] for r in self.rays) for t in range(self.ambient)]
-        pivots: list[int] = []  # greedy: rows M are independent iff det(M M^T) != 0
-        for t in range(self.ambient):
-            m = IntMatrix([rows[k] for k in pivots + [t]], ncols=d)
-            if len(pivots) < d and (m * m.transpose()).det() != 0:
-                pivots.append(t)
-        if len(pivots) < d:
-            raise ValueError("coordinates need a simplicial cone")
-        det, adj = _cofactors([[r[t] for t in pivots] for r in self.rays])
-        num = [sum(a * scaled[t] for a, t in zip(row, pivots)) for row in adj]
-        if any(sum(map(mul, row, num)) != det * y for row, y in zip(rows, scaled)):
+        basis, det, adj = _judge(self)
+        x = scaled if basis is None else [sum(map(mul, row, scaled)) for row in basis]
+        num = [sum(map(mul, a, x)) for a in adj]
+        if any(sum(n * r[t] for n, r in zip(num, self.rays)) != det * y
+               for t, y in enumerate(scaled)):
             return None  # point outside the linear span
-        return tuple(Fraction(x, q * det) for x in num)
+        return tuple(Fraction(v, q * det) for v in num)
 
     def contains(self, point: Sequence) -> bool:
         lam = self.coordinates_of(point)
         return lam is not None and all(x >= 0 for x in lam)
 
 
-def _cofactors(cols: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """det R and adj(R), so that R adj(R) = det(R) I, for nonsingular R with these columns."""
-    return det_adjugate(tuple(zip(*cols)))
+def _judge(c: Cone) -> tuple:
+    """(P, det C, adj C) for the ray matrix C = P R of c in its span's coordinates.
+
+    P is the first d rows of u from one Smith form u R v = D of the n x d
+    ray matrix R: the last n - d rows of u vanish on the span of the
+    rays, so P maps the lattice points of that span isomorphically onto
+    Z^d and |det C| is the index of the rays' span in its saturation.  A
+    full-dimensional cone takes P = None and C = R.  Dependent rays raise
+    ValueError.
+    """
+    d = len(c.rays)
+    if d == c.ambient:
+        return (None, *det_adjugate(tuple(zip(*c.rays))))
+    snf = _smith(c.ray_matrix(), ("u",))
+    if snf.rank != d:
+        raise ValueError("coordinates need a simplicial cone")
+    basis = snf.u.rows[:d]
+    return (basis, *det_adjugate([[sum(map(mul, row, r)) for r in c.rays] for row in basis]))
 
 
 def is_regular(c: Cone) -> bool:
@@ -252,26 +259,17 @@ def quotient_fan(s: CyclicSingularity) -> Fan:
     return Fan.from_cones([cone], ambient=n)
 
 
-def _parallelepiped(
-    c: Cone, cofactors: tuple[int, tuple[tuple[int, ...], ...]] | None = None,
-) -> tuple[int, set[tuple[int, ...]]]:
+def _parallelepiped(judged: tuple) -> tuple[int, set[tuple[int, ...]]]:
     """(D, {D * lam}) for the nonzero lattice points sum lam_i ray_i, each lam_i in [0, 1).
 
-    These are the nonzero lattice points of the fundamental parallelepiped,
-    all with denominator D = |det R|: the points are R c / D for
-    c = +-adj(R) x mod D, x in Z^n, the subgroup of (Z/D)^n generated by
-    the columns of adj(R).  Below full dimension R = B C for a basis B of
-    the saturation (SNF), and C takes the place of R.  A caller that
-    already holds _cofactors(c.rays) of a full-dimensional c passes them.
+    These are the nonzero lattice points of the fundamental parallelepiped
+    of the judged cone, all with denominator D = |det C|: as P is an
+    isomorphism on the span's lattice points, they are those with C lam
+    integral, that is lam = c / D for c = +-adj(C) x mod D, x in Z^d, the
+    subgroup of (Z/D)^d generated by the columns of adj(C).
     """
-    d = len(c.rays)
-    if d == c.ambient:
-        det, adj = cofactors or _cofactors(c.rays)
-    else:
-        snf = _smith(c.ray_matrix(), ("v_inv",))
-        det, adj = _cofactors(
-            [[snf.diagonal[i] * snf.v_inv[i, j] for i in range(d)] for j in range(d)]
-        )
+    _, det, adj = judged
+    d = len(adj)
     mod = abs(det)
     gens = [tuple(adj[i][j] % mod for i in range(d)) for j in range(d)]
     group = {(0,) * d}
@@ -290,29 +288,27 @@ def _lattice_point(c: Cone, lam: Sequence[int], mod: int) -> tuple[int, ...]:
     return tuple(sum(x * r[t] for x, r in zip(lam, c.rays)) // mod for t in range(c.ambient))
 
 
-def _stellar_point(
-    c: Cone, cofactors: tuple[int, tuple[tuple[int, ...], ...]] | None,
-) -> tuple[int, ...]:
+def _stellar_point(c: Cone, judged: tuple) -> tuple[int, ...]:
     """The parallelepiped point of least weight sum(lam_i), the least point among ties.
 
     The weights share the denominator D, so the integer sums decide and
     only the tied points are mapped into the ambient lattice.
     """
-    mod, group = _parallelepiped(c, cofactors)
+    mod, group = _parallelepiped(judged)
     least = min(map(sum, group))
     return min(_lattice_point(c, lam, mod) for lam in group if sum(lam) == least)
 
 
-def _support(c: Cone, judged: tuple, w: tuple[int, ...]) -> tuple[list, list[int]]:
-    """(mu, positions i with lam_i > 0) for w = sum lam_i ray_i in c's span.
+def _support(judged: tuple, w: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(mu, positions i with lam_i > 0) for w = sum lam_i ray_i in the judged cone's span.
 
-    For a full-dimensional cone mu = adj(R) w = det(R) lam, so det * mu has
-    the signs of lam and no division is needed; below full dimension mu is
-    lam itself and the judgement's multiplicity is positive.
+    mu = adj(C) P w = det(C) lam, so det * mu has the signs of lam and no
+    division is needed; a full-dimensional cone reads w itself.
     """
-    det, adj = judged
-    mu = c.coordinates_of(w) if adj is None else [sum(map(mul, a, w)) for a in adj]
-    return mu, [i for i, x in enumerate(mu) if det * x > 0]
+    basis, det, adj = judged
+    x = w if basis is None else [sum(map(mul, row, w)) for row in basis]
+    mu = [sum(map(mul, a, x)) for a in adj]
+    return mu, [i for i, m in enumerate(mu) if det * m > 0]
 
 
 def _replace_ray(
@@ -320,31 +316,29 @@ def _replace_ray(
 ) -> tuple[Cone, tuple]:
     """The cone with ray i replaced by w (rays kept sorted), judged from c's judgement.
 
-    For a full-dimensional c this is a rank-one update (Sherman-Morrison
-    in adjugate form), O(n^2): with mu = adj(R) w and R' = R with column i
-    replaced by w, det R' = mu_i, row i of adj R' is adj_i, and row j != i
-    is (mu_i adj_j - mu_j adj_i) / det R, an exact division.  Sorting moves
-    w from position i to position k, a cycle of |k - i| transpositions, so
-    the rows of adj move with it and both det and adj take the sign
-    (-1)^|k - i|.  Below full dimension the new cone's multiplicity is
-    computed afresh.
+    w lies in c's span and mu_i != 0, so the new cone spans the same and
+    keeps c's P; its C' is C with column i replaced by P w, and this is a
+    rank-one update (Sherman-Morrison in adjugate form), O(d^2): with
+    mu = adj(C) P w, det C' = mu_i, row i of adj C' is adj_i, and row
+    j != i is (mu_i adj_j - mu_j adj_i) / det C, an exact division.
+    Sorting moves w from position i to position k, a cycle of |k - i|
+    transpositions, so the rows of adj move with it and both det and adj
+    take the sign (-1)^|k - i|.
     """
     rays = list(c.rays)
     del rays[i]
     k = bisect_left(rays, w)
     rays.insert(k, w)  # resolve has checked w; the old rays are c's
     cone = Cone._trusted(tuple(rays), c.ambient)
-    det, adj = judged
-    if adj is None:
-        return cone, (cone.multiplicity(), None)
+    basis, det, adj = judged
     mu_i, adj_i = mu[i], adj[i]
     new = [tuple((mu_i * x - mu_j * y) // det for x, y in zip(a, adj_i))
            for a, mu_j in zip(adj, mu)]
     new[i] = adj_i
     new.insert(k, new.pop(i))
     if (k - i) % 2:
-        return cone, (-mu_i, tuple(tuple(-x for x in row) for row in new))
-    return cone, (mu_i, tuple(new))
+        return cone, (basis, -mu_i, tuple(tuple(-x for x in row) for row in new))
+    return cone, (basis, mu_i, tuple(new))
 
 
 def _hirzebruch_jung(c: Cone) -> list[Cone]:
@@ -403,47 +397,44 @@ def resolve(f: Fan) -> Fan:
     holding every ray of the target's face that has w in its relative
     interior, found through a ray -> cones index.  Each such cone is
     replaced by the cones with one of those rays swapped for w, judged by
-    a rank-one update of their parent's cofactors.  So a round costs the
-    stellar point plus O(n^2) per changed cone and a heap operation, not a
-    pass over the fan; termination holds because each subdivision
-    strictly decreases multiplicities.
+    a rank-one update of their parent's judgement, in every dimension.  So
+    a round costs the stellar point plus O(n^2) per changed cone and a
+    heap operation, not a pass over the fan; termination holds because
+    each subdivision strictly decreases multiplicities.
     """
     if f.ambient == 2:
         return Fan.from_cones([d for c in f.maximal for d in _hirzebruch_jung(c)], ambient=2)
     for c in f.maximal:
         if not c.is_simplicial():
             raise ValueError("resolution implemented for simplicial fans")
-    # judged[c] is (det R, adj R), or (multiplicity, None) below full dimension
-    judged = {c: _cofactors(c.rays) if c._is_square() else (c.multiplicity(), None)
-              for c in f.maximal}
+    judged = {c: _judge(c) for c in f.maximal}
     on_ray: dict[tuple[int, ...], set[Cone]] = {}
     for c in judged:
         for r in c.rays:
             on_ray.setdefault(r, set()).add(c)
     # a cone's rays are unique in the fan, so the heap never compares Cones
-    bad = [(c.rays, c) for c, (det, _) in judged.items() if abs(det) != 1]
+    bad = [(c.rays, c) for c, (_, det, _) in judged.items() if abs(det) != 1]
     heapify(bad)
     while bad:
         target = heappop(bad)[1]
         if target not in judged:
             continue  # subdivided since it was queued
-        cofactors = judged[target]
-        w = _stellar_point(target, cofactors if target._is_square() else None)
+        w = _stellar_point(target, judged[target])
         # the one new ray of the round, so the new cones need no checks of their own
         if w != primitive_vector(w) or w in target.rays:
             raise RuntimeError(f"stellar point {w} is not a new primitive ray")
-        face = [target.rays[i] for i in _support(target, cofactors, w)[1]]
+        face = [target.rays[i] for i in _support(judged[target], w)[1]]
         for c in set.intersection(*(on_ray[r] for r in face)):
             parent = judged.pop(c)
             for r in c.rays:
                 on_ray[r].discard(c)
-            mu, support = _support(c, parent, w)
+            mu, support = _support(parent, w)
             for i in support:
                 cone, cone_judged = _replace_ray(c, parent, mu, i, w)
                 judged[cone] = cone_judged
                 for r in cone.rays:
                     on_ray.setdefault(r, set()).add(cone)
-                if abs(cone_judged[0]) != 1:
+                if abs(cone_judged[1]) != 1:
                     heappush(bad, (cone.rays, cone))
     return Fan.from_cones(list(judged), ambient=f.ambient)
 

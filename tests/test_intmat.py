@@ -8,7 +8,7 @@ from quotcoh.intmat import (
     image_basis,
     is_prime,
     kernel_saturated,
-    order_divides,
+    norm_map,
     quotient_group,
     rank_mod_p,
     smith_decomposition,
@@ -105,7 +105,7 @@ class TestRankModP:
                 assert rank_mod_p(m, p) == expected
 
 
-class TestOrderDivides:
+class TestNormMap:
     def test_matches_the_power(self):
         from quotcoh.selftest import cyclotomic_companion, random_order_p_action
 
@@ -119,15 +119,18 @@ class TestOrderDivides:
             ] + [random_matrix(rng, n, n, bound=2) for n in (1, 2, 3, 4)]
             for a in cases:
                 want = a ** p == IntMatrix.identity(a.nrows)
-                assert order_divides(a, p) == want
+                sigma = norm_map(a, p)
+                assert (sigma is not None) == want
+                if want:
+                    assert sigma == sum((a ** k for k in range(1, p)), IntMatrix.identity(a.nrows))
                 seen.add((p > a.nrows + 1, want))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_infinite_order_at_a_large_prime_is_bounded(self):
         # the power would have about p digits; Phi_p cannot divide a degree-2 minimal polynomial
         start = time.perf_counter()
-        assert not order_divides(IntMatrix([[3, 4], [2, 3]]), 1000000007)
-        assert order_divides(IntMatrix.identity(2), 1000000007)
+        assert norm_map(IntMatrix([[3, 4], [2, 3]]), 1000000007) is None
+        assert norm_map(IntMatrix.identity(2), 1000000007) == 1000000007 * IntMatrix.identity(2)
         assert time.perf_counter() - start < 1.0
 
 

@@ -39,7 +39,8 @@ from quotcoh.toric import (
 )
 from quotcoh.lattices import Lattice, signature
 from quotcoh.intmat import (
-    IntMatrix, det_adjugate, image_basis, is_prime, primitive_vector, solve_integer,
+    IntMatrix, det_adjugate, image_basis, is_prime, primitive_vector, smith_decomposition,
+    solve_integer,
 )
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -236,7 +237,7 @@ def _brute_force_parallelepiped(c):
 
 def _candidates(c):
     """The parallelepiped listing as the brute force writes it: [(weight, point)]."""
-    mod, group = _parallelepiped(c)
+    mod, group = _parallelepiped(toric._judge(c))
     return [(Fraction(sum(lam), mod), _lattice_point(c, lam, mod)) for lam in group]
 
 
@@ -342,11 +343,18 @@ def test_toric_cli_long_chain_is_bounded_by_its_output():
 
 
 def _scan_subdivide(maximal, w, judged):
-    """Star subdivision at w by a pass over every cone; judged[c] is (det R, adj R), or (multiplicity, None)."""
+    """Star subdivision at w by a pass over every cone.
+
+    judged[c] is (det R, adj R) of a square cone, whose det R adj(R) w has
+    the signs of w's coordinates; other cones take the rational oracle.
+    """
     out = []
     for c in maximal:
-        det, adj = judged[c]  # det R adj(R) w has the signs of w's coordinates
-        lam = c.coordinates_of(w) if adj is None else [det * sum(map(mul, a, w)) for a in adj]
+        if c in judged:
+            det, adj = judged[c]
+            lam = [det * sum(map(mul, a, w)) for a in adj]
+        else:
+            lam = _oracle_coordinates(c.rays, c.ambient, w)
         if lam is None or any(x < 0 for x in lam):
             out.append(c)
             continue
@@ -361,22 +369,43 @@ def _scan_subdivide(maximal, w, judged):
     return out
 
 
+def _scan_stellar_point(c, judged):
+    """toric's stellar point of c, judged without toric's own route.
+
+    A square cone passes det_adjugate of its rays.  Below full dimension the
+    basis P of the span's lattice points is the first d rows of u from the
+    public smith_decomposition u R v = D, checked against the rational
+    multiplicity.
+    """
+    if c in judged:
+        return toric._stellar_point(c, (None, *judged[c]))
+    basis = smith_decomposition(c.ray_matrix()).u.rows[:len(c.rays)]
+    det, adj = det_adjugate([[sum(map(mul, row, r)) for r in c.rays] for row in basis])
+    assert abs(det) == _oracle_multiplicity(c)
+    return toric._stellar_point(c, (basis, det, adj))
+
+
 def _scan_resolve(f):
     """Oracle: the resolve that rescans every maximal cone on every round and
-    judges each new cone by its own elimination (det_adjugate)."""
-    judged = {}
+    judges each new cone by its own elimination: det_adjugate of a square
+    cone's rays, the rational _oracle_multiplicity and _oracle_coordinates
+    below full dimension."""
+    judged, index = {}, {}
     maximal = list(f.maximal)
     while True:
         for c in maximal:
-            if c not in judged:
-                judged[c] = (det_adjugate(tuple(zip(*c.rays))) if len(c.rays) == c.ambient
-                             else (c.multiplicity(), None))
-        bad = [c for c in maximal if abs(judged[c][0]) != 1]
+            if c in index:
+                continue
+            if len(c.rays) == c.ambient:
+                judged[c] = det_adjugate(tuple(zip(*c.rays)))
+                index[c] = abs(judged[c][0])
+            else:
+                index[c] = _oracle_multiplicity(c)
+        bad = [c for c in maximal if index[c] != 1]
         if not bad:
             break
         target = min(bad, key=lambda c: c.rays)
-        w = toric._stellar_point(target, judged[target] if len(target.rays) == target.ambient else None)
-        maximal = _scan_subdivide(maximal, w, judged)
+        maximal = _scan_subdivide(maximal, _scan_stellar_point(target, judged), judged)
     return Fan.from_cones(maximal, ambient=f.ambient)
 
 
@@ -401,14 +430,59 @@ def weighted_projective_fans(draw):
     return _weighted_projective_fan([draw(st.integers(1, (13, 7, 5)[n - 2])) for _ in range(n)])
 
 
+def _padded(fan, at):
+    """The fan with a zero coordinate inserted at position `at` of every ray, and the ray e_at."""
+    n = fan.ambient
+    cones = [Cone.from_rays([r[:at] + (0,) + r[at:] for r in c.rays], ambient=n + 1) for c in fan.maximal]
+    return Fan.from_cones(cones + [Cone.from_rays([tuple(int(t == at) for t in range(n + 1))])])
+
+
+# (full-dimensional fan, position of the new coordinate): padded, each cone is
+# non-square beside a disjoint ray, of multiplicity 221, 29, 13 or 11
+_SPANS = [
+    (Fan.from_cones([Cone.from_rays([(1, 0, 0), (1, 13, 0), (0, 5, 17)])]), 2),
+    (Fan.from_cones([Cone.from_rays([(1, 0), (1, 29)])]), 2),
+    (quotient_fan(CyclicSingularity(13, (1, 5, 9))), 3),
+    (quotient_fan(CyclicSingularity(11, (1, 4))), 0),
+]
+_LOWER_DIMENSIONAL_FANS = [_padded(fan, at) for fan, at in _SPANS]
+
+
+@st.composite
+def lower_dimensional_fans(draw):
+    """A random non-square simplicial cone in R^3 or R^4 and a ray outside it.
+
+    The cone's rays are (r, A r) with coordinates permuted, r running over
+    the rays of a random d-dimensional cone: the graph of A is a saturated
+    lattice, so the multiplicity is |det| of the r.
+    """
+    n = draw(st.integers(3, 4))
+    d = draw(st.integers(2, n - 1))
+    small = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any).map(primitive_vector)
+    base = draw(st.lists(small, min_size=d, max_size=d, unique=True).filter(_oracle_det))
+    graph = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                          min_size=n - d, max_size=n - d))
+    order = draw(st.permutations(range(n)))
+    rays = [r + tuple(sum(map(mul, row, r)) for row in graph) for r in base]
+    cone = Cone.from_rays([[r[t] for t in order] for r in rays])
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(primitive_vector)
+    ray = draw(vectors.filter(lambda r: not _oracle_contains(cone, r)))
+    return Fan.from_cones([cone, Cone.from_rays([ray])])
+
+
+def _oracle_contains(c, point):
+    lam = _oracle_coordinates(c.rays, c.ambient, point)
+    return lam is not None and min(lam) >= 0
+
+
 def _spy_on_updates(monkeypatch):
-    """Record (parent cone, i, w, new cone, its judgement) for every ray replacement resolve makes."""
+    """Record (parent cone, i, w, new cone, its judgement, the parent's) for every ray replacement resolve makes."""
     calls = []
     update = toric._replace_ray
 
     def spy(c, judged, mu, i, w):
         out = update(c, judged, mu, i, w)
-        calls.append((c, i, w) + out)
+        calls.append((c, i, w) + out + (judged,))
         return out
 
     monkeypatch.setattr(toric, "_replace_ray", spy)
@@ -430,17 +504,41 @@ class TestWorklistResolve:
         assert resolve(fan).maximal == _scan_resolve(fan).maximal
 
     def test_every_rank_one_update_is_the_elimination(self, monkeypatch):
-        # rank-one updates run from dimension 3 on; plane fans take the Hirzebruch-Jung chain
+        # rank-one updates run from dimension 3 on; plane fans take the Hirzebruch-Jung chain.
+        # Below full dimension a new cone keeps its parent's basis P of the span
         calls = _spy_on_updates(monkeypatch)
         for p, weights in ((29, (1, 3, 25)), (17, (1, 4, 13)), (13, (1, 5, 9)), (11, (1, 3, 7, 9))):
             resolve(quotient_fan(CyclicSingularity(p, weights)))
         for q in ((1, 1, 3), (2, 3, 5), (3, 5, 7), (1, 2, 3, 4)):
             resolve(_weighted_projective_fan(q))
+        for fan in _LOWER_DIMENSIONAL_FANS:
+            resolve(fan)
         parities = set()
-        for c, i, w, cone, judged in calls:
-            assert judged == det_adjugate(tuple(zip(*cone.rays)))
-            parities.add((cone.rays.index(w) - i) % 2)
-        assert len(calls) > 100 and parities == {0, 1}
+        for c, i, w, cone, (basis, det, adj), (parent_basis, _, _) in calls:
+            assert basis is parent_basis
+            rows = (tuple(zip(*cone.rays)) if basis is None
+                    else [[sum(map(mul, row, r)) for r in cone.rays] for row in basis])
+            assert (det, adj) == det_adjugate(rows)
+            parities.add((basis is None, (cone.rays.index(w) - i) % 2))
+        assert len(calls) > 100 and parities == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+    @pytest.mark.parametrize("fan, at", _SPANS)
+    def test_lower_dimensional_fans_resolve_as_in_their_span(self, fan, at):
+        # the padded cone's span is the original space; the plane cone's
+        # stellar rounds reach its Hirzebruch-Jung chain
+        resolved = resolve(_padded(fan, at))
+        assert resolved == _padded(resolve(fan), at)
+        assert all(is_regular(c) for c in resolved.maximal)
+
+    @pytest.mark.parametrize("fan", _LOWER_DIMENSIONAL_FANS[1:])
+    def test_lower_dimensional_fans_match_the_scan(self, fan):
+        # the first, of multiplicity 221, takes the scan several seconds
+        assert resolve(fan) == _scan_resolve(fan)
+
+    @PROPS
+    @given(lower_dimensional_fans())
+    def test_random_lower_dimensional_fans_match_the_scan(self, fan):
+        assert resolve(fan).maximal == _scan_resolve(fan).maximal
 
     def test_stellar_point_must_be_a_new_primitive_ray(self, monkeypatch):
         # the round's one check on w is what lets _replace_ray skip the cone checks
@@ -474,7 +572,7 @@ class TestWorklistResolve:
             points.clear()
             resolve(fan)
             parents = {}
-            for c, _, w, _, _ in calls:
+            for c, _, w, *_ in calls:
                 parents.setdefault(w, set()).add(c)
             assert len(points) == len(set(points)) == len(parents)
             shared += sum(len(cones) > 1 for cones in parents.values())
@@ -540,13 +638,14 @@ def _check_rank_one(rays, w):
     """
     n = len(w)
     c = Cone(tuple(sorted(rays)), n)
-    judged = det_adjugate(tuple(zip(*c.rays)))
-    mu = [sum(map(mul, a, w)) for a in judged[1]]
+    judged = (None, *det_adjugate(tuple(zip(*c.rays))))
+    mu = [sum(map(mul, a, w)) for a in judged[2]]
     parities = set()
     for i, m in enumerate(mu):
         if m == 0:
             continue  # w in the span of the other rays
-        cone, (det, adj) = _replace_ray(c, judged, mu, i, w)
+        cone, (basis, det, adj) = _replace_ray(c, judged, mu, i, w)
+        assert basis is None
         assert cone.rays == tuple(sorted(c.rays[:i] + c.rays[i + 1:] + (w,)))
         assert (det, adj) == det_adjugate(tuple(zip(*cone.rays)))
         assert cone.ray_matrix() * IntMatrix(adj, ncols=n) == det * IntMatrix.identity(n)
