@@ -2,15 +2,18 @@
 
 Everything in this package is computed over Z with arbitrary-precision
 integers, or over a prime field F_p; there is no floating point anywhere.
-The central primitive is the Smith normal form with unimodular transforms;
-saturated kernels, image bases, integer solving and finite-quotient
-invariants are all derived from it, each tracking only the transforms it
-reads.  The Smith diagonal of a non-singular square matrix, which is all
-a finite quotient needs, is computed modulo its determinant, so entries
-never grow.  One fraction-free (Bareiss) elimination gives determinants
-and, run as Gauss-Jordan, the adjugate together with the determinant.  One
-echelon elimination over F_p, on the same Python ints, gives ranks mod p
-and the rank filtrations that Jordan profiles are read from.
+The central primitive is the Smith normal form u m v = d, one elimination
+of the augmented matrix [[m, I], [B, 0]]: the row operations turn I into
+u and the column operations turn the rows B into B v.  Saturated kernels
+(B = I), image bases (B = m, as m v = u^-1 d), integer solving and
+finite-quotient invariants are all read from it, each augmenting m only
+by what it reads.  The Smith diagonal of a non-singular square matrix,
+which is all a finite quotient needs, is computed modulo its determinant,
+so entries never grow.  One fraction-free (Bareiss) elimination gives
+determinants and, run as Gauss-Jordan, the adjugate together with the
+determinant.  One echelon elimination over F_p, on the same Python ints,
+gives ranks mod p and the rank filtrations that Jordan profiles are read
+from.
 
 All values are immutable, all functions are pure, so everything here is
 safe to share between threads.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from math import gcd, prod
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -362,78 +365,37 @@ def det_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, .
 class SmithDecomposition(NamedTuple):
     """u * m * v = d with u, v unimodular and d a diagonal divisor chain.
 
-    A transform that the elimination was not asked to track is None.
+    smith_decomposition fills both transforms.  From _smith, u is None
+    unless asked for, and v holds below * v, None without `below`.
     """
 
     u: IntMatrix | None
-    u_inv: IntMatrix | None
     d: IntMatrix
     v: IntMatrix | None
-    v_inv: IntMatrix | None
     diagonal: tuple[int, ...]
     rank: int
 
 
-def _smith(m: IntMatrix, track: Collection[str] = ()) -> SmithDecomposition:
-    """Smith normal form, updating only the transforms named in `track`.
+def _smith(m: IntMatrix, u: bool = False, below: IntMatrix | None = None) -> SmithDecomposition:
+    """Smith normal form of m by one elimination of [[m, I], [below, 0]].
 
-    The pivoting reads only the matrix being reduced, so a tracked
-    transform equals the one the full decomposition returns.
+    Row operations act on whole rows of the top block, so its right half,
+    the identity when `u`, ends as u; column operations act on every row,
+    so the rows `below` (with m's column count) end as below * v, returned
+    as the field v.  The pivoting reads only m, so every transform equals
+    the one the full decomposition returns.
     """
     nr, nc = m.nrows, m.ncols
     a = [list(row) for row in m.rows]
+    if u:
+        for i, row in enumerate(a):
+            row.extend(int(i == j) for j in range(nr))
+    if below is not None:
+        a += [list(row) for row in below.rows]
 
-    def eye(name, n):
-        return [[int(i == j) for j in range(n)] for i in range(n)] if name in track else None
-
-    u, ui, v, vi = eye("u", nr), eye("u_inv", nr), eye("v", nc), eye("v_inv", nc)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-        if ui is not None:
-            for row in ui:
-                row[i], row[j] = row[j], row[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-        if ui is not None:
-            for row in ui:
-                row[i] = -row[i]
-
-    # rows above s are zero from column s on, and so are columns left of s
-    # from row s down: row and column operations touch only the trailing block
-    def row_add(i, j, q):
-        # row_i += q * row_j; inverse transform: column_j of u_inv -= q * column_i
-        a[i][s:] = [x + q * y for x, y in zip(a[i][s:], a[j][s:])]
-        if u is not None:
-            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        if ui is not None:
-            for row in ui:
-                row[j] -= q * row[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-        if vi is not None:
-            vi[i], vi[j] = vi[j], vi[i]
-
-    def col_add(j, i, q):
-        # col_j += q * col_i; inverse transform: row_i of v_inv -= q * row_j
-        for row in a[s:]:
-            row[j] += q * row[i]
-        if v is not None:
-            for row in v:
-                row[j] += q * row[i]
-        if vi is not None:
-            vi[i] = [x - q * y for x, y in zip(vi[i], vi[j])]
-
+    # in m's block, rows above s are zero from column s on, and so are columns
+    # left of s from row s down: row operations touch columns s on (the rest of
+    # m's row and all of u's), column operations rows s on (with all of below)
     s = 0
     while s < min(nr, nc):
         best = None
@@ -450,25 +412,28 @@ def _smith(m: IntMatrix, track: Collection[str] = ()) -> SmithDecomposition:
             break
         _, bi, bj = best
         if bi != s:
-            row_swap(s, bi)
+            a[s], a[bi] = a[bi], a[s]
         if bj != s:
-            col_swap(s, bj)
+            for row in a[s:]:
+                row[s], row[bj] = row[bj], row[s]
         if a[s][s] < 0:
-            row_neg(s)
+            a[s] = [-x for x in a[s]]
 
-        pivot = a[s][s]
+        top = a[s]
+        pivot = top[s]
         clean = True
-        for i in range(s + 1, nr):
-            q = a[i][s] // pivot
+        for row in a[s + 1:nr]:
+            q = row[s] // pivot
             if q:
-                row_add(i, s, -q)
-            if a[i][s]:
+                row[s:] = [x - q * y for x, y in zip(row[s:], top[s:])]
+            if row[s]:
                 clean = False
         for j in range(s + 1, nc):
-            q = a[s][j] // pivot
+            q = top[j] // pivot
             if q:
-                col_add(j, s, -q)
-            if a[s][j]:
+                for row in a[s:]:
+                    row[j] -= q * row[s]
+            if top[j]:
                 clean = False
         if not clean:
             continue
@@ -480,37 +445,30 @@ def _smith(m: IntMatrix, track: Collection[str] = ()) -> SmithDecomposition:
         )
         if offender is not None:
             # fold the offending row into row s; the next pass shrinks the pivot
-            row_add(s, offender[0], 1)
+            top[s:] = [x + y for x, y in zip(top[s:], a[offender[0]][s:])]
             continue
         s += 1
 
-    def wrap(t, n):
-        return None if t is None else IntMatrix._trusted(tuple(map(tuple, t)), n)
-
     diag = tuple(a[i][i] for i in range(min(nr, nc)))
-    rank = sum(1 for x in diag if x != 0)
     return SmithDecomposition(
-        u=wrap(u, nr),
-        u_inv=wrap(ui, nr),
-        d=wrap(a, nc),
-        v=wrap(v, nc),
-        v_inv=wrap(vi, nc),
+        u=IntMatrix._trusted(tuple(tuple(row[nc:]) for row in a[:nr]), nr) if u else None,
+        d=IntMatrix._trusted(tuple(tuple(row[:nc]) for row in a[:nr]), nc),
+        v=None if below is None else IntMatrix._trusted(tuple(map(tuple, a[nr:])), nc),
         diagonal=diag,
-        rank=rank,
+        rank=sum(1 for x in diag if x != 0),
     )
 
 
 def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
-    """The Smith normal form with all four transforms.
+    """The Smith normal form with both transforms.
 
-    u * m * v = d with u, v unimodular (inverses u_inv, v_inv), and d
-    diagonal with non-negative entries forming a divisibility chain
-    d[0] | d[1] | ... .
+    u * m * v = d with u, v unimodular and d diagonal with non-negative
+    entries forming a divisibility chain d[0] | d[1] | ... .
 
     >>> smith_decomposition(IntMatrix.diagonal([2, 3])).d
     IntMatrix([[1, 0], [0, 6]])
     """
-    return _smith(m, ("u", "u_inv", "v", "v_inv"))
+    return _smith(m, u=True, below=IntMatrix.identity(m.ncols))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -682,18 +640,21 @@ def kernel_saturated(m: IntMatrix) -> IntMatrix:
     The returned rows span a direct summand of Z^ncols, so the quotient by
     their span is torsion-free.
     """
-    s = _smith(m, ("v",))
+    s = _smith(m, below=IntMatrix.identity(m.ncols))
     rows = [s.v.column(j) for j in range(s.rank, m.ncols)]
     return IntMatrix(rows, ncols=m.ncols)
 
 
 def image_basis(m: IntMatrix) -> IntMatrix:
-    """Basis (as rows) of the image subgroup {m*x : x in Z^ncols} of Z^nrows."""
-    s = _smith(m, ("u_inv",))
-    rows = [
-        tuple(s.diagonal[i] * e for e in s.u_inv.column(i))
-        for i in range(s.rank)
-    ]
+    """Basis (as rows) of the image subgroup {m*x : x in Z^ncols} of Z^nrows.
+
+    m rides along below its own elimination and ends as m v = u^-1 d, so
+    column i < rank of it is d_i times column i of u^-1: the image of the
+    i-th basis vector of the Smith basis, read without an inverse or a
+    product.
+    """
+    s = _smith(m, below=m)
+    rows = [s.v.column(i) for i in range(s.rank)]
     return IntMatrix(rows, ncols=m.nrows)
 
 
@@ -726,7 +687,7 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of a*x = b, or None if there is none."""
     if len(b) != a.nrows:
         raise ValueError("right-hand side has wrong length")
-    return back_substitute(_smith(a, ("u", "v")), b)
+    return back_substitute(smith_decomposition(a), b)
 
 
 def back_substitute(s: SmithDecomposition, b: Sequence[int]) -> tuple[int, ...] | None:

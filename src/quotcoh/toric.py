@@ -100,14 +100,10 @@ class Cone(_Frozen):
 
     @property
     def dim(self) -> int:
-        if not self.rays:
-            return 0
-        if len(self.rays) == self.ambient and IntMatrix(self.rays).det() != 0:
-            return self.ambient
         return _smith(self.ray_matrix()).rank
 
     def is_simplicial(self) -> bool:
-        return self.dim == len(self.rays)
+        return self._index() != 0
 
     def _index(self) -> int:
         """Index of the span of the rays in its saturation; 0 for dependent rays."""
@@ -159,7 +155,7 @@ def _judge(c: Cone) -> tuple:
     d = len(c.rays)
     if d == c.ambient:
         return (None, *det_adjugate(tuple(zip(*c.rays))))
-    snf = _smith(c.ray_matrix(), ("u",))
+    snf = _smith(c.ray_matrix(), u=True)
     if snf.rank != d:
         raise ValueError("coordinates need a simplicial cone")
     basis = snf.u.rows[:d]
@@ -212,7 +208,7 @@ class Fan(_Frozen):
         n = self.ambient
         facets: dict[frozenset, int] = {}
         for c in self.maximal:
-            if not c.is_simplicial() or c.dim != n:
+            if len(c.rays) != n or not c.is_simplicial():
                 return False
             for i in range(n):
                 f = frozenset(c.rays[:i] + c.rays[i + 1:])
@@ -404,10 +400,10 @@ def resolve(f: Fan) -> Fan:
     """
     if f.ambient == 2:
         return Fan.from_cones([d for c in f.maximal for d in _hirzebruch_jung(c)], ambient=2)
-    for c in f.maximal:
-        if not c.is_simplicial():
-            raise ValueError("resolution implemented for simplicial fans")
-    judged = {c: _judge(c) for c in f.maximal}
+    try:
+        judged = {c: _judge(c) for c in f.maximal}
+    except ValueError:
+        raise ValueError("resolution implemented for simplicial fans") from None
     on_ray: dict[tuple[int, ...], set[Cone]] = {}
     for c in judged:
         for r in c.rays:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -17,6 +18,23 @@ def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+HERE = pathlib.Path(__file__).resolve().parent
+# case -> {"input": payload, "stdout": ...} of `quotient pushforward`: the Nikulin
+# involution and 20 seeded random G-lattices at p = 2, 3, 5, 7, 11, recorded with
+# the image basis read as d_i times the columns of u^-1
+_PUSHFORWARD = json.loads((HERE / "data" / "pushforward_stdout.json").read_text())
+# paper op ("hilbert --p 5 --m 2", ...) -> SHA-256 of its stdout, shared with the benchmark
+_PAPER_SHA256 = json.loads((HERE.parent / "bench" / "cli_sha256.json").read_text())
+
+
+class TestPaperStdout:
+    @pytest.mark.parametrize("op", sorted(_PAPER_SHA256))
+    def test_stdout_matches_the_recorded_sha256(self, capsys, op):
+        status, out, _ = run(capsys, *op.split())
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _PAPER_SHA256[op]
 
 
 class TestToricCommand:
@@ -208,6 +226,14 @@ class TestLatticeCommand:
 
 
 class TestQuotientCommand:
+    @pytest.mark.parametrize("case", sorted(_PUSHFORWARD))
+    def test_pushforward_stdout_pinned(self, capsys, tmp_path, case):
+        path = tmp_path / "gl.json"
+        path.write_text(json.dumps(_PUSHFORWARD[case]["input"]))
+        status, out, _ = run(capsys, "quotient", "pushforward", "--input", str(path))
+        assert status == 0
+        assert out == _PUSHFORWARD[case]["stdout"]
+
     def test_pushforward_trivial(self, capsys, tmp_path):
         path = tmp_path / "gl.json"
         path.write_text(

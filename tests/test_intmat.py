@@ -65,13 +65,12 @@ class TestSmithNormalForm:
                     if i != j:
                         assert d[i, j] == 0
 
-    def test_inverse_transforms(self):
+    def test_transforms_are_unimodular(self):
         rng = random.Random(11)
         for _ in range(20):
             m = random_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
             s = smith_decomposition(m)
-            assert s.u * s.u_inv == IntMatrix.identity(m.nrows)
-            assert s.v * s.v_inv == IntMatrix.identity(m.ncols)
+            assert abs(s.u.det()) == abs(s.v.det()) == 1
 
 
 class TestRankModP:
@@ -272,7 +271,6 @@ class TestTrustedResults:
         self.well_formed(IntMatrix.identity(nc), nc, nc)
         assert a * IntMatrix.identity(nc) == a
         s = smith_decomposition(a)
-        for m, shape in ((s.d, (nr, nc)), (s.u, (nr, nr)), (s.u_inv, (nr, nr)), (s.v, (nc, nc)),
-                         (s.v_inv, (nc, nc))):
+        for m, shape in ((s.d, (nr, nc)), (s.u, (nr, nr)), (s.v, (nc, nc))):
             self.well_formed(m, *shape)
         assert s.u * a * s.v == s.d

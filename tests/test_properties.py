@@ -4,8 +4,9 @@ The integer signature and determinant are checked against the rational
 congruence reduction and the Bareiss determinant, the Z[G]-module
 analysis from one Smith form of A - 1 against the stacked quotient
 T / (T^G + Ker sigma) and the coordinate routes to Ker sigma / Im(A - 1)
-and Ker(A - 1) / Im sigma it replaced, the transform-on-demand SNF
-against the full decomposition, the Gauss-Jordan adjugate against the
+and Ker(A - 1) / Im sigma it replaced, every request of the augmented SNF
+against the full decomposition, the image basis against d_i times the
+columns of u^-1, the Gauss-Jordan adjugate against the
 n^2 signed minors it replaced, the Smith diagonal modulo the determinant
 against the elimination over Z, the norm map against the naive sum of
 powers, the integral glue checks against the Fraction arithmetic they
@@ -17,7 +18,6 @@ over Z.
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 import pytest
@@ -60,9 +60,6 @@ from quotcoh.selftest import (
 )
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-TRANSFORMS = ("u", "u_inv", "v", "v_inv")
-SUBSETS = [c for k in range(len(TRANSFORMS) + 1) for c in combinations(TRANSFORMS, k)]
 
 
 def fraction_signature(gram: IntMatrix) -> tuple[int, int]:
@@ -187,7 +184,7 @@ def stacked_quotient_bns(gl: GLattice) -> BNSInvariants:
 
 def coordinates_in_rowbasis(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
     """Rows of `vectors` written in the saturated row basis `basis`."""
-    snf = _smith(basis.transpose(), ("u", "v"))
+    snf = smith_decomposition(basis.transpose())
     coords = []
     for row in vectors.rows:
         sol = back_substitute(snf, row)
@@ -315,30 +312,47 @@ class TestModuleAnalysis:
 
 
 class TestSmithOnDemand:
+    """Every (u, below) request of the augmented elimination against the full decomposition."""
+
     def check(self, m):
         full = smith_decomposition(m)
         assert full.u * m * full.v == full.d
-        assert full.u * full.u_inv == IntMatrix.identity(m.nrows)
-        assert full.v * full.v_inv == IntMatrix.identity(m.ncols)
-        for subset in SUBSETS:
-            s = _smith(m, subset)
-            assert (s.diagonal, s.rank, s.d) == (full.diagonal, full.rank, full.d)
-            for name in TRANSFORMS:
-                got = getattr(s, name)
-                assert got == (getattr(full, name) if name in subset else None), (subset, name)
+        assert abs(full.u.det()) == abs(full.v.det()) == 1
+        for u in (False, True):
+            for below in (None, IntMatrix.identity(m.ncols), m):
+                s = _smith(m, u=u, below=below)
+                assert (s.diagonal, s.rank, s.d) == (full.diagonal, full.rank, full.d)
+                assert s.u == (full.u if u else None)
+                assert s.v == (None if below is None else below * full.v)
+
+    @staticmethod
+    def check_image(m):
+        """image_basis(m) against the route it replaced: row i is d_i times column i of u^-1."""
+        full = smith_decomposition(m)
+        det, adj = det_adjugate(full.u.rows)  # det u = +-1, so u^-1 = det * adj(u)
+        want = [tuple(full.diagonal[i] * det * row[i] for row in adj) for i in range(full.rank)]
+        assert image_basis(m) == IntMatrix(want, ncols=m.nrows)
 
     @PROPS
     @given(int_matrices())
     def test_tracked_transforms_equal_the_full_ones(self, m):
         self.check(m)
 
+    @PROPS
+    @given(int_matrices())
+    def test_image_basis_is_d_times_the_inverse_of_u(self, m):
+        self.check_image(m)
+
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 2), (3, 3)])
     def test_empty_single_and_zero_matrices(self, shape):
         nr, nc = shape
-        self.check(IntMatrix.zeros(nr, nc))
+        cases = [IntMatrix.zeros(nr, nc)]
         if nr and nc:
-            self.check(IntMatrix([[(-1) ** (i + j) * (i + 2 * j + 1) for j in range(nc)]
-                                  for i in range(nr)], ncols=nc))
+            cases.append(IntMatrix([[(-1) ** (i + j) * (i + 2 * j + 1) for j in range(nc)]
+                                    for i in range(nr)], ncols=nc))
+        for m in cases:
+            self.check(m)
+            self.check_image(m)
 
 
 def laplace_det(rows) -> int:

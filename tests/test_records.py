@@ -29,8 +29,8 @@ ONE, ZERO = DegreeInvariants(rank=1, l_plus=1), DegreeInvariants(rank=0)
 # (class, keyword arguments, defaults, fields left out of eq and hash with another value)
 CASES = [
     (JordanProfile, dict(p=5, blocks=((1, 2), (5, 1))), {}, {}),
-    (SmithDecomposition, dict(u=None, u_inv=None, d=IntMatrix.diagonal([1, 6]), v=None,
-                              v_inv=None, diagonal=(1, 6), rank=2), {}, {}),
+    (SmithDecomposition, dict(u=None, d=IntMatrix.diagonal([1, 6]), v=None, diagonal=(1, 6), rank=2),
+     {}, {}),
     (DegreeInvariants, dict(rank=3, l_plus=1, l_minus=1, l_pf=0, l_qt=((1, 1),)),
      dict(l_plus=0, l_minus=0, l_pf=0, l_qt=()), {}),
     (GradedInvariants, dict(p=3, n=1, eta=3, degrees=(ONE, ZERO, ONE), strict=True),

@@ -198,9 +198,8 @@ class TestIntegerConeRoute:
         seen = set()
         for _, c in _cases():
             mult = _oracle_multiplicity(c)
-            assert c.is_simplicial() == (mult != 0)
+            assert c.is_simplicial() == (mult != 0) == (c.dim == len(c.rays))
             if mult:
-                assert c.dim == len(c.rays)
                 assert c.multiplicity() == mult
                 seen.add((len(c.rays) == c.ambient, mult == 1))
             else:
@@ -748,6 +747,12 @@ class TestResolve:
     def test_regular_fan_unchanged(self):
         fan = Fan.from_cones([Cone.from_rays([(1, 0), (0, 1)])])
         assert resolve(fan) == fan
+
+    def test_non_simplicial_cones_are_refused_in_dimension_three(self):
+        # dependent rays, and more rays than the dimension: _judge's error, reworded
+        for rays in ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]):
+            with pytest.raises(ValueError, match="resolution implemented for simplicial fans"):
+                resolve(Fan.from_cones([Cone.from_rays(rays)]))
 
     def test_a1_resolution(self):
         fan = quotient_fan(CyclicSingularity(2, (1, 1)))
