@@ -7,17 +7,17 @@ point class, and nu^i those fed the i-th degree-2 class.  A natural
 automorphism acts through the degree-2 slots only, so as a module mod p
 each cohomological degree is a direct sum, over "shapes" (the multiset of
 part sizes occurring across the nu's), of tensor products of symmetric
-powers of the 22-dimensional degree-2 module.  This is the load-bearing
-modeling step of the whole front end.
+powers of the 22-dimensional degree-2 module.  That module is N_1^a +
+N_p^b, whose basis G permutes (a fixed slots, b free orbits of p slots),
+so G permutes the labels too: each degree is N_1^(fixed labels) +
+N_p^(free orbits of labels), and its summand counts are a count of fixed
+labels.  This is the load-bearing modeling step of the whole front end.
 
 The degree of a basis label is taken to be sum(2r-2) over lambda parts,
 plus sum(2r+2) over mu parts, plus sum(2r) over nu parts.  That rule is
 not axiomatic here: it is validated against the known Betti numbers of
 the 2- and 3-point Hilbert schemes before any dependent computation runs,
 and everything aborts loudly if the check fails.
-
-Per-degree assembly only combines memoized pure values, so degrees can be
-evaluated in parallel with results identical to a sequential run.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from itertools import combinations_with_replacement
 from math import comb, gcd
 from typing import Iterator, NamedTuple
 
-from .engine import (
-    DegreeInvariants,
-    GradedInvariants,
-    QuotientReport,
-    lefschetz_euler,
-    quotient_report,
-)
+from .engine import DegreeInvariants, GradedInvariants, QuotientReport, quotient_report
 from .intmat import IntMatrix, _Frozen
 from .lattices import (
     GLattice,
@@ -46,7 +40,7 @@ from .lattices import (
     overlattice_from_glue,
     pushforward_quotient_lattice,
 )
-from .profiles import JordanProfile, direct_sum, sym_power, tensor
+from .profiles import JordanProfile
 
 K3_B2 = 22
 MAX_POINTS = 6
@@ -84,11 +78,25 @@ class Shape(NamedTuple):
         d = sum(2 * r - 2 for r in self.lam) + sum(2 * r + 2 for r in self.mu)
         return d + sum(2 * r * k for r, k in self.multiplicities)
 
-    def label_count(self, slots: int = K3_B2) -> int:
+    def fixed_labels(self, a: int, b: int = 0, p: int = 1) -> int:
+        """Labels of this shape fixed by G, when a degree-2 slots are fixed
+        and the other p b form b free orbits.
+
+        A label picks a k_r-multiset of the slots for each part size r, and
+        it is fixed exactly when it takes the p slots of each free orbit
+        equally often: a k-multiset is then a (k - p j)-multiset of the
+        fixed slots and a j-multiset of the orbits.  With b = 0 every label
+        is fixed, so fixed_labels(K3_B2) counts them all.
+        """
         c = 1
         for _, k in self.multiplicities:
-            c *= comb(slots + k - 1, k)
+            c *= sum(_multisets(a, k - p * j) * _multisets(b, j) for j in range(k // p + 1))
         return c
+
+
+def _multisets(n: int, t: int) -> int:
+    """Number of t-multisets of n slots."""
+    return comb(n + t - 1, t) if t else 1
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +166,7 @@ def betti_numbers(m: int) -> tuple[int, ...]:
         raise ValueError(f"supported range is 1 <= m <= {MAX_POINTS}")
     out = [0] * (4 * m + 1)
     for shape in _shapes(m):
-        out[shape.degree] += shape.label_count()
+        out[shape.degree] += shape.fixed_labels(K3_B2)
     return tuple(out)
 
 
@@ -189,10 +197,11 @@ def graded_profile(m: int, h2_profile: JordanProfile) -> GradedInvariants:
     """Per-degree module invariants of the m-point Hilbert scheme.
 
     h2_profile is the mod-p profile of the degree-2 cohomology of the
-    surface (trivial and free blocks only, dimension 22).  Each shape of
-    degree k contributes the tensor product over part sizes r of the
-    k_r-th symmetric power of that module; the unit/point/diagonal slots
-    contribute trivial factors.
+    surface (trivial and free blocks only, dimension 22), so G permutes the
+    basis labels, and each degree is N_1^l_plus + N_p^l_pf with l_plus its
+    fixed labels (Shape.fixed_labels) and l_pf = (rank - l_plus) / p.  As
+    every degree is even and l_minus = 0, eta = lefschetz_euler is the sum
+    of the l_plus.
     """
     _ensure_degree_rule()
     if not (1 <= m <= MAX_POINTS):
@@ -204,33 +213,17 @@ def graded_profile(m: int, h2_profile: JordanProfile) -> GradedInvariants:
         raise ValueError("the front end handles odd primes only")
     if any(q not in (1, p) for q, _ in h2_profile.blocks):
         raise ValueError("degree-2 profile must consist of trivial and free blocks")
-    by_degree = [JordanProfile.zero(p) for _ in range(4 * m + 1)]
+    a, b = h2_profile.count(1), h2_profile.count(p)
+    fixed = [0] * (4 * m + 1)
     for shape in _shapes(m):
-        module = JordanProfile.single(p, 1)
-        for r, k in shape.multiplicities:
-            module = tensor(module, sym_power(h2_profile, k))
-        by_degree[shape.degree] = direct_sum(by_degree[shape.degree], module)
-    betti = betti_numbers(m)
+        fixed[shape.degree] += shape.fixed_labels(a, b, p)
     degrees = []
-    for k, prof in enumerate(by_degree):
-        if prof.dimension() != betti[k]:
-            raise RuntimeError(f"degree {k}: profile dimension differs from Betti number")
-        middle = [q for q, _ in prof.blocks if 2 <= q <= p - 2]
-        if middle:
-            raise RuntimeError(f"degree {k}: unexpected middle blocks {middle}")
-        degrees.append(
-            DegreeInvariants.make(
-                rank=prof.dimension(),
-                l_plus=prof.count(1),
-                l_minus=prof.count(p - 1),
-                l_pf=prof.count(p),
-            )
-        )
-    inv = GradedInvariants(
-        p=p, n=2 * m, eta=0, degrees=tuple(degrees), strict=False
-    )
-    eta = lefschetz_euler(inv)
-    return GradedInvariants(p=p, n=2 * m, eta=eta, degrees=tuple(degrees))
+    for k, (rank, l_plus) in enumerate(zip(betti_numbers(m), fixed)):
+        l_pf, rest = divmod(rank - l_plus, p)
+        if rest or l_pf < 0:
+            raise RuntimeError(f"degree {k}: {rank - l_plus} moved labels are not free orbits")
+        degrees.append(DegreeInvariants.make(rank=rank, l_plus=l_plus, l_pf=l_pf))
+    return GradedInvariants(p=p, n=2 * m, eta=sum(fixed), degrees=tuple(degrees))
 
 
 class K3ActionSpec(NamedTuple):

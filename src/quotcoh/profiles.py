@@ -8,13 +8,15 @@ module, and it is all that is needed downstream: cohomology dimensions of
 the group acting, tensor products, symmetric powers.
 
 Profiles are extracted from the rank filtration of (A - 1)^k rather than
-from an explicit Jordan basis; only the counts matter.  Tensor and
-symmetric powers of single blocks use closed forms wherever a block is
-trivial (N_1) or free (N_p), which covers every module the Hilbert-scheme
-front end builds.  Only for the middle blocks N_q, 2 <= q <= p-1, is the
-induced matrix on a representative unipotent block built and its profile
-re-extracted.  Results are memoized per (p, block sizes, exponent), so
-concurrent callers simply recompute the same pure value.
+from an explicit Jordan basis; only the counts matter.  Tensor products
+of single blocks follow Green's formula, and symmetric powers of single
+blocks use closed forms wherever a block is trivial (N_1) or free (N_p).
+Only Sym^k of a middle block N_q, 2 <= q <= p-1, builds the induced
+matrix on a representative unipotent block and re-extracts its profile.
+Results are memoized per (p, block sizes, exponent), so concurrent
+callers simply recompute the same pure value.  The Hilbert-scheme front
+end needs none of this algebra: its modules are permutation modules,
+whose summands it counts directly.
 
 Over Z, _module_analysis reads the summand counts of an order-p integer
 action from one Smith form of A - 1, and checks them against the trace of
@@ -185,17 +187,14 @@ def representative_matrix(prof: JordanProfile) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _tensor_single(p: int, q1: int, q2: int) -> JordanProfile:
-    if q1 > q2:
-        q1, q2 = q2, q1
-    if q1 == 1:
-        return JordanProfile.single(p, q2)
-    if q2 == p:
-        # N_p is the free module F[G]; F[G] tensor M is free of rank dim M
-        return JordanProfile.single(p, p, q1)
-    j1 = representative_matrix(JordanProfile.single(p, q1))
-    j2 = representative_matrix(JordanProfile.single(p, q2))
-    return jordan_profile(j1.kronecker(j2), p)
+def _tensor_single(p: int, r: int, s: int) -> JordanProfile:
+    """N_r tensor N_s by Green's formula (Green 1962; Renaud, J. Algebra 58,
+    1979): for r <= s it is the sum of N_(s-r+2i-1) over 1 <= i <= min(r, p-s)
+    plus N_p^max(0, r+s-p); r = 1 gives N_s, s = p the free N_p^r."""
+    r, s = min(r, s), max(r, s)
+    counts = {s - r + 2 * i - 1: 1 for i in range(1, min(r, p - s) + 1)}
+    counts[p] = max(0, r + s - p)
+    return JordanProfile.from_counts(p, counts)
 
 
 def tensor(a: JordanProfile, b: JordanProfile) -> JordanProfile:

@@ -112,7 +112,7 @@ def random_graded_invariants(rng: random.Random, p: int, n: int) -> GradedInvari
             )
         )
     degrees.append(DegreeInvariants.make(rank=1, l_plus=1))
-    return GradedInvariants(p=p, n=n, eta=0, degrees=tuple(degrees), strict=False)
+    return GradedInvariants(p=p, n=n, eta=0, degrees=tuple(degrees))
 
 
 class CheckResult(NamedTuple):

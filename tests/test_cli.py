@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -633,6 +634,22 @@ class TestLazyPackage:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               check=True)
         assert proc.stderr.split() == ["True"]
+
+    def test_no_layer_imports_a_name_it_never_uses(self):
+        # an unused import still costs every process that loads the layer
+        unused = []
+        for path in sorted((HERE.parent / "src" / "quotcoh").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = (alias.asname or alias.name).split(".")[0]
+                        if name not in used:
+                            unused.append(f"{path.name}:{node.lineno} {name}")
+        assert unused == []
 
 
 class TestSelftestCommand:

@@ -22,7 +22,7 @@ from quotcoh.hilbert import (
     k3_table,
     nikulin_involution,
 )
-from quotcoh.engine import lefschetz_euler, quotient_report
+from quotcoh.engine import DegreeInvariants, GradedInvariants, lefschetz_euler, quotient_report
 from quotcoh.lattices import bns_invariants, invariants
 from quotcoh.profiles import JordanProfile
 
@@ -121,14 +121,12 @@ class TestGradedProfile:
             graded_profile(2, JordanProfile.from_counts(5, {1: 2, 5: 3}))
 
     def test_paper_path_builds_no_dense_matrix(self, monkeypatch):
-        for cached in (profiles._sym_single, profiles._sym_profile, profiles._tensor_single):
-            cached.cache_clear()
-
         def refuse(*args):
-            raise AssertionError("dense matrix built for a trivial/free profile")
+            raise AssertionError("profile algebra run for a permutation module")
 
-        monkeypatch.setattr(profiles, "sym_power_matrix", refuse)
-        monkeypatch.setattr(profiles, "_profile_from_rows", refuse)
+        for name in ("sym_power_matrix", "_profile_from_rows", "sym_power", "tensor",
+                     "_sym_profile", "_tensor_single"):
+            monkeypatch.setattr(profiles, name, refuse)
         inv = graded_profile(6, k3_h2_profile(7))
         assert [inv.degree(k).rank for k in range(25)] == list(betti_numbers(6))
 
@@ -137,6 +135,48 @@ class TestGradedProfile:
             inv = hilbert_invariants(p, m)
             for k in range(4 * m + 1):
                 assert (inv.degree(k).rank - inv.l_plus(k)) % p == 0
+
+
+def _assembled_profile(m, h2_profile):
+    """Oracle: each shape of degree k contributes the tensor product over part
+    sizes r of the k_r-th symmetric power of the degree-2 module, read off
+    the profile algebra."""
+    p = h2_profile.p
+    by_degree = [JordanProfile.zero(p) for _ in range(4 * m + 1)]
+    for shape in hilbert._shapes(m):
+        module = JordanProfile.single(p, 1)
+        for _, k in shape.multiplicities:
+            module = profiles.tensor(module, profiles.sym_power(h2_profile, k))
+        by_degree[shape.degree] = profiles.direct_sum(by_degree[shape.degree], module)
+    degrees = []
+    for prof in by_degree:
+        assert not [q for q, _ in prof.blocks if 2 <= q <= p - 2]
+        degrees.append(DegreeInvariants.make(rank=prof.dimension(), l_plus=prof.count(1),
+                                             l_minus=prof.count(p - 1), l_pf=prof.count(p)))
+    inv = GradedInvariants(p=p, n=2 * m, eta=0, degrees=tuple(degrees))
+    return GradedInvariants(p=p, n=2 * m, eta=lefschetz_euler(inv), degrees=tuple(degrees))
+
+
+class TestFixedLabelCount:
+    """graded_profile counts fixed labels; the profile algebra is its oracle."""
+
+    # every odd p <= 19 and every split 22 = a + p b, with a = 0 at (11, 2) and b = 0
+    @pytest.mark.parametrize("p,b", [(p, b) for p in (3, 5, 7, 11, 13, 17, 19)
+                                     for b in range(22 // p + 1)])
+    def test_matches_the_profile_algebra(self, p, b):
+        h2 = JordanProfile.from_counts(p, {1: 22 - p * b, p: b})
+        for m in range(1, 7):
+            assert graded_profile(m, h2) == _assembled_profile(m, h2)
+
+    @pytest.mark.parametrize("count", [0, 10**6])
+    def test_moved_labels_must_form_free_orbits(self, monkeypatch, count):
+        # 1 - 0 moved labels in degree 0 is no multiple of 7, 1 - 10^6 is negative
+        # the degree rule and the ranks are counted before the count is corrupted
+        hilbert._ensure_degree_rule()
+        betti_numbers(2)
+        monkeypatch.setattr(hilbert.Shape, "fixed_labels", lambda self, a, b=0, p=1: count)
+        with pytest.raises(RuntimeError, match="not free orbits"):
+            graded_profile(2, k3_h2_profile(7))
 
 
 class TestK3Table:

@@ -107,7 +107,7 @@ class TestTensor:
         n5 = JordanProfile.single(5, 5)
         assert tensor(n5, n5) == JordanProfile.single(5, 5, 5)
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_against_kronecker_oracle(self, p):
         for q1 in range(1, p + 1):
             for q2 in range(1, p + 1):
