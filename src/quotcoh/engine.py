@@ -111,6 +111,10 @@ class GradedInvariants(_Frozen):
                 raise ValueError(
                     f"degree {k}: rank {d.rank} != l_+ + (p-1) l_- + p l_pf = {expected}"
                 )
+            # a Jordan block of an order-p operator over F_p has size at most p
+            big = max((q for q, _ in d.l_qt), default=0)
+            if big > p:
+                raise ValueError(f"degree {k}: torsion block of size {big} > p = {p}")
         if strict:
             top = degrees[2 * n]
             bottom = degrees[0]

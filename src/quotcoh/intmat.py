@@ -8,12 +8,13 @@ u and the column operations turn the rows B into B v.  Saturated kernels
 (B = I), image bases (B = m, as m v = u^-1 d), integer solving and
 finite-quotient invariants are all read from it, each augmenting m only
 by what it reads.  The Smith diagonal of a non-singular square matrix,
-which is all a finite quotient needs, is computed modulo its determinant,
-so entries never grow.  One fraction-free (Bareiss) elimination gives
-determinants and, run as Gauss-Jordan, the adjugate together with the
-determinant.  One echelon elimination over F_p, on the same Python ints,
-gives ranks mod p and the rank filtrations that Jordan profiles are read
-from.
+which is all a finite quotient needs, is computed modulo its determinant
+D: the input is reduced once and each step's pivot row once, so after k
+steps every entry is below D + k D^2 in absolute value.  One
+fraction-free (Bareiss) elimination gives determinants and, run as
+Gauss-Jordan, the adjugate together with the determinant.  One echelon
+elimination over F_p, on the same Python ints, gives ranks mod p and the
+rank filtrations that Jordan profiles are read from.
 
 All values are immutable, all functions are pure, so everything here is
 safe to share between threads.
@@ -495,6 +496,15 @@ def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int) -> tuple[int, .
     column; each combination replaces g by a proper divisor, so there are
     at most log2(D) of them per step.  The step contributes Z/g, and the
     g's are made into a divisor chain at the end; their product must be D.
+
+    Only the input and each step's pivot row are reduced mod D, the pivot
+    row once before it multiplies; the other rows take t - x s unreduced,
+    in place.  Every value the elimination reads is read modulo D or a
+    divisor g of D (gcd(e, D), e mod g, and x = e/g c^-1 mod D/g), and the
+    extended gcd combinations reduce their inputs and what they write, so
+    the pivots, the g's and the diagonal are those of full reduction.
+    With x < D and a reduced pivot row a step adds less than D^2 to an
+    entry, so after k steps |entry| < D + k D^2.
     """
     n = len(rows)
     mod = abs(det)
@@ -523,7 +533,7 @@ def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int) -> tuple[int, .
             i = next((i for i in range(1, len(a)) if a[i][0] % g), None)
             if i is not None:
                 # [[x, y], [-e/h, p/h]] on rows 0 and i leaves h, 0 in column 0
-                p, e = top[0], a[i][0]
+                p, e = top[0] % mod, a[i][0] % mod
                 h, x, y = _xgcd(p, e)
                 a[0] = [(x * s + y * t) % mod for s, t in zip(top, a[i])]
                 a[i] = [(p // h * t - e // h * s) % mod for s, t in zip(top, a[i])]
@@ -531,20 +541,20 @@ def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int) -> tuple[int, .
                 j = next((j for j in range(1, len(top)) if top[j] % g), None)
                 if j is None:
                     break
-                p, e = top[0], top[j]
+                p, e = top[0] % mod, top[j] % mod
                 h, x, y = _xgcd(p, e)
                 for row in a:
                     s, t = row[0], row[j]
                     row[0], row[j] = (x * s + y * t) % mod, (p // h * t - e // h * s) % mod
             g = gcd(a[0][0], mod)
-        top = a[0]
+        top = [e % mod for e in a[0]]
         # pivot = g c with c a unit mod D/g: row_i -= x row_0 clears a_i0 = g f
         unit = pow(top[0] // g, -1, mod // g)
-        rest = []
-        for row in a[1:]:
-            x = row[0] // g * unit % (mod // g)
-            rest.append([(t - x * s) % mod for s, t in zip(top[1:], row[1:])] if x else row[1:])
-        a = rest
+        del a[0]
+        for row in a:
+            x = row.pop(0) // g * unit % (mod // g)
+            if x:
+                row[:] = [t - x * s for s, t in zip(top[1:], row)]
         found.append(g)
     if prod(found) != mod:
         raise RuntimeError(f"modular Smith diagonal {found} does not multiply to |det| = {mod}")
@@ -641,8 +651,7 @@ def kernel_saturated(m: IntMatrix) -> IntMatrix:
     their span is torsion-free.
     """
     s = _smith(m, below=IntMatrix.identity(m.ncols))
-    rows = [s.v.column(j) for j in range(s.rank, m.ncols)]
-    return IntMatrix(rows, ncols=m.ncols)
+    return IntMatrix._trusted(s.v.transpose().rows[s.rank:], m.ncols)
 
 
 def image_basis(m: IntMatrix) -> IntMatrix:
@@ -654,8 +663,7 @@ def image_basis(m: IntMatrix) -> IntMatrix:
     product.
     """
     s = _smith(m, below=m)
-    rows = [s.v.column(i) for i in range(s.rank)]
-    return IntMatrix(rows, ncols=m.nrows)
+    return IntMatrix._trusted(s.v.transpose().rows[:s.rank], m.nrows)
 
 
 def quotient_group(sub: IntMatrix, ambient_rank: int) -> list[int]:

@@ -281,8 +281,8 @@ def pushforward_quotient_lattice(gl: GLattice) -> Lattice:
     for row in pairing.rows:
         if any(e % gl.p != 0 for e in row):
             raise ValueError("pushforward pairing is not divisible by p")
-        entries.append([e // gl.p for e in row])
-    return Lattice(IntMatrix(entries, ncols=basis.nrows))
+        entries.append(tuple(e // gl.p for e in row))
+    return Lattice(IntMatrix._trusted(tuple(entries), basis.nrows))
 
 
 def overlattice_from_glue(base: Lattice, glue: Sequence[Sequence]) -> Lattice:
@@ -344,6 +344,8 @@ def fujiki_constant(p: int, m: int, c) -> Fraction:
     if m < 2:
         raise ValueError("needs m >= 2")
     c = Fraction(c)
+    if c == 0:
+        raise ValueError("rescale factor c must be non-zero")
     return Fraction(factorial(2 * m) * p ** (2 * m - 1), factorial(m) * 2 ** m) / c ** m
 
 

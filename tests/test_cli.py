@@ -235,6 +235,16 @@ class TestQuotientCommand:
         assert status == 0
         assert out == _PUSHFORWARD[case]["stdout"]
 
+    def test_report_refuses_torsion_blocks_larger_than_p(self, capsys, monkeypatch):
+        # refused when the invariants are read, before the torsion-free check
+        payload = {"p": 3, "n": 1, "eta": 2, "degrees": [{"k": 0, "rank": 1, "l_plus": 1},
+                                                         {"k": 1, "rank": 0, "l_qt": {"9": 1}},
+                                                         {"k": 2, "rank": 1, "l_plus": 1}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        status, out, err = run(capsys, "quotient", "report", "--input", "-")
+        assert (status, out) == (2, "")
+        assert json.loads(err) == {"error": "degree 1: torsion block of size 9 > p = 3"}
+
     def test_pushforward_trivial(self, capsys, tmp_path):
         path = tmp_path / "gl.json"
         path.write_text(

@@ -55,6 +55,21 @@ class TestGradedInvariants:
                 ),
             )
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_torsion_blocks_larger_than_p_rejected(self, p):
+        # e2_entry counted such a block in row 0 while the F-page dropped it
+        one = DegreeInvariants.make(rank=1, l_plus=1)
+
+        def graded(q):
+            return GradedInvariants(p=p, n=1, eta=0,
+                                    degrees=(one, DegreeInvariants.make(l_qt={1: 1, q: 1}), one))
+
+        assert e2_entry(graded(p), 0, 1) == (0, 2)
+        with pytest.raises(ValueError, match=f"degree 1: torsion block of size {p + 1} > p = {p}"):
+            graded(p + 1)
+        with pytest.raises(ValueError, match="block of size 9"):
+            graded(9)
+
     def test_json_roundtrip(self):
         inv = k3_invariants(5, 2, 4)
         assert GradedInvariants.from_json(inv.to_json()) == inv

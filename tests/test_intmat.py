@@ -14,6 +14,7 @@ from quotcoh.intmat import (
     smith_decomposition,
     solve_integer,
 )
+from quotcoh.lattices import GLattice, pushforward_quotient_lattice
 
 
 def random_matrix(rng, nrows, ncols, bound=9):
@@ -274,3 +275,22 @@ class TestTrustedResults:
         for m, shape in ((s.d, (nr, nc)), (s.u, (nr, nr)), (s.v, (nc, nc))):
             self.well_formed(m, *shape)
         assert s.u * a * s.v == s.d
+        kernel = kernel_saturated(a)
+        self.well_formed(kernel, nc - s.rank, nc)
+        assert kernel == IntMatrix([s.v.column(j) for j in range(s.rank, nc)], ncols=nc)
+        image = image_basis(a)
+        self.well_formed(image, s.rank, nr)
+        assert image == IntMatrix([(a * s.v).column(i) for i in range(s.rank)], ncols=nr)
+
+    @pytest.mark.parametrize("gram, action, p", [
+        ([[2, 1], [1, 2]], [[-1, 0], [0, -1]], 2),  # sigma = 0: a rank-0 pushforward
+        ([[2, 1], [1, 2]], [[0, 1], [1, 0]], 2),
+        ([[4, 1, 1], [1, 4, 1], [1, 1, 4]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]], 3),
+    ])
+    def test_pushforward_gram(self, gram, action, p):
+        gl = GLattice(gram=IntMatrix(gram), action=IntMatrix(action), p=p)
+        basis = image_basis(gl.sigma())
+        pushed = pushforward_quotient_lattice(gl).gram
+        self.well_formed(pushed, basis.nrows, basis.nrows)
+        pairing = basis * gl.gram * basis.transpose()
+        assert pushed == IntMatrix([[x // p for x in row] for row in pairing.rows], ncols=basis.nrows)

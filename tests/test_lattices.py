@@ -408,6 +408,11 @@ class TestFujiki:
         with pytest.raises(ValueError):
             fujiki_constant(5, 1, 5)
 
+    @pytest.mark.parametrize("c", [0, 0.0, Fraction(0)])
+    def test_rejects_zero_rescale(self, c):
+        with pytest.raises(ValueError, match="non-zero"):
+            fujiki_constant(5, 2, c)
+
 
 class TestLatticeTheoryIdentities:
     def test_index_squared_is_discriminant_ratio(self):

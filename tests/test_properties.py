@@ -8,7 +8,8 @@ and Ker(A - 1) / Im sigma it replaced, every request of the augmented SNF
 against the full decomposition, the image basis against d_i times the
 columns of u^-1, the Gauss-Jordan adjugate against the
 n^2 signed minors it replaced, the Smith diagonal modulo the determinant
-against the elimination over Z, the norm map against the naive sum of
+against the elimination over Z (and its unreduced entries against the
+bound D + n D^2), the norm map against the naive sum of
 powers, the integral glue checks against the Fraction arithmetic they
 replaced, the prefix sums of the quotient report against the per-degree
 sums, and the mod-p ranks and Jordan profiles against Smith diagonals
@@ -18,7 +19,7 @@ over Z.
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -498,6 +499,25 @@ def nonsingular_matrices(draw, max_n=6):
     return rows
 
 
+# (n, the diagonal entries > 1 of U diag(d) V): every such entry shares one
+# prime, so the elimination takes a long run of unit pivots and then at
+# least one non-unit step per entry; D has 150 to 250 bits
+LONG_RUNS = [
+    (24, (3**4, 3**4, 3**4 * 5**6, 3**8 * 5**6 * 7**9, 3**8 * 5**12 * 7**9 * 11**4)),
+    (32, (2**5, 2**5, 2**5 * 3**20, 2**10 * 3**40 * 13**10)),
+    (40, (7**3, 7**3, 7**3 * 2**16, 7**6 * 2**16 * 3**11, 7**6 * 2**32 * 3**11)),
+    (48, (5, 5, 5**2, 5**2 * 3**30, 5**4 * 3**30 * 2**40, 5**4 * 2**40 * 17**5)),
+]
+
+
+def long_run_matrix(case):
+    n, tail = LONG_RUNS[case]
+    rng = random.Random(case)
+    d = (1,) * (n - len(tail)) + tail
+    u, v = (random_unimodular(rng, n, ops=4 * n)[0] for _ in range(2))
+    return u * IntMatrix.diagonal(d) * v
+
+
 class TestSmithDiagonalModDet:
     def check(self, rows):
         m = IntMatrix(rows, ncols=len(rows))
@@ -525,6 +545,33 @@ class TestSmithDiagonalModDet:
     ])
     def test_boundary_matrices(self, rows):
         self.check(rows)
+
+    @pytest.mark.parametrize("case", range(len(LONG_RUNS)))
+    def test_long_runs_of_lazy_updates(self, case):
+        m = long_run_matrix(case)
+        tail = LONG_RUNS[case][1]
+        assert 150 <= abs(m.det()).bit_length() <= 250
+        diagonal = _smith_diagonal_mod(m.rows, m.det())
+        assert diagonal == _smith(m).diagonal
+        assert sum(d > 1 for d in diagonal) == len(tail) >= 3
+
+    @pytest.mark.parametrize("case", range(len(LONG_RUNS)))
+    def test_entries_stay_below_d_squared_times_n(self, case, monkeypatch):
+        # the rows below the pivot go unreduced, so after k steps an entry is
+        # below D + k D^2; the pivot search hands gcd every entry it scans
+        m = long_run_matrix(case)
+        det, want = m.det(), _smith(m).diagonal
+        limit = 2 * abs(det).bit_length() + m.nrows.bit_length() + 2
+        widest = []
+
+        def bounded_gcd(a, b):
+            widest.append(abs(a).bit_length())
+            assert widest[-1] <= limit, f"an entry of {widest[-1]} bits, limit {limit}"
+            return gcd(a, b)
+
+        monkeypatch.setattr("quotcoh.intmat.gcd", bounded_gcd)
+        assert _smith_diagonal_mod(m.rows, det) == want
+        assert max(widest) > abs(det).bit_length()  # the updates ran unreduced
 
 
 def fraction_overlattice(base, glue):
