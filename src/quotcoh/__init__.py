@@ -55,9 +55,8 @@ _EXPORTS = {
         "engine",
     ),
     **dict.fromkeys(
-        ("K3_TABLE", "NakajimaLabel", "bb_quotient", "betti_numbers", "betti_table",
-         "enumerate_basis", "graded_profile", "hilbert_report", "k3_table",
-         "nikulin_involution"),
+        ("K3_TABLE", "bb_quotient", "betti_numbers", "betti_table", "graded_profile",
+         "hilbert_report", "k3_table", "nikulin_involution"),
         "hilbert",
     ),
 }

@@ -55,8 +55,8 @@ def _json_key(key: str, name: str) -> int:
 class DegreeInvariants(_Frozen):
     """Summand counts of one cohomology degree.
 
-    l_qt maps block sizes q to the counts of the mod-p torsion profile of
-    that degree (empty for p-torsion-free spaces).
+    l_qt pairs block sizes q, sorted and distinct, with the counts of the
+    mod-p torsion profile of that degree (empty for p-torsion-free spaces).
     """
 
     __slots__ = ("rank", "l_plus", "l_minus", "l_pf", "l_qt")
@@ -68,6 +68,9 @@ class DegreeInvariants(_Frozen):
         for q, c in l_qt:
             if q < 1 or c < 0:
                 raise ValueError("bad torsion profile entry")
+        sizes = [q for q, _ in l_qt]
+        if sizes != sorted(set(sizes)):
+            raise ValueError("torsion block sizes must be sorted and distinct")
         _Frozen.__init__(self, rank, l_plus, l_minus, l_pf, l_qt)
 
     @classmethod

@@ -4,32 +4,31 @@ The integral cohomology of the m-point Hilbert scheme has a basis indexed
 by tuples (lambda, mu, nu^1, ..., nu^22) of partitions of total weight m:
 lambda labels creation operators fed the unit class, mu those fed the
 point class, and nu^i those fed the i-th degree-2 class.  A natural
-automorphism acts through the degree-2 slots only, so as a module mod p
-each cohomological degree is a direct sum, over "shapes" (the multiset of
-part sizes occurring across the nu's), of tensor products of symmetric
-powers of the 22-dimensional degree-2 module.  That module is N_1^a +
-N_p^b, whose basis G permutes (a fixed slots, b free orbits of p slots),
-so G permutes the labels too: each degree is N_1^(fixed labels) +
+automorphism acts through the degree-2 slots only, and on them as the
+permutation module N_1^a + N_p^b (a fixed slots, b free orbits of p
+slots).  So G permutes the labels: each degree is N_1^(fixed labels) +
 N_p^(free orbits of labels), and its summand counts are a count of fixed
 labels.  This is the load-bearing modeling step of the whole front end.
 
 The degree of a basis label is taken to be sum(2r-2) over lambda parts,
-plus sum(2r+2) over mu parts, plus sum(2r) over nu parts.  That rule is
-not axiomatic here: it is validated against the known Betti numbers of
-the 2- and 3-point Hilbert schemes before any dependent computation runs,
-and everything aborts loudly if the check fails.
+plus sum(2r+2) over mu parts, plus sum(2r) over nu parts.  The labels
+fixed by G, counted by weight and degree, are then the coefficients of
+Goettsche's product with one more factor per free orbit (_label_counts);
+with b = 0 it is Goettsche's formula for the Betti numbers.  The degree
+rule is not axiomatic here: it is validated against the known Betti
+numbers of the 2- and 3-point Hilbert schemes before any dependent
+computation runs, and everything aborts loudly if the check fails.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb, gcd
-from typing import Iterator, NamedTuple
+from math import gcd
+from typing import NamedTuple
 
 from .engine import DegreeInvariants, GradedInvariants, QuotientReport, quotient_report
-from .intmat import IntMatrix, _Frozen
+from .intmat import IntMatrix
 from .lattices import (
     GLattice,
     Lattice,
@@ -46,128 +45,36 @@ K3_B2 = 22
 MAX_POINTS = 6
 
 
-def _partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n as descending tuples (the empty tuple for n = 0)."""
-    if n == 0:
-        yield ()
-        return
-    def gen(rest, maxpart):
-        if rest == 0:
-            yield ()
-            return
-        for part in range(min(rest, maxpart), 0, -1):
-            for tail in gen(rest - part, part):
-                yield (part,) + tail
-    yield from gen(n, n)
+def _label_counts(m: int, a: int, b: int = 0, p: int = 1) -> tuple[int, ...]:
+    """Basis labels of weight m fixed by G, by degree 0..4m, when a degree-2
+    slots are fixed and b orbits of p slots are free.
 
-
-class Shape(NamedTuple):
-    """One G-isotypic family of basis labels.
-
-    lam/mu are the partitions on the unit and point slots; multiplicities
-    counts the nu-parts by size r (so multiplicities[r] parts of size r
-    occur in total across the 22 degree-2 slots).
+    The coefficients of t^k in [q^m] of prod_r (1 - q^r t^(2r-2))^-1
+    (1 - q^r t^(2r+2))^-1 (1 - q^r t^(2r))^-a (1 - q^(pr) t^(2pr))^-b: a
+    label is fixed exactly when it gives every slot of a free orbit the same
+    partition, so an orbit carries one partition p times, and each of its
+    parts r has weight p r and degree 2 p r (Goettsche, Math. Ann. 286,
+    1990, for b = 0).
     """
-
-    lam: tuple[int, ...]
-    mu: tuple[int, ...]
-    multiplicities: tuple[tuple[int, int], ...]
-
-    @property
-    def degree(self) -> int:
-        d = sum(2 * r - 2 for r in self.lam) + sum(2 * r + 2 for r in self.mu)
-        return d + sum(2 * r * k for r, k in self.multiplicities)
-
-    def fixed_labels(self, a: int, b: int = 0, p: int = 1) -> int:
-        """Labels of this shape fixed by G, when a degree-2 slots are fixed
-        and the other p b form b free orbits.
-
-        A label picks a k_r-multiset of the slots for each part size r, and
-        it is fixed exactly when it takes the p slots of each free orbit
-        equally often: a k-multiset is then a (k - p j)-multiset of the
-        fixed slots and a j-multiset of the orbits.  With b = 0 every label
-        is fixed, so fixed_labels(K3_B2) counts them all.
-        """
-        c = 1
-        for _, k in self.multiplicities:
-            c *= sum(_multisets(a, k - p * j) * _multisets(b, j) for j in range(k // p + 1))
-        return c
-
-
-def _multisets(n: int, t: int) -> int:
-    """Number of t-multisets of n slots."""
-    return comb(n + t - 1, t) if t else 1
-
-
-@lru_cache(maxsize=None)
-def _shapes(m: int) -> tuple[Shape, ...]:
-    out = []
-    for w_lam in range(m + 1):
-        for lam in _partitions(w_lam):
-            for w_mu in range(m + 1 - w_lam):
-                for mu in _partitions(w_mu):
-                    for rho in _partitions(m - w_lam - w_mu):
-                        mult: dict[int, int] = {}
-                        for r in rho:
-                            mult[r] = mult.get(r, 0) + 1
-                        out.append(Shape(lam, mu, tuple(sorted(mult.items()))))
-    return tuple(out)
-
-
-class NakajimaLabel(_Frozen):
-    """Index of one integral basis class of the m-point Hilbert scheme."""
-
-    __slots__ = ("lam", "mu", "nus")
-
-    def __init__(self, lam: tuple[int, ...], mu: tuple[int, ...], nus: tuple[tuple[int, ...], ...]):
-        if len(nus) != K3_B2:
-            raise ValueError(f"expected {K3_B2} degree-2 slots")
-        _Frozen.__init__(self, lam, mu, nus)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.lam) + sum(self.mu) + sum(sum(nu) for nu in self.nus)
-
-    @property
-    def degree(self) -> int:
-        d = sum(2 * r - 2 for r in self.lam) + sum(2 * r + 2 for r in self.mu)
-        return d + sum(2 * r for nu in self.nus for r in nu)
-
-
-def _emit_labels(shape: Shape, idx: int, slot_parts: dict) -> Iterator[NakajimaLabel]:
-    if idx == len(shape.multiplicities):
-        nus = tuple(
-            tuple(sorted(slot_parts.get(i, ()), reverse=True))
-            for i in range(K3_B2)
-        )
-        yield NakajimaLabel(shape.lam, shape.mu, nus)
-        return
-    r, k = shape.multiplicities[idx]
-    for combo in combinations_with_replacement(range(K3_B2), k):
-        nxt = dict(slot_parts)
-        for slot in combo:
-            nxt[slot] = nxt.get(slot, ()) + (r,)
-        yield from _emit_labels(shape, idx + 1, nxt)
-
-
-def enumerate_basis(m: int) -> Iterator[tuple[NakajimaLabel, int]]:
-    """All basis labels of weight m with their cohomological degrees."""
-    if not (1 <= m <= MAX_POINTS):
-        raise ValueError(f"supported range is 1 <= m <= {MAX_POINTS}")
-    for shape in _shapes(m):
-        for label in _emit_labels(shape, 0, {}):
-            yield label, shape.degree
+    top = 4 * m
+    series = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(m)]
+    for r in range(1, m + 1):
+        factors = [(r, 2 * r - 2), (r, 2 * r + 2)] + [(r, 2 * r)] * a + [(p * r, 2 * p * r)] * b
+        for i, j in factors:
+            # times 1/(1 - q^i t^j)
+            for w in range(i, m + 1):
+                row, prev = series[w], series[w - i]
+                for k in range(j, top + 1):
+                    row[k] += prev[k - j]
+    return tuple(series[m])
 
 
 @lru_cache(maxsize=None)
 def betti_numbers(m: int) -> tuple[int, ...]:
-    """Betti numbers of the m-point Hilbert scheme, by shape counting."""
+    """Betti numbers of the m-point Hilbert scheme, by Goettsche's formula."""
     if not (1 <= m <= MAX_POINTS):
         raise ValueError(f"supported range is 1 <= m <= {MAX_POINTS}")
-    out = [0] * (4 * m + 1)
-    for shape in _shapes(m):
-        out[shape.degree] += shape.fixed_labels(K3_B2)
-    return tuple(out)
+    return _label_counts(m, K3_B2)
 
 
 _DEGREE_RULE_TARGETS = {
@@ -199,9 +106,9 @@ def graded_profile(m: int, h2_profile: JordanProfile) -> GradedInvariants:
     h2_profile is the mod-p profile of the degree-2 cohomology of the
     surface (trivial and free blocks only, dimension 22), so G permutes the
     basis labels, and each degree is N_1^l_plus + N_p^l_pf with l_plus its
-    fixed labels (Shape.fixed_labels) and l_pf = (rank - l_plus) / p.  As
-    every degree is even and l_minus = 0, eta = lefschetz_euler is the sum
-    of the l_plus.
+    fixed labels (_label_counts) and l_pf = (rank - l_plus) / p.  As every
+    degree is even and l_minus = 0, eta = lefschetz_euler is the sum of the
+    l_plus.
     """
     _ensure_degree_rule()
     if not (1 <= m <= MAX_POINTS):
@@ -213,10 +120,7 @@ def graded_profile(m: int, h2_profile: JordanProfile) -> GradedInvariants:
         raise ValueError("the front end handles odd primes only")
     if any(q not in (1, p) for q, _ in h2_profile.blocks):
         raise ValueError("degree-2 profile must consist of trivial and free blocks")
-    a, b = h2_profile.count(1), h2_profile.count(p)
-    fixed = [0] * (4 * m + 1)
-    for shape in _shapes(m):
-        fixed[shape.degree] += shape.fixed_labels(a, b, p)
+    fixed = _label_counts(m, h2_profile.count(1), h2_profile.count(p), p)
     degrees = []
     for k, (rank, l_plus) in enumerate(zip(betti_numbers(m), fixed)):
         l_pf, rest = divmod(rank - l_plus, p)

@@ -161,9 +161,6 @@ class IntMatrix:
             raise IndexError(f"entry {(i, j)} outside {self.nrows}x{self.ncols}")
         return self._rows[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._rows[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self._rows)
 

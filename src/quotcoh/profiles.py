@@ -88,13 +88,6 @@ class JordanProfile(_Frozen):
     def __add__(self, other: "JordanProfile") -> "JordanProfile":
         return direct_sum(self, other)
 
-    def scaled(self, k: int) -> "JordanProfile":
-        if k < 0:
-            raise ValueError("negative multiplicity")
-        if k == 0:
-            return JordanProfile.zero(self.p)
-        return JordanProfile(self.p, tuple((q, c * k) for q, c in self.blocks))
-
     def __repr__(self) -> str:
         inside = " + ".join(f"N{q}^{c}" if c > 1 else f"N{q}" for q, c in self.blocks)
         return f"JordanProfile(p={self.p}, {inside or '0'})"

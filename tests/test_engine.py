@@ -70,6 +70,16 @@ class TestGradedInvariants:
         with pytest.raises(ValueError, match="block of size 9"):
             graded(9)
 
+    @pytest.mark.parametrize("l_qt", [((3, 1), (3, 2)), ((3, 1), (2, 2)), ((1, 1), (5, 0), (5, 1))])
+    def test_unsorted_or_repeated_torsion_block_sizes_rejected(self, l_qt):
+        # a repeated q was read as its last count by torsion_count and as the sum by
+        # torsion_blocks_all; an unsorted l_qt compared unequal to its make form
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            DegreeInvariants(rank=4, l_qt=l_qt)
+        # make goes through a dict, so it sorts and merges
+        assert DegreeInvariants.make(rank=4, l_qt=dict(l_qt)).l_qt == tuple(
+            (q, c) for q, c in sorted(dict(l_qt).items()) if c)
+
     def test_json_roundtrip(self):
         inv = k3_invariants(5, 2, 4)
         assert GradedInvariants.from_json(inv.to_json()) == inv

@@ -1,17 +1,17 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 import quotcoh.hilbert as hilbert
 import quotcoh.profiles as profiles
 from quotcoh.hilbert import (
+    K3_B2,
     K3_TABLE,
-    NakajimaLabel,
     bb_quotient,
     bb_target_lattice,
     betti_numbers,
     betti_table,
-    enumerate_basis,
     fixed_point_count,
     graded_profile,
     hilbert_invariants,
@@ -27,6 +27,50 @@ from quotcoh.lattices import bns_invariants, invariants
 from quotcoh.profiles import JordanProfile
 
 
+def _partitions(n, largest=None):
+    """Partitions of n as descending tuples (the empty tuple for n = 0)."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest or n), 0, -1):
+        for tail in _partitions(n - part, part):
+            yield (part,) + tail
+
+
+def _label_degree(lam, mu, nus):
+    """The degree rule: 2r-2 per lambda part, 2r+2 per mu part, 2r per nu part."""
+    return (sum(2 * r - 2 for r in lam) + sum(2 * r + 2 for r in mu)
+            + sum(2 * r for nu in nus for r in nu))
+
+
+@lru_cache(maxsize=None)
+def _labels(m):
+    """Oracle: every basis label (lam, mu, nus) of weight m, one partition for
+    the unit slot, one for the point slot and one per degree-2 slot."""
+    def fill(slots, weight):
+        if slots == 0:
+            if weight == 0:
+                yield ()
+            return
+        for w in range(weight + 1):
+            for part in _partitions(w):
+                for rest in fill(slots - 1, weight - w):
+                    yield (part,) + rest
+
+    return tuple((label[0], label[1], label[2:]) for label in fill(2 + K3_B2, m))
+
+
+def _shapes(m):
+    """Oracle: (degree, (k_r, ...)) per (lambda, mu, rho) of total weight m,
+    where k_r counts the parts of size r of the degree-2 parts rho."""
+    for w_lam in range(m + 1):
+        for lam in _partitions(w_lam):
+            for w_mu in range(m + 1 - w_lam):
+                for mu in _partitions(w_mu):
+                    for rho in _partitions(m - w_lam - w_mu):
+                        ks = tuple(rho.count(r) for r in sorted(set(rho)))
+                        yield _label_degree(lam, mu, (rho,)), ks
+
+
 class TestBasisEnumeration:
     def test_k3_itself(self):
         assert betti_numbers(1) == (1, 0, 22, 0, 1)
@@ -40,12 +84,12 @@ class TestBasisEnumeration:
         assert betti_numbers(3)[4] == 299
 
     def test_enumeration_agrees_with_shape_counts(self):
-        for m in (1, 2, 3):
+        for m, total in ((1, 24), (2, 324), (3, 3200)):
             counts = [0] * (4 * m + 1)
-            for label, degree in enumerate_basis(m):
-                assert label.weight == m
-                assert label.degree == degree
-                counts[degree] += 1
+            for lam, mu, nus in _labels(m):
+                assert sum(lam) + sum(mu) + sum(map(sum, nus)) == m
+                counts[_label_degree(lam, mu, nus)] += 1
+            assert sum(counts) == total
             assert tuple(counts) == betti_numbers(m)
 
     def test_poincare_symmetry(self):
@@ -65,10 +109,6 @@ class TestBasisEnumeration:
 
         for m in (1, 2, 3, 4):
             assert sum(betti_numbers(m)) == chi(m)
-
-    def test_label_validation(self):
-        with pytest.raises(ValueError):
-            NakajimaLabel((1,), (), ((),) * 3)
 
 
 class TestDegreeRuleGate:
@@ -143,11 +183,11 @@ def _assembled_profile(m, h2_profile):
     the profile algebra."""
     p = h2_profile.p
     by_degree = [JordanProfile.zero(p) for _ in range(4 * m + 1)]
-    for shape in hilbert._shapes(m):
+    for degree, ks in _shapes(m):
         module = JordanProfile.single(p, 1)
-        for _, k in shape.multiplicities:
+        for k in ks:
             module = profiles.tensor(module, profiles.sym_power(h2_profile, k))
-        by_degree[shape.degree] = profiles.direct_sum(by_degree[shape.degree], module)
+        by_degree[degree] = profiles.direct_sum(by_degree[degree], module)
     degrees = []
     for prof in by_degree:
         assert not [q for q, _ in prof.blocks if 2 <= q <= p - 2]
@@ -168,13 +208,28 @@ class TestFixedLabelCount:
         for m in range(1, 7):
             assert graded_profile(m, h2) == _assembled_profile(m, h2)
 
+    # every split with a free orbit, where m = 3 >= p = 3 lets whole orbits repeat a part
+    @pytest.mark.parametrize("p,b", [(3, b) for b in range(1, 8)] + [(5, b) for b in range(1, 5)]
+                             + [(7, b) for b in range(1, 4)])
+    def test_matches_the_labels_constant_on_each_orbit(self, p, b):
+        a = K3_B2 - p * b
+        orbits = [range(a + p * o, a + p * (o + 1)) for o in range(b)]
+        h2 = JordanProfile.from_counts(p, {1: a, p: b})
+        for m in (1, 2, 3):
+            fixed = [0] * (4 * m + 1)
+            for lam, mu, nus in _labels(m):
+                if all(len({nus[slot] for slot in orbit}) == 1 for orbit in orbits):
+                    fixed[_label_degree(lam, mu, nus)] += 1
+            inv = graded_profile(m, h2)
+            assert fixed == [inv.l_plus(k) for k in range(4 * m + 1)]
+
     @pytest.mark.parametrize("count", [0, 10**6])
     def test_moved_labels_must_form_free_orbits(self, monkeypatch, count):
         # 1 - 0 moved labels in degree 0 is no multiple of 7, 1 - 10^6 is negative
         # the degree rule and the ranks are counted before the count is corrupted
         hilbert._ensure_degree_rule()
         betti_numbers(2)
-        monkeypatch.setattr(hilbert.Shape, "fixed_labels", lambda self, a, b=0, p=1: count)
+        monkeypatch.setattr(hilbert, "_label_counts", lambda m, a, b=0, p=1: (count,) * (4 * m + 1))
         with pytest.raises(RuntimeError, match="not free orbits"):
             graded_profile(2, k3_h2_profile(7))
 

@@ -1,4 +1,4 @@
-"""The data model of the package's 13 immutable records.
+"""The data model of the package's 12 immutable records.
 
 Each case gives a record's class, keyword arguments naming every
 constructor field in order, the defaults of the fields it may omit, and
@@ -15,7 +15,7 @@ import pytest
 import quotcoh
 
 from quotcoh.engine import DegenerationStatus, DegreeInvariants, GradedInvariants, QuotientReport
-from quotcoh.hilbert import K3_B2, K3ActionSpec, NakajimaLabel
+from quotcoh.hilbert import K3ActionSpec
 from quotcoh.intmat import IntMatrix, SmithDecomposition, _Frozen
 from quotcoh.lattices import GLattice, Lattice
 from quotcoh.profiles import JordanProfile
@@ -42,7 +42,6 @@ CASES = [
                           even_torsion_free=True, odd_torsion_pairs={}, betti=(1, 0, 1), u={}, beta={},
                           d_p_pairs={}, assumptions=("compact",), conjectural_odd_torsion={1: 0}),
      dict(conjectural_odd_torsion=None), {}),
-    (NakajimaLabel, dict(lam=(1,), mu=(), nus=((),) * K3_B2), {}, {}),
     (K3ActionSpec, dict(p=2, kind="symplectic", lattice_name="U", n_sing=8, l_plus_2=6, l_p_2=8),
      {}, {}),
     (Lattice, dict(gram=A2), {}, dict(det=0, signature=(0, 0))),
