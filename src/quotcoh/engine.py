@@ -55,8 +55,9 @@ def _json_key(key: str, name: str) -> int:
 class DegreeInvariants(_Frozen):
     """Summand counts of one cohomology degree.
 
-    l_qt pairs block sizes q, sorted and distinct, with the counts of the
-    mod-p torsion profile of that degree (empty for p-torsion-free spaces).
+    l_qt pairs block sizes q, sorted and distinct, with the positive counts
+    of the mod-p torsion profile of that degree (empty for p-torsion-free
+    spaces), so each degree has one spelling.
     """
 
     __slots__ = ("rank", "l_plus", "l_minus", "l_pf", "l_qt")
@@ -65,12 +66,12 @@ class DegreeInvariants(_Frozen):
                  l_qt: tuple[tuple[int, int], ...] = ()):
         if min(rank, l_plus, l_minus, l_pf, 0) < 0:
             raise ValueError("negative count")
-        for q, c in l_qt:
-            if q < 1 or c < 0:
-                raise ValueError("bad torsion profile entry")
         sizes = [q for q, _ in l_qt]
         if sizes != sorted(set(sizes)):
             raise ValueError("torsion block sizes must be sorted and distinct")
+        for q, c in l_qt:
+            if q < 1 or c < 1:
+                raise ValueError("bad torsion profile entry")
         _Frozen.__init__(self, rank, l_plus, l_minus, l_pf, l_qt)
 
     @classmethod

@@ -226,16 +226,6 @@ def k3_table(p: int, kind: str) -> K3TableRow:
     return K3TableRow(spec, lattice, invariants(lattice), spec.n_sing, verified)
 
 
-def k3_graded_invariants(spec: K3ActionSpec) -> GradedInvariants:
-    """Module invariants of the K3 surface itself under the row's action."""
-    one = DegreeInvariants.make(rank=1, l_plus=1)
-    zero = DegreeInvariants.make()
-    h2 = DegreeInvariants.make(rank=K3_B2, l_plus=spec.l_plus_2, l_pf=spec.l_p_2)
-    return GradedInvariants(
-        p=spec.p, n=2, eta=spec.n_sing, degrees=(one, zero, h2, zero, one)
-    )
-
-
 # Invariant sublattices of the degree-2 cohomology of the surface for the
 # symplectic actions of orders 5 and 7, ordered so the glue vectors below
 # address the leading coordinates; a glue vector is {coordinate: entry},
@@ -287,7 +277,9 @@ def bb_quotient(p: int, m: int) -> tuple[Lattice, Fraction]:
     part plus the half-diagonal class of square -2(m-1)), pushes it
     forward (Gram scaled by p), adjoins the explicit glue vectors of
     order p, and rescales the result to a primitive integral form (the
-    total rescale p / content enters the Fujiki constant).
+    total rescale p / content enters the Fujiki constant).  The result
+    must have the invariant triple and parity of bb_target_lattice(p, m),
+    else RuntimeError.
     """
     data = _bb_data(p, m)
     _ensure_degree_rule()
@@ -300,6 +292,8 @@ def bb_quotient(p: int, m: int) -> tuple[Lattice, Fraction]:
     content = gcd(*(e for row in pushed.gram.rows for e in row))
     primitive = Lattice(IntMatrix([[e // content for e in row] for row in pushed.gram.rows],
                                   ncols=rank))
+    if invariants(primitive) != invariants(bb_target_lattice(p, m)):
+        raise RuntimeError(f"quotient lattice at p={p}, m={m} differs from its named target")
     fujiki = fujiki_constant(p, m, Fraction(p, content))
     return primitive, fujiki
 

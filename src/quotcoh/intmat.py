@@ -5,12 +5,12 @@ integers, or over a prime field F_p; there is no floating point anywhere.
 The central primitive is the Smith normal form u m v = d, one elimination
 of the augmented matrix [[m, I], [B, 0]]: the row operations turn I into
 u and the column operations turn the rows B into B v.  Saturated kernels
-(B = I), image bases (B = m, as m v = u^-1 d), integer solving and
-finite-quotient invariants are all read from it, each augmenting m only
-by what it reads.  The Smith diagonal of a non-singular square matrix,
-which is all a finite quotient needs, is computed modulo its determinant
-D: the input is reduced once and each step's pivot row once, so after k
-steps every entry is below D + k D^2 in absolute value.  One
+(B = I), image bases (B = m, as m v = u^-1 d) and finite-quotient
+invariants are all read from it, each augmenting m only by what it
+reads.  The Smith diagonal of a non-singular square matrix, which is all
+a finite quotient needs, is computed modulo its determinant D: the input
+is reduced once and each step's pivot row once, so after k steps every
+entry is below D + k D^2 in absolute value.  One
 fraction-free (Bareiss) elimination gives determinants and, run as
 Gauss-Jordan, the adjugate together with the determinant.  One echelon
 elimination over F_p, on the same Python ints, gives ranks mod p and the
@@ -128,6 +128,8 @@ class IntMatrix:
             ncols = width
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
+        elif ncols < 0:
+            raise ValueError(f"negative column count {ncols}")
         self._rows = data
         self._ncols = ncols
 
@@ -166,10 +168,14 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
+        if n < 0:
+            raise ValueError(f"negative size {n}")
         return IntMatrix._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "IntMatrix":
+        if min(nrows, ncols) < 0:
+            raise ValueError(f"negative shape {nrows}x{ncols}")
         return IntMatrix([[0] * ncols for _ in range(nrows)], ncols=ncols)
 
     @staticmethod
@@ -191,16 +197,6 @@ class IntMatrix:
             ci += b.ncols
         return IntMatrix(rows, ncols=nc)
 
-    @staticmethod
-    def vstack(*mats: "IntMatrix") -> "IntMatrix":
-        ncols = mats[0].ncols
-        if any(m.ncols != ncols for m in mats):
-            raise ValueError("column counts differ")
-        rows: list[tuple[int, ...]] = []
-        for m in mats:
-            rows.extend(m.rows)
-        return IntMatrix(rows, ncols=ncols)
-
     def transpose(self) -> "IntMatrix":
         if not self._rows:
             return IntMatrix._trusted(((),) * self._ncols, 0)
@@ -219,9 +215,6 @@ class IntMatrix:
             tuple(tuple(map(operator.sub, ra, rb)) for ra, rb in zip(self._rows, other._rows)),
             self._ncols,
         )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self._rows], ncols=self.ncols)
 
     def _check_shape(self, other: "IntMatrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -242,39 +235,10 @@ class IntMatrix:
             )
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.ncols:
             raise ValueError("vector length differs from column count")
         return tuple(sum(map(operator.mul, row, vector)) for row in self._rows)
-
-    def __pow__(self, k: int) -> "IntMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("powers need a square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        result = IntMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def kronecker(self, other: "IntMatrix") -> "IntMatrix":
-        rows = []
-        for i in range(self.nrows):
-            for k in range(other.nrows):
-                rows.append(
-                    [self._rows[i][j] * other._rows[k][l]
-                     for j in range(self.ncols) for l in range(other.ncols)]
-                )
-        return IntMatrix(rows, ncols=self.ncols * other.ncols)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -686,29 +650,6 @@ def quotient_group(sub: IntMatrix, ambient_rank: int) -> list[int]:
     if s.rank != sub.nrows:
         raise ValueError("rows are dependent")
     return [d for d in s.diagonal if d > 1]
-
-
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of a*x = b, or None if there is none."""
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side has wrong length")
-    return back_substitute(smith_decomposition(a), b)
-
-
-def back_substitute(s: SmithDecomposition, b: Sequence[int]) -> tuple[int, ...] | None:
-    """solve_integer(a, b) given an SNF s of a that tracks u and v, so one SNF serves many b."""
-    ub = s.u.apply(b)
-    y = [0] * s.v.nrows
-    for i in range(s.u.nrows):
-        d = s.diagonal[i] if i < len(s.diagonal) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-    return s.v.apply(y)
 
 
 def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:

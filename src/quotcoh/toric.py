@@ -34,10 +34,9 @@ tests keep them as the oracle for the chain.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -98,10 +97,6 @@ class Cone(_Frozen):
         """Rays as columns."""
         return IntMatrix([list(r) for r in self.rays], ncols=self.ambient).transpose()
 
-    @property
-    def dim(self) -> int:
-        return _smith(self.ray_matrix()).rank
-
     def is_simplicial(self) -> bool:
         return self._index() != 0
 
@@ -112,34 +107,6 @@ class Cone(_Frozen):
         except ValueError:
             return 0
 
-    def multiplicity(self) -> int:
-        """Index of the span of the rays in its saturation (1 = regular)."""
-        index = self._index()
-        if not index:
-            raise ValueError("multiplicity of a non-simplicial cone")
-        return index
-
-    def coordinates_of(self, point: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        """Barycentric coordinates of a point in the simplicial cone, or None.
-
-        Cramer's rule in the span's coordinates of `_judge`: with C = P R,
-        lam = adj(C) P x / det C.  None means R lam misses the point: it
-        is outside the linear span.
-        """
-        point = [Fraction(x) for x in point]
-        q = lcm(*(x.denominator for x in point))
-        scaled = [x.numerator * (q // x.denominator) for x in point]
-        basis, det, adj = _judge(self)
-        x = scaled if basis is None else [sum(map(mul, row, scaled)) for row in basis]
-        num = [sum(map(mul, a, x)) for a in adj]
-        if any(sum(n * r[t] for n, r in zip(num, self.rays)) != det * y
-               for t, y in enumerate(scaled)):
-            return None  # point outside the linear span
-        return tuple(Fraction(v, q * det) for v in num)
-
-    def contains(self, point: Sequence) -> bool:
-        lam = self.coordinates_of(point)
-        return lam is not None and all(x >= 0 for x in lam)
 
 
 def _judge(c: Cone) -> tuple:
@@ -181,6 +148,8 @@ class Fan(_Frozen):
     @classmethod
     def from_cones(cls, cones: Sequence[Cone], ambient: int | None = None) -> "Fan":
         if ambient is None:
+            if not cones:
+                raise ValueError("ambient dimension needed for the empty fan")
             ambient = cones[0].ambient
         return cls(tuple(sorted(cones, key=lambda c: c.rays)), ambient)
 
@@ -221,7 +190,8 @@ class CyclicSingularity(_Frozen):
 
     __slots__ = ("p", "weights")
 
-    def __init__(self, p: int, weights: tuple[int, ...]):
+    def __init__(self, p: int, weights: Sequence[int]):
+        weights = tuple(weights)
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if len(weights) < 2:
@@ -589,24 +559,3 @@ def betti_complete_smooth(f: Fan) -> list[int]:
         sum((-1) ** (i - k) * comb(i, k) * d[n - i] for i in range(k, n + 1))
         for k in range(n + 1)
     ]
-
-
-def projective_space_fan(n: int) -> Fan:
-    """Fan of n-dimensional projective space."""
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays.append(tuple([-1] * n))
-    cones = [
-        Cone.from_rays([rays[j] for j in range(n + 1) if j != skip], ambient=n)
-        for skip in range(n + 1)
-    ]
-    return Fan.from_cones(cones, ambient=n)
-
-
-def product_of_lines_fan() -> Fan:
-    """Fan of the product of two projective lines."""
-    cones = [
-        Cone.from_rays([(sx, 0), (0, sy)], ambient=2)
-        for sx in (1, -1)
-        for sy in (1, -1)
-    ]
-    return Fan.from_cones(cones, ambient=2)

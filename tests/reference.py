@@ -1,0 +1,115 @@
+"""Reference routes and fixtures the tests check the package against.
+
+Nothing in the package calls these; each is a slower or more general
+route to something the package computes another way, or a fixture built
+from the package's public types.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from operator import mul
+from typing import Sequence
+
+from quotcoh.engine import DegreeInvariants, GradedInvariants
+from quotcoh.hilbert import K3_B2, K3ActionSpec
+from quotcoh.intmat import IntMatrix, SmithDecomposition, smith_decomposition
+from quotcoh.toric import Cone, Fan, _judge
+
+
+# --- integer matrices --------------------------------------------------------
+
+def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
+    """One integer solution x of a*x = b, or None if there is none."""
+    if len(b) != a.nrows:
+        raise ValueError("right-hand side has wrong length")
+    return back_substitute(smith_decomposition(a), b)
+
+
+def back_substitute(s: SmithDecomposition, b: Sequence[int]) -> tuple[int, ...] | None:
+    """solve_integer(a, b) given an SNF s of a that tracks u and v, so one SNF serves many b."""
+    ub = s.u.apply(b)
+    y = [0] * s.v.nrows
+    for i in range(s.u.nrows):
+        d = s.diagonal[i] if i < len(s.diagonal) else 0
+        if d == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % d != 0:
+                return None
+            y[i] = ub[i] // d
+    return s.v.apply(y)
+
+
+def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The Kronecker product, a's entries each scaling a copy of b."""
+    return IntMatrix(
+        [[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows],
+        ncols=a.ncols * b.ncols,
+    )
+
+
+def matrix_power(a: IntMatrix, k: int) -> IntMatrix:
+    """a^k for a square a and k >= 0, by repeated squaring."""
+    if not a.is_square():
+        raise ValueError("powers need a square matrix")
+    if k < 0:
+        raise ValueError("negative power")
+    result, base = IntMatrix.identity(a.nrows), a
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+# --- cones and fans ----------------------------------------------------------
+
+def coordinates_of(c: Cone, point: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    """Barycentric coordinates of a point in the simplicial cone c, or None.
+
+    Cramer's rule in the span's coordinates of `toric._judge`: with
+    C = P R, lam = adj(C) P x / det C.  None means R lam misses the point:
+    it is outside the linear span.  Dependent rays raise ValueError.
+    """
+    point = [Fraction(x) for x in point]
+    q = lcm(*(x.denominator for x in point))
+    scaled = [x.numerator * (q // x.denominator) for x in point]
+    basis, det, adj = _judge(c)
+    x = scaled if basis is None else [sum(map(mul, row, scaled)) for row in basis]
+    num = [sum(map(mul, a, x)) for a in adj]
+    if any(sum(n * r[t] for n, r in zip(num, c.rays)) != det * y
+           for t, y in enumerate(scaled)):
+        return None  # point outside the linear span
+    return tuple(Fraction(v, q * det) for v in num)
+
+
+def projective_space_fan(n: int) -> Fan:
+    """Fan of n-dimensional projective space."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays.append(tuple([-1] * n))
+    cones = [
+        Cone.from_rays([rays[j] for j in range(n + 1) if j != skip], ambient=n)
+        for skip in range(n + 1)
+    ]
+    return Fan.from_cones(cones, ambient=n)
+
+
+def product_of_lines_fan() -> Fan:
+    """Fan of the product of two projective lines."""
+    cones = [Cone.from_rays([(sx, 0), (0, sy)], ambient=2) for sx in (1, -1) for sy in (1, -1)]
+    return Fan.from_cones(cones, ambient=2)
+
+
+# --- K3 surfaces ---------------------------------------------------------------
+
+def k3_graded_invariants(spec: K3ActionSpec) -> GradedInvariants:
+    """Module invariants of the K3 surface itself under the row's action."""
+    one = DegreeInvariants.make(rank=1, l_plus=1)
+    zero = DegreeInvariants.make()
+    h2 = DegreeInvariants.make(rank=K3_B2, l_plus=spec.l_plus_2, l_pf=spec.l_p_2)
+    return GradedInvariants(p=spec.p, n=2, eta=spec.n_sing, degrees=(one, zero, h2, zero, one))

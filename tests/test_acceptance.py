@@ -24,7 +24,6 @@ from quotcoh.hilbert import (
     betti_table,
     hilbert_invariants,
     hilbert_quotient_report,
-    k3_graded_invariants,
     k3_table,
     nikulin_involution,
 )
@@ -37,6 +36,7 @@ from quotcoh.lattices import (
     signature,
 )
 from quotcoh.profiles import jordan_profile
+from reference import k3_graded_invariants
 from quotcoh.selftest import (
     _ubar_independent,
     random_glattice,

@@ -661,6 +661,48 @@ class TestLazyPackage:
                             unused.append(f"{path.name}:{node.lineno} {name}")
         assert unused == []
 
+    def test_every_definition_has_a_caller_outside_the_tests(self):
+        # a top-level function or class of the package is referenced outside its own
+        # body, in the package or the benchmark's modules, or is exported; a method is
+        # read as an attribute there; dunders are exempt.  Test oracles live in tests/.
+        import quotcoh
+
+        src = sorted((HERE.parent / "src" / "quotcoh").glob("*.py"))
+        bench = [p for p in sorted((HERE.parent / "bench").glob("*.py"))
+                 if not p.name.startswith("test_")]
+        trees = {path: ast.parse(path.read_text()) for path in src + bench}
+        refs = []  # (node, name, read as an attribute)
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    refs.append((node, node.id, False))
+                elif isinstance(node, ast.Attribute):
+                    refs.append((node, node.attr, True))
+                elif isinstance(node, ast.alias):
+                    refs.append((node, (node.asname or node.name).rpartition(".")[2], False))
+
+        def referenced(defn, attribute_only):
+            own = {id(node) for node in ast.walk(defn)}
+            return any(name == defn.name and id(node) not in own and (attr or not attribute_only)
+                       for node, name, attr in refs)
+
+        def dunder(name):
+            return name.startswith("__") and name.endswith("__")
+
+        uncalled = []
+        for path in src:
+            for top in trees[path].body:
+                if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                if not (dunder(top.name) or top.name in quotcoh._EXPORTS
+                        or referenced(top, attribute_only=False)):
+                    uncalled.append(f"{path.name}:{top.lineno} {top.name}")
+                for method in top.body if isinstance(top, ast.ClassDef) else ():
+                    if (isinstance(method, ast.FunctionDef) and not dunder(method.name)
+                            and not referenced(method, attribute_only=True)):
+                        uncalled.append(f"{path.name}:{method.lineno} {top.name}.{method.name}")
+        assert uncalled == []
+
 
 class TestSelftestCommand:
     def test_small_rounds(self, capsys):

@@ -80,6 +80,13 @@ class TestGradedInvariants:
         assert DegreeInvariants.make(rank=4, l_qt=dict(l_qt)).l_qt == tuple(
             (q, c) for q, c in sorted(dict(l_qt).items()) if c)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_zero_or_negative_torsion_count_rejected(self, count):
+        # a zero count compared unequal to the torsion-free degree and read as torsion
+        with pytest.raises(ValueError, match="bad torsion profile entry"):
+            DegreeInvariants(0, l_qt=((3, count),))
+        assert DegreeInvariants.make(l_qt={3: 0}) == DegreeInvariants(0)
+
     def test_json_roundtrip(self):
         inv = k3_invariants(5, 2, 4)
         assert GradedInvariants.from_json(inv.to_json()) == inv

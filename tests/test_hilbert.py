@@ -17,7 +17,6 @@ from quotcoh.hilbert import (
     hilbert_invariants,
     hilbert_quotient_report,
     hilbert_report,
-    k3_graded_invariants,
     k3_h2_profile,
     k3_table,
     nikulin_involution,
@@ -25,6 +24,7 @@ from quotcoh.hilbert import (
 from quotcoh.engine import DegreeInvariants, GradedInvariants, lefschetz_euler, quotient_report
 from quotcoh.lattices import bns_invariants, invariants
 from quotcoh.profiles import JordanProfile
+from reference import k3_graded_invariants
 
 
 def _partitions(n, largest=None):
@@ -298,6 +298,14 @@ class TestBBQuotient:
             glued = overlattice_from_glue(base, glue)
             row = k3_table(p, "symplectic")
             assert invariants(glued) == row.invariants
+
+    @pytest.mark.parametrize("p,m", [(5, 2), (7, 3)])
+    def test_wrong_target_raises(self, monkeypatch, p, m):
+        # the target of the next m differs only in the half-diagonal block's square
+        target = hilbert._BB_DATA[p]["target"]
+        monkeypatch.setitem(hilbert._BB_DATA[p], "target", lambda m: target(m + 1))
+        with pytest.raises(RuntimeError, match=f"p={p}, m={m} differs from its named target"):
+            bb_quotient(p, m)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

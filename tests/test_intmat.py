@@ -12,9 +12,9 @@ from quotcoh.intmat import (
     quotient_group,
     rank_mod_p,
     smith_decomposition,
-    solve_integer,
 )
 from quotcoh.lattices import GLattice, pushforward_quotient_lattice
+from reference import matrix_power, solve_integer
 
 
 def random_matrix(rng, nrows, ncols, bound=9):
@@ -118,11 +118,11 @@ class TestNormMap:
                 random_order_p_action(rng, p, max_dim=12),
             ] + [random_matrix(rng, n, n, bound=2) for n in (1, 2, 3, 4)]
             for a in cases:
-                want = a ** p == IntMatrix.identity(a.nrows)
+                want = matrix_power(a, p) == IntMatrix.identity(a.nrows)
                 sigma = norm_map(a, p)
                 assert (sigma is not None) == want
                 if want:
-                    assert sigma == sum((a ** k for k in range(1, p)), IntMatrix.identity(a.nrows))
+                    assert sigma == sum((matrix_power(a, k) for k in range(1, p)), IntMatrix.identity(a.nrows))
                 seen.add((p > a.nrows + 1, want))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -130,7 +130,7 @@ class TestNormMap:
         # the power would have about p digits; Phi_p cannot divide a degree-2 minimal polynomial
         start = time.perf_counter()
         assert norm_map(IntMatrix([[3, 4], [2, 3]]), 1000000007) is None
-        assert norm_map(IntMatrix.identity(2), 1000000007) == 1000000007 * IntMatrix.identity(2)
+        assert norm_map(IntMatrix.identity(2), 1000000007) == IntMatrix.identity(2) * 1000000007
         assert time.perf_counter() - start < 1.0
 
 
@@ -239,6 +239,23 @@ def test_is_prime_large_values():
     assert not is_prime(2**61 - 1 + 2)
     with pytest.raises(ValueError):
         is_prime(3317044064679887385961981)  # composite, a strong pseudoprime to bases 2..41
+
+
+class TestShapes:
+    def test_negative_column_count_rejected(self):
+        with pytest.raises(ValueError, match="negative column count"):
+            IntMatrix([], ncols=-1)
+        assert IntMatrix([], ncols=0).ncols == 0
+
+    def test_negative_identity_rejected(self):
+        with pytest.raises(ValueError, match="negative size"):
+            IntMatrix.identity(-1)
+        assert IntMatrix.identity(0) == IntMatrix([], ncols=0)
+
+    @pytest.mark.parametrize("nrows, ncols", [(-1, 2), (2, -1), (-1, -1)])
+    def test_negative_zeros_rejected(self, nrows, ncols):
+        with pytest.raises(ValueError, match="negative shape"):
+            IntMatrix.zeros(nrows, ncols)
 
 
 class TestTrustedResults:
