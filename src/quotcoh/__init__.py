@@ -6,13 +6,17 @@ Subpackages:
                saturated kernels, mod-p ranks
 * profiles  -- Jordan profiles of order-p actions over F_p and their
                tensor / symmetric-power algebra
-* lattices  -- integral lattices with prime-order isometries, group
-               cohomology, pushforward and glued overlattices
+* lattices  -- integral lattices with prime-order isometries, the summand
+               counts of the Z[G]-lattice, group cohomology, pushforward
+               and glued overlattices
+* k3        -- the prime-order K3 quotient tables and the Nikulin
+               involution
 * toric     -- fans, regular subdivisions, resolutions of isolated cyclic
                quotient singularities, closed cohomology tables
 * engine    -- the spectral-sequence and quotient-cohomology calculator
 * hilbert   -- Hilbert schemes of points on K3 surfaces with natural
-               prime-order actions; reproduces the quotient tables
+               prime-order actions: torsion, Betti and Beauville-Bogomolov
+               tables of their quotients
 * selftest  -- seeded randomized property suite
 * cli       -- command-line front end and golden-table regression runner
 
@@ -31,15 +35,14 @@ _EXPORTS = {
         "intmat",
     ),
     **dict.fromkeys(
-        ("JordanProfile", "cohomology_dim", "curtis_reiner_check", "direct_sum",
-         "jordan_profile", "sym_power", "tensor"),
+        ("JordanProfile", "cohomology_dim", "direct_sum", "jordan_profile", "sym_power",
+         "tensor"),
         "profiles",
     ),
     **dict.fromkeys(
-        ("GLattice", "Lattice", "bns_invariants", "discriminant",
-         "discriminant_group", "fujiki_constant", "group_cohomology", "invariants",
-         "named_lattice", "overlattice_from_glue", "pushforward_quotient_lattice",
-         "signature"),
+        ("GLattice", "Lattice", "bns_invariants", "curtis_reiner_check", "discriminant",
+         "discriminant_group", "group_cohomology", "invariants", "named_lattice",
+         "overlattice_from_glue", "pushforward_quotient_lattice", "signature"),
         "lattices",
     ),
     **dict.fromkeys(
@@ -54,13 +57,14 @@ _EXPORTS = {
          "quotient_report", "u_dimensions"),
         "engine",
     ),
+    **dict.fromkeys(("K3_TABLE", "k3_table", "nikulin_involution"), "k3"),
     **dict.fromkeys(
-        ("K3_TABLE", "bb_quotient", "betti_numbers", "betti_table", "graded_profile",
-         "hilbert_report", "k3_table", "nikulin_involution"),
+        ("bb_quotient", "betti_numbers", "betti_table", "fujiki_constant", "graded_profile",
+         "hilbert_report"),
         "hilbert",
     ),
 }
-_SUBMODULES = frozenset(("intmat", "profiles", "lattices", "toric", "engine", "hilbert",
+_SUBMODULES = frozenset(("intmat", "profiles", "lattices", "k3", "toric", "engine", "hilbert",
                          "selftest", "cli"))
 
 __all__ = list(_EXPORTS)

@@ -7,9 +7,9 @@ alone turns a command's KeyError, TypeError or ValueError into exit 2,
 with {"error": str(exc)} on stderr.  Output is deterministic for fixed
 input (sorted JSON keys, fixed row ordering, no unseeded randomness).
 
-Only argparse, json, os and sys load with this module: each command imports
-the layers it calls, so a process compiles no layer its command skips
-(see the package docstring).
+Only argparse, json, os, sys and itertools load with this module: each
+command imports the layers it calls, so a process compiles no layer its
+command skips (see the package docstring).
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def _cmd_hilbert(args) -> tuple[int, dict]:
 
 
 def _cmd_k3(args) -> tuple[int, dict]:
-    from .hilbert import k3_table
+    from .k3 import k3_table
 
     row = k3_table(args.p, args.kind)
     return 0, {
@@ -190,7 +190,7 @@ def _k3_row(row) -> dict:
 
 
 def _rows_k3(kind: str) -> list[dict]:
-    from .hilbert import K3_TABLE, k3_table
+    from .k3 import K3_TABLE, k3_table
 
     return [_k3_row(k3_table(spec.p, spec.kind)) for spec in K3_TABLE if spec.kind == kind]
 

@@ -9,6 +9,8 @@ permutation module N_1^a + N_p^b (a fixed slots, b free orbits of p
 slots).  So G permutes the labels: each degree is N_1^(fixed labels) +
 N_p^(free orbits of labels), and its summand counts are a count of fixed
 labels.  This is the load-bearing modeling step of the whole front end.
+The symplectic rows of k3.K3_TABLE give a = l_plus_2 and b = l_p_2
+directly, so the paper's path builds no mod-p profile.
 
 The degree of a basis label is taken to be sum(2r-2) over lambda parts,
 plus sum(2r+2) over mu parts, plus sum(2r) over nu parts.  The labels
@@ -24,22 +26,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import NamedTuple
+from math import factorial, gcd
+from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import DegreeInvariants, GradedInvariants, QuotientReport, quotient_report
 from .intmat import IntMatrix
-from .lattices import (
-    GLattice,
-    Lattice,
-    LatticeInvariants,
-    fujiki_constant,
-    invariants,
-    named_lattice,
-    overlattice_from_glue,
-    pushforward_quotient_lattice,
-)
-from .profiles import JordanProfile
+from .k3 import K3_TABLE, K3ActionSpec
+from .lattices import Lattice, invariants, named_lattice, overlattice_from_glue
+
+if TYPE_CHECKING:
+    from .profiles import JordanProfile
 
 K3_B2 = 22
 MAX_POINTS = 6
@@ -104,23 +100,34 @@ def graded_profile(m: int, h2_profile: JordanProfile) -> GradedInvariants:
     """Per-degree module invariants of the m-point Hilbert scheme.
 
     h2_profile is the mod-p profile of the degree-2 cohomology of the
-    surface (trivial and free blocks only, dimension 22), so G permutes the
-    basis labels, and each degree is N_1^l_plus + N_p^l_pf with l_plus its
-    fixed labels (_label_counts) and l_pf = (rank - l_plus) / p.  As every
-    degree is even and l_minus = 0, eta = lefschetz_euler is the sum of the
-    l_plus.
+    surface (trivial and free blocks only, dimension 22); its block counts
+    go to _permutation_invariants.
+    """
+    p = h2_profile.p
+    a, b = h2_profile.count(1), h2_profile.count(p)
+    return _permutation_invariants(m, a, b, p, h2_profile.dimension() - a - p * b)
+
+
+def _permutation_invariants(m: int, a: int, b: int, p: int, other: int = 0) -> GradedInvariants:
+    """Per-degree module invariants of the m-point Hilbert scheme when G acts
+    on the degree-2 cohomology of the surface as N_1^a + N_p^b, plus blocks
+    of other sizes and total dimension `other`, which are refused.
+
+    G then permutes the basis labels, and each degree is N_1^l_plus +
+    N_p^l_pf with l_plus its fixed labels (_label_counts) and
+    l_pf = (rank - l_plus) / p.  As every degree is even and l_minus = 0,
+    eta = lefschetz_euler is the sum of the l_plus.
     """
     _ensure_degree_rule()
     if not (1 <= m <= MAX_POINTS):
         raise ValueError(f"supported range is 1 <= m <= {MAX_POINTS}")
-    if h2_profile.dimension() != K3_B2:
+    if a + p * b + other != K3_B2:
         raise ValueError(f"degree-2 profile must have dimension {K3_B2}")
-    p = h2_profile.p
     if p < 3:
         raise ValueError("the front end handles odd primes only")
-    if any(q not in (1, p) for q, _ in h2_profile.blocks):
+    if other:
         raise ValueError("degree-2 profile must consist of trivial and free blocks")
-    fixed = _label_counts(m, h2_profile.count(1), h2_profile.count(p), p)
+    fixed = _label_counts(m, a, b, p)
     degrees = []
     for k, (rank, l_plus) in enumerate(zip(betti_numbers(m), fixed)):
         l_pf, rest = divmod(rank - l_plus, p)
@@ -128,102 +135,6 @@ def graded_profile(m: int, h2_profile: JordanProfile) -> GradedInvariants:
             raise RuntimeError(f"degree {k}: {rank - l_plus} moved labels are not free orbits")
         degrees.append(DegreeInvariants.make(rank=rank, l_plus=l_plus, l_pf=l_pf))
     return GradedInvariants(p=p, n=2 * m, eta=sum(fixed), degrees=tuple(degrees))
-
-
-class K3ActionSpec(NamedTuple):
-    """One row of the prime-order K3 quotient tables."""
-
-    p: int
-    kind: str  # "symplectic" | "non-symplectic"
-    lattice_name: str
-    n_sing: int
-    l_plus_2: int
-    l_p_2: int
-
-    def quotient_lattice(self) -> Lattice:
-        return _K3_LATTICES[self.lattice_name]()
-
-    def h2_profile(self) -> JordanProfile:
-        counts = {1: self.l_plus_2, self.p: self.l_p_2}
-        return JordanProfile.from_counts(self.p, counts)
-
-
-_K3_LATTICES = {
-    "E8(-1) + U(2)^3": lambda: named_lattice("E8", -1).direct_sum(
-        named_lattice("U", 2), named_lattice("U", 2), named_lattice("U", 2)
-    ),
-    "U(3) + U^2 + A2(-1)^2": lambda: named_lattice("U", 3).direct_sum(
-        named_lattice("U"), named_lattice("U"),
-        named_lattice("A2", -1), named_lattice("A2", -1),
-    ),
-    "U(5) + U^2": lambda: named_lattice("U", 5).direct_sum(
-        named_lattice("U"), named_lattice("U")
-    ),
-    "U + Lambda7": lambda: named_lattice("U").direct_sum(named_lattice("Lambda7")),
-    "U + E6(-1)": lambda: named_lattice("U").direct_sum(named_lattice("E6", -1)),
-    "NS5 + A4(-1)": lambda: named_lattice("NS5").direct_sum(named_lattice("A4", -1)),
-    "U + NS7": lambda: named_lattice("U").direct_sum(named_lattice("NS7")),
-    "U": lambda: named_lattice("U"),
-    "U(17) + L17^(17)": lambda: named_lattice("U", 17).direct_sum(
-        named_lattice("L17dual17")
-    ),
-    "U(19) + NS19": lambda: named_lattice("U", 19).direct_sum(named_lattice("NS19")),
-}
-
-K3_TABLE = (
-    K3ActionSpec(2, "symplectic", "E8(-1) + U(2)^3", 8, 6, 8),
-    K3ActionSpec(3, "symplectic", "U(3) + U^2 + A2(-1)^2", 6, 4, 6),
-    K3ActionSpec(5, "symplectic", "U(5) + U^2", 4, 2, 4),
-    K3ActionSpec(7, "symplectic", "U + Lambda7", 3, 1, 3),
-    K3ActionSpec(3, "non-symplectic", "U + E6(-1)", 3, 1, 7),
-    K3ActionSpec(5, "non-symplectic", "NS5 + A4(-1)", 4, 2, 4),
-    K3ActionSpec(7, "non-symplectic", "U + NS7", 3, 1, 3),
-    K3ActionSpec(11, "non-symplectic", "U", 2, 0, 2),
-    K3ActionSpec(17, "non-symplectic", "U(17) + L17^(17)", 7, 5, 1),
-    K3ActionSpec(19, "non-symplectic", "U(19) + NS19", 5, 3, 1),
-)
-
-
-def nikulin_involution() -> GLattice:
-    """The K3 lattice with the involution fixing three hyperbolic planes
-    and swapping the two negative definite E8 summands."""
-    u = named_lattice("U").gram
-    e8m = named_lattice("E8", -1).gram
-    gram = IntMatrix.block_diagonal(u, u, u, e8m, e8m)
-    n = gram.nrows
-    perm = list(range(6)) + list(range(14, 22)) + list(range(6, 14))
-    action = IntMatrix(
-        [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)], ncols=n
-    )
-    return GLattice(gram=gram, action=action, p=2)
-
-
-class K3TableRow(NamedTuple):
-    spec: K3ActionSpec
-    lattice: Lattice
-    invariants: LatticeInvariants
-    n_sing: int
-    pushforward_verified: bool | None
-
-
-def k3_table(p: int, kind: str) -> K3TableRow:
-    """Quotient lattice and singular point count for one table row.
-
-    The order-2 symplectic row carries an explicit action; for it the
-    pushforward construction is recomputed and its invariant triple is
-    required to match the tabulated lattice.
-    """
-    spec = next((r for r in K3_TABLE if r.p == p and r.kind == kind), None)
-    if spec is None:
-        raise ValueError(f"no table row for p={p}, kind={kind!r}")
-    lattice = spec.quotient_lattice()
-    verified = None
-    if (p, kind) == (2, "symplectic"):
-        pushed = pushforward_quotient_lattice(nikulin_involution())
-        if invariants(pushed) != invariants(lattice):
-            raise RuntimeError("pushforward of the involution disagrees with the table")
-        verified = True
-    return K3TableRow(spec, lattice, invariants(lattice), spec.n_sing, verified)
 
 
 # Invariant sublattices of the degree-2 cohomology of the surface for the
@@ -264,6 +175,20 @@ def _bb_data(p: int, m: int) -> dict:
     if not (2 <= m <= data["max_m"]):
         raise ValueError(f"m must lie in 2..{data['max_m']} for p={p}")
     return data
+
+
+def fujiki_constant(p: int, m: int, c) -> Fraction:
+    """Top-intersection constant after rescaling the pushforward by c.
+
+    C = (2m)! * p^(2m-1) / (m! * 2^m * c^m); with the construction's total
+    rescale c = p this is p^(m-1) * (2m)! / (m! * 2^m).
+    """
+    if m < 2:
+        raise ValueError("needs m >= 2")
+    c = Fraction(c)
+    if c == 0:
+        raise ValueError("rescale factor c must be non-zero")
+    return Fraction(factorial(2 * m) * p ** (2 * m - 1), factorial(m) * 2 ** m) / c ** m
 
 
 def bb_target_lattice(p: int, m: int) -> Lattice:
@@ -328,7 +253,10 @@ def _symplectic_row(p: int) -> K3ActionSpec:
 
 def k3_h2_profile(p: int) -> JordanProfile:
     """Degree-2 profile of the surface for the symplectic order-p action."""
-    return _symplectic_row(p).h2_profile()
+    from .profiles import JordanProfile
+
+    spec = _symplectic_row(p)
+    return JordanProfile.from_counts(p, {1: spec.l_plus_2, p: spec.l_p_2})
 
 
 def fixed_point_count(p: int, m: int) -> int:
@@ -358,9 +286,11 @@ def fixed_point_count(p: int, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def hilbert_invariants(p: int, m: int) -> GradedInvariants:
-    """graded_profile of the symplectic order-p row; for m < p its eta, the
-    model's lefschetz_euler, must equal fixed_point_count, else RuntimeError."""
-    inv = graded_profile(m, k3_h2_profile(p))
+    """graded_profile of the symplectic order-p row, from the row's counts;
+    for m < p its eta, the model's lefschetz_euler, must equal
+    fixed_point_count, else RuntimeError."""
+    spec = _symplectic_row(p)
+    inv = _permutation_invariants(m, spec.l_plus_2, spec.l_p_2, p)
     if m < p and inv.eta != fixed_point_count(p, m):
         raise RuntimeError(
             f"lefschetz_euler {inv.eta} of the model differs from the fixed-point "

@@ -119,6 +119,8 @@ class IntMatrix:
     def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
         # operator.index rejects floats instead of truncating them
         data = tuple(tuple(operator.index(e) for e in row) for row in rows)
+        if ncols is not None:
+            ncols = operator.index(ncols)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):

@@ -8,7 +8,7 @@ the group cohomology H^*(G, T) and the discriminant bookkeeping of the
 quotient constructions.
 
 The counts and H^1 come from one Smith form of phi - 1, with no use of the
-form (profiles._module_analysis): sigma (phi - 1) = phi^p - 1 = 0, and Ker
+form (_module_analysis): sigma (phi - 1) = phi^p - 1 = 0, and Ker
 sigma has the rank r of Im(phi - 1), so Ker sigma = sat Im(phi - 1) and
 H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1) = (Z/p)^l_minus,
 rk T^G = n - r, l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p; the
@@ -35,13 +35,13 @@ the test suite rather than assumed:
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .intmat import (
     IntMatrix,
     _Frozen,
+    _row_basis_mod_p,
     _smith,
     _smith_diagonal_mod,
     det_adjugate,
@@ -49,7 +49,6 @@ from .intmat import (
     is_prime,
     norm_map,
 )
-from .profiles import _module_analysis
 
 
 class Lattice(_Frozen):
@@ -203,6 +202,74 @@ def invariants(l: Lattice) -> LatticeInvariants:
     return LatticeInvariants(l.rank, signature(l), tuple(discriminant_group(l)), l.is_even())
 
 
+class ModuleAnalysis(NamedTuple):
+    """Counts of trivial / cyclotomic / free summands of an order-p Z[G]-lattice,
+    and H^1 as the torsion of coker(A - 1) they were read from."""
+
+    l_plus: int
+    l_minus: int
+    l_p: int
+    h1: tuple[int, ...]
+
+
+def _module_analysis(action: IntMatrix, p: int) -> ModuleAnalysis:
+    """Summand counts (l_plus, l_minus, l_p) of Z^n under an action A with
+    A^p = 1 over Z, from one Smith form of A - 1; no invariant form is needed.
+
+    The preconditions are the caller's: GLattice and curtis_reiner_check
+    check that p is prime and A square, and establish A^p = 1 (both by
+    intmat.norm_map, whose norm map GLattice keeps), hence the
+    underscore.  Over Q, A - 1 vanishes on the invariants and is
+    invertible on the other eigenspaces, where
+    sigma = 1 + A + ... + A^(p-1) vanishes; so with r = rank(A - 1),
+    rk T^G = n - r and Ker sigma has rank r.  As sigma (A - 1) = A^p - 1 = 0,
+    Im(A - 1) lies in the saturated Ker sigma of the same rank, so
+    Ker sigma = sat Im(A - 1) and H^1(G, T) = Ker sigma / Im(A - 1) is the
+    torsion of coker(A - 1): the Smith entries > 1, each of which must be p.
+    A trivial summand adds 0 to r, a cyclotomic one p - 1 to r and one Z/p
+    to H^1, a free one p - 1 to r and nothing to H^1.  Hence
+    l_minus = #H^1, l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.
+
+    Two numbers of A check the counts independently.  By Diederichsen-Reiner
+    (Curtis-Reiner, Methods of Representation Theory I, section 34) a
+    trivial, cyclotomic or free summand has trace 1, -1 or 1 + (-1) = 0 and
+    reduces mod p to N_1, N_(p-1) or N_p, so tr A = l_plus - l_minus over Z
+    and rank_p(A - 1) = (p - 2) l_minus + (p - 1) l_p, from one elimination
+    mod p.  With n they determine the counts: l_minus + l_p = (n - tr A)/p,
+    l_minus = (p - 1)(l_minus + l_p) - rank_p and l_plus = tr A + l_minus,
+    so any wrong count raises ValueError.  They are consequences of A^p = 1,
+    not a test of it: [[1, 2], [0, 1]] at p = 2 is refused (trace 2 against
+    1 - 1 = 0), but [[-1, 2], [0, -1]], of infinite order, passes every
+    check as (Z^-)^2.
+    """
+    n = action.nrows
+    b = IntMatrix._trusted(
+        tuple(row[:i] + (row[i] - 1,) + row[i + 1:] for i, row in enumerate(action.rows)), n
+    )
+    snf = _smith(b)
+    r = snf.rank
+    torsion = tuple(d for d in snf.diagonal if d > 1)
+    if any(d != p for d in torsion):
+        raise ValueError(f"coker(A - 1) has torsion {torsion}, expected all {p}")
+    l_minus = len(torsion)
+    l_p = r // (p - 1) - l_minus
+    l_plus = n - r - l_p
+    if r % (p - 1) or l_p < 0 or l_plus < 0:
+        raise ValueError("rank bookkeeping failed: input is not an order-p action")
+
+    trace = sum(row[i] for i, row in enumerate(action.rows))
+    if trace != l_plus - l_minus:
+        raise ValueError(f"trace {trace} disagrees with l_plus - l_minus = {l_plus - l_minus}")
+    rank_p = len(_row_basis_mod_p(b.rows, p))
+    expected = (p - 2) * l_minus + (p - 1) * l_p
+    if rank_p != expected:
+        raise ValueError(
+            f"rank {rank_p} of A - 1 mod {p} disagrees with "
+            f"(p - 2) l_minus + (p - 1) l_p = {expected}"
+        )
+    return ModuleAnalysis(l_plus, l_minus, l_p, torsion)
+
+
 class BNSInvariants(NamedTuple):
     l_plus: int
     l_minus: int
@@ -212,7 +279,7 @@ class BNSInvariants(NamedTuple):
 def bns_invariants(gl: GLattice) -> BNSInvariants:
     """Counts of trivial / cyclotomic / free summands of the Z[G]-lattice.
 
-    From one Smith form of phi - 1 (profiles._module_analysis): with
+    From one Smith form of phi - 1 (_module_analysis): with
     r = rank(phi - 1), rk T^G = n - r; Ker sigma = sat Im(phi - 1), so
     H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1) = (Z/p)^l_minus;
     then l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.  The counts
@@ -267,6 +334,36 @@ def group_cohomology(gl: GLattice, i: int) -> GroupCohomology:
     return GroupCohomology(free_rank=0, divisors=formula)
 
 
+class CRDecomposition(NamedTuple):
+    """Counts (r, s, t) of free / cyclotomic-ideal / trivial summands.
+
+    The integral analysis tells the trivial summand Z from the cyclotomic
+    Z^- at p = 2 as well, where the mod-2 profile sees only their sum.
+    """
+
+    r: int
+    s: int
+    t: int
+    s_plus_t: int
+
+
+def curtis_reiner_check(action: IntMatrix, p: int) -> CRDecomposition:
+    """Summand counts of an exact order-p integer action: a view of _module_analysis.
+
+    Requires action^p = identity over Z, checked here.  The counts come from
+    one Smith form of action - 1 and are checked against the trace and one
+    mod-p rank; a disagreement raises ValueError.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not action.is_square():
+        raise ValueError("action must be square")
+    if norm_map(action, p) is None:
+        raise ValueError("action^p is not the identity over Z")
+    a = _module_analysis(action, p)
+    return CRDecomposition(r=a.l_p, s=a.l_minus, t=a.l_plus, s_plus_t=a.l_minus + a.l_plus)
+
+
 def pushforward_quotient_lattice(gl: GLattice) -> Lattice:
     """Image of the norm map with the form B(x, y)/p.
 
@@ -295,6 +392,8 @@ def overlattice_from_glue(base: Lattice, glue: Sequence[Sequence]) -> Lattice:
     integral vector w = denom * v: G v is integral iff G w = 0 mod denom,
     and v^T G v iff w^T G w = 0 mod denom^2.
     """
+    from fractions import Fraction
+
     n = base.rank
     gram = base.gram.rows
     scaled = []  # (denom, denom * v) per glue vector
@@ -333,20 +432,6 @@ def overlattice_from_glue(base: Lattice, glue: Sequence[Sequence]) -> Lattice:
                 raise ValueError(f"overlattice pairing ({i},{j}) is not integral")
         entries.append([e // (denom * denom) for e in row])
     return Lattice(IntMatrix(entries, ncols=n))
-
-
-def fujiki_constant(p: int, m: int, c) -> Fraction:
-    """Top-intersection constant after rescaling the pushforward by c.
-
-    C = (2m)! * p^(2m-1) / (m! * 2^m * c^m); with the construction's total
-    rescale c = p this is p^(m-1) * (2m)! / (m! * 2^m).
-    """
-    if m < 2:
-        raise ValueError("needs m >= 2")
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("rescale factor c must be non-zero")
-    return Fraction(factorial(2 * m) * p ** (2 * m - 1), factorial(m) * 2 ** m) / c ** m
 
 
 def dual_lattice(l: Lattice, scale: int = 1) -> Lattice:

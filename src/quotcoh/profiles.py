@@ -18,13 +18,10 @@ callers simply recompute the same pure value.  The Hilbert-scheme front
 end needs none of this algebra: its modules are permutation modules,
 whose summands it counts directly.
 
-Over Z, _module_analysis reads the summand counts of an order-p integer
-action from one Smith form of A - 1, and checks them against the trace of
-A and one mod-p rank of A - 1, with no Jordan filtration: by
-Diederichsen-Reiner every such lattice reduces to N_1, N_(p-1) and N_p
-only.  Unlike the profile, the counts tell the trivial Z from the
-cyclotomic Z^- at p = 2, where both reduce to N_1; the profile stays their
-test oracle.
+Everything here is over F_p.  The summand counts of an order-p action over
+Z, which tell the trivial Z from the cyclotomic Z^- at p = 2, where both
+reduce to N_1, are lattices._module_analysis; the profile is their test
+oracle.
 """
 
 from __future__ import annotations
@@ -32,9 +29,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
-from .intmat import IntMatrix, _Frozen, _row_basis_mod_p, _smith, is_prime, norm_map
+from .intmat import IntMatrix, _Frozen, _row_basis_mod_p, is_prime
 
 
 class JordanProfile(_Frozen):
@@ -276,101 +273,3 @@ def sym_power(a: JordanProfile, k: int) -> JordanProfile:
     if k < 0:
         raise ValueError("negative symmetric power")
     return _sym_profile(a.p, a.blocks, k)
-
-
-class ModuleAnalysis(NamedTuple):
-    """Counts of trivial / cyclotomic / free summands of an order-p Z[G]-lattice,
-    and H^1 as the torsion of coker(A - 1) they were read from."""
-
-    l_plus: int
-    l_minus: int
-    l_p: int
-    h1: tuple[int, ...]
-
-
-def _module_analysis(action: IntMatrix, p: int) -> ModuleAnalysis:
-    """Summand counts (l_plus, l_minus, l_p) of Z^n under an action A with
-    A^p = 1 over Z, from one Smith form of A - 1; no invariant form is needed.
-
-    The preconditions are the caller's: GLattice and curtis_reiner_check
-    check that p is prime and A square, and establish A^p = 1 (both by
-    intmat.norm_map, whose norm map GLattice keeps), hence the
-    underscore.  Over Q, A - 1 vanishes on the invariants and is
-    invertible on the other eigenspaces, where
-    sigma = 1 + A + ... + A^(p-1) vanishes; so with r = rank(A - 1),
-    rk T^G = n - r and Ker sigma has rank r.  As sigma (A - 1) = A^p - 1 = 0,
-    Im(A - 1) lies in the saturated Ker sigma of the same rank, so
-    Ker sigma = sat Im(A - 1) and H^1(G, T) = Ker sigma / Im(A - 1) is the
-    torsion of coker(A - 1): the Smith entries > 1, each of which must be p.
-    A trivial summand adds 0 to r, a cyclotomic one p - 1 to r and one Z/p
-    to H^1, a free one p - 1 to r and nothing to H^1.  Hence
-    l_minus = #H^1, l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.
-
-    Two numbers of A check the counts independently.  By Diederichsen-Reiner
-    (Curtis-Reiner, Methods of Representation Theory I, section 34) a
-    trivial, cyclotomic or free summand has trace 1, -1 or 1 + (-1) = 0 and
-    reduces mod p to N_1, N_(p-1) or N_p, so tr A = l_plus - l_minus over Z
-    and rank_p(A - 1) = (p - 2) l_minus + (p - 1) l_p, from one elimination
-    mod p.  With n they determine the counts: l_minus + l_p = (n - tr A)/p,
-    l_minus = (p - 1)(l_minus + l_p) - rank_p and l_plus = tr A + l_minus,
-    so any wrong count raises ValueError.  They are consequences of A^p = 1,
-    not a test of it: [[1, 2], [0, 1]] at p = 2 is refused (trace 2 against
-    1 - 1 = 0), but [[-1, 2], [0, -1]], of infinite order, passes every
-    check as (Z^-)^2.
-    """
-    n = action.nrows
-    b = IntMatrix._trusted(
-        tuple(row[:i] + (row[i] - 1,) + row[i + 1:] for i, row in enumerate(action.rows)), n
-    )
-    snf = _smith(b)
-    r = snf.rank
-    torsion = tuple(d for d in snf.diagonal if d > 1)
-    if any(d != p for d in torsion):
-        raise ValueError(f"coker(A - 1) has torsion {torsion}, expected all {p}")
-    l_minus = len(torsion)
-    l_p = r // (p - 1) - l_minus
-    l_plus = n - r - l_p
-    if r % (p - 1) or l_p < 0 or l_plus < 0:
-        raise ValueError("rank bookkeeping failed: input is not an order-p action")
-
-    trace = sum(row[i] for i, row in enumerate(action.rows))
-    if trace != l_plus - l_minus:
-        raise ValueError(f"trace {trace} disagrees with l_plus - l_minus = {l_plus - l_minus}")
-    rank_p = len(_row_basis_mod_p(b.rows, p))
-    expected = (p - 2) * l_minus + (p - 1) * l_p
-    if rank_p != expected:
-        raise ValueError(
-            f"rank {rank_p} of A - 1 mod {p} disagrees with "
-            f"(p - 2) l_minus + (p - 1) l_p = {expected}"
-        )
-    return ModuleAnalysis(l_plus, l_minus, l_p, torsion)
-
-
-class CRDecomposition(NamedTuple):
-    """Counts (r, s, t) of free / cyclotomic-ideal / trivial summands.
-
-    The integral analysis tells the trivial summand Z from the cyclotomic
-    Z^- at p = 2 as well, where the mod-2 profile sees only their sum.
-    """
-
-    r: int
-    s: int
-    t: int
-    s_plus_t: int
-
-
-def curtis_reiner_check(action: IntMatrix, p: int) -> CRDecomposition:
-    """Summand counts of an exact order-p integer action: a view of _module_analysis.
-
-    Requires action^p = identity over Z, checked here.  The counts come from
-    one Smith form of action - 1 and are checked against the trace and one
-    mod-p rank; a disagreement raises ValueError.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not action.is_square():
-        raise ValueError("action must be square")
-    if norm_map(action, p) is None:
-        raise ValueError("action^p is not the identity over Z")
-    a = _module_analysis(action, p)
-    return CRDecomposition(r=a.l_p, s=a.l_minus, t=a.l_plus, s_plus_t=a.l_minus + a.l_plus)

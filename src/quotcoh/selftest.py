@@ -15,8 +15,8 @@ from typing import Callable, NamedTuple
 
 from .engine import DegreeInvariants, GradedInvariants, u_dimensions
 from .intmat import IntMatrix, kernel_saturated, quotient_group, smith_decomposition
-from .lattices import GLattice, group_cohomology
-from .profiles import curtis_reiner_check, jordan_profile
+from .lattices import GLattice, curtis_reiner_check, group_cohomology
+from .profiles import jordan_profile
 from .toric import hj_resolution
 
 

@@ -13,8 +13,9 @@ from operator import mul
 from typing import Sequence
 
 from quotcoh.engine import DegreeInvariants, GradedInvariants
-from quotcoh.hilbert import K3_B2, K3ActionSpec
+from quotcoh.hilbert import K3_B2
 from quotcoh.intmat import IntMatrix, SmithDecomposition, smith_decomposition
+from quotcoh.k3 import K3ActionSpec
 from quotcoh.toric import Cone, Fan, _judge
 
 

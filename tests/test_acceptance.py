@@ -17,17 +17,15 @@ from quotcoh.engine import (
     u_dimensions,
 )
 from quotcoh.hilbert import (
-    K3_TABLE,
     bb_quotient,
     bb_target_lattice,
     betti_numbers,
     betti_table,
     hilbert_invariants,
     hilbert_quotient_report,
-    k3_table,
-    nikulin_involution,
 )
 from quotcoh.intmat import IntMatrix, kernel_saturated
+from quotcoh.k3 import K3_TABLE, k3_table, nikulin_involution
 from quotcoh.lattices import (
     Lattice,
     group_cohomology,

@@ -566,22 +566,34 @@ class TestProcessLevel:
         )
         assert json.loads(proc.stdout)["counts"] == {"3": 1}
 
+    # the package modules each command compiles, with cli itself run as __main__
+    _K3_LAYERS = {"quotcoh", "quotcoh.intmat", "quotcoh.lattices", "quotcoh.k3"}
+    _LAYERS = {
+        "k3": _K3_LAYERS,
+        "hilbert": _K3_LAYERS | {"quotcoh.engine", "quotcoh.hilbert"},
+        "tables": _K3_LAYERS | {"quotcoh.engine", "quotcoh.hilbert"},
+        "toric": {"quotcoh", "quotcoh.intmat", "quotcoh.toric"},
+    }
+
     @pytest.mark.parametrize("argv", [
         ["hilbert", "--p", "7", "--m", "6"],
         ["k3", "--p", "2"],
         ["tables", "--which", "bb"],
         ["toric", "--p", "5", "--weights", "1,2,3"],
+        ["tables", "--which", "all"],
+        ["k3", "--p", "19", "--kind", "non-symplectic"],
     ])
     def test_paper_commands_load_only_their_layers(self, argv):
         # -X importtime writes one stderr line per module the process imports
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quotcoh.cli", *argv],
                               capture_output=True, text=True, check=True)
         loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-        layer, skipped = ("quotcoh.toric", "quotcoh.hilbert") if argv[0] == "toric" else (
-            "quotcoh.hilbert", "quotcoh.toric")
-        assert {"quotcoh", layer} <= loaded
+        assert {name for name in loaded if name.split(".")[0] == "quotcoh"} == self._LAYERS[argv[0]]
         # the records are plain classes: dataclasses, and the inspect it imports, stay unloaded
-        assert not loaded & {skipped, "quotcoh.selftest", "numpy", "dataclasses", "inspect"}
+        assert not loaded & {"numpy", "dataclasses", "inspect"}
+        if argv[0] == "k3":
+            # no Fraction on the K3 rows: fractions, and the decimal it imports, stay unloaded
+            assert not loaded & {"fractions", "decimal"}
         assert json.loads(proc.stdout)
 
     @pytest.mark.parametrize("argv, payload", [
@@ -592,7 +604,7 @@ class TestProcessLevel:
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quotcoh.cli", *argv, "--input", "-"],
                               input=json.dumps(payload), capture_output=True, text=True, check=True)
         loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-        assert "quotcoh.profiles" in loaded
+        assert ("quotcoh.profiles" if argv == ["profile"] else "quotcoh.lattices") in loaded
         assert not {name for name in loaded if name.split(".")[0] == "numpy"}
         assert json.loads(proc.stdout)
 

@@ -7,7 +7,6 @@ import quotcoh.hilbert as hilbert
 import quotcoh.profiles as profiles
 from quotcoh.hilbert import (
     K3_B2,
-    K3_TABLE,
     bb_quotient,
     bb_target_lattice,
     betti_numbers,
@@ -18,10 +17,9 @@ from quotcoh.hilbert import (
     hilbert_quotient_report,
     hilbert_report,
     k3_h2_profile,
-    k3_table,
-    nikulin_involution,
 )
 from quotcoh.engine import DegreeInvariants, GradedInvariants, lefschetz_euler, quotient_report
+from quotcoh.k3 import K3_TABLE, k3_table, nikulin_involution
 from quotcoh.lattices import bns_invariants, invariants
 from quotcoh.profiles import JordanProfile
 from reference import k3_graded_invariants

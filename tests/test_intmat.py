@@ -247,6 +247,14 @@ class TestShapes:
             IntMatrix([], ncols=-1)
         assert IntMatrix([], ncols=0).ncols == 0
 
+    def test_float_column_count_rejected(self):
+        # the column count goes through operator.index, as the entries do
+        for build in (lambda: IntMatrix([], ncols=2.5), lambda: IntMatrix.zeros(0, 2.5),
+                      lambda: IntMatrix([[1, 2]], ncols=2.0)):
+            with pytest.raises(TypeError):
+                build()
+        assert type(IntMatrix([], ncols=True).ncols) is int
+
     def test_negative_identity_rejected(self):
         with pytest.raises(ValueError, match="negative size"):
             IntMatrix.identity(-1)

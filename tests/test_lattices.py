@@ -14,7 +14,6 @@ from quotcoh.lattices import (
     discriminant,
     discriminant_group,
     dual_lattice,
-    fujiki_constant,
     group_cohomology,
     invariants,
     named_lattice,
@@ -22,7 +21,8 @@ from quotcoh.lattices import (
     pushforward_quotient_lattice,
     signature,
 )
-from quotcoh.hilbert import nikulin_involution
+from quotcoh.hilbert import fujiki_constant
+from quotcoh.k3 import nikulin_involution
 from quotcoh.selftest import cycle_matrix, random_glattice
 from reference import matrix_power
 
@@ -195,14 +195,14 @@ class TestEliminationBudget:
     def test_one_mod_p_elimination_and_no_filtration_per_question(self, monkeypatch, ask,
                                                                    analyses):
         eliminations, filtrations = [], []
-        basis = profiles._row_basis_mod_p
+        basis = lattices._row_basis_mod_p
 
         def spy(rows, p):
             rows = list(rows)
             eliminations.append(len(rows))
             return basis(rows, p)
 
-        monkeypatch.setattr(profiles, "_row_basis_mod_p", spy)
+        monkeypatch.setattr(lattices, "_row_basis_mod_p", spy)
         monkeypatch.setattr(profiles, "_profile_from_rows",
                             lambda rows, p: filtrations.append(p))
         for gl in _budget_lattices():
@@ -218,7 +218,7 @@ class TestEliminationBudget:
                  IntMatrix.block_diagonal(cycle_matrix(3), IntMatrix.identity(2)), 3),
     ], ids=["Nikulin", "two 5-cycles", "3-cycle + I_2"])
     def test_wrong_count_is_refused(self, monkeypatch, gl):
-        basis, smith = profiles._row_basis_mod_p, profiles._smith
+        basis, smith = lattices._row_basis_mod_p, lattices._smith
 
         def unit_to_torsion(snf):
             # the last unit becomes p: l_minus + 1, l_p - 1, l_plus + 1, so the
@@ -242,7 +242,7 @@ class TestEliminationBudget:
         ]
         for name, mutant in mutants:
             with monkeypatch.context() as patch:
-                patch.setattr(profiles, name, mutant)
+                patch.setattr(lattices, name, mutant)
                 with pytest.raises(ValueError, match="disagrees|bookkeeping"):
                     bns_invariants(gl)
                 with pytest.raises(ValueError, match="disagrees|bookkeeping"):

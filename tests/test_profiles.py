@@ -4,12 +4,11 @@ import time
 import pytest
 
 from quotcoh.intmat import IntMatrix
+from quotcoh.lattices import _module_analysis, curtis_reiner_check
 from quotcoh.profiles import (
     JordanProfile,
-    _module_analysis,
     _sym_single,
     cohomology_dim,
-    curtis_reiner_check,
     direct_sum,
     jordan_profile,
     representative_matrix,

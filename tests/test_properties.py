@@ -38,18 +38,19 @@ from quotcoh.intmat import (
     rank_mod_p,
     smith_decomposition,
 )
-from quotcoh.hilbert import nikulin_involution
+from quotcoh.k3 import nikulin_involution
 from quotcoh.lattices import (
     BNSInvariants,
     GLattice,
     Lattice,
     _congruence,
     bns_invariants,
+    curtis_reiner_check,
     group_cohomology,
     overlattice_from_glue,
     signature,
 )
-from quotcoh.profiles import JordanProfile, curtis_reiner_check, jordan_profile
+from quotcoh.profiles import JordanProfile, jordan_profile
 from quotcoh.selftest import (
     cycle_matrix,
     cyclotomic_companion,

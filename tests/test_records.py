@@ -15,8 +15,8 @@ import pytest
 import quotcoh
 
 from quotcoh.engine import DegenerationStatus, DegreeInvariants, GradedInvariants, QuotientReport
-from quotcoh.hilbert import K3ActionSpec
 from quotcoh.intmat import IntMatrix, SmithDecomposition, _Frozen
+from quotcoh.k3 import K3ActionSpec
 from quotcoh.lattices import GLattice, Lattice
 from quotcoh.profiles import JordanProfile
 from quotcoh.toric import Cone, CyclicSingularity, Fan
