@@ -18,6 +18,7 @@ assumptions on every report.
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping, NamedTuple
 
 from .intmat import _Frozen, is_prime
@@ -64,6 +65,8 @@ class DegreeInvariants(_Frozen):
 
     def __init__(self, rank: int, l_plus: int = 0, l_minus: int = 0, l_pf: int = 0,
                  l_qt: tuple[tuple[int, int], ...] = ()):
+        rank, l_plus, l_minus, l_pf = map(operator.index, (rank, l_plus, l_minus, l_pf))
+        l_qt = tuple((operator.index(q), operator.index(c)) for q, c in l_qt)
         if min(rank, l_plus, l_minus, l_pf, 0) < 0:
             raise ValueError("negative count")
         sizes = [q for q, _ in l_qt]
@@ -103,6 +106,7 @@ class GradedInvariants(_Frozen):
 
     def __init__(self, p: int, n: int, eta: int, degrees: tuple[DegreeInvariants, ...],
                  strict: bool = True):
+        p, n, eta = map(operator.index, (p, n, eta))
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if n < 1 or eta < 0:
@@ -221,6 +225,7 @@ def e2_entry(inv: GradedInvariants, d: int, q: int, coefficients: str = "Z") -> 
     (Z/p)^(l_minus + torsion blocks below p), positive even rows the same
     with l_plus.
     """
+    d = operator.index(d)
     if d < 0:
         raise ValueError("negative filtration degree")
     deg = inv.degree(q)
@@ -240,24 +245,16 @@ def _mod_p_block_counts(inv: GradedInvariants, k: int) -> tuple[int, int]:
     """(blocks of size < p, all blocks) of H^k with F coefficients.
 
     Universal coefficients turn the integral summand counts plus the
-    torsion profiles of degrees k and k+1 into the mod-p profile.
+    torsion profiles of degrees k and k+1 into the mod-p profile.  Trivial
+    and cyclotomic summands reduce to N_1 and N_(p-1), free ones to N_p,
+    and each torsion block N_q of degree k or k+1 gives one N_q; so every
+    block but the free summands and the N_p torsion has size below p.
     """
     p = inv.p
     d = inv.degree(k)
     nxt = inv.degrees[k + 1] if k + 1 <= 2 * inv.n else DegreeInvariants.make()
-    l1 = d.l_plus + d.torsion_count(1) + nxt.torsion_count(1)
-    if p == 2:
-        l1 += d.l_minus
-        below = l1
-        total = below + d.l_pf + d.torsion_count(2) + nxt.torsion_count(2)
-        return below, total
-    lp1 = d.l_minus + d.torsion_count(p - 1) + nxt.torsion_count(p - 1)
-    middle = sum(
-        d.torsion_count(q) + nxt.torsion_count(q) for q in range(2, p - 1)
-    )
-    below = l1 + lp1 + middle
-    total = below + d.l_pf + d.torsion_count(p) + nxt.torsion_count(p)
-    return below, total
+    below = d.l_plus + d.l_minus + d.torsion_blocks_below(p) + nxt.torsion_blocks_below(p)
+    return below, below + d.l_pf + d.torsion_count(p) + nxt.torsion_count(p)
 
 
 def lefschetz_euler(inv: GradedInvariants) -> int:

@@ -34,7 +34,11 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; ValueError at or above 3.3e24, where it would guess."""
+    """Deterministic Miller-Rabin; ValueError at or above 3.3e24, where it would guess.
+
+    TypeError for what is not an integer: 5.0 would pass its trial division.
+    """
+    p = operator.index(p)
     if p < 2:
         return False
     if p >= _MR_LIMIT:
@@ -627,6 +631,17 @@ def image_basis(m: IntMatrix) -> IntMatrix:
     """
     s = _smith(m, below=m)
     return IntMatrix._trusted(s.v.transpose().rows[:s.rank], m.nrows)
+
+
+class CohGroup(NamedTuple):
+    """Finitely generated abelian group as (free rank, torsion divisors)."""
+
+    free_rank: int
+    divisors: tuple[int, ...]
+
+    def __str__(self) -> str:
+        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.divisors]
+        return " + ".join(parts) if parts else "0"
 
 
 def quotient_group(sub: IntMatrix, ambient_rank: int) -> list[int]:

@@ -7,20 +7,25 @@ cyclotomic and free summands of the underlying Z[G]-module; they control
 the group cohomology H^*(G, T) and the discriminant bookkeeping of the
 quotient constructions.
 
-The counts and H^1 come from one Smith form of phi - 1, with no use of the
-form (_module_analysis): sigma (phi - 1) = phi^p - 1 = 0, and Ker
-sigma has the rank r of Im(phi - 1), so Ker sigma = sat Im(phi - 1) and
+Each answer has one record: bns_invariants, curtis_reiner_check and
+_module_analysis return BNSInvariants, and group_cohomology returns
+intmat.CohGroup, the type of toric's cohomology tables.  The counts and
+H^1 come from one Smith form of phi - 1, with no use of the form
+(_module_analysis): sigma (phi - 1) = phi^p - 1 = 0, and Ker sigma has
+the rank r of Im(phi - 1), so Ker sigma = sat Im(phi - 1) and
 H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1) = (Z/p)^l_minus,
-rk T^G = n - r, l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p; the
-trace tr phi = l_plus - l_minus and one mod-p rank of phi - 1 check them.
-Dually Im sigma is of full rank in the saturated T^G, so
+rk T^G = n - r, l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.  The
+trace tr phi = l_plus - l_minus and one mod-p rank of phi - 1 check the
+counts, and so the odd degrees, read off the same Smith form.  Dually
+Im sigma is of full rank in the saturated T^G, so
 H^2 = T^G / sigma T = tors coker(sigma) = (Z/p)^l_plus, from one more
-Smith form.  No result is kept between calls.  A Lattice reads its
-determinant and its signature off one symmetric congruence pass, which is
-also its non-degeneracy check; likewise a GLattice keeps its norm map
-sigma from intmat.norm_map, the one Horner pass that checks its order,
-since (phi - 1) sigma = phi^p - 1 makes phi sigma = sigma equivalent to
-phi^p = 1.
+Smith form, which the even degrees compare with l_plus: the one second
+route of the cohomology.  No result is kept between calls.  A Lattice
+reads its determinant and its signature off one symmetric congruence
+pass, which is also its non-degeneracy check; likewise a GLattice keeps
+its norm map sigma from intmat.norm_map, the one Horner pass that checks
+its order, since (phi - 1) sigma = phi^p - 1 makes phi sigma = sigma
+equivalent to phi^p = 1.
 
 Two modeling notes, both validated against independent computations in
 the test suite rather than assumed:
@@ -35,10 +40,12 @@ the test suite rather than assumed:
 
 from __future__ import annotations
 
+import operator
 from math import lcm
 from typing import NamedTuple, Sequence
 
 from .intmat import (
+    CohGroup,
     IntMatrix,
     _Frozen,
     _row_basis_mod_p,
@@ -202,17 +209,15 @@ def invariants(l: Lattice) -> LatticeInvariants:
     return LatticeInvariants(l.rank, signature(l), tuple(discriminant_group(l)), l.is_even())
 
 
-class ModuleAnalysis(NamedTuple):
-    """Counts of trivial / cyclotomic / free summands of an order-p Z[G]-lattice,
-    and H^1 as the torsion of coker(A - 1) they were read from."""
+class BNSInvariants(NamedTuple):
+    """Counts of trivial / cyclotomic / free summands of an order-p Z[G]-lattice."""
 
     l_plus: int
     l_minus: int
     l_p: int
-    h1: tuple[int, ...]
 
 
-def _module_analysis(action: IntMatrix, p: int) -> ModuleAnalysis:
+def _module_analysis(action: IntMatrix, p: int) -> BNSInvariants:
     """Summand counts (l_plus, l_minus, l_p) of Z^n under an action A with
     A^p = 1 over Z, from one Smith form of A - 1; no invariant form is needed.
 
@@ -267,92 +272,60 @@ def _module_analysis(action: IntMatrix, p: int) -> ModuleAnalysis:
             f"rank {rank_p} of A - 1 mod {p} disagrees with "
             f"(p - 2) l_minus + (p - 1) l_p = {expected}"
         )
-    return ModuleAnalysis(l_plus, l_minus, l_p, torsion)
-
-
-class BNSInvariants(NamedTuple):
-    l_plus: int
-    l_minus: int
-    l_p: int
+    return BNSInvariants(l_plus, l_minus, l_p)
 
 
 def bns_invariants(gl: GLattice) -> BNSInvariants:
     """Counts of trivial / cyclotomic / free summands of the Z[G]-lattice.
 
-    From one Smith form of phi - 1 (_module_analysis): with
-    r = rank(phi - 1), rk T^G = n - r; Ker sigma = sat Im(phi - 1), so
-    H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1) = (Z/p)^l_minus;
-    then l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.  The counts
-    are cross-checked against tr phi = l_plus - l_minus and
+    From one Smith form of phi - 1 (_module_analysis), cross-checked
+    against tr phi = l_plus - l_minus and
     rank_p(phi - 1) = (p - 2) l_minus + (p - 1) l_p.
     """
-    a = _module_analysis(gl.action, gl.p)
-    return BNSInvariants(a.l_plus, a.l_minus, a.l_p)
+    return _module_analysis(gl.action, gl.p)
 
 
-class GroupCohomology(NamedTuple):
-    free_rank: int
-    divisors: tuple[int, ...]
-
-
-def group_cohomology(gl: GLattice, i: int) -> GroupCohomology:
+def group_cohomology(gl: GLattice, i: int) -> CohGroup:
     """H^i(G, T) for the (torsion-free) G-lattice T.
 
-    Degree 0 is the free module of invariants (rank reported); odd degrees
-    give (Z/p)^l_minus and positive even degrees (Z/p)^l_plus.  Each group
-    is also computed directly, as the torsion of a cokernel:
-
-    * odd: Im(phi - 1) lies in the saturated Ker sigma of the same rank, so
-      H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1), read off the
-      Smith form the counts came from, whose l_minus the trace and the
-      mod-p rank of phi - 1 confirm;
-    * even: (phi - 1) sigma = phi^p - 1 = 0 puts Im sigma in the saturated
-      T^G = Ker(phi - 1), and rank sigma must equal rk T^G, so
-      H^2 = T^G / sigma T = tors coker(sigma), from one more Smith form.
-
-    A disagreement is a fatal internal error.
+    Degree 0 is the free module of invariants, of rank l_plus + l_p.  Odd
+    degrees give (Z/p)^l_minus: H^1 = Ker sigma / Im(phi - 1) is the
+    torsion of coker(phi - 1), the very Smith entries l_minus counts, so
+    it rests on the trace and mod-p rank checks of _module_analysis.
+    Positive even degrees give (Z/p)^l_plus, and that is also computed
+    directly: (phi - 1) sigma = phi^p - 1 = 0 puts Im sigma in the
+    saturated T^G = Ker(phi - 1), and rank sigma must equal rk T^G, so
+    H^2 = T^G / sigma T = tors coker(sigma), from one more Smith form.  A
+    disagreement of the two even routes is a fatal internal error.
     """
+    i = operator.index(i)
     if i < 0:
         raise ValueError("negative degree")
     a = _module_analysis(gl.action, gl.p)
     if i == 0:
-        return GroupCohomology(free_rank=a.l_plus + a.l_p, divisors=())
+        return CohGroup(a.l_plus + a.l_p, ())
     if i % 2 == 1:
-        direct = a.h1
-        expected = a.l_minus
-    else:
-        snf = _smith(gl.sigma())
-        if snf.rank != a.l_plus + a.l_p:
-            raise RuntimeError(f"rank sigma = {snf.rank}, but rk T^G = {a.l_plus + a.l_p}")
-        direct = tuple(d for d in snf.diagonal if d > 1)
-        expected = a.l_plus
-    formula = (gl.p,) * expected
+        return CohGroup(0, (gl.p,) * a.l_minus)
+    snf = _smith(gl.sigma())
+    if snf.rank != a.l_plus + a.l_p:
+        raise RuntimeError(f"rank sigma = {snf.rank}, but rk T^G = {a.l_plus + a.l_p}")
+    direct = tuple(d for d in snf.diagonal if d > 1)
+    formula = (gl.p,) * a.l_plus
     if direct != formula:
         raise RuntimeError(
             f"group cohomology mismatch in degree {i}: direct {direct}, formula {formula}"
         )
-    return GroupCohomology(free_rank=0, divisors=formula)
+    return CohGroup(0, formula)
 
 
-class CRDecomposition(NamedTuple):
-    """Counts (r, s, t) of free / cyclotomic-ideal / trivial summands.
-
-    The integral analysis tells the trivial summand Z from the cyclotomic
-    Z^- at p = 2 as well, where the mod-2 profile sees only their sum.
-    """
-
-    r: int
-    s: int
-    t: int
-    s_plus_t: int
-
-
-def curtis_reiner_check(action: IntMatrix, p: int) -> CRDecomposition:
-    """Summand counts of an exact order-p integer action: a view of _module_analysis.
+def curtis_reiner_check(action: IntMatrix, p: int) -> BNSInvariants:
+    """Summand counts of an exact order-p integer action, as bns_invariants gives them.
 
     Requires action^p = identity over Z, checked here.  The counts come from
     one Smith form of action - 1 and are checked against the trace and one
-    mod-p rank; a disagreement raises ValueError.
+    mod-p rank; a disagreement raises ValueError.  The trace tells the
+    trivial summand Z from the cyclotomic Z^- at p = 2 as well, where the
+    mod-2 profile sees only their sum.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -360,8 +333,7 @@ def curtis_reiner_check(action: IntMatrix, p: int) -> CRDecomposition:
         raise ValueError("action must be square")
     if norm_map(action, p) is None:
         raise ValueError("action^p is not the identity over Z")
-    a = _module_analysis(action, p)
-    return CRDecomposition(r=a.l_p, s=a.l_minus, t=a.l_plus, s_plus_t=a.l_minus + a.l_plus)
+    return _module_analysis(action, p)
 
 
 def pushforward_quotient_lattice(gl: GLattice) -> Lattice:
@@ -421,9 +393,8 @@ def overlattice_from_glue(base: Lattice, glue: Sequence[Sequence]) -> Lattice:
     denom = lcm(*(d for d, _ in scaled))
     gens = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
     gens += [[e * (denom // d) for e in w] for d, w in scaled]
+    # the generators include denom * I, so the basis has rank n
     basis = image_basis(IntMatrix(gens, ncols=n).transpose())
-    if basis.nrows != n:
-        raise RuntimeError("overlattice basis has wrong rank")
     pairing = basis * base.gram * basis.transpose()
     entries = []
     for i, row in enumerate(pairing.rows):

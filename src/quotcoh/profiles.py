@@ -26,6 +26,7 @@ oracle.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -43,6 +44,7 @@ class JordanProfile(_Frozen):
     __slots__ = ("p", "blocks")
 
     def __init__(self, p: int, blocks: tuple[tuple[int, int], ...]):
+        blocks = tuple((operator.index(q), operator.index(c)) for q, c in blocks)
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         for q, c in blocks:

@@ -37,10 +37,11 @@ from bisect import bisect_left
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple, Sequence
 
 from .intmat import (
+    CohGroup,
     IntMatrix,
     _Frozen,
     _smith,
@@ -85,7 +86,7 @@ class Cone(_Frozen):
 
     @classmethod
     def from_rays(cls, rays: Sequence[Sequence[int]], ambient: int | None = None) -> "Cone":
-        rays = [tuple(int(x) for x in r) for r in rays]
+        rays = [tuple(map(index, r)) for r in rays]
         if ambient is None:
             if not rays:
                 raise ValueError("ambient dimension needed for the zero cone")
@@ -489,17 +490,6 @@ def surface_chain(resolved: Fan, original: Fan) -> tuple[int, ...]:
             raise RuntimeError("rays do not satisfy the smooth chain relation")
         chain.append(-b)
     return tuple(chain)
-
-
-class CohGroup(NamedTuple):
-    """Finitely generated abelian group as (free rank, torsion divisors)."""
-
-    free_rank: int
-    divisors: tuple[int, ...]
-
-    def __str__(self) -> str:
-        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.divisors]
-        return " + ".join(parts) if parts else "0"
 
 
 _Z = CohGroup(1, ())

@@ -169,7 +169,7 @@ def test_criterion_09_group_cohomology_two_paths():
         for _ in range(rounds):
             gl = random_glattice(rng, p, max_dim=9)
             for i in (1, 2):
-                group_cohomology(gl, i)  # two-path disagreement raises
+                group_cohomology(gl, i)  # raises if coker(sigma) disagrees in degree 2
     report(9, f"{rounds} random G-lattices per prime in (2, 3, 5, 7)")
 
 

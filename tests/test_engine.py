@@ -189,6 +189,51 @@ class TestE2Entry:
                     t_d1 = e2_entry(inv, d + 1, q).p_torsion
                     assert mod_dim == t_d + t_d1
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_f_page_against_the_per_size_formula(self, p):
+        # random torsion profiles in every degree, the ends included
+        rng = random.Random(400 + p)
+        for _ in range(30):
+            n = rng.randrange(1, 4)
+            degrees = []
+            for k in range(2 * n + 1):
+                ends = k in (0, 2 * n)
+                l_plus = 1 if ends else rng.randrange(0, 4)
+                l_minus, l_pf = (0, 0) if ends else (rng.randrange(0, 3), rng.randrange(0, 3))
+                sizes = rng.sample(range(1, p + 1), rng.randrange(0, p + 1))
+                degrees.append(DegreeInvariants.make(
+                    rank=l_plus + (p - 1) * l_minus + p * l_pf, l_plus=l_plus, l_minus=l_minus,
+                    l_pf=l_pf, l_qt={q: rng.randrange(1, 4) for q in sizes}))
+            inv = GradedInvariants(p=p, n=n, eta=0, degrees=tuple(degrees))
+            for k in range(2 * n + 1):
+                below, total = _per_size_block_counts(inv, k)
+                assert inv.l_p_mod(k) == total - below
+                assert e2_entry(inv, 0, k, coefficients="F") == (0, total)
+                for d in (1, 2, 3):
+                    assert e2_entry(inv, d, k, coefficients="F") == (0, below)
+
+
+def _per_size_block_counts(inv, k):
+    """(blocks of size < p, all blocks) of H^k mod p, summed size by size: N_1
+    from l_plus, N_(p-1) from l_minus (N_1 at p = 2), N_p from l_pf, and each
+    torsion block size q of degrees k and k+1 on its own."""
+    p = inv.p
+    d = inv.degree(k)
+    nxt = inv.degrees[k + 1] if k + 1 <= 2 * inv.n else DegreeInvariants.make()
+    l1 = d.l_plus + d.torsion_count(1) + nxt.torsion_count(1)
+    if p == 2:
+        l1 += d.l_minus
+        below = l1
+        total = below + d.l_pf + d.torsion_count(2) + nxt.torsion_count(2)
+        return below, total
+    lp1 = d.l_minus + d.torsion_count(p - 1) + nxt.torsion_count(p - 1)
+    middle = sum(
+        d.torsion_count(q) + nxt.torsion_count(q) for q in range(2, p - 1)
+    )
+    below = l1 + lp1 + middle
+    total = below + d.l_pf + d.torsion_count(p) + nxt.torsion_count(p)
+    return below, total
+
 
 class TestLefschetz:
     def test_k3_symplectic_p5(self):

@@ -212,24 +212,26 @@ class TestFreeBlockSymPower:
 class TestCurtisReiner:
     def test_cyclotomic_plus_trivial(self):
         action = IntMatrix.block_diagonal(cyclotomic_companion(5), IntMatrix.identity(2))
-        assert curtis_reiner_check(action, 5) == (0, 1, 2, 3)
+        assert curtis_reiner_check(action, 5) == (2, 1, 0)
 
     def test_cycle(self):
-        assert curtis_reiner_check(cycle_matrix(5), 5) == (1, 0, 0, 0)
+        assert curtis_reiner_check(cycle_matrix(5), 5) == (0, 0, 1)
 
     def test_identity(self):
-        assert curtis_reiner_check(IntMatrix.identity(4), 7) == (0, 0, 4, 4)
+        assert curtis_reiner_check(IntMatrix.identity(4), 7) == (4, 0, 0)
 
     def test_p2_reports_joint_sum(self):
         swap = IntMatrix([[0, 1], [1, 0]])
         action = IntMatrix.block_diagonal(swap, IntMatrix.identity(1), IntMatrix([[-1]]))
-        # the integral analysis tells Z^- (s) from Z (t), which both reduce to N_1 mod 2
+        # the integral analysis tells Z^- (l_minus) from Z (l_plus), which both reduce to N_1 mod 2
         result = curtis_reiner_check(action, 2)
-        assert (result.r, result.s, result.t, result.s_plus_t) == (1, 1, 1, 2)
+        assert (result.l_p, result.l_minus, result.l_plus, result.l_minus + result.l_plus) == (
+            1, 1, 1, 2)
 
     def test_p2_splits_z_from_z_minus(self):
         # diag(1, -1) reduces to N_1^2 mod 2; the trace 0 tells Z + Z^- from Z^2
-        assert curtis_reiner_check(IntMatrix([[1, 0], [0, -1]]), 2) == (0, 1, 1, 2)
+        result = curtis_reiner_check(IntMatrix([[1, 0], [0, -1]]), 2)
+        assert (*result, result.l_minus + result.l_plus) == (1, 1, 0, 2)
 
     def test_wrong_order_is_refused_by_the_trace(self):
         # order infinite, yet its Smith form reads Z + Z^- and rank_2(A - 1) = 0
@@ -239,7 +241,7 @@ class TestCurtisReiner:
         # the checks follow from the order and do not test it: this one passes
         # them as (Z^-)^2, so the order check stays with the callers
         unipotent_times_minus_one = IntMatrix([[-1, 2], [0, -1]])
-        assert _module_analysis(unipotent_times_minus_one, 2)[:3] == (0, 2, 0)
+        assert _module_analysis(unipotent_times_minus_one, 2) == (0, 2, 0)
         with pytest.raises(ValueError, match="not the identity"):
             curtis_reiner_check(unipotent_times_minus_one, 2)
 
@@ -254,7 +256,7 @@ class TestCurtisReiner:
         assert time.perf_counter() - start < 1.0
 
     def test_empty_matrix(self):
-        assert curtis_reiner_check(IntMatrix([], ncols=0), 5) == (0, 0, 0, 0)
+        assert curtis_reiner_check(IntMatrix([], ncols=0), 5) == (0, 0, 0)
 
 
 class TestOrderPStructure:

@@ -58,6 +58,7 @@ from quotcoh.selftest import (
     random_order_p_action,
     random_unimodular,
 )
+from quotcoh.toric import punctured_quotient_cohomology
 from reference import back_substitute, matrix_power, solve_integer
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -282,14 +283,22 @@ class TestModuleAnalysis:
 
     def check(self, gl):
         want = stacked_quotient_bns(gl)
-        assert bns_invariants(gl) == want
-        assert curtis_reiner_check(gl.action, gl.p) == (
+        bns = bns_invariants(gl)
+        assert bns == want
+        # one record for the counts, whichever entry point answers
+        cr = curtis_reiner_check(gl.action, gl.p)
+        assert cr == bns and type(cr) is type(bns)
+        assert (cr.l_p, cr.l_minus, cr.l_plus, cr.l_minus + cr.l_plus) == (
             want.l_p, want.l_minus, want.l_plus, want.l_minus + want.l_plus)
-        assert group_cohomology(gl, 0) == (want.l_plus + want.l_p, ())
+        # and one for a cohomology group, the type of toric's tables
+        coh_group = type(punctured_quotient_cohomology(2, 2)[0])
+        h0 = group_cohomology(gl, 0)
+        assert h0 == (want.l_plus + want.l_p, ()) and type(h0) is coh_group
         for i in (1, 2, 3, 4):
             direct = direct_cohomology(gl, i)
             assert direct == (gl.p,) * (want.l_minus if i % 2 else want.l_plus)
-            assert group_cohomology(gl, i) == (0, direct)
+            h = group_cohomology(gl, i)
+            assert h == (0, direct) and type(h) is coh_group
         # the mod-p profile, a route the analysis does not run, is the oracle of
         # its trace and rank checks: N1^l_plus + N_(p-1)^l_minus + N_p^l_p, which
         # at p = 2 is N1^(l_plus + l_minus) + N2^l_p

@@ -2,7 +2,8 @@
 
 Each case gives a record's class, keyword arguments naming every
 constructor field in order, the defaults of the fields it may omit, and
-values for the fields that equality and hashing leave out.
+values for the fields that equality and hashing leave out.  Last, the
+constructors and the degree arguments refuse what is not an integer.
 """
 
 import copy
@@ -14,10 +15,12 @@ import pytest
 
 import quotcoh
 
-from quotcoh.engine import DegenerationStatus, DegreeInvariants, GradedInvariants, QuotientReport
+from quotcoh.engine import (
+    DegenerationStatus, DegreeInvariants, GradedInvariants, QuotientReport, e2_entry,
+)
 from quotcoh.intmat import IntMatrix, SmithDecomposition, _Frozen
 from quotcoh.k3 import K3ActionSpec
-from quotcoh.lattices import GLattice, Lattice
+from quotcoh.lattices import GLattice, Lattice, group_cohomology
 from quotcoh.profiles import JordanProfile
 from quotcoh.toric import Cone, CyclicSingularity, Fan
 
@@ -106,3 +109,30 @@ def test_every_validated_record_has_a_case():
         records.update(subclasses)
         todo.extend(subclasses)
     assert records <= {case[0] for case in CASES}
+
+
+K3_DEGREES = (ONE, ZERO, DegreeInvariants(22, 2, 0, 4), ZERO, ONE)
+
+# a float must raise, not be truncated (the ray (1.5, 2) read as (1, 2)), carried
+# into the counts (a report with betti 6.0) or read as another degree (1.5 as 2)
+NON_INTEGER = {
+    "ray entry": lambda: Cone.from_rays([[1.5, 2], [0, 1]]),
+    "degree counts": lambda: DegreeInvariants(22.0, 2.0, 0, 4.0),
+    "torsion block size": lambda: DegreeInvariants(5, 5, l_qt=((1.0, 2),)),
+    "torsion block count": lambda: DegreeInvariants(5, 5, l_qt=((1, 2.0),)),
+    "eta": lambda: GradedInvariants(5, 2, 4.0, K3_DEGREES),
+    "n": lambda: GradedInvariants(5, 2.0, 4, K3_DEGREES),
+    "profile prime": lambda: JordanProfile(5.0, ((1, 2),)),
+    "lattice prime": lambda: GLattice(A2, SWAP, 2.0),
+    "invariants prime": lambda: GradedInvariants(5.0, 2, 4, K3_DEGREES),
+    "profile block size": lambda: JordanProfile(5, ((1.5, 2),)),
+    "profile block count": lambda: JordanProfile(5, ((1, 2.0),)),
+    "cohomology degree": lambda: group_cohomology(GLattice(A2, SWAP, 2), 1.5),
+    "E2 filtration degree": lambda: e2_entry(GradedInvariants(5, 2, 4, K3_DEGREES), 1.5, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_INTEGER))
+def test_non_integer_arguments_are_refused(name):
+    with pytest.raises(TypeError, match="integer"):
+        NON_INTEGER[name]()
