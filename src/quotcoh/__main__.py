@@ -1,0 +1,8 @@
+"""``python -m quotcoh``: the command-line front end of quotcoh.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,9 @@ invariants are all read from it, each augmenting m only by what it
 reads.  The Smith diagonal of a non-singular square matrix, which is all
 a finite quotient needs, is computed modulo its determinant D: the input
 is reduced once and each step's pivot row once, so after k steps every
-entry is below D + k D^2 in absolute value.  One
+entry is below D + k D^2 in absolute value; a symmetric matrix first
+eliminates on its unit diagonal entries by congruence, updating only its
+upper triangle.  One
 fraction-free (Bareiss) elimination gives determinants and, run as
 Gauss-Jordan, the adjugate together with the determinant.  One echelon
 elimination over F_p, on the same Python ints, gives ranks mod p and the
@@ -472,6 +474,16 @@ def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int) -> tuple[int, .
     the pivots, the g's and the diagonal are those of full reduction.
     With x < D and a reduced pivot row a step adds less than D^2 to an
     entry, so after k steps |entry| < D + k D^2.
+
+    A symmetric A, such as a Gram matrix, first runs a congruence phase,
+    checked for in O(n^2).  While a diagonal entry of the trailing block is
+    a unit mod D it is the pivot, and the rows and the columns are cleared
+    together, E^T A E with E invertible mod D, which keeps the cokernel over
+    Z/D; the block stays symmetric mod D, so only its upper triangle is
+    updated, by x < D times the pivot row, reduced once.  Each such step
+    contributes a diagonal 1 and keeps the bound.  What is left is mirrored
+    and runs the elimination above.  An even Gram with D even has no unit
+    on its diagonal and goes straight to it.
     """
     n = len(rows)
     mod = abs(det)
@@ -479,6 +491,23 @@ def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int) -> tuple[int, .
         return (1,) * n
     a = [[x % mod for x in row] for row in rows]
     found = []
+    if all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i)):
+        # row i of the trailing block is read from column i on, its upper triangle
+        while True:
+            k = next((i for i, row in enumerate(a) if gcd(row[i], mod) == 1), None)
+            if k is None:
+                break
+            top = [e % mod for e in [row[k] for row in a[:k]] + a[k][k:]]
+            unit = pow(top[k], -1, mod)
+            del a[k], top[k]
+            for row in a:
+                del row[k]
+            for i, row in enumerate(a):
+                x = top[i] * unit % mod
+                if x:
+                    row[i:] = [t - x * s for s, t in zip(top[i:], row[i:])]
+        for i, row in enumerate(a):
+            row[:i] = [a[j][i] for j in range(i)]
     while a:
         best = None
         for i, row in enumerate(a):

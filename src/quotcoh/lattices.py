@@ -9,23 +9,24 @@ quotient constructions.
 
 Each answer has one record: bns_invariants, curtis_reiner_check and
 _module_analysis return BNSInvariants, and group_cohomology returns
-intmat.CohGroup, the type of toric's cohomology tables.  The counts and
-H^1 come from one Smith form of phi - 1, with no use of the form
-(_module_analysis): sigma (phi - 1) = phi^p - 1 = 0, and Ker sigma has
-the rank r of Im(phi - 1), so Ker sigma = sat Im(phi - 1) and
-H^1 = Ker sigma / Im(phi - 1) = tors coker(phi - 1) = (Z/p)^l_minus,
-rk T^G = n - r, l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.  The
-trace tr phi = l_plus - l_minus and one mod-p rank of phi - 1 check the
-counts, and so the odd degrees, read off the same Smith form.  Dually
-Im sigma is of full rank in the saturated T^G, so
-H^2 = T^G / sigma T = tors coker(sigma) = (Z/p)^l_plus, from one more
-Smith form, which the even degrees compare with l_plus: the one second
-route of the cohomology.  No result is kept between calls.  A Lattice
-reads its determinant and its signature off one symmetric congruence
-pass, which is also its non-degeneracy check; likewise a GLattice keeps
-its norm map sigma from intmat.norm_map, the one Horner pass that checks
-its order, since (phi - 1) sigma = phi^p - 1 makes phi sigma = sigma
-equivalent to phi^p = 1.
+intmat.CohGroup, the type of toric's cohomology tables.  The counts come
+in closed form from two numbers of the action phi, with no use of the
+form and no Smith form (_module_analysis): by Diederichsen-Reiner every
+summand is trivial, an ideal of Z[zeta] or locally free, so
+l_p = rank_p(sigma), l_minus = (n - tr phi)/p - l_p and
+l_plus = tr phi + l_minus, where sigma = 1 + phi + ... + phi^(p-1) is the
+norm map.  One mod-p rank of phi - 1 checks them, and so the odd degrees
+H^odd = (Z/p)^l_minus.  Im sigma is of full rank in the saturated T^G,
+so H^2 = T^G / sigma T = tors coker(sigma) = (Z/p)^l_plus, from one Smith
+form, which the even degrees compare with l_plus: the one second route
+of the cohomology.  No result is kept between calls.  A Lattice reads
+its determinant and its signature off one symmetric congruence pass,
+which is also its non-degeneracy check; likewise a GLattice keeps its
+norm map sigma from intmat.norm_map, the one Horner pass that checks its
+order, since (phi - 1) sigma = phi^p - 1 makes phi sigma = sigma
+equivalent to phi^p = 1.  The discriminant group is the Smith diagonal
+of the Gram matrix modulo its determinant, by congruence while the
+diagonal has a unit.
 
 Two modeling notes, both validated against independent computations in
 the test suite rather than assumed:
@@ -140,7 +141,11 @@ def discriminant(l: Lattice) -> int:
 
 
 def discriminant_group(l: Lattice) -> list[int]:
-    """Elementary divisors (> 1) of the cokernel of the Gram matrix."""
+    """Elementary divisors (> 1) of the cokernel of the Gram matrix.
+
+    Computed modulo D = |det| by intmat._smith_diagonal_mod, which first
+    eliminates on the Gram's unit diagonal entries by congruence.
+    """
     return [d for d in _smith_diagonal_mod(l.gram.rows, l.det) if d > 1]
 
 
@@ -217,55 +222,45 @@ class BNSInvariants(NamedTuple):
     l_p: int
 
 
-def _module_analysis(action: IntMatrix, p: int) -> BNSInvariants:
+def _module_analysis(action: IntMatrix, sigma: IntMatrix, p: int) -> BNSInvariants:
     """Summand counts (l_plus, l_minus, l_p) of Z^n under an action A with
-    A^p = 1 over Z, from one Smith form of A - 1; no invariant form is needed.
+    A^p = 1 over Z and norm map sigma = 1 + A + ... + A^(p-1), in closed
+    form from tr A and rank_p(sigma); no invariant form is needed.
 
     The preconditions are the caller's: GLattice and curtis_reiner_check
-    check that p is prime and A square, and establish A^p = 1 (both by
-    intmat.norm_map, whose norm map GLattice keeps), hence the
-    underscore.  Over Q, A - 1 vanishes on the invariants and is
-    invertible on the other eigenspaces, where
-    sigma = 1 + A + ... + A^(p-1) vanishes; so with r = rank(A - 1),
-    rk T^G = n - r and Ker sigma has rank r.  As sigma (A - 1) = A^p - 1 = 0,
-    Im(A - 1) lies in the saturated Ker sigma of the same rank, so
-    Ker sigma = sat Im(A - 1) and H^1(G, T) = Ker sigma / Im(A - 1) is the
-    torsion of coker(A - 1): the Smith entries > 1, each of which must be p.
-    A trivial summand adds 0 to r, a cyclotomic one p - 1 to r and one Z/p
-    to H^1, a free one p - 1 to r and nothing to H^1.  Hence
-    l_minus = #H^1, l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.
+    check that p is prime and A square, and establish A^p = 1 by
+    intmat.norm_map, whose sigma they pass, hence the underscore.  By
+    Diederichsen-Reiner (Curtis-Reiner, Methods of Representation Theory I,
+    section 34) Z^n is then a sum of trivial summands Z, ideals of Z[zeta]
+    and locally free summands, which reduce mod p to N_1, N_(p-1) and N_p.
+    Their ranks are 1, p - 1 and p, their traces 1, -1 and 0, and sigma,
+    which is (A - 1)^(p-1) mod p, has rank 0, 0 and 1 on them.  So
+    n - tr A = p (l_minus + l_p), l_p = rank_p(sigma),
+    l_minus = (n - tr A)/p - l_p and l_plus = tr A + l_minus.
 
-    Two numbers of A check the counts independently.  By Diederichsen-Reiner
-    (Curtis-Reiner, Methods of Representation Theory I, section 34) a
-    trivial, cyclotomic or free summand has trace 1, -1 or 1 + (-1) = 0 and
-    reduces mod p to N_1, N_(p-1) or N_p, so tr A = l_plus - l_minus over Z
-    and rank_p(A - 1) = (p - 2) l_minus + (p - 1) l_p, from one elimination
-    mod p.  With n they determine the counts: l_minus + l_p = (n - tr A)/p,
-    l_minus = (p - 1)(l_minus + l_p) - rank_p and l_plus = tr A + l_minus,
-    so any wrong count raises ValueError.  They are consequences of A^p = 1,
-    not a test of it: [[1, 2], [0, 1]] at p = 2 is refused (trace 2 against
-    1 - 1 = 0), but [[-1, 2], [0, -1]], of infinite order, passes every
-    check as (Z^-)^2.
+    A second mod-p elimination checks the counts:
+    rank_p(A - 1) = (p - 2) l_minus + (p - 1) l_p, as A - 1 has rank 0,
+    p - 2 and p - 1 on N_1, N_(p-1) and N_p.  A disagreement raises
+    ValueError, as do n - tr A not divisible by p and a negative count.
+    At p = 2, sigma = A + 1 is A - 1 mod 2, so the check holds by
+    construction there, and the trace alone tells Z from Z^-.  The checks
+    are consequences of A^p = 1, not a test of it: [[1, 2], [0, 1]] at
+    p = 2 passes them as Z^2, and [[-1, 2], [0, -1]], of infinite order,
+    as (Z^-)^2.
     """
     n = action.nrows
-    b = IntMatrix._trusted(
-        tuple(row[:i] + (row[i] - 1,) + row[i + 1:] for i, row in enumerate(action.rows)), n
-    )
-    snf = _smith(b)
-    r = snf.rank
-    torsion = tuple(d for d in snf.diagonal if d > 1)
-    if any(d != p for d in torsion):
-        raise ValueError(f"coker(A - 1) has torsion {torsion}, expected all {p}")
-    l_minus = len(torsion)
-    l_p = r // (p - 1) - l_minus
-    l_plus = n - r - l_p
-    if r % (p - 1) or l_p < 0 or l_plus < 0:
-        raise ValueError("rank bookkeeping failed: input is not an order-p action")
-
     trace = sum(row[i] for i, row in enumerate(action.rows))
-    if trace != l_plus - l_minus:
-        raise ValueError(f"trace {trace} disagrees with l_plus - l_minus = {l_plus - l_minus}")
-    rank_p = len(_row_basis_mod_p(b.rows, p))
+    l_p = len(_row_basis_mod_p(sigma.rows, p))
+    free_and_cyclotomic, rest = divmod(n - trace, p)
+    l_minus = free_and_cyclotomic - l_p
+    l_plus = trace + l_minus
+    if rest or l_minus < 0 or l_plus < 0:
+        raise ValueError(
+            f"rank bookkeeping failed: n = {n}, tr A = {trace} and rank_p(sigma) = {l_p} "
+            f"give no order-{p} summand counts"
+        )
+    b = (row[:i] + (row[i] - 1,) + row[i + 1:] for i, row in enumerate(action.rows))
+    rank_p = len(_row_basis_mod_p(b, p))
     expected = (p - 2) * l_minus + (p - 1) * l_p
     if rank_p != expected:
         raise ValueError(
@@ -278,30 +273,30 @@ def _module_analysis(action: IntMatrix, p: int) -> BNSInvariants:
 def bns_invariants(gl: GLattice) -> BNSInvariants:
     """Counts of trivial / cyclotomic / free summands of the Z[G]-lattice.
 
-    From one Smith form of phi - 1 (_module_analysis), cross-checked
-    against tr phi = l_plus - l_minus and
-    rank_p(phi - 1) = (p - 2) l_minus + (p - 1) l_p.
+    In closed form from tr phi and rank_p(sigma) of the kept norm map
+    (_module_analysis), checked against
+    rank_p(phi - 1) = (p - 2) l_minus + (p - 1) l_p; no Smith form.
     """
-    return _module_analysis(gl.action, gl.p)
+    return _module_analysis(gl.action, gl.sigma(), gl.p)
 
 
 def group_cohomology(gl: GLattice, i: int) -> CohGroup:
     """H^i(G, T) for the (torsion-free) G-lattice T.
 
     Degree 0 is the free module of invariants, of rank l_plus + l_p.  Odd
-    degrees give (Z/p)^l_minus: H^1 = Ker sigma / Im(phi - 1) is the
-    torsion of coker(phi - 1), the very Smith entries l_minus counts, so
-    it rests on the trace and mod-p rank checks of _module_analysis.
-    Positive even degrees give (Z/p)^l_plus, and that is also computed
-    directly: (phi - 1) sigma = phi^p - 1 = 0 puts Im sigma in the
-    saturated T^G = Ker(phi - 1), and rank sigma must equal rk T^G, so
-    H^2 = T^G / sigma T = tors coker(sigma), from one more Smith form.  A
-    disagreement of the two even routes is a fatal internal error.
+    degrees give (Z/p)^l_minus, since H^1 is 0 on Z and on a locally free
+    summand and Z/p on an ideal of Z[zeta]; they rest on the trace and
+    mod-p rank checks of _module_analysis.  Positive even degrees give
+    (Z/p)^l_plus, and that is also computed directly:
+    (phi - 1) sigma = phi^p - 1 = 0 puts Im sigma in the saturated
+    T^G = Ker(phi - 1), and rank sigma must equal rk T^G, so
+    H^2 = T^G / sigma T = tors coker(sigma), from one Smith form of sigma.
+    A disagreement of the two even routes is a fatal internal error.
     """
     i = operator.index(i)
     if i < 0:
         raise ValueError("negative degree")
-    a = _module_analysis(gl.action, gl.p)
+    a = _module_analysis(gl.action, gl.sigma(), gl.p)
     if i == 0:
         return CohGroup(a.l_plus + a.l_p, ())
     if i % 2 == 1:
@@ -321,19 +316,21 @@ def group_cohomology(gl: GLattice, i: int) -> CohGroup:
 def curtis_reiner_check(action: IntMatrix, p: int) -> BNSInvariants:
     """Summand counts of an exact order-p integer action, as bns_invariants gives them.
 
-    Requires action^p = identity over Z, checked here.  The counts come from
-    one Smith form of action - 1 and are checked against the trace and one
-    mod-p rank; a disagreement raises ValueError.  The trace tells the
-    trivial summand Z from the cyclotomic Z^- at p = 2 as well, where the
-    mod-2 profile sees only their sum.
+    Requires action^p = identity over Z, checked here by intmat.norm_map,
+    whose norm map sigma then gives the counts in closed form from the
+    trace and rank_p(sigma), checked against one more mod-p rank; a
+    disagreement raises ValueError.  The trace tells the trivial summand Z
+    from the cyclotomic Z^- at p = 2 as well, where the mod-2 profile sees
+    only their sum.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not action.is_square():
         raise ValueError("action must be square")
-    if norm_map(action, p) is None:
+    sigma = norm_map(action, p)
+    if sigma is None:
         raise ValueError("action^p is not the identity over Z")
-    return _module_analysis(action, p)
+    return _module_analysis(action, sigma, p)
 
 
 def pushforward_quotient_lattice(gl: GLattice) -> Lattice:

@@ -20,8 +20,9 @@ whose summands it counts directly.
 
 Everything here is over F_p.  The summand counts of an order-p action over
 Z, which tell the trivial Z from the cyclotomic Z^- at p = 2, where both
-reduce to N_1, are lattices._module_analysis; the profile is their test
-oracle.
+reduce to N_1, are lattices._module_analysis: a closed form in the trace,
+which sees that difference, and rank_p(sigma), which counts the N_p
+blocks; the profile is their test oracle.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ from typing import Sequence
 
 from quotcoh.engine import DegreeInvariants, GradedInvariants
 from quotcoh.hilbert import K3_B2
-from quotcoh.intmat import IntMatrix, SmithDecomposition, smith_decomposition
+from quotcoh.intmat import IntMatrix, SmithDecomposition, _smith, smith_decomposition
 from quotcoh.k3 import K3ActionSpec
+from quotcoh.lattices import BNSInvariants
 from quotcoh.toric import Cone, Fan, _judge
 
 
@@ -66,6 +67,29 @@ def matrix_power(a: IntMatrix, k: int) -> IntMatrix:
         if k:
             base = base * base
     return result
+
+
+def smith_summand_counts(action: IntMatrix, p: int) -> BNSInvariants:
+    """(l_plus, l_minus, l_p) of an order-p action from one Smith form of A - 1.
+
+    The route the closed form in tr A and rank_p(sigma) replaced.  With
+    r = rank(A - 1), rk T^G = n - r and Ker sigma = sat Im(A - 1), so
+    H^1 = Ker sigma / Im(A - 1) is the torsion of coker(A - 1): one Z/p per
+    cyclotomic summand.  A trivial summand adds 0 to r, a cyclotomic or a
+    free one p - 1, so l_p = r/(p - 1) - l_minus and l_plus = n - r - l_p.
+    """
+    n = action.nrows
+    snf = _smith(action - IntMatrix.identity(n))
+    r = snf.rank
+    torsion = [d for d in snf.diagonal if d > 1]
+    if any(d != p for d in torsion):
+        raise ValueError(f"coker(A - 1) has torsion {torsion}, expected all {p}")
+    l_minus = len(torsion)
+    l_p = r // (p - 1) - l_minus
+    l_plus = n - r - l_p
+    if r % (p - 1) or l_p < 0 or l_plus < 0:
+        raise ValueError("rank bookkeeping failed: input is not an order-p action")
+    return BNSInvariants(l_plus, l_minus, l_p)
 
 
 # --- cones and fans ----------------------------------------------------------

@@ -162,7 +162,7 @@ def test_criterion_08_order_p_structure_500_rounds():
     report(8, f"{rounds} random exact order-p matrices per prime in (3, 5, 7)")
 
 
-def test_criterion_09_group_cohomology_two_paths():
+def test_criterion_09_group_cohomology_even_degree_route():
     rng = random.Random(97)
     rounds = 100
     for p in (2, 3, 5, 7):

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import time
@@ -546,6 +547,36 @@ class TestProcessLevel:
         assert "Traceback" not in err
         assert "Exception ignored" not in err
         assert json.loads(err)["error"].startswith("cannot write output: ")
+
+    def test_python_dash_m_quotcoh_is_the_cli(self):
+        by_package, by_module = (
+            subprocess.run([sys.executable, "-m", name, "tables", "--which", "all"],
+                           capture_output=True, check=True)
+            for name in ("quotcoh", "quotcoh.cli")
+        )
+        assert by_package.stdout == by_module.stdout
+        assert json.loads(by_package.stdout)
+
+    def test_a_copy_outside_the_checkout_prints_the_same_bytes(self, tmp_path):
+        # the package directory alone, golden/*.json included, as an install lays it out
+        shutil.copytree(HERE.parent / "src" / "quotcoh", tmp_path / "quotcoh",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        elsewhere = tmp_path / "cwd"
+        elsewhere.mkdir()
+        where = "import quotcoh, sys; print(quotcoh.__file__, file=sys.stderr)"
+        for argv in (["tables", "--which", "all"], ["selftest", "--seed", "0"]):
+            outputs = []
+            for root in (tmp_path, HERE.parent / "src"):
+                env = {**os.environ, "PYTHONPATH": str(root), "PYTHONDONTWRITEBYTECODE": "1"}
+                found = subprocess.run([sys.executable, "-c", where], cwd=elsewhere, env=env,
+                                       capture_output=True, text=True, check=True)
+                assert found.stderr.strip() == str(root / "quotcoh" / "__init__.py")
+                outputs.append(subprocess.run([sys.executable, "-m", "quotcoh", *argv],
+                                              cwd=elsewhere, env=env, capture_output=True))
+            copy, checkout = outputs
+            assert copy.returncode == checkout.returncode == 0, copy.stderr
+            assert copy.stdout == checkout.stdout
+            assert json.loads(copy.stdout)
 
     def test_paper_command_leaves_numpy_unloaded(self):
         # hilbert builds no matrix; profile reduces one mod p, on Python ints

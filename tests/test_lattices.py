@@ -132,21 +132,21 @@ class TestGroupCohomology:
         assert group_cohomology(gl, 0) == (1, ())
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_two_paths_agree_on_random_lattices(self, p):
+    def test_even_degree_routes_agree_on_random_lattices(self, p):
         rng = random.Random(1000 + p)
         for _ in range(10):
             gl = random_glattice(rng, p, max_dim=9)
             for i in (1, 2, 3, 4):
-                group_cohomology(gl, i)  # raises on disagreement
+                group_cohomology(gl, i)  # raises if coker(sigma) disagrees in degrees 2, 4
 
 
 def _spy_on_smith(monkeypatch):
-    """Record every Smith elimination, whichever module calls it."""
+    """Record the matrix of every Smith elimination, whichever module calls it."""
     calls = []
     original = intmat._smith
 
     def spy(m, *args, **kwargs):
-        calls.append((m.nrows, m.ncols))
+        calls.append(m)
         return original(m, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -161,16 +161,17 @@ def _budget_lattices():
 
 
 class TestEliminationBudget:
-    """One Smith form of phi - 1 and one mod-p elimination per question, and no
-    result kept between calls."""
+    """The counts in closed form: two mod-p eliminations per analysis, sigma then
+    phi - 1, a Smith form only for the even-degree route, and no result kept
+    between calls."""
 
     @pytest.mark.parametrize("ask, smiths", [
-        (bns_invariants, 1),
-        (lambda gl: group_cohomology(gl, 1), 1),
-        (lambda gl: group_cohomology(gl, 3), 1),
-        (lambda gl: group_cohomology(gl, 2), 2),
-        (lambda gl: group_cohomology(gl, 4), 2),
-        (lambda gl: (bns_invariants(gl), bns_invariants(gl)), 2),
+        (bns_invariants, 0),
+        (lambda gl: group_cohomology(gl, 1), 0),
+        (lambda gl: group_cohomology(gl, 3), 0),
+        (lambda gl: group_cohomology(gl, 2), 1),
+        (lambda gl: group_cohomology(gl, 4), 1),
+        (lambda gl: (bns_invariants(gl), bns_invariants(gl)), 0),
     ], ids=["bns", "H1", "H3", "H2", "H4", "bns twice"])
     def test_smith_calls_per_question(self, monkeypatch, ask, smiths):
         lattices = _budget_lattices()
@@ -178,8 +179,8 @@ class TestEliminationBudget:
         for gl in lattices:
             calls.clear()
             ask(gl)
-            assert len(calls) == smiths
-            assert calls[0] == (gl.rank, gl.rank)
+            # the one Smith form is the even-degree route's, of the kept sigma
+            assert calls == [gl.sigma()] * smiths
 
     def test_lattice_is_the_validated_one(self):
         gl = nikulin_involution()
@@ -194,12 +195,14 @@ class TestEliminationBudget:
     ], ids=["bns", "H1", "H2", "bns twice"])
     def test_one_mod_p_elimination_and_no_filtration_per_question(self, monkeypatch, ask,
                                                                    analyses):
+        # the id predates the closed form: an analysis now eliminates sigma, for
+        # l_p, and then phi - 1, for the check
         eliminations, filtrations = [], []
         basis = lattices._row_basis_mod_p
 
         def spy(rows, p):
-            rows = list(rows)
-            eliminations.append(len(rows))
+            rows = tuple(map(tuple, rows))
+            eliminations.append(rows)
             return basis(rows, p)
 
         monkeypatch.setattr(lattices, "_row_basis_mod_p", spy)
@@ -208,7 +211,8 @@ class TestEliminationBudget:
         for gl in _budget_lattices():
             eliminations.clear()
             ask(gl)
-            assert eliminations == [gl.rank] * analyses
+            minus_one = gl.action - IntMatrix.identity(gl.rank)
+            assert eliminations == [gl.sigma().rows, minus_one.rows] * analyses
         assert filtrations == []
 
     @pytest.mark.parametrize("gl", [
@@ -218,31 +222,25 @@ class TestEliminationBudget:
                  IntMatrix.block_diagonal(cycle_matrix(3), IntMatrix.identity(2)), 3),
     ], ids=["Nikulin", "two 5-cycles", "3-cycle + I_2"])
     def test_wrong_count_is_refused(self, monkeypatch, gl):
-        basis, smith = lattices._row_basis_mod_p, lattices._smith
+        # each case has l_p >= 1, so a basis one row short is a wrong rank too
+        basis = lattices._row_basis_mod_p
+        assert bns_invariants(gl).l_p >= 1
 
-        def unit_to_torsion(snf):
-            # the last unit becomes p: l_minus + 1, l_p - 1, l_plus + 1, so the
-            # trace holds and the mod-p rank is one short
-            d = list(snf.diagonal)
-            d[d.count(1) - 1] = gl.p
-            return snf._replace(diagonal=tuple(d))
+        def wrong(of_sigma, change):
+            # a wrong rank_p(sigma) moves l_p by one and l_minus, l_plus the other
+            # way, and rank_p(phi - 1) = (p - 2) l_minus + (p - 1) l_p with them;
+            # a wrong rank_p(phi - 1) leaves the counts and fails the check
+            def mutant(rows, p):
+                rows = tuple(map(tuple, rows))
+                found = basis(rows, p)
+                return change(found) if (rows == gl.sigma().rows) == of_sigma else found
+            return mutant
 
-        def zero_to_torsion(snf):
-            # the first zero becomes p: at p = 2 one Z is read as Z^-, which only
-            # the trace sees; at odd p the rank is no multiple of p - 1
-            d = list(snf.diagonal)
-            d[snf.rank] = gl.p
-            return snf._replace(diagonal=tuple(d), rank=snf.rank + 1)
-
-        mutants = [
-            ("_row_basis_mod_p", lambda rows, p: basis(rows, p)[1:]),
-            ("_row_basis_mod_p", lambda rows, p: basis(rows, p) + [[1]]),
-            ("_smith", lambda m: unit_to_torsion(smith(m))),
-            ("_smith", lambda m: zero_to_torsion(smith(m))),
-        ]
-        for name, mutant in mutants:
+        mutants = [wrong(of_sigma, change) for of_sigma in (True, False)
+                   for change in (lambda b: b[1:], lambda b: b + [[1]])]
+        for mutant in mutants:
             with monkeypatch.context() as patch:
-                patch.setattr(lattices, name, mutant)
+                patch.setattr(lattices, "_row_basis_mod_p", mutant)
                 with pytest.raises(ValueError, match="disagrees|bookkeeping"):
                     bns_invariants(gl)
                 with pytest.raises(ValueError, match="disagrees|bookkeeping"):

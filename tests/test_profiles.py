@@ -4,7 +4,7 @@ import time
 import pytest
 
 from quotcoh.intmat import IntMatrix
-from quotcoh.lattices import _module_analysis, curtis_reiner_check
+from quotcoh.lattices import GLattice, _module_analysis, curtis_reiner_check
 from quotcoh.profiles import (
     JordanProfile,
     _sym_single,
@@ -234,14 +234,22 @@ class TestCurtisReiner:
         assert (*result, result.l_minus + result.l_plus) == (1, 1, 0, 2)
 
     def test_wrong_order_is_refused_by_the_trace(self):
-        # order infinite, yet its Smith form reads Z + Z^- and rank_2(A - 1) = 0
-        # agrees with that; only the trace 2 against 1 - 1 = 0 refuses it
-        with pytest.raises(ValueError, match="trace 2 disagrees"):
-            _module_analysis(IntMatrix([[1, 2], [0, 1]]), 2)
-        # the checks follow from the order and do not test it: this one passes
-        # them as (Z^-)^2, so the order check stays with the callers
+        # the id predates the closed form, which no longer refuses it: the
+        # counts and their check follow from the order and do not test it, so
+        # [[1, 2], [0, 1]] at p = 2 (sigma = 1 + A) passes them as Z^2
+        unipotent = IntMatrix([[1, 2], [0, 1]])
+        assert _module_analysis(unipotent, unipotent + IntMatrix.identity(2), 2) == (2, 0, 0)
+        # and the callers refuse it: it is no isometry of a non-degenerate form,
+        # and its square is not the identity
+        for gram in (IntMatrix.identity(2), IntMatrix([[0, 1], [1, 0]]), IntMatrix([[1, 0], [0, -2]])):
+            with pytest.raises(ValueError, match="not an isometry"):
+                GLattice(gram, unipotent, 2)
+        with pytest.raises(ValueError, match="not the identity"):
+            curtis_reiner_check(unipotent, 2)
+        # likewise the infinite-order [[-1, 2], [0, -1]] passes as (Z^-)^2
         unipotent_times_minus_one = IntMatrix([[-1, 2], [0, -1]])
-        assert _module_analysis(unipotent_times_minus_one, 2) == (0, 2, 0)
+        assert _module_analysis(unipotent_times_minus_one, IntMatrix([[0, 2], [0, 0]]), 2) == (
+            0, 2, 0)
         with pytest.raises(ValueError, match="not the identity"):
             curtis_reiner_check(unipotent_times_minus_one, 2)
 

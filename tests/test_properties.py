@@ -2,15 +2,15 @@
 
 The integer signature and determinant are checked against the rational
 congruence reduction and the Bareiss determinant, the Z[G]-module
-analysis from one Smith form of A - 1 against the stacked quotient
-T / (T^G + Ker sigma) and the coordinate routes to Ker sigma / Im(A - 1)
-and Ker(A - 1) / Im sigma it replaced, every request of the augmented SNF
-against the full decomposition, the image basis against d_i times the
-columns of u^-1, the Gauss-Jordan adjugate against the
-n^2 signed minors it replaced, the Smith diagonal modulo the determinant
-against the elimination over Z (and its unreduced entries against the
-bound D + n D^2), the norm map against the naive sum of
-powers, the integral glue checks against the Fraction arithmetic they
+counts in closed form from tr A and rank_p(sigma) against the Smith form
+of A - 1 they replaced, the stacked quotient T / (T^G + Ker sigma) and
+the coordinate routes to Ker sigma / Im(A - 1) and Ker(A - 1) / Im sigma,
+every request of the augmented SNF against the full decomposition, the
+image basis against d_i times the columns of u^-1, the Gauss-Jordan
+adjugate against the n^2 signed minors it replaced, the Smith diagonal
+modulo the determinant against the elimination over Z, on symmetric
+Grams too (and its unreduced entries against the bound D + n D^2), the
+norm map against the naive sum of powers, the integral glue checks against the Fraction arithmetic they
 replaced, the prefix sums of the quotient report against the per-degree
 sums, and the mod-p ranks and Jordan profiles against Smith diagonals
 over Z.
@@ -44,6 +44,7 @@ from quotcoh.lattices import (
     GLattice,
     Lattice,
     _congruence,
+    _module_analysis,
     bns_invariants,
     curtis_reiner_check,
     group_cohomology,
@@ -59,7 +60,7 @@ from quotcoh.selftest import (
     random_unimodular,
 )
 from quotcoh.toric import punctured_quotient_cohomology
-from reference import back_substitute, matrix_power, solve_integer
+from reference import back_substitute, matrix_power, smith_summand_counts, solve_integer
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -276,10 +277,32 @@ BOUNDARY = {
 }
 
 
+@st.composite
+def counted_glattices(draw):
+    """(G-lattice, its counts) for p up to 13, from drawn counts of trivial,
+    cyclotomic and free blocks, the trivial action (allow_trivial) included,
+    conjugated by a random unimodular matrix with the averaged form carried
+    along: for A' = u A u^-1 the form u^-T F u^-1 is invariant."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    budget = max(12, 2 * p)
+    l_p = draw(st.integers(0, budget // p))
+    l_minus = draw(st.integers(0, (budget - p * l_p) // (p - 1)))
+    l_plus = draw(st.integers(0 if l_p + l_minus else 1, budget - p * l_p - (p - 1) * l_minus))
+    blocks = draw(st.permutations(
+        [IntMatrix.identity(1)] * l_plus + [cyclotomic_companion(p)] * l_minus
+        + [cycle_matrix(p)] * l_p))
+    action = IntMatrix.block_diagonal(*blocks)
+    form = IntMatrix.block_diagonal(*(averaged_form(b, p) for b in blocks))
+    n = action.nrows
+    u, u_inv = random_unimodular(random.Random(draw(st.integers(0, 2**32))), n, ops=3 * n)
+    gl = GLattice(u_inv.transpose() * form * u_inv, u * action * u_inv, p, allow_trivial=True)
+    return gl, BNSInvariants(l_plus, l_minus, l_p)
+
+
 class TestModuleAnalysis:
     """bns_invariants, group_cohomology and curtis_reiner_check, all read from
-    one Smith form of A - 1, against the stacked quotient and the coordinate
-    routes they replaced."""
+    the closed form in tr A and rank_p(sigma), against the stacked quotient
+    and the coordinate routes."""
 
     def check(self, gl):
         want = stacked_quotient_bns(gl)
@@ -319,6 +342,14 @@ class TestModuleAnalysis:
     def test_boundary_cases(self, name):
         build, counts = BOUNDARY[name]
         assert self.check(build()) == counts
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(counted_glattices())
+    def test_closed_form_matches_the_smith_form_of_a_minus_one(self, case):
+        gl, counts = case
+        assert _module_analysis(gl.action, gl.sigma(), gl.p) == counts
+        assert smith_summand_counts(gl.action, gl.p) == counts
+        assert bns_invariants(gl) == curtis_reiner_check(gl.action, gl.p) == counts
 
 
 class TestSmithOnDemand:
@@ -527,10 +558,46 @@ def long_run_matrix(case):
     return u * IntMatrix.diagonal(d) * v
 
 
+@st.composite
+def symmetric_grams(draw, max_n=7):
+    """Non-degenerate symmetric matrices, 1x1 included: dense ones, even ones
+    (even diagonal), and S^T diag(d) S with d from units and repeated
+    primes, so that the unit diagonal entries run out part-way; d of units
+    only gives det +-1."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["dense", "even", "congruent", "unimodular"]))
+    if kind in ("dense", "even"):
+        bound = draw(st.sampled_from([2, 9, 2**40]))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(st.integers(-bound, bound))
+            if kind == "even":
+                rows[i][i] *= 2
+    else:
+        entries = [1, -1] if kind == "unimodular" else [1, -1, 2, 3, -4, 9, 12, 5**3]
+        d = [draw(st.sampled_from(entries)) for _ in range(n)]
+        rows = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for _ in range(draw(st.integers(0, 3 * n)) if n > 1 else 0):
+            # add q times row and column j to row and column i: a congruence
+            i, j = draw(st.permutations(range(n)))[:2]
+            q = draw(st.integers(-3, 3))
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[i] += q * row[j]
+    assume(IntMatrix(rows, ncols=n).det() != 0)
+    return rows
+
+
 class TestSmithDiagonalModDet:
     def check(self, rows):
         m = IntMatrix(rows, ncols=len(rows))
         assert _smith_diagonal_mod(rows, m.det()) == _smith(m).diagonal
+
+    @PROPS
+    @given(symmetric_grams())
+    def test_symmetric_grams_match_the_elimination_over_z(self, rows):
+        self.check(rows)
 
     @PROPS
     @given(nonsingular_matrices())
