@@ -452,7 +452,9 @@ def main(argv: list[str] | None = None) -> int:
                 os.close(devnull)
             raise ValueError(f"cannot write output: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}, sort_keys=True, indent=2) + "\n")
+        # str(KeyError("n")) is the bare "'n'"
+        message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        sys.stderr.write(json.dumps({"error": message}, sort_keys=True, indent=2) + "\n")
         return 2
     return status
 

@@ -23,11 +23,13 @@ terminates.  Every cone, full or lower-dimensional, is judged once by
 `_judge`: the determinant and adjugate of its ray matrix in a basis of
 the saturated span of its rays.  `resolve` keeps the non-regular cones in
 a heap and finds the cones containing that point through a ray -> cones
-index; a new cone spans what its parent spans, so its judgement comes
-from the parent's by a rank-one update in the same basis, and a round
-costs what it changes rather than a pass over the fan.  Finding the point
-still enumerates the parallelepiped, of order the cone's multiplicity.  Only combinatorial data of these resolutions is
-reported.  In dimension 2 the stellar rounds reach the same fan, and the
+index; a new cone spans what its parent spans, so its judgement is a
+rank-one update of the parent's in the same basis, made only when a
+later round reads the cone, and a round costs what it changes rather
+than a pass over the fan.  The point is found in one walk of the
+parallelepiped, of order the cone's multiplicity, that keeps only the
+least weight and its ties.  Only combinatorial data of these resolutions
+is reported.  In dimension 2 the stellar rounds reach the same fan, and the
 tests keep them as the oracle for the chain.
 """
 
@@ -36,9 +38,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import comb, gcd
 from operator import index, mul
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .intmat import (
     CohGroup,
@@ -226,27 +229,36 @@ def quotient_fan(s: CyclicSingularity) -> Fan:
     return Fan.from_cones([cone], ambient=n)
 
 
-def _parallelepiped(judged: tuple) -> tuple[int, set[tuple[int, ...]]]:
-    """(D, {D * lam}) for the nonzero lattice points sum lam_i ray_i, each lam_i in [0, 1).
+def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
+    """(D, each D * lam once) for the nonzero lattice points sum lam_i ray_i, each lam_i in [0, 1).
 
     These are the nonzero lattice points of the fundamental parallelepiped
     of the judged cone, all with denominator D = |det C|: as P is an
     isomorphism on the span's lattice points, they are those with C lam
     integral, that is lam = c / D for c = +-adj(C) x mod D, x in Z^d, the
-    subgroup of (Z/D)^d generated by the columns of adj(C).
+    subgroup of order D of (Z/D)^d generated by the columns of adj(C).
+    They stream out as the multiples of the column of largest order
+    D / gcd(D, column), stored nowhere when that order is D, as it nearly
+    always is; below D a membership set takes them and the other columns
+    add cosets.
     """
     _, det, adj = judged
-    d = len(adj)
     mod = abs(det)
-    gens = [tuple(adj[i][j] % mod for i in range(d)) for j in range(d)]
-    group = {(0,) * d}
-    for g in gens:
+    gen, *others = sorted((tuple(x % mod for x in col) for col in zip(*adj)), key=lambda g: gcd(mod, *g))
+    order = mod // gcd(mod, *gen)
+    # t gen mod D for t = 1 .. order - 1, one coordinate per iterator
+    multiples = zip(*(map(mod.__rmod__, range(x, x * order, x)) if x else repeat(0, order - 1) for x in gen))
+    if order == mod:
+        return mod, multiples
+    zero = (0,) * len(gen)
+    group = {zero, *multiples}
+    for g in others:
         base = list(group)
         step = g
         while step not in group:
             group.update(tuple((a + b) % mod for a, b in zip(h, step)) for h in base)
             step = tuple((a + b) % mod for a, b in zip(step, g))
-    group.discard((0,) * d)
+    group.discard(zero)
     return mod, group
 
 
@@ -258,12 +270,19 @@ def _lattice_point(c: Cone, lam: Sequence[int], mod: int) -> tuple[int, ...]:
 def _stellar_point(c: Cone, judged: tuple) -> tuple[int, ...]:
     """The parallelepiped point of least weight sum(lam_i), the least point among ties.
 
-    The weights share the denominator D, so the integer sums decide and
-    only the tied points are mapped into the ambient lattice.
+    The weights share the denominator D, so the integer sums decide: one
+    pass keeps the running least sum and its tied points, and only those
+    are mapped into the ambient lattice.
     """
-    mod, group = _parallelepiped(judged)
-    least = min(map(sum, group))
-    return min(_lattice_point(c, lam, mod) for lam in group if sum(lam) == least)
+    mod, points = _parallelepiped(judged)
+    least, tied = len(judged[2]) * mod, []
+    for lam in points:
+        s = sum(lam)
+        if s <= least:
+            if s < least:
+                least, tied = s, []
+            tied.append(lam)
+    return min(_lattice_point(c, lam, mod) for lam in tied)
 
 
 def _support(judged: tuple, w: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -278,25 +297,31 @@ def _support(judged: tuple, w: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return mu, [i for i, m in enumerate(mu) if det * m > 0]
 
 
-def _replace_ray(
-    c: Cone, judged: tuple, mu: Sequence[int], i: int, w: tuple[int, ...],
-) -> tuple[Cone, tuple]:
-    """The cone with ray i replaced by w (rays kept sorted), judged from c's judgement.
+def _replace_ray(c: Cone, judged: tuple, mu: Sequence[int], i: int, w: tuple[int, ...]) -> tuple[Cone, tuple]:
+    """The cone with ray i replaced by w (rays kept sorted), and its pending judgement.
 
-    w lies in c's span and mu_i != 0, so the new cone spans the same and
-    keeps c's P; its C' is C with column i replaced by P w, and this is a
-    rank-one update (Sherman-Morrison in adjugate form), O(d^2): with
-    mu = adj(C) P w, det C' = mu_i, row i of adj C' is adj_i, and row
-    j != i is (mu_i adj_j - mu_j adj_i) / det C, an exact division.
-    Sorting moves w from position i to position k, a cycle of |k - i|
-    transpositions, so the rows of adj move with it and both det and adj
-    take the sign (-1)^|k - i|.
+    The pending judgement is `_rank_one`'s arguments (judged, mu, i, k), w
+    moving to sorted position k; |det| of the new cone is |mu_i| already.
     """
     rays = list(c.rays)
     del rays[i]
     k = bisect_left(rays, w)
     rays.insert(k, w)  # resolve has checked w; the old rays are c's
-    cone = Cone._trusted(tuple(rays), c.ambient)
+    return Cone._trusted(tuple(rays), c.ambient), (judged, mu, i, k)
+
+
+def _rank_one(judged: tuple, mu: Sequence[int], i: int, k: int) -> tuple:
+    """The judgement of the cone with ray i replaced by w, from its parent's judgement.
+
+    w lies in the parent's span and mu_i != 0, so the new cone spans the
+    same and keeps its P; its C' is C with column i replaced by P w, and
+    this is a rank-one update (Sherman-Morrison in adjugate form), O(d^2):
+    with mu = adj(C) P w, det C' = mu_i, row i of adj C' is adj_i, and row
+    j != i is (mu_i adj_j - mu_j adj_i) / det C, an exact division.
+    Sorting moves w from position i to position k, a cycle of |k - i|
+    transpositions, so the rows of adj move with it and both det and adj
+    take the sign (-1)^|k - i|.
+    """
     basis, det, adj = judged
     mu_i, adj_i = mu[i], adj[i]
     new = [tuple((mu_i * x - mu_j * y) // det for x, y in zip(a, adj_i))
@@ -304,8 +329,8 @@ def _replace_ray(
     new[i] = adj_i
     new.insert(k, new.pop(i))
     if (k - i) % 2:
-        return cone, (basis, -mu_i, tuple(tuple(-x for x in row) for row in new))
-    return cone, (basis, mu_i, tuple(new))
+        return basis, -mu_i, tuple(tuple(-x for x in row) for row in new)
+    return basis, mu_i, tuple(new)
 
 
 def _hirzebruch_jung(c: Cone) -> list[Cone]:
@@ -363,11 +388,13 @@ def resolve(f: Fan) -> Fan:
     every cone that contains w: by the fan property these are the cones
     holding every ray of the target's face that has w in its relative
     interior, found through a ray -> cones index.  Each such cone is
-    replaced by the cones with one of those rays swapped for w, judged by
-    a rank-one update of their parent's judgement, in every dimension.  So
-    a round costs the stellar point plus O(n^2) per changed cone and a
-    heap operation, not a pass over the fan; termination holds because
-    each subdivision strictly decreases multiplicities.
+    replaced by the cones with one of those rays swapped for w, whose
+    judgements wait as `_replace_ray`'s pending rank-one updates until a
+    round reads the cone, as its target or as a cone holding its w; a cone
+    that reaches the output is never judged, and |mu_i| alone decides the
+    heap.  So a round costs the stellar point plus O(n^2) per cone it
+    reads and a heap operation, not a pass over the fan; termination holds
+    because each subdivision strictly decreases multiplicities.
     """
     if f.ambient == 2:
         return Fan.from_cones([d for c in f.maximal for d in _hirzebruch_jung(c)], ambient=2)
@@ -386,22 +413,26 @@ def resolve(f: Fan) -> Fan:
         target = heappop(bad)[1]
         if target not in judged:
             continue  # subdivided since it was queued
-        w = _stellar_point(target, judged[target])
+        read = judged[target]
+        if len(read) == 4:  # pending: _rank_one's arguments
+            read = judged[target] = _rank_one(*read)
+        w = _stellar_point(target, read)
         # the one new ray of the round, so the new cones need no checks of their own
         if w != primitive_vector(w) or w in target.rays:
             raise RuntimeError(f"stellar point {w} is not a new primitive ray")
-        face = [target.rays[i] for i in _support(judged[target], w)[1]]
+        face = [target.rays[i] for i in _support(read, w)[1]]
         for c in set.intersection(*(on_ray[r] for r in face)):
             parent = judged.pop(c)
+            if len(parent) == 4:
+                parent = _rank_one(*parent)
             for r in c.rays:
                 on_ray[r].discard(c)
             mu, support = _support(parent, w)
             for i in support:
-                cone, cone_judged = _replace_ray(c, parent, mu, i, w)
-                judged[cone] = cone_judged
+                cone, judged[cone] = _replace_ray(c, parent, mu, i, w)
                 for r in cone.rays:
                     on_ray.setdefault(r, set()).add(cone)
-                if abs(cone_judged[1]) != 1:
+                if abs(mu[i]) != 1:
                     heappush(bad, (cone.rays, cone))
     return Fan.from_cones(list(judged), ambient=f.ambient)
 

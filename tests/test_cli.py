@@ -108,6 +108,17 @@ class TestMalformedInput:
         if not isinstance(payload, dict):
             assert message.startswith("JSON input must be an object")
 
+    @pytest.mark.parametrize("argv, payload, key", [
+        (("quotient", "report"), {"p": 3, "eta": 2, "degrees": []}, "n"),
+        (("profile",), {"action": [[1]]}, "p"),
+        (("lattice",), {"Gram": [[2]]}, "gram"),
+    ])
+    def test_missing_key_is_named(self, capsys, monkeypatch, argv, payload, key):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        status, out, err = run(capsys, *argv, "--input", "-")
+        assert (status, out) == (2, "")
+        assert json.loads(err) == {"error": f"missing key '{key}'"}
+
     @pytest.mark.parametrize("argv, payload", [
         (("profile",), {"p": 5.9, "action": [[0, 1], [1, 0]]}),
         (("profile",), {"p": True, "action": [[1]]}),

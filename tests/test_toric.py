@@ -6,6 +6,7 @@ import json
 import pathlib
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -20,6 +21,7 @@ from quotcoh.toric import (
     _continuant,
     _lattice_point,
     _parallelepiped,
+    _rank_one,
     _replace_ray,
     CohGroup,
     Cone,
@@ -242,10 +244,31 @@ def _brute_force_parallelepiped(c):
     return out
 
 
-def _candidates(c):
+def _candidates(c, judged=None):
     """The parallelepiped listing as the brute force writes it: [(weight, point)]."""
-    mod, group = _parallelepiped(toric._judge(c))
+    mod, group = _parallelepiped(judged or toric._judge(c))
     return [(Fraction(sum(lam), mod), _lattice_point(c, lam, mod)) for lam in group]
+
+
+def _catalogue(monkeypatch, seed):
+    """The benchmark's seeded pass over its toric catalogue (bench/gen.py), dimensions 3 and 4."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "bench"))
+    import gen
+
+    return [CyclicSingularity(p, weights) for p, weights in gen.toric_pass(seed) if len(weights) > 2]
+
+
+def _spy_on_rounds(monkeypatch):
+    """Record (target cone, its judgement, stellar point) for every round resolve makes."""
+    rounds = []
+    choose = toric._stellar_point
+
+    def spy(c, judged):
+        rounds.append((c, judged, choose(c, judged)))
+        return rounds[-1][2]
+
+    monkeypatch.setattr(toric, "_stellar_point", spy)
+    return rounds
 
 
 class TestParallelepiped:
@@ -290,6 +313,53 @@ class TestParallelepiped:
                     tied.add(len(weights))
         assert tied == {2, 3, 4}
 
+    def test_groups_no_column_generates(self, monkeypatch):
+        # no column of adj(C) has order D, so the other columns add cosets to its multiples:
+        # 3 rounds of the seed-7 catalogue pass and 15 of these random singularities
+        rounds = _spy_on_rounds(monkeypatch)
+        for sing in _catalogue(monkeypatch, 7):
+            resolve(quotient_fan(sing))
+        rng = random.Random(0)
+        primes = [p for p in range(3, 120) if is_prime(p)]
+        for _ in range(100):
+            p = rng.choice(primes)
+            resolve(quotient_fan(CyclicSingularity(p, [rng.randrange(1, p) for _ in range(rng.choice((3, 4)))])))
+        cosets = [r for r in rounds if all(gcd(r[1][1], *col) != 1 for col in zip(*r[1][2]))]
+        assert len(cosets) == 18 and {len(c.rays) for c, _, _ in cosets} == {3, 4}
+        for c, judged, w in cosets:
+            got = _candidates(c, judged)
+            listing = _brute_force_parallelepiped(c)
+            assert len(got) == len(set(got)) == abs(judged[1]) - 1
+            assert set(got) == listing and w == min(listing)[1]
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+    def test_tie_heavy_cones(self, monkeypatch, p):
+        # (1/p)(1, 1, p - 2): t (1, 1, p - 2) mod p has weight sum 1 for each t < p / 2
+        fan = quotient_fan(CyclicSingularity(p, (1, 1, p - 2)))
+        listing = _brute_force_parallelepiped(fan.maximal[0])
+        least = min(listing)
+        assert sum(weight == least[0] for weight, _ in listing) == (p - 1) // 2
+        assert set(_candidates(fan.maximal[0])) == listing
+        rounds = _spy_on_rounds(monkeypatch)
+        resolve(fan)
+        assert rounds[0][2] == least[1]
+        for c, judged, w in rounds:
+            assert set(_candidates(c, judged)) == _brute_force_parallelepiped(c)
+            assert w == min(_brute_force_parallelepiped(c))[1]
+
+    def test_stellar_point_stores_no_group(self):
+        # a column of adj(C) has order D here, so the walk keeps only the least
+        # weight and its ties; a set of the 10006 points peaked at 2.3 MB
+        (cone,) = quotient_fan(CyclicSingularity(10007, (1, 2, 3))).maximal
+        judged = toric._judge(cone)
+        tracemalloc.start()
+        try:
+            toric._stellar_point(cone, judged)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_non_square_cones(self):
         for rays in ([(1, 0, 0), (1, 2, 0)], [(1, 1, 1), (1, -1, 3)], [(2, 1, 0, 1), (0, 1, 2, 3)],
                      [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 6, 2)]):
@@ -308,6 +378,8 @@ class TestParallelepiped:
 
 
 # "p:weights" -> stdout of `quotcoh toric`, recorded with the Fraction-elimination route
+# (29:1,3,25, 23:2,7,11, 13:1,5,9,11 and 10007:1,2,3 with the worklist resolve and
+# the stored parallelepiped group)
 _PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "toric_cli_stdout.json").read_text())
 
 
@@ -548,13 +620,33 @@ class TestWorklistResolve:
         for fan in _LOWER_DIMENSIONAL_FANS:
             resolve(fan)
         parities = set()
-        for c, i, w, cone, (basis, det, adj), (parent_basis, _, _) in calls:
+        for c, i, w, cone, pending, (parent_basis, _, _) in calls:
+            basis, det, adj = _rank_one(*pending)
             assert basis is parent_basis
             rows = (tuple(zip(*cone.rays)) if basis is None
                     else [[sum(map(mul, row, r)) for r in cone.rays] for row in basis])
             assert (det, adj) == det_adjugate(rows)
             parities.add((basis is None, (cone.rays.index(w) - i) % 2))
         assert len(calls) > 100 and parities == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+    def test_rank_one_updates_only_the_cones_a_later_round_reads(self, monkeypatch):
+        # a round reads its target and every cone holding its w, each update runs
+        # once, and a cone that reaches the output is never updated
+        calls = _spy_on_updates(monkeypatch)
+        updated = []
+        update = toric._rank_one
+        monkeypatch.setattr(toric, "_rank_one", lambda *pending: updated.append(pending) or update(*pending))
+        counts = [0, 0, 0]
+        for sing in _catalogue(monkeypatch, 1):
+            calls.clear()
+            updated.clear()
+            kept = set(resolve(quotient_fan(sing)).maximal)
+            # a pending judgement is (parent judgement, mu, i, k); resolve keeps both objects alive
+            created = {(id(call[4][0]), id(call[4][1]), *call[4][2:]): call[3] for call in calls}
+            read = [created[id(judged), id(mu), i, k] for judged, mu, i, k in updated]
+            assert len(read) == len(set(read)) and set(read) == set(created.values()) - kept
+            counts = [counts[0] + len(calls), counts[1] + len(kept), counts[2] + len(read)]
+        assert counts == [2191, 1520, 671]
 
     def test_scan_solver_is_the_rational_oracle(self):
         solved = 0
@@ -695,7 +787,8 @@ def _check_rank_one(rays, w):
     for i, m in enumerate(mu):
         if m == 0:
             continue  # w in the span of the other rays
-        cone, (basis, det, adj) = _replace_ray(c, judged, mu, i, w)
+        cone, pending = _replace_ray(c, judged, mu, i, w)
+        basis, det, adj = _rank_one(*pending)
         assert basis is None
         assert cone.rays == tuple(sorted(c.rays[:i] + c.rays[i + 1:] + (w,)))
         assert (det, adj) == det_adjugate(tuple(zip(*cone.rays)))
