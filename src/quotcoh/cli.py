@@ -131,7 +131,13 @@ def _cmd_toric(args) -> tuple[int, dict]:
         surface_chain,
     )
 
-    weights = tuple(int(w) for w in args.weights.split(","))
+    weights = []
+    for item in args.weights.split(","):
+        try:
+            weights.append(int(item))
+        except ValueError:
+            raise ValueError(f"--weights: cannot read {item!r} as an integer") from None
+    weights = tuple(weights)
     sing = CyclicSingularity(p=args.p, weights=weights)
     fan = quotient_fan(sing)
     resolved = resolve(fan)

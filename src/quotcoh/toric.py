@@ -4,7 +4,8 @@ The quotient of affine n-space by the diagonal order-p action with
 weights (a_1, ..., a_n) coprime to p is the toric variety of the standard
 positive cone viewed in the refined lattice Z^n + Z*(a_1,...,a_n)/p; a
 resolution is any regular subdivision of its fan, and downstream
-invariants do not depend on the one chosen.
+invariants do not depend on the one chosen.  `quotient_fan` reads the
+cone's rays off one Smith form of [p I | weights].
 
 In dimension 2 `resolve` builds each cone's Hirzebruch-Jung chain
 directly: the continued fraction of D/q, D the cone's determinant and q
@@ -21,12 +22,13 @@ minimal positive weight in its fundamental parallelepiped (the least such
 point on a tie), which strictly decreases cone multiplicities and so
 terminates.  Every cone, full or lower-dimensional, is judged once by
 `_judge`: the determinant and adjugate of its ray matrix in a basis of
-the saturated span of its rays.  `resolve` keeps the non-regular cones in
-a heap and finds the cones containing that point through a ray -> cones
-index; a new cone spans what its parent spans, so its judgement is a
-rank-one update of the parent's in the same basis, made only when a
-later round reads the cone, and a round costs what it changes rather
-than a pass over the fan.  The point is found in one walk of the
+the saturated span of its rays.  `resolve` holds each cone as its sorted
+ray tuple, keeps the non-regular ones in a heap and finds the cones
+containing that point through a ray -> cones index; a new cone spans
+what its parent spans, so its judgement is a rank-one update of the
+parent's in the same basis, made only when a later round reads the
+cone, and a round costs what it changes rather than a pass over the
+fan.  The point is found in one walk of the
 parallelepiped, of order the cone's multiplicity, that keeps only the
 least weight and its ties.  Only combinatorial data of these resolutions
 is reported.  In dimension 2 the stellar rounds reach the same fan, and the
@@ -50,7 +52,6 @@ from .intmat import (
     _smith,
     _xgcd,
     det_adjugate,
-    image_basis,
     is_prime,
     primitive_vector,
 )
@@ -213,20 +214,22 @@ def quotient_fan(s: CyclicSingularity) -> Fan:
 
     The refined lattice Z^n + Z*(weights)/p is normalized to Z^n by a
     change of basis B; the standard basis vectors become the (primitivized)
-    rays of an index-p simplicial cone, ray i solving B y = p e_i, which
-    is p adj(B) e_i / det B by Cramer's rule.
+    rays of an index-p simplicial cone, ray i solving B y = p e_i.  One
+    Smith form u M v = d of the n x (n+1) matrix M = [p I | weights] gives
+    both: the columns of B = u^-1 D, D = diag(d_1, ..., d_n), generate
+    p * (refined lattice), so p B^-1 = diag(p / d_j) u and ray i is column
+    i of that, made primitive.  Every e_i lies in the refined lattice iff
+    M has rank n and each d_j divides p, the rows of u being primitive.
     """
-    n = len(s.weights)
-    gens = [[s.p if i == j else 0 for j in range(n)] for i in range(n)]
-    gens.append(list(s.weights))
-    # columns of `basis` generate p * (refined lattice) inside Z^n
-    basis = image_basis(IntMatrix(gens, ncols=n).transpose()).transpose()
-    det, adj = det_adjugate(basis.rows)
-    if any(s.p * e % det for row in adj for e in row):
+    n, p = len(s.weights), s.p
+    m = IntMatrix._trusted(
+        tuple((0,) * i + (p,) + (0,) * (n - 1 - i) + (a,) for i, a in enumerate(s.weights)), n + 1)
+    snf = _smith(m, u=True)
+    if snf.rank != n or any(p % d for d in snf.diagonal):
         raise RuntimeError("standard basis vector missing from the refined lattice")
-    rays = [primitive_vector([s.p * row[i] // det for row in adj]) for i in range(n)]
-    cone = Cone.from_rays(rays, ambient=n)
-    return Fan.from_cones([cone], ambient=n)
+    scaled = [[p // d * x for x in row] for d, row in zip(snf.diagonal, snf.u.rows)]
+    rays = [primitive_vector(col) for col in zip(*scaled)]
+    return Fan.from_cones([Cone.from_rays(rays, ambient=n)], ambient=n)
 
 
 def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
@@ -244,7 +247,8 @@ def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
     """
     _, det, adj = judged
     mod = abs(det)
-    gen, *others = sorted((tuple(x % mod for x in col) for col in zip(*adj)), key=lambda g: gcd(mod, *g))
+    cols = [tuple(x % mod for x in col) for col in zip(*adj)]
+    gen = cols.pop(max(range(len(cols)), key=lambda j: mod // gcd(mod, *cols[j])))
     order = mod // gcd(mod, *gen)
     # t gen mod D for t = 1 .. order - 1, one coordinate per iterator
     multiples = zip(*(map(mod.__rmod__, range(x, x * order, x)) if x else repeat(0, order - 1) for x in gen))
@@ -252,7 +256,7 @@ def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
         return mod, multiples
     zero = (0,) * len(gen)
     group = {zero, *multiples}
-    for g in others:
+    for g in sorted(cols, key=lambda g: gcd(mod, *g)):
         base = list(group)
         step = g
         while step not in group:
@@ -264,7 +268,7 @@ def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
 
 def _lattice_point(c: Cone, lam: Sequence[int], mod: int) -> tuple[int, ...]:
     """The ambient point sum (lam_i / mod) ray_i."""
-    return tuple(sum(x * r[t] for x, r in zip(lam, c.rays)) // mod for t in range(c.ambient))
+    return tuple(sum(map(mul, lam, col)) // mod for col in zip(*c.rays))
 
 
 def _stellar_point(c: Cone, judged: tuple) -> tuple[int, ...]:
@@ -297,17 +301,18 @@ def _support(judged: tuple, w: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return mu, [i for i, m in enumerate(mu) if det * m > 0]
 
 
-def _replace_ray(c: Cone, judged: tuple, mu: Sequence[int], i: int, w: tuple[int, ...]) -> tuple[Cone, tuple]:
-    """The cone with ray i replaced by w (rays kept sorted), and its pending judgement.
+def _replace_ray(rays: tuple[tuple[int, ...], ...], judged: tuple, mu: Sequence[int], i: int,
+                 w: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """The sorted rays with ray i replaced by w, and the new cone's pending judgement.
 
     The pending judgement is `_rank_one`'s arguments (judged, mu, i, k), w
     moving to sorted position k; |det| of the new cone is |mu_i| already.
     """
-    rays = list(c.rays)
-    del rays[i]
-    k = bisect_left(rays, w)
-    rays.insert(k, w)  # resolve has checked w; the old rays are c's
-    return Cone._trusted(tuple(rays), c.ambient), (judged, mu, i, k)
+    new = list(rays)
+    del new[i]
+    k = bisect_left(new, w)
+    new.insert(k, w)
+    return tuple(new), (judged, mu, i, k)
 
 
 def _rank_one(judged: tuple, mu: Sequence[int], i: int, k: int) -> tuple:
@@ -392,49 +397,54 @@ def resolve(f: Fan) -> Fan:
     judgements wait as `_replace_ray`'s pending rank-one updates until a
     round reads the cone, as its target or as a cone holding its w; a cone
     that reaches the output is never judged, and |mu_i| alone decides the
-    heap.  So a round costs the stellar point plus O(n^2) per cone it
-    reads and a heap operation, not a pass over the fan; termination holds
-    because each subdivision strictly decreases multiplicities.
+    heap.  A round reads `_support` once per cone it subdivides: the
+    target's, which also gives the face, serves again when the target
+    comes out of the index.  So a round costs the stellar point plus
+    O(n^2) per cone it reads and a heap operation, not a pass over the
+    fan; termination holds because each subdivision strictly decreases
+    multiplicities.  The rounds hold each cone as its sorted ray tuple,
+    unique in the fan, which Python hashes and orders in C; a `Cone` is
+    built only for the stellar point and for the output.
     """
-    if f.ambient == 2:
+    n = f.ambient
+    if n == 2:
         return Fan.from_cones([d for c in f.maximal for d in _hirzebruch_jung(c)], ambient=2)
     try:
-        judged = {c: _judge(c) for c in f.maximal}
+        judged = {c.rays: _judge(c) for c in f.maximal}
     except ValueError:
         raise ValueError("resolution implemented for simplicial fans") from None
-    on_ray: dict[tuple[int, ...], set[Cone]] = {}
+    on_ray: dict[tuple[int, ...], set] = {}
     for c in judged:
-        for r in c.rays:
+        for r in c:
             on_ray.setdefault(r, set()).add(c)
-    # a cone's rays are unique in the fan, so the heap never compares Cones
-    bad = [(c.rays, c) for c, (_, det, _) in judged.items() if abs(det) != 1]
+    bad = [c for c, (_, det, _) in judged.items() if abs(det) != 1]
     heapify(bad)
     while bad:
-        target = heappop(bad)[1]
+        target = heappop(bad)
         if target not in judged:
             continue  # subdivided since it was queued
         read = judged[target]
         if len(read) == 4:  # pending: _rank_one's arguments
             read = judged[target] = _rank_one(*read)
-        w = _stellar_point(target, read)
+        w = _stellar_point(Cone._trusted(target, n), read)
         # the one new ray of the round, so the new cones need no checks of their own
-        if w != primitive_vector(w) or w in target.rays:
+        if w != primitive_vector(w) or w in target:
             raise RuntimeError(f"stellar point {w} is not a new primitive ray")
-        face = [target.rays[i] for i in _support(read, w)[1]]
-        for c in set.intersection(*(on_ray[r] for r in face)):
+        found = _support(read, w)
+        for c in set.intersection(*(on_ray[target[i]] for i in found[1])):
             parent = judged.pop(c)
             if len(parent) == 4:
                 parent = _rank_one(*parent)
-            for r in c.rays:
+            for r in c:
                 on_ray[r].discard(c)
-            mu, support = _support(parent, w)
+            mu, support = found if c == target else _support(parent, w)
             for i in support:
                 cone, judged[cone] = _replace_ray(c, parent, mu, i, w)
-                for r in cone.rays:
+                for r in cone:
                     on_ray.setdefault(r, set()).add(cone)
                 if abs(mu[i]) != 1:
-                    heappush(bad, (cone.rays, cone))
-    return Fan.from_cones(list(judged), ambient=f.ambient)
+                    heappush(bad, cone)
+    return Fan(tuple(Cone._trusted(c, n) for c in sorted(judged)), n)
 
 
 class HJResolution(NamedTuple):
@@ -481,11 +491,9 @@ def hj_resolution(p: int, a: int) -> HJResolution:
     if abs(_continuant(bs)) != p:
         raise RuntimeError("exceptional intersection matrix has wrong determinant")
     r = len(bs)
-    gram = IntMatrix(
-        [[-bs[i] if i == j else (1 if abs(i - j) == 1 else 0) for j in range(r)]
-         for i in range(r)],
-        ncols=r,
-    )
+    # the continuant has certified the Gram, so it skips the checking constructor
+    gram = IntMatrix._trusted(
+        tuple(tuple(-bs[i] if i == j else int(abs(i - j) == 1) for j in range(r)) for i in range(r)), r)
     return HJResolution(chain=tuple(-b for b in bs), exceptional_gram=gram)
 
 

@@ -14,10 +14,12 @@ from typing import Sequence
 
 from quotcoh.engine import DegreeInvariants, GradedInvariants
 from quotcoh.hilbert import K3_B2
-from quotcoh.intmat import IntMatrix, SmithDecomposition, _smith, smith_decomposition
+from quotcoh.intmat import (
+    IntMatrix, SmithDecomposition, _smith, det_adjugate, image_basis, primitive_vector, smith_decomposition,
+)
 from quotcoh.k3 import K3ActionSpec
 from quotcoh.lattices import BNSInvariants
-from quotcoh.toric import Cone, Fan, _judge
+from quotcoh.toric import Cone, CyclicSingularity, Fan, _judge
 
 
 # --- integer matrices --------------------------------------------------------
@@ -111,6 +113,25 @@ def coordinates_of(c: Cone, point: Sequence[Fraction]) -> tuple[Fraction, ...] |
            for t, y in enumerate(scaled)):
         return None  # point outside the linear span
     return tuple(Fraction(v, q * det) for v in num)
+
+
+def adjugate_quotient_fan(s: CyclicSingularity) -> Fan:
+    """The quotient's fan by two eliminations: an image basis, then its adjugate.
+
+    The route the one Smith form of `toric.quotient_fan` replaced.  The
+    columns of B, an image basis of [p I | weights], generate p * (refined
+    lattice) in Z^n, and ray i solves B y = p e_i: y = p adj(B) e_i / det B
+    by Cramer's rule, made primitive.
+    """
+    n = len(s.weights)
+    gens = [[s.p if i == j else 0 for j in range(n)] for i in range(n)]
+    gens.append(list(s.weights))
+    basis = image_basis(IntMatrix(gens, ncols=n).transpose()).transpose()
+    det, adj = det_adjugate(basis.rows)
+    if any(s.p * e % det for row in adj for e in row):
+        raise RuntimeError("standard basis vector missing from the refined lattice")
+    rays = [primitive_vector([s.p * row[i] // det for row in adj]) for i in range(n)]
+    return Fan.from_cones([Cone.from_rays(rays, ambient=n)], ambient=n)
 
 
 def projective_space_fan(n: int) -> Fan:

@@ -119,6 +119,12 @@ class TestMalformedInput:
         assert (status, out) == (2, "")
         assert json.loads(err) == {"error": f"missing key '{key}'"}
 
+    @pytest.mark.parametrize("weights, item", [("1,,2", ""), ("1.0,2", "1.0"), ("a,b", "a"), ("1,2,", "")])
+    def test_unreadable_weight_is_named(self, capsys, weights, item):
+        status, out, err = run(capsys, "toric", "--p", "5", "--weights", weights)
+        assert (status, out) == (2, "")
+        assert json.loads(err) == {"error": f"--weights: cannot read {item!r} as an integer"}
+
     @pytest.mark.parametrize("argv, payload", [
         (("profile",), {"p": 5.9, "action": [[0, 1], [1, 0]]}),
         (("profile",), {"p": True, "action": [[1]]}),

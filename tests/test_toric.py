@@ -39,9 +39,11 @@ from quotcoh.toric import (
 )
 from quotcoh.lattices import Lattice, signature
 from quotcoh.intmat import (
-    IntMatrix, _smith, det_adjugate, image_basis, is_prime, primitive_vector, smith_decomposition,
+    IntMatrix, _Frozen, _smith, det_adjugate, image_basis, is_prime, primitive_vector, smith_decomposition,
 )
-from reference import coordinates_of, product_of_lines_fan, projective_space_fan, solve_integer
+from reference import (
+    adjugate_quotient_fan, coordinates_of, product_of_lines_fan, projective_space_fan, solve_integer,
+)
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -582,7 +584,7 @@ def _oracle_contains(c, point):
 
 
 def _spy_on_updates(monkeypatch):
-    """Record (parent cone, i, w, new cone, its judgement, the parent's) for every ray replacement resolve makes."""
+    """Record (parent rays, i, w, new rays, its judgement, the parent's) for every ray replacement resolve makes."""
     calls = []
     update = toric._replace_ray
 
@@ -623,10 +625,10 @@ class TestWorklistResolve:
         for c, i, w, cone, pending, (parent_basis, _, _) in calls:
             basis, det, adj = _rank_one(*pending)
             assert basis is parent_basis
-            rows = (tuple(zip(*cone.rays)) if basis is None
-                    else [[sum(map(mul, row, r)) for r in cone.rays] for row in basis])
+            rows = (tuple(zip(*cone)) if basis is None
+                    else [[sum(map(mul, row, r)) for r in cone] for row in basis])
             assert (det, adj) == det_adjugate(rows)
-            parities.add((basis is None, (cone.rays.index(w) - i) % 2))
+            parities.add((basis is None, (cone.index(w) - i) % 2))
         assert len(calls) > 100 and parities == {(True, 0), (True, 1), (False, 0), (False, 1)}
 
     def test_rank_one_updates_only_the_cones_a_later_round_reads(self, monkeypatch):
@@ -640,13 +642,32 @@ class TestWorklistResolve:
         for sing in _catalogue(monkeypatch, 1):
             calls.clear()
             updated.clear()
-            kept = set(resolve(quotient_fan(sing)).maximal)
+            kept = {c.rays for c in resolve(quotient_fan(sing)).maximal}
             # a pending judgement is (parent judgement, mu, i, k); resolve keeps both objects alive
             created = {(id(call[4][0]), id(call[4][1]), *call[4][2:]): call[3] for call in calls}
             read = [created[id(judged), id(mu), i, k] for judged, mu, i, k in updated]
             assert len(read) == len(set(read)) and set(read) == set(created.values()) - kept
             counts = [counts[0] + len(calls), counts[1] + len(kept), counts[2] + len(read)]
         assert counts == [2191, 1520, 671]
+
+    def test_one_support_per_cone_a_round_reads_and_no_cone_hashing(self, monkeypatch):
+        # the target's (mu, support) gives its face and is reused when the target comes out
+        # of the ray -> cones index; the fan is keyed by ray tuples, so no record is hashed
+        fans = [quotient_fan(sing) for sing in _catalogue(monkeypatch, 1)]
+        calls = _spy_on_updates(monkeypatch)
+        supports, hashes = [], []
+        support, record_hash = toric._support, _Frozen.__hash__
+        monkeypatch.setattr(toric, "_support", lambda judged, w: supports.append(w) or support(judged, w))
+        monkeypatch.setattr(_Frozen, "__hash__", lambda record: hashes.append(record) or record_hash(record))
+        read = 0
+        for fan in fans:
+            calls.clear()
+            resolve(fan)
+            read += len({(c, w) for c, _, w, *_ in calls})
+        monkeypatch.undo()
+        assert hashes == []
+        # every cone a round subdivides is read once, and only those
+        assert len(supports) == read == 741
 
     def test_scan_solver_is_the_rational_oracle(self):
         solved = 0
@@ -787,13 +808,13 @@ def _check_rank_one(rays, w):
     for i, m in enumerate(mu):
         if m == 0:
             continue  # w in the span of the other rays
-        cone, pending = _replace_ray(c, judged, mu, i, w)
+        rays, pending = _replace_ray(c.rays, judged, mu, i, w)
         basis, det, adj = _rank_one(*pending)
         assert basis is None
-        assert cone.rays == tuple(sorted(c.rays[:i] + c.rays[i + 1:] + (w,)))
-        assert (det, adj) == det_adjugate(tuple(zip(*cone.rays)))
-        assert cone.ray_matrix() * IntMatrix(adj, ncols=n) == IntMatrix.identity(n) * det
-        parities.add((cone.rays.index(w) - i) % 2)
+        assert rays == tuple(sorted(c.rays[:i] + c.rays[i + 1:] + (w,)))
+        assert (det, adj) == det_adjugate(tuple(zip(*rays)))
+        assert Cone(rays, n).ray_matrix() * IntMatrix(adj, ncols=n) == IntMatrix.identity(n) * det
+        parities.add((rays.index(w) - i) % 2)
     return parities
 
 
@@ -841,7 +862,36 @@ class TestContinuant:
         assert _continuant([]) == 1
 
 
+@st.composite
+def wide_singularities(draw):
+    """Any prime below 400 and 2 to 5 weights, for the quotient cone alone."""
+    p = draw(st.sampled_from([p for p in range(2, 400) if is_prime(p)]))
+    n = draw(st.integers(2, 5))
+    return CyclicSingularity(p, tuple(draw(st.integers(1, p - 1)) for _ in range(n)))
+
+
 class TestQuotientFan:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(wide_singularities())
+    def test_one_smith_form_matches_the_adjugate_route(self, sing):
+        assert quotient_fan(sing) == adjugate_quotient_fan(sing)
+
+    @pytest.mark.parametrize("p, weights", [(1000003, (1, 2, 3)), (10007, (1, 2, 3, 4)), (1009, (1, 1008))])
+    def test_large_primes_match_the_adjugate_route(self, p, weights):
+        sing = CyclicSingularity(p, weights)
+        assert quotient_fan(sing) == adjugate_quotient_fan(sing)
+
+    @pytest.mark.parametrize("forge", [
+        lambda snf: snf._replace(diagonal=snf.diagonal[:-1] + (2 * snf.diagonal[-1],)),
+        lambda snf: snf._replace(rank=snf.rank - 1),
+    ], ids=["d_n doubled", "rank n - 1"])
+    def test_forged_smith_form_is_refused(self, monkeypatch, forge):
+        # each d_j must divide p and M must have rank n, or some e_i is not in the refined lattice
+        smith = toric._smith
+        monkeypatch.setattr(toric, "_smith", lambda m, u=False: forge(smith(m, u=u)))
+        with pytest.raises(RuntimeError, match="standard basis vector missing"):
+            quotient_fan(CyclicSingularity(7, (1, 2, 3)))
+
     @PROPS
     @given(singularities())
     def test_rays_are_the_smith_form_solutions(self, sing):
