@@ -4,8 +4,8 @@ Subpackages:
 
 * intmat    -- arbitrary-precision integer matrices, Smith normal form,
                saturated kernels, mod-p ranks
-* profiles  -- Jordan profiles of order-p actions over F_p and their
-               tensor / symmetric-power algebra
+* profiles  -- Jordan profiles of order-p actions over F_p, and Sym^k of a
+               permutation module in closed form
 * lattices  -- integral lattices with prime-order isometries, the summand
                counts of the Z[G]-lattice, group cohomology, pushforward
                and glued overlattices
@@ -34,11 +34,7 @@ _EXPORTS = {
         ("IntMatrix", "image_basis", "kernel_saturated", "quotient_group", "rank_mod_p"),
         "intmat",
     ),
-    **dict.fromkeys(
-        ("JordanProfile", "cohomology_dim", "direct_sum", "jordan_profile", "sym_power",
-         "tensor"),
-        "profiles",
-    ),
+    **dict.fromkeys(("JordanProfile", "jordan_profile"), "profiles"),
     **dict.fromkeys(
         ("GLattice", "Lattice", "bns_invariants", "curtis_reiner_check", "discriminant",
          "discriminant_group", "group_cohomology", "invariants", "named_lattice",
@@ -59,8 +55,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(("K3_TABLE", "k3_table", "nikulin_involution"), "k3"),
     **dict.fromkeys(
-        ("bb_quotient", "betti_numbers", "betti_table", "fujiki_constant", "graded_profile",
-         "hilbert_report"),
+        ("bb_quotient", "betti_numbers", "betti_table", "fujiki_constant", "hilbert_report"),
         "hilbert",
     ),
 }

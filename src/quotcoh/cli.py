@@ -3,9 +3,11 @@
 Exit codes: 0 on success; 1 on a golden-table mismatch or a failed
 selftest, a table builder or selftest check that raises included; 2 on
 invalid input or an unwritable output (--output file or stdout).  `main`
-alone turns a command's KeyError, TypeError or ValueError into exit 2,
-with {"error": str(exc)} on stderr.  Output is deterministic for fixed
-input (sorted JSON keys, fixed row ordering, no unseeded randomness).
+alone turns a command's KeyError, TypeError or ValueError, and an
+argument the parser refuses, into exit 2, with {"error": message} on
+stderr.  An integer flag or weight must be written as str(int) writes
+it.  Output is deterministic for fixed input (sorted JSON keys, fixed
+row ordering, no unseeded randomness).
 
 Only argparse, json, os, sys and itertools load with this module: each
 command imports the layers it calls, so a process compiles no layer its
@@ -19,6 +21,32 @@ import json
 import os
 import sys
 from itertools import islice
+
+
+def _integer(text: str) -> int:
+    """The integer text spells as str(int) does: no '+', blank, '_', leading
+    zero or non-ASCII digit, the rule engine._json_key applies to JSON keys."""
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if str(value) == text:
+            return value
+    raise argparse.ArgumentTypeError(f"cannot read {text!r} as an integer")
+
+
+def _refuse(parser: argparse.ArgumentParser, message: str):
+    """ArgumentParser.error of _Parser: a ValueError, which main reports as
+    error JSON with exit 2, in place of argparse's usage text."""
+    raise ValueError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """The parser of the command and of each subcommand (argparse makes the
+    subparsers of the parent's class); --help still prints and exits 0."""
+
+    error = _refuse
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -131,13 +159,10 @@ def _cmd_toric(args) -> tuple[int, dict]:
         surface_chain,
     )
 
-    weights = []
-    for item in args.weights.split(","):
-        try:
-            weights.append(int(item))
-        except ValueError:
-            raise ValueError(f"--weights: cannot read {item!r} as an integer") from None
-    weights = tuple(weights)
+    try:
+        weights = tuple(_integer(item) for item in args.weights.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"--weights: {exc}") from None
     sing = CyclicSingularity(p=args.p, weights=weights)
     fan = quotient_fan(sing)
     resolved = resolve(fan)
@@ -334,7 +359,7 @@ def _tables_text(payload: dict) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quotcoh",
         description="integral cohomology of prime-order cyclic quotients (exact arithmetic)",
     )
@@ -360,20 +385,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_quotient)
 
     p = sub.add_parser("toric", help="resolve an isolated cyclic quotient singularity")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_integer, required=True)
     p.add_argument("--weights", required=True, help="comma-separated weights, e.g. 1,2")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_toric)
 
     p = sub.add_parser("hilbert", help="quotient report for Hilbert schemes of K3 points")
-    p.add_argument("--p", type=int, required=True, choices=(5, 7))
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--p", type=_integer, required=True, choices=(5, 7))
+    p.add_argument("--m", type=_integer, required=True)
     p.add_argument("--conjectural-split", action="store_true")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_hilbert)
 
     p = sub.add_parser("k3", help="one row of the prime-order K3 quotient tables")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_integer, required=True)
     p.add_argument("--kind", default="symplectic", choices=("symplectic", "non-symplectic"))
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_k3)
@@ -385,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_tables)
 
     p = sub.add_parser("selftest", help="randomized property suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=40)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--rounds", type=_integer, default=40)
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_selftest)
     return parser
@@ -436,8 +461,8 @@ def _write(fh, payload, text: bool) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status, payload = args.fn(args)
         text = args.command == "tables" and args.format == "text"
         if not text:

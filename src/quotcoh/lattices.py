@@ -238,15 +238,15 @@ def _module_analysis(action: IntMatrix, sigma: IntMatrix, p: int) -> BNSInvarian
     n - tr A = p (l_minus + l_p), l_p = rank_p(sigma),
     l_minus = (n - tr A)/p - l_p and l_plus = tr A + l_minus.
 
-    A second mod-p elimination checks the counts:
+    At odd p a second mod-p elimination checks the counts:
     rank_p(A - 1) = (p - 2) l_minus + (p - 1) l_p, as A - 1 has rank 0,
     p - 2 and p - 1 on N_1, N_(p-1) and N_p.  A disagreement raises
     ValueError, as do n - tr A not divisible by p and a negative count.
-    At p = 2, sigma = A + 1 is A - 1 mod 2, so the check holds by
-    construction there, and the trace alone tells Z from Z^-.  The checks
-    are consequences of A^p = 1, not a test of it: [[1, 2], [0, 1]] at
-    p = 2 passes them as Z^2, and [[-1, 2], [0, -1]], of infinite order,
-    as (Z^-)^2.
+    At p = 2, sigma = A + 1 is A - 1 mod 2, so the check would read
+    rank_2(sigma) = l_p again and is skipped; the trace alone tells Z
+    from Z^-.  The checks are consequences of A^p = 1, not a test of it:
+    [[1, 2], [0, 1]] at p = 2 passes them as Z^2, and [[-1, 2], [0, -1]],
+    of infinite order, as (Z^-)^2.
     """
     n = action.nrows
     trace = sum(row[i] for i, row in enumerate(action.rows))
@@ -259,14 +259,15 @@ def _module_analysis(action: IntMatrix, sigma: IntMatrix, p: int) -> BNSInvarian
             f"rank bookkeeping failed: n = {n}, tr A = {trace} and rank_p(sigma) = {l_p} "
             f"give no order-{p} summand counts"
         )
-    b = (row[:i] + (row[i] - 1,) + row[i + 1:] for i, row in enumerate(action.rows))
-    rank_p = len(_row_basis_mod_p(b, p))
-    expected = (p - 2) * l_minus + (p - 1) * l_p
-    if rank_p != expected:
-        raise ValueError(
-            f"rank {rank_p} of A - 1 mod {p} disagrees with "
-            f"(p - 2) l_minus + (p - 1) l_p = {expected}"
-        )
+    if p > 2:
+        b = (row[:i] + (row[i] - 1,) + row[i + 1:] for i, row in enumerate(action.rows))
+        rank_p = len(_row_basis_mod_p(b, p))
+        expected = (p - 2) * l_minus + (p - 1) * l_p
+        if rank_p != expected:
+            raise ValueError(
+                f"rank {rank_p} of A - 1 mod {p} disagrees with "
+                f"(p - 2) l_minus + (p - 1) l_p = {expected}"
+            )
     return BNSInvariants(l_plus, l_minus, l_p)
 
 
@@ -274,7 +275,7 @@ def bns_invariants(gl: GLattice) -> BNSInvariants:
     """Counts of trivial / cyclotomic / free summands of the Z[G]-lattice.
 
     In closed form from tr phi and rank_p(sigma) of the kept norm map
-    (_module_analysis), checked against
+    (_module_analysis), checked at odd p against
     rank_p(phi - 1) = (p - 2) l_minus + (p - 1) l_p; no Smith form.
     """
     return _module_analysis(gl.action, gl.sigma(), gl.p)
@@ -318,7 +319,7 @@ def curtis_reiner_check(action: IntMatrix, p: int) -> BNSInvariants:
 
     Requires action^p = identity over Z, checked here by intmat.norm_map,
     whose norm map sigma then gives the counts in closed form from the
-    trace and rank_p(sigma), checked against one more mod-p rank; a
+    trace and rank_p(sigma), checked at odd p against one more mod-p rank; a
     disagreement raises ValueError.  The trace tells the trivial summand Z
     from the cyclotomic Z^- at p = 2 as well, where the mod-2 profile sees
     only their sum.

@@ -4,19 +4,16 @@ An endomorphism of a finite-dimensional F_p-vector space whose p-th power
 is the identity has minimal polynomial dividing (X-1)^p, so it decomposes
 into unipotent Jordan blocks N_q of sizes 1 <= q <= p.  The profile
 (multiset of block sizes) is the complete isomorphism invariant of the
-module, and it is all that is needed downstream: cohomology dimensions of
-the group acting, tensor products, symmetric powers.
+module.  Profiles are extracted from the rank filtration of (A - 1)^k
+rather than from an explicit Jordan basis; only the counts matter.
 
-Profiles are extracted from the rank filtration of (A - 1)^k rather than
-from an explicit Jordan basis; only the counts matter.  Tensor products
-of single blocks follow Green's formula, and symmetric powers of single
-blocks use closed forms wherever a block is trivial (N_1) or free (N_p).
-Only Sym^k of a middle block N_q, 2 <= q <= p-1, builds the induced
-matrix on a representative unipotent block and re-extracts its profile.
-Results are memoized per (p, block sizes, exponent), so concurrent
-callers simply recompute the same pure value.  The Hilbert-scheme front
-end needs none of this algebra: its modules are permutation modules,
-whose summands it counts directly.
+The one piece of module algebra kept here is Sym^k of a permutation
+module N_1^r + N_p^s, in closed form: G permutes the size-k multisets of
+the basis, and each orbit is fixed or free.  The general algebra (tensor
+products by Green's formula, symmetric powers of any profile, the dense
+Sym^k matrix) is the tests' oracle, in tests/reference.py.  The
+Hilbert-scheme front end needs none of it: its modules are permutation
+modules, whose summands it counts directly.
 
 Everything here is over F_p.  The summand counts of an order-p action over
 Z, which tell the trivial Z from the cyclotomic Z^- at p = 2, where both
@@ -28,8 +25,6 @@ blocks; the profile is their test oracle.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping, Sequence
 
@@ -64,29 +59,11 @@ class JordanProfile(_Frozen):
         blocks = tuple(sorted((q, c) for q, c in counts.items() if c))
         return cls(p, blocks)
 
-    @classmethod
-    def zero(cls, p: int) -> "JordanProfile":
-        return cls(p, ())
-
-    @classmethod
-    def single(cls, p: int, q: int, count: int = 1) -> "JordanProfile":
-        return cls.from_counts(p, {q: count})
-
-    @property
-    def counts(self) -> dict[int, int]:
-        return dict(self.blocks)
-
     def count(self, q: int) -> int:
         return dict(self.blocks).get(q, 0)
 
     def dimension(self) -> int:
         return sum(q * c for q, c in self.blocks)
-
-    def total_blocks(self) -> int:
-        return sum(c for _, c in self.blocks)
-
-    def __add__(self, other: "JordanProfile") -> "JordanProfile":
-        return direct_sum(self, other)
 
     def __repr__(self) -> str:
         inside = " + ".join(f"N{q}^{c}" if c > 1 else f"N{q}" for q, c in self.blocks)
@@ -145,134 +122,27 @@ def jordan_profile(action: IntMatrix, p: int) -> JordanProfile:
     return _profile_from_rows(action.rows, p)
 
 
-def cohomology_dim(prof: JordanProfile, i: int) -> int:
-    """dim_F H^i(G, M) for the module M with the given profile.
-
-    Every block contributes one dimension in degree 0; blocks of size < p
-    contribute one dimension in every positive degree, the free blocks
-    N_p contribute nothing there.
-    """
-    if i < 0:
-        raise ValueError("negative degree")
-    if i == 0:
-        return prof.total_blocks()
-    return sum(c for q, c in prof.blocks if q < prof.p)
-
-
-def direct_sum(a: JordanProfile, b: JordanProfile) -> JordanProfile:
-    if a.p != b.p:
-        raise ValueError("profiles live over different primes")
-    counts = a.counts
-    for q, c in b.blocks:
-        counts[q] = counts.get(q, 0) + c
-    return JordanProfile.from_counts(a.p, counts)
-
-
-def representative_matrix(prof: JordanProfile) -> IntMatrix:
-    """Block-diagonal unipotent matrix with the given profile (canonical)."""
-    blocks = []
-    for q, c in prof.blocks:
-        jb = IntMatrix([[1 if j == i or j == i + 1 else 0 for j in range(q)] for i in range(q)])
-        blocks.extend([jb] * c)
-    if not blocks:
-        return IntMatrix([], ncols=0)
-    return IntMatrix.block_diagonal(*blocks)
-
-
-@lru_cache(maxsize=None)
-def _tensor_single(p: int, r: int, s: int) -> JordanProfile:
-    """N_r tensor N_s by Green's formula (Green 1962; Renaud, J. Algebra 58,
-    1979): for r <= s it is the sum of N_(s-r+2i-1) over 1 <= i <= min(r, p-s)
-    plus N_p^max(0, r+s-p); r = 1 gives N_s, s = p the free N_p^r."""
-    r, s = min(r, s), max(r, s)
-    counts = {s - r + 2 * i - 1: 1 for i in range(1, min(r, p - s) + 1)}
-    counts[p] = max(0, r + s - p)
-    return JordanProfile.from_counts(p, counts)
-
-
-def tensor(a: JordanProfile, b: JordanProfile) -> JordanProfile:
-    """Profile of the tensor product module (dimensions multiply)."""
-    if a.p != b.p:
-        raise ValueError("profiles live over different primes")
-    counts: dict[int, int] = {}
-    for q1, c1 in a.blocks:
-        for q2, c2 in b.blocks:
-            for q, c in _tensor_single(a.p, q1, q2).blocks:
-                counts[q] = counts.get(q, 0) + c * c1 * c2
-    return JordanProfile.from_counts(a.p, counts)
-
-
-def sym_power_matrix(m: IntMatrix, k: int) -> IntMatrix:
-    """Matrix of the induced action on degree-k monomials (exact, over Z).
-
-    Basis: monomials e_{t_1}***e_{t_k} with t_1 <= ... <= t_k, ordered
-    lexicographically.  Index t of the module maps to column t of m.
-    """
-    if not m.is_square():
-        raise ValueError("symmetric powers need a square matrix")
-    n = m.nrows
-    basis = list(combinations_with_replacement(range(n), k))
-    index = {mono: i for i, mono in enumerate(basis)}
-    cols = [[(s, m[s, t]) for s in range(n) if m[s, t] != 0] for t in range(n)]
-    out = [[0] * len(basis) for _ in range(len(basis))]
-    for j, mono in enumerate(basis):
-        acc: dict[tuple[int, ...], int] = {(): 1}
-        for t in mono:
-            nxt: dict[tuple[int, ...], int] = {}
-            for partial, coeff in acc.items():
-                for s, ms in cols[t]:
-                    key = tuple(sorted(partial + (s,)))
-                    nxt[key] = nxt.get(key, 0) + coeff * ms
-            acc = nxt
-        for mono_out, coeff in acc.items():
-            if coeff:
-                out[index[mono_out]][j] += coeff
-    return IntMatrix(out, ncols=len(basis))
-
-
-@lru_cache(maxsize=None)
-def _sym_single(p: int, q: int, k: int) -> JordanProfile:
-    if k == 0 or q == 1:
-        return JordanProfile.single(p, 1)
-    if k == 1:
-        return JordanProfile.single(p, q)
-    if q == p:
-        # N_p = F[G] permutes its basis freely, so Sym^k permutes the size-k multisets;
-        # only the uniform multiset (when p | k) is fixed, every other orbit is free
-        fixed = 1 if k % p == 0 else 0
-        return JordanProfile.from_counts(p, {1: fixed, p: (comb(p + k - 1, k) - fixed) // p})
-    jb = representative_matrix(JordanProfile.single(p, q))
-    sym = sym_power_matrix(jb, k)
-    return _profile_from_rows(sym.rows, p)
-
-
-@lru_cache(maxsize=None)
-def _sym_profile(p: int, blocks: tuple[tuple[int, int], ...], k: int) -> JordanProfile:
-    if k == 0:
-        return JordanProfile.single(p, 1)
-    if not blocks:
-        return JordanProfile.zero(p)
-    (q, c), rest = blocks[0], blocks[1:]
-    total = JordanProfile.zero(p)
-    if q == 1:
-        # trivial blocks: Sym^j of N_1^c is trivial of dimension C(c+j-1, j)
-        for j in range(k + 1):
-            tail = _sym_profile(p, rest, k - j)
-            total = total + tensor(JordanProfile.single(p, 1, comb(c + j - 1, j)), tail)
-        return total
-    head = ((q, c - 1),) + rest if c > 1 else rest
-    for j in range(k + 1):
-        total = total + tensor(_sym_single(p, q, j), _sym_profile(p, head, k - j))
-    return total
-
-
 def sym_power(a: JordanProfile, k: int) -> JordanProfile:
-    """Profile of the k-th symmetric power.
+    """Profile of the k-th symmetric power of a permutation module N_1^r + N_p^s.
 
-    Over a direct sum the symmetric power expands multiplicatively,
-    Sym^k(A + B) = sum over i+j=k of Sym^i(A) tensor Sym^j(B), which
-    reduces everything to memoized single-block powers Sym^k(N_q).
+    G permutes the size-k multisets of the module's basis, and as p is
+    prime each orbit is fixed or free.  A multiset is fixed when it gives
+    the p vectors of each free orbit one multiplicity, so the fixed ones
+    number F = [t^k] (1 - t)^-r (1 - t^p)^-s, and
+    Sym^k = N_1^F + N_p^((C(r + p s + k - 1, k) - F) / p).  A block of any
+    other size, or k < 0, raises ValueError.
     """
+    p = a.p
+    if any(q not in (1, p) for q, _ in a.blocks):
+        raise ValueError(f"{a} is not a permutation module N_1^r + N_{p}^s")
     if k < 0:
         raise ValueError("negative symmetric power")
-    return _sym_profile(a.p, a.blocks, k)
+    r, s = a.count(1), a.count(p)
+    fixed = [1] + [0] * k
+    for step in (1,) * r + (p,) * s:
+        # times 1/(1 - t^step)
+        for j in range(step, k + 1):
+            fixed[j] += fixed[j - step]
+    n = r + p * s
+    total = comb(n + k - 1, k) if n + k else 1
+    return JordanProfile.from_counts(p, {1: fixed[k], p: (total - fixed[k]) // p})

@@ -449,7 +449,18 @@ def resolve(f: Fan) -> Fan:
 
 class HJResolution(NamedTuple):
     chain: tuple[int, ...]
-    exceptional_gram: IntMatrix
+
+    @property
+    def exceptional_gram(self) -> IntMatrix:
+        """The tridiagonal intersection matrix: the chain on the diagonal, 1 beside it.
+
+        Built when read; hj_resolution's continuant has certified its
+        determinant, so it skips the checking constructor.
+        """
+        r = len(self.chain)
+        return IntMatrix._trusted(
+            tuple(tuple(self.chain[i] if i == j else int(abs(i - j) == 1) for j in range(r))
+                  for i in range(r)), r)
 
 
 def hj_continued_fraction(p: int, a: int) -> list[int]:
@@ -483,18 +494,15 @@ def hj_resolution(p: int, a: int) -> HJResolution:
     The chain of self-intersections is (-b_1, ..., -b_r) for the
     continued-fraction expansion of p/a; the intersection matrix is the
     tridiagonal matrix with that diagonal and 1 off the diagonal, of
-    determinant +-p, checked by its continuant.
+    determinant +-p, checked by its continuant.  The result holds the chain
+    alone; its exceptional_gram builds the matrix when read.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     bs = hj_continued_fraction(p, a)
     if abs(_continuant(bs)) != p:
         raise RuntimeError("exceptional intersection matrix has wrong determinant")
-    r = len(bs)
-    # the continuant has certified the Gram, so it skips the checking constructor
-    gram = IntMatrix._trusted(
-        tuple(tuple(-bs[i] if i == j else int(abs(i - j) == 1) for j in range(r)) for i in range(r)), r)
-    return HJResolution(chain=tuple(-b for b in bs), exceptional_gram=gram)
+    return HJResolution(chain=tuple(-b for b in bs))
 
 
 def surface_chain(resolved: Fan, original: Fan) -> tuple[int, ...]:

@@ -8,17 +8,20 @@ from the package's public types.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import comb, lcm
 from operator import mul
 from typing import Sequence
 
 from quotcoh.engine import DegreeInvariants, GradedInvariants
-from quotcoh.hilbert import K3_B2
+from quotcoh.hilbert import K3_B2, _permutation_invariants
 from quotcoh.intmat import (
     IntMatrix, SmithDecomposition, _smith, det_adjugate, image_basis, primitive_vector, smith_decomposition,
 )
 from quotcoh.k3 import K3ActionSpec
 from quotcoh.lattices import BNSInvariants
+from quotcoh.profiles import JordanProfile, _profile_from_rows
 from quotcoh.toric import Cone, CyclicSingularity, Fan, _judge
 
 
@@ -92,6 +95,162 @@ def smith_summand_counts(action: IntMatrix, p: int) -> BNSInvariants:
     if r % (p - 1) or l_p < 0 or l_plus < 0:
         raise ValueError("rank bookkeeping failed: input is not an order-p action")
     return BNSInvariants(l_plus, l_minus, l_p)
+
+
+# --- the profile algebra -------------------------------------------------------
+
+def single(p: int, q: int, count: int = 1) -> JordanProfile:
+    """N_q^count."""
+    return JordanProfile.from_counts(p, {q: count})
+
+
+def zero(p: int) -> JordanProfile:
+    """The zero module."""
+    return JordanProfile(p, ())
+
+
+def cohomology_dim(prof: JordanProfile, i: int) -> int:
+    """dim_F H^i(G, M) for the module M with the given profile.
+
+    Every block contributes one dimension in degree 0; blocks of size < p
+    contribute one dimension in every positive degree, the free blocks
+    N_p contribute nothing there.
+    """
+    if i < 0:
+        raise ValueError("negative degree")
+    if i == 0:
+        return sum(c for _, c in prof.blocks)
+    return sum(c for q, c in prof.blocks if q < prof.p)
+
+
+def direct_sum(a: JordanProfile, b: JordanProfile) -> JordanProfile:
+    if a.p != b.p:
+        raise ValueError("profiles live over different primes")
+    counts = dict(a.blocks)
+    for q, c in b.blocks:
+        counts[q] = counts.get(q, 0) + c
+    return JordanProfile.from_counts(a.p, counts)
+
+
+def representative_matrix(prof: JordanProfile) -> IntMatrix:
+    """Block-diagonal unipotent matrix with the given profile (canonical)."""
+    blocks = []
+    for q, c in prof.blocks:
+        jb = IntMatrix([[1 if j == i or j == i + 1 else 0 for j in range(q)] for i in range(q)])
+        blocks.extend([jb] * c)
+    if not blocks:
+        return IntMatrix([], ncols=0)
+    return IntMatrix.block_diagonal(*blocks)
+
+
+@lru_cache(maxsize=None)
+def _tensor_single(p: int, r: int, s: int) -> JordanProfile:
+    """N_r tensor N_s by Green's formula (Green 1962; Renaud, J. Algebra 58,
+    1979): for r <= s it is the sum of N_(s-r+2i-1) over 1 <= i <= min(r, p-s)
+    plus N_p^max(0, r+s-p); r = 1 gives N_s, s = p the free N_p^r."""
+    r, s = min(r, s), max(r, s)
+    counts = {s - r + 2 * i - 1: 1 for i in range(1, min(r, p - s) + 1)}
+    counts[p] = max(0, r + s - p)
+    return JordanProfile.from_counts(p, counts)
+
+
+def tensor(a: JordanProfile, b: JordanProfile) -> JordanProfile:
+    """Profile of the tensor product module (dimensions multiply)."""
+    if a.p != b.p:
+        raise ValueError("profiles live over different primes")
+    counts: dict[int, int] = {}
+    for q1, c1 in a.blocks:
+        for q2, c2 in b.blocks:
+            for q, c in _tensor_single(a.p, q1, q2).blocks:
+                counts[q] = counts.get(q, 0) + c * c1 * c2
+    return JordanProfile.from_counts(a.p, counts)
+
+
+def sym_power_matrix(m: IntMatrix, k: int) -> IntMatrix:
+    """Matrix of the induced action on degree-k monomials (exact, over Z).
+
+    Basis: monomials e_{t_1}***e_{t_k} with t_1 <= ... <= t_k, ordered
+    lexicographically.  Index t of the module maps to column t of m.
+    """
+    if not m.is_square():
+        raise ValueError("symmetric powers need a square matrix")
+    n = m.nrows
+    basis = list(combinations_with_replacement(range(n), k))
+    index = {mono: i for i, mono in enumerate(basis)}
+    cols = [[(s, m[s, t]) for s in range(n) if m[s, t] != 0] for t in range(n)]
+    out = [[0] * len(basis) for _ in range(len(basis))]
+    for j, mono in enumerate(basis):
+        acc: dict[tuple[int, ...], int] = {(): 1}
+        for t in mono:
+            nxt: dict[tuple[int, ...], int] = {}
+            for partial, coeff in acc.items():
+                for s, ms in cols[t]:
+                    key = tuple(sorted(partial + (s,)))
+                    nxt[key] = nxt.get(key, 0) + coeff * ms
+            acc = nxt
+        for mono_out, coeff in acc.items():
+            if coeff:
+                out[index[mono_out]][j] += coeff
+    return IntMatrix(out, ncols=len(basis))
+
+
+@lru_cache(maxsize=None)
+def _sym_single(p: int, q: int, k: int) -> JordanProfile:
+    if k == 0 or q == 1:
+        return single(p, 1)
+    if k == 1:
+        return single(p, q)
+    if q == p:
+        # N_p = F[G] permutes its basis freely, so Sym^k permutes the size-k multisets;
+        # only the uniform multiset (when p | k) is fixed, every other orbit is free
+        fixed = 1 if k % p == 0 else 0
+        return JordanProfile.from_counts(p, {1: fixed, p: (comb(p + k - 1, k) - fixed) // p})
+    jb = representative_matrix(single(p, q))
+    sym = sym_power_matrix(jb, k)
+    return _profile_from_rows(sym.rows, p)
+
+
+@lru_cache(maxsize=None)
+def _sym_profile(p: int, blocks: tuple[tuple[int, int], ...], k: int) -> JordanProfile:
+    if k == 0:
+        return single(p, 1)
+    if not blocks:
+        return zero(p)
+    (q, c), rest = blocks[0], blocks[1:]
+    total = zero(p)
+    if q == 1:
+        # trivial blocks: Sym^j of N_1^c is trivial of dimension C(c+j-1, j)
+        for j in range(k + 1):
+            tail = _sym_profile(p, rest, k - j)
+            total = direct_sum(total, tensor(single(p, 1, comb(c + j - 1, j)), tail))
+        return total
+    head = ((q, c - 1),) + rest if c > 1 else rest
+    for j in range(k + 1):
+        total = direct_sum(total, tensor(_sym_single(p, q, j), _sym_profile(p, head, k - j)))
+    return total
+
+
+def sym_power(a: JordanProfile, k: int) -> JordanProfile:
+    """Profile of the k-th symmetric power of any profile.
+
+    Over a direct sum the symmetric power expands multiplicatively,
+    Sym^k(A + B) = sum over i+j=k of Sym^i(A) tensor Sym^j(B), which
+    reduces everything to memoized single-block powers Sym^k(N_q).  The
+    oracle of the closed form profiles.sym_power.
+    """
+    if k < 0:
+        raise ValueError("negative symmetric power")
+    return _sym_profile(a.p, a.blocks, k)
+
+
+def graded_profile(m: int, h2_profile: JordanProfile) -> GradedInvariants:
+    """Per-degree module invariants of the m-point Hilbert scheme from the
+    mod-p profile of the surface's degree-2 cohomology, which must be
+    N_1^a + N_p^b of dimension 22."""
+    p = h2_profile.p
+    if any(q not in (1, p) for q, _ in h2_profile.blocks):
+        raise ValueError("degree-2 profile must consist of trivial and free blocks")
+    return _permutation_invariants(m, h2_profile.count(1), h2_profile.count(p), p)
 
 
 # --- cones and fans ----------------------------------------------------------

@@ -125,6 +125,45 @@ class TestMalformedInput:
         assert (status, out) == (2, "")
         assert json.loads(err) == {"error": f"--weights: cannot read {item!r} as an integer"}
 
+    @pytest.mark.parametrize("argv, message", [
+        (("toric", "--p", "1_3", "--weights", "11,2"), "argument --p: cannot read '1_3' as an integer"),
+        (("toric", "--p", "13", "--weights", "1_1, 2"), "--weights: cannot read '1_1' as an integer"),
+        (("toric", "--p", "13", "--weights", "11, 2"), "--weights: cannot read ' 2' as an integer"),
+        (("k3", "--p", " 7"), "argument --p: cannot read ' 7' as an integer"),
+        (("hilbert", "--p", "5", "--m", "\u0662"), "argument --m: cannot read '\u0662' as an integer"),
+        (("selftest", "--rounds", "+3"), "argument --rounds: cannot read '+3' as an integer"),
+        (("k3", "--p", "07"), "argument --p: cannot read '07' as an integer"),
+    ])
+    def test_integer_must_be_canonical(self, capsys, argv, message):
+        # int() reads each of these; only the spelling str(int) writes is accepted
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert json.loads(err) == {"error": message}
+
+    def test_canonical_integers_are_read(self, capsys):
+        status, out, _ = run(capsys, "toric", "--p", "13", "--weights", "11,2")
+        assert status == 0
+        assert (json.loads(out)["p"], json.loads(out)["weights"]) == (13, [11, 2])
+
+    @pytest.mark.parametrize("argv, message", [
+        (("toric", "--p", "abc", "--weights", "1,2"), "argument --p: cannot read 'abc' as an integer"),
+        (("toric", "--p", "5"), "the following arguments are required: --weights"),
+        (("hilbert", "--p", "9", "--m", "2"), "argument --p: invalid choice: "),
+        (("k3", "--p", "7", "--bogus"), "unrecognized arguments: --bogus"),
+    ])
+    def test_parser_errors_are_error_json(self, capsys, argv, message):
+        # a prefix, as Python versions quote an invalid choice differently
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (2, "")
+        error = json.loads(err)
+        assert list(error) == ["error"] and error["error"].startswith(message)
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["toric", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: quotcoh toric")
+
     @pytest.mark.parametrize("argv, payload", [
         (("profile",), {"p": 5.9, "action": [[0, 1], [1, 0]]}),
         (("profile",), {"p": True, "action": [[1]]}),
@@ -520,6 +559,26 @@ class TestTablesCommand:
         status, out, _ = run(capsys, "tables", "--which", "bb", "--format", "text")
         assert status == 1
         assert out.endswith("GOLDEN MISMATCH\n")
+
+
+class TestBenchReplay:
+    """bench/cli_replay.py, the benchmark's traced replay of one paper command."""
+
+    @pytest.mark.parametrize("argv", [["hilbert", "--p", "7", "--m", "3"], ["tables", "--which", "all"]])
+    def test_replay_prints_the_cli_stdout_and_traces_sym_power(self, argv, tmp_path):
+        root = HERE.parent
+        path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        spans = tmp_path / "spans.json"
+        replay = subprocess.run(
+            [sys.executable, str(root / "bench" / "cli_replay.py"), "--spans", str(spans), "--", *argv],
+            capture_output=True, env=env, timeout=60)
+        direct = subprocess.run([sys.executable, "-m", "quotcoh", *argv],
+                                capture_output=True, env=env, timeout=60)
+        assert replay.returncode == 0, replay.stderr
+        assert direct.returncode == 0, direct.stderr
+        assert replay.stdout == direct.stdout
+        assert "profiles.sym_power" in {span["name"] for span in json.loads(spans.read_text())}
 
 
 class TestProcessLevel:

@@ -24,7 +24,7 @@ from quotcoh.lattices import (
 from quotcoh.hilbert import fujiki_constant
 from quotcoh.k3 import nikulin_involution
 from quotcoh.selftest import cycle_matrix, random_glattice
-from reference import matrix_power
+from reference import matrix_power, smith_summand_counts
 
 
 def U(scale=1):
@@ -132,6 +132,14 @@ class TestGroupCohomology:
         assert group_cohomology(gl, 0) == (1, ())
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_counts_match_the_smith_form_on_random_lattices(self, p):
+        # at p = 2 the counts come from one elimination, of sigma, and the trace
+        rng = random.Random(2000 + p)
+        for _ in range(10):
+            gl = random_glattice(rng, p, max_dim=12)
+            assert bns_invariants(gl) == smith_summand_counts(gl.action, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_even_degree_routes_agree_on_random_lattices(self, p):
         rng = random.Random(1000 + p)
         for _ in range(10):
@@ -162,8 +170,8 @@ def _budget_lattices():
 
 class TestEliminationBudget:
     """The counts in closed form: two mod-p eliminations per analysis, sigma then
-    phi - 1, a Smith form only for the even-degree route, and no result kept
-    between calls."""
+    phi - 1 (sigma alone at p = 2), a Smith form only for the even-degree route,
+    and no result kept between calls."""
 
     @pytest.mark.parametrize("ask, smiths", [
         (bns_invariants, 0),
@@ -196,7 +204,8 @@ class TestEliminationBudget:
     def test_one_mod_p_elimination_and_no_filtration_per_question(self, monkeypatch, ask,
                                                                    analyses):
         # the id predates the closed form: an analysis now eliminates sigma, for
-        # l_p, and then phi - 1, for the check
+        # l_p, and then, at odd p, phi - 1, for the check; at p = 2 phi - 1 is
+        # sigma mod 2, so that elimination would only repeat the first
         eliminations, filtrations = [], []
         basis = lattices._row_basis_mod_p
 
@@ -212,7 +221,8 @@ class TestEliminationBudget:
             eliminations.clear()
             ask(gl)
             minus_one = gl.action - IntMatrix.identity(gl.rank)
-            assert eliminations == [gl.sigma().rows, minus_one.rows] * analyses
+            per_analysis = [gl.sigma().rows] + [minus_one.rows] * (gl.p > 2)
+            assert eliminations == per_analysis * analyses
         assert filtrations == []
 
     @pytest.mark.parametrize("gl", [
@@ -236,15 +246,20 @@ class TestEliminationBudget:
                 return change(found) if (rows == gl.sigma().rows) == of_sigma else found
             return mutant
 
-        mutants = [wrong(of_sigma, change) for of_sigma in (True, False)
+        # at p = 2 no elimination of phi - 1 runs, and a wrong rank_p(sigma) that
+        # gives non-negative counts is refused by the even degrees' Smith form of sigma
+        odd = gl.p > 2
+        mutants = [wrong(of_sigma, change) for of_sigma in ((True, False) if odd else (True,))
                    for change in (lambda b: b[1:], lambda b: b + [[1]])]
+        questions = ((bns_invariants, lambda gl: group_cohomology(gl, 1)) if odd
+                     else (lambda gl: group_cohomology(gl, 2),))
         for mutant in mutants:
             with monkeypatch.context() as patch:
                 patch.setattr(lattices, "_row_basis_mod_p", mutant)
-                with pytest.raises(ValueError, match="disagrees|bookkeeping"):
-                    bns_invariants(gl)
-                with pytest.raises(ValueError, match="disagrees|bookkeeping"):
-                    group_cohomology(gl, 1)
+                for ask in questions:
+                    with pytest.raises((ValueError, RuntimeError),
+                                       match="disagrees|bookkeeping|mismatch"):
+                        ask(gl)
 
 
 def _order_cases():

@@ -5,30 +5,32 @@ import pytest
 
 from quotcoh.intmat import IntMatrix
 from quotcoh.lattices import GLattice, _module_analysis, curtis_reiner_check
-from quotcoh.profiles import (
-    JordanProfile,
+from quotcoh import profiles
+from quotcoh.profiles import JordanProfile, jordan_profile
+from quotcoh.selftest import cycle_matrix, cyclotomic_companion, random_order_p_action
+from reference import (
     _sym_single,
     cohomology_dim,
     direct_sum,
-    jordan_profile,
+    kronecker,
     representative_matrix,
+    single,
     sym_power,
     sym_power_matrix,
     tensor,
+    zero,
 )
-from quotcoh.selftest import cycle_matrix, cyclotomic_companion, random_order_p_action
-from reference import kronecker
 
 
 class TestJordanProfile:
     def test_identity_is_trivial(self):
-        assert jordan_profile(IntMatrix.identity(3), 5) == JordanProfile.single(5, 1, 3)
+        assert jordan_profile(IntMatrix.identity(3), 5) == single(5, 1, 3)
 
     def test_cyclotomic_companion_is_one_block_of_size_p_minus_1(self):
-        assert jordan_profile(cyclotomic_companion(5), 5) == JordanProfile.single(5, 4)
+        assert jordan_profile(cyclotomic_companion(5), 5) == single(5, 4)
 
     def test_cycle_is_one_free_block(self):
-        assert jordan_profile(cycle_matrix(5), 5) == JordanProfile.single(5, 5)
+        assert jordan_profile(cycle_matrix(5), 5) == single(5, 5)
 
     def test_rejects_wrong_order(self):
         with pytest.raises(ValueError):
@@ -36,7 +38,7 @@ class TestJordanProfile:
 
     def test_large_prime_takes_logarithmic_work(self):
         p = 2147483647
-        assert jordan_profile(IntMatrix([[1]]), p) == JordanProfile.single(p, 1)
+        assert jordan_profile(IntMatrix([[1]]), p) == single(p, 1)
 
     def test_large_prime_rejected_before_int64_overflow(self):
         # the swap has order 2; the kernel works on Python ints, so only the order can refuse it
@@ -44,7 +46,7 @@ class TestJordanProfile:
             jordan_profile(IntMatrix([[0, 1], [1, 0]]), 2147483647)
 
     def test_empty_matrix_is_the_zero_profile(self):
-        assert jordan_profile(IntMatrix([], ncols=0), 5) == JordanProfile.zero(5)
+        assert jordan_profile(IntMatrix([], ncols=0), 5) == zero(5)
 
     def test_dimension_identity(self):
         rng = random.Random(5)
@@ -65,10 +67,10 @@ class TestJordanProfile:
 
 class TestCohomologyDim:
     def test_free_block_vanishes_in_positive_degrees(self):
-        assert cohomology_dim(JordanProfile.single(5, 5), 1) == 0
+        assert cohomology_dim(single(5, 5), 1) == 0
 
     def test_trivial_blocks_persist(self):
-        assert cohomology_dim(JordanProfile.single(5, 1, 3), 7) == 3
+        assert cohomology_dim(single(5, 1, 3), 7) == 3
 
     def test_degree_zero_counts_all_blocks(self):
         prof = JordanProfile.from_counts(5, {4: 2, 5: 1})
@@ -77,42 +79,42 @@ class TestCohomologyDim:
 
 class TestDirectSum:
     def test_counts_add(self):
-        a = JordanProfile.single(5, 1, 2)
-        b = JordanProfile.single(5, 5)
+        a = single(5, 1, 2)
+        b = single(5, 5)
         assert direct_sum(a, b) == JordanProfile.from_counts(5, {1: 2, 5: 1})
 
     def test_zero_is_identity(self):
         a = JordanProfile.from_counts(7, {6: 2, 1: 1})
-        assert direct_sum(JordanProfile.zero(7), a) == a
+        assert direct_sum(zero(7), a) == a
 
     def test_same_size_merges(self):
-        a = JordanProfile.single(5, 4)
-        assert direct_sum(a, a) == JordanProfile.single(5, 4, 2)
+        a = single(5, 4)
+        assert direct_sum(a, a) == single(5, 4, 2)
 
     def test_mismatched_primes_rejected(self):
         with pytest.raises(ValueError):
-            direct_sum(JordanProfile.single(3, 1), JordanProfile.single(5, 1))
+            direct_sum(single(3, 1), single(5, 1))
 
 
 class TestTensor:
     def test_unit(self):
         b = JordanProfile.from_counts(5, {4: 1, 5: 2})
-        assert tensor(JordanProfile.single(5, 1), b) == b
+        assert tensor(single(5, 1), b) == b
 
     def test_n2_squared_at_p2(self):
-        n2 = JordanProfile.single(2, 2)
-        assert tensor(n2, n2) == JordanProfile.single(2, 2, 2)
+        n2 = single(2, 2)
+        assert tensor(n2, n2) == single(2, 2, 2)
 
     def test_free_times_free(self):
-        n5 = JordanProfile.single(5, 5)
-        assert tensor(n5, n5) == JordanProfile.single(5, 5, 5)
+        n5 = single(5, 5)
+        assert tensor(n5, n5) == single(5, 5, 5)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_against_kronecker_oracle(self, p):
         for q1 in range(1, p + 1):
             for q2 in range(1, p + 1):
-                a = JordanProfile.single(p, q1)
-                b = JordanProfile.single(p, q2)
+                a = single(p, q1)
+                b = single(p, q2)
                 oracle = jordan_profile(
                     kronecker(representative_matrix(a), representative_matrix(b)), p
                 )
@@ -131,10 +133,10 @@ class TestTensor:
 class TestSymPower:
     def test_sym0(self):
         a = JordanProfile.from_counts(5, {5: 4, 1: 3})
-        assert sym_power(a, 0) == JordanProfile.single(5, 1)
+        assert sym_power(a, 0) == single(5, 1)
 
     def test_sym2_of_trivial(self):
-        assert sym_power(JordanProfile.single(5, 1, 3), 2) == JordanProfile.single(5, 1, 6)
+        assert sym_power(single(5, 1, 3), 2) == single(5, 1, 6)
 
     def test_sym2_of_k3_profile(self):
         # 23-dimensional module; its square is 276-dimensional and the
@@ -164,7 +166,7 @@ class TestSymPower:
         a = JordanProfile.from_counts(p, {1: 2})
         b = JordanProfile.from_counts(p, {5: 1, 4: 1})
         for k in range(4):
-            expected = JordanProfile.zero(p)
+            expected = zero(p)
             for i in range(k + 1):
                 expected = direct_sum(expected, tensor(sym_power(a, i), sym_power(b, k - i)))
             assert sym_power(direct_sum(a, b), k) == expected
@@ -183,7 +185,7 @@ class TestSymPower:
             k = rng.randrange(4)
             oracle = jordan_profile(sym_power_matrix(representative_matrix(prof), k), p)
             assert sym_power(prof, k) == oracle
-            other = JordanProfile.single(p, rng.randrange(1, p + 1))
+            other = single(p, rng.randrange(1, p + 1))
             kron = kronecker(representative_matrix(prof), representative_matrix(other))
             assert tensor(prof, other) == jordan_profile(kron, p)
 
@@ -191,7 +193,7 @@ class TestSymPower:
         # the input of every quotient computation relies on this
         for p in (5, 7):
             for k in range(2, 7 if p == 7 else 5):
-                s = sym_power(JordanProfile.single(p, p), k)
+                s = sym_power(single(p, p), k)
                 assert s.blocks == ((p, s.dimension() // p),)
 
 
@@ -202,11 +204,42 @@ class TestFreeBlockSymPower:
         "p,k", [(p, k) for p in (2, 3, 5) for k in range(7)] + [(7, k) for k in range(5)]
     )
     def test_closed_form_matches_dense_oracle(self, p, k):
-        free = JordanProfile.single(p, p)
+        free = single(p, p)
         oracle = jordan_profile(sym_power_matrix(representative_matrix(free), k), p)
         assert _sym_single(p, p, k) == oracle
         # the uniform multiset is the one fixed point, e.g. (2,2), (2,4), (3,3), (3,6), (5,5)
         assert oracle.count(1) == (1 if k % p == 0 else 0)
+
+
+class TestPermutationSymPower:
+    """profiles.sym_power, the closed form for N_1^r + N_p^s, against the algebra."""
+
+    def test_matches_the_algebra_on_every_small_permutation_module(self):
+        cases = 0
+        for p in (2, 3, 5, 7, 11, 13, 17, 19):
+            for s in range(22 // p + 1):
+                for r in range(23 - p * s):
+                    prof = JordanProfile.from_counts(p, {1: r, p: s})
+                    for k in range(7):
+                        assert profiles.sym_power(prof, k) == sym_power(prof, k), (p, r, s, k)
+                        cases += 1
+        assert cases == 3388
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_k3_rows(self, p):
+        from quotcoh.hilbert import k3_h2_profile
+
+        h2 = k3_h2_profile(p)
+        for k in range(7):
+            assert profiles.sym_power(h2, k) == sym_power(h2, k)
+
+    def test_refuses_a_middle_block(self):
+        with pytest.raises(ValueError, match="not a permutation module"):
+            profiles.sym_power(JordanProfile.from_counts(5, {1: 2, 3: 1}), 2)
+
+    def test_refuses_a_negative_power(self):
+        with pytest.raises(ValueError, match="negative"):
+            profiles.sym_power(single(5, 5), -1)
 
 
 class TestCurtisReiner:

@@ -1009,6 +1009,16 @@ class TestHJ:
         assert abs(res.exceptional_gram.det()) == 5
         assert hj_resolution(3, 1).chain == (-3,)
 
+    def test_gram_is_built_only_when_read(self, monkeypatch):
+        built = []
+        trusted = IntMatrix._trusted
+        monkeypatch.setattr(IntMatrix, "_trusted",
+                            staticmethod(lambda *args: built.append(args) or trusted(*args)))
+        res = hj_resolution(1000003, 2)
+        assert (tuple(res), built) == ((res.chain,), [])
+        assert res.exceptional_gram.nrows == len(res.chain)
+        assert len(built) == 1
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
     def test_determinant_is_p_and_negative_definite(self, p):
         for a in range(1, p):
