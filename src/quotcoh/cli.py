@@ -46,6 +46,8 @@ class _Parser(argparse.ArgumentParser):
     """The parser of the command and of each subcommand (argparse makes the
     subparsers of the parent's class); --help still prints and exits 0."""
 
+    # a module function, not a def here: only argparse reads .error, and the
+    # caller rule asks a method to be read as an attribute in the package
     error = _refuse
 
 

@@ -246,19 +246,24 @@ class TestEliminationBudget:
                 return change(found) if (rows == gl.sigma().rows) == of_sigma else found
             return mutant
 
-        # at p = 2 no elimination of phi - 1 runs, and a wrong rank_p(sigma) that
-        # gives non-negative counts is refused by the even degrees' Smith form of sigma
-        odd = gl.p > 2
-        mutants = [wrong(of_sigma, change) for of_sigma in ((True, False) if odd else (True,))
-                   for change in (lambda b: b[1:], lambda b: b + [[1]])]
-        questions = ((bns_invariants, lambda gl: group_cohomology(gl, 1)) if odd
-                     else (lambda gl: group_cohomology(gl, 2),))
-        for mutant in mutants:
+        shrink, grow = (lambda b: b[1:]), (lambda b: b + [[1]])
+        counts = (bns_invariants, lambda gl: group_cohomology(gl, 1))
+        bookkeeping = (ValueError, "disagrees|bookkeeping")
+        if gl.p > 2:
+            cases = [(wrong(of_sigma, change), counts, bookkeeping)
+                     for of_sigma in (True, False) for change in (shrink, grow)]
+        else:
+            # at p = 2 no elimination of phi - 1 runs; here l_minus = 0, so a
+            # rank_2(sigma) one too large gives a negative count, and one too small
+            # gives counts that the even degrees' Smith form of sigma refuses
+            cases = [(wrong(True, grow), counts, bookkeeping),
+                     (wrong(True, shrink), (lambda gl: group_cohomology(gl, 2),),
+                      (RuntimeError, "mismatch"))]
+        for mutant, questions, (error, pattern) in cases:
             with monkeypatch.context() as patch:
                 patch.setattr(lattices, "_row_basis_mod_p", mutant)
                 for ask in questions:
-                    with pytest.raises((ValueError, RuntimeError),
-                                       match="disagrees|bookkeeping|mismatch"):
+                    with pytest.raises(error, match=pattern):
                         ask(gl)
 
 
