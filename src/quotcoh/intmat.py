@@ -8,15 +8,16 @@ u and the column operations turn the rows B into B v.  Saturated kernels
 (B = I), image bases (B = m, as m v = u^-1 d) and finite-quotient
 invariants are all read from it, each augmenting m only by what it
 reads.  The Smith diagonal of a non-singular square matrix, which is all
-a finite quotient needs, is computed modulo its determinant D: the input
-is reduced once and each step's pivot row once, so after k steps every
-entry is below D + k D^2 in absolute value; a symmetric matrix first
-eliminates on its unit diagonal entries by congruence, updating only its
-upper triangle.  One
-fraction-free (Bareiss) elimination gives determinants and, run as
+a finite quotient needs, is computed modulo any m between d_1 ... d_(n-1)
+and the determinant D that it divides (D itself for a quotient group, a
+gcd of (n-1)-minors for a Gram matrix): the input is reduced once and
+each step's pivot row once, so after k steps every entry is below
+m + k m^2 in absolute value; a symmetric matrix first eliminates on its
+unit diagonal entries by congruence, updating only its upper triangle.
+One fraction-free (Bareiss) elimination gives determinants and, run as
 Gauss-Jordan, the adjugate together with the determinant.  One echelon
-elimination over F_p, on the same Python ints, gives ranks mod p and the
-rank filtrations that Jordan profiles are read from.
+elimination over F_p, with each row packed into one Python int, gives
+ranks mod p and the rank filtrations that Jordan profiles are read from.
 
 All values are immutable, all functions are pure, so everything here is
 safe to share between threads.
@@ -25,8 +26,9 @@ safe to share between threads.
 from __future__ import annotations
 
 import operator
+import sys
 from math import gcd, prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -452,58 +454,66 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int) -> tuple[int, ...]:
-    """Smith diagonal of a non-singular square matrix A with determinant det.
+def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int, m: int) -> tuple[int, ...]:
+    """Smith diagonal d_1 | ... | d_n of a non-singular square matrix A with
+    determinant det, eliminated modulo a multiple m of d_1 ... d_(n-1) that
+    divides D = |det|.
 
     adj(A) A = det(A) I puts D Z^n, D = |det|, inside the row span of A, so
     Z^n / rows(A) is also the cokernel of A over Z/D, and the elimination
-    runs on residues below D instead of on growing integers
-    (Domich-Kannan-Trotter 1987; Cohen, GTM 138, Alg. 2.4.14).  Each step
-    moves the entry e of least gcd(e, D) to the pivot; a unit clears its
-    column in one pass.  Otherwise rows or columns are combined by extended
-    gcd until g = gcd(pivot, D) divides the rest of the pivot's row and
-    column; each combination replaces g by a proper divisor, so there are
-    at most log2(D) of them per step.  The step contributes Z/g, and the
-    g's are made into a divisor chain at the end; their product must be D.
+    runs on residues instead of on growing integers (Domich-Kannan-Trotter
+    1987; Cohen, GTM 138, Alg. 2.4.14).  Over Z/m the cokernel is the sum of
+    the Z/gcd(d_i, m), and d_i divides d_1 ... d_(n-1), the gcd of the
+    (n-1)-minors, which divides m; so the first n - 1 entries of the chain
+    over Z/m are d_1 .. d_(n-1), and d_n = D / (d_1 ... d_(n-1)).  m = D
+    gives the whole chain directly; lattices reads a smaller m off its
+    congruence pass.
 
-    Only the input and each step's pivot row are reduced mod D, the pivot
+    Each step moves the entry e of least gcd(e, m) to the pivot; a unit
+    clears its column in one pass.  Otherwise rows or columns are combined
+    by extended gcd until g = gcd(pivot, m) divides the rest of the pivot's
+    row and column; each combination replaces g by a proper divisor, so
+    there are at most log2(m) of them per step.  The step contributes Z/g,
+    and the g's are made into a divisor chain at the end.  Their product
+    must be d_1 ... d_(n-1) gcd(d_n, m), and d_(n-1) must divide d_n.
+
+    Only the input and each step's pivot row are reduced mod m, the pivot
     row once before it multiplies; the other rows take t - x s unreduced,
-    in place.  Every value the elimination reads is read modulo D or a
-    divisor g of D (gcd(e, D), e mod g, and x = e/g c^-1 mod D/g), and the
+    in place.  Every value the elimination reads is read modulo m or a
+    divisor g of m (gcd(e, m), e mod g, and x = e/g c^-1 mod m/g), and the
     extended gcd combinations reduce their inputs and what they write, so
     the pivots, the g's and the diagonal are those of full reduction.
-    With x < D and a reduced pivot row a step adds less than D^2 to an
-    entry, so after k steps |entry| < D + k D^2.
+    With x < m and a reduced pivot row a step adds less than m^2 to an
+    entry, so after k steps |entry| < m + k m^2.
 
     A symmetric A, such as a Gram matrix, first runs a congruence phase,
     checked for in O(n^2).  While a diagonal entry of the trailing block is
-    a unit mod D it is the pivot, and the rows and the columns are cleared
-    together, E^T A E with E invertible mod D, which keeps the cokernel over
-    Z/D; the block stays symmetric mod D, so only its upper triangle is
-    updated, by x < D times the pivot row, reduced once.  Each such step
+    a unit mod m it is the pivot, and the rows and the columns are cleared
+    together, E^T A E with E invertible mod m, which keeps the cokernel over
+    Z/m; the block stays symmetric mod m, so only its upper triangle is
+    updated, by x < m times the pivot row, reduced once.  Each such step
     contributes a diagonal 1 and keeps the bound.  What is left is mirrored
-    and runs the elimination above.  An even Gram with D even has no unit
+    and runs the elimination above.  An even Gram with m even has no unit
     on its diagonal and goes straight to it.
     """
     n = len(rows)
-    mod = abs(det)
-    if mod == 1:
-        return (1,) * n
-    a = [[x % mod for x in row] for row in rows]
+    if m == 1:
+        return (1,) * (n - 1) + (abs(det),) if n else ()
+    a = [[x % m for x in row] for row in rows]
     found = []
     if all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i)):
         # row i of the trailing block is read from column i on, its upper triangle
         while True:
-            k = next((i for i, row in enumerate(a) if gcd(row[i], mod) == 1), None)
+            k = next((i for i, row in enumerate(a) if gcd(row[i], m) == 1), None)
             if k is None:
                 break
-            top = [e % mod for e in [row[k] for row in a[:k]] + a[k][k:]]
-            unit = pow(top[k], -1, mod)
+            top = [e % m for e in [row[k] for row in a[:k]] + a[k][k:]]
+            unit = pow(top[k], -1, m)
             del a[k], top[k]
             for row in a:
                 del row[k]
             for i, row in enumerate(a):
-                x = top[i] * unit % mod
+                x = top[i] * unit % m
                 if x:
                     row[i:] = [t - x * s for s, t in zip(top[i:], row[i:])]
         for i, row in enumerate(a):
@@ -512,7 +522,7 @@ def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int) -> tuple[int, .
         best = None
         for i, row in enumerate(a):
             for j, e in enumerate(row):
-                g = gcd(e, mod)
+                g = gcd(e, m)
                 if best is None or g < best[0]:
                     best = (g, i, j)
                     if g == 1:
@@ -529,58 +539,134 @@ def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int) -> tuple[int, .
             i = next((i for i in range(1, len(a)) if a[i][0] % g), None)
             if i is not None:
                 # [[x, y], [-e/h, p/h]] on rows 0 and i leaves h, 0 in column 0
-                p, e = top[0] % mod, a[i][0] % mod
+                p, e = top[0] % m, a[i][0] % m
                 h, x, y = _xgcd(p, e)
-                a[0] = [(x * s + y * t) % mod for s, t in zip(top, a[i])]
-                a[i] = [(p // h * t - e // h * s) % mod for s, t in zip(top, a[i])]
+                a[0] = [(x * s + y * t) % m for s, t in zip(top, a[i])]
+                a[i] = [(p // h * t - e // h * s) % m for s, t in zip(top, a[i])]
             else:
                 j = next((j for j in range(1, len(top)) if top[j] % g), None)
                 if j is None:
                     break
-                p, e = top[0] % mod, top[j] % mod
+                p, e = top[0] % m, top[j] % m
                 h, x, y = _xgcd(p, e)
                 for row in a:
                     s, t = row[0], row[j]
-                    row[0], row[j] = (x * s + y * t) % mod, (p // h * t - e // h * s) % mod
-            g = gcd(a[0][0], mod)
-        top = [e % mod for e in a[0]]
-        # pivot = g c with c a unit mod D/g: row_i -= x row_0 clears a_i0 = g f
-        unit = pow(top[0] // g, -1, mod // g)
+                    row[0], row[j] = (x * s + y * t) % m, (p // h * t - e // h * s) % m
+            g = gcd(a[0][0], m)
+        top = [e % m for e in a[0]]
+        # pivot = g c with c a unit mod m/g: row_i -= x row_0 clears a_i0 = g f
+        unit = pow(top[0] // g, -1, m // g)
         del a[0]
         for row in a:
-            x = row.pop(0) // g * unit % (mod // g)
+            x = row.pop(0) // g * unit % (m // g)
             if x:
                 row[:] = [t - x * s for s, t in zip(top[1:], row)]
         found.append(g)
-    if prod(found) != mod:
-        raise RuntimeError(f"modular Smith diagonal {found} does not multiply to |det| = {mod}")
     chain = [g for g in found if g > 1]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             h = gcd(chain[i], chain[j])
             chain[i], chain[j] = h, chain[i] // h * chain[j]
-    return (1,) * (n - len(chain)) + tuple(chain)
+    # the chain over Z/m is gcd(d_i, m), which is d_i for i < n
+    head = ((1,) * (n - len(chain)) + tuple(chain))[:n - 1]
+    last, rest = divmod(abs(det), prod(head))
+    if rest or prod(found) != prod(head) * gcd(last, m) or (head and last % head[-1]):
+        raise RuntimeError(
+            f"modular Smith diagonal {found} modulo {m} is no divisor chain of |det| = {abs(det)}"
+        )
+    return head + (last,)
 
 
-def _row_basis_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
+# the unsigned machine word of each width, as array and memoryview name it
+_MACHINE_WORDS = {memoryview(b"").cast(c).itemsize: c for c in "QIHB"}
+
+
+def _packing(p: int, n: int) -> tuple[int, Callable, Callable]:
+    """(slot bits, pack, unpack) for rows of n entries over F_p held as one int.
+
+    Entry j of a row is slot j of the int, bits 8 w j to 8 w (j + 1), where
+    w is the fewest bytes that hold every value below 2 n p^2, rounded up to
+    a machine word of 1, 2, 4 or 8 bytes where one is wide enough and the
+    machine is little-endian, so that array packs and memoryview unpacks
+    the row in C.  The bound covers every slot of _row_basis_mod_p: an
+    incoming row is reduced mod p, or a packed sum of n products of two
+    residues, below n p^2, and each of at most n clearing steps adds less
+    than p^2.  pack takes entries in that range, unpack returns them as a
+    list.  Lengths and byte orders are passed explicitly, as Python 3.10
+    has no defaults for them.
+    """
+    w = max(1, ((2 * n * p * p).bit_length() + 7) // 8)
+    if w <= 8 and sys.byteorder == "little":
+        from array import array  # loaded by the first elimination, not at start-up
+
+        w = 1 << (w - 1).bit_length()
+        code, length = _MACHINE_WORDS[w], n * w
+
+        def pack(row):
+            return int.from_bytes(array(code, row).tobytes(), "little")
+
+        def unpack(r):
+            return memoryview(r.to_bytes(length, "little")).cast(code).tolist()
+
+        return 8 * w, pack, unpack
+    length = n * w
+
+    def pack(row):
+        return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in row]), "little")
+
+    def unpack(r):
+        data = r.to_bytes(length, "little")
+        return [int.from_bytes(data[i:i + w], "little") for i in range(0, length, w)]
+
+    return 8 * w, pack, unpack
+
+
+def _row_basis_mod_p(rows: Iterable[Sequence[int] | int], p: int,
+                     ncols: int | None = None) -> list[list[int]]:
     """Echelon basis over F_p of the span of `rows`, its rows reduced mod p.
 
     Each incoming row is cleared at the leading columns of the basis so far,
     in order, and kept, made monic, if anything is left; a basis row is zero
     left of its leading column and at the leading columns before it.
+
+    A row is held as one int, n slots of _packing(p, n), so a clearing step
+    is one product and one sum of ints, r + (p - f) b, with nothing reduced:
+    p - f > 0 and b's entries are residues, so every slot stays non-negative
+    and below its bound, and slot lead of the sum is f + (p - f) = 0 mod p.
+    Each row is unpacked and reduced once, after its clearing.  `rows` holds
+    sequences of n = len(row) ints, reduced here, or ints packed by
+    _packing(p, ncols) with every slot below ncols p^2, taken as they are.
     """
-    basis: list[tuple[int, list[int]]] = []
+    basis: list[tuple[int, int]] = []  # (shift of the leading slot, monic row packed)
+    out: list[list[int]] = []
+    pack = unpack = None
     for row in rows:
-        r = [x % p for x in row]
-        for lead, b in basis:
-            f = r[lead]
+        if pack is None:
+            bits, pack, unpack = _packing(p, len(row) if ncols is None else ncols)
+            mask = (1 << bits) - 1
+        if isinstance(row, int):
+            r, reduced = row, None
+        else:
+            reduced = [x % p for x in row]
+            if not any(reduced):
+                continue
+            r = pack(reduced)
+        for shift, b in basis:
+            f = (r >> shift & mask) % p
             if f:
-                r[lead:] = [(x - f * y) % p for x, y in zip(r[lead:], b)]
-        lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is not None:
-            inv = pow(r[lead], -1, p)
-            basis.append((lead, [x * inv % p for x in r[lead:]]))
-    return [[0] * lead + b for lead, b in basis]
+                r += (p - f) * b
+                reduced = None
+        if reduced is None:
+            reduced = [x % p for x in unpack(r)]
+        # the first nonzero value is found in C, and then its first place
+        pivot = next(filter(None, reduced), 0)
+        if pivot:
+            if pivot != 1:
+                inv = pow(pivot, -1, p)
+                reduced = [x * inv % p for x in reduced]
+            basis.append((reduced.index(1) * bits, pack(reduced)))
+            out.append(reduced)
+    return out
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:
@@ -691,7 +777,7 @@ def quotient_group(sub: IntMatrix, ambient_rank: int) -> list[int]:
         det = sub.det()
         if det == 0:
             raise ValueError("rows are dependent")
-        return [d for d in _smith_diagonal_mod(sub.rows, det) if d > 1]
+        return [d for d in _smith_diagonal_mod(sub.rows, det, abs(det)) if d > 1]
     s = _smith(sub)
     if s.rank != sub.nrows:
         raise ValueError("rows are dependent")

@@ -20,13 +20,16 @@ H^odd = (Z/p)^l_minus.  Im sigma is of full rank in the saturated T^G,
 so H^2 = T^G / sigma T = tors coker(sigma) = (Z/p)^l_plus, from one Smith
 form, which the even degrees compare with l_plus: the one second route
 of the cohomology.  No result is kept between calls.  A Lattice reads
-its determinant and its signature off one symmetric congruence pass,
-which is also its non-degeneracy check; likewise a GLattice keeps its
-norm map sigma from intmat.norm_map, the one Horner pass that checks its
-order, since (phi - 1) sigma = phi^p - 1 makes phi sigma = sigma
-equivalent to phi^p = 1.  The discriminant group is the Smith diagonal
-of the Gram matrix modulo its determinant, by congruence while the
-diagonal has a unit.
+its determinant, its signature and a modulus for its discriminant group
+off one symmetric congruence pass, which is also its non-degeneracy
+check; likewise a GLattice keeps its norm map sigma from
+intmat.norm_map, the one Horner pass that checks its order, since
+(phi - 1) sigma = phi^p - 1 makes phi sigma = sigma equivalent to
+phi^p = 1.  The discriminant group is the Smith diagonal of the Gram
+matrix modulo that modulus, the gcd of D = |det| and three (n-1)-minors
+the pass meets at step n - 2, which is a multiple of d_1 ... d_(n-1) and
+often has about half of D's bits; d_n is D / (d_1 ... d_(n-1)).  It
+eliminates by congruence while the diagonal has a unit.
 
 Two modeling notes, both validated against independent computations in
 the test suite rather than assumed:
@@ -42,7 +45,7 @@ the test suite rather than assumed:
 from __future__ import annotations
 
 import operator
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .intmat import (
@@ -65,17 +68,22 @@ class Lattice(_Frozen):
     Equality, hashing and repr read the Gram matrix alone.
     """
 
-    __slots__ = ("gram", "det", "signature")
+    __slots__ = ("gram", "det", "signature", "modulus")
     _fields = ("gram",)
-    # both read off the one congruence pass that checks non-degeneracy
+    # all three read off the one congruence pass that checks non-degeneracy;
+    # modulus is gcd(det, three (n-1)-minors), a multiple of d_1 ... d_(n-1)
+    # dividing |det|, modulo which the discriminant group is eliminated
     det: int
     signature: tuple[int, int]
+    modulus: int
 
     def __init__(self, gram: IntMatrix):
+        if not gram.is_square():
+            raise ValueError(f"Gram matrix must be square, got {gram.nrows}x{gram.ncols}")
         if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        det, sig = _congruence(gram.rows)
-        _Frozen.__init__(self, gram, det, sig)
+        det, sig, minors = _congruence(gram.rows)
+        _Frozen.__init__(self, gram, det, sig, gcd(det, minors))
 
     @property
     def rank(self) -> int:
@@ -143,15 +151,20 @@ def discriminant(l: Lattice) -> int:
 def discriminant_group(l: Lattice) -> list[int]:
     """Elementary divisors (> 1) of the cokernel of the Gram matrix.
 
-    Computed modulo D = |det| by intmat._smith_diagonal_mod, which first
-    eliminates on the Gram's unit diagonal entries by congruence.
+    Computed by intmat._smith_diagonal_mod modulo l.modulus, the gcd of
+    D = |det| and three (n-1)-minors that the congruence pass met: a
+    multiple of d_1 ... d_(n-1), the gcd of all (n-1)-minors, that divides
+    D, and often about half its bits.  Modulo it the elimination reads
+    d_1 .. d_(n-1), and d_n = D / (d_1 ... d_(n-1)).  It first eliminates on
+    the Gram's unit diagonal entries by congruence.
     """
-    return [d for d in _smith_diagonal_mod(l.gram.rows, l.det) if d > 1]
+    return [d for d in _smith_diagonal_mod(l.gram.rows, l.det, l.modulus) if d > 1]
 
 
-def _congruence(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
-    """det G and the signature (n_plus, n_minus) of a symmetric G, from one
-    symmetric congruence reduction over Z.
+def _congruence(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int], int]:
+    """det G, the signature (n_plus, n_minus) of a symmetric G and a multiple
+    of the gcd of its (n-1)-minors, from one symmetric congruence reduction
+    over Z.
 
     The reduction is fraction-free (Bareiss): the rows below step k hold
     prev times the rational Schur complement, where prev is the previous
@@ -162,12 +175,22 @@ def _congruence(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
     the form is degenerate, and raises ValueError.  The trailing block
     stays symmetric, so the updates keep only its upper triangle, and it is
     mirrored in full before a swap or an addition.
+
+    After k steps the trailing entries of a Bareiss elimination are
+    (k+1)-minors of the matrix eliminated, here E^T G E.  So at the start of
+    step n - 2 the three entries of the trailing 2x2 block are (n-1)-minors
+    of E^T G E, and the gcd of all (n-1)-minors, which E leaves unchanged,
+    divides their gcd, the third value returned; it is 1 for n <= 1, the
+    one 0-minor.
     """
     n = len(rows)
     a = [list(row) for row in rows]
     pos = neg = 0
     prev = 1
+    minors = 1
     for i in range(n):
+        if i == n - 2:
+            minors = gcd(a[i][i], a[i][i + 1], a[i + 1][i + 1])
         if a[i][i] == 0:
             for k in range(i + 1, n):
                 a[k][i:k] = [a[t][k] for t in range(i, k)]
@@ -194,7 +217,7 @@ def _congruence(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
         else:
             neg += 1
         prev = pivot
-    return prev, (pos, neg)
+    return prev, (pos, neg), minors
 
 
 def signature(l: Lattice) -> tuple[int, int]:

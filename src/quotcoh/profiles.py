@@ -28,7 +28,7 @@ import operator
 from math import comb
 from typing import Mapping, Sequence
 
-from .intmat import IntMatrix, _Frozen, _row_basis_mod_p, is_prime
+from .intmat import IntMatrix, _Frozen, _packing, _row_basis_mod_p, is_prime
 
 
 class JordanProfile(_Frozen):
@@ -78,28 +78,23 @@ def _profile_from_rows(rows: Sequence[Sequence[int]], p: int) -> JordanProfile:
     strictly decrease until they reach 0 or stall, within n + 1 rounds.  In
     characteristic p, (A - 1)^p = A^p - 1, as C(p, i) = 0 for 0 < i < p, so A
     has order dividing p exactly when the ranks reach 0 within p rounds.
+
+    B's rows are packed once, by intmat._packing, and e B is the int
+    sum_i e_i packed(B_i), unreduced: each slot stays below n p^2, so the
+    products go back into intmat._row_basis_mod_p as they are.
     """
     n = len(rows)
-    b = [[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    # e B = sum_i e_i B_i, along the nonzeros of e and of B's rows
-    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    _, pack, _ = _packing(p, n)
+    b = [pack([(x - (i == j)) % p for j, x in enumerate(row)]) for i, row in enumerate(rows)]
     ranks, span = [n], b
     while ranks[-1]:
-        span = _row_basis_mod_p(span, p)
-        ranks.append(len(span))
+        basis = _row_basis_mod_p(span, p, n)
+        ranks.append(len(basis))
         # a rank that repeats above 0 never falls again, and one above 0 at
         # k >= p is past the p-th power: either way B^p != 0
         if ranks[-1] == ranks[-2] or (ranks[-1] and len(ranks) > p):
             raise ValueError("matrix is not of order dividing p over F_p")
-        products = []
-        for e in span:
-            image = [0] * n
-            for x, terms in zip(e, nonzeros):
-                if x:
-                    for j, y in terms:
-                        image[j] += x * y
-            products.append(image)
-        span = products
+        span = [sum(x * row for x, row in zip(e, b) if x) for e in basis]
     ranks.append(0)
     # blocks of size >= q number ranks[q-1] - ranks[q]
     counts = {

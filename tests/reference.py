@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from quotcoh.engine import DegreeInvariants, GradedInvariants
 from quotcoh.hilbert import K3_B2, _permutation_invariants
@@ -72,6 +72,28 @@ def matrix_power(a: IntMatrix, k: int) -> IntMatrix:
         if k:
             base = base * base
     return result
+
+
+def row_basis_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
+    """Echelon basis over F_p of the span of `rows`, on lists of residues.
+
+    The kernel that intmat._row_basis_mod_p replaced by rows packed into one
+    int: each incoming row is reduced, cleared at the leading columns of the
+    basis so far, in order, entry by entry and reduced at every step, and
+    kept, made monic, if anything is left.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        r = [x % p for x in row]
+        for lead, b in basis:
+            f = r[lead]
+            if f:
+                r[lead:] = [(x - f * y) % p for x, y in zip(r[lead:], b)]
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is not None:
+            inv = pow(r[lead], -1, p)
+            basis.append((lead, [x * inv % p for x in r[lead:]]))
+    return [[0] * lead + b for lead, b in basis]
 
 
 def smith_summand_counts(action: IntMatrix, p: int) -> BNSInvariants:

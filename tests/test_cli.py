@@ -108,6 +108,13 @@ class TestMalformedInput:
         if not isinstance(payload, dict):
             assert message.startswith("JSON input must be an object")
 
+    @pytest.mark.parametrize("gram, shape", [([[1, 2]], "1x2"), ([[1, 2], [2, 1], [3, 3]], "3x2")])
+    def test_non_square_gram_names_its_shape(self, capsys, monkeypatch, gram, shape):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"gram": gram})))
+        status, out, err = run(capsys, "lattice", "--input", "-")
+        assert (status, out) == (2, "")
+        assert json.loads(err) == {"error": f"Gram matrix must be square, got {shape}"}
+
     @pytest.mark.parametrize("argv, payload, key", [
         (("quotient", "report"), {"p": 3, "eta": 2, "degrees": []}, "n"),
         (("profile",), {"action": [[1]]}, "p"),

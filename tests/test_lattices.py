@@ -1,12 +1,15 @@
+import pathlib
 import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 
 import pytest
 
 from quotcoh import intmat, lattices, profiles
-from quotcoh.intmat import IntMatrix, kernel_saturated, quotient_group
+from quotcoh.intmat import IntMatrix, _smith, kernel_saturated, quotient_group
 from quotcoh.lattices import (
     GLattice,
     Lattice,
@@ -55,6 +58,13 @@ class TestBasicInvariants:
         assert divisors.count(14) == 1
         assert sum(1 for d in divisors if d % 7 == 0) == 3
         assert discriminant(l) == 2 * 7 ** 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_discriminant_groups_of_the_benchmark_ladder(self, seed):
+        # each seed presents the lattices in another basis: the modulus read off
+        # the congruence pass changes with it, the groups must not
+        for l in _benchmark_ladder(seed):
+            assert discriminant_group(l) == [d for d in _smith(l.gram).diagonal if d > 1]
 
     def test_signature(self):
         assert signature(U()) == (1, 1)
@@ -168,6 +178,20 @@ def _budget_lattices():
     return [nikulin_involution()] + [random_glattice(rng, p, max_dim=12) for p in (2, 3, 5, 7)]
 
 
+@lru_cache(maxsize=None)
+def _benchmark_ladder(seed):
+    """The lattice-scan workload's source lattices for a seed (bench/gen.py) and their pushforwards."""
+    bench = str(pathlib.Path(__file__).parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import gen
+    finally:
+        sys.path.remove(bench)
+    glattices = [GLattice(IntMatrix(inp.gram), IntMatrix(inp.action), inp.p)
+                 for inp in gen.lattice_ladder(seed)]
+    return tuple(l for gl in glattices for l in (gl.lattice(), pushforward_quotient_lattice(gl)))
+
+
 class TestEliminationBudget:
     """The counts in closed form: two mod-p eliminations per analysis, sigma then
     phi - 1 (sigma alone at p = 2), a Smith form only for the even-degree route,
@@ -265,6 +289,36 @@ class TestEliminationBudget:
                 for ask in questions:
                     with pytest.raises(error, match=pattern):
                         ask(gl)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_invariants_reuse_the_congruence_pass(self, monkeypatch, seed):
+        # invariants reads det, signature and modulus off the Lattice: no second
+        # congruence pass, and the modulus m the Smith diagonal gets has
+        # g_(n-1) | m | D, g_(n-1) = d_1 ... d_(n-1) the gcd of the (n-1)-minors
+        ladder = _benchmark_ladder(seed)
+        congruences, moduli = [], []
+        congruence, smith_mod = lattices._congruence, lattices._smith_diagonal_mod
+
+        def congruence_spy(rows):
+            congruences.append(rows)
+            return congruence(rows)
+
+        def smith_spy(rows, det, m):
+            moduli.append(m)
+            return smith_mod(rows, det, m)
+
+        monkeypatch.setattr(lattices, "_congruence", congruence_spy)
+        monkeypatch.setattr(lattices, "_smith_diagonal_mod", smith_spy)
+        for l in ladder:
+            moduli.clear()
+            invariants(l)
+            (m,) = moduli
+            g = prod(_smith(l.gram).diagonal[:-1])
+            assert m % g == 0 and abs(l.det) % m == 0
+        assert congruences == []
+        # the modulus is no mere D: on the ladder it has about half of D's bits
+        assert sum(l.modulus.bit_length() for l in ladder) < 0.7 * sum(
+            abs(l.det).bit_length() for l in ladder)
 
 
 def _order_cases():

@@ -10,7 +10,9 @@ image basis against d_i times the columns of u^-1, the Gauss-Jordan
 adjugate against the n^2 signed minors it replaced, the Smith diagonal
 modulo the determinant against the elimination over Z, on symmetric
 Grams too (and its unreduced entries against the bound D + n D^2), the
-norm map against the naive sum of powers, the integral glue checks against the Fraction arithmetic they
+discriminant group modulo the (n-1)-minor gcd against the integer Smith
+form, the F_p kernel on packed rows against the list kernel it replaced,
+the norm map against the naive sum of powers, the integral glue checks against the Fraction arithmetic they
 replaced, the prefix sums of the quotient report against the per-degree
 sums, and the mod-p ranks and Jordan profiles against Smith diagonals
 over Z.
@@ -19,7 +21,7 @@ over Z.
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +29,10 @@ from hypothesis import strategies as st
 
 from quotcoh.engine import DegreeInvariants, GradedInvariants, _second_page_sums, u_dimensions
 from quotcoh.intmat import (
+    _MR_LIMIT,
     IntMatrix,
+    _packing,
+    _row_basis_mod_p,
     _smith,
     _smith_diagonal_mod,
     det_adjugate,
@@ -47,6 +52,7 @@ from quotcoh.lattices import (
     _module_analysis,
     bns_invariants,
     curtis_reiner_check,
+    discriminant_group,
     group_cohomology,
     overlattice_from_glue,
     signature,
@@ -60,7 +66,9 @@ from quotcoh.selftest import (
     random_unimodular,
 )
 from quotcoh.toric import punctured_quotient_cohomology
-from reference import back_substitute, matrix_power, smith_summand_counts, solve_integer
+from reference import (
+    back_substitute, matrix_power, row_basis_mod_p, smith_summand_counts, solve_integer,
+)
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -133,9 +141,11 @@ class TestIntegerSignature:
                 _congruence(gram.rows)
             return
         assert gram.det() != 0
-        last_pivot, sig = _congruence(gram.rows)
+        last_pivot, sig, minors = _congruence(gram.rows)
         assert sig == want and last_pivot == gram.det()
         assert sum(want) == gram.nrows
+        # a multiple of d_1 ... d_(n-1), the gcd of the (n-1)-minors
+        assert minors % prod(_smith(gram).diagonal[:-1]) == 0
         lattice = Lattice(gram)
         assert (lattice.det, signature(lattice)) == (gram.det(), want)
 
@@ -159,7 +169,7 @@ class TestIntegerSignature:
             ([[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 0, -2], [0, 0, -2, 0]], (2, 2)),
         ]:
             gram = IntMatrix(rows)
-            last_pivot, sig = _congruence(gram.rows)
+            last_pivot, sig, _ = _congruence(gram.rows)
             assert sig == fraction_signature(gram) == want
             assert last_pivot == gram.det()
 
@@ -591,8 +601,11 @@ def symmetric_grams(draw, max_n=7):
 
 class TestSmithDiagonalModDet:
     def check(self, rows):
+        # modulo D, and modulo d_1 ... d_(n-1), the least modulus allowed
         m = IntMatrix(rows, ncols=len(rows))
-        assert _smith_diagonal_mod(rows, m.det()) == _smith(m).diagonal
+        det, want = m.det(), _smith(m).diagonal
+        for modulus in (abs(det), prod(want[:-1])):
+            assert _smith_diagonal_mod(rows, det, modulus) == want
 
     @PROPS
     @given(symmetric_grams())
@@ -627,7 +640,7 @@ class TestSmithDiagonalModDet:
         m = long_run_matrix(case)
         tail = LONG_RUNS[case][1]
         assert 150 <= abs(m.det()).bit_length() <= 250
-        diagonal = _smith_diagonal_mod(m.rows, m.det())
+        diagonal = _smith_diagonal_mod(m.rows, m.det(), abs(m.det()))
         assert diagonal == _smith(m).diagonal
         assert sum(d > 1 for d in diagonal) == len(tail) >= 3
 
@@ -646,8 +659,149 @@ class TestSmithDiagonalModDet:
             return gcd(a, b)
 
         monkeypatch.setattr("quotcoh.intmat.gcd", bounded_gcd)
-        assert _smith_diagonal_mod(m.rows, det) == want
+        assert _smith_diagonal_mod(m.rows, det, abs(det)) == want
         assert max(widest) > abs(det).bit_length()  # the updates ran unreduced
+
+
+def _trailing_minors(rows):
+    """The three (n-1)-minors of G on rows and columns 0 .. n-3 and one of n-2, n-1 each."""
+    n = len(rows)
+    head = list(range(n - 2))
+
+    def minor(i, j):
+        return IntMatrix([[rows[r][c] for c in head + [j]] for r in head + [i]], ncols=n - 1).det()
+
+    return minor(n - 2, n - 2), minor(n - 2, n - 1), minor(n - 1, n - 1)
+
+
+class TestDiscriminantGroupModMinors:
+    """discriminant_group, eliminated modulo Lattice.modulus (the gcd of D and
+    the trailing 2x2 block of the congruence pass at step n - 2), against the
+    integer Smith form of the Gram matrix."""
+
+    @staticmethod
+    def check(rows):
+        gram = IntMatrix(rows, ncols=len(rows))
+        lattice = Lattice(gram)
+        diagonal = _smith(gram).diagonal
+        assert discriminant_group(lattice) == [d for d in diagonal if d > 1]
+        # d_1 ... d_(n-1), the gcd of all (n-1)-minors, divides it, and it divides D
+        assert lattice.modulus % prod(diagonal[:-1]) == 0
+        assert abs(lattice.det) % lattice.modulus == 0
+
+    @PROPS
+    @given(symmetric_forms())
+    def test_zero_diagonal_forms(self, gram):
+        # many zero diagonals send the congruence pass through its swap and its
+        # row addition, at step n - 2 among others
+        assume(gram.det() != 0)
+        self.check(gram.rows)
+
+    @PROPS
+    @given(symmetric_grams(max_n=8))
+    def test_grams(self, rows):
+        self.check(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [[5]],
+        [[-1]],
+        [[0, 2], [2, 0]],  # the addition at step 0 = n - 2
+        [[0, 3], [3, 4]],  # the swap at step 0 = n - 2
+        [[1, 0, 0], [0, 0, 2], [0, 2, 0]],  # the addition at step n - 2
+        [[1, 0, 0], [0, 0, 3], [0, 3, 5]],  # the swap at step n - 2
+        [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 6], [0, 0, 6, 0]],  # even, addition at n - 2
+        [[2, 0, 0], [0, 0, 1], [0, 1, 0]],  # even, D = -2
+        [[2, 1], [1, 1]],  # D = 1
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],  # even, D = 1
+        [[0, 2, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0], [0, 0, 0, 2, 0, 0],
+         [0, 0, 2, 0, 0, 0], [0, 0, 0, 0, 0, 2], [0, 0, 0, 0, 2, 0]],  # U(2)^3, D = -64
+        [[2 if i == j else 0 for j in range(5)] for i in range(5)],  # A1^5, D = 32
+        [[4, -3], [-3, 4]],  # odd D = 7, even
+    ])
+    def test_boundary_grams(self, rows):
+        self.check(rows)
+
+    @PROPS
+    @given(symmetric_grams(max_n=8))
+    def test_modulus_is_read_from_three_minors(self, rows):
+        # with no zero leading principal minor before step n - 2 the congruence
+        # pass neither swaps nor adds there, so its trailing 2x2 block at step
+        # n - 2 holds exactly the three minors on rows and columns 0 .. n - 3
+        lattice = Lattice(IntMatrix(rows, ncols=len(rows)))
+        n = len(rows)
+        if n <= 1:
+            assert lattice.modulus == 1
+            return
+        leading = [IntMatrix([row[:k] for row in rows[:k]], ncols=k).det() for k in range(1, n - 1)]
+        if all(leading):
+            assert lattice.modulus == gcd(lattice.det, *_trailing_minors(rows))
+
+
+LARGEST_DECIDED_PRIME = 3317044064679887385961813  # the last prime below intmat._MR_LIMIT
+
+
+class TestPackedRowBasisModP:
+    """intmat._row_basis_mod_p holds each row as one int of byte-aligned
+    slots; it must give the bases of the list kernel it replaced
+    (reference.row_basis_mod_p) exactly, at every prime is_prime decides."""
+
+    PRIMES = [2, 3, 13, 65537, 2**61 - 1, LARGEST_DECIDED_PRIME]
+
+    def test_the_largest_prime_is_the_last_one_decided(self):
+        assert is_prime(LARGEST_DECIDED_PRIME)
+        assert not any(is_prime(q) for q in range(LARGEST_DECIDED_PRIME + 1, _MR_LIMIT))
+
+    @staticmethod
+    def rows(data, p, nrows, ncols):
+        kind = data.draw(st.sampled_from(["residues", "minus one", "wide", "sparse"]))
+        if kind == "minus one":
+            # every entry -1 mod p: the largest residues, the worst case of the slot bound
+            lift = data.draw(st.integers(-2, 2))
+            return [[p * lift - 1] * ncols for _ in range(nrows)]
+        entry = {
+            "residues": st.integers(0, p - 1),
+            "wide": st.integers(-p * p, p * p),
+            "sparse": st.sampled_from([0, 0, 0, 1, -1, p - 1, p]),
+        }[kind]
+        return [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+    @PROPS
+    @given(st.sampled_from(PRIMES), st.integers(0, 8), st.integers(0, 8), st.data())
+    def test_identical_bases(self, p, nrows, ncols, data):
+        rows = self.rows(data, p, nrows, ncols)
+        want = row_basis_mod_p(rows, p)
+        assert _row_basis_mod_p(rows, p) == want
+        # a generator, as the module analysis passes A - 1
+        assert _row_basis_mod_p((row for row in rows), p) == want
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_no_rows_and_one_column(self, p):
+        assert _row_basis_mod_p([], p) == row_basis_mod_p([], p) == []
+        assert _row_basis_mod_p(iter([]), p) == []
+        column = [[0], [p], [3 * p - 1], [1]]
+        assert _row_basis_mod_p(column, p) == row_basis_mod_p(column, p) == [[1]]
+
+    @PROPS
+    @given(st.sampled_from(PRIMES), st.integers(1, 8), st.data())
+    def test_packed_products_as_the_profile_forms_them(self, p, n, data):
+        # e B = sum_i e_i packed(B_i), slots up to n (p - 1)^2, goes back in unreduced
+        b = [[x % p for x in row] for row in self.rows(data, p, n, n)]
+        es = [[x % p for x in row] for row in self.rows(data, p, data.draw(st.integers(0, n)), n)]
+        _, pack, _ = _packing(p, n)
+        packed = [pack(row) for row in b]
+        products = [sum(x * row for x, row in zip(e, packed) if x) for e in es]
+        plain = [[sum(x * row[j] for x, row in zip(e, b)) for j in range(n)] for e in es]
+        assert _row_basis_mod_p(products, p, n) == row_basis_mod_p(plain, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 48, 300])
+    def test_a_slot_holds_its_bound(self, p, n):
+        # an incoming slot below n p^2 plus at most n clearing steps of less than p^2 each
+        _, pack, unpack = _packing(p, n)
+        top = [2 * n * p * p - 1] * n
+        assert unpack(pack(top)) == top
+        assert unpack(pack(list(range(n)))) == list(range(n))
 
 
 def fraction_overlattice(base, glue):
