@@ -7,13 +7,19 @@ of the augmented matrix [[m, I], [B, 0]]: the row operations turn I into
 u and the column operations turn the rows B into B v.  Saturated kernels
 (B = I), image bases (B = m, as m v = u^-1 d) and finite-quotient
 invariants are all read from it, each augmenting m only by what it
-reads.  The Smith diagonal of a non-singular square matrix, which is all
-a finite quotient needs, is computed modulo any m between d_1 ... d_(n-1)
-and the determinant D that it divides (D itself for a quotient group, a
-gcd of (n-1)-minors for a Gram matrix): the input is reduced once and
-each step's pivot row once, so after k steps every entry is below
-m + k m^2 in absolute value; a symmetric matrix first eliminates on its
-unit diagonal entries by congruence, updating only its upper triangle.
+reads; rows that are zero in the trailing block, most rows of a norm map
+of small rank, are skipped by the pivot search and by the column
+operations, which leaves every pivot and transform as it was.  A matrix
+product sums rows of the right factor over the nonzero entries of each
+row of the left one, so a sparse left factor, such as an image basis,
+costs only its nonzeros.  The Smith diagonal of a non-singular square
+matrix, which is all a finite quotient needs, is computed modulo any m
+between d_1 ... d_(n-1) and the determinant D that it divides (D itself
+for a quotient group, a gcd of (n-1)-minors for a Gram matrix): the
+input is reduced once and each step's pivot row once, so after k steps
+every entry is below m + k m^2 in absolute value; a symmetric matrix
+first eliminates on its unit diagonal entries by congruence, updating
+only its upper triangle.
 One fraction-free (Bareiss) elimination gives determinants and, run as
 Gauss-Jordan, the adjugate together with the determinant.  One echelon
 elimination over F_p, with each row packed into one Python int, gives
@@ -50,6 +56,8 @@ def is_prime(p: int) -> bool:
     for a in _MR_BASES:
         if p % a == 0:
             return p == a
+    if p < 43 * 43:  # no prime factor up to 41, so none up to its square root
+        return True
     d, s = p - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -173,9 +181,6 @@ class IntMatrix:
             raise IndexError(f"entry {(i, j)} outside {self.nrows}x{self.ncols}")
         return self._rows[i][j]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self._rows)
-
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         if n < 0:
@@ -238,11 +243,17 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("inner dimensions differ")
-            cols = [other.column(j) for j in range(other.ncols)]
-            return IntMatrix._trusted(
-                tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self._rows),
-                other._ncols,
-            )
+            # row i of the product is the sum of x * row k of other over the
+            # nonzero entries x = self[i, k], so a sparse left factor costs little
+            width = other._ncols
+            product = []
+            for row in self._rows:
+                total = [0] * width
+                for x, right in zip(row, other._rows):
+                    if x:
+                        total = [t + x * y for t, y in zip(total, right)]
+                product.append(tuple(total))
+            return IntMatrix._trusted(tuple(product), width)
         return NotImplemented
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
@@ -356,6 +367,19 @@ def _smith(m: IntMatrix, u: bool = False, below: IntMatrix | None = None) -> Smi
     so the rows `below` (with m's column count) end as below * v, returned
     as the field v.  The pivoting reads only m, so every transform equals
     the one the full decomposition returns.
+
+    Each pass takes as pivot the first least |e| of the trailing block in
+    row-major order.  A row that is zero from column s on stays zero: a row
+    operation adds the pivot row only to a row with an entry in column s,
+    and a column operation, column j minus q column s, changes a row only
+    through that entry.  So the pivot search and the divisibility check
+    skip such rows, and the column operations of a pass run only over the
+    rows, of the top block and of `below`, with an entry in column s,
+    collected once since no column operation changes column s.  The
+    skipped work would have changed no value, so the pivots, the
+    transforms and the diagonal are those of the elimination over every
+    row.  This matters for a norm map sigma, whose rank is a small part
+    of its size.
     """
     nr, nc = m.nrows, m.ncols
     a = [list(row) for row in m.rows]
@@ -372,8 +396,11 @@ def _smith(m: IntMatrix, u: bool = False, below: IntMatrix | None = None) -> Smi
     while s < min(nr, nc):
         best = None
         for i in range(s, nr):
+            row = a[i]
+            if not any(row[s:nc]):  # zero rows are found in C
+                continue
             for j in range(s, nc):
-                e = a[i][j]
+                e = row[j]
                 if e and (best is None or abs(e) < best[0]):
                     best = (abs(e), i, j)
                     if best[0] == 1:  # nothing later can be smaller
@@ -400,24 +427,26 @@ def _smith(m: IntMatrix, u: bool = False, below: IntMatrix | None = None) -> Smi
                 row[s:] = [x - q * y for x, y in zip(row[s:], top[s:])]
             if row[s]:
                 clean = False
+        live = [row for row in a[s:] if row[s]]
         for j in range(s + 1, nc):
             q = top[j] // pivot
             if q:
-                for row in a[s:]:
+                for row in live:
                     row[j] -= q * row[s]
             if top[j]:
                 clean = False
         if not clean:
             continue
 
+        # the first row with an entry that the pivot does not divide; zero rows are found in C
         offender = None if pivot == 1 else next(
-            ((i, j) for i in range(s + 1, nr) for j in range(s + 1, nc)
-             if a[i][j] % pivot != 0),
+            (row for row in a[s + 1:nr]
+             if any(row[s + 1:nc]) and any(x % pivot for x in row[s + 1:nc])),
             None,
         )
         if offender is not None:
             # fold the offending row into row s; the next pass shrinks the pivot
-            top[s:] = [x + y for x, y in zip(top[s:], a[offender[0]][s:])]
+            top[s:] = [x + y for x, y in zip(top[s:], offender[s:])]
             continue
         s += 1
 

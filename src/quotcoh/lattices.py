@@ -366,7 +366,9 @@ def pushforward_quotient_lattice(gl: GLattice) -> Lattice:
     a non-integral Gram signals a violated precondition.
     """
     basis = image_basis(gl.sigma())
-    pairing = basis * gl.gram * basis.transpose()
+    # B G B^T as B (B G)^T, G being symmetric: the sparse basis is the left
+    # factor of both products
+    pairing = basis * (basis * gl.gram).transpose()
     entries = []
     for row in pairing.rows:
         if any(e % gl.p != 0 for e in row):

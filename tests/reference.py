@@ -74,6 +74,96 @@ def matrix_power(a: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
+def matmul_dense(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a * b with every entry the dot product of a row of a and a column of b.
+
+    The product that IntMatrix.__mul__ replaced by sums of b's rows.
+    """
+    if a.ncols != b.nrows:
+        raise ValueError("inner dimensions differ")
+    cols = [tuple(row[j] for row in b.rows) for j in range(b.ncols)]
+    return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in a.rows], ncols=b.ncols)
+
+
+def smith_dense(m: IntMatrix, u: bool = False, below: IntMatrix | None = None) -> SmithDecomposition:
+    """intmat._smith as it was before it skipped rows: every pivot search
+    scans the whole trailing block, and every column operation runs over
+    every row of the top block and of `below`.
+    """
+    nr, nc = m.nrows, m.ncols
+    a = [list(row) for row in m.rows]
+    if u:
+        for i, row in enumerate(a):
+            row.extend(int(i == j) for j in range(nr))
+    if below is not None:
+        a += [list(row) for row in below.rows]
+
+    # in m's block, rows above s are zero from column s on, and so are columns
+    # left of s from row s down: row operations touch columns s on (the rest of
+    # m's row and all of u's), column operations rows s on (with all of below)
+    s = 0
+    while s < min(nr, nc):
+        best = None
+        for i in range(s, nr):
+            for j in range(s, nc):
+                e = a[i][j]
+                if e and (best is None or abs(e) < best[0]):
+                    best = (abs(e), i, j)
+                    if best[0] == 1:  # nothing later can be smaller
+                        break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != s:
+            a[s], a[bi] = a[bi], a[s]
+        if bj != s:
+            for row in a[s:]:
+                row[s], row[bj] = row[bj], row[s]
+        if a[s][s] < 0:
+            a[s] = [-x for x in a[s]]
+
+        top = a[s]
+        pivot = top[s]
+        clean = True
+        for row in a[s + 1:nr]:
+            q = row[s] // pivot
+            if q:
+                row[s:] = [x - q * y for x, y in zip(row[s:], top[s:])]
+            if row[s]:
+                clean = False
+        for j in range(s + 1, nc):
+            q = top[j] // pivot
+            if q:
+                for row in a[s:]:
+                    row[j] -= q * row[s]
+            if top[j]:
+                clean = False
+        if not clean:
+            continue
+
+        offender = None if pivot == 1 else next(
+            ((i, j) for i in range(s + 1, nr) for j in range(s + 1, nc)
+             if a[i][j] % pivot != 0),
+            None,
+        )
+        if offender is not None:
+            # fold the offending row into row s; the next pass shrinks the pivot
+            top[s:] = [x + y for x, y in zip(top[s:], a[offender[0]][s:])]
+            continue
+        s += 1
+
+    diag = tuple(a[i][i] for i in range(min(nr, nc)))
+    return SmithDecomposition(
+        u=IntMatrix(tuple(tuple(row[nc:]) for row in a[:nr]), nr) if u else None,
+        d=IntMatrix(tuple(tuple(row[:nc]) for row in a[:nr]), nc),
+        v=None if below is None else IntMatrix(tuple(map(tuple, a[nr:])), nc),
+        diagonal=diag,
+        rank=sum(1 for x in diag if x != 0),
+    )
+
+
 def row_basis_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
     """Echelon basis over F_p of the span of `rows`, on lists of residues.
 

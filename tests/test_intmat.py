@@ -207,8 +207,8 @@ class TestSolveAndImage:
             m = random_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5), bound=5)
             basis = image_basis(m)
             # every column of m is an integer combination of the basis rows
-            for j in range(m.ncols):
-                assert solve_integer(basis.transpose(), m.column(j)) is not None
+            for column in m.transpose().rows:
+                assert solve_integer(basis.transpose(), column) is not None
             # every basis row is in the image of m
             for row in basis.rows:
                 assert solve_integer(m, row) is not None
@@ -302,10 +302,10 @@ class TestTrustedResults:
         assert s.u * a * s.v == s.d
         kernel = kernel_saturated(a)
         self.well_formed(kernel, nc - s.rank, nc)
-        assert kernel == IntMatrix([s.v.column(j) for j in range(s.rank, nc)], ncols=nc)
+        assert kernel == IntMatrix(s.v.transpose().rows[s.rank:], ncols=nc)
         image = image_basis(a)
         self.well_formed(image, s.rank, nr)
-        assert image == IntMatrix([(a * s.v).column(i) for i in range(s.rank)], ncols=nr)
+        assert image == IntMatrix((a * s.v).transpose().rows[:s.rank], ncols=nr)
 
     @pytest.mark.parametrize("gram, action, p", [
         ([[2, 1], [1, 2]], [[-1, 0], [0, -1]], 2),  # sigma = 0: a rank-0 pushforward

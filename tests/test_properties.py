@@ -55,6 +55,7 @@ from quotcoh.lattices import (
     discriminant_group,
     group_cohomology,
     overlattice_from_glue,
+    pushforward_quotient_lattice,
     signature,
 )
 from quotcoh.profiles import JordanProfile, jordan_profile
@@ -67,7 +68,8 @@ from quotcoh.selftest import (
 )
 from quotcoh.toric import punctured_quotient_cohomology
 from reference import (
-    back_substitute, matrix_power, row_basis_mod_p, smith_summand_counts, solve_integer,
+    back_substitute, matmul_dense, matrix_power, row_basis_mod_p, smith_dense, smith_summand_counts,
+    solve_integer,
 )
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -404,6 +406,76 @@ class TestSmithOnDemand:
         for m in cases:
             self.check(m)
             self.check_image(m)
+
+
+@st.composite
+def sparse_or_dense_matrices(draw, max_side=7, nrows=None):
+    """Matrices of 0 to max_side rows (or nrows) and columns, half of them
+    sparse with whole rows and columns of zeros, the others dense."""
+    nr = draw(st.integers(0, max_side)) if nrows is None else nrows
+    nc = draw(st.integers(0, max_side))
+    if draw(st.booleans()):
+        entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 5])
+        zero_rows = draw(st.sets(st.integers(0, max_side)))
+        zero_cols = draw(st.sets(st.integers(0, max_side)))
+    else:
+        entry, zero_rows, zero_cols = st.integers(-30, 30), set(), set()
+    rows = [[0 if i in zero_rows or j in zero_cols else draw(entry) for j in range(nc)]
+            for i in range(nr)]
+    return IntMatrix(rows, ncols=nc)
+
+
+class TestSmithSkipsZeroRows:
+    """_smith skips the rows that are zero in the trailing block, in its
+    pivot search and in its column operations; the dense elimination it
+    replaced (reference.smith_dense) must give the same diagonal, rank,
+    u, d and v, bit for bit, for every request of u and `below`."""
+
+    @staticmethod
+    def check(m):
+        for u in (False, True):
+            for below in (None, IntMatrix.identity(m.ncols), m):
+                assert _smith(m, u=u, below=below) == smith_dense(m, u=u, below=below)
+
+    @PROPS
+    @given(glattices())
+    def test_norm_maps(self, gl):
+        self.check(gl.sigma())
+
+    @PROPS
+    @given(sparse_or_dense_matrices())
+    def test_sparse_and_dense_matrices(self, m):
+        self.check(m)
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_empty_shapes(self, k):
+        self.check(IntMatrix.zeros(0, k))
+        self.check(IntMatrix.zeros(k, 0))
+        for a, b in ((IntMatrix.zeros(k, 0), IntMatrix.zeros(0, 3)),
+                     (IntMatrix.zeros(0, k), IntMatrix.zeros(k, 3)),
+                     (IntMatrix.identity(k), IntMatrix.zeros(k, 0))):
+            assert a * b == matmul_dense(a, b)
+
+    @PROPS
+    @given(sparse_or_dense_matrices(), st.data())
+    def test_products_against_dot_products(self, a, data):
+        # IntMatrix.__mul__ sums rows of b over the nonzero entries of a's rows
+        b = data.draw(sparse_or_dense_matrices(nrows=a.ncols))
+        product = a * b
+        assert product == matmul_dense(a, b)
+        assert all(type(row) is tuple and type(x) is int for row in product.rows for x in row)
+
+
+class TestPushforwardPairing:
+    """pushforward_quotient_lattice forms B G B^T as B (B G)^T, which needs G symmetric."""
+
+    @PROPS
+    @given(glattices())
+    def test_either_order_of_the_products(self, gl):
+        basis = image_basis(gl.sigma())
+        want = basis * gl.gram * basis.transpose()
+        assert basis * (basis * gl.gram).transpose() == want
+        assert pushforward_quotient_lattice(gl).gram * gl.p == want
 
 
 def laplace_det(rows) -> int:
