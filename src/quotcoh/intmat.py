@@ -18,8 +18,12 @@ between d_1 ... d_(n-1) and the determinant D that it divides (D itself
 for a quotient group, a gcd of (n-1)-minors for a Gram matrix): the
 input is reduced once and each step's pivot row once, so after k steps
 every entry is below m + k m^2 in absolute value; a symmetric matrix
-first eliminates on its unit diagonal entries by congruence, updating
-only its upper triangle.
+first eliminates by congruence on its unit diagonal entries and then on
+principal 2x2 blocks of unit determinant, updating only its upper
+triangle.  The elimination over Z/m returns its cyclic factors
+(_chain_mod), and one assembly (_divisor_chain) turns them into the
+diagonal, so that the coprime parts of m, each eliminated on its own
+matrix, as lattices does for a Gram matrix, pool into one chain.
 One fraction-free (Bareiss) elimination gives determinants and, run as
 Gauss-Jordan, the adjugate together with the determinant.  One echelon
 elimination over F_p, with each row packed into one Python int, gives
@@ -496,15 +500,21 @@ def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int, m: int) -> tupl
     (n-1)-minors, which divides m; so the first n - 1 entries of the chain
     over Z/m are d_1 .. d_(n-1), and d_n = D / (d_1 ... d_(n-1)).  m = D
     gives the whole chain directly; lattices reads a smaller m off its
-    congruence pass.
+    congruence pass, and splits it into coprime parts that each eliminate
+    a smaller matrix, pooling their g's in _divisor_chain.
+    """
+    return _divisor_chain(_chain_mod(rows, m) if m > 1 else [], len(rows), det, m)
+
+
+def _chain_mod(rows: Sequence[Sequence[int]], m: int) -> list[int]:
+    """The g's of one elimination of a square matrix A over Z/m, m > 1:
+    coker over Z/m of A is the sum of the Z/g.
 
     Each step moves the entry e of least gcd(e, m) to the pivot; a unit
     clears its column in one pass.  Otherwise rows or columns are combined
     by extended gcd until g = gcd(pivot, m) divides the rest of the pivot's
     row and column; each combination replaces g by a proper divisor, so
-    there are at most log2(m) of them per step.  The step contributes Z/g,
-    and the g's are made into a divisor chain at the end.  Their product
-    must be d_1 ... d_(n-1) gcd(d_n, m), and d_(n-1) must divide d_n.
+    there are at most log2(m) of them per step.  The step contributes Z/g.
 
     Only the input and each step's pivot row are reduced mod m, the pivot
     row once before it multiplies; the other rows take t - x s unreduced,
@@ -517,34 +527,54 @@ def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int, m: int) -> tupl
 
     A symmetric A, such as a Gram matrix, first runs a congruence phase,
     checked for in O(n^2).  While a diagonal entry of the trailing block is
-    a unit mod m it is the pivot, and the rows and the columns are cleared
-    together, E^T A E with E invertible mod m, which keeps the cokernel over
-    Z/m; the block stays symmetric mod m, so only its upper triangle is
-    updated, by x < m times the pivot row, reduced once.  Each such step
-    contributes a diagonal 1 and keeps the bound.  What is left is mirrored
-    and runs the elimination above.  An even Gram with m even has no unit
-    on its diagonal and goes straight to it.
+    a unit mod m it is the pivot; failing that, a principal 2x2 block
+    [[a_ii, a_ij], [a_ij, a_jj]] whose determinant is a unit, as the odd
+    off-diagonal entries of an even Gram give at m even.  The rows and the
+    columns of the pivot are cleared together, E^T A E with E invertible
+    mod m, which keeps the cokernel over Z/m; the block stays symmetric mod
+    m, so only its upper triangle is updated, by x < m times each pivot
+    row, reduced once.  Each such step contributes one or two diagonal 1's
+    and adds less than m^2 per row it removes.  What is left is mirrored
+    and runs the elimination above.
     """
     n = len(rows)
-    if m == 1:
-        return (1,) * (n - 1) + (abs(det),) if n else ()
     a = [[x % m for x in row] for row in rows]
     found = []
     if all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i)):
         # row i of the trailing block is read from column i on, its upper triangle
+        def full(k):
+            # row k in full, reduced: column k above the diagonal, then row k on
+            return [e % m for e in [row[k] for row in a[:k]] + a[k][k:]]
+
         while True:
             k = next((i for i, row in enumerate(a) if gcd(row[i], m) == 1), None)
+            if k is not None:
+                top = full(k)
+                unit = pow(top[k], -1, m)
+                del a[k], top[k]
+                for row in a:
+                    del row[k]
+                for i, row in enumerate(a):
+                    x = top[i] * unit % m
+                    if x:
+                        row[i:] = [t - x * s for s, t in zip(top[i:], row[i:])]
+                continue
+            k, j = next(((k, j) for k, row in enumerate(a) for j in range(k + 1, len(a))
+                         if gcd(row[k] * a[j][j] - row[j] * row[j], m) == 1), (None, None))
             if k is None:
                 break
-            top = [e % m for e in [row[k] for row in a[:k]] + a[k][k:]]
-            unit = pow(top[k], -1, m)
-            del a[k], top[k]
-            for row in a:
-                del row[k]
+            # clear by the inverse (1/det) [[c, -b], [-b, p]] of the block [[p, b], [b, c]]
+            u, v = full(k), full(j)
+            p, b, c = u[k], u[j], v[j]
+            unit = pow(p * c - b * b, -1, m)
+            del a[j], a[k]
+            for w in (u, v, *a):
+                del w[j], w[k]
             for i, row in enumerate(a):
-                x = top[i] * unit % m
-                if x:
-                    row[i:] = [t - x * s for s, t in zip(top[i:], row[i:])]
+                x = (c * u[i] - b * v[i]) * unit % m
+                y = (p * v[i] - b * u[i]) * unit % m
+                if x or y:
+                    row[i:] = [t - x * s - y * r for s, r, t in zip(u[i:], v[i:], row[i:])]
         for i, row in enumerate(a):
             row[:i] = [a[j][i] for j in range(i)]
     while a:
@@ -591,12 +621,28 @@ def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int, m: int) -> tupl
             if x:
                 row[:] = [t - x * s for s, t in zip(top[1:], row)]
         found.append(g)
+    return found
+
+
+def _divisor_chain(found: Sequence[int], n: int, det: int, m: int) -> tuple[int, ...]:
+    """The Smith diagonal of a non-singular n x n matrix of determinant det
+    from the g's of its eliminations over Z/m, or over coprime parts of m,
+    m a multiple of d_1 ... d_(n-1) dividing |det|.
+
+    The g's are made into a divisor chain.  The g's of several parts pool
+    into more than n factors, and the chain is their product's, so the 1's
+    that gcd/lcm leaves go.  Over Z/m the chain is gcd(d_i, m), which is d_i
+    for i < n.  The g's must multiply to d_1 ... d_(n-1) gcd(d_n, m), and
+    d_(n-1) must divide d_n.
+    """
+    if not n:
+        return ()
     chain = [g for g in found if g > 1]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             h = gcd(chain[i], chain[j])
             chain[i], chain[j] = h, chain[i] // h * chain[j]
-    # the chain over Z/m is gcd(d_i, m), which is d_i for i < n
+    chain = [g for g in chain if g > 1]
     head = ((1,) * (n - len(chain)) + tuple(chain))[:n - 1]
     last, rest = divmod(abs(det), prod(head))
     if rest or prod(found) != prod(head) * gcd(last, m) or (head and last % head[-1]):

@@ -28,8 +28,13 @@ intmat.norm_map, the one Horner pass that checks its order, since
 phi^p = 1.  The discriminant group is the Smith diagonal of the Gram
 matrix modulo that modulus, the gcd of D = |det| and three (n-1)-minors
 the pass meets at step n - 2, which is a multiple of d_1 ... d_(n-1) and
-often has about half of D's bits; d_n is D / (d_1 ... d_(n-1)).  It
-eliminates by congruence while the diagonal has a unit.
+often has about half of D's bits; d_n is D / (d_1 ... d_(n-1)).  The
+modulus splits into coprime parts by the pass's leading minors: the part
+coprime to the leading k-minor is eliminated only on the pass's trailing
+(n-k)x(n-k) block, rebuilt from the pivot rows the Lattice keeps by
+running Sylvester's identity backwards, and a part whose block would be
+more than half the matrix on G itself.  Each elimination runs by
+congruence while a diagonal entry or a principal 2x2 block is a unit.
 
 Two modeling notes, both validated against independent computations in
 the test suite rather than assumed:
@@ -52,9 +57,10 @@ from .intmat import (
     CohGroup,
     IntMatrix,
     _Frozen,
+    _chain_mod,
+    _divisor_chain,
     _row_basis_mod_p,
     _smith,
-    _smith_diagonal_mod,
     det_adjugate,
     image_basis,
     is_prime,
@@ -65,25 +71,31 @@ from .intmat import (
 class Lattice(_Frozen):
     """Non-degenerate integral lattice, carried by its Gram matrix.
 
-    Equality, hashing and repr read the Gram matrix alone.
+    Equality, hashing and repr read the Gram matrix alone.  Besides det,
+    signature and modulus the constructor keeps, from the same congruence
+    pass, what discriminant_group rebuilds the pass's trailing blocks from:
+    the n leading minors, the pivot rows of the steps i >= n/2 and the
+    steps that swapped or added.
     """
 
-    __slots__ = ("gram", "det", "signature", "modulus")
+    __slots__ = ("gram", "det", "signature", "modulus", "_pass")
     _fields = ("gram",)
-    # all three read off the one congruence pass that checks non-degeneracy;
+    # all read off the one congruence pass that checks non-degeneracy;
     # modulus is gcd(det, three (n-1)-minors), a multiple of d_1 ... d_(n-1)
     # dividing |det|, modulo which the discriminant group is eliminated
     det: int
     signature: tuple[int, int]
     modulus: int
+    _pass: tuple[tuple[int, ...], list[list[int]], dict[int, tuple[int, bool]]]
 
     def __init__(self, gram: IntMatrix):
         if not gram.is_square():
             raise ValueError(f"Gram matrix must be square, got {gram.nrows}x{gram.ncols}")
         if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        det, sig, minors = _congruence(gram.rows)
-        _Frozen.__init__(self, gram, det, sig, gcd(det, minors))
+        det, sig, minors, rows, moves = _congruence(gram.rows)
+        kept = (tuple(u[0] for u in rows), rows[(len(rows) + 1) // 2:], moves)
+        _Frozen.__init__(self, gram, det, sig, gcd(det, minors), kept)
 
     @property
     def rank(self) -> int:
@@ -151,20 +163,98 @@ def discriminant(l: Lattice) -> int:
 def discriminant_group(l: Lattice) -> list[int]:
     """Elementary divisors (> 1) of the cokernel of the Gram matrix.
 
-    Computed by intmat._smith_diagonal_mod modulo l.modulus, the gcd of
-    D = |det| and three (n-1)-minors that the congruence pass met: a
-    multiple of d_1 ... d_(n-1), the gcd of all (n-1)-minors, that divides
-    D, and often about half its bits.  Modulo it the elimination reads
-    d_1 .. d_(n-1), and d_n = D / (d_1 ... d_(n-1)).  It first eliminates on
-    the Gram's unit diagonal entries by congruence.
+    Eliminated modulo l.modulus, the gcd of D = |det| and three
+    (n-1)-minors that the congruence pass met: a multiple of
+    d_1 ... d_(n-1), the gcd of all (n-1)-minors, that divides D, and often
+    about half its bits.  Modulo it the elimination reads d_1 .. d_(n-1),
+    and d_n = D / (d_1 ... d_(n-1)).  The modulus splits into coprime parts
+    c_k (_modulus_parts), and each part eliminates the pass's trailing
+    block T_k past the leading k-minor pi_k, a unit mod c_k, instead of G
+    (_trailing_blocks); the g's of all parts pool into one divisor chain.
     """
-    return [d for d in _smith_diagonal_mod(l.gram.rows, l.det, l.modulus) if d > 1]
+    pivots, rows, moves = l._pass
+    parts = _modulus_parts(l.modulus, pivots)
+    found = _chain_mod(l.gram.rows, parts.pop(0)) if 0 in parts else []
+    for k, block in _trailing_blocks(pivots, rows, moves):
+        if not parts:
+            break
+        if k in parts:
+            found += _chain_mod(_mirrored(block), parts.pop(k))
+    return [d for d in _divisor_chain(found, l.rank, l.det, l.modulus) if d > 1]
 
 
-def _congruence(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int], int]:
-    """det G, the signature (n_plus, n_minus) of a symmetric G and a multiple
-    of the gcd of its (n-1)-minors, from one symmetric congruence reduction
-    over Z.
+def _modulus_parts(m: int, pivots: Sequence[int]) -> dict[int, int]:
+    """Coprime parts {k: c_k} (c_k > 1) of m, each coprime to the leading
+    k-minor pi_k = pivots[k - 1] of the matrix M = E^T G E that the
+    congruence pass eliminates, pi_0 = 1.
+
+    For k = n - 1 down to 1, c_k is the part of what is left of m that is
+    coprime to pi_k, and what is left at the end is c_0.  pi_k is then a
+    unit mod c_k, so the leading k-block of M is invertible over Z/c_k, and
+    block elimination gives coker(G) = coker(T_k) over Z/c_k, where
+    T_k = pi_k (the Schur complement of that block) is the pass's trailing
+    block after k steps; by CRT coker(G) over Z/m is the sum of these, and
+    T_0 is G itself.  A part with 2k < n goes to k = 0, so that no block is
+    rebuilt beyond half the matrix.
+    """
+    parts = {}
+    for k in range(len(pivots) - 1, (len(pivots) - 1) // 2, -1):
+        c = m
+        while (g := gcd(c, pivots[k - 1])) > 1:
+            c //= g
+        if c > 1:
+            parts[k] = c
+            m //= c
+    if m > 1:
+        parts[0] = m
+    return parts
+
+
+def _trailing_blocks(pivots: Sequence[int], rows: Sequence[Sequence[int]],
+                     moves: dict[int, tuple[int, bool]]):
+    """Yield (k, T_k), the symmetric trailing block of the congruence pass
+    after k steps as its upper triangle (row r from column r on), for
+    k = n - 1 down to n - len(rows), rows holding the pivot rows
+    U_k .. U_(n-1) and pivots the n leading minors.
+
+    Sylvester's identity runs backwards: row i of the block at step i,
+    after that step's swap or addition, is U_i, and the rest is
+    (pi_i T_(i+1) + U_i^T U_i) / pi_(i+1), an exact division, with
+    pi_(i+1) = U_i[0]; then that swap is repeated, or the addition of row
+    and column j to row and column i undone.  T_(n-1) is [[pi_n]], and T_0
+    is G.
+    """
+    n, t = len(pivots), []
+    for i in range(n - 1, n - 1 - len(rows), -1):
+        u = rows[i - n + len(rows)]
+        prev = pivots[i - 1] if i else 1
+        t = [list(u)] + [[(prev * y + x * z) // u[0] for y, z in zip(row, u[r:])]
+                         for r, (x, row) in enumerate(zip(u[1:], t), 1)]
+        if i in moves:
+            j, added = moves[i]
+            d, t = j - i, _mirrored(t)
+            if added:
+                for row in t:
+                    row[0] -= row[d]
+                t[0] = [x - y for x, y in zip(t[0], t[d])]
+            else:
+                t[0], t[d] = t[d], t[0]
+                for row in t:
+                    row[0], row[d] = row[d], row[0]
+            t = [row[r:] for r, row in enumerate(t)]
+        yield i, t
+
+
+def _mirrored(upper: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The symmetric matrix whose row r holds upper[r] from column r on."""
+    return [[upper[s][r - s] for s in range(r)] + list(upper[r]) for r in range(len(upper))]
+
+
+def _congruence(rows: Sequence[Sequence[int]]) -> tuple[
+        int, tuple[int, int], int, list[list[int]], dict[int, tuple[int, bool]]]:
+    """det G, the signature (n_plus, n_minus) of a symmetric G, a multiple
+    of the gcd of its (n-1)-minors, the pivot rows and the steps that
+    swapped or added, from one symmetric congruence reduction over Z.
 
     The reduction is fraction-free (Bareiss): the rows below step k hold
     prev times the rational Schur complement, where prev is the previous
@@ -182,12 +272,18 @@ def _congruence(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int], in
     of E^T G E, and the gcd of all (n-1)-minors, which E leaves unchanged,
     divides their gcd, the third value returned; it is 1 for n <= 1, the
     one 0-minor.
+
+    Pivot row U_i is row i of the trailing block from column i on, after
+    step i's swap or addition; U_i[0] is the leading (i+1)-minor of E^T G E.
+    The steps are {i: (j, added)} for a swap of i and j, or the addition of
+    row and column j to row and column i.  Neither costs any arithmetic.
     """
     n = len(rows)
     a = [list(row) for row in rows]
     pos = neg = 0
     prev = 1
     minors = 1
+    moves = {}
     for i in range(n):
         if i == n - 2:
             minors = gcd(a[i][i], a[i][i + 1], a[i + 1][i + 1])
@@ -199,6 +295,7 @@ def _congruence(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int], in
                 a[i], a[j] = a[j], a[i]
                 for row in a[i:]:
                     row[i], row[j] = row[j], row[i]
+                moves[i] = (j, False)
             else:
                 j = next((t for t in range(i + 1, n) if a[i][t] != 0), None)
                 if j is None:
@@ -208,6 +305,7 @@ def _congruence(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int], in
                 a[i] = [x + y for x, y in zip(a[i], a[j])]
                 for row in a[i:]:
                     row[i] += row[j]
+                moves[i] = (j, True)
         top, pivot = a[i], a[i][i]
         for k in range(i + 1, n):
             f, row = top[k], a[k]
@@ -217,7 +315,7 @@ def _congruence(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int], in
         else:
             neg += 1
         prev = pivot
-    return prev, (pos, neg), minors
+    return prev, (pos, neg), minors, [row[i:] for i, row in enumerate(a)], moves
 
 
 def signature(l: Lattice) -> tuple[int, int]:

@@ -4,7 +4,8 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -178,18 +179,40 @@ def _budget_lattices():
     return [nikulin_involution()] + [random_glattice(rng, p, max_dim=12) for p in (2, 3, 5, 7)]
 
 
-@lru_cache(maxsize=None)
-def _benchmark_ladder(seed):
-    """The lattice-scan workload's source lattices for a seed (bench/gen.py) and their pushforwards."""
+def _bench_gen():
     bench = str(pathlib.Path(__file__).parent.parent / "bench")
     sys.path.insert(0, bench)
     try:
         import gen
     finally:
         sys.path.remove(bench)
+    return gen
+
+
+@lru_cache(maxsize=None)
+def _ladder_catalogue():
+    """bench/gen.py's seed-independent catalogue of the ladder's G-lattices, built once."""
+    gen = _bench_gen()
+    base = random.Random(gen.LATTICE_CATALOGUE_SEED)
+    return tuple(gen.glattice(base, *rung) for rung in gen.LATTICE_LADDER)
+
+
+def _ladder_inputs(seed):
+    """gen.lattice_ladder(seed), from the catalogue built once: the seed picks the bases."""
+    rng = random.Random(seed)
+    return [_bench_gen().in_seeded_basis(inp, rng) for inp in _ladder_catalogue()]
+
+
+@lru_cache(maxsize=None)
+def _benchmark_ladder(seed):
+    """The lattice-scan workload's source lattices for a seed (bench/gen.py) and their pushforwards."""
     glattices = [GLattice(IntMatrix(inp.gram), IntMatrix(inp.action), inp.p)
-                 for inp in gen.lattice_ladder(seed)]
+                 for inp in _ladder_inputs(seed)]
     return tuple(l for gl in glattices for l in (gl.lattice(), pushforward_quotient_lattice(gl)))
+
+
+def test_ladder_inputs_are_the_benchmark_ladder():
+    assert _ladder_inputs(1) == _bench_gen().lattice_ladder(1)
 
 
 class TestEliminationBudget:
@@ -292,29 +315,40 @@ class TestEliminationBudget:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_invariants_reuse_the_congruence_pass(self, monkeypatch, seed):
-        # invariants reads det, signature and modulus off the Lattice: no second
-        # congruence pass, and the modulus m the Smith diagonal gets has
-        # g_(n-1) | m | D, g_(n-1) = d_1 ... d_(n-1) the gcd of the (n-1)-minors
+        # invariants reads det, signature, modulus and the kept pivot rows off the
+        # Lattice: no second congruence pass.  The modulus m has g_(n-1) | m | D,
+        # g_(n-1) = d_1 ... d_(n-1) the gcd of the (n-1)-minors, and the moduli the
+        # eliminations get are pairwise coprime parts of m, each coprime to the
+        # leading k-minor of the matrix the pass eliminated, where n - k is the
+        # size of the block handed over, and k = 0 or 2k >= n
         ladder = _benchmark_ladder(seed)
-        congruences, moduli = [], []
-        congruence, smith_mod = lattices._congruence, lattices._smith_diagonal_mod
+        leading = [(1,) + tuple(u[0] for u in lattices._congruence(l.gram.rows)[3])
+                   for l in ladder]
+        congruences, eliminations = [], []
+        congruence, chain_mod = lattices._congruence, lattices._chain_mod
 
         def congruence_spy(rows):
             congruences.append(rows)
             return congruence(rows)
 
-        def smith_spy(rows, det, m):
-            moduli.append(m)
-            return smith_mod(rows, det, m)
+        def chain_spy(rows, c):
+            eliminations.append((len(rows), c))
+            return chain_mod(rows, c)
 
         monkeypatch.setattr(lattices, "_congruence", congruence_spy)
-        monkeypatch.setattr(lattices, "_smith_diagonal_mod", smith_spy)
-        for l in ladder:
-            moduli.clear()
+        monkeypatch.setattr(lattices, "_chain_mod", chain_spy)
+        for l, minors in zip(ladder, leading):
+            eliminations.clear()
             invariants(l)
-            (m,) = moduli
+            m, n = l.modulus, l.rank
             g = prod(_smith(l.gram).diagonal[:-1])
             assert m % g == 0 and abs(l.det) % m == 0
+            moduli = [c for _, c in eliminations]
+            assert prod(moduli) == m and all(c > 1 for c in moduli)
+            assert all(gcd(a, b) == 1 for a, b in combinations(moduli, 2))
+            for size, c in eliminations:
+                k = n - size
+                assert gcd(c, minors[k]) == 1 and (k == 0 or 2 * k >= n)
         assert congruences == []
         # the modulus is no mere D: on the ladder it has about half of D's bits
         assert sum(l.modulus.bit_length() for l in ladder) < 0.7 * sum(

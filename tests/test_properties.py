@@ -9,9 +9,12 @@ every request of the augmented SNF against the full decomposition, the
 image basis against d_i times the columns of u^-1, the Gauss-Jordan
 adjugate against the n^2 signed minors it replaced, the Smith diagonal
 modulo the determinant against the elimination over Z, on symmetric
-Grams too (and its unreduced entries against the bound D + n D^2), the
-discriminant group modulo the (n-1)-minor gcd against the integer Smith
-form, the F_p kernel on packed rows against the list kernel it replaced,
+Grams too, even and zero-diagonal ones by 2x2 pivot blocks (and its
+unreduced entries against the bound D + n D^2), the discriminant group
+modulo the (n-1)-minor gcd, split into coprime parts each eliminated on a
+trailing block of the congruence pass, against the integer Smith form,
+the trailing blocks rebuilt backwards against G and its minors, the F_p
+kernel on packed rows against the list kernel it replaced,
 the norm map against the naive sum of powers, the integral glue checks against the Fraction arithmetic they
 replaced, the prefix sums of the quotient report against the per-degree
 sums, and the mod-p ranks and Jordan profiles against Smith diagonals
@@ -21,6 +24,7 @@ over Z.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm, prod
 
 import pytest
@@ -31,6 +35,7 @@ from quotcoh.engine import DegreeInvariants, GradedInvariants, _second_page_sums
 from quotcoh.intmat import (
     _MR_LIMIT,
     IntMatrix,
+    _chain_mod,
     _packing,
     _row_basis_mod_p,
     _smith,
@@ -49,11 +54,15 @@ from quotcoh.lattices import (
     GLattice,
     Lattice,
     _congruence,
+    _mirrored,
     _module_analysis,
+    _modulus_parts,
+    _trailing_blocks,
     bns_invariants,
     curtis_reiner_check,
     discriminant_group,
     group_cohomology,
+    named_lattice,
     overlattice_from_glue,
     pushforward_quotient_lattice,
     signature,
@@ -143,7 +152,7 @@ class TestIntegerSignature:
                 _congruence(gram.rows)
             return
         assert gram.det() != 0
-        last_pivot, sig, minors = _congruence(gram.rows)
+        last_pivot, sig, minors, _, _ = _congruence(gram.rows)
         assert sig == want and last_pivot == gram.det()
         assert sum(want) == gram.nrows
         # a multiple of d_1 ... d_(n-1), the gcd of the (n-1)-minors
@@ -171,7 +180,7 @@ class TestIntegerSignature:
             ([[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 0, -2], [0, 0, -2, 0]], (2, 2)),
         ]:
             gram = IntMatrix(rows)
-            last_pivot, sig, _ = _congruence(gram.rows)
+            last_pivot, sig, *_ = _congruence(gram.rows)
             assert sig == fraction_signature(gram) == want
             assert last_pivot == gram.det()
 
@@ -671,6 +680,21 @@ def symmetric_grams(draw, max_n=7):
     return rows
 
 
+@st.composite
+def even_or_zero_diagonal_grams(draw, max_n=8):
+    """Non-degenerate symmetric matrices with every diagonal entry even, or zero."""
+    n = draw(st.integers(1, max_n))
+    bound = draw(st.sampled_from([1, 3, 9, 2**20]))
+    zero = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-bound, bound))
+        rows[i][i] = 0 if zero else 2 * rows[i][i]
+    assume(IntMatrix(rows, ncols=n).det() != 0)
+    return rows
+
+
 class TestSmithDiagonalModDet:
     def check(self, rows):
         # modulo D, and modulo d_1 ... d_(n-1), the least modulus allowed
@@ -689,6 +713,23 @@ class TestSmithDiagonalModDet:
     def test_matches_the_elimination_over_z(self, rows):
         self.check(rows)
 
+    @PROPS
+    @given(even_or_zero_diagonal_grams())
+    def test_even_and_zero_diagonal_grams(self, rows):
+        # no unit on the diagonal modulo 2: the congruence phase goes on by 2x2
+        # pivot blocks of unit determinant
+        self.check(rows)
+
+    @PROPS
+    @given(even_or_zero_diagonal_grams())
+    def test_even_grams_leave_only_their_2_radical(self, rows):
+        # modulo a power of 2 an even form has no unit on its diagonal, and every
+        # 2x2 step keeps the trailing block even; so the phase stops only where
+        # that block is 0 mod 2, and n - rank_2(G) rows reach the general loop,
+        # one g each
+        gram = IntMatrix(rows, ncols=len(rows))
+        assert len(_chain_mod(rows, 8)) == gram.nrows - rank_mod_p(gram, 2)
+
     @pytest.mark.parametrize("rows", [
         [],
         [[1]],
@@ -703,6 +744,11 @@ class TestSmithDiagonalModDet:
         [[2, 4], [6, 2]],  # no unit anywhere, pivot needs a row combination
         [[6, 4], [4, 6]],
         [[7, 7, 0], [0, 7, 7], [7, 0, 7]],  # 7 times a determinant-2 matrix
+        # 2x2 pivot blocks: U, U(2) + U, A2 + U(6), and a zero-diagonal entry
+        [[0, 1], [1, 0]],
+        [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 6], [0, 0, 6, 0]],
+        [[2, 3, 4], [3, 0, 5], [4, 5, 2]],
     ])
     def test_boundary_matrices(self, rows):
         self.check(rows)
@@ -733,6 +779,27 @@ class TestSmithDiagonalModDet:
         monkeypatch.setattr("quotcoh.intmat.gcd", bounded_gcd)
         assert _smith_diagonal_mod(m.rows, det, abs(det)) == want
         assert max(widest) > abs(det).bit_length()  # the updates ran unreduced
+
+
+@st.composite
+def block_sums(draw):
+    """U, U(k), A_n, E8(-1) and rank-1 blocks summed and put into a random
+    unimodular basis, Q G Q^T: discriminants as smooth as the ladder's."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["U", "U(k)", "A", "E8(-1)", "rank1"]))
+        if kind == "U(k)":
+            blocks.append(named_lattice("U", draw(st.sampled_from([2, 3, 4, 6, -12]))))
+        elif kind == "A":
+            blocks.append(named_lattice(f"A{draw(st.integers(1, 4))}", draw(st.sampled_from([1, -1, 2]))))
+        elif kind == "rank1":
+            blocks.append(named_lattice("rank1", draw(st.sampled_from([-1, 2, -4, 6, 9, 27, -50]))))
+        else:
+            blocks.append(named_lattice("U") if kind == "U" else named_lattice("E8", -1))
+    gram = blocks[0].direct_sum(*blocks[1:]).gram
+    q, _ = random_unimodular(random.Random(draw(st.integers(0, 2**32))), gram.nrows,
+                             ops=3 * gram.nrows)
+    return (q * gram * q.transpose()).rows
 
 
 def _trailing_minors(rows):
@@ -774,6 +841,12 @@ class TestDiscriminantGroupModMinors:
     def test_grams(self, rows):
         self.check(rows)
 
+    @PROPS
+    @given(block_sums())
+    def test_block_sums(self, rows):
+        # smooth discriminants, as the ladder's, split into several parts
+        self.check(rows)
+
     @pytest.mark.parametrize("rows", [
         [],
         [[5]],
@@ -790,6 +863,12 @@ class TestDiscriminantGroupModMinors:
          [0, 0, 2, 0, 0, 0], [0, 0, 0, 0, 0, 2], [0, 0, 0, 0, 2, 0]],  # U(2)^3, D = -64
         [[2 if i == j else 0 for j in range(5)] for i in range(5)],  # A1^5, D = 32
         [[4, -3], [-3, 4]],  # odd D = 7, even
+        # (Z/3)^2 on T_2 and (Z/2)^3 on G pool into five g's, the chain 2 | 6 | 6
+        # and two 1's, which must go: left in, they would stand for d_2 and d_3
+        [[5, 1, -2, 0], [1, 3, 0, 0], [-2, 0, 0, 6], [0, 0, 6, 0]],
+        [[2, -2, 2, 0], [-2, 6, 0, 4], [2, 0, 0, 2], [0, 4, 2, -2]],
+        [[0, 0, 6], [0, 2, 0], [6, 0, 0]],  # a swap and an addition; all of m = 12 on G
+        [[2, 0, 0], [0, 6, 0], [0, 0, 18]],
     ])
     def test_boundary_grams(self, rows):
         self.check(rows)
@@ -808,6 +887,72 @@ class TestDiscriminantGroupModMinors:
         leading = [IntMatrix([row[:k] for row in rows[:k]], ncols=k).det() for k in range(1, n - 1)]
         if all(leading):
             assert lattice.modulus == gcd(lattice.det, *_trailing_minors(rows))
+
+
+class TestTrailingBlocks:
+    """discriminant_group eliminates each coprime part c_k of Lattice.modulus on
+    the trailing block T_k of the congruence pass, rebuilt from its pivot rows
+    by Sylvester's identity run backwards."""
+
+    def check_sweep(self, rows):
+        *_, pivot_rows, moves = _congruence(rows)
+        pivots = tuple(u[0] for u in pivot_rows)
+        blocks = [(k, _mirrored(t)) for k, t in _trailing_blocks(pivots, pivot_rows, moves)]
+        n = len(rows)
+        assert [k for k, _ in blocks] == list(range(n - 1, -1, -1))
+        if n:
+            assert blocks[0][1] == [[pivots[-1]]] and pivots[-1] == IntMatrix(rows, ncols=n).det()
+            assert blocks[-1][1] == [list(row) for row in rows]
+        # T_k is symmetric; with no swap or addition it is the Bareiss block of G
+        # itself, whose entry (r, s) is the minor of G on rows 0 .. k-1, k + r and
+        # columns 0 .. k-1, k + s
+        for k, t in blocks:
+            assert all(t[r][s] == t[s][r] for r in range(len(t)) for s in range(r))
+            for r, s in {(0, 0), (0, n - k - 1), (n - k - 1, n - k - 1)} if not moves else ():
+                minor = [[rows[i][j] for j in [*range(k), k + s]] for i in [*range(k), k + r]]
+                assert t[r][s] == IntMatrix(minor, ncols=k + 1).det()
+
+    @PROPS
+    @given(symmetric_forms())
+    def test_sweep_rebuilds_zero_diagonal_forms(self, gram):
+        # zero diagonals make the pass swap and add at many steps
+        assume(gram.det() != 0)
+        self.check_sweep(gram.rows)
+
+    @PROPS
+    @given(symmetric_grams(max_n=8))
+    def test_sweep_rebuilds_grams(self, rows):
+        self.check_sweep(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 0, 6], [0, 2, 0], [6, 0, 0]],  # a swap at step 0 and an addition at step 1
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],  # an addition at step 0
+        [[1, 0, 0], [0, 0, 3], [0, 3, 5]],  # a swap at step 1
+    ])
+    def test_sweep_undoes_the_moves(self, rows):
+        self.check_sweep(rows)
+        assert _congruence(rows)[4]
+
+    @staticmethod
+    def check_parts(rows):
+        lattice = Lattice(IntMatrix(rows, ncols=len(rows)))
+        n, pivots = lattice.rank, (1,) + lattice._pass[0]
+        parts = _modulus_parts(lattice.modulus, lattice._pass[0])
+        assert prod(parts.values()) == lattice.modulus
+        assert all(c > 1 and gcd(c, pivots[k]) == 1 for k, c in parts.items())
+        assert all(gcd(a, b) == 1 for a, b in combinations(parts.values(), 2))
+        # the half-matrix rule: a part lands on G itself or on a block of size <= n/2
+        assert all(k == 0 or n <= 2 * k < 2 * n for k in parts)
+
+    @PROPS
+    @given(symmetric_grams(max_n=8))
+    def test_parts_of_the_modulus(self, rows):
+        self.check_parts(rows)
+
+    @PROPS
+    @given(block_sums())
+    def test_parts_of_the_modulus_of_block_sums(self, rows):
+        self.check_parts(rows)
 
 
 LARGEST_DECIDED_PRIME = 3317044064679887385961813  # the last prime below intmat._MR_LIMIT
