@@ -26,8 +26,10 @@ diagonal, so that the coprime parts of m, each eliminated on its own
 matrix, as lattices does for a Gram matrix, pool into one chain.
 One fraction-free (Bareiss) elimination gives determinants and, run as
 Gauss-Jordan, the adjugate together with the determinant.  One echelon
-elimination over F_p, with each row packed into one Python int, gives
-ranks mod p and the rank filtrations that Jordan profiles are read from.
+elimination over F_p, with each row packed into one Python int and reduced
+mod p in all its slots at once (Barrett's division by multiplication),
+gives ranks mod p and the rank filtrations that Jordan profiles are read
+from.
 
 All values are immutable, all functions are pure, so everything here is
 safe to share between threads.
@@ -656,21 +658,33 @@ def _divisor_chain(found: Sequence[int], n: int, det: int, m: int) -> tuple[int,
 _MACHINE_WORDS = {memoryview(b"").cast(c).itemsize: c for c in "QIHB"}
 
 
-def _packing(p: int, n: int) -> tuple[int, Callable, Callable]:
-    """(slot bits, pack, unpack) for rows of n entries over F_p held as one int.
+def _packing(p: int, n: int) -> tuple[int, Callable, Callable, Callable]:
+    """(slot bits, pack, unpack, reduce) for rows of n entries over F_p held
+    as one int.
 
     Entry j of a row is slot j of the int, bits 8 w j to 8 w (j + 1), where
-    w is the fewest bytes that hold every value below 2 n p^2, rounded up to
-    a machine word of 1, 2, 4 or 8 bytes where one is wide enough and the
-    machine is little-endian, so that array packs and memoryview unpacks
-    the row in C.  The bound covers every slot of _row_basis_mod_p: an
-    incoming row is reduced mod p, or a packed sum of n products of two
-    residues, below n p^2, and each of at most n clearing steps adds less
-    than p^2.  pack takes entries in that range, unpack returns them as a
-    list.  Lengths and byte orders are passed explicitly, as Python 3.10
-    has no defaults for them.
+    w is the fewest bytes that hold every value below 2 X, X = 2 n p^2,
+    rounded up to a machine word of 1, 2, 4 or 8 bytes where one is wide
+    enough and the machine is little-endian, so that array packs and
+    memoryview unpacks the row in C.  X bounds every slot of
+    _row_basis_mod_p: an incoming row is reduced mod p, or a packed sum of
+    n products of two residues, below n p^2, and each of at most n clearing
+    steps adds less than p^2.  pack takes entries below 2 X, unpack
+    returns them as a list.  Lengths and byte orders are passed
+    explicitly, as Python 3.10 has no defaults for them.
+
+    reduce maps every slot below X to its residue mod p with a dozen int
+    operations and no loop over entries, by Barrett's quotient
+    q = floor(x M / 2^s) = floor(x / p), M = ceil(2^s / p), 2^s > X p: with
+    M = (2^s + e) / p, 0 <= e < p, the error x e / (p 2^s) is below 1 / p.
+    The even slots and the odd ones, shifted down, are multiplied by M
+    apart, so each product x M has its empty neighbour slot as headroom.
+    It fits there: the one spare bit gives X <= 2^(w' - 1) with w' = 8 w
+    the slot width, and the least such s has 2^s <= 2 X p, so M <= 2 X
+    and x M < 2 X^2 <= 2^(2 w' - 1); the quotient q < X / p fits its slot.
     """
-    w = max(1, ((2 * n * p * p).bit_length() + 7) // 8)
+    bound = 2 * n * p * p
+    w = max(1, ((2 * bound - 1).bit_length() + 7) // 8)
     if w <= 8 and sys.byteorder == "little":
         from array import array  # loaded by the first elimination, not at start-up
 
@@ -682,66 +696,83 @@ def _packing(p: int, n: int) -> tuple[int, Callable, Callable]:
 
         def unpack(r):
             return memoryview(r.to_bytes(length, "little")).cast(code).tolist()
+    else:
+        length = n * w
 
-        return 8 * w, pack, unpack
-    length = n * w
+        def pack(row):
+            return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in row]), "little")
 
-    def pack(row):
-        return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in row]), "little")
+        def unpack(r):
+            data = r.to_bytes(length, "little")
+            return [int.from_bytes(data[i:i + w], "little") for i in range(0, length, w)]
 
-    def unpack(r):
-        data = r.to_bytes(length, "little")
-        return [int.from_bytes(data[i:i + w], "little") for i in range(0, length, w)]
+    bits = 8 * w
+    s = (bound * p).bit_length()
+    m = -(-(1 << s) // p)
+    # a 1 at the foot of each pair of slots, the last one alone for odd n
+    feet = int.from_bytes((b"\1" + bytes(2 * w - 1)) * ((n + 1) // 2), "little")
+    even, high = feet * ((1 << bits) - 1), feet * ((1 << 2 * bits) - (1 << s))
 
-    return 8 * w, pack, unpack
+    def reduce(r):
+        q = (r & even) * m & high | ((r >> bits & even) * m & high) << bits
+        return r - p * (q >> s)
+
+    return bits, pack, unpack, reduce
+
+
+def _pack_minus_one(rows: Sequence[Sequence[int]], p: int, packing: tuple) -> list[int]:
+    """The rows of A - 1, for the square A with these rows, packed by
+    `packing` with a residue in every slot: slot i of row i holds
+    (x_ii - 1) mod p."""
+    bits, pack = packing[0], packing[1]
+    return [pack([x % p for x in row]) + (((row[i] - 1) % p - row[i] % p) << i * bits)
+            for i, row in enumerate(rows)]
 
 
 def _row_basis_mod_p(rows: Iterable[Sequence[int] | int], p: int,
-                     ncols: int | None = None) -> list[list[int]]:
+                     packing: tuple | None = None) -> list[list[int]]:
     """Echelon basis over F_p of the span of `rows`, its rows reduced mod p.
 
     Each incoming row is cleared at the leading columns of the basis so far,
     in order, and kept, made monic, if anything is left; a basis row is zero
     left of its leading column and at the leading columns before it.
 
-    A row is held as one int, n slots of _packing(p, n), so a clearing step
-    is one product and one sum of ints, r + (p - f) b, with nothing reduced:
-    p - f > 0 and b's entries are residues, so every slot stays non-negative
-    and below its bound, and slot lead of the sum is f + (p - f) = 0 mod p.
-    Each row is unpacked and reduced once, after its clearing.  `rows` holds
-    sequences of n = len(row) ints, reduced here, or ints packed by
-    _packing(p, ncols) with every slot below ncols p^2, taken as they are.
+    A row is held as one int, n slots of `packing`, _packing(p, n), so a
+    clearing step is one product and one sum of ints, r + (p - f) b, with
+    nothing reduced: p - f > 0 and b's slots are residues, so every slot
+    stays non-negative and below X = 2 n p^2, and slot lead of the sum is
+    f + (p - f) = 0 mod p.  One reduce then takes each cleared row to its
+    residues (exact below X, as a slot of w bits has X <= 2^(w - 1), so
+    every Barrett product x M < 2^(2 w) stays in its pair of slots), so
+    the row is zero when the int is, its leading slot is read off its
+    lowest set bit, and it is made monic by one more reduce, of products
+    of two residues.  The basis is kept packed and only its rows are
+    unpacked, once each, at the end; a dependent row is never unpacked.
+    `rows` holds sequences of n = len(row) ints, reduced and packed here, or
+    ints packed by `packing` with every slot below n p^2, taken as they are;
+    packing is built from the first row's length when not given.
     """
     basis: list[tuple[int, int]] = []  # (shift of the leading slot, monic row packed)
-    out: list[list[int]] = []
-    pack = unpack = None
     for row in rows:
-        if pack is None:
-            bits, pack, unpack = _packing(p, len(row) if ncols is None else ncols)
-            mask = (1 << bits) - 1
-        if isinstance(row, int):
-            r, reduced = row, None
-        else:
-            reduced = [x % p for x in row]
-            if not any(reduced):
-                continue
-            r = pack(reduced)
+        if packing is None:
+            packing = _packing(p, len(row))
+        bits, pack, _, reduce = packing
+        mask = (1 << bits) - 1
+        r = row if isinstance(row, int) else pack([x % p for x in row])
+        if not r:
+            continue
         for shift, b in basis:
             f = (r >> shift & mask) % p
             if f:
                 r += (p - f) * b
-                reduced = None
-        if reduced is None:
-            reduced = [x % p for x in unpack(r)]
-        # the first nonzero value is found in C, and then its first place
-        pivot = next(filter(None, reduced), 0)
-        if pivot:
+        r = reduce(r)
+        if r:
+            shift = ((r & -r).bit_length() - 1) // bits * bits
+            pivot = r >> shift & mask
             if pivot != 1:
-                inv = pow(pivot, -1, p)
-                reduced = [x * inv % p for x in reduced]
-            basis.append((reduced.index(1) * bits, pack(reduced)))
-            out.append(reduced)
-    return out
+                r = reduce(r * pow(pivot, -1, p))
+            basis.append((shift, r))
+    return [packing[2](b) for _, b in basis]
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:

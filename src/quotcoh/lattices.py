@@ -59,6 +59,8 @@ from .intmat import (
     _Frozen,
     _chain_mod,
     _divisor_chain,
+    _pack_minus_one,
+    _packing,
     _row_basis_mod_p,
     _smith,
     det_adjugate,
@@ -371,7 +373,8 @@ def _module_analysis(action: IntMatrix, sigma: IntMatrix, p: int) -> BNSInvarian
     """
     n = action.nrows
     trace = sum(row[i] for i, row in enumerate(action.rows))
-    l_p = len(_row_basis_mod_p(sigma.rows, p))
+    packing = _packing(p, n)
+    l_p = len(_row_basis_mod_p(sigma.rows, p, packing))
     free_and_cyclotomic, rest = divmod(n - trace, p)
     l_minus = free_and_cyclotomic - l_p
     l_plus = trace + l_minus
@@ -381,8 +384,7 @@ def _module_analysis(action: IntMatrix, sigma: IntMatrix, p: int) -> BNSInvarian
             f"give no order-{p} summand counts"
         )
     if p > 2:
-        b = (row[:i] + (row[i] - 1,) + row[i + 1:] for i, row in enumerate(action.rows))
-        rank_p = len(_row_basis_mod_p(b, p))
+        rank_p = len(_row_basis_mod_p(_pack_minus_one(action.rows, p, packing), p, packing))
         expected = (p - 2) * l_minus + (p - 1) * l_p
         if rank_p != expected:
             raise ValueError(

@@ -28,7 +28,7 @@ import operator
 from math import comb
 from typing import Mapping, Sequence
 
-from .intmat import IntMatrix, _Frozen, _packing, _row_basis_mod_p, is_prime
+from .intmat import IntMatrix, _Frozen, _pack_minus_one, _packing, _row_basis_mod_p, is_prime
 
 
 class JordanProfile(_Frozen):
@@ -79,16 +79,22 @@ def _profile_from_rows(rows: Sequence[Sequence[int]], p: int) -> JordanProfile:
     characteristic p, (A - 1)^p = A^p - 1, as C(p, i) = 0 for 0 < i < p, so A
     has order dividing p exactly when the ranks reach 0 within p rounds.
 
-    B's rows are packed once, by intmat._packing, and e B is the int
-    sum_i e_i packed(B_i), unreduced: each slot stays below n p^2, so the
-    products go back into intmat._row_basis_mod_p as they are.
+    B's rows are packed once, by one intmat._packing that serves every
+    round, with residues in every slot (intmat._pack_minus_one), and e B is
+    the int sum_i e_i packed(B_i), unreduced: e's entries and B's slots are
+    residues, so each slot stays below n p^2, and the products go back into
+    intmat._row_basis_mod_p as they are.  There a clearing step adds less
+    than p^2 to a slot, at most n times, so every slot stays below the
+    X = 2 n p^2 that the packing's reduce takes to residues exactly: a slot
+    of w bits has X <= 2^(w - 1), so each Barrett product x M < 2^(2 w)
+    stays in its pair of slots.
     """
     n = len(rows)
-    _, pack, _ = _packing(p, n)
-    b = [pack([(x - (i == j)) % p for j, x in enumerate(row)]) for i, row in enumerate(rows)]
+    packing = _packing(p, n)
+    b = _pack_minus_one(rows, p, packing)
     ranks, span = [n], b
     while ranks[-1]:
-        basis = _row_basis_mod_p(span, p, n)
+        basis = _row_basis_mod_p(span, p, packing)
         ranks.append(len(basis))
         # a rank that repeats above 0 never falls again, and one above 0 at
         # k >= p is past the p-th power: either way B^p != 0

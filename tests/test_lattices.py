@@ -256,10 +256,12 @@ class TestEliminationBudget:
         eliminations, filtrations = [], []
         basis = lattices._row_basis_mod_p
 
-        def spy(rows, p):
-            rows = tuple(map(tuple, rows))
-            eliminations.append(rows)
-            return basis(rows, p)
+        def spy(rows, p, packing):
+            # sigma comes as its rows, A - 1 as its residues packed by the shared packing
+            rows = list(rows)
+            eliminations.append(tuple(
+                tuple(packing[2](r)) if isinstance(r, int) else tuple(r) for r in rows))
+            return basis(rows, p, packing)
 
         monkeypatch.setattr(lattices, "_row_basis_mod_p", spy)
         monkeypatch.setattr(profiles, "_profile_from_rows",
@@ -268,7 +270,8 @@ class TestEliminationBudget:
             eliminations.clear()
             ask(gl)
             minus_one = gl.action - IntMatrix.identity(gl.rank)
-            per_analysis = [gl.sigma().rows] + [minus_one.rows] * (gl.p > 2)
+            minus_one = tuple(tuple(x % gl.p for x in row) for row in minus_one.rows)
+            per_analysis = [gl.sigma().rows] + [minus_one] * (gl.p > 2)
             assert eliminations == per_analysis * analyses
         assert filtrations == []
 
@@ -287,10 +290,10 @@ class TestEliminationBudget:
             # a wrong rank_p(sigma) moves l_p by one and l_minus, l_plus the other
             # way, and rank_p(phi - 1) = (p - 2) l_minus + (p - 1) l_p with them;
             # a wrong rank_p(phi - 1) leaves the counts and fails the check
-            def mutant(rows, p):
-                rows = tuple(map(tuple, rows))
-                found = basis(rows, p)
-                return change(found) if (rows == gl.sigma().rows) == of_sigma else found
+            def mutant(rows, p, packing):
+                rows = list(rows)
+                found = basis(rows, p, packing)
+                return change(found) if (rows == list(gl.sigma().rows)) == of_sigma else found
             return mutant
 
         shrink, grow = (lambda b: b[1:]), (lambda b: b + [[1]])

@@ -14,7 +14,8 @@ unreduced entries against the bound D + n D^2), the discriminant group
 modulo the (n-1)-minor gcd, split into coprime parts each eliminated on a
 trailing block of the congruence pass, against the integer Smith form,
 the trailing blocks rebuilt backwards against G and its minors, the F_p
-kernel on packed rows against the list kernel it replaced,
+kernel on packed rows against the list kernel it replaced, and its
+slotwise Barrett reduction against x % p slot by slot,
 the norm map against the naive sum of powers, the integral glue checks against the Fraction arithmetic they
 replaced, the prefix sums of the quotient report against the per-degree
 sums, and the mod-p ranks and Jordan profiles against Smith diagonals
@@ -31,6 +32,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quotcoh import intmat, profiles
 from quotcoh.engine import DegreeInvariants, GradedInvariants, _second_page_sums, u_dimensions
 from quotcoh.intmat import (
     _MR_LIMIT,
@@ -961,7 +963,9 @@ LARGEST_DECIDED_PRIME = 3317044064679887385961813  # the last prime below intmat
 class TestPackedRowBasisModP:
     """intmat._row_basis_mod_p holds each row as one int of byte-aligned
     slots; it must give the bases of the list kernel it replaced
-    (reference.row_basis_mod_p) exactly, at every prime is_prime decides."""
+    (reference.row_basis_mod_p) exactly, at every prime is_prime decides,
+    and the packing's reduce must take every slot below X = 2 n p^2 to its
+    residue."""
 
     PRIMES = [2, 3, 13, 65537, 2**61 - 1, LARGEST_DECIDED_PRIME]
 
@@ -1005,20 +1009,125 @@ class TestPackedRowBasisModP:
         # e B = sum_i e_i packed(B_i), slots up to n (p - 1)^2, goes back in unreduced
         b = [[x % p for x in row] for row in self.rows(data, p, n, n)]
         es = [[x % p for x in row] for row in self.rows(data, p, data.draw(st.integers(0, n)), n)]
-        _, pack, _ = _packing(p, n)
-        packed = [pack(row) for row in b]
+        packing = _packing(p, n)
+        packed = [packing[1](row) for row in b]
         products = [sum(x * row for x, row in zip(e, packed) if x) for e in es]
         plain = [[sum(x * row[j] for x, row in zip(e, b)) for j in range(n)] for e in es]
-        assert _row_basis_mod_p(products, p, n) == row_basis_mod_p(plain, p)
+        assert _row_basis_mod_p(products, p, packing) == row_basis_mod_p(plain, p)
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 48, 300])
     def test_a_slot_holds_its_bound(self, p, n):
         # an incoming slot below n p^2 plus at most n clearing steps of less than p^2 each
-        _, pack, unpack = _packing(p, n)
+        _, pack, unpack, _ = _packing(p, n)
         top = [2 * n * p * p - 1] * n
         assert unpack(pack(top)) == top
         assert unpack(pack(list(range(n)))) == list(range(n))
+
+    @staticmethod
+    def check_reduce(p, slots):
+        _, pack, unpack, reduce = _packing(p, len(slots))
+        assert unpack(reduce(pack(slots))) == [x % p for x in slots]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 48, 300])
+    def test_reduce_takes_every_slot_below_the_bound_to_its_residue(self, p, n):
+        # X = 2 n p^2 bounds every slot the kernel reduces; odd n leaves the
+        # last even slot without an odd partner
+        top = 2 * n * p * p - 1
+        self.check_reduce(p, [top] * n)
+        self.check_reduce(p, list(range(n)))
+        self.check_reduce(p, [top - j for j in range(n)])
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_reduce_where_the_bound_nearly_fills_the_slot(self, p):
+        # the n <= 400 whose X comes closest to the slot width: there only the
+        # spare bit keeps each product x M inside its pair of slots
+        n = max(range(1, 401), key=lambda n: 2 * n * p * p / 2 ** _packing(p, n)[0])
+        self.check_reduce(p, [2 * n * p * p - 1] * n)
+
+    @PROPS
+    @given(st.sampled_from(PRIMES), st.sampled_from([0, 1, 2, 7, 48, 300]), st.data())
+    def test_reduce_on_drawn_slots(self, p, n, data):
+        # slots from a drawn seed, as n drawn integers each would take seconds
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        top = 2 * n * p * p - 1
+        edges = [0, p - 1, p, top]
+        self.check_reduce(p, [rng.choice(edges) if rng.random() < 0.25 else rng.randint(0, top)
+                              for _ in range(n)])
+
+    @PROPS
+    @given(st.sampled_from([2, 3, 13]), st.integers(0, 8), st.integers(0, 8), st.data())
+    def test_the_byte_path_of_a_big_endian_host(self, p, nrows, ncols, data):
+        # a big-endian host packs through int.to_bytes at every p, a
+        # little-endian one only for primes above about 2^27
+        rows = self.rows(data, p, nrows, ncols)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(intmat.sys, "byteorder", "big")
+            # slots of 18 bits: three bytes, where a machine word would take four
+            assert _packing(13, 300)[0] == 24
+            assert _row_basis_mod_p(rows, p) == row_basis_mod_p(rows, p)
+            self.check_reduce(p, [2 * ncols * p * p - 1] * ncols)
+            self.check_reduce(p, list(range(ncols)))
+
+    @PROPS
+    @given(st.sampled_from(PRIMES), st.integers(1, 6), st.data())
+    def test_the_profile_hands_over_residues_and_products_below_n_p2(self, p, n, data):
+        # B's packed rows hold residues, the diagonal (x_ii - 1) mod p too, so
+        # each round's e B stays below n p^2, the bound the kernel takes;
+        # A = I + u v^T has B of rank at most 1, so for n >= 2 e B is formed
+        # unless B = 0 mod p
+        if data.draw(st.booleans()):
+            u, v = ([data.draw(st.integers(-p, p)) for _ in range(n)] for _ in range(2))
+            rows = [[int(i == j) + u[i] * v[j] for j in range(n)] for i in range(n)]
+        else:
+            rows = self.rows(data, p, n, n)
+        handed = []
+
+        def spy(rows, p, packing):
+            rows = list(rows)
+            handed.append([x for r in rows for x in packing[2](r)])
+            return _row_basis_mod_p(rows, p, packing)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(profiles, "_row_basis_mod_p", spy)
+            try:
+                jordan_profile(IntMatrix(rows), p)
+            except ValueError:
+                pass
+        assert max(handed[0]) < p
+        assert max(max(slots, default=0) for slots in handed) < n * p * p
+
+    @pytest.mark.parametrize("p", [2, 13, 65537])
+    def test_dependent_rows_are_never_unpacked(self, monkeypatch, p):
+        # rank 2: of 40 rows only the two kept ones are unpacked, once each
+        rng = random.Random(p)
+        u, v = ([rng.randrange(p) for _ in range(40)] for _ in range(2))
+        u[0], v[0], v[1] = 1, 0, 1
+        rows = [[a * x + b * y for x, y in zip(u, v)]
+                for a, b in ((rng.randrange(p), rng.randrange(p)) for _ in range(38))]
+        rows[5:5] = [u, v]
+        unpacked = []
+        packing = intmat._packing
+
+        def spy(p, n):
+            bits, pack, unpack, reduce = packing(p, n)
+
+            def counted(r):
+                unpacked.append(r)
+                return unpack(r)
+
+            return bits, pack, counted, reduce
+
+        monkeypatch.setattr(intmat, "_packing", spy)
+        assert _row_basis_mod_p(rows, p) == row_basis_mod_p(rows, p)
+        assert len(unpacked) == 2
+
+    def test_slots_stay_machine_words(self):
+        # every p and n up to 101 packs into words of at most 64 bits, so a
+        # wider bound cannot send them to the byte path unnoticed
+        primes = [q for q in range(2, 102) if is_prime(q)]
+        assert max(_packing(p, n)[0] for p in primes for n in range(102)) <= 64
 
 
 def fraction_overlattice(base, glue):
