@@ -26,10 +26,11 @@ diagonal, so that the coprime parts of m, each eliminated on its own
 matrix, as lattices does for a Gram matrix, pool into one chain.
 One fraction-free (Bareiss) elimination gives determinants and, run as
 Gauss-Jordan, the adjugate together with the determinant.  One echelon
-elimination over F_p, with each row packed into one Python int and reduced
-mod p in all its slots at once (Barrett's division by multiplication),
-gives ranks mod p and the rank filtrations that Jordan profiles are read
-from.
+elimination over F_p takes rows packed into one Python int each and
+returns its basis packed the same way; it reduces a row mod p in all its
+slots at once (Barrett's division by multiplication) and unpacks nothing.
+It gives ranks mod p, which count the basis, and the rank filtrations
+that Jordan profiles are read from, whose products unpack it.
 
 All values are immutable, all functions are pure, so everything here is
 safe to share between threads.
@@ -489,30 +490,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _smith_diagonal_mod(rows: Sequence[Sequence[int]], det: int, m: int) -> tuple[int, ...]:
-    """Smith diagonal d_1 | ... | d_n of a non-singular square matrix A with
-    determinant det, eliminated modulo a multiple m of d_1 ... d_(n-1) that
-    divides D = |det|.
-
-    adj(A) A = det(A) I puts D Z^n, D = |det|, inside the row span of A, so
-    Z^n / rows(A) is also the cokernel of A over Z/D, and the elimination
-    runs on residues instead of on growing integers (Domich-Kannan-Trotter
-    1987; Cohen, GTM 138, Alg. 2.4.14).  Over Z/m the cokernel is the sum of
-    the Z/gcd(d_i, m), and d_i divides d_1 ... d_(n-1), the gcd of the
-    (n-1)-minors, which divides m; so the first n - 1 entries of the chain
-    over Z/m are d_1 .. d_(n-1), and d_n = D / (d_1 ... d_(n-1)).  m = D
-    gives the whole chain directly; lattices reads a smaller m off its
-    congruence pass, and splits it into coprime parts that each eliminate
-    a smaller matrix, pooling their g's in _divisor_chain.
-    """
-    return _divisor_chain(_chain_mod(rows, m) if m > 1 else [], len(rows), det, m)
-
-
 def _chain_mod(rows: Sequence[Sequence[int]], m: int) -> list[int]:
     """The g's of one elimination of a square matrix A over Z/m, m > 1:
     coker over Z/m of A is the sum of the Z/g.
 
-    Each step moves the entry e of least gcd(e, m) to the pivot; a unit
+    Each step brings the entry e of least gcd(e, m) to the pivot; a unit
     clears its column in one pass.  Otherwise rows or columns are combined
     by extended gcd until g = gcd(pivot, m) divides the rest of the pivot's
     row and column; each combination replaces g by a proper divisor, so
@@ -667,7 +649,7 @@ def _packing(p: int, n: int) -> tuple[int, Callable, Callable, Callable]:
     rounded up to a machine word of 1, 2, 4 or 8 bytes where one is wide
     enough and the machine is little-endian, so that array packs and
     memoryview unpacks the row in C.  X bounds every slot of
-    _row_basis_mod_p: an incoming row is reduced mod p, or a packed sum of
+    _row_basis_mod_p: an incoming row holds residues, or is a packed sum of
     n products of two residues, below n p^2, and each of at most n clearing
     steps adds less than p^2.  pack takes entries below 2 X, unpack
     returns them as a list.  Lengths and byte orders are passed
@@ -729,16 +711,17 @@ def _pack_minus_one(rows: Sequence[Sequence[int]], p: int, packing: tuple) -> li
             for i, row in enumerate(rows)]
 
 
-def _row_basis_mod_p(rows: Iterable[Sequence[int] | int], p: int,
-                     packing: tuple | None = None) -> list[list[int]]:
-    """Echelon basis over F_p of the span of `rows`, its rows reduced mod p.
+def _row_basis_mod_p(rows: Iterable[int], p: int, packing: tuple) -> list[int]:
+    """Echelon basis over F_p of the span of `rows`, packed by `packing`.
 
-    Each incoming row is cleared at the leading columns of the basis so far,
-    in order, and kept, made monic, if anything is left; a basis row is zero
-    left of its leading column and at the leading columns before it.
+    Each row is an int of n slots of `packing`, _packing(p, n), every slot
+    below n p^2, and so is each row of the basis returned, monic, with a
+    residue in every slot.  Each incoming row is cleared at the leading
+    columns of the basis so far, in order, and kept, made monic, if anything
+    is left; a basis row is zero left of its leading column and at the
+    leading columns before it.
 
-    A row is held as one int, n slots of `packing`, _packing(p, n), so a
-    clearing step is one product and one sum of ints, r + (p - f) b, with
+    A clearing step is one product and one sum of ints, r + (p - f) b, with
     nothing reduced: p - f > 0 and b's slots are residues, so every slot
     stays non-negative and below X = 2 n p^2, and slot lead of the sum is
     f + (p - f) = 0 mod p.  One reduce then takes each cleared row to its
@@ -746,19 +729,13 @@ def _row_basis_mod_p(rows: Iterable[Sequence[int] | int], p: int,
     every Barrett product x M < 2^(2 w) stays in its pair of slots), so
     the row is zero when the int is, its leading slot is read off its
     lowest set bit, and it is made monic by one more reduce, of products
-    of two residues.  The basis is kept packed and only its rows are
-    unpacked, once each, at the end; a dependent row is never unpacked.
-    `rows` holds sequences of n = len(row) ints, reduced and packed here, or
-    ints packed by `packing` with every slot below n p^2, taken as they are;
-    packing is built from the first row's length when not given.
+    of two residues.  Nothing is unpacked: the callers count the basis,
+    and the one that reads entries, the Jordan profile, unpacks them.
     """
-    basis: list[tuple[int, int]] = []  # (shift of the leading slot, monic row packed)
-    for row in rows:
-        if packing is None:
-            packing = _packing(p, len(row))
-        bits, pack, _, reduce = packing
-        mask = (1 << bits) - 1
-        r = row if isinstance(row, int) else pack([x % p for x in row])
+    bits, _, _, reduce = packing
+    mask = (1 << bits) - 1
+    basis: list[tuple[int, int]] = []  # (shift of the leading slot, monic row)
+    for r in rows:
         if not r:
             continue
         for shift, b in basis:
@@ -772,14 +749,16 @@ def _row_basis_mod_p(rows: Iterable[Sequence[int] | int], p: int,
             if pivot != 1:
                 r = reduce(r * pow(pivot, -1, p))
             basis.append((shift, r))
-    return [packing[2](b) for _, b in basis]
+    return [b for _, b in basis]
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:
     """Rank of m over the field with p elements."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return len(_row_basis_mod_p(m.rows, p))
+    packing = _packing(p, m.ncols)
+    pack = packing[1]
+    return len(_row_basis_mod_p([pack([x % p for x in row]) for row in m.rows], p, packing))
 
 
 def norm_map(a: IntMatrix, p: int) -> IntMatrix | None:
@@ -870,8 +849,15 @@ def quotient_group(sub: IntMatrix, ambient_rank: int) -> list[int]:
 
     With fewer rows than the ambient rank only the torsion relative to the
     saturation of the row span is reported; a full-rank sub yields the whole
-    finite quotient, computed modulo its determinant.  Dependent rows are
+    finite quotient, computed modulo D = |det|.  Dependent rows are
     rejected.
+
+    adj(A) A = det(A) I puts D Z^n inside the row span of a full-rank A, so
+    Z^n / rows(A) is also the cokernel of A over Z/D, and the elimination
+    runs on residues instead of on growing integers (Domich-Kannan-Trotter
+    1987; Cohen, GTM 138, Alg. 2.4.14): _chain_mod gives its cyclic factors
+    and _divisor_chain the diagonal, d_n = D / (d_1 ... d_(n-1)).  D = 1
+    leaves nothing to eliminate.
     """
     if sub.ncols != ambient_rank:
         raise ValueError("row vectors do not live in Z^ambient_rank")
@@ -883,7 +869,9 @@ def quotient_group(sub: IntMatrix, ambient_rank: int) -> list[int]:
         det = sub.det()
         if det == 0:
             raise ValueError("rows are dependent")
-        return [d for d in _smith_diagonal_mod(sub.rows, det, abs(det)) if d > 1]
+        m = abs(det)
+        chain = _divisor_chain(_chain_mod(sub.rows, m) if m > 1 else [], sub.nrows, det, m)
+        return [d for d in chain if d > 1]
     s = _smith(sub)
     if s.rank != sub.nrows:
         raise ValueError("rows are dependent")

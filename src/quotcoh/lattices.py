@@ -28,7 +28,11 @@ intmat.norm_map, the one Horner pass that checks its order, since
 phi^p = 1.  The discriminant group is the Smith diagonal of the Gram
 matrix modulo that modulus, the gcd of D = |det| and three (n-1)-minors
 the pass meets at step n - 2, which is a multiple of d_1 ... d_(n-1) and
-often has about half of D's bits; d_n is D / (d_1 ... d_(n-1)).  The
+often has about half of D's bits; d_n is D / (d_1 ... d_(n-1)).  A zero
+pivot, as hyperbolic planes U(k) bring, takes one kind of move, the
+addition of +-1 times a later row and column, applied to the pivot rows
+already kept too, so the pass keeps no record of a move: its rows are
+those of a move-free pass on a congruent E^T G E.  The
 modulus splits into coprime parts by the pass's leading minors: the part
 coprime to the leading k-minor is eliminated only on the pass's trailing
 (n-k)x(n-k) block, rebuilt from the pivot rows the Lattice keeps by
@@ -76,8 +80,8 @@ class Lattice(_Frozen):
     Equality, hashing and repr read the Gram matrix alone.  Besides det,
     signature and modulus the constructor keeps, from the same congruence
     pass, what discriminant_group rebuilds the pass's trailing blocks from:
-    the n leading minors, the pivot rows of the steps i >= n/2 and the
-    steps that swapped or added.
+    the n leading minors and the pivot rows of the steps i >= n/2, both in
+    the frame of the congruent E^T G E the pass eliminates move-free.
     """
 
     __slots__ = ("gram", "det", "signature", "modulus", "_pass")
@@ -88,15 +92,15 @@ class Lattice(_Frozen):
     det: int
     signature: tuple[int, int]
     modulus: int
-    _pass: tuple[tuple[int, ...], list[list[int]], dict[int, tuple[int, bool]]]
+    _pass: tuple[tuple[int, ...], list[list[int]]]
 
     def __init__(self, gram: IntMatrix):
         if not gram.is_square():
             raise ValueError(f"Gram matrix must be square, got {gram.nrows}x{gram.ncols}")
         if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        det, sig, minors, rows, moves = _congruence(gram.rows)
-        kept = (tuple(u[0] for u in rows), rows[(len(rows) + 1) // 2:], moves)
+        det, sig, minors, rows = _congruence(gram.rows)
+        kept = (tuple(u[0] for u in rows), rows[(len(rows) + 1) // 2:])
         _Frozen.__init__(self, gram, det, sig, gcd(det, minors), kept)
 
     @property
@@ -174,10 +178,10 @@ def discriminant_group(l: Lattice) -> list[int]:
     block T_k past the leading k-minor pi_k, a unit mod c_k, instead of G
     (_trailing_blocks); the g's of all parts pool into one divisor chain.
     """
-    pivots, rows, moves = l._pass
+    pivots, rows = l._pass
     parts = _modulus_parts(l.modulus, pivots)
     found = _chain_mod(l.gram.rows, parts.pop(0)) if 0 in parts else []
-    for k, block in _trailing_blocks(pivots, rows, moves):
+    for k, block in _trailing_blocks(pivots, rows):
         if not parts:
             break
         if k in parts:
@@ -193,11 +197,11 @@ def _modulus_parts(m: int, pivots: Sequence[int]) -> dict[int, int]:
     For k = n - 1 down to 1, c_k is the part of what is left of m that is
     coprime to pi_k, and what is left at the end is c_0.  pi_k is then a
     unit mod c_k, so the leading k-block of M is invertible over Z/c_k, and
-    block elimination gives coker(G) = coker(T_k) over Z/c_k, where
-    T_k = pi_k (the Schur complement of that block) is the pass's trailing
-    block after k steps; by CRT coker(G) over Z/m is the sum of these, and
-    T_0 is G itself.  A part with 2k < n goes to k = 0, so that no block is
-    rebuilt beyond half the matrix.
+    block elimination gives coker(G) = coker(M) = coker(T_k) over Z/c_k,
+    where T_k = pi_k (the Schur complement of that block) is the pass's
+    trailing block after k steps; by CRT coker(G) over Z/m is the sum of
+    these.  A part with 2k < n goes to k = 0, eliminated on G itself, so
+    that no block is rebuilt beyond half the matrix.
     """
     parts = {}
     for k in range(len(pivots) - 1, (len(pivots) - 1) // 2, -1):
@@ -212,19 +216,18 @@ def _modulus_parts(m: int, pivots: Sequence[int]) -> dict[int, int]:
     return parts
 
 
-def _trailing_blocks(pivots: Sequence[int], rows: Sequence[Sequence[int]],
-                     moves: dict[int, tuple[int, bool]]):
+def _trailing_blocks(pivots: Sequence[int], rows: Sequence[Sequence[int]]):
     """Yield (k, T_k), the symmetric trailing block of the congruence pass
     after k steps as its upper triangle (row r from column r on), for
     k = n - 1 down to n - len(rows), rows holding the pivot rows
     U_k .. U_(n-1) and pivots the n leading minors.
 
-    Sylvester's identity runs backwards: row i of the block at step i,
-    after that step's swap or addition, is U_i, and the rest is
-    (pi_i T_(i+1) + U_i^T U_i) / pi_(i+1), an exact division, with
-    pi_(i+1) = U_i[0]; then that swap is repeated, or the addition of row
-    and column j to row and column i undone.  T_(n-1) is [[pi_n]], and T_0
-    is G.
+    Sylvester's identity runs backwards: row i of the block at step i is
+    U_i, and the rest is (pi_i T_(i+1) + U_i^T U_i) / pi_(i+1), an exact
+    division, with pi_(i+1) = U_i[0].  The pivot rows are those of a
+    move-free pass on M = E^T G E, so T_k is the Bareiss block of M, whose
+    entry (r, s) is the minor of M on rows 0 .. k-1, k + r and columns
+    0 .. k-1, k + s; T_(n-1) is [[pi_n]], and T_0 is M.
     """
     n, t = len(pivots), []
     for i in range(n - 1, n - 1 - len(rows), -1):
@@ -232,18 +235,6 @@ def _trailing_blocks(pivots: Sequence[int], rows: Sequence[Sequence[int]],
         prev = pivots[i - 1] if i else 1
         t = [list(u)] + [[(prev * y + x * z) // u[0] for y, z in zip(row, u[r:])]
                          for r, (x, row) in enumerate(zip(u[1:], t), 1)]
-        if i in moves:
-            j, added = moves[i]
-            d, t = j - i, _mirrored(t)
-            if added:
-                for row in t:
-                    row[0] -= row[d]
-                t[0] = [x - y for x, y in zip(t[0], t[d])]
-            else:
-                t[0], t[d] = t[d], t[0]
-                for row in t:
-                    row[0], row[d] = row[d], row[0]
-            t = [row[r:] for r, row in enumerate(t)]
         yield i, t
 
 
@@ -253,61 +244,53 @@ def _mirrored(upper: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _congruence(rows: Sequence[Sequence[int]]) -> tuple[
-        int, tuple[int, int], int, list[list[int]], dict[int, tuple[int, bool]]]:
+        int, tuple[int, int], int, list[list[int]]]:
     """det G, the signature (n_plus, n_minus) of a symmetric G, a multiple
-    of the gcd of its (n-1)-minors, the pivot rows and the steps that
-    swapped or added, from one symmetric congruence reduction over Z.
+    of the gcd of its (n-1)-minors and the pivot rows, from one symmetric
+    congruence reduction over Z.
 
     The reduction is fraction-free (Bareiss): the rows below step k hold
     prev times the rational Schur complement, where prev is the previous
     pivot, so every update divides exactly.  The k-th rational pivot is
-    pivot_k / pivot_(k-1), and only its sign is read.  The symmetric swaps
-    and additions are congruences E^T G E with det E = +-1, so the last
-    pivot is det G.  A pivot row that is zero from the diagonal on means
-    the form is degenerate, and raises ValueError.  The trailing block
-    stays symmetric, so the updates keep only its upper triangle, and it is
-    mirrored in full before a swap or an addition.
+    pivot_k / pivot_(k-1), and only its sign is read.  The trailing block
+    stays symmetric, so the updates keep only its upper triangle.
+
+    A zero pivot a_ii takes one kind of move: row and column i gain c times
+    row and column j, for the first j > i with a_ij != 0, which makes the
+    pivot c (2 a_ij + c a_jj); c = 1 unless that is 0, and then c = -1, as
+    the two values differ by 4 a_ij.  No such j means the pivot row is zero
+    from the diagonal on, so the form is degenerate, and raises ValueError.
+    The column half of the move is applied to the pivot rows already kept
+    as well, so the pass is, step for step, a move-free pass on
+    M = E^T G E, det E = 1, and the last pivot is det G.
 
     After k steps the trailing entries of a Bareiss elimination are
-    (k+1)-minors of the matrix eliminated, here E^T G E.  So at the start of
-    step n - 2 the three entries of the trailing 2x2 block are (n-1)-minors
-    of E^T G E, and the gcd of all (n-1)-minors, which E leaves unchanged,
-    divides their gcd, the third value returned; it is 1 for n <= 1, the
-    one 0-minor.
+    (k+1)-minors of the matrix eliminated.  So at the start of step n - 2
+    the three entries of the trailing 2x2 block are (n-1)-minors of a
+    matrix congruent to G, and the gcd of all (n-1)-minors, which the
+    congruence leaves unchanged, divides their gcd, the third value
+    returned; it is 1 for n <= 1, the one 0-minor.
 
-    Pivot row U_i is row i of the trailing block from column i on, after
-    step i's swap or addition; U_i[0] is the leading (i+1)-minor of E^T G E.
-    The steps are {i: (j, added)} for a swap of i and j, or the addition of
-    row and column j to row and column i.  Neither costs any arithmetic.
+    Pivot row U_i is row i of the trailing block from column i on, in the
+    frame of M; U_i[0] is the leading (i+1)-minor of M.
     """
     n = len(rows)
     a = [list(row) for row in rows]
     pos = neg = 0
     prev = 1
     minors = 1
-    moves = {}
     for i in range(n):
         if i == n - 2:
             minors = gcd(a[i][i], a[i][i + 1], a[i + 1][i + 1])
         if a[i][i] == 0:
-            for k in range(i + 1, n):
-                a[k][i:k] = [a[t][k] for t in range(i, k)]
-            j = next((t for t in range(i + 1, n) if a[t][t] != 0), None)
-            if j is not None:
-                a[i], a[j] = a[j], a[i]
-                for row in a[i:]:
-                    row[i], row[j] = row[j], row[i]
-                moves[i] = (j, False)
-            else:
-                j = next((t for t in range(i + 1, n) if a[i][t] != 0), None)
-                if j is None:
-                    raise ValueError("Gram matrix is degenerate")
-                # all remaining diagonal entries vanish, so this makes
-                # a[i][i] = 2*a[i][j] != 0
-                a[i] = [x + y for x, y in zip(a[i], a[j])]
-                for row in a[i:]:
-                    row[i] += row[j]
-                moves[i] = (j, True)
+            j = next((t for t in range(i + 1, n) if a[i][t]), None)
+            if j is None:
+                raise ValueError("Gram matrix is degenerate")
+            c = -1 if 2 * a[i][j] + a[j][j] == 0 else 1
+            # row j of the block from column i on, column j above the diagonal
+            a[i][i:] = [x + c * y for x, y in zip(a[i][i:], [u[j] for u in a[i:j]] + a[j][j:])]
+            for row in a[:i + 1]:
+                row[i] += c * row[j]
         top, pivot = a[i], a[i][i]
         for k in range(i + 1, n):
             f, row = top[k], a[k]
@@ -317,7 +300,7 @@ def _congruence(rows: Sequence[Sequence[int]]) -> tuple[
         else:
             neg += 1
         prev = pivot
-    return prev, (pos, neg), minors, [row[i:] for i, row in enumerate(a)], moves
+    return prev, (pos, neg), minors, [row[i:] for i, row in enumerate(a)]
 
 
 def signature(l: Lattice) -> tuple[int, int]:
@@ -374,7 +357,8 @@ def _module_analysis(action: IntMatrix, sigma: IntMatrix, p: int) -> BNSInvarian
     n = action.nrows
     trace = sum(row[i] for i, row in enumerate(action.rows))
     packing = _packing(p, n)
-    l_p = len(_row_basis_mod_p(sigma.rows, p, packing))
+    pack = packing[1]
+    l_p = len(_row_basis_mod_p([pack([x % p for x in row]) for row in sigma.rows], p, packing))
     free_and_cyclotomic, rest = divmod(n - trace, p)
     l_minus = free_and_cyclotomic - l_p
     l_plus = trace + l_minus

@@ -87,10 +87,12 @@ def _profile_from_rows(rows: Sequence[Sequence[int]], p: int) -> JordanProfile:
     than p^2 to a slot, at most n times, so every slot stays below the
     X = 2 n p^2 that the packing's reduce takes to residues exactly: a slot
     of w bits has X <= 2^(w - 1), so each Barrett product x M < 2^(2 w)
-    stays in its pair of slots.
+    stays in its pair of slots.  The basis comes back packed, and each of
+    its rows is unpacked once, for the entries e_i of its product.
     """
     n = len(rows)
     packing = _packing(p, n)
+    unpack = packing[2]
     b = _pack_minus_one(rows, p, packing)
     ranks, span = [n], b
     while ranks[-1]:
@@ -100,7 +102,7 @@ def _profile_from_rows(rows: Sequence[Sequence[int]], p: int) -> JordanProfile:
         # k >= p is past the p-th power: either way B^p != 0
         if ranks[-1] == ranks[-2] or (ranks[-1] and len(ranks) > p):
             raise ValueError("matrix is not of order dividing p over F_p")
-        span = [sum(x * row for x, row in zip(e, b) if x) for e in basis]
+        span = [sum(x * row for x, row in zip(unpack(e), b) if x) for e in basis]
     ranks.append(0)
     # blocks of size >= q number ranks[q-1] - ranks[q]
     counts = {

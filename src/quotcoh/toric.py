@@ -323,7 +323,7 @@ def _rank_one(judged: tuple, mu: Sequence[int], i: int, k: int) -> tuple:
     this is a rank-one update (Sherman-Morrison in adjugate form), O(d^2):
     with mu = adj(C) P w, det C' = mu_i, row i of adj C' is adj_i, and row
     j != i is (mu_i adj_j - mu_j adj_i) / det C, an exact division.
-    Sorting moves w from position i to position k, a cycle of |k - i|
+    Sorting carries w from position i to position k, a cycle of |k - i|
     transpositions, so the rows of adj move with it and both det and adj
     take the sign (-1)^|k - i|.
     """

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from quotcoh import intmat
 from quotcoh.intmat import (
     IntMatrix,
     image_basis,
@@ -185,6 +186,15 @@ class TestQuotientGroup:
     def test_dependent_rows_rejected(self):
         with pytest.raises(ValueError):
             quotient_group(IntMatrix([[1, 2], [2, 4]]), 2)
+
+    def test_unimodular_rows_leave_nothing_to_eliminate(self, monkeypatch):
+        # D = 1: Z/1 has no elimination to run, and the quotient is trivial
+        def no_elimination(rows, m):
+            raise AssertionError(f"eliminated modulo {m}")
+
+        monkeypatch.setattr(intmat, "_chain_mod", no_elimination)
+        for sub in (IntMatrix.identity(3), IntMatrix([[2, 1], [1, 1]]), e8_gram()):
+            assert quotient_group(sub, sub.nrows) == []
 
 
 class TestSolveAndImage:

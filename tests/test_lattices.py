@@ -257,10 +257,9 @@ class TestEliminationBudget:
         basis = lattices._row_basis_mod_p
 
         def spy(rows, p, packing):
-            # sigma comes as its rows, A - 1 as its residues packed by the shared packing
+            # sigma and A - 1 both come as their residues packed by the shared packing
             rows = list(rows)
-            eliminations.append(tuple(
-                tuple(packing[2](r)) if isinstance(r, int) else tuple(r) for r in rows))
+            eliminations.append(tuple(tuple(packing[2](r)) for r in rows))
             return basis(rows, p, packing)
 
         monkeypatch.setattr(lattices, "_row_basis_mod_p", spy)
@@ -269,9 +268,9 @@ class TestEliminationBudget:
         for gl in _budget_lattices():
             eliminations.clear()
             ask(gl)
-            minus_one = gl.action - IntMatrix.identity(gl.rank)
-            minus_one = tuple(tuple(x % gl.p for x in row) for row in minus_one.rows)
-            per_analysis = [gl.sigma().rows] + [minus_one] * (gl.p > 2)
+            residues = lambda m: tuple(tuple(x % gl.p for x in row) for row in m.rows)
+            minus_one = residues(gl.action - IntMatrix.identity(gl.rank))
+            per_analysis = [residues(gl.sigma())] + [minus_one] * (gl.p > 2)
             assert eliminations == per_analysis * analyses
         assert filtrations == []
 
@@ -293,10 +292,12 @@ class TestEliminationBudget:
             def mutant(rows, p, packing):
                 rows = list(rows)
                 found = basis(rows, p, packing)
-                return change(found) if (rows == list(gl.sigma().rows)) == of_sigma else found
+                unpacked = [packing[2](r) for r in rows]
+                return change(found) if (unpacked == sigma) == of_sigma else found
             return mutant
 
-        shrink, grow = (lambda b: b[1:]), (lambda b: b + [[1]])
+        sigma = [[x % gl.p for x in row] for row in gl.sigma().rows]
+        shrink, grow = (lambda b: b[1:]), (lambda b: b + [1])
         counts = (bns_invariants, lambda gl: group_cohomology(gl, 1))
         bookkeeping = (ValueError, "disagrees|bookkeeping")
         if gl.p > 2:

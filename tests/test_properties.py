@@ -38,10 +38,10 @@ from quotcoh.intmat import (
     _MR_LIMIT,
     IntMatrix,
     _chain_mod,
+    _divisor_chain,
     _packing,
     _row_basis_mod_p,
     _smith,
-    _smith_diagonal_mod,
     det_adjugate,
     image_basis,
     is_prime,
@@ -126,7 +126,7 @@ def symmetric_forms(draw, max_n=8, bound=4):
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = draw(st.integers(-bound, bound))
-    # many zero diagonals drive the reduction through its swap and add steps
+    # many zero diagonals drive the reduction through its moves
     zeros = draw(st.sets(st.integers(0, n - 1))) if n else set()
     for i in zeros:
         rows[i][i] = 0
@@ -154,7 +154,7 @@ class TestIntegerSignature:
                 _congruence(gram.rows)
             return
         assert gram.det() != 0
-        last_pivot, sig, minors, _, _ = _congruence(gram.rows)
+        last_pivot, sig, minors, _ = _congruence(gram.rows)
         assert sig == want and last_pivot == gram.det()
         assert sum(want) == gram.nrows
         # a multiple of d_1 ... d_(n-1), the gcd of the (n-1)-minors
@@ -697,13 +697,20 @@ def even_or_zero_diagonal_grams(draw, max_n=8):
     return rows
 
 
+def smith_diagonal_mod(rows, det, m):
+    """The Smith diagonal of a non-singular square matrix eliminated over
+    Z/m, d_1 ... d_(n-1) | m | |det|, as quotient_group and
+    discriminant_group compose it."""
+    return _divisor_chain(_chain_mod(rows, m) if m > 1 else [], len(rows), det, m)
+
+
 class TestSmithDiagonalModDet:
     def check(self, rows):
         # modulo D, and modulo d_1 ... d_(n-1), the least modulus allowed
         m = IntMatrix(rows, ncols=len(rows))
         det, want = m.det(), _smith(m).diagonal
         for modulus in (abs(det), prod(want[:-1])):
-            assert _smith_diagonal_mod(rows, det, modulus) == want
+            assert smith_diagonal_mod(rows, det, modulus) == want
 
     @PROPS
     @given(symmetric_grams())
@@ -760,7 +767,7 @@ class TestSmithDiagonalModDet:
         m = long_run_matrix(case)
         tail = LONG_RUNS[case][1]
         assert 150 <= abs(m.det()).bit_length() <= 250
-        diagonal = _smith_diagonal_mod(m.rows, m.det(), abs(m.det()))
+        diagonal = smith_diagonal_mod(m.rows, m.det(), abs(m.det()))
         assert diagonal == _smith(m).diagonal
         assert sum(d > 1 for d in diagonal) == len(tail) >= 3
 
@@ -779,7 +786,7 @@ class TestSmithDiagonalModDet:
             return gcd(a, b)
 
         monkeypatch.setattr("quotcoh.intmat.gcd", bounded_gcd)
-        assert _smith_diagonal_mod(m.rows, det, abs(det)) == want
+        assert smith_diagonal_mod(m.rows, det, abs(det)) == want
         assert max(widest) > abs(det).bit_length()  # the updates ran unreduced
 
 
@@ -833,8 +840,8 @@ class TestDiscriminantGroupModMinors:
     @PROPS
     @given(symmetric_forms())
     def test_zero_diagonal_forms(self, gram):
-        # many zero diagonals send the congruence pass through its swap and its
-        # row addition, at step n - 2 among others
+        # many zero diagonals send the congruence pass through its move, the
+        # addition of a later row and column, at step n - 2 among others
         assume(gram.det() != 0)
         self.check(gram.rows)
 
@@ -854,9 +861,10 @@ class TestDiscriminantGroupModMinors:
         [[5]],
         [[-1]],
         [[0, 2], [2, 0]],  # the addition at step 0 = n - 2
-        [[0, 3], [3, 4]],  # the swap at step 0 = n - 2
+        [[0, 3], [3, 4]],  # the addition at step 0 = n - 2, of a nonzero a_jj
+        [[0, 3], [3, -6]],  # the same with c = -1, as 2 a_01 + a_11 = 0
         [[1, 0, 0], [0, 0, 2], [0, 2, 0]],  # the addition at step n - 2
-        [[1, 0, 0], [0, 0, 3], [0, 3, 5]],  # the swap at step n - 2
+        [[1, 0, 0], [0, 0, 3], [0, 3, 5]],  # the addition at step n - 2, of a nonzero a_jj
         [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 6], [0, 0, 6, 0]],  # even, addition at n - 2
         [[2, 0, 0], [0, 0, 1], [0, 1, 0]],  # even, D = -2
         [[2, 1], [1, 1]],  # D = 1
@@ -869,7 +877,7 @@ class TestDiscriminantGroupModMinors:
         # and two 1's, which must go: left in, they would stand for d_2 and d_3
         [[5, 1, -2, 0], [1, 3, 0, 0], [-2, 0, 0, 6], [0, 0, 6, 0]],
         [[2, -2, 2, 0], [-2, 6, 0, 4], [2, 0, 0, 2], [0, 4, 2, -2]],
-        [[0, 0, 6], [0, 2, 0], [6, 0, 0]],  # a swap and an addition; all of m = 12 on G
+        [[0, 0, 6], [0, 2, 0], [6, 0, 0]],  # an addition at step 0; all of m = 12 on G
         [[2, 0, 0], [0, 6, 0], [0, 0, 18]],
     ])
     def test_boundary_grams(self, rows):
@@ -879,7 +887,7 @@ class TestDiscriminantGroupModMinors:
     @given(symmetric_grams(max_n=8))
     def test_modulus_is_read_from_three_minors(self, rows):
         # with no zero leading principal minor before step n - 2 the congruence
-        # pass neither swaps nor adds there, so its trailing 2x2 block at step
+        # pass makes no move there, so its trailing 2x2 block at step
         # n - 2 holds exactly the three minors on rows and columns 0 .. n - 3
         lattice = Lattice(IntMatrix(rows, ncols=len(rows)))
         n = len(rows)
@@ -894,30 +902,50 @@ class TestDiscriminantGroupModMinors:
 class TestTrailingBlocks:
     """discriminant_group eliminates each coprime part c_k of Lattice.modulus on
     the trailing block T_k of the congruence pass, rebuilt from its pivot rows
-    by Sylvester's identity run backwards."""
+    by Sylvester's identity run backwards.  The pass keeps its rows in the
+    frame of the matrix M = E^T G E it eliminates move-free, and T_0 is M."""
 
     def check_sweep(self, rows):
-        *_, pivot_rows, moves = _congruence(rows)
+        *_, pivot_rows = _congruence(rows)
         pivots = tuple(u[0] for u in pivot_rows)
-        blocks = [(k, _mirrored(t)) for k, t in _trailing_blocks(pivots, pivot_rows, moves)]
+        blocks = [(k, _mirrored(t)) for k, t in _trailing_blocks(pivots, pivot_rows)]
         n = len(rows)
         assert [k for k, _ in blocks] == list(range(n - 1, -1, -1))
-        if n:
-            assert blocks[0][1] == [[pivots[-1]]] and pivots[-1] == IntMatrix(rows, ncols=n).det()
-            assert blocks[-1][1] == [list(row) for row in rows]
-        # T_k is symmetric; with no swap or addition it is the Bareiss block of G
-        # itself, whose entry (r, s) is the minor of G on rows 0 .. k-1, k + r and
-        # columns 0 .. k-1, k + s
+        if not n:
+            return
+        final = blocks[-1][1]
+        assert blocks[0][1] == [[pivots[-1]]]
+        assert IntMatrix(final).det() == pivots[-1] == IntMatrix(rows, ncols=n).det()
+        # T_k is symmetric, and its entry (r, s) is the minor of T_0 on rows
+        # 0 .. k-1, k + r and columns 0 .. k-1, k + s; so at (0, 0) it is the
+        # leading (k+1)-minor, pivots[k]
         for k, t in blocks:
             assert all(t[r][s] == t[s][r] for r in range(len(t)) for s in range(r))
-            for r, s in {(0, 0), (0, n - k - 1), (n - k - 1, n - k - 1)} if not moves else ():
-                minor = [[rows[i][j] for j in [*range(k), k + s]] for i in [*range(k), k + r]]
-                assert t[r][s] == IntMatrix(minor, ncols=k + 1).det()
+            for r in range(n - k):
+                for s in range(r, n - k):
+                    minor = [[final[i][j] for j in [*range(k), k + s]] for i in [*range(k), k + r]]
+                    assert t[r][s] == IntMatrix(minor, ncols=k + 1).det()
+        # no leading minor of T_0 is zero, so its pass makes no move and keeps
+        # the same rows
+        assert all(pivots)
+        assert _congruence(final)[3] == pivot_rows
+        # a move adds a later row and column to an earlier one, so T_0 = E^T G E
+        # with E lower unitriangular, and each trailing principal block of T_0
+        # is congruent to G's by the trailing block of E: their determinants agree
+        for k in range(n):
+            assert (IntMatrix([row[k:] for row in final[k:]]).det()
+                    == IntMatrix([row[k:] for row in rows[k:]]).det())
+        # with no zero leading minor of G the pass makes no move, and T_0 is G
+        if all(IntMatrix([row[:k] for row in rows[:k]], ncols=k).det() for k in range(1, n + 1)):
+            assert final == [list(row) for row in rows]
+        lattice, moved = Lattice(IntMatrix(rows, ncols=n)), Lattice(IntMatrix(final))
+        assert moved.signature == lattice.signature
+        assert discriminant_group(moved) == discriminant_group(lattice)
 
     @PROPS
     @given(symmetric_forms())
     def test_sweep_rebuilds_zero_diagonal_forms(self, gram):
-        # zero diagonals make the pass swap and add at many steps
+        # zero diagonals make the pass move at many steps
         assume(gram.det() != 0)
         self.check_sweep(gram.rows)
 
@@ -927,13 +955,20 @@ class TestTrailingBlocks:
         self.check_sweep(rows)
 
     @pytest.mark.parametrize("rows", [
-        [[0, 0, 6], [0, 2, 0], [6, 0, 0]],  # a swap at step 0 and an addition at step 1
+        [[0, 0, 6], [0, 2, 0], [6, 0, 0]],  # an addition at step 0, of a zero a_jj
         [[0, 1, 1], [1, 0, 1], [1, 1, 0]],  # an addition at step 0
-        [[1, 0, 0], [0, 0, 3], [0, 3, 5]],  # a swap at step 1
+        [[1, 0, 0], [0, 0, 3], [0, 3, 5]],  # an addition at step 1, of a nonzero a_jj
+        [[1, 0, 1], [0, 0, 1], [1, 1, 0]],  # an addition at step 1 that changes pivot row 0
+        [[0, 1], [1, -2]],  # c = -1, as 2 a_01 + a_11 = 0
+        # U + U(2) + A1 on the basis order 4, 0, 2, 1, 3: additions at steps 1 and 2
+        [[2, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 2], [0, 1, 0, 0, 0], [0, 0, 2, 0, 0]],
     ])
-    def test_sweep_undoes_the_moves(self, rows):
+    def test_sweep_in_the_frame_of_the_moves(self, rows):
+        # each case has a zero leading minor, so the pass moves
+        n = len(rows)
+        assert not all(IntMatrix([row[:k] for row in rows[:k]], ncols=k).det()
+                       for k in range(1, n + 1))
         self.check_sweep(rows)
-        assert _congruence(rows)[4]
 
     @staticmethod
     def check_parts(rows):
@@ -961,9 +996,10 @@ LARGEST_DECIDED_PRIME = 3317044064679887385961813  # the last prime below intmat
 
 
 class TestPackedRowBasisModP:
-    """intmat._row_basis_mod_p holds each row as one int of byte-aligned
-    slots; it must give the bases of the list kernel it replaced
-    (reference.row_basis_mod_p) exactly, at every prime is_prime decides,
+    """intmat._row_basis_mod_p takes rows packed as one int of byte-aligned
+    slots each and returns its basis packed the same way; unpacked, that
+    basis must be the one of the list kernel it replaced
+    (reference.row_basis_mod_p), exactly, at every prime is_prime decides,
     and the packing's reduce must take every slot below X = 2 n p^2 to its
     residue."""
 
@@ -987,21 +1023,32 @@ class TestPackedRowBasisModP:
         }[kind]
         return [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
 
+    @staticmethod
+    def basis(rows, p, ncols):
+        """The kernel's basis of `rows`, packed after reduction mod p, as
+        rank_mod_p and the module analysis pack them, and unpacked."""
+        packing = _packing(p, ncols)
+        packed = [packing[1]([x % p for x in row]) for row in rows]
+        return [packing[2](b) for b in _row_basis_mod_p(packed, p, packing)]
+
     @PROPS
     @given(st.sampled_from(PRIMES), st.integers(0, 8), st.integers(0, 8), st.data())
     def test_identical_bases(self, p, nrows, ncols, data):
         rows = self.rows(data, p, nrows, ncols)
         want = row_basis_mod_p(rows, p)
-        assert _row_basis_mod_p(rows, p) == want
-        # a generator, as the module analysis passes A - 1
-        assert _row_basis_mod_p((row for row in rows), p) == want
+        assert self.basis(rows, p, ncols) == want
+        # any iterable of packed rows, a generator too
+        packing = _packing(p, ncols)
+        packed = (packing[1]([x % p for x in row]) for row in rows)
+        assert [packing[2](b) for b in _row_basis_mod_p(packed, p, packing)] == want
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_no_rows_and_one_column(self, p):
-        assert _row_basis_mod_p([], p) == row_basis_mod_p([], p) == []
-        assert _row_basis_mod_p(iter([]), p) == []
+        packing = _packing(p, 1)
+        assert _row_basis_mod_p([], p, packing) == row_basis_mod_p([], p) == []
+        assert _row_basis_mod_p(iter([]), p, packing) == []
         column = [[0], [p], [3 * p - 1], [1]]
-        assert _row_basis_mod_p(column, p) == row_basis_mod_p(column, p) == [[1]]
+        assert self.basis(column, p, 1) == row_basis_mod_p(column, p) == [[1]]
 
     @PROPS
     @given(st.sampled_from(PRIMES), st.integers(1, 8), st.data())
@@ -1013,7 +1060,8 @@ class TestPackedRowBasisModP:
         packed = [packing[1](row) for row in b]
         products = [sum(x * row for x, row in zip(e, packed) if x) for e in es]
         plain = [[sum(x * row[j] for x, row in zip(e, b)) for j in range(n)] for e in es]
-        assert _row_basis_mod_p(products, p, packing) == row_basis_mod_p(plain, p)
+        found = _row_basis_mod_p(products, p, packing)
+        assert [packing[2](r) for r in found] == row_basis_mod_p(plain, p)
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 48, 300])
@@ -1066,7 +1114,7 @@ class TestPackedRowBasisModP:
             patch.setattr(intmat.sys, "byteorder", "big")
             # slots of 18 bits: three bytes, where a machine word would take four
             assert _packing(13, 300)[0] == 24
-            assert _row_basis_mod_p(rows, p) == row_basis_mod_p(rows, p)
+            assert self.basis(rows, p, ncols) == row_basis_mod_p(rows, p)
             self.check_reduce(p, [2 * ncols * p * p - 1] * ncols)
             self.check_reduce(p, list(range(ncols)))
 
@@ -1099,16 +1147,40 @@ class TestPackedRowBasisModP:
         assert max(max(slots, default=0) for slots in handed) < n * p * p
 
     @pytest.mark.parametrize("p", [2, 13, 65537])
-    def test_dependent_rows_are_never_unpacked(self, monkeypatch, p):
-        # rank 2: of 40 rows only the two kept ones are unpacked, once each
+    def test_the_kernel_unpacks_nothing(self, p):
+        # rank 2 of 40 rows: the basis comes back packed, and neither it nor a
+        # dependent row is unpacked
         rng = random.Random(p)
         u, v = ([rng.randrange(p) for _ in range(40)] for _ in range(2))
         u[0], v[0], v[1] = 1, 0, 1
         rows = [[a * x + b * y for x, y in zip(u, v)]
                 for a, b in ((rng.randrange(p), rng.randrange(p)) for _ in range(38))]
         rows[5:5] = [u, v]
+        bits, pack, unpack, reduce = _packing(p, 40)
         unpacked = []
-        packing = intmat._packing
+
+        def counted(r):
+            unpacked.append(r)
+            return unpack(r)
+
+        packed = [pack([x % p for x in row]) for row in rows]
+        found = _row_basis_mod_p(packed, p, (bits, pack, counted, reduce))
+        assert unpacked == []
+        assert [unpack(r) for r in found] == row_basis_mod_p(rows, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_the_profile_unpacks_the_bases_of_its_filtration(self, monkeypatch, p):
+        # jordan_profile unpacks each basis row once, for its product e B: the
+        # rows of the bases of (A - 1)^k, k >= 1, sum_k rank_p((A - 1)^k) in all
+        blocks = [cycle_matrix(p), cycle_matrix(p), cyclotomic_companion(p), IntMatrix.identity(2)]
+        a = IntMatrix.block_diagonal(*blocks)
+        q, qi = random_unimodular(random.Random(p), a.nrows, ops=3 * a.nrows)
+        a = q * a * qi
+        b = a - IntMatrix.identity(a.nrows)
+        want = sum(rank_mod_p(matrix_power(b, k), p) for k in range(1, p + 1))
+        assert want > 0
+        unpacked = []
+        packing = profiles._packing
 
         def spy(p, n):
             bits, pack, unpack, reduce = packing(p, n)
@@ -1119,9 +1191,9 @@ class TestPackedRowBasisModP:
 
             return bits, pack, counted, reduce
 
-        monkeypatch.setattr(intmat, "_packing", spy)
-        assert _row_basis_mod_p(rows, p) == row_basis_mod_p(rows, p)
-        assert len(unpacked) == 2
+        monkeypatch.setattr(profiles, "_packing", spy)
+        jordan_profile(a, p)
+        assert len(unpacked) == want
 
     def test_slots_stay_machine_words(self):
         # every p and n up to 101 packs into words of at most 64 bits, so a
