@@ -29,8 +29,8 @@ Gauss-Jordan, the adjugate together with the determinant.  One echelon
 elimination over F_p takes rows packed into one Python int each and
 returns its basis packed the same way; it reduces a row mod p in all its
 slots at once (Barrett's division by multiplication) and unpacks nothing.
-It gives ranks mod p, which count the basis, and the rank filtrations
-that Jordan profiles are read from, whose products unpack it.
+It gives ranks mod p, which count the basis, and, kept across calls,
+the kernel filtration that Jordan profiles are read from.
 
 All values are immutable, all functions are pure, so everything here is
 safe to share between threads.
@@ -640,19 +640,16 @@ def _divisor_chain(found: Sequence[int], n: int, det: int, m: int) -> tuple[int,
 _MACHINE_WORDS = {memoryview(b"").cast(c).itemsize: c for c in "QIHB"}
 
 
-def _packing(p: int, n: int) -> tuple[int, Callable, Callable, Callable]:
-    """(slot bits, pack, unpack, reduce) for rows of n entries over F_p held
-    as one int.
+def _packing(p: int, n: int) -> tuple[int, Callable, Callable]:
+    """(slot bits, pack, reduce) for rows of n entries over F_p held as one int.
 
     Entry j of a row is slot j of the int, bits 8 w j to 8 w (j + 1), where
     w is the fewest bytes that hold every value below 2 X, X = 2 n p^2,
     rounded up to a machine word of 1, 2, 4 or 8 bytes where one is wide
-    enough and the machine is little-endian, so that array packs and
-    memoryview unpacks the row in C.  X bounds every slot of
-    _row_basis_mod_p: an incoming row holds residues, or is a packed sum of
-    n products of two residues, below n p^2, and each of at most n clearing
-    steps adds less than p^2.  pack takes entries below 2 X, unpack
-    returns them as a list.  Lengths and byte orders are passed
+    enough and the machine is little-endian, so that array packs the row
+    in C.  X bounds every slot of _row_basis_mod_p: an incoming row is
+    below n p^2, and each of at most n clearing steps adds less than p^2.
+    pack takes entries below 2 X.  Lengths and byte orders are passed
     explicitly, as Python 3.10 has no defaults for them.
 
     reduce maps every slot below X to its residue mod p with a dozen int
@@ -671,22 +668,13 @@ def _packing(p: int, n: int) -> tuple[int, Callable, Callable, Callable]:
         from array import array  # loaded by the first elimination, not at start-up
 
         w = 1 << (w - 1).bit_length()
-        code, length = _MACHINE_WORDS[w], n * w
+        code = _MACHINE_WORDS[w]
 
         def pack(row):
             return int.from_bytes(array(code, row).tobytes(), "little")
-
-        def unpack(r):
-            return memoryview(r.to_bytes(length, "little")).cast(code).tolist()
     else:
-        length = n * w
-
         def pack(row):
             return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in row]), "little")
-
-        def unpack(r):
-            data = r.to_bytes(length, "little")
-            return [int.from_bytes(data[i:i + w], "little") for i in range(0, length, w)]
 
     bits = 8 * w
     s = (bound * p).bit_length()
@@ -699,7 +687,7 @@ def _packing(p: int, n: int) -> tuple[int, Callable, Callable, Callable]:
         q = (r & even) * m & high | ((r >> bits & even) * m & high) << bits
         return r - p * (q >> s)
 
-    return bits, pack, unpack, reduce
+    return bits, pack, reduce
 
 
 def _pack_minus_one(rows: Sequence[Sequence[int]], p: int, packing: tuple) -> list[int]:
@@ -711,7 +699,8 @@ def _pack_minus_one(rows: Sequence[Sequence[int]], p: int, packing: tuple) -> li
             for i, row in enumerate(rows)]
 
 
-def _row_basis_mod_p(rows: Iterable[int], p: int, packing: tuple) -> list[int]:
+def _row_basis_mod_p(rows: Iterable[int], p: int, packing: tuple,
+                     basis: list | None = None, top: int | None = None) -> list[int]:
     """Echelon basis over F_p of the span of `rows`, packed by `packing`.
 
     Each row is an int of n slots of `packing`, _packing(p, n), every slot
@@ -719,7 +708,11 @@ def _row_basis_mod_p(rows: Iterable[int], p: int, packing: tuple) -> list[int]:
     residue in every slot.  Each incoming row is cleared at the leading
     columns of the basis so far, in order, and kept, made monic, if anything
     is left; a basis row is zero left of its leading column and at the
-    leading columns before it.
+    leading columns before it.  With `top`, only a row left nonzero below
+    bit `top` is kept, in `basis`, the (shift of the leading slot, monic
+    row) pairs that each call extends, so one elimination can take its rows
+    over several calls; the call returns the other nonzero rows, reduced,
+    instead of the basis.
 
     A clearing step is one product and one sum of ints, r + (p - f) b, with
     nothing reduced: p - f > 0 and b's slots are residues, so every slot
@@ -729,12 +722,13 @@ def _row_basis_mod_p(rows: Iterable[int], p: int, packing: tuple) -> list[int]:
     every Barrett product x M < 2^(2 w) stays in its pair of slots), so
     the row is zero when the int is, its leading slot is read off its
     lowest set bit, and it is made monic by one more reduce, of products
-    of two residues.  Nothing is unpacked: the callers count the basis,
-    and the one that reads entries, the Jordan profile, unpacks them.
+    of two residues.  Nothing is unpacked.
     """
-    bits, _, _, reduce = packing
+    bits, _, reduce = packing
     mask = (1 << bits) - 1
-    basis: list[tuple[int, int]] = []  # (shift of the leading slot, monic row)
+    low = -1 if top is None else (1 << top) - 1
+    basis = [] if basis is None else basis
+    rest = []
     for r in rows:
         if not r:
             continue
@@ -743,13 +737,15 @@ def _row_basis_mod_p(rows: Iterable[int], p: int, packing: tuple) -> list[int]:
             if f:
                 r += (p - f) * b
         r = reduce(r)
-        if r:
+        if r & low:
             shift = ((r & -r).bit_length() - 1) // bits * bits
             pivot = r >> shift & mask
             if pivot != 1:
                 r = reduce(r * pow(pivot, -1, p))
             basis.append((shift, r))
-    return [b for _, b in basis]
+        elif r:
+            rest.append(r)
+    return rest if top is not None else [b for _, b in basis]
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:

@@ -4,8 +4,9 @@ An endomorphism of a finite-dimensional F_p-vector space whose p-th power
 is the identity has minimal polynomial dividing (X-1)^p, so it decomposes
 into unipotent Jordan blocks N_q of sizes 1 <= q <= p.  The profile
 (multiset of block sizes) is the complete isomorphism invariant of the
-module.  Profiles are extracted from the rank filtration of (A - 1)^k
-rather than from an explicit Jordan basis; only the counts matter.
+module.  Profiles are read from the kernel filtration L_k = ker (A - 1)^k,
+grown by preimages in one elimination over F_p, rather than from an
+explicit Jordan basis; only the counts matter.
 
 The one piece of module algebra kept here is Sym^k of a permutation
 module N_1^r + N_p^s, in closed form: G permutes the size-k multisets of
@@ -71,51 +72,52 @@ class JordanProfile(_Frozen):
 
 
 def _profile_from_rows(rows: Sequence[Sequence[int]], p: int) -> JordanProfile:
-    """Profile of the square matrix A with these rows, from the ranks of (A - 1)^k mod p.
+    """Profile of the square A with these rows from L_k = {x : x B^k = 0}, B = A - 1 mod p.
 
-    With B = A - 1 and E_k an echelon basis of rowspace(B^k), rowspace(B^(k+1))
-    is rowspace(E_k B), so round k multiplies only rank(B^k) rows.  The ranks
-    strictly decrease until they reach 0 or stall, within n + 1 rounds.  In
-    characteristic p, (A - 1)^p = A^p - 1, as C(p, i) = 0 for 0 < i < p, so A
-    has order dividing p exactly when the ranks reach 0 within p rounds.
+    The blocks of size >= k number dim L_k - dim L_(k-1).  Each row [a | c]
+    fills 2n slots of one intmat._packing and keeps a - c B in L, the part
+    of the filtration found so far.  The seeds are [B_i | e_i]; each later
+    round feeds the c's the round before found, a basis of L_k modulo
+    L_(k-1), as [c | 0].  intmat._row_basis_mod_p keeps the rows with a
+    pivot in the a half as its basis, from call to call, and hands back the
+    rest, a = 0: then c B is in L_k, so c is in L_(k+1).
 
-    B's rows are packed once, by one intmat._packing that serves every
-    round, with residues in every slot (intmat._pack_minus_one), and e B is
-    the int sum_i e_i packed(B_i), unreduced: e's entries and B's slots are
-    residues, so each slot stays below n p^2, and the products go back into
-    intmat._row_basis_mod_p as they are.  There a clearing step adds less
-    than p^2 to a slot, at most n times, so every slot stays below the
-    X = 2 n p^2 that the packing's reduce takes to residues exactly: a slot
-    of w bits has X <= 2^(w - 1), so each Barrett product x M < 2^(2 w)
-    stays in its pair of slots.  The basis comes back packed, and each of
-    its rows is unpacked once, for the entries e_i of its product.
+    The rows that enter are independent, the seeds by their c halves and
+    the fed rows by their a halves, c's found before, and clearing keeps
+    them so; with a = 0, the c's found are independent, those of a round
+    modulo L_k.  The seeds hand back dim L_1 of them.  The kept a halves
+    span Im B plus what was fed, so feeding a basis of L_k hands back
+    dim Im B + dim L_k - dim(Im B + L_k) = dim(L_k & Im B) rows, & the
+    intersection.  x -> x B maps L_(k+1) onto L_k & Im B with kernel L_1,
+    so dim L_(k+1) = dim L_1 + dim(L_k & Im B): the c's found span L_(k+1).
+
+    As (A - 1)^p = A^p - 1 mod p, A has order dividing p exactly when L_p
+    is everything; a round that finds nothing new below n, or one past p,
+    raises ValueError.  At most 2n rows enter, as residues, and the basis
+    holds at most n, so the work is O(n^2) packed row operations whatever
+    p is, nothing multiplied or unpacked, and slots stay below X = 4 n p^2.
     """
     n = len(rows)
-    packing = _packing(p, n)
-    unpack = packing[2]
-    b = _pack_minus_one(rows, p, packing)
-    ranks, span = [n], b
-    while ranks[-1]:
-        basis = _row_basis_mod_p(span, p, packing)
-        ranks.append(len(basis))
-        # a rank that repeats above 0 never falls again, and one above 0 at
-        # k >= p is past the p-th power: either way B^p != 0
-        if ranks[-1] == ranks[-2] or (ranks[-1] and len(ranks) > p):
+    packing = _packing(p, 2 * n)
+    bits = packing[0]
+    top = n * bits
+    fed = [r + (1 << top + i * bits) for i, r in enumerate(_pack_minus_one(rows, p, packing))]
+    basis, found = [], []  # found[k - 1] = dim L_k - dim L_(k-1)
+    while sum(found) < n:
+        new = _row_basis_mod_p(fed, p, packing, basis, top) if len(found) < p else []
+        if not new:
             raise ValueError("matrix is not of order dividing p over F_p")
-        span = [sum(x * row for x, row in zip(unpack(e), b) if x) for e in basis]
-    ranks.append(0)
-    # blocks of size >= q number ranks[q-1] - ranks[q]
-    counts = {
-        q: ranks[q - 1] - 2 * ranks[q] + ranks[q + 1] for q in range(1, len(ranks) - 1)
-    }
-    return JordanProfile.from_counts(p, counts)
+        found.append(len(new))
+        fed = [r >> top for r in new]
+    found.append(0)
+    return JordanProfile.from_counts(p, {q: found[q - 1] - found[q] for q in range(1, len(found))})
 
 
 def jordan_profile(action: IntMatrix, p: int) -> JordanProfile:
     """Block-size counts of an integer matrix of order p, reduced mod p.
 
     The number of blocks of size >= q equals
-    rank((A-1)^(q-1)) - rank((A-1)^q) over F_p.  Any prime is accepted;
+    dim ker (A-1)^q - dim ker (A-1)^(q-1) over F_p.  Any prime is accepted;
     a matrix with A^p != 1 mod p raises ValueError.
     """
     if not is_prime(p):

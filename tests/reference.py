@@ -17,11 +17,12 @@ from typing import Iterable, Sequence
 from quotcoh.engine import DegreeInvariants, GradedInvariants
 from quotcoh.hilbert import K3_B2, _permutation_invariants
 from quotcoh.intmat import (
-    IntMatrix, SmithDecomposition, _smith, det_adjugate, image_basis, primitive_vector, smith_decomposition,
+    IntMatrix, SmithDecomposition, _pack_minus_one, _packing, _row_basis_mod_p, _smith, det_adjugate,
+    image_basis, primitive_vector, smith_decomposition,
 )
 from quotcoh.k3 import K3ActionSpec
 from quotcoh.lattices import BNSInvariants
-from quotcoh.profiles import JordanProfile, _profile_from_rows
+from quotcoh.profiles import JordanProfile
 from quotcoh.toric import Cone, CyclicSingularity, Fan, _judge
 
 
@@ -186,6 +187,42 @@ def row_basis_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
     return [[0] * lead + b for lead, b in basis]
 
 
+def slots(r: int, bits: int, n: int) -> list[int]:
+    """The n slots of a row packed by intmat._packing with slots of `bits` bits, lowest first."""
+    mask = (1 << bits) - 1
+    return [r >> bits * j & mask for j in range(n)]
+
+
+def rank_power_profile(rows: Sequence[Sequence[int]], p: int) -> JordanProfile:
+    """Profile of the square A with these rows from the ranks of (A - 1)^k mod p.
+
+    The route profiles._profile_from_rows replaced by one elimination of the
+    kernel filtration.  With B = A - 1 and E_k an echelon basis of
+    rowspace(B^k), rowspace(B^(k+1)) is rowspace(E_k B), so round k
+    multiplies only rank(B^k) rows, e B = sum_i e_i packed(B_i), unreduced,
+    and eliminates them from scratch: slots below n p^2, plus less than p^2
+    for each of at most n clearing steps, stay below the packing's
+    X = 2 n p^2.  The ranks
+    strictly decrease until they reach 0 or stall; A has order dividing p
+    exactly when they reach 0 within p rounds, as (A - 1)^p = A^p - 1 mod p.
+    The blocks of size >= q number rank(B^(q-1)) - rank(B^q).
+    """
+    n = len(rows)
+    packing = _packing(p, n)
+    b = _pack_minus_one(rows, p, packing)
+    ranks, span = [n], b
+    while ranks[-1]:
+        basis = _row_basis_mod_p(span, p, packing)
+        ranks.append(len(basis))
+        if ranks[-1] == ranks[-2] or (ranks[-1] and len(ranks) > p):
+            raise ValueError("matrix is not of order dividing p over F_p")
+        span = [sum(x * row for x, row in zip(slots(e, packing[0], n), b) if x) for e in basis]
+    ranks.append(0)
+    return JordanProfile.from_counts(
+        p, {q: ranks[q - 1] - 2 * ranks[q] + ranks[q + 1] for q in range(1, len(ranks) - 1)}
+    )
+
+
 def smith_summand_counts(action: IntMatrix, p: int) -> BNSInvariants:
     """(l_plus, l_minus, l_p) of an order-p action from one Smith form of A - 1.
 
@@ -319,7 +356,7 @@ def _sym_single(p: int, q: int, k: int) -> JordanProfile:
         return JordanProfile.from_counts(p, {1: fixed, p: (comb(p + k - 1, k) - fixed) // p})
     jb = representative_matrix(single(p, q))
     sym = sym_power_matrix(jb, k)
-    return _profile_from_rows(sym.rows, p)
+    return rank_power_profile(sym.rows, p)
 
 
 @lru_cache(maxsize=None)

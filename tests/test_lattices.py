@@ -28,7 +28,7 @@ from quotcoh.lattices import (
 from quotcoh.hilbert import fujiki_constant
 from quotcoh.k3 import nikulin_involution
 from quotcoh.selftest import cycle_matrix, random_glattice
-from reference import matrix_power, smith_summand_counts
+from reference import matrix_power, slots, smith_summand_counts
 
 
 def U(scale=1):
@@ -259,7 +259,7 @@ class TestEliminationBudget:
         def spy(rows, p, packing):
             # sigma and A - 1 both come as their residues packed by the shared packing
             rows = list(rows)
-            eliminations.append(tuple(tuple(packing[2](r)) for r in rows))
+            eliminations.append(tuple(tuple(slots(r, packing[0], len(rows))) for r in rows))
             return basis(rows, p, packing)
 
         monkeypatch.setattr(lattices, "_row_basis_mod_p", spy)
@@ -292,7 +292,7 @@ class TestEliminationBudget:
             def mutant(rows, p, packing):
                 rows = list(rows)
                 found = basis(rows, p, packing)
-                unpacked = [packing[2](r) for r in rows]
+                unpacked = [slots(r, packing[0], len(rows)) for r in rows]
                 return change(found) if (unpacked == sigma) == of_sigma else found
             return mutant
 

@@ -79,8 +79,8 @@ from quotcoh.selftest import (
 )
 from quotcoh.toric import punctured_quotient_cohomology
 from reference import (
-    back_substitute, matmul_dense, matrix_power, row_basis_mod_p, smith_dense, smith_summand_counts,
-    solve_integer,
+    back_substitute, matmul_dense, matrix_power, rank_power_profile, row_basis_mod_p, slots, smith_dense,
+    smith_summand_counts, solve_integer,
 )
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -997,11 +997,11 @@ LARGEST_DECIDED_PRIME = 3317044064679887385961813  # the last prime below intmat
 
 class TestPackedRowBasisModP:
     """intmat._row_basis_mod_p takes rows packed as one int of byte-aligned
-    slots each and returns its basis packed the same way; unpacked, that
-    basis must be the one of the list kernel it replaced
-    (reference.row_basis_mod_p), exactly, at every prime is_prime decides,
-    and the packing's reduce must take every slot below X = 2 n p^2 to its
-    residue."""
+    slots each and returns its basis packed the same way; read slot by slot
+    (reference.slots), that basis must be the one of the list kernel it
+    replaced (reference.row_basis_mod_p), exactly, at every prime is_prime
+    decides, and the packing's reduce must take every slot below
+    X = 2 n p^2 to its residue."""
 
     PRIMES = [2, 3, 13, 65537, 2**61 - 1, LARGEST_DECIDED_PRIME]
 
@@ -1026,10 +1026,10 @@ class TestPackedRowBasisModP:
     @staticmethod
     def basis(rows, p, ncols):
         """The kernel's basis of `rows`, packed after reduction mod p, as
-        rank_mod_p and the module analysis pack them, and unpacked."""
+        rank_mod_p and the module analysis pack them, and read slot by slot."""
         packing = _packing(p, ncols)
         packed = [packing[1]([x % p for x in row]) for row in rows]
-        return [packing[2](b) for b in _row_basis_mod_p(packed, p, packing)]
+        return [slots(b, packing[0], ncols) for b in _row_basis_mod_p(packed, p, packing)]
 
     @PROPS
     @given(st.sampled_from(PRIMES), st.integers(0, 8), st.integers(0, 8), st.data())
@@ -1040,7 +1040,7 @@ class TestPackedRowBasisModP:
         # any iterable of packed rows, a generator too
         packing = _packing(p, ncols)
         packed = (packing[1]([x % p for x in row]) for row in rows)
-        assert [packing[2](b) for b in _row_basis_mod_p(packed, p, packing)] == want
+        assert [slots(b, packing[0], ncols) for b in _row_basis_mod_p(packed, p, packing)] == want
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_no_rows_and_one_column(self, p):
@@ -1052,8 +1052,9 @@ class TestPackedRowBasisModP:
 
     @PROPS
     @given(st.sampled_from(PRIMES), st.integers(1, 8), st.data())
-    def test_packed_products_as_the_profile_forms_them(self, p, n, data):
+    def test_packed_products_as_the_rank_power_oracle_forms_them(self, p, n, data):
         # e B = sum_i e_i packed(B_i), slots up to n (p - 1)^2, goes back in unreduced
+        # (reference.rank_power_profile, the route the kernel filtration replaced)
         b = [[x % p for x in row] for row in self.rows(data, p, n, n)]
         es = [[x % p for x in row] for row in self.rows(data, p, data.draw(st.integers(0, n)), n)]
         packing = _packing(p, n)
@@ -1061,21 +1062,21 @@ class TestPackedRowBasisModP:
         products = [sum(x * row for x, row in zip(e, packed) if x) for e in es]
         plain = [[sum(x * row[j] for x, row in zip(e, b)) for j in range(n)] for e in es]
         found = _row_basis_mod_p(products, p, packing)
-        assert [packing[2](r) for r in found] == row_basis_mod_p(plain, p)
+        assert [slots(r, packing[0], n) for r in found] == row_basis_mod_p(plain, p)
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 48, 300])
     def test_a_slot_holds_its_bound(self, p, n):
         # an incoming slot below n p^2 plus at most n clearing steps of less than p^2 each
-        _, pack, unpack, _ = _packing(p, n)
+        bits, pack, _ = _packing(p, n)
         top = [2 * n * p * p - 1] * n
-        assert unpack(pack(top)) == top
-        assert unpack(pack(list(range(n)))) == list(range(n))
+        assert slots(pack(top), bits, n) == top
+        assert slots(pack(list(range(n))), bits, n) == list(range(n))
 
     @staticmethod
-    def check_reduce(p, slots):
-        _, pack, unpack, reduce = _packing(p, len(slots))
-        assert unpack(reduce(pack(slots))) == [x % p for x in slots]
+    def check_reduce(p, entries):
+        bits, pack, reduce = _packing(p, len(entries))
+        assert slots(reduce(pack(entries)), bits, len(entries)) == [x % p for x in entries]
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 48, 300])
@@ -1120,86 +1121,205 @@ class TestPackedRowBasisModP:
 
     @PROPS
     @given(st.sampled_from(PRIMES), st.integers(1, 6), st.data())
-    def test_the_profile_hands_over_residues_and_products_below_n_p2(self, p, n, data):
-        # B's packed rows hold residues, the diagonal (x_ii - 1) mod p too, so
-        # each round's e B stays below n p^2, the bound the kernel takes;
-        # A = I + u v^T has B of rank at most 1, so for n >= 2 e B is formed
+    def test_the_profile_feeds_residues_and_keeps_every_slot_below_x(self, p, n, data):
+        # the profile's rows [a | c] take 2n slots of _packing(p, 2n), whose
+        # X is 4 n p^2: every row enters as residues, the seeds [B_i | e_i]
+        # and each later round's kernel vectors [c | 0], and every row the
+        # kernel reduces, cleared or made monic, is below X in every slot;
+        # A = I + u v^T has B of rank at most 1, so for n >= 2 later rounds run
         # unless B = 0 mod p
         if data.draw(st.booleans()):
             u, v = ([data.draw(st.integers(-p, p)) for _ in range(n)] for _ in range(2))
             rows = [[int(i == j) + u[i] * v[j] for j in range(n)] for i in range(n)]
         else:
             rows = self.rows(data, p, n, n)
-        handed = []
+        entered, reduced = [], []
+        packing, kernel = profiles._packing, profiles._row_basis_mod_p
 
-        def spy(rows, p, packing):
+        def spy_packing(p, width):
+            bits, pack, reduce = packing(p, width)
+
+            def spy_reduce(r):
+                assert r >> bits * width == 0
+                reduced.append(slots(r, bits, width))
+                return reduce(r)
+
+            return bits, pack, spy_reduce
+
+        def spy_kernel(rows, p, packing, basis, top):
             rows = list(rows)
-            handed.append([x for r in rows for x in packing[2](r)])
-            return _row_basis_mod_p(rows, p, packing)
+            entered.append([slots(r, packing[0], 2 * n) for r in rows])
+            return kernel(rows, p, packing, basis, top)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(profiles, "_row_basis_mod_p", spy)
+            patch.setattr(profiles, "_packing", spy_packing)
+            patch.setattr(profiles, "_row_basis_mod_p", spy_kernel)
             try:
                 jordan_profile(IntMatrix(rows), p)
             except ValueError:
                 pass
-        assert max(handed[0]) < p
-        assert max(max(slots, default=0) for slots in handed) < n * p * p
+        assert entered and reduced
+        assert all(x < p for rnd in entered for row in rnd for x in row)
+        # the seeds carry e_i in the c half, the later rounds nothing there
+        assert [row[n:] for row in entered[0]] == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert all(not any(row[n:]) for rnd in entered[1:] for row in rnd)
+        assert sum(map(len, entered)) <= 2 * n
+        assert max(x for row in reduced for x in row) < 4 * n * p * p
 
     @pytest.mark.parametrize("p", [2, 13, 65537])
     def test_the_kernel_unpacks_nothing(self, p):
-        # rank 2 of 40 rows: the basis comes back packed, and neither it nor a
-        # dependent row is unpacked
+        # rank 2 of 40 rows: the basis comes back packed, and the packing has
+        # no unpack; the kernel converts no row, not even by its pack
         rng = random.Random(p)
         u, v = ([rng.randrange(p) for _ in range(40)] for _ in range(2))
         u[0], v[0], v[1] = 1, 0, 1
         rows = [[a * x + b * y for x, y in zip(u, v)]
                 for a, b in ((rng.randrange(p), rng.randrange(p)) for _ in range(38))]
         rows[5:5] = [u, v]
-        bits, pack, unpack, reduce = _packing(p, 40)
-        unpacked = []
+        bits, pack, reduce = _packing(p, 40)
+        packed_calls = []
 
-        def counted(r):
-            unpacked.append(r)
-            return unpack(r)
+        def counted(row):
+            packed_calls.append(row)
+            return pack(row)
 
         packed = [pack([x % p for x in row]) for row in rows]
-        found = _row_basis_mod_p(packed, p, (bits, pack, counted, reduce))
-        assert unpacked == []
-        assert [unpack(r) for r in found] == row_basis_mod_p(rows, p)
+        found = _row_basis_mod_p(packed, p, (bits, counted, reduce))
+        assert packed_calls == []
+        assert [slots(r, bits, 40) for r in found] == row_basis_mod_p(rows, p)
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_the_profile_unpacks_the_bases_of_its_filtration(self, monkeypatch, p):
-        # jordan_profile unpacks each basis row once, for its product e B: the
-        # rows of the bases of (A - 1)^k, k >= 1, sum_k rank_p((A - 1)^k) in all
-        blocks = [cycle_matrix(p), cycle_matrix(p), cyclotomic_companion(p), IntMatrix.identity(2)]
-        a = IntMatrix.block_diagonal(*blocks)
-        q, qi = random_unimodular(random.Random(p), a.nrows, ops=3 * a.nrows)
-        a = q * a * qi
-        b = a - IntMatrix.identity(a.nrows)
-        want = sum(rank_mod_p(matrix_power(b, k), p) for k in range(1, p + 1))
-        assert want > 0
-        unpacked = []
-        packing = profiles._packing
+    @pytest.mark.parametrize("p", [2, 3, 5, 211])
+    def test_the_profile_feeds_at_most_2n_rows_whatever_p(self, monkeypatch, p):
+        # a conjugated p-cycle at n = p, where the rank-of-powers rounds fed
+        # the kernel rank(B^0) + ... + rank(B^(p-1)) = n (n + 1) / 2 rows (22366
+        # at p = 211), and the blocks of the test it replaced: two p-cycles,
+        # a cyclotomic companion and I_2
+        if p == 211:
+            a, want = cycle_matrix(p), {p: 1}
+        else:
+            a = IntMatrix.block_diagonal(cycle_matrix(p), cycle_matrix(p), cyclotomic_companion(p),
+                                         IntMatrix.identity(2))
+            want = Counter({p: 2, 1: 2})
+            want[p - 1] += 1
+        a = conjugated(a, random.Random(p))
+        entered = []
+        kernel = profiles._row_basis_mod_p
 
-        def spy(p, n):
-            bits, pack, unpack, reduce = packing(p, n)
+        def spy(rows, p, packing, basis, top):
+            rows = list(rows)
+            entered.extend(rows)
+            return kernel(rows, p, packing, basis, top)
 
-            def counted(r):
-                unpacked.append(r)
-                return unpack(r)
-
-            return bits, pack, counted, reduce
-
-        monkeypatch.setattr(profiles, "_packing", spy)
-        jordan_profile(a, p)
-        assert len(unpacked) == want
+        monkeypatch.setattr(profiles, "_row_basis_mod_p", spy)
+        assert jordan_profile(a, p) == JordanProfile.from_counts(p, want)
+        assert a.nrows < len(entered) <= 2 * a.nrows
 
     def test_slots_stay_machine_words(self):
         # every p and n up to 101 packs into words of at most 64 bits, so a
         # wider bound cannot send them to the byte path unnoticed
         primes = [q for q in range(2, 102) if is_prime(q)]
         assert max(_packing(p, n)[0] for p in primes for n in range(102)) <= 64
+
+
+def jordan_form(p, sizes, shift=None):
+    """The integer Jordan form: I + N_q for each size q, in order; `shift`
+    (block index, t) adds t to the diagonal of that block, eigenvalue 1 + t."""
+    n = sum(sizes)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    start = 0
+    for k, q in enumerate(sizes):
+        for i in range(start, start + q):
+            if i + 1 < start + q:
+                rows[i][i + 1] = 1
+            if shift is not None and shift[0] == k:
+                rows[i][i] += shift[1]
+        start += q
+    return IntMatrix(rows, ncols=n)
+
+
+def conjugated(a, rng):
+    q, qi = random_unimodular(rng, a.nrows, ops=3 * a.nrows)
+    return q * a * qi
+
+
+@st.composite
+def jordan_types(draw):
+    """A prime of TestPackedRowBasisModP.PRIMES and a conjugated Jordan form
+    with blocks of size 1..p + 1 (1..6 above p = 13, where N_p cannot be
+    written down), as it is, with a diagonal block shifted off eigenvalue 1,
+    or with one entry moved by +-1 after the conjugation."""
+    p = draw(st.sampled_from(TestPackedRowBasisModP.PRIMES))
+    cap = p + 1 if p <= 13 else 6
+    sizes = draw(st.lists(st.integers(1, cap), max_size=4).filter(lambda s: sum(s) <= 24))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["unipotent", "shifted", "moved"] if sizes else ["unipotent"]))
+    shift = None
+    if kind == "shifted":
+        shift = (rng.randrange(len(sizes)), draw(st.integers(1, min(p - 1, 2**70))))
+    a = conjugated(jordan_form(p, sizes, shift), rng)
+    if kind == "moved":
+        rows = a.to_lists()
+        rows[rng.randrange(a.nrows)][rng.randrange(a.nrows)] += rng.choice((-1, 1))
+        a = IntMatrix(rows)
+    return p, sizes, kind, a
+
+
+class TestKernelFiltrationProfile:
+    """jordan_profile grows ker (A - 1)^k in one elimination; the oracle is
+    the rank-of-powers route it replaced (reference.rank_power_profile): the
+    same profile, or a ValueError with the same text, on every input, on
+    both byte orders' packings."""
+
+    @staticmethod
+    def check(a, p, big_endian=False):
+        try:
+            want = rank_power_profile(a.rows, p)
+        except ValueError as e:
+            want = e
+        with pytest.MonkeyPatch.context() as patch:
+            if big_endian:
+                patch.setattr(intmat.sys, "byteorder", "big")
+            if isinstance(want, ValueError):
+                with pytest.raises(ValueError) as got:
+                    jordan_profile(a, p)
+                assert str(got.value) == str(want)
+            else:
+                assert jordan_profile(a, p) == want
+        return want
+
+    @PROPS
+    @given(jordan_types(), st.booleans())
+    def test_profile_matches_the_rank_powers(self, case, big_endian):
+        p, sizes, kind, a = case
+        want = self.check(a, p, big_endian)
+        if kind == "unipotent":
+            # a block of size p + 1 has B^p != 0, every other block its size
+            if max(sizes, default=0) > p:
+                assert isinstance(want, ValueError)
+            else:
+                assert want == JordanProfile.from_counts(p, Counter(sizes))
+        if kind == "shifted":
+            assert isinstance(want, ValueError)
+
+    @pytest.mark.parametrize("big_endian", [False, True], ids=["native", "big-endian"])
+    @pytest.mark.parametrize("p", TestPackedRowBasisModP.PRIMES)
+    def test_boundaries(self, p, big_endian):
+        rng = random.Random(p)
+        assert self.check(IntMatrix([], ncols=0), p, big_endian) == JordanProfile(p, ())
+        assert self.check(IntMatrix.identity(5), p, big_endian) == JordanProfile(p, ((1, 5),))
+        # a 1 x 1 action other than 1 mod p, the smallest refusal
+        assert isinstance(self.check(IntMatrix([[p + 2]]), p, big_endian), ValueError)
+        if p > 13:
+            return
+        # nilpotency index exactly p, with smaller blocks beside; one past it
+        sizes = [p, 1, max(1, p - 1)]
+        a = conjugated(jordan_form(p, sizes), rng)
+        assert self.check(a, p, big_endian) == JordanProfile.from_counts(p, Counter(sizes))
+        assert isinstance(self.check(conjugated(jordan_form(p, [p + 1, 1]), rng), p, big_endian),
+                          ValueError)
+        # one N_p block at n = p: the p-cycle, conjugated
+        a = conjugated(cycle_matrix(p), rng)
+        assert self.check(a, p, big_endian) == JordanProfile(p, ((p, 1),))
 
 
 def fraction_overlattice(base, glue):
