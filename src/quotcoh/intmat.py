@@ -875,9 +875,7 @@ def quotient_group(sub: IntMatrix, ambient_rank: int) -> list[int]:
 
 
 def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no primitive multiple")
     return tuple(x // g for x in vec)

@@ -24,20 +24,25 @@ terminates.  Every cone, full or lower-dimensional, is judged once by
 `_judge`: the determinant and adjugate of its ray matrix in a basis of
 the saturated span of its rays.  `resolve` holds each cone as its sorted
 ray tuple, keeps the non-regular ones in a heap and finds the cones
-containing that point through a ray -> cones index; a new cone spans
-what its parent spans, so its judgement is a rank-one update of the
-parent's in the same basis, made only when a later round reads the
-cone, and a round costs what it changes rather than a pass over the
-fan.  The point is found in one walk of the
-parallelepiped, of order the cone's multiplicity, that keeps only the
-least weight and its ties.  Only combinatorial data of these resolutions
-is reported.  In dimension 2 the stellar rounds reach the same fan, and the
-tests keep them as the oracle for the chain.
+containing that point by intersecting the ray -> cones sets of the rays
+of the face holding it, smallest set first: CPython's intersection walks
+the smaller of two sets and each later set only filters that result, so
+a round pays for its smallest face-ray set rather than for an original
+ray's, which grows with the fan.  A new cone spans what its parent
+spans, so its judgement is a rank-one update of the parent's in the same
+basis, made only when a later round reads the cone.  The point is found
+in one walk of the parallelepiped, of order the cone's multiplicity,
+that keeps only the least weight and its ties.  Regularity alone
+(`is_regular`, `is_simplicial`) reads a full-dimensional cone's |det|
+from one elimination, without the adjugate.  Only combinatorial data of
+these resolutions is reported.  In dimension 2 the stellar rounds reach
+the same fan, and the tests keep them as the oracle for the chain.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
 from itertools import repeat
@@ -89,14 +94,26 @@ class Cone(_Frozen):
         return cone
 
     @classmethod
-    def from_rays(cls, rays: Sequence[Sequence[int]], ambient: int | None = None) -> "Cone":
+    def from_rays(cls, rays: Iterable[Sequence[int]], ambient: int | None = None) -> "Cone":
+        """The cone of the primitive multiples of `rays`, sorted; `ambient` defaults to their length.
+
+        Each check runs once, in this order: every entry is an int
+        (operator.index), no ray is zero (primitive_vector raises), every
+        ray has length `ambient`, and no two primitive rays coincide.  What
+        passes is what the checking constructor would accept, so the cone
+        is built by _trusted.
+        """
         rays = [tuple(map(index, r)) for r in rays]
         if ambient is None:
             if not rays:
                 raise ValueError("ambient dimension needed for the zero cone")
             ambient = len(rays[0])
-        prim = tuple(sorted(primitive_vector(r) for r in rays))
-        return cls(prim, ambient)
+        prim = tuple(sorted(map(primitive_vector, rays)))
+        if any(len(r) != ambient for r in prim):
+            raise ValueError("ray has wrong length")
+        if len(set(prim)) != len(prim):
+            raise ValueError("duplicate rays")
+        return cls._trusted(prim, ambient)
 
     def ray_matrix(self) -> IntMatrix:
         """Rays as columns."""
@@ -106,12 +123,18 @@ class Cone(_Frozen):
         return self._index() != 0
 
     def _index(self) -> int:
-        """Index of the span of the rays in its saturation; 0 for dependent rays."""
+        """Index of the span of the rays in its saturation; 0 for dependent rays.
+
+        A full-dimensional cone reads |det| of its rays from one Bareiss
+        elimination (IntMatrix.det), without the adjugate that `_judge`
+        builds alongside; any other cone reads |det| of its `_judge`.
+        """
+        if len(self.rays) == self.ambient:
+            return abs(IntMatrix._trusted(self.rays, self.ambient).det())
         try:
             return abs(_judge(self)[1])
         except ValueError:
             return 0
-
 
 
 def _judge(c: Cone) -> tuple:
@@ -220,6 +243,8 @@ def quotient_fan(s: CyclicSingularity) -> Fan:
     p * (refined lattice), so p B^-1 = diag(p / d_j) u and ray i is column
     i of that, made primitive.  Every e_i lies in the refined lattice iff
     M has rank n and each d_j divides p, the rows of u being primitive.
+    The columns pass once through `Cone.from_rays`, which makes them
+    primitive, sorts and checks them, and the fan is that one cone.
     """
     n, p = len(s.weights), s.p
     m = IntMatrix._trusted(
@@ -228,8 +253,7 @@ def quotient_fan(s: CyclicSingularity) -> Fan:
     if snf.rank != n or any(p % d for d in snf.diagonal):
         raise RuntimeError("standard basis vector missing from the refined lattice")
     scaled = [[p // d * x for x in row] for d, row in zip(snf.diagonal, snf.u.rows)]
-    rays = [primitive_vector(col) for col in zip(*scaled)]
-    return Fan.from_cones([Cone.from_rays(rays, ambient=n)], ambient=n)
+    return Fan((Cone.from_rays(zip(*scaled), ambient=n),), n)
 
 
 def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
@@ -247,9 +271,10 @@ def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
     """
     _, det, adj = judged
     mod = abs(det)
-    cols = [tuple(x % mod for x in col) for col in zip(*adj)]
-    gen = cols.pop(max(range(len(cols)), key=lambda j: mod // gcd(mod, *cols[j])))
-    order = mod // gcd(mod, *gen)
+    cols = [tuple(map(mod.__rmod__, col)) for col in zip(*adj)]
+    orders = [mod // gcd(mod, *col) for col in cols]
+    order = max(orders)
+    gen = cols.pop(orders.index(order))
     # t gen mod D for t = 1 .. order - 1, one coordinate per iterator
     multiples = zip(*(map(mod.__rmod__, range(x, x * order, x)) if x else repeat(0, order - 1) for x in gen))
     if order == mod:
@@ -266,12 +291,12 @@ def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
     return mod, group
 
 
-def _lattice_point(c: Cone, lam: Sequence[int], mod: int) -> tuple[int, ...]:
+def _lattice_point(rays: tuple[tuple[int, ...], ...], lam: Sequence[int], mod: int) -> tuple[int, ...]:
     """The ambient point sum (lam_i / mod) ray_i."""
-    return tuple(sum(map(mul, lam, col)) // mod for col in zip(*c.rays))
+    return tuple(sum(map(mul, lam, col)) // mod for col in zip(*rays))
 
 
-def _stellar_point(c: Cone, judged: tuple) -> tuple[int, ...]:
+def _stellar_point(rays: tuple[tuple[int, ...], ...], judged: tuple) -> tuple[int, ...]:
     """The parallelepiped point of least weight sum(lam_i), the least point among ties.
 
     The weights share the denominator D, so the integer sums decide: one
@@ -286,7 +311,7 @@ def _stellar_point(c: Cone, judged: tuple) -> tuple[int, ...]:
             if s < least:
                 least, tied = s, []
             tied.append(lam)
-    return min(_lattice_point(c, lam, mod) for lam in tied)
+    return min(_lattice_point(rays, lam, mod) for lam in tied)
 
 
 def _support(judged: tuple, w: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -376,6 +401,19 @@ def _hirzebruch_jung(c: Cone) -> list[Cone]:
     return cones
 
 
+def _cones_through(on_ray: dict, rays: Sequence[tuple[int, ...]]) -> set:
+    """The cones holding every one of `rays`: the intersection of their ray -> cones sets.
+
+    CPython's set intersection walks the smaller of its first two sets and
+    each later one only filters that result, so the sets go smallest
+    first and the lookup costs the smallest of them.  In the support's own
+    order a face led by two original rays would walk a set the size of
+    the fan.
+    """
+    stars = sorted((on_ray[r] for r in rays), key=len)
+    return stars[0].intersection(*stars[1:])
+
+
 def resolve(f: Fan) -> Fan:
     """Regular subdivision with the same support.
 
@@ -392,19 +430,20 @@ def resolve(f: Fan) -> Fan:
     least rays, stellar-subdivides it at `_stellar_point` w, and with it
     every cone that contains w: by the fan property these are the cones
     holding every ray of the target's face that has w in its relative
-    interior, found through a ray -> cones index.  Each such cone is
-    replaced by the cones with one of those rays swapped for w, whose
-    judgements wait as `_replace_ray`'s pending rank-one updates until a
-    round reads the cone, as its target or as a cone holding its w; a cone
-    that reaches the output is never judged, and |mu_i| alone decides the
-    heap.  A round reads `_support` once per cone it subdivides: the
-    target's, which also gives the face, serves again when the target
-    comes out of the index.  So a round costs the stellar point plus
-    O(n^2) per cone it reads and a heap operation, not a pass over the
-    fan; termination holds because each subdivision strictly decreases
-    multiplicities.  The rounds hold each cone as its sorted ray tuple,
-    unique in the fan, which Python hashes and orders in C; a `Cone` is
-    built only for the stellar point and for the output.
+    interior, found by `_cones_through` in a ray -> cones index.  Each
+    such cone is replaced by the cones with one of those rays swapped for
+    w, whose judgements wait as `_replace_ray`'s pending rank-one updates
+    until a round reads the cone, as its target or as a cone holding its
+    w; a cone that reaches the output is never judged, and |mu_i| alone
+    decides the heap.  A round reads `_support` once per cone it
+    subdivides: the target's, which also gives the face, serves again
+    when the target comes out of the index.  So a round costs the stellar
+    point, the smallest ray -> cones set among the face's rays (a superset
+    of the cones it returns), O(n^2) per cone it reads and a heap
+    operation, not a pass over the fan; termination holds because each
+    subdivision strictly decreases multiplicities.  The rounds hold each
+    cone as its sorted ray tuple, unique in the fan, which Python hashes
+    and orders in C; a `Cone` is built only for the output.
     """
     n = f.ambient
     if n == 2:
@@ -413,10 +452,10 @@ def resolve(f: Fan) -> Fan:
         judged = {c.rays: _judge(c) for c in f.maximal}
     except ValueError:
         raise ValueError("resolution implemented for simplicial fans") from None
-    on_ray: dict[tuple[int, ...], set] = {}
+    on_ray: defaultdict[tuple[int, ...], set] = defaultdict(set)
     for c in judged:
         for r in c:
-            on_ray.setdefault(r, set()).add(c)
+            on_ray[r].add(c)
     bad = [c for c, (_, det, _) in judged.items() if abs(det) != 1]
     heapify(bad)
     while bad:
@@ -426,12 +465,12 @@ def resolve(f: Fan) -> Fan:
         read = judged[target]
         if len(read) == 4:  # pending: _rank_one's arguments
             read = judged[target] = _rank_one(*read)
-        w = _stellar_point(Cone._trusted(target, n), read)
+        w = _stellar_point(target, read)
         # the one new ray of the round, so the new cones need no checks of their own
         if w != primitive_vector(w) or w in target:
             raise RuntimeError(f"stellar point {w} is not a new primitive ray")
         found = _support(read, w)
-        for c in set.intersection(*(on_ray[target[i]] for i in found[1])):
+        for c in _cones_through(on_ray, [target[i] for i in found[1]]):
             parent = judged.pop(c)
             if len(parent) == 4:
                 parent = _rank_one(*parent)
@@ -441,7 +480,7 @@ def resolve(f: Fan) -> Fan:
             for i in support:
                 cone, judged[cone] = _replace_ray(c, parent, mu, i, w)
                 for r in cone:
-                    on_ray.setdefault(r, set()).add(cone)
+                    on_ray[r].add(cone)
                 if abs(mu[i]) != 1:
                     heappush(bad, cone)
     return Fan(tuple(Cone._trusted(c, n) for c in sorted(judged)), n)
