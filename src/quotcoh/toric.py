@@ -406,9 +406,9 @@ def _cones_through(on_ray: dict, rays: Sequence[tuple[int, ...]]) -> set:
 
     CPython's set intersection walks the smaller of its first two sets and
     each later one only filters that result, so the sets go smallest
-    first and the lookup costs the smallest of them.  In the support's own
-    order a face led by two original rays would walk a set the size of
-    the fan.
+    first and the lookup costs the smallest of them.  An original ray's
+    set grows with the fan, so a face led by two original rays would
+    otherwise walk a set of that size.
     """
     stars = sorted((on_ray[r] for r in rays), key=len)
     return stars[0].intersection(*stars[1:])

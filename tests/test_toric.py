@@ -730,7 +730,7 @@ class TestWorklistResolve:
     def test_star_lookup_costs_the_smallest_face_ray_star(self, monkeypatch):
         # CPython's set intersection walks the smaller of its first two sets, so each
         # round is charged that; intersected in the support's order, the rounds here
-        # walked 83 347 cones, sets as large as the fan, against 8 415 smallest first
+        # walked 83 347 cones, against 8 415 smallest first
         work, rounds, through = [], [], toric._cones_through
 
         class Star(set):
