@@ -387,12 +387,20 @@ def _smith(m: IntMatrix, u: bool = False, below: IntMatrix | None = None) -> Smi
     transforms and the diagonal are those of the elimination over every
     row.  This matters for a norm map sigma, whose rank is a small part
     of its size.
+
+    A toric resolution runs this thousands of times on matrices of two to
+    four rows, where set-up and tear-down are much of the cost: each unit
+    row of u is `[0] * nr` with one 1 set, and the result is filled
+    positionally, its rank counted as the diagonal's length less its
+    zeros.
     """
     nr, nc = m.nrows, m.ncols
     a = [list(row) for row in m.rows]
     if u:
         for i, row in enumerate(a):
-            row.extend(int(i == j) for j in range(nr))
+            unit = [0] * nr
+            unit[i] = 1
+            row += unit
     if below is not None:
         a += [list(row) for row in below.rows]
 
@@ -457,13 +465,13 @@ def _smith(m: IntMatrix, u: bool = False, below: IntMatrix | None = None) -> Smi
             continue
         s += 1
 
-    diag = tuple(a[i][i] for i in range(min(nr, nc)))
+    diag = tuple([a[i][i] for i in range(min(nr, nc))])
     return SmithDecomposition(
-        u=IntMatrix._trusted(tuple(tuple(row[nc:]) for row in a[:nr]), nr) if u else None,
-        d=IntMatrix._trusted(tuple(tuple(row[:nc]) for row in a[:nr]), nc),
-        v=None if below is None else IntMatrix._trusted(tuple(map(tuple, a[nr:])), nc),
-        diagonal=diag,
-        rank=sum(1 for x in diag if x != 0),
+        IntMatrix._trusted(tuple([tuple(row[nc:]) for row in a[:nr]]), nr) if u else None,
+        IntMatrix._trusted(tuple([tuple(row[:nc]) for row in a[:nr]]), nc),
+        None if below is None else IntMatrix._trusted(tuple(map(tuple, a[nr:])), nc),
+        diag,
+        len(diag) - diag.count(0),
     )
 
 

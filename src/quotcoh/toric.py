@@ -14,7 +14,10 @@ one, and the output certifies itself in O(r) for r new rays (each new
 cone has determinant +-1 and the chain closes at the second ray).  The
 exceptional chain and its intersection matrix are the same
 continued-fraction data, the determinant checked by its continuant in
-O(r).
+O(r).  `surface_chain`, the independent check that the resolved fan's
+rays satisfy the smooth chain relation, puts them in order by one walk
+over the resolved cones from the first original ray to the second, also
+O(r), and refuses a fan whose cones do not tile the original cone once.
 
 From dimension 3 on, the subdivision repeatedly stellar-subdivides the
 non-regular cone with the least rays at the primitive lattice point of
@@ -32,10 +35,13 @@ ray's, which grows with the fan.  A new cone spans what its parent
 spans, so its judgement is a rank-one update of the parent's in the same
 basis, made only when a later round reads the cone.  The point is found
 in one walk of the parallelepiped, of order the cone's multiplicity,
-that keeps only the least weight and its ties.  Regularity alone
-(`is_regular`, `is_simplicial`) reads a full-dimensional cone's |det|
-from one elimination, without the adjugate.  Only combinatorial data of
-these resolutions is reported.  In dimension 2 the stellar rounds reach
+that keeps only the least weight and its ties; the walk runs over the
+multiples of the first adjugate column of order D, found by reducing the
+columns mod D one at a time, and a lone least point is mapped into the
+lattice without a `min`.  Regularity alone (`is_regular`,
+`is_simplicial`) reads a full-dimensional cone's |det| from one
+elimination, without the adjugate.  Only combinatorial data of these
+resolutions is reported.  In dimension 2 the stellar rounds reach
 the same fan, and the tests keep them as the oracle for the chain.
 """
 
@@ -43,7 +49,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import comb, gcd
@@ -264,17 +269,27 @@ def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
     isomorphism on the span's lattice points, they are those with C lam
     integral, that is lam = c / D for c = +-adj(C) x mod D, x in Z^d, the
     subgroup of order D of (Z/D)^d generated by the columns of adj(C).
-    They stream out as the multiples of the column of largest order
-    D / gcd(D, column), stored nowhere when that order is D, as it nearly
-    always is; below D a membership set takes them and the other columns
-    add cosets.
+    They stream out as the multiples of the first column of largest order
+    D / gcd(D, column).  The columns are reduced mod D one at a time and
+    the first with gcd(D, column) = 1, of order D, is taken at once, as it
+    nearly always can be: its multiples are stored nowhere.  Only when no
+    column has order D are all the orders computed; then a membership set
+    takes the multiples of the first column of largest order and the other
+    columns add cosets.
     """
     _, det, adj = judged
     mod = abs(det)
-    cols = [tuple(map(mod.__rmod__, col)) for col in zip(*adj)]
-    orders = [mod // gcd(mod, *col) for col in cols]
-    order = max(orders)
-    gen = cols.pop(orders.index(order))
+    cols = []
+    for col in zip(*adj):
+        col = tuple(map(mod.__rmod__, col))
+        if gcd(mod, *col) == 1:
+            gen, order = col, mod
+            break
+        cols.append(col)
+    else:
+        orders = [mod // gcd(mod, *col) for col in cols]
+        order = max(orders)
+        gen = cols.pop(orders.index(order))
     # t gen mod D for t = 1 .. order - 1, one coordinate per iterator
     multiples = zip(*(map(mod.__rmod__, range(x, x * order, x)) if x else repeat(0, order - 1) for x in gen))
     if order == mod:
@@ -301,7 +316,8 @@ def _stellar_point(rays: tuple[tuple[int, ...], ...], judged: tuple) -> tuple[in
 
     The weights share the denominator D, so the integer sums decide: one
     pass keeps the running least sum and its tied points, and only those
-    are mapped into the ambient lattice.
+    are mapped into the ambient lattice; a lone least point, as in most
+    rounds, is mapped without a `min`.
     """
     mod, points = _parallelepiped(judged)
     least, tied = len(judged[2]) * mod, []
@@ -311,6 +327,8 @@ def _stellar_point(rays: tuple[tuple[int, ...], ...], judged: tuple) -> tuple[in
             if s < least:
                 least, tied = s, []
             tied.append(lam)
+    if len(tied) == 1:
+        return _lattice_point(rays, tied[0], mod)
     return min(_lattice_point(rays, lam, mod) for lam in tied)
 
 
@@ -354,12 +372,12 @@ def _rank_one(judged: tuple, mu: Sequence[int], i: int, k: int) -> tuple:
     """
     basis, det, adj = judged
     mu_i, adj_i = mu[i], adj[i]
-    new = [tuple((mu_i * x - mu_j * y) // det for x, y in zip(a, adj_i))
+    new = [tuple([(mu_i * x - mu_j * y) // det for x, y in zip(a, adj_i)])
            for a, mu_j in zip(adj, mu)]
     new[i] = adj_i
     new.insert(k, new.pop(i))
     if (k - i) % 2:
-        return basis, -mu_i, tuple(tuple(-x for x in row) for row in new)
+        return basis, -mu_i, tuple([tuple([-x for x in row]) for row in new])
     return basis, mu_i, tuple(new)
 
 
@@ -549,6 +567,17 @@ def surface_chain(resolved: Fan, original: Fan) -> tuple[int, ...]:
 
     Consecutive rays v_(i-1) + v_(i+1) = b_i * v_i determine the chain
     (-b_1, ..., -b_r) of the new rays between the two original ones.
+
+    The rays are put in order by a walk over the cones, O(r) for r new
+    rays: the original rays are named so that v0 x v1 > 0, every cone of
+    `resolved` must have two rays a, b, named so that a x b > 0, and a
+    maps to b.  The walk starts at v0 and follows the map to v1, each ray
+    on the way strictly inside the original cone.  A cone with another
+    number of rays or with opposite rays, two cones that start at the same
+    ray, a walk that breaks off or leaves the cone, and a cone left over
+    after it are all refused as not refining the original cone: what
+    passes is a chain of cones turning one way from v0 to v1, which tile
+    the original cone once.
     """
     if resolved.ambient != 2:
         raise ValueError("chains only make sense for surfaces")
@@ -556,23 +585,35 @@ def surface_chain(resolved: Fan, original: Fan) -> tuple[int, ...]:
     v0, v1 = cone0.rays
     if v0[0] * v1[1] - v0[1] * v1[0] < 0:
         v0, v1 = v1, v0
-    rays = list(resolved.rays())
-
-    def cmp(a, b):
-        cr = a[0] * b[1] - a[1] * b[0]
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    ordered = sorted(rays, key=cmp_to_key(cmp))
-    if ordered[0] != v0:
-        ordered = ordered[::-1]
-    if ordered[0] != v0 or ordered[-1] != v1:
-        raise ValueError("resolved fan does not refine the original cone")
+    refused = "resolved fan does not refine the original cone"
+    after = {}
+    for c in resolved.maximal:
+        if len(c.rays) != 2:
+            raise ValueError(refused)
+        a, b = c.rays
+        cross = a[0] * b[1] - a[1] * b[0]
+        if cross < 0:
+            a, b = b, a
+        if not cross or a in after:
+            raise ValueError(refused)
+        after[a] = b
+    (x0, y0), (x1, y1) = v0, v1
+    ordered = [v0]
+    ray = after.pop(v0, None)
+    while ray != v1:
+        # None, or a ray on or outside the original cone's boundary
+        if ray is None or x0 * ray[1] <= y0 * ray[0] or ray[0] * y1 <= ray[1] * x1:
+            raise ValueError(refused)
+        ordered.append(ray)
+        ray = after.pop(ray, None)
+    if after:
+        raise ValueError(refused)
+    ordered.append(v1)
     chain = []
-    for i in range(1, len(ordered) - 1):
-        s = tuple(x + y for x, y in zip(ordered[i - 1], ordered[i + 1]))
-        t = next(j for j in range(2) if ordered[i][j] != 0)
-        b, rem = divmod(s[t], ordered[i][t])
-        if rem != 0 or tuple(b * x for x in ordered[i]) != s:
+    for (xp, yp), (x, y), (xn, yn) in zip(ordered, ordered[1:], ordered[2:]):
+        sx, sy = xp + xn, yp + yn
+        b = sx // x if x else sy // y
+        if b * x != sx or b * y != sy:
             raise RuntimeError("rays do not satisfy the smooth chain relation")
         chain.append(-b)
     return tuple(chain)

@@ -8,9 +8,9 @@ from the package's public types.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb, lcm
+from functools import cmp_to_key, lru_cache
+from itertools import combinations_with_replacement, repeat
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -440,6 +440,68 @@ def adjugate_quotient_fan(s: CyclicSingularity) -> Fan:
         raise RuntimeError("standard basis vector missing from the refined lattice")
     rays = [primitive_vector([s.p * row[i] // det for row in adj]) for i in range(n)]
     return Fan.from_cones([Cone.from_rays(rays, ambient=n)], ambient=n)
+
+
+def parallelepiped_all_orders(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
+    """`toric._parallelepiped` as it read every adjugate column's order first.
+
+    The generator is the first column of largest order D / gcd(D, column),
+    found by `orders.index(max(orders))` over all the columns; the stream
+    and, when no column has order D, the membership set are built as in
+    the package.
+    """
+    _, det, adj = judged
+    mod = abs(det)
+    cols = [tuple(map(mod.__rmod__, col)) for col in zip(*adj)]
+    orders = [mod // gcd(mod, *col) for col in cols]
+    order = max(orders)
+    gen = cols.pop(orders.index(order))
+    multiples = zip(*(map(mod.__rmod__, range(x, x * order, x)) if x else repeat(0, order - 1) for x in gen))
+    if order == mod:
+        return mod, multiples
+    zero = (0,) * len(gen)
+    group = {zero, *multiples}
+    for g in sorted(cols, key=lambda g: gcd(mod, *g)):
+        base = list(group)
+        step = g
+        while step not in group:
+            group.update(tuple((a + b) % mod for a, b in zip(h, step)) for h in base)
+            step = tuple((a + b) % mod for a, b in zip(step, g))
+    group.discard(zero)
+    return mod, group
+
+
+def surface_chain_sorted(resolved: Fan, original: Fan) -> tuple[int, ...]:
+    """`toric.surface_chain` by sorting the resolved fan's rays by angle.
+
+    The rays are ordered by the sign of their cross products and must run
+    from one original ray to the other; the cones themselves are not read.
+    """
+    if resolved.ambient != 2:
+        raise ValueError("chains only make sense for surfaces")
+    (cone0,) = original.maximal
+    v0, v1 = cone0.rays
+    if v0[0] * v1[1] - v0[1] * v1[0] < 0:
+        v0, v1 = v1, v0
+
+    def cmp(a, b):
+        cr = a[0] * b[1] - a[1] * b[0]
+        return -1 if cr > 0 else (1 if cr < 0 else 0)
+
+    ordered = sorted(resolved.rays(), key=cmp_to_key(cmp))
+    if ordered[0] != v0:
+        ordered = ordered[::-1]
+    if ordered[0] != v0 or ordered[-1] != v1:
+        raise ValueError("resolved fan does not refine the original cone")
+    chain = []
+    for i in range(1, len(ordered) - 1):
+        s = tuple(x + y for x, y in zip(ordered[i - 1], ordered[i + 1]))
+        t = next(j for j in range(2) if ordered[i][j] != 0)
+        b, rem = divmod(s[t], ordered[i][t])
+        if rem != 0 or tuple(b * x for x in ordered[i]) != s:
+            raise RuntimeError("rays do not satisfy the smooth chain relation")
+        chain.append(-b)
+    return tuple(chain)
 
 
 def projective_space_fan(n: int) -> Fan:

@@ -42,7 +42,8 @@ from quotcoh.intmat import (
     IntMatrix, _Frozen, _smith, det_adjugate, image_basis, is_prime, primitive_vector, smith_decomposition,
 )
 from reference import (
-    adjugate_quotient_fan, coordinates_of, product_of_lines_fan, projective_space_fan, solve_integer,
+    adjugate_quotient_fan, coordinates_of, parallelepiped_all_orders, product_of_lines_fan,
+    projective_space_fan, solve_integer, surface_chain_sorted,
 )
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -300,12 +301,12 @@ def _candidates(c, judged=None):
     return [(Fraction(sum(lam), mod), _lattice_point(c.rays, lam, mod)) for lam in group]
 
 
-def _catalogue(monkeypatch, seed):
-    """The benchmark's seeded pass over its toric catalogue (bench/gen.py), dimensions 3 and 4."""
+def _catalogue(monkeypatch, seed, dims=(3, 4)):
+    """The benchmark's seeded pass over its toric catalogue (bench/gen.py), in dimensions `dims`."""
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "bench"))
     import gen
 
-    return [CyclicSingularity(p, weights) for p, weights in gen.toric_pass(seed) if len(weights) > 2]
+    return [CyclicSingularity(p, weights) for p, weights in gen.toric_pass(seed) if len(weights) in dims]
 
 
 def _spy_on_rounds(monkeypatch):
@@ -319,6 +320,88 @@ def _spy_on_rounds(monkeypatch):
 
     monkeypatch.setattr(toric, "_stellar_point", spy)
     return rounds
+
+
+def _unimodular(draw, d):
+    """A d x d unimodular matrix: a few random row additions, then maybe a row swap."""
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.permutations(range(d)))[:2]
+        f = draw(st.integers(-3, 3))
+        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    if draw(st.booleans()):
+        m[0], m[-1] = m[-1], m[0]
+    return m
+
+
+@st.composite
+def judgements(draw):
+    """(None, det C, adj C) for C = L diag(c) R, L and R unimodular, |det C| = D in 1..60.
+
+    D's prime powers are spread over the diagonal, so the group of the
+    adjugate's columns mod D is cyclic or not, and the first column of
+    order D, if there is one, may sit at any position.
+    """
+    d, mod = draw(st.integers(2, 4)), draw(st.integers(1, 60))
+    diag, rest, q = [1] * d, mod, 2
+    while rest > 1:
+        power = 1
+        while rest % q == 0:
+            rest //= q
+            power *= q
+        diag[draw(st.integers(0, d - 1))] *= power
+        q += 1
+    left, right = _unimodular(draw, d), _unimodular(draw, d)
+    middle = [[x * c for x in row] for row, c in zip(right, diag)]
+    return (None, *det_adjugate([[sum(map(mul, row, col)) for col in zip(*middle)] for row in left]))
+
+
+def _first_generator(judged):
+    """The position of the first adjugate column of order D, None without one."""
+    mod = abs(judged[1])
+    return next((k for k, col in enumerate(zip(*judged[2])) if gcd(mod, *col) == 1), None)
+
+
+# ray matrices whose adjugates cover each case of the column scan: D = 1 and D = 2,
+# no column of order D (one coset, then two), and in dimension 4 the first column of
+# order D at each position, every column before it of a smaller order but not zero mod D
+_SCAN_CASES = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, 0], [1, 2]],
+    [[2, 0], [0, 3]],
+    [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+    [[2, 0, 0, 2], [-2, 1, -1, -2], [-1, -2, 0, 1], [-1, 1, 2, -2]],
+    [[-2, -2, -1, -1], [-1, -1, 0, 0], [-1, 2, -1, -1], [-1, 1, 0, -2]],
+    [[-1, 1, 2, 2], [-2, -2, -1, 0], [-2, -2, -2, 0], [1, -2, 1, 1]],
+    [[1, 2, -2, 1], [-2, -1, 2, -1], [-2, -1, 1, 0], [2, 0, 2, 0]],
+]
+
+
+def _listed(parallelepiped):
+    mod, points = parallelepiped
+    return mod, list(points)
+
+
+def test_scan_cases_cover_every_generator_position():
+    judged = [(None, *det_adjugate(rows)) for rows in _SCAN_CASES]
+    assert [abs(det) for _, det, _ in judged[:2]] == [1, 2]
+    assert [_first_generator(j) for j in judged] == [0, 0, None, None, 0, 1, 2, 3]
+    for k, (_, det, adj) in enumerate(judged[4:]):
+        assert all(any(x % det for x in col) for col in list(zip(*adj))[:k])
+
+
+# the first column of order D, found by the scan, is the one the parent picked after
+# computing every column's order, and the points stream out in the parent's order
+@pytest.mark.parametrize("rows", _SCAN_CASES)
+def test_column_scan_streams_the_parents_points_on_each_case(rows):
+    judged = (None, *det_adjugate(rows))
+    assert _listed(_parallelepiped(judged)) == _listed(parallelepiped_all_orders(judged))
+
+
+@PROPS
+@given(judgements())
+def test_column_scan_streams_the_parents_points(judged):
+    assert _listed(_parallelepiped(judged)) == _listed(parallelepiped_all_orders(judged))
 
 
 class TestParallelepiped:
@@ -479,6 +562,22 @@ _PINNED_SHA256 = json.loads((pathlib.Path(__file__).parent / "data" / "toric_cli
 @pytest.mark.parametrize("case", sorted(_PINNED_SHA256))
 def test_toric_cli_stdout_sha256_pinned(case):
     assert _toric_stdout_sha256(case) == _PINNED_SHA256[case]
+
+
+# seed -> SHA-256 of the benchmark's own toric outputs over gen.toric_pass(seed), every
+# dimension: one JSON line [p, weights, quotient cone's rays, resolved cones' rays] per
+# singularity, recorded before the column scan, the surface walk and the lean _smith
+_CATALOGUE_SHA256 = json.loads((pathlib.Path(__file__).parent / "data" / "toric_catalogue_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("seed", sorted(_CATALOGUE_SHA256))
+def test_toric_catalogue_outputs_pinned(monkeypatch, seed):
+    digest = hashlib.sha256()
+    for sing in _catalogue(monkeypatch, int(seed), dims=(2, 3, 4)):
+        fan = quotient_fan(sing)
+        record = [sing.p, list(sing.weights), fan.maximal[0].rays, [c.rays for c in resolve(fan).maximal]]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == _CATALOGUE_SHA256[seed]
 
 
 def _scan_solver(rays, ambient):
@@ -874,6 +973,83 @@ class TestSurfaceResolve:
         monkeypatch.setattr(toric, "hj_continued_fraction", lambda d, q: expand(d, q) + [2])
         with pytest.raises(RuntimeError, match="does not close"):
             resolve(quotient_fan(CyclicSingularity(7, (1, 3))))
+
+
+@st.composite
+def plane_singularities(draw):
+    p = draw(st.sampled_from([p for p in range(2, 501) if is_prime(p)]))
+    return CyclicSingularity(p, (draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))))
+
+
+class TestSurfaceChain:
+    """The walk over the resolved cones against the angular sort of their rays."""
+
+    def test_catalogue_plane_fans(self, monkeypatch):
+        for seed in (1, 2, 3):
+            sings = _catalogue(monkeypatch, seed, dims=(2,))
+            assert len(sings) == 60
+            for sing in sings:
+                fan = quotient_fan(sing)
+                resolved = resolve(fan)
+                assert surface_chain(resolved, fan) == surface_chain_sorted(resolved, fan)
+
+    @PROPS
+    @given(plane_singularities())
+    def test_matches_the_sort_oracle(self, sing):
+        fan = quotient_fan(sing)
+        resolved = resolve(fan)
+        chain = surface_chain(resolved, fan)
+        assert chain == surface_chain_sorted(resolved, fan)
+        a = sing.weights[1] * pow(sing.weights[0], -1, sing.p) % sing.p
+        assert chain in (hj_resolution(sing.p, a).chain, hj_resolution(sing.p, a).chain[::-1])
+
+    def test_mutant_fans_are_refused(self):
+        # (1/13)(1, 5) has three new rays; the sort oracle, which reads only the rays,
+        # still returns the chain for a dropped middle cone, an extra overlapping cone,
+        # a one-ray cone and a three-ray cone
+        fan = quotient_fan(CyclicSingularity(13, (1, 5)))
+        cones = list(resolve(fan).maximal)
+        v0, v1 = fan.maximal[0].rays
+        if v0[0] * v1[1] - v0[1] * v1[0] < 0:
+            v0, v1 = v1, v0
+        u = [v0]
+        while u[-1] != v1:
+            (nxt,) = [r for c in cones if u[-1] in c.rays for r in c.rays
+                      if r != u[-1] and u[-1][0] * r[1] - u[-1][1] * r[0] > 0]
+            u.append(nxt)
+        assert len(u) == 5
+
+        def without(a, b):
+            return [c for c in cones if set(c.rays) != {a, b}]
+
+        def moved(i, ray):
+            return [Cone.from_rays([ray if r == u[i] else r for r in c.rays]) for c in cones]
+
+        refused = {
+            "first cone dropped": without(u[0], u[1]),
+            "middle cone dropped": without(u[1], u[2]),
+            "last cone dropped": without(u[3], u[4]),
+            "extra overlapping cone": cones + [Cone.from_rays([u[0], u[2]])],
+            "extra cone beyond the second ray": cones + [Cone.from_rays([u[4], (u[4][0] - 1, u[4][1])])],
+            "one-ray cone": cones + [Cone.from_rays([u[1]])],
+            "three-ray cone": without(u[0], u[1]) + [Cone.from_rays(u[:3])],
+            "ray moved outside the cone": moved(1, tuple(-x for x in u[1])),
+        }
+        for name, mutant in refused.items():
+            with pytest.raises(ValueError, match="^resolved fan does not refine the original cone$"):
+                surface_chain(Fan.from_cones(mutant, ambient=2), fan)
+        # cones turning one way that wind once around the origin before they reach the
+        # second ray: the walk closes, but its first new ray lies outside the cone
+        loop = [(1, 0), (-1, 2), (-1, -1), (1, -1), (1, 1), (0, 1)]
+        with pytest.raises(ValueError, match="^resolved fan does not refine the original cone$"):
+            surface_chain(Fan.from_cones([Cone.from_rays(pair) for pair in zip(loop, loop[1:])]),
+                          Fan.from_cones([Cone.from_rays([(1, 0), (0, 1)])]))
+        # a ray moved along the chain, between its neighbours: the walk passes and the
+        # chain relation fails, as in the oracle
+        mutant = Fan.from_cones(moved(2, tuple(x + y for x, y in zip(u[1], u[2]))), ambient=2)
+        for chain in (surface_chain, surface_chain_sorted):
+            with pytest.raises(RuntimeError, match="^rays do not satisfy the smooth chain relation$"):
+                chain(mutant, fan)
 
 
 @st.composite
