@@ -388,11 +388,11 @@ def _smith(m: IntMatrix, u: bool = False, below: IntMatrix | None = None) -> Smi
     row.  This matters for a norm map sigma, whose rank is a small part
     of its size.
 
-    A toric resolution runs this thousands of times on matrices of two to
-    four rows, where set-up and tear-down are much of the cost: each unit
-    row of u is `[0] * nr` with one 1 set, and the result is filled
-    positionally, its rank counted as the diagonal's length less its
-    zeros.
+    `toric.quotient_fan` runs this once per singularity on an n x (n + 1)
+    matrix, n mostly 2 to 4, where set-up and tear-down are much of the
+    cost: so each unit row of u is `[0] * nr` with one 1 set, and the
+    result is filled positionally, its rank counted as the diagonal's
+    length less its zeros.
     """
     nr, nc = m.nrows, m.ncols
     a = [list(row) for row in m.rows]

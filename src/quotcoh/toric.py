@@ -601,7 +601,7 @@ def surface_chain(resolved: Fan, original: Fan) -> tuple[int, ...]:
     ordered = [v0]
     ray = after.pop(v0, None)
     while ray != v1:
-        # None, or a ray on or outside the original cone's boundary
+        # the walk broke off, or reached a ray on or outside the original cone's boundary
         if ray is None or x0 * ray[1] <= y0 * ray[0] or ray[0] * y1 <= ray[1] * x1:
             raise ValueError(refused)
         ordered.append(ray)

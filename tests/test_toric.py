@@ -1035,7 +1035,7 @@ class TestSurfaceChain:
             "three-ray cone": without(u[0], u[1]) + [Cone.from_rays(u[:3])],
             "ray moved outside the cone": moved(1, tuple(-x for x in u[1])),
         }
-        for name, mutant in refused.items():
+        for mutant in refused.values():
             with pytest.raises(ValueError, match="^resolved fan does not refine the original cone$"):
                 surface_chain(Fan.from_cones(mutant, ambient=2), fan)
         # cones turning one way that wind once around the origin before they reach the
