@@ -4,6 +4,8 @@ Subpackages:
 
 * intmat    -- arbitrary-precision integer matrices, Smith normal form,
                saturated kernels, mod-p ranks
+* modp      -- the packed echelon elimination over F_p behind mod-p ranks,
+               Jordan profiles and the summand counts of a Z[G]-lattice
 * profiles  -- Jordan profiles of order-p actions over F_p, and Sym^k of a
                permutation module in closed form
 * lattices  -- integral lattices with prime-order isometries, the summand
@@ -18,7 +20,10 @@ Subpackages:
                prime-order actions: torsion, Betti and Beauville-Bogomolov
                tables of their quotients
 * selftest  -- seeded randomized property suite
-* cli       -- command-line front end and golden-table regression runner
+* cli       -- command-line front end: the parser, the output, and the
+               hilbert and k3 commands
+* tables    -- the tables command, the golden-table regression runner
+* commands  -- the profile, lattice, quotient, toric and selftest commands
 
 The layers load lazily (PEP 562): ``import quotcoh`` runs no submodule,
 and ``quotcoh.X`` or ``from quotcoh import X`` imports the one submodule
@@ -59,8 +64,8 @@ _EXPORTS = {
         "hilbert",
     ),
 }
-_SUBMODULES = frozenset(("intmat", "profiles", "lattices", "k3", "toric", "engine", "hilbert",
-                         "selftest", "cli"))
+_SUBMODULES = frozenset(("intmat", "modp", "profiles", "lattices", "k3", "toric", "engine",
+                         "hilbert", "selftest", "cli", "tables", "commands"))
 
 __all__ = list(_EXPORTS)
 __version__ = "0.1.0"

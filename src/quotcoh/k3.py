@@ -116,3 +116,17 @@ def k3_table(p: int, kind: str) -> K3TableRow:
             raise RuntimeError("pushforward of the involution disagrees with the table")
         verified = True
     return K3TableRow(spec, lattice, invariants(lattice), spec.n_sing, verified)
+
+
+def printed_row(row: K3TableRow) -> dict:
+    """A K3 table row as the `k3` command and the tables print it (key order matters for text)."""
+    return {
+        "p": row.spec.p,
+        "lattice": row.spec.lattice_name,
+        "rank": row.invariants.rank,
+        "signature": list(row.invariants.signature),
+        "discriminant_group": list(row.invariants.discriminant_group),
+        "singular_points": row.n_sing,
+        "l_plus_2": row.spec.l_plus_2,
+        "l_p_2": row.spec.l_p_2,
+    }

@@ -365,7 +365,8 @@ def _rank_one(judged: tuple, mu: Sequence[int], i: int, k: int) -> tuple:
     same and keeps its P; its C' is C with column i replaced by P w, and
     this is a rank-one update (Sherman-Morrison in adjugate form), O(d^2):
     with mu = adj(C) P w, det C' = mu_i, row i of adj C' is adj_i, and row
-    j != i is (mu_i adj_j - mu_j adj_i) / det C, an exact division.
+    j != i is (mu_i adj_j - mu_j adj_i) / det C, an exact division; at
+    j = i that would be 0, so row i is not computed.
     Sorting carries w from position i to position k, a cycle of |k - i|
     transpositions, so the rows of adj move with it and both det and adj
     take the sign (-1)^|k - i|.
@@ -373,9 +374,8 @@ def _rank_one(judged: tuple, mu: Sequence[int], i: int, k: int) -> tuple:
     basis, det, adj = judged
     mu_i, adj_i = mu[i], adj[i]
     new = [tuple([(mu_i * x - mu_j * y) // det for x, y in zip(a, adj_i)])
-           for a, mu_j in zip(adj, mu)]
-    new[i] = adj_i
-    new.insert(k, new.pop(i))
+           for j, (a, mu_j) in enumerate(zip(adj, mu)) if j != i]
+    new.insert(k, adj_i)
     if (k - i) % 2:
         return basis, -mu_i, tuple([tuple([-x for x in row]) for row in new])
     return basis, mu_i, tuple(new)

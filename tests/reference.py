@@ -17,11 +17,12 @@ from typing import Iterable, Sequence
 from quotcoh.engine import DegreeInvariants, GradedInvariants
 from quotcoh.hilbert import K3_B2, _permutation_invariants
 from quotcoh.intmat import (
-    IntMatrix, SmithDecomposition, _pack_minus_one, _packing, _row_basis_mod_p, _smith, det_adjugate,
-    image_basis, primitive_vector, smith_decomposition,
+    IntMatrix, SmithDecomposition, _smith, det_adjugate, image_basis, primitive_vector,
+    smith_decomposition,
 )
 from quotcoh.k3 import K3ActionSpec
 from quotcoh.lattices import BNSInvariants
+from quotcoh.modp import _pack_minus_one, _packing, _row_basis_mod_p
 from quotcoh.profiles import JordanProfile
 from quotcoh.toric import Cone, CyclicSingularity, Fan, _judge
 
@@ -168,7 +169,7 @@ def smith_dense(m: IntMatrix, u: bool = False, below: IntMatrix | None = None) -
 def row_basis_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
     """Echelon basis over F_p of the span of `rows`, on lists of residues.
 
-    The kernel that intmat._row_basis_mod_p replaced by rows packed into one
+    The kernel that modp._row_basis_mod_p replaced by rows packed into one
     int: each incoming row is reduced, cleared at the leading columns of the
     basis so far, in order, entry by entry and reduced at every step, and
     kept, made monic, if anything is left.
@@ -188,7 +189,7 @@ def row_basis_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
 
 
 def slots(r: int, bits: int, n: int) -> list[int]:
-    """The n slots of a row packed by intmat._packing with slots of `bits` bits, lowest first."""
+    """The n slots of a row packed by modp._packing with slots of `bits` bits, lowest first."""
     mask = (1 << bits) - 1
     return [r >> bits * j & mask for j in range(n)]
 

@@ -518,9 +518,9 @@ class TestTablesCommand:
         assert json.loads(path.read_text())["all_match"] is True
 
     def test_perturbed_golden_is_a_mismatch(self, capsys, monkeypatch):
-        from quotcoh import cli
+        from quotcoh import tables
 
-        golden = cli._golden
+        golden = tables._golden
 
         def perturbed(name):
             data = golden(name)
@@ -532,7 +532,7 @@ class TestTablesCommand:
                 data["rows"].pop()
             return data
 
-        monkeypatch.setattr(cli, "_golden", perturbed)
+        monkeypatch.setattr(tables, "_golden", perturbed)
         status, out, err = run(capsys, "tables", "--which", "all")
         assert status == 1
         assert err == ""
@@ -586,6 +586,58 @@ class TestBenchReplay:
         assert direct.returncode == 0, direct.stderr
         assert replay.stdout == direct.stdout
         assert "profiles.sym_power" in {span["name"] for span in json.loads(spans.read_text())}
+
+
+class TestBenchContract:
+    """What bench/run.py and bench/cli_replay.py take from the package, in process.
+
+    The benchmark imports its names inside its functions and calls a command's
+    handler without main, so a moved name or handler fails only there, or
+    only under --trace 1; these tests fail first.
+    """
+
+    def test_every_name_the_benchmark_imports_resolves(self):
+        import importlib
+
+        # (module, name) of every `from quotcoh... import name` in the two scripts
+        found = set()
+        for script in ("run.py", "cli_replay.py"):
+            tree = ast.parse((HERE.parent / "bench" / script).read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quotcoh":
+                    found.update((node.module, alias.name) for alias in node.names)
+        # the layers the workloads time, and the replay's cli
+        assert {("quotcoh.intmat", "rank_mod_p"), ("quotcoh.lattices", "group_cohomology"),
+                ("quotcoh.profiles", "sym_power"), ("quotcoh", "cli")} <= found
+        for module, name in sorted(found):
+            assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+    @pytest.mark.parametrize("op", ["hilbert --p 5 --m 3", "k3 --p 7 --kind symplectic",
+                                    "tables --which all"])
+    def test_a_parsed_paper_command_runs_without_main(self, op):
+        # cli_replay.py runs build_parser().parse_args(argv).fn(args) and writes the
+        # payload as json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        from quotcoh import cli
+
+        args = cli.build_parser().parse_args(op.split())
+        status, payload = args.fn(args)
+        assert status == 0
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == _PAPER_SHA256[op]
+
+    def test_each_command_reaches_its_handler(self):
+        # the parser names the moved handlers by command and the tables by id, so
+        # that building it compiles neither quotcoh.commands nor quotcoh.tables
+        import argparse
+
+        from quotcoh import cli, commands, tables
+
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        moved = {name for name, parser in sub.choices.items()
+                 if parser.get_default("fn") is cli._cmd_elsewhere}
+        assert moved == set(commands.HANDLERS)
+        assert cli.TABLE_IDS == tuple(tables._TABLES)
 
 
 class TestProcessLevel:
@@ -682,12 +734,35 @@ class TestProcessLevel:
 
     # the package modules each command compiles, with cli itself run as __main__
     _K3_LAYERS = {"quotcoh", "quotcoh.intmat", "quotcoh.lattices", "quotcoh.k3"}
+    _HILBERT_LAYERS = _K3_LAYERS | {"quotcoh.engine", "quotcoh.hilbert"}
+    _INPUT_LAYERS = {"quotcoh", "quotcoh.commands", "quotcoh.engine", "quotcoh.intmat"}
     _LAYERS = {
         "k3": _K3_LAYERS,
-        "hilbert": _K3_LAYERS | {"quotcoh.engine", "quotcoh.hilbert"},
-        "tables": _K3_LAYERS | {"quotcoh.engine", "quotcoh.hilbert"},
-        "toric": {"quotcoh", "quotcoh.intmat", "quotcoh.toric"},
+        "hilbert": _HILBERT_LAYERS,
+        "tables": _HILBERT_LAYERS | {"quotcoh.tables"},
+        "toric": {"quotcoh", "quotcoh.commands", "quotcoh.intmat", "quotcoh.toric"},
+        "profile": _INPUT_LAYERS | {"quotcoh.profiles", "quotcoh.modp"},
+        "lattice": _INPUT_LAYERS | {"quotcoh.lattices"},
+        "quotient pushforward": _INPUT_LAYERS | {"quotcoh.lattices"},
+        "quotient report": _INPUT_LAYERS,
+        "selftest": _INPUT_LAYERS | {"quotcoh.lattices", "quotcoh.profiles", "quotcoh.modp",
+                                     "quotcoh.toric", "quotcoh.selftest"},
     }
+
+    @staticmethod
+    def package_modules(argv, payload=None):
+        """The quotcoh modules a fresh `python -m quotcoh.cli` process imports for argv."""
+        # -X importtime writes one stderr line per module the process imports
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quotcoh.cli", *argv],
+                              input=None if payload is None else json.dumps(payload),
+                              capture_output=True, text=True, check=True)
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert json.loads(proc.stdout)
+        # cli runs as __main__; a module that imported quotcoh.cli would compile it again
+        assert "quotcoh.cli" not in loaded
+        # the records are plain classes: dataclasses, and the inspect it imports, stay unloaded
+        assert not loaded & {"numpy", "dataclasses", "inspect"}
+        return loaded, {name for name in loaded if name.split(".")[0] == "quotcoh"}
 
     @pytest.mark.parametrize("argv", [
         ["hilbert", "--p", "7", "--m", "6"],
@@ -698,17 +773,31 @@ class TestProcessLevel:
         ["k3", "--p", "19", "--kind", "non-symplectic"],
     ])
     def test_paper_commands_load_only_their_layers(self, argv):
-        # -X importtime writes one stderr line per module the process imports
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quotcoh.cli", *argv],
-                              capture_output=True, text=True, check=True)
-        loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-        assert {name for name in loaded if name.split(".")[0] == "quotcoh"} == self._LAYERS[argv[0]]
-        # the records are plain classes: dataclasses, and the inspect it imports, stay unloaded
-        assert not loaded & {"numpy", "dataclasses", "inspect"}
+        loaded, package = self.package_modules(argv)
+        assert package == self._LAYERS[argv[0]]
+        if argv[0] != "toric":
+            # the paper's tables take no mod-p rank and read no JSON input
+            assert not package & {"quotcoh.modp", "quotcoh.commands"}
         if argv[0] == "k3":
             # no Fraction on the K3 rows: fractions, and the decimal it imports, stay unloaded
             assert not loaded & {"fractions", "decimal"}
-        assert json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["profile"], {"p": 3, "action": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}),
+        (["lattice"], {"gram": [[2, 1], [1, 2]]}),
+        (["quotient", "pushforward"], {"p": 2, "gram": [[2, 1], [1, 2]], "action": [[0, 1], [1, 0]]}),
+        (["quotient", "report"], {"p": 5, "n": 2, "eta": 4, "degrees": [
+            {"k": 0, "rank": 1, "l_plus": 1}, {"k": 1, "rank": 0},
+            {"k": 2, "rank": 22, "l_plus": 2, "l_pf": 4}, {"k": 3, "rank": 0},
+            {"k": 4, "rank": 1, "l_plus": 1}]}),
+        (["selftest", "--rounds", "1"], None),
+    ], ids=["profile", "lattice", "pushforward", "report", "selftest"])
+    def test_other_commands_load_only_their_layers(self, argv, payload):
+        if payload is not None:
+            argv = [*argv, "--input", "-"]
+        _, package = self.package_modules(argv, payload)
+        assert package == self._LAYERS[" ".join(argv[:2]) if argv[0] == "quotient" else argv[0]]
+        assert "quotcoh.tables" not in package
 
     @pytest.mark.parametrize("argv, payload", [
         (["profile"], {"p": 3, "action": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}),

@@ -32,15 +32,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quotcoh import intmat, profiles
+from quotcoh import modp, profiles
 from quotcoh.engine import DegreeInvariants, GradedInvariants, _second_page_sums, u_dimensions
 from quotcoh.intmat import (
     _MR_LIMIT,
     IntMatrix,
     _chain_mod,
     _divisor_chain,
-    _packing,
-    _row_basis_mod_p,
     _smith,
     det_adjugate,
     image_basis,
@@ -57,7 +55,6 @@ from quotcoh.lattices import (
     Lattice,
     _congruence,
     _mirrored,
-    _module_analysis,
     _modulus_parts,
     _trailing_blocks,
     bns_invariants,
@@ -69,6 +66,7 @@ from quotcoh.lattices import (
     pushforward_quotient_lattice,
     signature,
 )
+from quotcoh.modp import _module_analysis, _packing, _row_basis_mod_p
 from quotcoh.profiles import JordanProfile, jordan_profile
 from quotcoh.selftest import (
     cycle_matrix,
@@ -996,7 +994,7 @@ LARGEST_DECIDED_PRIME = 3317044064679887385961813  # the last prime below intmat
 
 
 class TestPackedRowBasisModP:
-    """intmat._row_basis_mod_p takes rows packed as one int of byte-aligned
+    """modp._row_basis_mod_p takes rows packed as one int of byte-aligned
     slots each and returns its basis packed the same way; read slot by slot
     (reference.slots), that basis must be the one of the list kernel it
     replaced (reference.row_basis_mod_p), exactly, at every prime is_prime
@@ -1112,7 +1110,7 @@ class TestPackedRowBasisModP:
         # little-endian one only for primes above about 2^27
         rows = self.rows(data, p, nrows, ncols)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(intmat.sys, "byteorder", "big")
+            patch.setattr(modp.sys, "byteorder", "big")
             # slots of 18 bits: three bytes, where a machine word would take four
             assert _packing(13, 300)[0] == 24
             assert self.basis(rows, p, ncols) == row_basis_mod_p(rows, p)
@@ -1278,7 +1276,7 @@ class TestKernelFiltrationProfile:
             want = e
         with pytest.MonkeyPatch.context() as patch:
             if big_endian:
-                patch.setattr(intmat.sys, "byteorder", "big")
+                patch.setattr(modp.sys, "byteorder", "big")
             if isinstance(want, ValueError):
                 with pytest.raises(ValueError) as got:
                     jordan_profile(a, p)
