@@ -26,22 +26,29 @@ point on a tie), which strictly decreases cone multiplicities and so
 terminates.  Every cone, full or lower-dimensional, is judged once by
 `_judge`: the determinant and adjugate of its ray matrix in a basis of
 the saturated span of its rays.  `resolve` holds each cone as its sorted
-ray tuple, keeps the non-regular ones in a heap and finds the cones
-containing that point by intersecting the ray -> cones sets of the rays
-of the face holding it, smallest set first: CPython's intersection walks
-the smaller of two sets and each later set only filters that result, so
-a round pays for its smallest face-ray set rather than for an original
-ray's, which grows with the fan.  A new cone spans what its parent
-spans, so its judgement is a rank-one update of the parent's in the same
-basis, made only when a later round reads the cone.  The point is found
+ray tuple and keeps the non-regular ones in a heap.  The point is found
 in one walk of the parallelepiped, of order the cone's multiplicity,
 that keeps only the least weight and its ties; the walk runs over the
 multiples of the first adjugate column of order D, found by reducing the
 columns mod D one at a time, and a lone least point is mapped into the
-lattice without a `min`.  Regularity alone (`is_regular`,
-`is_simplicial`) reads a full-dimensional cone's |det| from one
-elimination, without the adjugate.  Only combinatorial data of these
-resolutions is reported.  In dimension 2 the stellar rounds reach
+lattice without a `min`.  The walk holds the point's coordinates: w =
+sum (lam_i / D) ray_i gives mu = adj(C) P w = sign(det C) lam, so the
+target's support and w's face {i : lam_i > 0} need no solve.  A point
+in the target's interior, as in most rounds, lies in no other cone, and
+the round looks nothing up.  Otherwise the cones containing it are found
+by intersecting the ray -> cones sets of the face's rays, smallest set
+first: CPython's intersection walks the smaller of two sets and each
+later set only filters that result, so a round pays for its smallest
+face-ray set rather than for an original ray's, which grows with the
+fan.  That index is built on first need, once, from the cones alive at
+the first round whose point lies on a proper face (O(cones), bounded by
+the output), and kept up from then on; a resolution whose rounds are all
+interior never builds it.  A new cone spans what its parent spans, so
+its judgement is a rank-one update of the parent's in the same basis,
+made only when a later round reads the cone.  Regularity alone
+(`is_regular`, `is_simplicial`) reads a full-dimensional cone's |det|
+from one elimination, without the adjugate.  Only combinatorial data of
+these resolutions is reported.  In dimension 2 the stellar rounds reach
 the same fan, and the tests keep them as the oracle for the chain.
 """
 
@@ -179,6 +186,18 @@ class Fan(_Frozen):
         _Frozen.__init__(self, maximal, ambient)
 
     @classmethod
+    def _trusted(cls, maximal: tuple[Cone, ...], ambient: int) -> "Fan":
+        """A fan from cones of ambient dimension `ambient`, built unchecked.
+
+        The twin of Cone._trusted, for resolve's output, whose cones it
+        built itself in the input's ambient dimension.
+        """
+        fan = object.__new__(cls)
+        object.__setattr__(fan, "maximal", maximal)
+        object.__setattr__(fan, "ambient", ambient)
+        return fan
+
+    @classmethod
     def from_cones(cls, cones: Sequence[Cone], ambient: int | None = None) -> "Fan":
         if ambient is None:
             if not cones:
@@ -311,13 +330,17 @@ def _lattice_point(rays: tuple[tuple[int, ...], ...], lam: Sequence[int], mod: i
     return tuple(sum(map(mul, lam, col)) // mod for col in zip(*rays))
 
 
-def _stellar_point(rays: tuple[tuple[int, ...], ...], judged: tuple) -> tuple[int, ...]:
-    """The parallelepiped point of least weight sum(lam_i), the least point among ties.
+def _stellar_point(rays: tuple[tuple[int, ...], ...],
+                   judged: tuple) -> tuple[tuple[int, ...], tuple, tuple]:
+    """(w, mu, face) for the parallelepiped point w of least weight sum(lam_i), the least among ties.
 
     The weights share the denominator D, so the integer sums decide: one
     pass keeps the running least sum and its tied points, and only those
     are mapped into the ambient lattice; a lone least point, as in most
-    rounds, is mapped without a `min`.
+    rounds, is mapped without a `min`.  The walk holds w's coordinates:
+    w = sum (lam_i / D) ray_i, so P w = C lam / D and mu = adj(C) P w =
+    det(C) lam / D = sign(det) lam, and w's face is {i : lam_i > 0}.  That
+    is `_support(judged, w)`, read without the solve.
     """
     mod, points = _parallelepiped(judged)
     least, tied = len(judged[2]) * mod, []
@@ -328,8 +351,12 @@ def _stellar_point(rays: tuple[tuple[int, ...], ...], judged: tuple) -> tuple[in
                 least, tied = s, []
             tied.append(lam)
     if len(tied) == 1:
-        return _lattice_point(rays, tied[0], mod)
-    return min(_lattice_point(rays, lam, mod) for lam in tied)
+        lam = tied[0]
+        w = _lattice_point(rays, lam, mod)
+    else:
+        w, lam = min((_lattice_point(rays, lam, mod), lam) for lam in tied)
+    mu = lam if judged[1] > 0 else tuple([-x for x in lam])
+    return w, mu, tuple([i for i, x in enumerate(lam) if x])
 
 
 def _support(judged: tuple, w: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -432,12 +459,22 @@ def _cones_through(on_ray: dict, rays: Sequence[tuple[int, ...]]) -> set:
     return stars[0].intersection(*stars[1:])
 
 
+def _ray_index(cones: Iterable[tuple[tuple[int, ...], ...]]) -> defaultdict:
+    """The ray -> cones index of `cones`, each a sorted ray tuple: O(cones) to build."""
+    on_ray: defaultdict[tuple[int, ...], set] = defaultdict(set)
+    for c in cones:
+        for r in c:
+            on_ray[r].add(c)
+    return on_ray
+
+
 def resolve(f: Fan) -> Fan:
     """Regular subdivision with the same support.
 
     Precondition: the cones form a fan, that is any two meet in a common
-    face.  `quotient_fan`'s single cone does, and subdivision keeps the
-    property.
+    face, and none is a face of another: they are its maximal cones.
+    `quotient_fan`'s single cone does, and subdivision keeps both
+    properties.
 
     In the plane each cone is subdivided on its own by its
     Hirzebruch-Jung chain (`_hirzebruch_jung`), certified cone by cone in
@@ -448,20 +485,26 @@ def resolve(f: Fan) -> Fan:
     least rays, stellar-subdivides it at `_stellar_point` w, and with it
     every cone that contains w: by the fan property these are the cones
     holding every ray of the target's face that has w in its relative
-    interior, found by `_cones_through` in a ray -> cones index.  Each
-    such cone is replaced by the cones with one of those rays swapped for
-    w, whose judgements wait as `_replace_ray`'s pending rank-one updates
-    until a round reads the cone, as its target or as a cone holding its
-    w; a cone that reaches the output is never judged, and |mu_i| alone
-    decides the heap.  A round reads `_support` once per cone it
-    subdivides: the target's, which also gives the face, serves again
-    when the target comes out of the index.  So a round costs the stellar
-    point, the smallest ray -> cones set among the face's rays (a superset
-    of the cones it returns), O(n^2) per cone it reads and a heap
-    operation, not a pass over the fan; termination holds because each
-    subdivision strictly decreases multiplicities.  The rounds hold each
-    cone as its sorted ray tuple, unique in the fan, which Python hashes
-    and orders in C; a `Cone` is built only for the output.
+    interior.  The walk that finds w also gives the target's (mu, face),
+    mu = sign(det C) lam for w = sum (lam_i / D) ray_i, equal to
+    `_support` of w without its solve.  When the face is the whole target
+    (w interior), the target is the only such cone, since a maximal cone
+    is a face of no other.  Otherwise `_cones_through` finds them in a ray
+    -> cones index, built by `_ray_index` at the first such round, once,
+    from the cones then alive (O(cones), bounded by the output), and kept
+    up from then on; `_support` is read once for each cone it returns
+    other than the target.  Each such cone is replaced by the cones with
+    one of those rays swapped for w, whose judgements wait as
+    `_replace_ray`'s pending rank-one updates until a round reads the
+    cone, as its target or as a cone holding its w; a cone that reaches
+    the output is never judged, and |mu_i| alone decides the heap.  So a
+    round costs the stellar point, on a proper face the smallest ray ->
+    cones set among the face's rays (a superset of the cones it returns),
+    O(n^2) per cone it reads and a heap operation, not a pass over the
+    fan; termination holds because each subdivision strictly decreases
+    multiplicities.  The rounds hold each cone as its sorted ray tuple,
+    unique in the fan, which Python hashes and orders in C; a `Cone` is
+    built only for the output, and the output `Fan` by `Fan._trusted`.
     """
     n = f.ambient
     if n == 2:
@@ -470,10 +513,7 @@ def resolve(f: Fan) -> Fan:
         judged = {c.rays: _judge(c) for c in f.maximal}
     except ValueError:
         raise ValueError("resolution implemented for simplicial fans") from None
-    on_ray: defaultdict[tuple[int, ...], set] = defaultdict(set)
-    for c in judged:
-        for r in c:
-            on_ray[r].add(c)
+    on_ray = None  # the ray -> cones index, built at the first round that needs it
     bad = [c for c, (_, det, _) in judged.items() if abs(det) != 1]
     heapify(bad)
     while bad:
@@ -483,25 +523,32 @@ def resolve(f: Fan) -> Fan:
         read = judged[target]
         if len(read) == 4:  # pending: _rank_one's arguments
             read = judged[target] = _rank_one(*read)
-        w = _stellar_point(target, read)
+        w, mu, face = _stellar_point(target, read)
         # the one new ray of the round, so the new cones need no checks of their own
         if w != primitive_vector(w) or w in target:
             raise RuntimeError(f"stellar point {w} is not a new primitive ray")
-        found = _support(read, w)
-        for c in _cones_through(on_ray, [target[i] for i in found[1]]):
+        if len(face) == len(target):
+            holding = (target,)  # w is interior to the target, which no other cone contains
+        else:
+            if on_ray is None:
+                on_ray = _ray_index(judged)
+            holding = _cones_through(on_ray, [target[i] for i in face])
+        for c in holding:
             parent = judged.pop(c)
             if len(parent) == 4:
                 parent = _rank_one(*parent)
-            for r in c:
-                on_ray[r].discard(c)
-            mu, support = found if c == target else _support(parent, w)
+            if on_ray is not None:
+                for r in c:
+                    on_ray[r].discard(c)
+            c_mu, support = (mu, face) if c == target else _support(parent, w)
             for i in support:
-                cone, judged[cone] = _replace_ray(c, parent, mu, i, w)
-                for r in cone:
-                    on_ray[r].add(cone)
-                if abs(mu[i]) != 1:
+                cone, judged[cone] = _replace_ray(c, parent, c_mu, i, w)
+                if on_ray is not None:
+                    for r in cone:
+                        on_ray[r].add(cone)
+                if abs(c_mu[i]) != 1:
                     heappush(bad, cone)
-    return Fan(tuple(Cone._trusted(c, n) for c in sorted(judged)), n)
+    return Fan._trusted(tuple(Cone._trusted(c, n) for c in sorted(judged)), n)
 
 
 class HJResolution(NamedTuple):

@@ -315,8 +315,9 @@ def _spy_on_rounds(monkeypatch):
     choose = toric._stellar_point
 
     def spy(rays, judged):
-        rounds.append((Cone._trusted(rays, len(rays[0])), judged, choose(rays, judged)))
-        return rounds[-1][2]
+        chosen = choose(rays, judged)
+        rounds.append((Cone._trusted(rays, len(rays[0])), judged, chosen[0]))
+        return chosen
 
     monkeypatch.setattr(toric, "_stellar_point", spy)
     return rounds
@@ -428,8 +429,9 @@ class TestParallelepiped:
         choose = toric._stellar_point
 
         def spy(rays, cofactors):
-            met.append((Cone._trusted(rays, len(rays[0])), choose(rays, cofactors)))
-            return met[-1][1]
+            chosen = choose(rays, cofactors)
+            met.append((Cone._trusted(rays, len(rays[0])), chosen[0]))
+            return chosen
 
         monkeypatch.setattr(toric, "_stellar_point", spy)
         tied = set()
@@ -643,11 +645,11 @@ def _scan_stellar_point(c, judged):
     multiplicity.
     """
     if c in judged:
-        return toric._stellar_point(c.rays, (None, *judged[c]))
+        return toric._stellar_point(c.rays, (None, *judged[c]))[0]
     basis = smith_decomposition(c.ray_matrix()).u.rows[:len(c.rays)]
     det, adj = det_adjugate([[sum(map(mul, row, r)) for r in c.rays] for row in basis])
     assert abs(det) == _oracle_multiplicity(c)
-    return toric._stellar_point(c.rays, (basis, det, adj))
+    return toric._stellar_point(c.rays, (basis, det, adj))[0]
 
 
 def _scan_resolve(f):
@@ -808,23 +810,25 @@ class TestWorklistResolve:
         assert counts == [2191, 1520, 671]
 
     def test_one_support_per_cone_a_round_reads_and_no_cone_hashing(self, monkeypatch):
-        # the target's (mu, support) gives its face and is reused when the target comes out
-        # of the ray -> cones index; the fan is keyed by ray tuples, so no record is hashed
+        # the walk gives the target's (mu, face), so _support reads only the other cones
+        # holding w; the fan is keyed by ray tuples, so no record is hashed
         fans = [quotient_fan(sing) for sing in _catalogue(monkeypatch, 1)]
         calls = _spy_on_updates(monkeypatch)
         supports, hashes = [], []
         support, record_hash = toric._support, _Frozen.__hash__
         monkeypatch.setattr(toric, "_support", lambda judged, w: supports.append(w) or support(judged, w))
         monkeypatch.setattr(_Frozen, "__hash__", lambda record: hashes.append(record) or record_hash(record))
-        read = 0
+        read = rounds = 0
         for fan in fans:
             calls.clear()
             resolve(fan)
             read += len({(c, w) for c, _, w, *_ in calls})
+            rounds += len({w for _, _, w, *_ in calls})
         monkeypatch.undo()
         assert hashes == []
-        # every cone a round subdivides is read once, and only those
-        assert len(supports) == read == 741
+        # every cone a round subdivides is read once, the target by the walk, and only those
+        assert (read, rounds) == (741, 624)
+        assert len(supports) == read - rounds == 117
 
     def test_star_lookup_costs_the_smallest_face_ray_star(self, monkeypatch):
         # CPython's set intersection walks the smaller of its first two sets, so each
@@ -896,13 +900,15 @@ class TestWorklistResolve:
         # (without it such a point would subdivide forever, hence the cap on rounds)
         choose = toric._stellar_point
         fan = quotient_fan(CyclicSingularity(7, (1, 2, 4)))
-        for bad in (lambda rays, cof: tuple(2 * x for x in choose(rays, cof)), lambda rays, cof: rays[0]):
+        # each keeps the walk's (mu, face) and replaces w alone
+        for bad in (lambda w, rays: tuple(2 * x for x in w), lambda w, rays: rays[0]):
             rounds = []
 
             def capped(rays, cof, bad=bad):
                 rounds.append(rays)
                 assert len(rounds) < 50, "resolve accepted a point that is not a new primitive ray"
-                return bad(rays, cof)
+                w, mu, face = choose(rays, cof)
+                return bad(w, rays), mu, face
 
             monkeypatch.setattr(toric, "_stellar_point", capped)
             with pytest.raises(RuntimeError, match="not a new primitive ray"):
@@ -929,6 +935,156 @@ class TestWorklistResolve:
             assert len(points) == len(set(points)) == len(parents)
             shared += sum(len(cones) > 1 for cones in parents.values())
         assert shared
+
+
+def _spy_on_faces(monkeypatch):
+    """Record (target judgement, (w, mu, face)) for every round resolve makes."""
+    faces = []
+    choose = toric._stellar_point
+
+    def spy(rays, judged):
+        faces.append((judged, choose(rays, judged)))
+        return faces[-1][1]
+
+    monkeypatch.setattr(toric, "_stellar_point", spy)
+    return faces
+
+
+def _walk_support_is_the_solve(faces):
+    """Check each round's (mu, face) off the walk against _support; return the (det < 0, P is None) kinds met."""
+    kinds = set()
+    for judged, (w, mu, face) in faces:
+        assert (list(mu), list(face)) == toric._support(judged, w)
+        kinds.add((judged[1] < 0, judged[0] is None))
+    return kinds
+
+
+class TestWalkSupport:
+    """The target's (mu, face) read off the stellar point's walk is the support a solve gives."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_catalogue_rounds(self, monkeypatch, seed):
+        faces = _spy_on_faces(monkeypatch)
+        for sing in _catalogue(monkeypatch, seed):
+            resolve(quotient_fan(sing))
+        assert _walk_support_is_the_solve(faces) == {(True, True), (False, True)}
+        # points in the target's interior and on a proper face, in dimensions 3 and 4
+        assert {(len(judged[2]), len(face) == len(judged[2])) for judged, (_, _, face) in faces} == {
+            (3, True), (3, False), (4, True), (4, False)}
+
+    def test_lower_dimensional_rounds(self, monkeypatch):
+        faces = _spy_on_faces(monkeypatch)
+        for fan in _LOWER_DIMENSIONAL_FANS:
+            resolve(fan)
+        assert _walk_support_is_the_solve(faces) == {(True, False), (False, False)}
+
+    @PROPS
+    @given(lower_dimensional_fans())
+    def test_random_lower_dimensional_rounds(self, fan):
+        with pytest.MonkeyPatch.context() as patch:
+            faces = _spy_on_faces(patch)
+            resolve(fan)
+        _walk_support_is_the_solve(faces)
+        assert all(judged[0] is not None for judged, _ in faces)
+
+    # (1/7)(1, 1, 5) has three tied least points, and the last cone's point
+    # (1, 0, 1) = ((1, 0, 0) + (1, 0, 2)) / 2 lies on a proper face
+    @pytest.mark.parametrize("cone", [quotient_fan(CyclicSingularity(7, weights)).maximal[0]
+                                      for weights in ((1, 2, 4), (1, 1, 5), (1, 2, 3, 4))]
+                             + [Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 0, 2)])])
+    def test_targets_of_either_sign(self, cone):
+        # the rays sorted and with the first two swapped: det C changes sign and mu with it
+        signs = set()
+        for rays in (cone.rays, (cone.rays[1], cone.rays[0]) + cone.rays[2:]):
+            judged = (None, *det_adjugate(tuple(zip(*rays))))
+            out = toric._stellar_point(rays, judged)
+            assert _walk_support_is_the_solve([(judged, out)]) == {(judged[1] < 0, True)}
+            signs.add(judged[1] < 0)
+        assert signs == {True, False}
+
+
+def _spy_on_index(monkeypatch):
+    """Record (the cones, the index) for every ray -> cones index resolve builds."""
+    builds = []
+    build = toric._ray_index
+
+    def spy(cones):
+        builds.append((set(cones), build(cones)))
+        return builds[-1][1]
+
+    monkeypatch.setattr(toric, "_ray_index", spy)
+    return builds
+
+
+def _live_cones(fan, calls):
+    """The cones alive after the ray replacements `calls` (from _spy_on_updates) made in `fan`."""
+    live = {c.rays for c in fan.maximal}
+    for c, _, _, cone, *_ in calls:
+        live.discard(c)
+        live.add(cone)
+    return live
+
+
+class TestLazyIndex:
+    """The ray -> cones index: built at the first round whose point lies on a proper face, once."""
+
+    def test_interior_rounds_look_nothing_up(self, monkeypatch):
+        # each of the 12 rounds of (1/13)(1, 4, 9) has its point in the target's interior
+        fan = quotient_fan(CyclicSingularity(13, (1, 4, 9)))
+        want = _scan_resolve(fan)
+        builds, faces = _spy_on_index(monkeypatch), _spy_on_faces(monkeypatch)
+        monkeypatch.setattr(toric, "_cones_through", lambda on_ray, rays: pytest.fail("a star lookup ran"))
+        assert resolve(fan) == want
+        assert len(faces) == 12 and builds == []
+
+    def test_built_once_from_the_live_cones_and_kept_up(self, monkeypatch):
+        # built from the cones alive at its round, and at every lookup equal to
+        # the index rebuilt from the cones then alive
+        fans = [quotient_fan(sing) for sing in _catalogue(monkeypatch, 1)] + [
+            _weighted_projective_fan((1, 2, 2)), _weighted_projective_fan((1, 2, 4)),
+            quotient_fan(CyclicSingularity(7, (1, 2, 4)))]
+        calls = _spy_on_updates(monkeypatch)
+        build, through, built, lookups = toric._ray_index, toric._cones_through, [], []
+
+        def build_spy(cones):
+            assert set(cones) == _live_cones(fan, calls)
+            built.append(build(cones))
+            return built[-1]
+
+        def through_spy(on_ray, rays):
+            want = {}
+            for c in _live_cones(fan, calls):
+                for r in c:
+                    want.setdefault(r, set()).add(c)
+            assert on_ray is built[-1] and {r: s for r, s in on_ray.items() if s} == want
+            lookups.append(rays)
+            return through(on_ray, rays)
+
+        monkeypatch.setattr(toric, "_ray_index", build_spy)
+        monkeypatch.setattr(toric, "_cones_through", through_spy)
+        indexed = 0
+        for fan in fans:
+            calls.clear()
+            built.clear()
+            resolve(fan)
+            assert len(built) <= 1
+            indexed += len(built)
+        # 26 of the 50 singularities at n = 3 and 17 of the 20 at n = 4 build it, and
+        # so does each shared-face fan; the other 24 and 3 never do
+        assert indexed == 26 + 17 + 3 and len(lookups) > 100
+
+    def test_the_build_and_the_lookups_cost_at_most_the_output(self, monkeypatch):
+        # charged the cones the index is built from and, per lookup, the smallest
+        # face-ray set its intersection walks: 6 cones and 5 379 in the 216 lookups
+        # of 281 rounds
+        builds = _spy_on_index(monkeypatch)
+        work, through = [], toric._cones_through
+        monkeypatch.setattr(toric, "_cones_through", lambda on_ray, rays: work.append(
+            min(len(on_ray[r]) for r in rays)) or through(on_ray, rays))
+        resolved = resolve(quotient_fan(CyclicSingularity(53, (2, 9, 21, 30, 44, 50))))
+        ((cones, _),) = builds
+        assert len(resolved.maximal) == 2397
+        assert len(cones) + sum(work) <= 5 * len(resolved.maximal)
 
 
 class TestSurfaceResolve:
