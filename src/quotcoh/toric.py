@@ -5,7 +5,9 @@ weights (a_1, ..., a_n) coprime to p is the toric variety of the standard
 positive cone viewed in the refined lattice Z^n + Z*(a_1,...,a_n)/p; a
 resolution is any regular subdivision of its fan, and downstream
 invariants do not depend on the one chosen.  `quotient_fan` reads the
-cone's rays off one Smith form of [p I | weights].
+cone's rays off one Smith form of [p I | weights]; they are primitive and
+independent by construction, so the cone is built trusted, with one gcd
+check per ray.
 
 In dimension 2 `resolve` builds each cone's Hirzebruch-Jung chain
 directly: the continued fraction of D/q, D the cone's determinant and q
@@ -45,7 +47,11 @@ the first round whose point lies on a proper face (O(cones), bounded by
 the output), and kept up from then on; a resolution whose rounds are all
 interior never builds it.  A new cone spans what its parent spans, so
 its judgement is a rank-one update of the parent's in the same basis,
-made only when a later round reads the cone.  Regularity alone
+made only when a later round reads the cone; one `_split` call gives all
+children of a subdivided cone with their pending updates.  The cones the
+package derives itself, here and in the plane, are built by
+`Cone._trusted` and `Fan._trusted`, which set the two slots of the
+frozen record through its slot descriptors.  Regularity alone
 (`is_regular`, `is_simplicial`) reads a full-dimensional cone's |det|
 from one elimination, without the adjugate.  Only combinatorial data of
 these resolutions is reported.  In dimension 2 the stellar rounds reach
@@ -59,7 +65,7 @@ from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import comb, gcd
-from operator import index, mul
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .intmat import (
@@ -95,37 +101,17 @@ class Cone(_Frozen):
     def _trusted(cls, rays: tuple[tuple[int, ...], ...], ambient: int) -> "Cone":
         """A cone from sorted, distinct, primitive rays of length `ambient`, built unchecked.
 
-        For cones the package derives from already validated ones, where the
-        caller has certified whatever ray is new.
+        For cones the package builds itself from validated input, where the
+        caller has certified every ray: quotient_fan's Smith form columns,
+        the Hirzebruch-Jung chains and the stellar rounds' new rays.
         """
-        cone = object.__new__(cls)
-        # set directly: resolve builds thousands of these, and the loop in
-        # _Frozen.__init__ adds about 0.8 us to each, some 2% of a toric-resolve pass
-        object.__setattr__(cone, "rays", rays)
-        object.__setattr__(cone, "ambient", ambient)
+        cone = _new(cls)
+        # set through the slot descriptors, captured once: resolve builds thousands of
+        # these, and setting the slots by name (object.__setattr__) took 0.75 us a cone
+        # against 0.31 us here (Python 3.11)
+        _set_cone_rays(cone, rays)
+        _set_cone_ambient(cone, ambient)
         return cone
-
-    @classmethod
-    def from_rays(cls, rays: Iterable[Sequence[int]], ambient: int | None = None) -> "Cone":
-        """The cone of the primitive multiples of `rays`, sorted; `ambient` defaults to their length.
-
-        Each check runs once, in this order: every entry is an int
-        (operator.index), no ray is zero (primitive_vector raises), every
-        ray has length `ambient`, and no two primitive rays coincide.  What
-        passes is what the checking constructor would accept, so the cone
-        is built by _trusted.
-        """
-        rays = [tuple(map(index, r)) for r in rays]
-        if ambient is None:
-            if not rays:
-                raise ValueError("ambient dimension needed for the zero cone")
-            ambient = len(rays[0])
-        prim = tuple(sorted(map(primitive_vector, rays)))
-        if any(len(r) != ambient for r in prim):
-            raise ValueError("ray has wrong length")
-        if len(set(prim)) != len(prim):
-            raise ValueError("duplicate rays")
-        return cls._trusted(prim, ambient)
 
     def ray_matrix(self) -> IntMatrix:
         """Rays as columns."""
@@ -189,21 +175,14 @@ class Fan(_Frozen):
     def _trusted(cls, maximal: tuple[Cone, ...], ambient: int) -> "Fan":
         """A fan from cones of ambient dimension `ambient`, built unchecked.
 
-        The twin of Cone._trusted, for resolve's output, whose cones it
-        built itself in the input's ambient dimension.
+        The twin of Cone._trusted, for the fans of quotient_fan and
+        resolve, whose cones they built themselves in the fan's ambient
+        dimension.
         """
-        fan = object.__new__(cls)
-        object.__setattr__(fan, "maximal", maximal)
-        object.__setattr__(fan, "ambient", ambient)
+        fan = _new(cls)
+        _set_fan_maximal(fan, maximal)
+        _set_fan_ambient(fan, ambient)
         return fan
-
-    @classmethod
-    def from_cones(cls, cones: Sequence[Cone], ambient: int | None = None) -> "Fan":
-        if ambient is None:
-            if not cones:
-                raise ValueError("ambient dimension needed for the empty fan")
-            ambient = cones[0].ambient
-        return cls(tuple(sorted(cones, key=lambda c: c.rays)), ambient)
 
     def rays(self) -> tuple[tuple[int, ...], ...]:
         out = {r for c in self.maximal for r in c.rays}
@@ -237,6 +216,12 @@ class Fan(_Frozen):
         return all(v == 2 for v in facets.values())
 
 
+# the trusted constructors set a record's two slots through these, captured once
+_new = object.__new__
+_set_cone_rays, _set_cone_ambient = Cone.rays.__set__, Cone.ambient.__set__
+_set_fan_maximal, _set_fan_ambient = Fan.maximal.__set__, Fan.ambient.__set__
+
+
 class CyclicSingularity(_Frozen):
     """Isolated quotient point of type (1/p)(a_1, ..., a_n)."""
 
@@ -265,10 +250,15 @@ def quotient_fan(s: CyclicSingularity) -> Fan:
     Smith form u M v = d of the n x (n+1) matrix M = [p I | weights] gives
     both: the columns of B = u^-1 D, D = diag(d_1, ..., d_n), generate
     p * (refined lattice), so p B^-1 = diag(p / d_j) u and ray i is column
-    i of that, made primitive.  Every e_i lies in the refined lattice iff
-    M has rank n and each d_j divides p, the rows of u being primitive.
-    The columns pass once through `Cone.from_rays`, which makes them
-    primitive, sorts and checks them, and the fan is that one cone.
+    i of that.  Every e_i lies in the refined lattice iff M has rank n and
+    each d_j divides p, the rows of u being primitive.
+
+    The cone and the fan are built trusted: every entry is an int and every
+    column has length n by construction, and the rank-n check makes the
+    columns independent, so none is zero and no two coincide.  Column i
+    holds the coordinates of e_i, a primitive vector of the refined
+    lattice, in a basis of that lattice, so it is primitive already; a
+    column with gcd != 1 raises RuntimeError instead of being divided out.
     """
     n, p = len(s.weights), s.p
     m = IntMatrix._trusted(
@@ -277,7 +267,10 @@ def quotient_fan(s: CyclicSingularity) -> Fan:
     if snf.rank != n or any(p % d for d in snf.diagonal):
         raise RuntimeError("standard basis vector missing from the refined lattice")
     scaled = [[p // d * x for x in row] for d, row in zip(snf.diagonal, snf.u.rows)]
-    return Fan((Cone.from_rays(zip(*scaled), ambient=n),), n)
+    columns = sorted(zip(*scaled))
+    if any(gcd(*col) != 1 for col in columns):
+        raise RuntimeError("quotient cone ray is not primitive")
+    return Fan._trusted((Cone._trusted(tuple(columns), n),), n)
 
 
 def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
@@ -310,7 +303,7 @@ def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
         order = max(orders)
         gen = cols.pop(orders.index(order))
     # t gen mod D for t = 1 .. order - 1, one coordinate per iterator
-    multiples = zip(*(map(mod.__rmod__, range(x, x * order, x)) if x else repeat(0, order - 1) for x in gen))
+    multiples = zip(*[map(mod.__rmod__, range(x, x * order, x)) if x else repeat(0, order - 1) for x in gen])
     if order == mod:
         return mod, multiples
     zero = (0,) * len(gen)
@@ -327,7 +320,7 @@ def _parallelepiped(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
 
 def _lattice_point(rays: tuple[tuple[int, ...], ...], lam: Sequence[int], mod: int) -> tuple[int, ...]:
     """The ambient point sum (lam_i / mod) ray_i."""
-    return tuple(sum(map(mul, lam, col)) // mod for col in zip(*rays))
+    return tuple([sum(map(mul, lam, col)) // mod for col in zip(*rays)])
 
 
 def _stellar_point(rays: tuple[tuple[int, ...], ...],
@@ -371,18 +364,25 @@ def _support(judged: tuple, w: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return mu, [i for i, m in enumerate(mu) if det * m > 0]
 
 
-def _replace_ray(rays: tuple[tuple[int, ...], ...], judged: tuple, mu: Sequence[int], i: int,
-                 w: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple]:
-    """The sorted rays with ray i replaced by w, and the new cone's pending judgement.
+def _split(rays: tuple[tuple[int, ...], ...], parent: tuple, mu: Sequence[int], support: Iterable[int],
+           w: tuple[int, ...]) -> list[tuple[tuple[tuple[int, ...], ...], tuple]]:
+    """The children of the cone `rays` subdivided at w: for each i in `support`, ray i replaced by w.
 
-    The pending judgement is `_rank_one`'s arguments (judged, mu, i, k), w
-    moving to sorted position k; |det| of the new cone is |mu_i| already.
+    Each child is its sorted rays and its pending judgement, `_rank_one`'s
+    arguments (parent, mu, i, k) with w moving to sorted position k; |det|
+    of the child is |mu_i| already.  w is not a ray of the cone, so its
+    place among the rays is found once: it lands at k0 = bisect_left(rays,
+    w), one place earlier when the ray removed stands before it.
     """
-    new = list(rays)
-    del new[i]
-    k = bisect_left(new, w)
-    new.insert(k, w)
-    return tuple(new), (judged, mu, i, k)
+    k0 = bisect_left(rays, w)
+    out = []
+    for i in support:
+        new = list(rays)
+        del new[i]
+        k = k0 - 1 if i < k0 else k0
+        new.insert(k, w)
+        out.append((tuple(new), (parent, mu, i, k)))
+    return out
 
 
 def _rank_one(judged: tuple, mu: Sequence[int], i: int, k: int) -> tuple:
@@ -396,15 +396,17 @@ def _rank_one(judged: tuple, mu: Sequence[int], i: int, k: int) -> tuple:
     j = i that would be 0, so row i is not computed.
     Sorting carries w from position i to position k, a cycle of |k - i|
     transpositions, so the rows of adj move with it and both det and adj
-    take the sign (-1)^|k - i|.
+    take the sign (-1)^|k - i|.  That sign is folded into mu_i and adj_i
+    first: every row j != i is linear in the pair, so it comes out
+    negated with them.
     """
     basis, det, adj = judged
     mu_i, adj_i = mu[i], adj[i]
+    if (k - i) % 2:
+        mu_i, adj_i = -mu_i, tuple([-x for x in adj_i])
     new = [tuple([(mu_i * x - mu_j * y) // det for x, y in zip(a, adj_i)])
            for j, (a, mu_j) in enumerate(zip(adj, mu)) if j != i]
     new.insert(k, adj_i)
-    if (k - i) % 2:
-        return basis, -mu_i, tuple([tuple([-x for x in row]) for row in new])
     return basis, mu_i, tuple(new)
 
 
@@ -479,7 +481,8 @@ def resolve(f: Fan) -> Fan:
     In the plane each cone is subdivided on its own by its
     Hirzebruch-Jung chain (`_hirzebruch_jung`), certified cone by cone in
     O(r) for r new rays: the minimal resolution, and the one the stellar
-    rounds below reach too.
+    rounds below reach too.  Its cones, all built in ambient 2, are sorted
+    by their rays and the fan is built by `Fan._trusted`.
 
     From dimension 3 on, each round takes the non-regular cone with the
     least rays, stellar-subdivides it at `_stellar_point` w, and with it
@@ -494,8 +497,8 @@ def resolve(f: Fan) -> Fan:
     from the cones then alive (O(cones), bounded by the output), and kept
     up from then on; `_support` is read once for each cone it returns
     other than the target.  Each such cone is replaced by the cones with
-    one of those rays swapped for w, whose judgements wait as
-    `_replace_ray`'s pending rank-one updates until a round reads the
+    one of those rays swapped for w, all from one `_split` call, whose
+    judgements wait as pending rank-one updates until a round reads the
     cone, as its target or as a cone holding its w; a cone that reaches
     the output is never judged, and |mu_i| alone decides the heap.  So a
     round costs the stellar point, on a proper face the smallest ray ->
@@ -508,7 +511,8 @@ def resolve(f: Fan) -> Fan:
     """
     n = f.ambient
     if n == 2:
-        return Fan.from_cones([d for c in f.maximal for d in _hirzebruch_jung(c)], ambient=2)
+        cones = [d for c in f.maximal for d in _hirzebruch_jung(c)]
+        return Fan._trusted(tuple(sorted(cones, key=lambda c: c.rays)), 2)
     try:
         judged = {c.rays: _judge(c) for c in f.maximal}
     except ValueError:
@@ -525,7 +529,7 @@ def resolve(f: Fan) -> Fan:
             read = judged[target] = _rank_one(*read)
         w, mu, face = _stellar_point(target, read)
         # the one new ray of the round, so the new cones need no checks of their own
-        if w != primitive_vector(w) or w in target:
+        if gcd(*w) != 1 or w in target:
             raise RuntimeError(f"stellar point {w} is not a new primitive ray")
         if len(face) == len(target):
             holding = (target,)  # w is interior to the target, which no other cone contains
@@ -541,14 +545,14 @@ def resolve(f: Fan) -> Fan:
                 for r in c:
                     on_ray[r].discard(c)
             c_mu, support = (mu, face) if c == target else _support(parent, w)
-            for i in support:
-                cone, judged[cone] = _replace_ray(c, parent, c_mu, i, w)
+            for cone, pending in _split(c, parent, c_mu, support, w):
+                judged[cone] = pending
                 if on_ray is not None:
                     for r in cone:
                         on_ray[r].add(cone)
-                if abs(c_mu[i]) != 1:
+                if abs(c_mu[pending[2]]) != 1:
                     heappush(bad, cone)
-    return Fan._trusted(tuple(Cone._trusted(c, n) for c in sorted(judged)), n)
+    return Fan._trusted(tuple([Cone._trusted(c, n) for c in sorted(judged)]), n)
 
 
 class HJResolution(NamedTuple):

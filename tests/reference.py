@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations_with_replacement, repeat
 from math import comb, gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from quotcoh.engine import DegreeInvariants, GradedInvariants
@@ -405,6 +405,37 @@ def graded_profile(m: int, h2_profile: JordanProfile) -> GradedInvariants:
 
 # --- cones and fans ----------------------------------------------------------
 
+def cone_from_rays(rays: Iterable[Sequence[int]], ambient: int | None = None) -> Cone:
+    """The cone of the primitive multiples of `rays`, sorted; `ambient` defaults to their length.
+
+    Each check runs once, in this order: every entry is an int
+    (operator.index), no ray is zero (primitive_vector raises), every ray
+    has length `ambient`, and no two primitive rays coincide.  What passes
+    is what the checking constructor `Cone` would accept, so the cone is
+    built by `Cone._trusted`.
+    """
+    rays = [tuple(map(index, r)) for r in rays]
+    if ambient is None:
+        if not rays:
+            raise ValueError("ambient dimension needed for the zero cone")
+        ambient = len(rays[0])
+    prim = tuple(sorted(map(primitive_vector, rays)))
+    if any(len(r) != ambient for r in prim):
+        raise ValueError("ray has wrong length")
+    if len(set(prim)) != len(prim):
+        raise ValueError("duplicate rays")
+    return Cone._trusted(prim, ambient)
+
+
+def fan_from_cones(cones: Sequence[Cone], ambient: int | None = None) -> Fan:
+    """The fan of `cones`, sorted by their rays; `ambient` defaults to the first cone's."""
+    if ambient is None:
+        if not cones:
+            raise ValueError("ambient dimension needed for the empty fan")
+        ambient = cones[0].ambient
+    return Fan(tuple(sorted(cones, key=lambda c: c.rays)), ambient)
+
+
 def coordinates_of(c: Cone, point: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     """Barycentric coordinates of a point in the simplicial cone c, or None.
 
@@ -440,7 +471,7 @@ def adjugate_quotient_fan(s: CyclicSingularity) -> Fan:
     if any(s.p * e % det for row in adj for e in row):
         raise RuntimeError("standard basis vector missing from the refined lattice")
     rays = [primitive_vector([s.p * row[i] // det for row in adj]) for i in range(n)]
-    return Fan.from_cones([Cone.from_rays(rays, ambient=n)], ambient=n)
+    return fan_from_cones([cone_from_rays(rays, ambient=n)], ambient=n)
 
 
 def parallelepiped_all_orders(judged: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
@@ -510,16 +541,16 @@ def projective_space_fan(n: int) -> Fan:
     rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rays.append(tuple([-1] * n))
     cones = [
-        Cone.from_rays([rays[j] for j in range(n + 1) if j != skip], ambient=n)
+        cone_from_rays([rays[j] for j in range(n + 1) if j != skip], ambient=n)
         for skip in range(n + 1)
     ]
-    return Fan.from_cones(cones, ambient=n)
+    return fan_from_cones(cones, ambient=n)
 
 
 def product_of_lines_fan() -> Fan:
     """Fan of the product of two projective lines."""
-    cones = [Cone.from_rays([(sx, 0), (0, sy)], ambient=2) for sx in (1, -1) for sy in (1, -1)]
-    return Fan.from_cones(cones, ambient=2)
+    cones = [cone_from_rays([(sx, 0), (0, sy)], ambient=2) for sx in (1, -1) for sy in (1, -1)]
+    return fan_from_cones(cones, ambient=2)
 
 
 # --- K3 surfaces ---------------------------------------------------------------

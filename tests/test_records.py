@@ -116,7 +116,7 @@ K3_DEGREES = (ONE, ZERO, DegreeInvariants(22, 2, 0, 4), ZERO, ONE)
 # a float must raise, not be truncated (the ray (1.5, 2) read as (1, 2)), carried
 # into the counts (a report with betti 6.0) or read as another degree (1.5 as 2)
 NON_INTEGER = {
-    "ray entry": lambda: Cone.from_rays([[1.5, 2], [0, 1]]),
+    "ray entry": lambda: Cone(((1.5, 2), (0, 1)), 2),
     "degree counts": lambda: DegreeInvariants(22.0, 2.0, 0, 4.0),
     "torsion block size": lambda: DegreeInvariants(5, 5, l_qt=((1.0, 2),)),
     "torsion block count": lambda: DegreeInvariants(5, 5, l_qt=((1, 2.0),)),
