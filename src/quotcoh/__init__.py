@@ -3,9 +3,10 @@
 Subpackages:
 
 * intmat    -- arbitrary-precision integer matrices, Smith normal form,
-               saturated kernels, mod-p ranks
-* modp      -- the packed echelon elimination over F_p behind mod-p ranks,
-               Jordan profiles and the summand counts of a Z[G]-lattice
+               saturated kernels, the packed echelon elimination over Z/m
+               behind mod-p ranks and discriminant groups
+* modp      -- A - 1 packed for that elimination, for Jordan profiles, and
+               the summand counts of a Z[G]-lattice
 * profiles  -- Jordan profiles of order-p actions over F_p, and Sym^k of a
                permutation module in closed form
 * lattices  -- integral lattices with prime-order isometries, the summand

@@ -1,10 +1,10 @@
 """Exact integer matrices and the linear algebra kernel built on them.
 
 Everything in this package is computed over Z with arbitrary-precision
-integers, or over a prime field F_p; there is no floating point anywhere.
-The central primitive is the Smith normal form u m v = d, one elimination
-of the augmented matrix [[m, I], [B, 0]]: the row operations turn I into
-u and the column operations turn the rows B into B v.  Saturated kernels
+integers, or over Z/m; there is no floating point anywhere.  The central
+primitive is the Smith normal form u m v = d, one elimination of the
+augmented matrix [[m, I], [B, 0]]: the row operations turn I into u and
+the column operations turn the rows B into B v.  Saturated kernels
 (B = I), image bases (B = m, as m v = u^-1 d) and finite-quotient
 invariants are all read from it, each augmenting m only by what it
 reads; rows that are zero in the trailing block, most rows of a norm map
@@ -12,23 +12,24 @@ of small rank, are skipped by the pivot search and by the column
 operations, which leaves every pivot and transform as it was.  A matrix
 product sums rows of the right factor over the nonzero entries of each
 row of the left one, so a sparse left factor, such as an image basis,
-costs only its nonzeros.  The Smith diagonal of a non-singular square
-matrix, which is all a finite quotient needs, is computed modulo any m
-between d_1 ... d_(n-1) and the determinant D that it divides (D itself
-for a quotient group, a gcd of (n-1)-minors for a Gram matrix): the
-input is reduced once and each step's pivot row once, so after k steps
-every entry is below m + k m^2 in absolute value; a symmetric matrix
-first eliminates by congruence on its unit diagonal entries and then on
-principal 2x2 blocks of unit determinant, updating only its upper
-triangle.  The elimination over Z/m returns its cyclic factors
-(_chain_mod), and one assembly (_divisor_chain) turns them into the
-diagonal, so that the coprime parts of m, each eliminated on its own
-matrix, as lattices does for a Gram matrix, pool into one chain.
-One fraction-free (Bareiss) elimination gives determinants and, run as
-Gauss-Jordan, the adjugate together with the determinant.  Ranks mod p
-come from the packed echelon elimination over F_p in modp, which
-rank_mod_p imports when it is called, so a process that takes no mod-p
-rank never compiles it.
+costs only its nonzeros.  One fraction-free (Bareiss) elimination gives
+determinants and, run as Gauss-Jordan, the adjugate together with the
+determinant.
+
+One echelon elimination over Z/m, m > 1, clears rows packed into one int
+each (_packing) at pivots that are units mod m, wherever they lie, and
+reduces all slots of a row at once by Barrett's division by
+multiplication (_row_basis_mod_p); at a prime it gives ranks mod p and,
+through modp, Jordan profiles and summand counts.  The Smith diagonal of
+a non-singular square matrix, all a finite quotient needs, is computed
+modulo any m between d_1 ... d_(n-1) and the determinant D that it
+divides (D for a quotient group, a gcd of (n-1)-minors for a Gram
+matrix): _chain_mod returns the cyclic factors of one packed pass and of
+its unit-free remainder, divided by its common factor with m, one
+modulus down, or, where there is none, eliminated over two coprime parts
+of m; _divisor_chain turns them into the diagonal, so that the coprime
+parts of m, each eliminated on its own matrix, as lattices does for a
+Gram matrix, pool into one chain.
 
 All values are immutable, all functions are pure, so everything here is
 safe to share between threads.
@@ -37,8 +38,10 @@ safe to share between threads.
 from __future__ import annotations
 
 import operator
+import sys
+from itertools import zip_longest
 from math import gcd, prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -484,133 +487,174 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
     return _smith(m, u=True, below=IntMatrix.identity(m.ncols))
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(h, x, y) with x*a + y*b = h = gcd(a, b), for a, b >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+# the unsigned machine word of each width, as array and memoryview name it
+_MACHINE_WORDS = {memoryview(b"").cast(c).itemsize: c for c in "QIHB"}
+
+
+def _packing(m: int, n: int) -> tuple[int, Callable, Callable]:
+    """(slot bits, pack, reduce) for rows of n entries over Z/m held as one int.
+
+    Entry j of a row is slot j of the int, bits 8 w j to 8 w (j + 1), where
+    w is the fewest bytes that hold every value below 2 X, X = 2 n m^2,
+    rounded up to a machine word of 1, 2, 4 or 8 bytes where one is wide
+    enough and the machine is little-endian, so that array packs the row
+    in C.  X bounds every slot of _row_basis_mod_p: an incoming row is
+    below n m^2, and each of at most n clearing steps adds less than m^2.
+    pack takes entries below 2 X.  Lengths and byte orders are passed
+    explicitly, as Python 3.10 has no defaults for them.
+
+    reduce maps every slot below X to its residue mod m with a dozen int
+    operations and no loop over entries, by Barrett's quotient
+    q = floor(x M / 2^s) = floor(x / m), M = ceil(2^s / m), 2^s > X m: with
+    M = (2^s + e) / m, 0 <= e < m, the error x e / (m 2^s) is below 1 / m;
+    nothing here asks m to be prime.  The even slots and the odd ones,
+    shifted down, are multiplied by M apart, so each product x M has its
+    empty neighbour slot as headroom.  It fits there: the one spare bit
+    gives X <= 2^(w' - 1) with w' = 8 w the slot width, and the least such
+    s has 2^s <= 2 X m, so M <= 2 X and x M < 2 X^2 <= 2^(2 w' - 1); the
+    quotient q < X / m fits its slot.
+    """
+    bound = 2 * n * m * m
+    w = max(1, ((2 * bound - 1).bit_length() + 7) // 8)
+    if w <= 8 and sys.byteorder == "little":
+        from array import array  # loaded by the first elimination, not at start-up
+
+        w = 1 << (w - 1).bit_length()
+        code = _MACHINE_WORDS[w]
+
+        def pack(row):
+            return int.from_bytes(array(code, row).tobytes(), "little")
+    else:
+        def pack(row):
+            return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in row]), "little")
+
+    bits = 8 * w
+    s = (bound * m).bit_length()
+    mult = -(-(1 << s) // m)
+    # a 1 at the foot of each pair of slots, the last one alone for odd n
+    feet = int.from_bytes((b"\1" + bytes(2 * w - 1)) * ((n + 1) // 2), "little")
+    even, high = feet * ((1 << bits) - 1), feet * ((1 << 2 * bits) - (1 << s))
+
+    def reduce(r):
+        q = (r & even) * mult & high | ((r >> bits & even) * mult & high) << bits
+        return r - m * (q >> s)
+
+    return bits, pack, reduce
+
+
+def _row_basis_mod_p(rows: Iterable[int], p: int, packing: tuple,
+                     basis: list | None = None, top: int | None = None) -> list[int]:
+    """Echelon basis over Z/p of the span of `rows`, packed by `packing`,
+    for any p > 1, prime or not.
+
+    Each row is an int of n slots of `packing`, _packing(p, n), every slot
+    below n p^2, and so is each row of the basis returned, monic at its
+    pivot, with a residue in every slot.  Each incoming row is cleared at
+    the pivots of the basis so far, in order, and kept if a slot is then a
+    unit mod p: the first such slot is its pivot, where it is made monic.
+    A basis row is zero at the pivots before it.  At a prime the first
+    nonzero slot is a unit, so this is the echelon basis over F_p.  With
+    `top`, only a row with a unit slot below bit `top` is kept, in `basis`,
+    the (shift of the pivot slot, monic row) pairs that each call extends,
+    so one elimination can take its rows over several calls; the call
+    returns the other nonzero rows, reduced, instead of the basis, cleared
+    at every pivot, the ones found after them too (which can leave a row
+    zero).  At a prime such a row is zero below `top`, where every pivot
+    lies, so nothing is left to clear.
+
+    A clearing step is one product and one sum of ints, r + (p - f) b, with
+    nothing reduced: p - f > 0 and b's slots are residues, so every slot
+    stays non-negative and below X = 2 n p^2, and the pivot slot of the sum
+    is f + (p - f) = 0 mod p.  One reduce then takes each cleared row to its
+    residues (exact below X, as a slot of w bits has X <= 2^(w - 1), so
+    every Barrett product x M < 2^(2 w) stays in its pair of slots), so
+    the row is zero when the int is, its slots are read from its lowest
+    set bit up, and it is made monic by one more reduce, of products of
+    two residues.  Nothing is unpacked.
+    """
+    bits, _, reduce = packing
+    mask = (1 << bits) - 1
+    low = -1 if top is None else (1 << top) - 1
+    basis = [] if basis is None else basis
+    rest = []
+    for r in rows:
+        if not r:
+            continue
+        for shift, b in basis:
+            f = (r >> shift & mask) % p
+            if f:
+                r += (p - f) * b
+        r = reduce(r)
+        left = r & low
+        while left:
+            shift = ((left & -left).bit_length() - 1) // bits * bits
+            pivot = r >> shift & mask
+            if gcd(pivot, p) == 1:
+                if pivot != 1:
+                    r = reduce(r * pow(pivot, -1, p))
+                basis.append((shift, r))
+                break
+            left ^= pivot << shift
+        else:
+            if r:
+                rest.append((len(basis), r))
+    if top is None:
+        return [b for _, b in basis]
+    late = []
+    for k, r in rest:
+        if r & low:
+            for shift, b in basis[k:]:
+                f = (r >> shift & mask) % p
+                if f:
+                    r += (p - f) * b
+            r = reduce(r)
+        late.append(r)
+    return late
 
 
 def _chain_mod(rows: Sequence[Sequence[int]], m: int) -> list[int]:
-    """The g's of one elimination of a square matrix A over Z/m, m > 1:
-    coker over Z/m of A is the sum of the Z/g.
+    """g's of one elimination of a square matrix A over Z/m, m > 1, one
+    for each row that no unit pivot takes: coker over Z/m of A is the sum
+    of the Z/g.
 
-    Each step brings the entry e of least gcd(e, m) to the pivot; a unit
-    clears its column in one pass.  Otherwise rows or columns are combined
-    by extended gcd until g = gcd(pivot, m) divides the rest of the pivot's
-    row and column; each combination replaces g by a proper divisor, so
-    there are at most log2(m) of them per step.  The step contributes Z/g.
-
-    Only the input and each step's pivot row are reduced mod m, the pivot
-    row once before it multiplies; the other rows take t - x s unreduced,
-    in place.  Every value the elimination reads is read modulo m or a
-    divisor g of m (gcd(e, m), e mod g, and x = e/g c^-1 mod m/g), and the
-    extended gcd combinations reduce their inputs and what they write, so
-    the pivots, the g's and the diagonal are those of full reduction.
-    With x < m and a reduced pivot row a step adds less than m^2 to an
-    entry, so after k steps |entry| < m + k m^2.
-
-    A symmetric A, such as a Gram matrix, first runs a congruence phase,
-    checked for in O(n^2).  While a diagonal entry of the trailing block is
-    a unit mod m it is the pivot; failing that, a principal 2x2 block
-    [[a_ii, a_ij], [a_ij, a_jj]] whose determinant is a unit, as the odd
-    off-diagonal entries of an even Gram give at m even.  The rows and the
-    columns of the pivot are cleared together, E^T A E with E invertible
-    mod m, which keeps the cokernel over Z/m; the block stays symmetric mod
-    m, so only its upper triangle is updated, by x < m times each pivot
-    row, reduced once.  Each such step contributes one or two diagonal 1's
-    and adds less than m^2 per row it removes.  What is left is mirrored
-    and runs the elimination above.
+    One packed pass (_row_basis_mod_p) takes each row with a unit slot as
+    a pivot row and clears the pivot's column in every other row.  A unit
+    pivot at (i, j) leaves coker over Z/m that of the rest without row i
+    and column j, so coker(A) is coker(B) for the square remainder B: the
+    unit-free rows, zero rows included, on the columns without a pivot,
+    unpacked.  If g0 = gcd(m, entries of B) > 1, B = g0 B' and coker over
+    Z/m of B is g0 times coker over Z/(m/g0) of B', one g0 for each row of
+    B' that a unit pivot takes there (every row when g0 = m, B = 0).
+    Otherwise every prime q of m leaves some entry x of B prime to q.  If
+    such an x is no unit, c, the part of m prime to x, and m/c are coprime
+    and both > 1, and by CRT coker over Z/m of B is the sum of the cokers
+    over Z/c and over Z/(m/c); as Z/g + Z/h = Z/gh for coprime g and h,
+    their g's pair up into products, one per row.  Failing that, such an x
+    is a unit, which a pivot found after its row was set aside can leave,
+    and B runs the pass again.
     """
     n = len(rows)
-    a = [[x % m for x in row] for row in rows]
-    found = []
-    if all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i)):
-        # row i of the trailing block is read from column i on, its upper triangle
-        def full(k):
-            # row k in full, reduced: column k above the diagonal, then row k on
-            return [e % m for e in [row[k] for row in a[:k]] + a[k][k:]]
-
-        while True:
-            k = next((i for i, row in enumerate(a) if gcd(row[i], m) == 1), None)
-            if k is not None:
-                top = full(k)
-                unit = pow(top[k], -1, m)
-                del a[k], top[k]
-                for row in a:
-                    del row[k]
-                for i, row in enumerate(a):
-                    x = top[i] * unit % m
-                    if x:
-                        row[i:] = [t - x * s for s, t in zip(top[i:], row[i:])]
-                continue
-            k, j = next(((k, j) for k, row in enumerate(a) for j in range(k + 1, len(a))
-                         if gcd(row[k] * a[j][j] - row[j] * row[j], m) == 1), (None, None))
-            if k is None:
-                break
-            # clear by the inverse (1/det) [[c, -b], [-b, p]] of the block [[p, b], [b, c]]
-            u, v = full(k), full(j)
-            p, b, c = u[k], u[j], v[j]
-            unit = pow(p * c - b * b, -1, m)
-            del a[j], a[k]
-            for w in (u, v, *a):
-                del w[j], w[k]
-            for i, row in enumerate(a):
-                x = (c * u[i] - b * v[i]) * unit % m
-                y = (p * v[i] - b * u[i]) * unit % m
-                if x or y:
-                    row[i:] = [t - x * s - y * r for s, r, t in zip(u[i:], v[i:], row[i:])]
-        for i, row in enumerate(a):
-            row[:i] = [a[j][i] for j in range(i)]
-    while a:
-        best = None
-        for i, row in enumerate(a):
-            for j, e in enumerate(row):
-                g = gcd(e, m)
-                if best is None or g < best[0]:
-                    best = (g, i, j)
-                    if g == 1:
-                        break
-            if best[0] == 1:
-                break
-        g, bi, bj = best
-        a[0], a[bi] = a[bi], a[0]
-        if bj:
-            for row in a:
-                row[0], row[bj] = row[bj], row[0]
-        while g > 1:
-            top = a[0]
-            i = next((i for i in range(1, len(a)) if a[i][0] % g), None)
-            if i is not None:
-                # [[x, y], [-e/h, p/h]] on rows 0 and i leaves h, 0 in column 0
-                p, e = top[0] % m, a[i][0] % m
-                h, x, y = _xgcd(p, e)
-                a[0] = [(x * s + y * t) % m for s, t in zip(top, a[i])]
-                a[i] = [(p // h * t - e // h * s) % m for s, t in zip(top, a[i])]
-            else:
-                j = next((j for j in range(1, len(top)) if top[j] % g), None)
-                if j is None:
-                    break
-                p, e = top[0] % m, top[j] % m
-                h, x, y = _xgcd(p, e)
-                for row in a:
-                    s, t = row[0], row[j]
-                    row[0], row[j] = (x * s + y * t) % m, (p // h * t - e // h * s) % m
-            g = gcd(a[0][0], m)
-        top = [e % m for e in a[0]]
-        # pivot = g c with c a unit mod m/g: row_i -= x row_0 clears a_i0 = g f
-        unit = pow(top[0] // g, -1, m // g)
-        del a[0]
-        for row in a:
-            x = row.pop(0) // g * unit % (m // g)
-            if x:
-                row[:] = [t - x * s for s, t in zip(top[1:], row)]
-        found.append(g)
-    return found
+    packing = _packing(m, n)
+    bits, pack, _ = packing
+    basis = []
+    rest = _row_basis_mod_p([pack([x % m for x in row]) for row in rows], m, packing, basis, n * bits)
+    taken = {shift for shift, _ in basis}
+    cols = [j for j in range(0, n * bits, bits) if j not in taken]
+    mask = (1 << bits) - 1
+    a = [[r >> j & mask for j in cols] for r in rest]
+    a += [[0] * len(cols) for _ in range(len(cols) - len(a))]
+    entries = [x for row in a for x in row]
+    g0 = gcd(m, *entries)
+    if g0 > 1:
+        found = _chain_mod([[x // g0 for x in row] for row in a], m // g0) if g0 < m else []
+        return [g0] * (len(a) - len(found)) + [g0 * g for g in found]
+    for x in entries:
+        c = m
+        while (h := gcd(c, x)) > 1:
+            c //= h
+        if 1 < c < m:
+            return [g * h for g, h in zip_longest(_chain_mod(a, m // c), _chain_mod(a, c), fillvalue=1)]
+    return _chain_mod(a, m)
 
 
 def _divisor_chain(found: Sequence[int], n: int, det: int, m: int) -> tuple[int, ...]:
@@ -643,8 +687,6 @@ def _divisor_chain(found: Sequence[int], n: int, det: int, m: int) -> tuple[int,
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:
     """Rank of m over the field with p elements."""
-    from .modp import _packing, _row_basis_mod_p
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     packing = _packing(p, m.ncols)
@@ -746,9 +788,10 @@ def quotient_group(sub: IntMatrix, ambient_rank: int) -> list[int]:
     adj(A) A = det(A) I puts D Z^n inside the row span of a full-rank A, so
     Z^n / rows(A) is also the cokernel of A over Z/D, and the elimination
     runs on residues instead of on growing integers (Domich-Kannan-Trotter
-    1987; Cohen, GTM 138, Alg. 2.4.14): _chain_mod gives its cyclic factors
-    and _divisor_chain the diagonal, d_n = D / (d_1 ... d_(n-1)).  D = 1
-    leaves nothing to eliminate.
+    1987; Cohen, GTM 138, Alg. 2.4.14): _chain_mod gives its cyclic factors,
+    packed rows cleared at unit pivots wherever they lie, and _divisor_chain
+    the diagonal, d_n = D / (d_1 ... d_(n-1)).  D = 1 leaves nothing to
+    eliminate.
     """
     if sub.ncols != ambient_rank:
         raise ValueError("row vectors do not live in Z^ambient_rank")

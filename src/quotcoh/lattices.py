@@ -39,8 +39,8 @@ modulus splits into coprime parts by the pass's leading minors: the part
 coprime to the leading k-minor is eliminated only on the pass's trailing
 (n-k)x(n-k) block, rebuilt from the pivot rows the Lattice keeps by
 running Sylvester's identity backwards, and a part whose block would be
-more than half the matrix on G itself.  Each elimination runs by
-congruence while a diagonal entry or a principal 2x2 block is a unit.
+more than half the matrix on G itself.  Each part runs intmat's packed
+elimination over Z/c_k, unit pivots first, wherever they lie.
 
 Two modeling notes, both validated against independent computations in
 the test suite rather than assumed:
@@ -175,7 +175,9 @@ def discriminant_group(l: Lattice) -> list[int]:
     and d_n = D / (d_1 ... d_(n-1)).  The modulus splits into coprime parts
     c_k (_modulus_parts), and each part eliminates the pass's trailing
     block T_k past the leading k-minor pi_k, a unit mod c_k, instead of G
-    (_trailing_blocks); the g's of all parts pool into one divisor chain.
+    (_trailing_blocks), by one packed pass of unit pivots over Z/c_k and
+    its unit-free rest (intmat._chain_mod); the g's of all parts pool into
+    one divisor chain.
     """
     pivots, rows = l._pass
     parts = _modulus_parts(l.modulus, pivots)

@@ -29,8 +29,8 @@ import operator
 from math import comb
 from typing import Mapping, Sequence
 
-from .intmat import IntMatrix, _Frozen, is_prime
-from .modp import _pack_minus_one, _packing, _row_basis_mod_p
+from .intmat import IntMatrix, _Frozen, _packing, _row_basis_mod_p, is_prime
+from .modp import _pack_minus_one
 
 
 class JordanProfile(_Frozen):

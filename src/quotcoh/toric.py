@@ -73,7 +73,6 @@ from .intmat import (
     IntMatrix,
     _Frozen,
     _smith,
-    _xgcd,
     det_adjugate,
     is_prime,
     primitive_vector,
@@ -410,6 +409,17 @@ def _rank_one(judged: tuple, mu: Sequence[int], i: int, k: int) -> tuple:
     return basis, mu_i, tuple(new)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(h, x, y) with x*a + y*b = h = gcd(a, b), for a, b >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
 def _hirzebruch_jung(c: Cone) -> list[Cone]:
     """The regular cones of the minimal subdivision of a plane cone, certified.
 
@@ -506,15 +516,19 @@ def resolve(f: Fan) -> Fan:
     O(n^2) per cone it reads and a heap operation, not a pass over the
     fan; termination holds because each subdivision strictly decreases
     multiplicities.  The rounds hold each cone as its sorted ray tuple,
-    unique in the fan, which Python hashes and orders in C; a `Cone` is
+    unique in the fan, which Python hashes and orders in C (an input
+    cone's rays are sorted once, before it is judged, so the order a
+    `Cone` was given its rays in cannot change the fan); a `Cone` is
     built only for the output, and the output `Fan` by `Fan._trusted`.
     """
     n = f.ambient
     if n == 2:
         cones = [d for c in f.maximal for d in _hirzebruch_jung(c)]
         return Fan._trusted(tuple(sorted(cones, key=lambda c: c.rays)), 2)
+    # the rounds read each cone as its sorted ray tuple, whatever order it came in
+    cones = [Cone._trusted(tuple(sorted(c.rays)), n) for c in f.maximal]
     try:
-        judged = {c.rays: _judge(c) for c in f.maximal}
+        judged = {c.rays: _judge(c) for c in cones}
     except ValueError:
         raise ValueError("resolution implemented for simplicial fans") from None
     on_ray = None  # the ray -> cones index, built at the first round that needs it

@@ -17,14 +17,14 @@ from typing import Iterable, Sequence
 from quotcoh.engine import DegreeInvariants, GradedInvariants
 from quotcoh.hilbert import K3_B2, _permutation_invariants
 from quotcoh.intmat import (
-    IntMatrix, SmithDecomposition, _smith, det_adjugate, image_basis, primitive_vector,
-    smith_decomposition,
+    IntMatrix, SmithDecomposition, _packing, _row_basis_mod_p, _smith, det_adjugate,
+    image_basis, primitive_vector, smith_decomposition,
 )
 from quotcoh.k3 import K3ActionSpec
 from quotcoh.lattices import BNSInvariants
-from quotcoh.modp import _pack_minus_one, _packing, _row_basis_mod_p
+from quotcoh.modp import _pack_minus_one
 from quotcoh.profiles import JordanProfile
-from quotcoh.toric import Cone, CyclicSingularity, Fan, _judge
+from quotcoh.toric import Cone, CyclicSingularity, Fan, _judge, _xgcd
 
 
 # --- integer matrices --------------------------------------------------------
@@ -166,10 +166,143 @@ def smith_dense(m: IntMatrix, u: bool = False, below: IntMatrix | None = None) -
     )
 
 
+def chain_mod(rows: Sequence[Sequence[int]], m: int) -> list[int]:
+    """The g's of one elimination of a square matrix A over Z/m, m > 1:
+    coker over Z/m of A is the sum of the Z/g.
+
+    The route intmat._chain_mod replaced by one packed pass of unit
+    pivots, a division by the common factor of what is left and this loop
+    as its fallback: the oracle of its pooled divisor chains.
+
+    Each step brings the entry e of least gcd(e, m) to the pivot; a unit
+    clears its column in one pass.  Otherwise rows or columns are combined
+    by extended gcd until g = gcd(pivot, m) divides the rest of the pivot's
+    row and column; each combination replaces g by a proper divisor, so
+    there are at most log2(m) of them per step.  The step contributes Z/g.
+
+    Only the input and each step's pivot row are reduced mod m, the pivot
+    row once before it multiplies; the other rows take t - x s unreduced,
+    in place.  Every value the elimination reads is read modulo m or a
+    divisor g of m (gcd(e, m), e mod g, and x = e/g c^-1 mod m/g), and the
+    extended gcd combinations reduce their inputs and what they write, so
+    the pivots, the g's and the diagonal are those of full reduction.
+    With x < m and a reduced pivot row a step adds less than m^2 to an
+    entry, so after k steps |entry| < m + k m^2.
+
+    A symmetric A, such as a Gram matrix, first runs a congruence phase,
+    checked for in O(n^2).  While a diagonal entry of the trailing block is
+    a unit mod m it is the pivot; failing that, a principal 2x2 block
+    [[a_ii, a_ij], [a_ij, a_jj]] whose determinant is a unit, as the odd
+    off-diagonal entries of an even Gram give at m even.  The rows and the
+    columns of the pivot are cleared together, E^T A E with E invertible
+    mod m, which keeps the cokernel over Z/m; the block stays symmetric mod
+    m, so only its upper triangle is updated, by x < m times each pivot
+    row, reduced once.  Each such step contributes one or two diagonal 1's
+    and adds less than m^2 per row it removes.  What is left is mirrored
+    and runs the elimination above.
+    """
+    n = len(rows)
+    a = [[x % m for x in row] for row in rows]
+    found = []
+    if all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i)):
+        # row i of the trailing block is read from column i on, its upper triangle
+        def full(k):
+            # row k in full, reduced: column k above the diagonal, then row k on
+            return [e % m for e in [row[k] for row in a[:k]] + a[k][k:]]
+
+        while True:
+            k = next((i for i, row in enumerate(a) if gcd(row[i], m) == 1), None)
+            if k is not None:
+                top = full(k)
+                unit = pow(top[k], -1, m)
+                del a[k], top[k]
+                for row in a:
+                    del row[k]
+                for i, row in enumerate(a):
+                    x = top[i] * unit % m
+                    if x:
+                        row[i:] = [t - x * s for s, t in zip(top[i:], row[i:])]
+                continue
+            k, j = next(((k, j) for k, row in enumerate(a) for j in range(k + 1, len(a))
+                         if gcd(row[k] * a[j][j] - row[j] * row[j], m) == 1), (None, None))
+            if k is None:
+                break
+            # clear by the inverse (1/det) [[c, -b], [-b, p]] of the block [[p, b], [b, c]]
+            u, v = full(k), full(j)
+            p, b, c = u[k], u[j], v[j]
+            unit = pow(p * c - b * b, -1, m)
+            del a[j], a[k]
+            for w in (u, v, *a):
+                del w[j], w[k]
+            for i, row in enumerate(a):
+                x = (c * u[i] - b * v[i]) * unit % m
+                y = (p * v[i] - b * u[i]) * unit % m
+                if x or y:
+                    row[i:] = [t - x * s - y * r for s, r, t in zip(u[i:], v[i:], row[i:])]
+        for i, row in enumerate(a):
+            row[:i] = [a[j][i] for j in range(i)]
+    while a:
+        best = None
+        for i, row in enumerate(a):
+            for j, e in enumerate(row):
+                g = gcd(e, m)
+                if best is None or g < best[0]:
+                    best = (g, i, j)
+                    if g == 1:
+                        break
+            if best[0] == 1:
+                break
+        g, bi, bj = best
+        a[0], a[bi] = a[bi], a[0]
+        if bj:
+            for row in a:
+                row[0], row[bj] = row[bj], row[0]
+        while g > 1:
+            top = a[0]
+            i = next((i for i in range(1, len(a)) if a[i][0] % g), None)
+            if i is not None:
+                # [[x, y], [-e/h, p/h]] on rows 0 and i leaves h, 0 in column 0
+                p, e = top[0] % m, a[i][0] % m
+                h, x, y = _xgcd(p, e)
+                a[0] = [(x * s + y * t) % m for s, t in zip(top, a[i])]
+                a[i] = [(p // h * t - e // h * s) % m for s, t in zip(top, a[i])]
+            else:
+                j = next((j for j in range(1, len(top)) if top[j] % g), None)
+                if j is None:
+                    break
+                p, e = top[0] % m, top[j] % m
+                h, x, y = _xgcd(p, e)
+                for row in a:
+                    s, t = row[0], row[j]
+                    row[0], row[j] = (x * s + y * t) % m, (p // h * t - e // h * s) % m
+            g = gcd(a[0][0], m)
+        top = [e % m for e in a[0]]
+        # pivot = g c with c a unit mod m/g: row_i -= x row_0 clears a_i0 = g f
+        unit = pow(top[0] // g, -1, m // g)
+        del a[0]
+        for row in a:
+            x = row.pop(0) // g * unit % (m // g)
+            if x:
+                row[:] = [t - x * s for s, t in zip(top[1:], row)]
+        found.append(g)
+    return found
+
+
+def pooled_chain(found: Iterable[int]) -> list[int]:
+    """The invariant factors > 1 of the sum of the Z/g over `found`: what two
+    eliminations over Z/m of one matrix agree on, whatever g's they take."""
+    chain = [g for g in found if g > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            h = gcd(chain[i], chain[j])
+            chain[i], chain[j] = h, chain[i] // h * chain[j]
+    return [g for g in chain if g > 1]
+
+
 def row_basis_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
     """Echelon basis over F_p of the span of `rows`, on lists of residues.
 
-    The kernel that modp._row_basis_mod_p replaced by rows packed into one
+    The kernel that intmat._row_basis_mod_p replaced by rows packed into one
     int: each incoming row is reduced, cleared at the leading columns of the
     basis so far, in order, entry by entry and reduced at every step, and
     kept, made monic, if anything is left.
@@ -189,7 +322,7 @@ def row_basis_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
 
 
 def slots(r: int, bits: int, n: int) -> list[int]:
-    """The n slots of a row packed by modp._packing with slots of `bits` bits, lowest first."""
+    """The n slots of a row packed by intmat._packing with slots of `bits` bits, lowest first."""
     mask = (1 << bits) - 1
     return [r >> bits * j & mask for j in range(n)]
 

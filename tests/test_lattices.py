@@ -28,7 +28,7 @@ from quotcoh.lattices import (
 from quotcoh.hilbert import fujiki_constant
 from quotcoh.k3 import nikulin_involution
 from quotcoh.selftest import cycle_matrix, random_glattice
-from reference import matrix_power, slots, smith_summand_counts
+from reference import chain_mod, matrix_power, pooled_chain, slots, smith_summand_counts
 
 
 def U(scale=1):
@@ -357,6 +357,27 @@ class TestEliminationBudget:
         # the modulus is no mere D: on the ladder it has about half of D's bits
         assert sum(l.modulus.bit_length() for l in ladder) < 0.7 * sum(
             abs(l.det).bit_length() for l in ladder)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_part_matches_the_loop_it_replaced(self, monkeypatch, seed):
+        # each part of the modulus, eliminated on G or on a trailing block of a
+        # source lattice or a pushforward, gives the group that the extended-gcd
+        # loop with a congruence phase (reference.chain_mod) gives on it
+        parts, chain = [], lattices._chain_mod
+
+        def spy(rows, c):
+            found = chain(rows, c)
+            parts.append((rows, c, list(found)))  # discriminant_group extends the first
+            return found
+
+        monkeypatch.setattr(lattices, "_chain_mod", spy)
+        ladder = _benchmark_ladder(seed)
+        for l in ladder:
+            discriminant_group(l)
+        grams = {id(l.gram.rows) for l in ladder}
+        assert {id(rows) in grams for rows, _, _ in parts} == {True, False}  # on G and on blocks
+        for rows, c, found in parts:
+            assert pooled_chain(found) == pooled_chain(chain_mod(rows, c))
 
 
 def _order_cases():

@@ -9,10 +9,12 @@ every request of the augmented SNF against the full decomposition, the
 image basis against d_i times the columns of u^-1, the Gauss-Jordan
 adjugate against the n^2 signed minors it replaced, the Smith diagonal
 modulo the determinant against the elimination over Z, on symmetric
-Grams too, even and zero-diagonal ones by 2x2 pivot blocks (and its
-unreduced entries against the bound D + n D^2), the discriminant group
-modulo the (n-1)-minor gcd, split into coprime parts each eliminated on a
-trailing block of the congruence pass, against the integer Smith form,
+Grams too, even and zero-diagonal ones (and every slot its packed
+kernel reduces against the bound 2 n m^2), the packed elimination over
+Z/m against the loop it replaced by their pooled divisor chains, the
+discriminant group modulo the (n-1)-minor gcd, split into coprime parts
+each eliminated on a trailing block of the congruence pass, against the
+integer Smith form,
 the trailing blocks rebuilt backwards against G and its minors, the F_p
 kernel on packed rows against the list kernel it replaced, and its
 slotwise Barrett reduction against x % p slot by slot,
@@ -32,7 +34,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quotcoh import modp, profiles
+from quotcoh import intmat, modp, profiles
 from quotcoh.engine import DegreeInvariants, GradedInvariants, _second_page_sums, u_dimensions
 from quotcoh.intmat import (
     _MR_LIMIT,
@@ -77,7 +79,8 @@ from quotcoh.selftest import (
 )
 from quotcoh.toric import punctured_quotient_cohomology
 from reference import (
-    back_substitute, matmul_dense, matrix_power, rank_power_profile, row_basis_mod_p, slots, smith_dense,
+    back_substitute, chain_mod, matmul_dense, matrix_power, pooled_chain, rank_power_profile,
+    row_basis_mod_p, slots, smith_dense,
     smith_summand_counts, solve_integer,
 )
 
@@ -723,17 +726,16 @@ class TestSmithDiagonalModDet:
     @PROPS
     @given(even_or_zero_diagonal_grams())
     def test_even_and_zero_diagonal_grams(self, rows):
-        # no unit on the diagonal modulo 2: the congruence phase goes on by 2x2
-        # pivot blocks of unit determinant
+        # no unit on the diagonal modulo 2: the packed pass takes its unit
+        # pivots off the diagonal, the odd entries of an even Gram
         self.check(rows)
 
     @PROPS
     @given(even_or_zero_diagonal_grams())
     def test_even_grams_leave_only_their_2_radical(self, rows):
-        # modulo a power of 2 an even form has no unit on its diagonal, and every
-        # 2x2 step keeps the trailing block even; so the phase stops only where
-        # that block is 0 mod 2, and n - rank_2(G) rows reach the general loop,
-        # one g each
+        # modulo a power of 2 the unit pivots are the odd entries, so the packed
+        # pass is an elimination over F_2 and takes rank_2(G) rows; the
+        # n - rank_2(G) rows left are even, and each gives one g
         gram = IntMatrix(rows, ncols=len(rows))
         assert len(_chain_mod(rows, 8)) == gram.nrows - rank_mod_p(gram, 2)
 
@@ -751,7 +753,7 @@ class TestSmithDiagonalModDet:
         [[2, 4], [6, 2]],  # no unit anywhere, pivot needs a row combination
         [[6, 4], [4, 6]],
         [[7, 7, 0], [0, 7, 7], [7, 0, 7]],  # 7 times a determinant-2 matrix
-        # 2x2 pivot blocks: U, U(2) + U, A2 + U(6), and a zero-diagonal entry
+        # pivots off the diagonal: U, U(2) + U, A2 + U(6), and a zero-diagonal entry
         [[0, 1], [1, 0]],
         [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
         [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 6], [0, 0, 6, 0]],
@@ -771,21 +773,137 @@ class TestSmithDiagonalModDet:
 
     @pytest.mark.parametrize("case", range(len(LONG_RUNS)))
     def test_entries_stay_below_d_squared_times_n(self, case, monkeypatch):
-        # the rows below the pivot go unreduced, so after k steps an entry is
-        # below D + k D^2; the pivot search hands gcd every entry it scans
+        # the packed kernel's bound at a composite modulus: every slot handed to
+        # the reduce of _packing(m, n) is below X = 2 n m^2, for m = D and for
+        # each modulus the divide step recurses to (cases 0 to 2; case 3's
+        # remainder, unit-free modulo four primes, splits the modulus first)
         m = long_run_matrix(case)
         det, want = m.det(), _smith(m).diagonal
-        limit = 2 * abs(det).bit_length() + m.nrows.bit_length() + 2
-        widest = []
+        packing, widest = intmat._packing, {}
 
-        def bounded_gcd(a, b):
-            widest.append(abs(a).bit_length())
-            assert widest[-1] <= limit, f"an entry of {widest[-1]} bits, limit {limit}"
-            return gcd(a, b)
+        def spy_packing(modulus, n):
+            bits, pack, reduce = packing(modulus, n)
 
-        monkeypatch.setattr("quotcoh.intmat.gcd", bounded_gcd)
+            def spy_reduce(r):
+                assert r >> bits * n == 0
+                top = max(slots(r, bits, n))
+                assert top < 2 * n * modulus * modulus, f"slot {top} at m = {modulus}, n = {n}"
+                widest[modulus] = max(widest.get(modulus, 0), top)
+                return reduce(r)
+
+            return bits, pack, spy_reduce
+
+        monkeypatch.setattr(intmat, "_packing", spy_packing)
         assert smith_diagonal_mod(m.rows, det, abs(det)) == want
-        assert max(widest) > abs(det).bit_length()  # the updates ran unreduced
+        assert widest[abs(det)] >= abs(det)  # the clearing steps ran unreduced
+
+
+# moduli of each kind the packed elimination over Z/m meets: prime powers,
+# whose unit-free remainders share the prime, composites of several primes,
+# whose remainders can be unit-free with no common factor, and parts of 60+ bits
+MODULI = {
+    "2^k": [2, 4, 8, 2**17, 2**40],
+    "3^k": [3, 9, 27, 3**18],
+    "mixed": [6, 12, 36, 60, 108, 180, 2**5 * 3**3 * 5 * 7, 2**4 * 3**2 * 5**2 * 11],
+    "wide": [2**61, 3**40, 2**30 * 3**20, (2**61 - 1) * 6],
+}
+
+
+@st.composite
+def matrices_mod(draw, max_n=7):
+    """(rows, m): a square matrix, symmetric, general, or general with zero
+    rows, whose entries are mostly small multiples of the primes of m, so
+    that few are units, and a modulus m of MODULI."""
+    m = draw(st.sampled_from(MODULI[draw(st.sampled_from(sorted(MODULI)))]))
+    n = draw(st.integers(1, max_n))
+    shape = draw(st.sampled_from(["symmetric", "general", "zero rows"]))
+    primes = [q for q in (2, 3, 5, 7, 11, 2**61 - 1) if m % q == 0]
+    entry = st.one_of(
+        st.builds(lambda q, x: q * x, st.sampled_from(primes + [q * q for q in primes]),
+                  st.integers(-9, 9)),
+        st.integers(-2 * m, 2 * m),
+        st.sampled_from([0, 1, -1]),
+    )
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if shape == "symmetric":
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    elif shape == "zero rows":
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            rows[i] = [0] * n
+    return rows, m
+
+
+class TestPackedChainMod:
+    """intmat._chain_mod, one packed pass of unit pivots and, on what is
+    left, the divide step, the split into coprime parts or a second pass,
+    against the extended-gcd loop with a congruence phase that it replaced
+    (reference.chain_mod): over Z/m both must give one group, so their g's
+    pool into one divisor chain."""
+
+    @staticmethod
+    def spy_on_branches(monkeypatch):
+        """Record, for every call that a call makes, the branch it came from:
+        "divide", "split" (one entry per part) or "again" (a second pass at
+        the same modulus)."""
+        branches, frames = [], []
+        chain, pair = intmat._chain_mod, intmat.zip_longest
+
+        def spy(rows, m):
+            if frames:
+                frames[-1][1].append(len(branches))
+                branches.append("again" if m == frames[-1][0] else "divide")
+            frames.append((m, []))
+            try:
+                return chain(rows, m)
+            finally:
+                frames.pop()
+
+        def split(first, second, fillvalue):
+            # the two calls the caller made, for the two parts, were splits
+            for i in frames[-1][1]:
+                branches[i] = "split"
+            return pair(first, second, fillvalue=fillvalue)
+
+        monkeypatch.setattr(intmat, "_chain_mod", spy)
+        monkeypatch.setattr(intmat, "zip_longest", split)
+        return branches
+
+    def test_pooled_chains_match_the_loop_it_replaced(self, monkeypatch):
+        branches = self.spy_on_branches(monkeypatch)
+
+        @PROPS
+        @given(matrices_mod())
+        def check(case):
+            rows, m = case
+            found = intmat._chain_mod(rows, m)
+            assert pooled_chain(found) == pooled_chain(chain_mod(rows, m))
+            assert len(found) <= len(rows) and all(m % g == 0 for g in found)
+
+        check()
+        assert {"divide", "split"} <= set(branches)
+
+    @pytest.mark.parametrize("rows, m, branches", [
+        # U(2) + U(4) + A2(-3) in a seeded basis: no unit modulo 48 is left after
+        # two pivots, and the rest divides by 2, and then by 6 modulo 24
+        ([[-6, -21, 15, -30, -18, 18], [-21, -50, 41, -83, -42, 47], [15, 41, -34, 63, 38, -37],
+          [-30, -83, 63, -134, -66, 78], [-18, -42, 38, -66, -40, 38], [18, 47, -37, 78, 38, -46]],
+         48, ["divide", "divide"]),
+        # U(2) + A2(-3) + rank1(-9): no entry is a unit mod 108, and together they
+        # have no common factor with it, so 108 splits into 27 and 4 on G, and
+        # each part then divides
+        ([[-9, 45, -9, 0, 36], [45, -273, 27, 10, -202], [-9, 27, -15, 0, 27], [0, 10, 0, 4, 6],
+          [36, -202, 27, 6, -154]], 108, ["split", "divide", "divide", "split", "divide"]),
+        ([[2, 3], [3, 2]], 6, ["split", "split"]),
+        # the pivot of row 1 leaves a unit in row 0, set aside before it
+        ([[2, 3], [1, 1]], 6, ["again"]),
+        ([[0, 0], [0, 0]], 12, []),
+        ([[26]], 169, ["divide"]),
+    ], ids=["divide", "split", "2 3 mod 6", "again", "zero", "26 mod 169"])
+    def test_the_branches(self, monkeypatch, rows, m, branches):
+        seen = self.spy_on_branches(monkeypatch)
+        found = intmat._chain_mod(rows, m)
+        assert seen == branches
+        assert pooled_chain(found) == pooled_chain(chain_mod(rows, m))
 
 
 @st.composite
@@ -1110,7 +1228,7 @@ class TestPackedRowBasisModP:
         # little-endian one only for primes above about 2^27
         rows = self.rows(data, p, nrows, ncols)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(modp.sys, "byteorder", "big")
+            patch.setattr(intmat.sys, "byteorder", "big")
             # slots of 18 bits: three bytes, where a machine word would take four
             assert _packing(13, 300)[0] == 24
             assert self.basis(rows, p, ncols) == row_basis_mod_p(rows, p)
@@ -1276,7 +1394,7 @@ class TestKernelFiltrationProfile:
             want = e
         with pytest.MonkeyPatch.context() as patch:
             if big_endian:
-                patch.setattr(modp.sys, "byteorder", "big")
+                patch.setattr(intmat.sys, "byteorder", "big")
             if isinstance(want, ValueError):
                 with pytest.raises(ValueError) as got:
                     jordan_profile(a, p)

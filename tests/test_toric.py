@@ -792,6 +792,34 @@ class TestWorklistResolve:
     def test_weighted_projective_fans_match_the_scan(self, fan):
         assert resolve(fan).maximal == _scan_resolve(fan).maximal
 
+    @staticmethod
+    def reordered(fan, rays):
+        return Fan((Cone(tuple(rays), fan.ambient),), fan.ambient)
+
+    @PROPS
+    @given(singularities(), st.data())
+    def test_any_ray_order_resolves_to_the_same_fan(self, sing, data):
+        # the checked Cone keeps the order it is given, and the rounds key, order and
+        # split cones by their sorted ray tuples
+        fan = quotient_fan(sing)
+        rays = data.draw(st.permutations(fan.maximal[0].rays))
+        assert resolve(self.reordered(fan, rays)) == resolve(fan)
+
+    @pytest.mark.parametrize("p, weights", [
+        (7, (1, 2, 4)), (13, (1, 5, 9)), (11, (1, 3, 7, 9)), (7, (1, 3)),
+    ])
+    def test_every_ray_order_resolves_to_the_same_fan(self, p, weights):
+        fan = quotient_fan(CyclicSingularity(p, weights))
+        want = resolve(fan)
+        for rays in itertools.permutations(fan.maximal[0].rays):
+            assert resolve(self.reordered(fan, rays)) == want
+
+    def test_reversed_rays_of_a_six_dimensional_cone(self):
+        # with its rays reversed this cone resolved to 2 605 cones, another set
+        fan = quotient_fan(CyclicSingularity(53, (2, 9, 21, 30, 44, 50)))
+        resolved = resolve(self.reordered(fan, reversed(fan.maximal[0].rays)))
+        assert resolved == resolve(fan) and len(resolved.maximal) == 2397
+
     def test_every_rank_one_update_is_the_elimination(self, monkeypatch):
         # rank-one updates run from dimension 3 on; plane fans take the Hirzebruch-Jung chain.
         # Below full dimension a new cone keeps its parent's basis P of the span
