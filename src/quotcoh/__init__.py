@@ -5,8 +5,6 @@ Subpackages:
 * intmat    -- arbitrary-precision integer matrices, Smith normal form,
                saturated kernels, the packed echelon elimination over Z/m
                behind mod-p ranks and discriminant groups
-* modp      -- A - 1 packed for that elimination, for Jordan profiles, and
-               the summand counts of a Z[G]-lattice
 * profiles  -- Jordan profiles of order-p actions over F_p, and Sym^k of a
                permutation module in closed form
 * lattices  -- integral lattices with prime-order isometries, the summand
@@ -65,8 +63,8 @@ _EXPORTS = {
         "hilbert",
     ),
 }
-_SUBMODULES = frozenset(("intmat", "modp", "profiles", "lattices", "k3", "toric", "engine",
-                         "hilbert", "selftest", "cli", "tables", "commands"))
+_SUBMODULES = frozenset(("intmat", "profiles", "lattices", "k3", "toric", "engine", "hilbert",
+                         "selftest", "cli", "tables", "commands"))
 
 __all__ = list(_EXPORTS)
 __version__ = "0.1.0"

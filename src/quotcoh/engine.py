@@ -93,19 +93,11 @@ class DegreeInvariants(_Frozen):
 
 
 class GradedInvariants(_Frozen):
-    """Per-degree invariants of a 2n-dimensional G-space, with eta fixed points.
+    """Per-degree invariants of a 2n-dimensional G-space, with eta fixed points."""
 
-    strict mode (the default) enforces the closed connected oriented
-    manifold normalizations rank_0 = l_plus_0 = rank_2n = l_plus_2n = 1;
-    relax it for auxiliary tables such as free-action fibers.  strict takes
-    no part in equality or hashing.
-    """
+    __slots__ = ("p", "n", "eta", "degrees")
 
-    __slots__ = ("p", "n", "eta", "degrees", "strict")
-    _compared = ("p", "n", "eta", "degrees")
-
-    def __init__(self, p: int, n: int, eta: int, degrees: tuple[DegreeInvariants, ...],
-                 strict: bool = True):
+    def __init__(self, p: int, n: int, eta: int, degrees: tuple[DegreeInvariants, ...]):
         p, n, eta = map(operator.index, (p, n, eta))
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -123,12 +115,7 @@ class GradedInvariants(_Frozen):
             big = max((q for q, _ in d.l_qt), default=0)
             if big > p:
                 raise ValueError(f"degree {k}: torsion block of size {big} > p = {p}")
-        if strict:
-            top = degrees[2 * n]
-            bottom = degrees[0]
-            if (bottom.rank, bottom.l_plus) != (1, 1) or (top.rank, top.l_plus) != (1, 1):
-                raise ValueError("connected oriented space needs rank = l_plus = 1 at both ends")
-        _Frozen.__init__(self, p, n, eta, degrees, strict)
+        _Frozen.__init__(self, p, n, eta, degrees)
 
     def degree(self, k: int) -> DegreeInvariants:
         if not (0 <= k <= 2 * self.n):
@@ -435,11 +422,13 @@ def quotient_report(inv: GradedInvariants, conjectural_split: bool = False) -> Q
     Under any of the degeneration criteria: every surjectivity defect
     alpha_k vanishes, even cohomology of the quotient is p-torsion free,
     the odd p-torsion pair sums equal eta - l_+^2k, and the Betti numbers
-    are l_+^k + l_pf^k.  Infeasible inputs (negative torsion) are
-    rejected.
+    are l_+^k + l_pf^k.  Inputs that are not those of a closed connected
+    oriented manifold, rank_0 = l_plus_0 = rank_2n = l_plus_2n = 1, and
+    infeasible ones (negative torsion) are rejected.
     """
-    if not inv.strict:
-        raise ValueError("quotient reports need a closed connected oriented input")
+    bottom, top = inv.degrees[0], inv.degrees[-1]
+    if (bottom.rank, bottom.l_plus) != (1, 1) or (top.rank, top.l_plus) != (1, 1):
+        raise ValueError("connected oriented space needs rank = l_plus = 1 at both ends")
     if not inv.is_p_torsion_free():
         raise ValueError("quotient reports require p-torsion-free input cohomology")
     n, p = inv.n, inv.p

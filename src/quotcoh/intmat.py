@@ -20,7 +20,8 @@ One echelon elimination over Z/m, m > 1, clears rows packed into one int
 each (_packing) at pivots that are units mod m, wherever they lie, and
 reduces all slots of a row at once by Barrett's division by
 multiplication (_row_basis_mod_p); at a prime it gives ranks mod p and,
-through modp, Jordan profiles and summand counts.  The Smith diagonal of
+from the rows of A - 1 that _pack_minus_one packs, the Jordan profiles
+of profiles and the summand counts of lattices.  The Smith diagonal of
 a non-singular square matrix, all a finite quotient needs, is computed
 modulo any m between d_1 ... d_(n-1) and the determinant D that it
 divides (D for a quotient group, a gcd of (n-1)-minors for a Gram
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from array import array
 from itertools import zip_longest
 from math import gcd, prod
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -517,8 +519,6 @@ def _packing(m: int, n: int) -> tuple[int, Callable, Callable]:
     bound = 2 * n * m * m
     w = max(1, ((2 * bound - 1).bit_length() + 7) // 8)
     if w <= 8 and sys.byteorder == "little":
-        from array import array  # loaded by the first elimination, not at start-up
-
         w = 1 << (w - 1).bit_length()
         code = _MACHINE_WORDS[w]
 
@@ -540,6 +540,15 @@ def _packing(m: int, n: int) -> tuple[int, Callable, Callable]:
         return r - m * (q >> s)
 
     return bits, pack, reduce
+
+
+def _pack_minus_one(rows: Sequence[Sequence[int]], p: int, packing: tuple) -> list[int]:
+    """The rows of A - 1, for the square A with these rows, packed by
+    `packing` with a residue in every slot: slot i of row i holds
+    (x_ii - 1) mod p."""
+    bits, pack = packing[0], packing[1]
+    return [pack([x % p for x in row]) + (((row[i] - 1) % p - row[i] % p) << i * bits)
+            for i, row in enumerate(rows)]
 
 
 def _row_basis_mod_p(rows: Iterable[int], p: int, packing: tuple,

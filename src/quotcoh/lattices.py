@@ -11,11 +11,9 @@ Each answer has one record: bns_invariants and curtis_reiner_check
 return BNSInvariants, and group_cohomology returns intmat.CohGroup, the
 type of toric's cohomology tables.  The counts come in closed form from
 two numbers of the action phi, with no use of the form and no Smith form
-(modp._module_analysis, imported where it is called, so the K3 and
-Hilbert-scheme tables, which never count summands, compile no F_p
-elimination): by Diederichsen-Reiner every
-summand is trivial, an ideal of Z[zeta] or locally free, so
-l_p = rank_p(sigma), l_minus = (n - tr phi)/p - l_p and
+(_module_analysis, on intmat's packed elimination over F_p): by
+Diederichsen-Reiner every summand is trivial, an ideal of Z[zeta] or
+locally free, so l_p = rank_p(sigma), l_minus = (n - tr phi)/p - l_p and
 l_plus = tr phi + l_minus, where sigma = 1 + phi + ... + phi^(p-1) is the
 norm map.  One mod-p rank of phi - 1 checks them, and so the odd degrees
 H^odd = (Z/p)^l_minus.  Im sigma is of full rank in the saturated T^G,
@@ -65,6 +63,9 @@ from .intmat import (
     _Frozen,
     _chain_mod,
     _divisor_chain,
+    _pack_minus_one,
+    _packing,
+    _row_basis_mod_p,
     _smith,
     det_adjugate,
     image_basis,
@@ -329,15 +330,64 @@ class BNSInvariants(NamedTuple):
     l_p: int
 
 
+def _module_analysis(action: IntMatrix, sigma: IntMatrix, p: int) -> tuple[int, int, int]:
+    """Summand counts (l_plus, l_minus, l_p) of Z^n under an action A with
+    A^p = 1 over Z and norm map sigma = 1 + A + ... + A^(p-1), in closed
+    form from tr A and rank_p(sigma); no invariant form is needed.
+    bns_invariants and curtis_reiner_check hand them out as BNSInvariants.
+
+    The preconditions are the caller's: GLattice and curtis_reiner_check
+    check that p is prime and A square, and establish A^p = 1 by
+    intmat.norm_map, whose sigma they pass, hence the underscore.  By
+    Diederichsen-Reiner (Curtis-Reiner, Methods of Representation Theory I,
+    section 34) Z^n is then a sum of trivial summands Z, ideals of Z[zeta]
+    and locally free summands, which reduce mod p to N_1, N_(p-1) and N_p.
+    Their ranks are 1, p - 1 and p, their traces 1, -1 and 0, and sigma,
+    which is (A - 1)^(p-1) mod p, has rank 0, 0 and 1 on them.  So
+    n - tr A = p (l_minus + l_p), l_p = rank_p(sigma),
+    l_minus = (n - tr A)/p - l_p and l_plus = tr A + l_minus.
+
+    At odd p a second mod-p elimination checks the counts:
+    rank_p(A - 1) = (p - 2) l_minus + (p - 1) l_p, as A - 1 has rank 0,
+    p - 2 and p - 1 on N_1, N_(p-1) and N_p.  A disagreement raises
+    ValueError, as do n - tr A not divisible by p and a negative count.
+    At p = 2, sigma = A + 1 is A - 1 mod 2, so the check would read
+    rank_2(sigma) = l_p again and is skipped; the trace alone tells Z
+    from Z^-.  The checks are consequences of A^p = 1, not a test of it:
+    [[1, 2], [0, 1]] at p = 2 passes them as Z^2, and [[-1, 2], [0, -1]],
+    of infinite order, as (Z^-)^2.
+    """
+    n = action.nrows
+    trace = sum(row[i] for i, row in enumerate(action.rows))
+    packing = _packing(p, n)
+    pack = packing[1]
+    l_p = len(_row_basis_mod_p([pack([x % p for x in row]) for row in sigma.rows], p, packing))
+    free_and_cyclotomic, rest = divmod(n - trace, p)
+    l_minus = free_and_cyclotomic - l_p
+    l_plus = trace + l_minus
+    if rest or l_minus < 0 or l_plus < 0:
+        raise ValueError(
+            f"rank bookkeeping failed: n = {n}, tr A = {trace} and rank_p(sigma) = {l_p} "
+            f"give no order-{p} summand counts"
+        )
+    if p > 2:
+        rank_p = len(_row_basis_mod_p(_pack_minus_one(action.rows, p, packing), p, packing))
+        expected = (p - 2) * l_minus + (p - 1) * l_p
+        if rank_p != expected:
+            raise ValueError(
+                f"rank {rank_p} of A - 1 mod {p} disagrees with "
+                f"(p - 2) l_minus + (p - 1) l_p = {expected}"
+            )
+    return l_plus, l_minus, l_p
+
+
 def bns_invariants(gl: GLattice) -> BNSInvariants:
     """Counts of trivial / cyclotomic / free summands of the Z[G]-lattice.
 
     In closed form from tr phi and rank_p(sigma) of the kept norm map
-    (modp._module_analysis), checked at odd p against
+    (_module_analysis), checked at odd p against
     rank_p(phi - 1) = (p - 2) l_minus + (p - 1) l_p; no Smith form.
     """
-    from .modp import _module_analysis
-
     return BNSInvariants(*_module_analysis(gl.action, gl.sigma(), gl.p))
 
 
@@ -347,7 +397,7 @@ def group_cohomology(gl: GLattice, i: int) -> CohGroup:
     Degree 0 is the free module of invariants, of rank l_plus + l_p.  Odd
     degrees give (Z/p)^l_minus, since H^1 is 0 on Z and on a locally free
     summand and Z/p on an ideal of Z[zeta]; they rest on the trace and
-    mod-p rank checks of modp._module_analysis.  Positive even degrees give
+    mod-p rank checks of _module_analysis.  Positive even degrees give
     (Z/p)^l_plus, and that is also computed directly:
     (phi - 1) sigma = phi^p - 1 = 0 puts Im sigma in the saturated
     T^G = Ker(phi - 1), and rank sigma must equal rk T^G, so
@@ -357,8 +407,6 @@ def group_cohomology(gl: GLattice, i: int) -> CohGroup:
     i = operator.index(i)
     if i < 0:
         raise ValueError("negative degree")
-    from .modp import _module_analysis
-
     l_plus, l_minus, l_p = _module_analysis(gl.action, gl.sigma(), gl.p)
     if i == 0:
         return CohGroup(l_plus + l_p, ())
@@ -390,8 +438,6 @@ def curtis_reiner_check(action: IntMatrix, p: int) -> BNSInvariants:
         raise ValueError(f"{p} is not prime")
     if not action.is_square():
         raise ValueError("action must be square")
-    from .modp import _module_analysis
-
     sigma = norm_map(action, p)
     if sigma is None:
         raise ValueError("action^p is not the identity over Z")

@@ -18,7 +18,7 @@ modules, whose summands it counts directly.
 
 Everything here is over F_p.  The summand counts of an order-p action over
 Z, which tell the trivial Z from the cyclotomic Z^- at p = 2, where both
-reduce to N_1, are modp._module_analysis: a closed form in the trace,
+reduce to N_1, are lattices._module_analysis: a closed form in the trace,
 which sees that difference, and rank_p(sigma), which counts the N_p
 blocks; the profile is their test oracle.
 """
@@ -29,8 +29,7 @@ import operator
 from math import comb
 from typing import Mapping, Sequence
 
-from .intmat import IntMatrix, _Frozen, _packing, _row_basis_mod_p, is_prime
-from .modp import _pack_minus_one
+from .intmat import IntMatrix, _Frozen, _pack_minus_one, _packing, _row_basis_mod_p, is_prime
 
 
 class JordanProfile(_Frozen):
@@ -76,10 +75,10 @@ def _profile_from_rows(rows: Sequence[Sequence[int]], p: int) -> JordanProfile:
     """Profile of the square A with these rows from L_k = {x : x B^k = 0}, B = A - 1 mod p.
 
     The blocks of size >= k number dim L_k - dim L_(k-1).  Each row [a | c]
-    fills 2n slots of one modp._packing and keeps a - c B in L, the part
+    fills 2n slots of one intmat._packing and keeps a - c B in L, the part
     of the filtration found so far.  The seeds are [B_i | e_i]; each later
     round feeds the c's the round before found, a basis of L_k modulo
-    L_(k-1), as [c | 0].  modp._row_basis_mod_p keeps the rows with a
+    L_(k-1), as [c | 0].  intmat._row_basis_mod_p keeps the rows with a
     pivot in the a half as its basis, from call to call, and hands back the
     rest, a = 0: then c B is in L_k, so c is in L_(k+1).
 

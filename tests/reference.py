@@ -17,12 +17,11 @@ from typing import Iterable, Sequence
 from quotcoh.engine import DegreeInvariants, GradedInvariants
 from quotcoh.hilbert import K3_B2, _permutation_invariants
 from quotcoh.intmat import (
-    IntMatrix, SmithDecomposition, _packing, _row_basis_mod_p, _smith, det_adjugate,
-    image_basis, primitive_vector, smith_decomposition,
+    IntMatrix, SmithDecomposition, _pack_minus_one, _packing, _row_basis_mod_p, _smith,
+    det_adjugate, image_basis, primitive_vector, smith_decomposition,
 )
 from quotcoh.k3 import K3ActionSpec
 from quotcoh.lattices import BNSInvariants
-from quotcoh.modp import _pack_minus_one
 from quotcoh.profiles import JordanProfile
 from quotcoh.toric import Cone, CyclicSingularity, Fan, _judge, _xgcd
 

@@ -126,9 +126,7 @@ def test_criterion_07_punctured_quotient_from_free_action():
             degrees = [DegreeInvariants.make() for _ in range(2 * n + 1)]
             degrees[0] = DegreeInvariants.make(rank=1, l_plus=1)
             degrees[2 * n - 1] = DegreeInvariants.make(rank=1, l_plus=1)
-            fiber = GradedInvariants(
-                p=p, n=n, eta=0, degrees=tuple(degrees), strict=False
-            )
+            fiber = GradedInvariants(p=p, n=n, eta=0, degrees=tuple(degrees))
             derived = []
             for k in range(2 * n + 1):
                 if k <= 2 * n - 2:
@@ -202,9 +200,7 @@ def test_criterion_10_degeneration_dimension_identities():
             assert ubar == _ubar_independent(inv, torsion, k)
         eta = lefschetz_euler(inv)
         if eta >= 2:
-            consistent = GradedInvariants(
-                p=inv.p, n=inv.n, eta=eta, degrees=inv.degrees, strict=False
-            )
+            consistent = GradedInvariants(p=inv.p, n=inv.n, eta=eta, degrees=inv.degrees)
             status = degeneration_status(consistent)
             assert status.two == status.three
     report(10, "u-dimension identities and fixed-point counts, 12 datasets + 100 random tables")

@@ -309,6 +309,17 @@ class TestQuotientCommand:
         assert (status, out) == (2, "")
         assert json.loads(err) == {"error": "degree 1: torsion block of size 9 > p = 3"}
 
+    def test_report_refuses_unconnected_ends(self, capsys, monkeypatch):
+        # rank 0 in degree 0: invariants of no closed connected oriented manifold
+        payload = {"p": 5, "n": 1, "eta": 2, "degrees": [{"k": 0, "rank": 0},
+                                                         {"k": 1, "rank": 0},
+                                                         {"k": 2, "rank": 1, "l_plus": 1}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        status, out, err = run(capsys, "quotient", "report", "--input", "-")
+        assert (status, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "connected oriented space needs rank = l_plus = 1 at both ends"}
+
     def test_pushforward_trivial(self, capsys, tmp_path):
         path = tmp_path / "gl.json"
         path.write_text(
@@ -741,12 +752,12 @@ class TestProcessLevel:
         "hilbert": _HILBERT_LAYERS,
         "tables": _HILBERT_LAYERS | {"quotcoh.tables"},
         "toric": {"quotcoh", "quotcoh.commands", "quotcoh.intmat", "quotcoh.toric"},
-        "profile": _INPUT_LAYERS | {"quotcoh.profiles", "quotcoh.modp"},
+        "profile": _INPUT_LAYERS | {"quotcoh.profiles"},
         "lattice": _INPUT_LAYERS | {"quotcoh.lattices"},
         "quotient pushforward": _INPUT_LAYERS | {"quotcoh.lattices"},
         "quotient report": _INPUT_LAYERS,
-        "selftest": _INPUT_LAYERS | {"quotcoh.lattices", "quotcoh.profiles", "quotcoh.modp",
-                                     "quotcoh.toric", "quotcoh.selftest"},
+        "selftest": _INPUT_LAYERS | {"quotcoh.lattices", "quotcoh.profiles", "quotcoh.toric",
+                                     "quotcoh.selftest"},
     }
 
     @staticmethod
@@ -776,11 +787,30 @@ class TestProcessLevel:
         loaded, package = self.package_modules(argv)
         assert package == self._LAYERS[argv[0]]
         if argv[0] != "toric":
-            # the paper's tables take no mod-p rank and read no JSON input
-            assert not package & {"quotcoh.modp", "quotcoh.commands"}
+            # the paper's tables read no JSON input
+            assert "quotcoh.commands" not in package
         if argv[0] == "k3":
             # no Fraction on the K3 rows: fractions, and the decimal it imports, stay unloaded
             assert not loaded & {"fractions", "decimal"}
+
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--which", "all"],
+        ["k3", "--p", "7"],
+        ["hilbert", "--p", "7", "--m", "6"],
+    ])
+    def test_paper_tables_take_no_mod_p_rank(self, capsys, monkeypatch, argv):
+        # neither the summand counts nor a Jordan profile: the same stdout with both refused
+        from quotcoh import lattices, profiles
+
+        status, out, _ = run(capsys, *argv)
+        assert status == 0
+
+        def refuse(*args):
+            raise AssertionError("a paper table took a mod-p rank")
+
+        monkeypatch.setattr(lattices, "_module_analysis", refuse)
+        monkeypatch.setattr(profiles, "_profile_from_rows", refuse)
+        assert run(capsys, *argv) == (0, out, "")
 
     @pytest.mark.parametrize("argv, payload", [
         (["profile"], {"p": 3, "action": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}),

@@ -44,16 +44,17 @@ class TestGradedInvariants:
                 ),
             )
 
-    def test_strict_requires_connected_ends(self):
-        with pytest.raises(ValueError):
-            GradedInvariants(
-                p=5, n=1, eta=0,
-                degrees=(
-                    DegreeInvariants.make(rank=0),
-                    DegreeInvariants.make(rank=0),
-                    DegreeInvariants.make(rank=1, l_plus=1),
-                ),
-            )
+    def test_report_requires_connected_ends(self):
+        inv = GradedInvariants(
+            p=5, n=1, eta=0,
+            degrees=(
+                DegreeInvariants.make(rank=0),
+                DegreeInvariants.make(rank=0),
+                DegreeInvariants.make(rank=1, l_plus=1),
+            ),
+        )
+        with pytest.raises(ValueError, match="connected oriented"):
+            quotient_report(inv)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_torsion_blocks_larger_than_p_rejected(self, p):
@@ -318,7 +319,7 @@ class TestAlpha:
         zero = DegreeInvariants.make()
         odd = DegreeInvariants.make(rank=2, l_plus=2)
         degrees = (one, zero, zero, odd, zero, zero, zero, zero, one)
-        inv = GradedInvariants(p=5, n=4, eta=0, degrees=degrees, strict=True)
+        inv = GradedInvariants(p=5, n=4, eta=0, degrees=degrees)
         assert odd_alpha_pairs(inv)[1] == 2
 
     def test_even_bound(self):
@@ -408,8 +409,6 @@ class TestRandomConsistency:
             eta = lefschetz_euler(inv0)
             if eta < 2:
                 continue
-            inv = GradedInvariants(
-                p=inv0.p, n=inv0.n, eta=eta, degrees=inv0.degrees, strict=False
-            )
+            inv = GradedInvariants(p=inv0.p, n=inv0.n, eta=eta, degrees=inv0.degrees)
             status = degeneration_status(inv)
             assert status.two == status.three

@@ -9,7 +9,7 @@ from math import gcd, prod
 
 import pytest
 
-from quotcoh import intmat, lattices, modp, profiles
+from quotcoh import intmat, lattices, profiles
 from quotcoh.intmat import IntMatrix, _smith, kernel_saturated, quotient_group
 from quotcoh.lattices import (
     GLattice,
@@ -254,7 +254,7 @@ class TestEliminationBudget:
         # l_p, and then, at odd p, phi - 1, for the check; at p = 2 phi - 1 is
         # sigma mod 2, so that elimination would only repeat the first
         eliminations, filtrations = [], []
-        basis = modp._row_basis_mod_p
+        basis = lattices._row_basis_mod_p
 
         def spy(rows, p, packing):
             # sigma and A - 1 both come as their residues packed by the shared packing
@@ -262,7 +262,7 @@ class TestEliminationBudget:
             eliminations.append(tuple(tuple(slots(r, packing[0], len(rows))) for r in rows))
             return basis(rows, p, packing)
 
-        monkeypatch.setattr(modp, "_row_basis_mod_p", spy)
+        monkeypatch.setattr(lattices, "_row_basis_mod_p", spy)
         monkeypatch.setattr(profiles, "_profile_from_rows",
                             lambda rows, p: filtrations.append(p))
         for gl in _budget_lattices():
@@ -282,7 +282,7 @@ class TestEliminationBudget:
     ], ids=["Nikulin", "two 5-cycles", "3-cycle + I_2"])
     def test_wrong_count_is_refused(self, monkeypatch, gl):
         # each case has l_p >= 1, so a basis one row short is a wrong rank too
-        basis = modp._row_basis_mod_p
+        basis = lattices._row_basis_mod_p
         assert bns_invariants(gl).l_p >= 1
 
         def wrong(of_sigma, change):
@@ -312,7 +312,7 @@ class TestEliminationBudget:
                       (RuntimeError, "mismatch"))]
         for mutant, questions, (error, pattern) in cases:
             with monkeypatch.context() as patch:
-                patch.setattr(modp, "_row_basis_mod_p", mutant)
+                patch.setattr(lattices, "_row_basis_mod_p", mutant)
                 for ask in questions:
                     with pytest.raises(error, match=pattern):
                         ask(gl)

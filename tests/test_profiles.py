@@ -4,8 +4,7 @@ import time
 import pytest
 
 from quotcoh.intmat import IntMatrix
-from quotcoh.lattices import GLattice, curtis_reiner_check
-from quotcoh.modp import _module_analysis
+from quotcoh.lattices import GLattice, _module_analysis, curtis_reiner_check
 from quotcoh import profiles
 from quotcoh.profiles import JordanProfile, jordan_profile
 from quotcoh.selftest import cycle_matrix, cyclotomic_companion, random_order_p_action

@@ -34,13 +34,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quotcoh import intmat, modp, profiles
+from quotcoh import intmat, profiles
 from quotcoh.engine import DegreeInvariants, GradedInvariants, _second_page_sums, u_dimensions
 from quotcoh.intmat import (
     _MR_LIMIT,
     IntMatrix,
     _chain_mod,
     _divisor_chain,
+    _packing,
+    _row_basis_mod_p,
     _smith,
     det_adjugate,
     image_basis,
@@ -57,6 +59,7 @@ from quotcoh.lattices import (
     Lattice,
     _congruence,
     _mirrored,
+    _module_analysis,
     _modulus_parts,
     _trailing_blocks,
     bns_invariants,
@@ -68,7 +71,6 @@ from quotcoh.lattices import (
     pushforward_quotient_lattice,
     signature,
 )
-from quotcoh.modp import _module_analysis, _packing, _row_basis_mod_p
 from quotcoh.profiles import JordanProfile, jordan_profile
 from quotcoh.selftest import (
     cycle_matrix,
@@ -1112,7 +1114,7 @@ LARGEST_DECIDED_PRIME = 3317044064679887385961813  # the last prime below intmat
 
 
 class TestPackedRowBasisModP:
-    """modp._row_basis_mod_p takes rows packed as one int of byte-aligned
+    """intmat._row_basis_mod_p takes rows packed as one int of byte-aligned
     slots each and returns its basis packed the same way; read slot by slot
     (reference.slots), that basis must be the one of the list kernel it
     replaced (reference.row_basis_mod_p), exactly, at every prime is_prime
@@ -1530,8 +1532,7 @@ def graded_invariants(draw):
         degrees.append(DegreeInvariants.make(
             rank=l_plus + (p - 1) * l_minus + p * l_pf, l_plus=l_plus, l_minus=l_minus, l_pf=l_pf,
         ))
-    return GradedInvariants(p=p, n=n, eta=draw(st.integers(0, 50)), degrees=tuple(degrees),
-                            strict=False)
+    return GradedInvariants(p=p, n=n, eta=draw(st.integers(0, 50)), degrees=tuple(degrees))
 
 
 class TestSecondPageSums:

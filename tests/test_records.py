@@ -36,8 +36,7 @@ CASES = [
      {}, {}),
     (DegreeInvariants, dict(rank=3, l_plus=1, l_minus=1, l_pf=0, l_qt=((1, 1),)),
      dict(l_plus=0, l_minus=0, l_pf=0, l_qt=()), {}),
-    (GradedInvariants, dict(p=3, n=1, eta=3, degrees=(ONE, ZERO, ONE), strict=True),
-     dict(strict=True), dict(strict=False)),
+    (GradedInvariants, dict(p=3, n=1, eta=3, degrees=(ONE, ZERO, ONE)), {}, {}),
     (DegenerationStatus, dict(two=True, three=True, one=None, four=None, notes=("note",)),
      dict(notes=()), {}),
     (QuotientReport, dict(p=3, n=1, eta=2, degeneration=DegenerationStatus(True, True, True, True),
